@@ -1,10 +1,13 @@
 #include "src/chaos/campaign_file.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/topology/component.h"
@@ -52,6 +55,46 @@ bool Fail(std::string* error, int line, const std::string& what) {
   return false;
 }
 
+// Consumes one whitespace-separated token and accepts it only if the whole
+// token parses as a T (a finite one, for double). operator>> would read
+// "1e300" into an integer as 1 and leave "e300" behind.
+template <typename T>
+bool ReadNumber(std::istringstream& in, T* out) {
+  std::string token;
+  if (!(in >> token)) {
+    return false;
+  }
+  T value{};
+  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc() || ptr != token.data() + token.size()) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
+  }
+  *out = value;
+  return true;
+}
+
+// A fault window [at_ms, clear_ms): clear_ms 0 means "never clears";
+// otherwise the fault must clear after it starts. Both ends stay within
+// the virtual-time ceiling.
+bool CheckWindow(int64_t at_ms, int64_t clear_ms, int line_no, const std::string& what,
+                 std::string* error) {
+  if (at_ms < 0 || at_ms > kMaxCampaignMs) {
+    return Fail(error, line_no, what + ": at_ms must lie in [0, " +
+                                    std::to_string(kMaxCampaignMs) + "]");
+  }
+  if (clear_ms != 0 && (clear_ms <= at_ms || clear_ms > kMaxCampaignMs)) {
+    return Fail(error, line_no,
+                what + ": clear_ms must be 0 (never) or in (at_ms, " +
+                    std::to_string(kMaxCampaignMs) + "]");
+  }
+  return true;
+}
+
 // "fault <verb> ..." — everything but ddio_off shares the link reference
 // and the [at_ms, clear_ms] window prefix.
 bool ParseFault(std::istringstream& in, int line_no, CampaignConfig* config,
@@ -60,11 +103,15 @@ bool ParseFault(std::istringstream& in, int line_no, CampaignConfig* config,
   if (!(in >> verb)) {
     return Fail(error, line_no, "fault: missing kind");
   }
+  const std::string what = "fault " + verb;
   if (verb == "ddio_off") {
     int64_t at_ms = 0;
     int64_t clear_ms = 0;
-    if (!(in >> at_ms >> clear_ms)) {
+    if (!ReadNumber(in, &at_ms) || !ReadNumber(in, &clear_ms)) {
       return Fail(error, line_no, "fault ddio_off: want <at_ms> <clear_ms>");
+    }
+    if (!CheckWindow(at_ms, clear_ms, line_no, what, error)) {
+      return false;
     }
     config->schedule.DisableDdio(sim::TimeNs::Millis(at_ms),
                                  sim::TimeNs::Millis(clear_ms));
@@ -75,13 +122,16 @@ bool ParseFault(std::istringstream& in, int line_no, CampaignConfig* config,
   int index = 0;
   int64_t at_ms = 0;
   int64_t clear_ms = 0;
-  if (!(in >> kind_name >> index >> at_ms >> clear_ms)) {
-    return Fail(error, line_no,
-                "fault " + verb + ": want <link_kind> <index> <at_ms> <clear_ms>");
+  if (!(in >> kind_name) || !ReadNumber(in, &index) || !ReadNumber(in, &at_ms) ||
+      !ReadNumber(in, &clear_ms)) {
+    return Fail(error, line_no, what + ": want <link_kind> <index> <at_ms> <clear_ms>");
   }
   const std::optional<topology::LinkKind> kind = ParseLinkKind(kind_name);
   if (!kind) {
     return Fail(error, line_no, "unknown link kind '" + kind_name + "'");
+  }
+  if (!CheckWindow(at_ms, clear_ms, line_no, what, error)) {
+    return false;
   }
   const sim::TimeNs at = sim::TimeNs::Millis(at_ms);
   const sim::TimeNs clear = sim::TimeNs::Millis(clear_ms);
@@ -92,16 +142,23 @@ bool ParseFault(std::istringstream& in, int line_no, CampaignConfig* config,
   }
   if (verb == "degrade") {
     double factor = 0.5;
-    if (!(in >> factor)) {
+    if (!ReadNumber(in, &factor)) {
       return Fail(error, line_no, "fault degrade: missing <capacity_factor>");
+    }
+    if (factor < 0.0 || factor > 1.0) {
+      return Fail(error, line_no, "fault degrade: capacity_factor must lie in [0, 1]");
     }
     config->schedule.Degrade(*kind, index, factor, at, clear);
     return true;
   }
   if (verb == "latency") {
     int64_t extra_us = 0;
-    if (!(in >> extra_us)) {
-      return Fail(error, line_no, "fault latency: missing <extra_us>");
+    if (!ReadNumber(in, &extra_us)) {
+      return Fail(error, line_no, "fault latency: want an integer <extra_us>");
+    }
+    if (extra_us < 0 || extra_us > kMaxCampaignMs * 1000) {
+      return Fail(error, line_no, "fault latency: extra_us must lie in [0, " +
+                                      std::to_string(kMaxCampaignMs * 1000) + "]");
     }
     config->schedule.InflateLatency(*kind, index, sim::TimeNs::Micros(extra_us), at,
                                     clear);
@@ -110,8 +167,15 @@ bool ParseFault(std::istringstream& in, int line_no, CampaignConfig* config,
   if (verb == "flap") {
     int64_t period_us = 0;
     double duty = 0.5;
-    if (!(in >> period_us >> duty)) {
+    if (!ReadNumber(in, &period_us) || !ReadNumber(in, &duty)) {
       return Fail(error, line_no, "fault flap: want <period_us> <duty>");
+    }
+    if (period_us <= 0 || period_us > kMaxCampaignMs * 1000) {
+      return Fail(error, line_no, "fault flap: period_us must lie in (0, " +
+                                      std::to_string(kMaxCampaignMs * 1000) + "]");
+    }
+    if (duty <= 0.0 || duty > 1.0) {
+      return Fail(error, line_no, "fault flap: duty must lie in (0, 1]");
     }
     config->schedule.Flap(*kind, index, sim::TimeNs::Micros(period_us), duty, at, clear);
     return true;
@@ -126,10 +190,14 @@ bool ParseStream(std::istringstream& in, int line_no, CampaignConfig* config,
   StreamSpec spec;
   double demand_gbps = 0.0;
   double slo_gbps = 0.0;
-  if (!(in >> src_kind >> spec.src_index >> dst_kind >> spec.dst_index >> demand_gbps >>
-        slo_gbps)) {
+  if (!(in >> src_kind) || !ReadNumber(in, &spec.src_index) || !(in >> dst_kind) ||
+      !ReadNumber(in, &spec.dst_index) || !ReadNumber(in, &demand_gbps) ||
+      !ReadNumber(in, &slo_gbps)) {
     return Fail(error, line_no,
                 "stream: want <src_kind> <i> <dst_kind> <j> <demand_gbps> <slo_gbps>");
+  }
+  if (demand_gbps < 0.0 || slo_gbps < 0.0) {
+    return Fail(error, line_no, "stream: demand_gbps and slo_gbps must be non-negative");
   }
   const auto src = ParseComponentKind(src_kind);
   const auto dst = ParseComponentKind(dst_kind);
@@ -234,39 +302,40 @@ bool ParseCampaignText(std::string_view text, CampaignConfig* config,
       }
       config->recovery = *policy;
     } else if (directive == "trials") {
-      if (!(in >> config->trials) || config->trials < 1) {
+      if (!ReadNumber(in, &config->trials) || config->trials < 1) {
         return Fail(error, line_no, "trials: want a positive count");
       }
     } else if (directive == "seed") {
-      if (!(in >> config->base_seed)) {
-        return Fail(error, line_no, "seed: want an integer");
+      if (!ReadNumber(in, &config->base_seed)) {
+        return Fail(error, line_no, "seed: want a non-negative integer");
       }
     } else if (directive == "duration_ms") {
       int64_t ms = 0;
-      if (!(in >> ms) || ms < 1) {
-        return Fail(error, line_no, "duration_ms: want a positive integer");
+      if (!ReadNumber(in, &ms) || ms < 1 || ms > kMaxCampaignMs) {
+        return Fail(error, line_no, "duration_ms: want an integer in [1, " +
+                                        std::to_string(kMaxCampaignMs) + "]");
       }
       config->duration = sim::TimeNs::Millis(ms);
     } else if (directive == "tick_us") {
       int64_t us = 0;
-      if (!(in >> us) || us < 1) {
-        return Fail(error, line_no, "tick_us: want a positive integer");
+      if (!ReadNumber(in, &us) || us < 1 || us > kMaxCampaignMs * 1000) {
+        return Fail(error, line_no, "tick_us: want a positive integer within the ceiling");
       }
       config->tick = sim::TimeNs::Micros(us);
     } else if (directive == "telemetry_us") {
       int64_t us = 0;
-      if (!(in >> us) || us < 1) {
-        return Fail(error, line_no, "telemetry_us: want a positive integer");
+      if (!ReadNumber(in, &us) || us < 1 || us > kMaxCampaignMs * 1000) {
+        return Fail(error, line_no, "telemetry_us: want a positive integer within the ceiling");
       }
       config->telemetry_period = sim::TimeNs::Micros(us);
     } else if (directive == "grace_ms") {
       int64_t ms = 0;
-      if (!(in >> ms) || ms < 0) {
-        return Fail(error, line_no, "grace_ms: want a non-negative integer");
+      if (!ReadNumber(in, &ms) || ms < 0 || ms > kMaxCampaignMs) {
+        return Fail(error, line_no, "grace_ms: want a non-negative integer within the ceiling");
       }
       config->scoring.grace = sim::TimeNs::Millis(ms);
     } else if (directive == "convergence_ticks") {
-      if (!(in >> config->scoring.convergence_ticks) ||
+      if (!ReadNumber(in, &config->scoring.convergence_ticks) ||
           config->scoring.convergence_ticks < 1) {
         return Fail(error, line_no, "convergence_ticks: want a positive count");
       }
@@ -280,6 +349,12 @@ bool ParseCampaignText(std::string_view text, CampaignConfig* config,
       }
     } else {
       return Fail(error, line_no, "unknown directive '" + directive + "'");
+    }
+    // Every directive ends at its last argument: a leftover token is a
+    // typo or a unit slip, never something to ignore.
+    std::string extra;
+    if (in >> extra) {
+      return Fail(error, line_no, directive + ": unexpected trailing '" + extra + "'");
     }
   }
   return true;

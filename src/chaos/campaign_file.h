@@ -21,8 +21,16 @@
 //
 // Component and link kinds use the canonical ComponentKindName /
 // LinkKindName spellings ("nic", "gpu", "cpu_socket", "pcie_switch_up",
-// ...). A clear_ms of 0 means the fault lasts to the end of the run. An
-// slo_gbps of 0 makes the stream best-effort (no intent submitted).
+// ...). A clear_ms of 0 means the fault lasts to the end of the run;
+// otherwise it must exceed at_ms. An slo_gbps of 0 makes the stream
+// best-effort (no intent submitted).
+//
+// Validation is strict and happens here, at the boundary: every number
+// must be the whole token (no "1e300" read as 1), nothing may follow a
+// directive's last argument, demands and SLOs are non-negative, a degrade
+// factor lies in [0, 1], a flap has a positive period and a duty in
+// (0, 1], and every time — duration, fault window, tick, latency — stays
+// within kMaxCampaignMs of virtual time.
 
 #ifndef MIHN_SRC_CHAOS_CAMPAIGN_FILE_H_
 #define MIHN_SRC_CHAOS_CAMPAIGN_FILE_H_
@@ -35,6 +43,11 @@
 #include "src/chaos/campaign.h"
 
 namespace mihn::chaos {
+
+// The virtual-time ceiling of a campaign file: 60 s. A trial simulates
+// every event of its run, so a longer duration (or a fault time or period
+// beyond it) is a budget mistake, not a scenario.
+inline constexpr int64_t kMaxCampaignMs = 60'000;
 
 // Strict decimal parsers for CLI flags and grammar values: the entire
 // token must be base-10 digits (no sign, no trailing junk) and fit the

@@ -15,6 +15,11 @@ namespace {
 constexpr double kDoneBytes = 0.5;
 // Spill flows below 1 byte/s of demand are treated as absent.
 constexpr double kSpillEpsBps = 1.0;
+// Drain times beyond this never complete in simulated time (and would
+// overflow the nanosecond clock).
+constexpr double kNeverSecs = 9e9;
+
+size_t Idx(int32_t i) { return static_cast<size_t>(i); }
 
 }  // namespace
 
@@ -52,27 +57,130 @@ std::optional<topology::Path> Fabric::Route(topology::ComponentId src,
   return router_.ShortestPath(src, dst);
 }
 
+// -- Flow table -----------------------------------------------------------------
+
+int32_t Fabric::TenantIndex(TenantId tenant) {
+  const auto it = std::lower_bound(
+      tenant_lookup_.begin(), tenant_lookup_.end(), tenant,
+      [](const std::pair<TenantId, int32_t>& entry, TenantId t) { return entry.first < t; });
+  if (it != tenant_lookup_.end() && it->first == tenant) {
+    return it->second;
+  }
+  const int32_t index = static_cast<int32_t>(tenant_ids_.size());
+  tenant_lookup_.insert(it, {tenant, index});
+  tenant_ids_.push_back(tenant);
+  const size_t block = tenant_rate_.size() + links_.size();
+  tenant_rate_.resize(block, 0.0);
+  tenant_bytes_.resize(block, 0.0);
+  tenant_members_.resize(block, 0);
+  tenant_seen_.resize(block, 0);
+  return index;
+}
+
+int32_t Fabric::AppendRow(topology::Path path, int32_t tenant, TrafficClass klass,
+                          double weight, double demand, bool ddio_write) {
+  const int32_t row = static_cast<int32_t>(ids_.size());
+  FlowRow& r = rows_.emplace_back();
+  r.ddio_write = ddio_write;
+  r.demand = demand;
+  r.weight = weight;
+  r.since = sim_.Now();
+  r.hop_begin = static_cast<uint32_t>(hop_pool_.size());
+  for (const topology::DirectedLink& hop : path.hops) {
+    hop_pool_.push_back(DirectedIndex(hop));
+  }
+  const auto hops = hop_pool_.begin() + r.hop_begin;
+  std::sort(hops, hop_pool_.end());
+  hop_pool_.erase(std::unique(hops, hop_pool_.end()), hop_pool_.end());
+  r.hop_count = static_cast<uint32_t>(hop_pool_.size() - r.hop_begin);
+  r.cold = std::make_unique<ColdRow>(ColdRow{std::move(path), nullptr, sim_.Now()});
+  const size_t base = Idx(tenant) * links_.size();
+  for (size_t h = r.hop_begin; h < hop_pool_.size(); ++h) {
+    ++tenant_members_[base + Idx(hop_pool_[h])];
+  }
+  if (ddio_write) {
+    ++ddio_flow_count_;
+  }
+  ids_.push_back(next_flow_id_++);
+  rates_.push_back(0.0);
+  tenants_.push_back(tenant);
+  classes_.push_back(klass);
+  ++live_flows_;
+  return row;
+}
+
+int32_t Fabric::FindRow(FlowId id) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it == ids_.end() || *it != id) {
+    return -1;
+  }
+  const int32_t row = static_cast<int32_t>(it - ids_.begin());
+  return rows_[Idx(row)].alive ? row : -1;
+}
+
+void Fabric::JoinLinks(int32_t row) {
+  for (uint32_t h = 0; h < rows_[Idx(row)].hop_count; ++h) {
+    links_[Idx(Hops(row)[h])].members.push_back(row);
+  }
+}
+
+void Fabric::CompactRows(int32_t from) {
+  // Survivors slide down in order, so ids stay ascending and relative order
+  // (hence heap order) is preserved. The hop pool past |from| is rewritten
+  // in the same pass.
+  const size_t begin = Idx(from);
+  size_t pool = begin < rows_.size() ? rows_[begin].hop_begin : hop_pool_.size();
+  size_t out = begin;
+  for (size_t row = begin; row < rows_.size(); ++row) {
+    if (!rows_[row].alive) {
+      continue;
+    }
+    FlowRow& r = rows_[row];
+    if (pool != r.hop_begin) {  // Slides down: the ranges never overlap forwards.
+      std::copy(hop_pool_.begin() + r.hop_begin, hop_pool_.begin() + r.hop_begin + r.hop_count,
+                hop_pool_.begin() + static_cast<std::ptrdiff_t>(pool));
+      r.hop_begin = static_cast<uint32_t>(pool);
+    }
+    pool += r.hop_count;
+    if (out != row) {
+      ids_[out] = ids_[row];
+      rates_[out] = rates_[row];
+      tenants_[out] = tenants_[row];
+      classes_[out] = classes_[row];
+      rows_[out] = std::move(r);
+    }
+    if (rows_[out].heap_pos >= 0) {
+      heap_[Idx(rows_[out].heap_pos)] = static_cast<int32_t>(out);
+    }
+    ++out;
+  }
+  ids_.resize(out);
+  rates_.resize(out);
+  tenants_.resize(out);
+  classes_.resize(out);
+  rows_.resize(out);
+  hop_pool_.resize(pool);
+  // Member lists hold row numbers of pushed rows only. Rows past a partial
+  // compaction's |from| were never pushed; a full one renumbers every row,
+  // and the re-prime that follows re-joins them all.
+  if (begin == 0) {
+    for (DirectedLinkState& state : links_) {
+      state.members.clear();
+    }
+  }
+  dead_unpushed_ = 0;
+}
+
+// -- Flows ----------------------------------------------------------------------
+
 FlowId Fabric::StartFlow(FlowSpec spec) {
   if (spec.path.empty()) {
     return kInvalidFlow;
   }
-  const FlowId id = next_flow_id_++;
-  FlowState state;
-  state.id = id;
-  state.demand = std::min(spec.demand.bytes_per_sec(), kUnlimitedDemand);
-  state.start_time = sim_.Now();
-  state.link_indices.reserve(spec.path.hops.size());
-  for (const topology::DirectedLink& hop : spec.path.hops) {
-    state.link_indices.push_back(DirectedIndex(hop));
-  }
-  std::sort(state.link_indices.begin(), state.link_indices.end());
-  state.link_indices.erase(std::unique(state.link_indices.begin(), state.link_indices.end()),
-                           state.link_indices.end());
-  state.spec = std::move(spec);
-  if (state.spec.ddio_write) {
-    ++ddio_flow_count_;
-  }
-  flows_.emplace(id, std::move(state));
+  const double demand = std::min(spec.demand.bytes_per_sec(), kUnlimitedDemand);
+  const int32_t row = AppendRow(std::move(spec.path), TenantIndex(spec.tenant), spec.klass,
+                                spec.weight, demand, spec.ddio_write);
+  const FlowId id = ids_[Idx(row)];
   MarkFlowDirty(id);
   return id;
 }
@@ -90,43 +198,45 @@ FlowId Fabric::StartTransfer(TransferSpec spec) {
   if (id == kInvalidFlow) {
     return kInvalidFlow;
   }
-  FlowState& state = flows_.at(id);
-  state.bytes_remaining = static_cast<double>(spec.bytes);
-  state.on_complete = std::move(spec.on_complete);
-  // The completion event is scheduled by the deferred Recompute() (which
-  // already pends from StartFlow) once the transfer's rate is known.
+  const int32_t row = static_cast<int32_t>(ids_.size()) - 1;
+  rows_[Idx(row)].remaining = static_cast<double>(spec.bytes);
+  rows_[Idx(row)].cold->on_complete = std::move(spec.on_complete);
+  // Rate 0 until the deferred Recompute() (already pending from StartFlow)
+  // solves it; the commit then gives the row a finish time.
+  HeapPush(row);
   return id;
 }
 
 void Fabric::StopFlow(FlowId id) {
-  if (!flows_.contains(id)) {
+  const int32_t row = FindRow(id);
+  if (row < 0) {
     return;
   }
   AccrueCounters();
-  RemoveFlowInternal(id);
+  RemoveFlowInternal(row);
   MarkDirty();
 }
 
 void Fabric::SetFlowLimit(FlowId id, sim::Bandwidth limit) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  const int32_t row = FindRow(id);
+  if (row < 0) {
     return;
   }
-  it->second.limit = limit.bytes_per_sec() < 0 ? 0.0
-                                               : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
+  rows_[Idx(row)].limit =
+      limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
   MarkFlowDirty(id);
 }
 
 void Fabric::SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwidth>>& limits) {
   uint64_t applied = 0;
   for (const auto& [id, limit] : limits) {
-    const auto it = flows_.find(id);
-    if (it == flows_.end()) {
+    const int32_t row = FindRow(id);
+    if (row < 0) {
       continue;
     }
-    it->second.limit =
+    rows_[Idx(row)].limit =
         limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
-    dirty_flows_.push_back(id);
+    dirty_ids_.push_back(id);
     ++applied;
   }
   if (applied > 0) {
@@ -135,60 +245,61 @@ void Fabric::SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwid
 }
 
 void Fabric::SetFlowWeight(FlowId id, double weight) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  const int32_t row = FindRow(id);
+  if (row < 0) {
     return;
   }
-  it->second.spec.weight = std::max(weight, 1e-9);
+  rows_[Idx(row)].weight = std::max(weight, 1e-9);
   MarkFlowDirty(id);
 }
 
 void Fabric::SetFlowDemand(FlowId id, sim::Bandwidth demand) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  const int32_t row = FindRow(id);
+  if (row < 0) {
     return;
   }
-  it->second.demand = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
-  it->second.spec.demand = demand;
+  rows_[Idx(row)].demand = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
   MarkFlowDirty(id);
 }
 
 std::optional<FlowInfo> Fabric::GetFlowInfo(FlowId id) {
   FlushIfDirty();
-  AccrueCounters();
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  const int32_t row = FindRow(id);
+  if (row < 0) {
     return std::nullopt;
   }
-  const FlowState& f = it->second;
+  const FlowRow& r = rows_[Idx(row)];
+  const double pending = PendingBytes(row, sim_.Now());
   FlowInfo info;
-  info.id = f.id;
-  info.tenant = f.spec.tenant;
-  info.klass = f.spec.klass;
-  info.rate = sim::Bandwidth::BytesPerSec(f.rate);
-  info.demand = sim::Bandwidth::BytesPerSec(f.demand);
-  info.limit = sim::Bandwidth::BytesPerSec(f.limit);
-  info.weight = f.spec.weight;
-  info.bytes_moved = static_cast<int64_t>(f.bytes_moved);
+  info.id = id;
+  info.tenant = tenant_ids_[Idx(tenants_[Idx(row)])];
+  info.klass = classes_[Idx(row)];
+  info.rate = sim::Bandwidth::BytesPerSec(rates_[Idx(row)]);
+  info.demand = sim::Bandwidth::BytesPerSec(r.demand);
+  info.limit = sim::Bandwidth::BytesPerSec(r.limit);
+  info.weight = r.weight;
+  info.bytes_moved = static_cast<int64_t>(r.moved + pending);
   info.bytes_remaining =
-      f.bytes_remaining < 0 ? -1 : static_cast<int64_t>(std::ceil(f.bytes_remaining));
-  info.start_time = f.start_time;
-  info.path = &f.spec.path;
+      r.remaining < 0 ? -1 : static_cast<int64_t>(std::ceil(r.remaining - pending));
+  info.start_time = r.cold->start_time;
+  info.path = &r.cold->path;
   return info;
 }
 
 sim::Bandwidth Fabric::FlowRate(FlowId id) const {
   FlushIfDirty();
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? sim::Bandwidth::Zero() : sim::Bandwidth::BytesPerSec(it->second.rate);
+  const int32_t row = FindRow(id);
+  return row < 0 ? sim::Bandwidth::Zero() : sim::Bandwidth::BytesPerSec(rates_[Idx(row)]);
 }
 
 std::vector<FlowId> Fabric::ActiveFlows() const {
   FlushIfDirty();  // Spill companions materialize at the solve.
   std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    ids.push_back(id);
+  ids.reserve(live_flows_);
+  for (size_t row = 0; row < ids_.size(); ++row) {
+    if (rows_[row].alive) {
+      ids.push_back(ids_[row]);
+    }
   }
   return ids;
 }
@@ -196,17 +307,20 @@ std::vector<FlowId> Fabric::ActiveFlows() const {
 sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
   FlushIfDirty();
   sim::TimeNs latency = ProbePathLatency(spec.path);
+  const size_t tenant_base = Idx(TenantIndex(spec.tenant)) * links_.size();
+  const double bytes = static_cast<double>(spec.bytes);
   for (const topology::DirectedLink& hop : spec.path.hops) {
-    DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
+    const size_t li = static_cast<size_t>(DirectedIndex(hop));
+    DirectedLinkState& state = links_[li];
     // Store-and-forward serialization on each hop.
     if (state.effective_capacity > 0) {
-      latency += sim::TimeNs::FromSecondsF(static_cast<double>(spec.bytes) /
-                                           state.effective_capacity);
+      latency += sim::TimeNs::FromSecondsF(bytes / state.effective_capacity);
     }
-    state.bytes_total += static_cast<double>(spec.bytes);
+    state.bytes_total += bytes;
     state.packets += 1;
-    state.bytes_by_tenant[spec.tenant] += static_cast<double>(spec.bytes);
-    state.bytes_by_class[static_cast<size_t>(spec.klass)] += static_cast<double>(spec.bytes);
+    tenant_bytes_[tenant_base + li] += bytes;
+    tenant_seen_[tenant_base + li] = 1;
+    state.bytes_by_class[static_cast<size_t>(spec.klass)] += bytes;
   }
   latency += config_.interrupt_moderation;
   if (spec.on_delivered) {
@@ -235,12 +349,14 @@ sim::TimeNs Fabric::HopLatency(topology::DirectedLink hop) const {
 void Fabric::InjectLinkFault(topology::LinkId link, LinkFault fault) {
   faults_[link] = fault;
   SyncRouterHealth();
+  capacities_stale_ = true;
   MarkDirty();
 }
 
 void Fabric::ClearLinkFault(topology::LinkId link) {
   if (faults_.erase(link) > 0) {
     SyncRouterHealth();
+    capacities_stale_ = true;
     MarkDirty();
   }
 }
@@ -273,14 +389,13 @@ std::optional<LinkFault> Fabric::GetLinkFault(topology::LinkId link) const {
 
 void Fabric::SetConfig(FabricConfig config) {
   config_ = config;
+  capacities_stale_ = true;
   MarkDirty();
 }
 
-LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
-  FlushIfDirty();
-  AccrueCounters();
-  const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(dlink))];
-  LinkSnapshot snap;
+void Fabric::FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const {
+  const size_t li = static_cast<size_t>(DirectedIndex(dlink));
+  const DirectedLinkState& state = links_[li];
   snap.link = dlink.link;
   snap.forward = dlink.forward;
   snap.capacity_bps = state.effective_capacity;
@@ -288,24 +403,50 @@ LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
   snap.utilization = state.effective_capacity > 0 ? state.rate / state.effective_capacity : 0.0;
   snap.bytes_total = state.bytes_total;
   snap.packets = state.packets;
-  snap.rate_by_tenant_bps = state.rate_by_tenant;
-  snap.bytes_by_tenant = state.bytes_by_tenant;
+  for (size_t t = 0; t < tenant_ids_.size(); ++t) {
+    const size_t at = t * links_.size() + li;
+    if (tenant_members_[at] > 0) {
+      snap.rate_by_tenant_bps.emplace(tenant_ids_[t], tenant_rate_[at]);
+    }
+    if (tenant_seen_[at] != 0) {
+      snap.bytes_by_tenant.emplace(tenant_ids_[t], tenant_bytes_[at]);
+    }
+  }
   snap.rate_by_class_bps = state.rate_by_class;
   snap.bytes_by_class = state.bytes_by_class;
+}
+
+LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
+  FlushIfDirty();
+  AccrueCounters();
+  LinkSnapshot snap;
+  FillSnapshot(dlink, snap);
   return snap;
 }
 
 std::vector<LinkSnapshot> Fabric::SnapshotAll() {
   FlushIfDirty();
   AccrueCounters();
-  std::vector<LinkSnapshot> all;
-  all.reserve(links_.size());
+  std::vector<LinkSnapshot> all(links_.size());
+  size_t i = 0;
   for (const topology::Link& link : topo_.links()) {
     for (const bool forward : {true, false}) {
-      all.push_back(Snapshot(topology::DirectedLink{link.id, forward}));
+      FillSnapshot(topology::DirectedLink{link.id, forward}, all[i++]);
     }
   }
   return all;
+}
+
+size_t Fabric::ReadLinkLoads(std::vector<LinkLoad>& out) {
+  FlushIfDirty();
+  AccrueCounters();
+  // Link ids are dense and DirectedIndex puts forward before reverse, so
+  // links_ order is SnapshotAll() order.
+  out.resize(links_.size());
+  for (size_t i = 0; i < links_.size(); ++i) {
+    out[i] = {links_[i].effective_capacity, links_[i].rate, links_[i].bytes_total};
+  }
+  return live_flows_;
 }
 
 sim::Bandwidth Fabric::EffectiveCapacity(topology::DirectedLink dlink) const {
@@ -357,14 +498,18 @@ sim::TimeNs Fabric::HopBaseLatency(topology::DirectedLink hop) const {
   return base;
 }
 
+double Fabric::CapacityFactor(const topology::Link& link) const {
+  double factor = IsPcieKind(link.spec.kind) ? config_.PcieCapacityFactor() : 1.0;
+  const auto fault = faults_.find(link.id);
+  if (fault != faults_.end()) {
+    factor *= std::clamp(fault->second.capacity_factor, 0.0, 1.0);
+  }
+  return factor;
+}
+
 void Fabric::RefreshCapacities() {
-  const double pcie_factor = config_.PcieCapacityFactor();
   for (const topology::Link& link : topo_.links()) {
-    double factor = IsPcieKind(link.spec.kind) ? pcie_factor : 1.0;
-    const auto fault = faults_.find(link.id);
-    if (fault != faults_.end()) {
-      factor *= std::clamp(fault->second.capacity_factor, 0.0, 1.0);
-    }
+    const double factor = CapacityFactor(link);
     for (const bool forward : {true, false}) {
       DirectedLinkState& state =
           links_[static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}))];
@@ -373,30 +518,86 @@ void Fabric::RefreshCapacities() {
   }
 }
 
+// -- Accrual ----------------------------------------------------------------------
+
+double Fabric::PendingBytes(int32_t row, sim::TimeNs now) const {
+  const FlowRow& r = rows_[Idx(row)];
+  const double bytes = rates_[Idx(row)] * (now - r.since).ToSecondsF();
+  // Finite transfers never move more than they have left (the completion
+  // event carries +1ns of slack).
+  return r.remaining >= 0.0 ? std::min(bytes, r.remaining) : bytes;
+}
+
+void Fabric::SettleBytes(int32_t row, sim::TimeNs now) {
+  const double bytes = PendingBytes(row, now);
+  FlowRow& r = rows_[Idx(row)];
+  r.since = now;
+  if (bytes <= 0.0) {
+    return;
+  }
+  r.moved += bytes;
+  if (r.remaining >= 0.0) {
+    r.remaining -= bytes;
+  }
+}
+
 void Fabric::AccrueCounters() {
   const sim::TimeNs now = sim_.Now();
-  const double dt = (now - last_accrual_).ToSecondsF();
+  const sim::TimeNs last = last_accrual_;
+  const double dt = (now - last).ToSecondsF();
   last_accrual_ = now;
   if (dt <= 0.0) {
     return;
   }
-  for (auto& [id, f] : flows_) {
-    double bytes = f.rate * dt;
-    if (f.bytes_remaining >= 0.0) {
-      // Finite transfers never move more than they have left (the
-      // completion event carries +1ns of slack).
-      bytes = std::min(bytes, f.bytes_remaining);
-      f.bytes_remaining -= bytes;
+  // Per-flow byte counters are lazy (FlowRow::since); links accrue from
+  // their aggregate rates, so the cost is O(active links x tenants), not
+  // O(flows x hops).
+  const size_t num_links = links_.size();
+  for (const int32_t link : active_links_) {
+    const size_t li = Idx(link);
+    DirectedLinkState& state = links_[li];
+    state.bytes_total += state.rate * dt;
+    for (size_t k = 0; k < state.bytes_by_class.size(); ++k) {
+      state.bytes_by_class[k] += state.rate_by_class[k] * dt;
     }
-    if (bytes <= 0.0) {
+    for (size_t at = li; at < tenant_rate_.size(); at += num_links) {
+      if (tenant_rate_[at] > 0.0) {
+        tenant_bytes_[at] += tenant_rate_[at] * dt;
+        tenant_seen_[at] = 1;
+      }
+    }
+  }
+  if (!heap_.empty() && rows_[Idx(heap_[0])].finish <= now) {
+    TakeBackOvershoot(last, now, dt);
+  }
+}
+
+void Fabric::TakeBackOvershoot(sim::TimeNs last, sim::TimeNs now, double dt) {
+  // Only transfers whose finish time has passed can have drained. Each
+  // takes back what the aggregate rate credited its links beyond the bytes
+  // it had left at |last|. The heap holds exactly the live transfers, so
+  // this pass costs what the completion scan that follows costs.
+  for (const int32_t row : heap_) {
+    const FlowRow& r = rows_[Idx(row)];
+    if (r.finish > now) {
       continue;
     }
-    f.bytes_moved += bytes;
-    for (const int32_t li : f.link_indices) {
-      DirectedLinkState& state = links_[static_cast<size_t>(li)];
-      state.bytes_total += bytes;
-      state.bytes_by_tenant[f.spec.tenant] += bytes;
-      state.bytes_by_class[static_cast<size_t>(f.spec.klass)] += bytes;
+    const double rate = rates_[Idx(row)];
+    if (rate * (now - r.since).ToSecondsF() <= r.remaining) {
+      continue;  // Still draining at |now|: the aggregate accrual is exact.
+    }
+    const double left = std::max(r.remaining - rate * (last - r.since).ToSecondsF(), 0.0);
+    const double over = rate * dt - left;
+    if (over <= 0.0) {
+      continue;
+    }
+    const size_t tenant_base = Idx(tenants_[Idx(row)]) * links_.size();
+    const size_t klass = static_cast<size_t>(classes_[Idx(row)]);
+    for (uint32_t h = 0; h < r.hop_count; ++h) {
+      const size_t li = Idx(Hops(row)[h]);
+      links_[li].bytes_total -= over;
+      links_[li].bytes_by_class[klass] -= over;
+      tenant_bytes_[tenant_base + li] -= over;
     }
   }
 }
@@ -410,24 +611,26 @@ topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId
 }
 
 void Fabric::UpdateCacheCoupling() {
-  // Group DDIO-eligible parents by destination socket.
-  std::map<topology::ComponentId, std::vector<FlowId>> by_socket;
-  for (auto& [id, f] : flows_) {
-    if (!f.spec.ddio_write || f.spill_parent != kInvalidFlow) {
+  // Group DDIO-eligible parents (rows, in id order) by destination socket.
+  std::map<topology::ComponentId, std::vector<int32_t>> by_socket;
+  for (size_t row = 0; row < rows_.size(); ++row) {
+    const FlowRow& f = rows_[row];
+    if (!f.alive || !f.ddio_write || f.spill_parent != kInvalidFlow) {
       continue;
     }
-    const topology::ComponentId dst = f.spec.path.destination();
+    const topology::ComponentId dst = f.cold->path.destination();
     if (topo_.component(dst).kind != topology::ComponentKind::kCpuSocket) {
       continue;
     }
-    by_socket[dst].push_back(id);
+    by_socket[dst].push_back(static_cast<int32_t>(row));
   }
 
+  const std::vector<double>& solved = *solved_;
   cache_stats_.clear();
-  for (const auto& [socket, ids] : by_socket) {
+  for (const auto& [socket, parents] : by_socket) {
     double io_rate = 0.0;
-    for (const FlowId id : ids) {
-      io_rate += flows_.at(id).solved_rate;
+    for (const int32_t row : parents) {
+      io_rate += solved[Idx(row)];
     }
     const double hit =
         config_.ddio_enabled
@@ -443,12 +646,13 @@ void Fabric::UpdateCacheCoupling() {
     stats.ddio_capacity_bytes = config_.DdioCapacityBytes();
     cache_stats_[socket] = stats;
 
-    for (const FlowId id : ids) {
-      FlowState& f = flows_.at(id);
-      f.miss_fraction = miss;
-      const double desired_spill = f.solved_rate * miss;
+    for (const int32_t row : parents) {
+      const FlowId id = ids_[Idx(row)];
+      rows_[Idx(row)].miss_fraction = miss;
+      const double desired_spill = solved[Idx(row)] * miss;
+      const FlowId spill_child = rows_[Idx(row)].spill_child;
       if (desired_spill > kSpillEpsBps) {
-        if (f.spill_child == kInvalidFlow) {
+        if (spill_child == kInvalidFlow) {
           const topology::ComponentId dimm = PickSpillDimm(socket, id);
           if (dimm == topology::kInvalidComponent) {
             continue;  // No memory behind this socket; spill unmodelled.
@@ -457,38 +661,26 @@ void Fabric::UpdateCacheCoupling() {
           if (!spill_path) {
             continue;
           }
-          const FlowId child_id = next_flow_id_++;
-          FlowState child;
-          child.id = child_id;
-          child.spec.path = std::move(*spill_path);
-          child.spec.tenant = f.spec.tenant;  // Attribution: the tenant "causes" the spill.
-          child.spec.weight = f.spec.weight;
-          child.spec.klass = TrafficClass::kSpill;
-          child.demand = desired_spill;
-          child.spill_parent = id;
-          child.start_time = sim_.Now();
-          for (const topology::DirectedLink& hop : child.spec.path.hops) {
-            child.link_indices.push_back(DirectedIndex(hop));
-          }
-          std::sort(child.link_indices.begin(), child.link_indices.end());
-          child.link_indices.erase(
-              std::unique(child.link_indices.begin(), child.link_indices.end()),
-              child.link_indices.end());
-          flows_.emplace(child_id, std::move(child));
-          f.spill_child = child_id;
-          dirty_flows_.push_back(child_id);
+          // Attribution: the parent's tenant "causes" the spill.
+          const int32_t child = AppendRow(std::move(*spill_path), tenants_[Idx(row)],
+                                          TrafficClass::kSpill, rows_[Idx(row)].weight,
+                                          desired_spill, /*ddio_write=*/false);
+          const FlowId child_id = ids_[Idx(child)];
+          rows_[Idx(child)].spill_parent = id;
+          rows_[Idx(row)].spill_child = child_id;
+          dirty_ids_.push_back(child_id);
         } else {
-          FlowState& spill = flows_.at(f.spill_child);
+          FlowRow& spill = rows_[Idx(FindRow(spill_child))];
           if (spill.demand != desired_spill) {  // mihn-check: float-eq-ok(pushed-state diff)
             spill.demand = desired_spill;
-            dirty_flows_.push_back(f.spill_child);
+            dirty_ids_.push_back(spill_child);
           }
         }
-      } else if (f.spill_child != kInvalidFlow) {
-        FlowState& spill = flows_.at(f.spill_child);
+      } else if (spill_child != kInvalidFlow) {
+        FlowRow& spill = rows_[Idx(FindRow(spill_child))];
         if (spill.demand != 0.0) {  // mihn-check: float-eq-ok(pushed-state diff)
           spill.demand = 0.0;
-          dirty_flows_.push_back(f.spill_child);
+          dirty_ids_.push_back(spill_child);
         }
       }
     }
@@ -501,7 +693,7 @@ void Fabric::MarkDirty(uint64_t count) {
 }
 
 void Fabric::MarkFlowDirty(FlowId id) {
-  dirty_flows_.push_back(id);
+  dirty_ids_.push_back(id);
   MarkDirty();
 }
 
@@ -521,68 +713,135 @@ void Fabric::SettleStaged(sim::StagedEvents& staging) {
 
 void Fabric::SolveRates() {
   // Full re-prime: first solve ever, or enough tombstoned slots accumulated
-  // that the retained problem is mostly dead weight. Re-priming compacts
-  // slots back to id order — which is also the order the diff path appends
-  // in (flow ids are monotonic), so allocations are identical either way.
-  if (!solver_retained_ || tombstoned_slots_ > flows_.size() / 2 + 8) {
+  // that the retained problem is mostly dead weight. Compaction renumbers
+  // rows densely in id order — the order the delta path appends in (flow
+  // ids are monotonic) — so allocations are identical either way.
+  if (!solver_retained_ || tombstoned_slots_ > live_flows_ / 2 + 8) {
+    CompactRows(0);
     solver_.Begin(links_.size());
     for (size_t i = 0; i < links_.size(); ++i) {
       solver_.SetCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
     }
-    // flows_ is an ordered map: AddFlow order (== rate vector order) is the
-    // deterministic id order. link_indices are pre-sorted and deduped, so the
-    // solver copies them without re-sorting; no allocation at steady state.
-    int32_t slot = 0;
-    for (auto& [id, f] : flows_) {
-      const double eff = std::min({f.demand, f.limit, f.cache_cap});
-      solver_.AddFlow(f.spec.weight, eff, f.link_indices.data(), f.link_indices.size());
-      f.solver_slot = slot++;
-      f.pushed_weight = f.spec.weight;
+    // Hop lists are pre-sorted and deduped, so the solver copies them
+    // without re-sorting; no allocation at steady state.
+    for (size_t row = 0; row < rows_.size(); ++row) {
+      FlowRow& f = rows_[row];
+      const double eff = EffectiveDemand(f);
+      solver_.AddFlow(f.weight, eff, Hops(static_cast<int32_t>(row)), f.hop_count);
+      f.pushed_weight = f.weight;
       f.pushed_demand = eff;
+      JoinLinks(static_cast<int32_t>(row));
     }
-    const std::vector<double>& solved = solver_.Commit();
-    for (auto& [id, f] : flows_) {
-      f.solved_rate = solved[static_cast<size_t>(f.solver_slot)];
-    }
+    solved_ = &solver_.Commit();
+    pushed_rows_ = static_cast<int32_t>(rows_.size());
     solver_retained_ = true;
     tombstoned_slots_ = 0;
-    dirty_flows_.clear();
+    capacities_stale_ = false;
+    dirty_ids_.clear();
     return;
   }
 
   // Delta path: push only what moved since the last solve. The solver elides
-  // writes that match its current value, so the O(links) capacity sweep and
-  // duplicate worklist entries record nothing when nothing moved.
-  for (size_t i = 0; i < links_.size(); ++i) {
-    solver_.UpdateCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
+  // writes that match its current value; the capacity sweep runs only after
+  // a fault or config change.
+  if (capacities_stale_) {
+    for (size_t i = 0; i < links_.size(); ++i) {
+      solver_.UpdateCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
+    }
+    capacities_stale_ = false;
   }
-  for (const FlowId id : dirty_flows_) {
-    const auto it = flows_.find(id);
-    if (it == flows_.end()) {
+  if (dead_unpushed_ > 0) {
+    CompactRows(pushed_rows_);  // Flows stopped before they reached the solver.
+  }
+  for (const FlowId id : dirty_ids_) {
+    const int32_t row = FindRow(id);
+    if (row < 0) {
       continue;  // Removed after being dirtied; the solver saw the removal.
     }
-    FlowState& f = it->second;
-    const double eff = std::min({f.demand, f.limit, f.cache_cap});
-    if (f.solver_slot < 0) {
-      f.solver_slot =
-          solver_.AddFlowRetained(f.spec.weight, eff, f.link_indices.data(), f.link_indices.size());
-      f.pushed_weight = f.spec.weight;
+    FlowRow& f = rows_[Idx(row)];
+    const double eff = EffectiveDemand(f);
+    if (row >= pushed_rows_) {
+      // New rows first appear in the worklist in id order, so each one
+      // lands in the slot equal to its row.
+      const int32_t slot = solver_.AddFlowRetained(f.weight, eff, Hops(row), f.hop_count);
+      MIHN_CHECK(slot == row);
+      pushed_rows_ = row + 1;
+      f.pushed_weight = f.weight;
       f.pushed_demand = eff;
+      JoinLinks(row);
       continue;
     }
-    if (f.pushed_weight != f.spec.weight) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowWeight(f.solver_slot, f.spec.weight);
-      f.pushed_weight = f.spec.weight;
+    if (f.pushed_weight != f.weight) {  // mihn-check: float-eq-ok(pushed-state diff)
+      solver_.UpdateFlowWeight(row, f.weight);
+      f.pushed_weight = f.weight;
     }
     if (f.pushed_demand != eff) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowDemand(f.solver_slot, eff);
+      solver_.UpdateFlowDemand(row, eff);
       f.pushed_demand = eff;
     }
   }
-  dirty_flows_.clear();
-  const std::vector<double>& solved = solver_.SolveDelta();
-  for (auto& [id, f] : flows_) {
-    f.solved_rate = solved[static_cast<size_t>(f.solver_slot)];
+  dirty_ids_.clear();
+  solved_ = &solver_.SolveDelta();
+}
+
+void Fabric::CommitRates() {
+  // Dense old-vs-new compare: only rows whose rate moved settle bytes,
+  // re-key their completion and touch their links. Dead rows read 0 on
+  // both sides (solver tombstones).
+  const std::vector<double>& solved = *solved_;
+  const sim::TimeNs now = sim_.Now();
+  for (size_t row = 0; row < rates_.size(); ++row) {
+    const double rate = solved[row];
+    if (rate == rates_[row]) {  // mihn-check: float-eq-ok(exact change detection)
+      continue;
+    }
+    const int32_t r = static_cast<int32_t>(row);
+    SettleBytes(r, now);
+    rates_[row] = rate;
+    for (uint32_t h = 0; h < rows_[row].hop_count; ++h) {
+      DirectedLinkState& state = links_[Idx(Hops(r)[h])];
+      if (!state.stale) {
+        state.stale = true;
+        stale_links_.push_back(Hops(r)[h]);
+      }
+    }
+    if (rows_[row].remaining >= 0.0) {
+      UpdateFinish(r, now);
+    }
+  }
+  for (const int32_t li : stale_links_) {
+    ResumLink(li);
+  }
+  stale_links_.clear();
+}
+
+void Fabric::ResumLink(int32_t link) {
+  // Id-order summation over the link's members, exactly as a from-scratch
+  // rebuild would add them (dead members add +0.0, a no-op).
+  const size_t li = Idx(link);
+  const size_t num_links = links_.size();
+  DirectedLinkState& state = links_[li];
+  state.stale = false;
+  state.rate = 0.0;
+  state.rate_by_class.fill(0.0);
+  for (size_t at = li; at < tenant_rate_.size(); at += num_links) {
+    tenant_rate_[at] = 0.0;
+  }
+  for (const int32_t row : state.members) {
+    const double rate = rates_[Idx(row)];
+    state.rate += rate;
+    tenant_rate_[Idx(tenants_[Idx(row)]) * num_links + li] += rate;
+    state.rate_by_class[static_cast<size_t>(classes_[Idx(row)])] += rate;
+  }
+  if (state.rate > 0.0 && state.active_pos < 0) {
+    state.active_pos = static_cast<int32_t>(active_links_.size());
+    active_links_.push_back(link);
+  } else if (state.rate <= 0.0 && state.active_pos >= 0) {
+    const int32_t moved = active_links_.back();
+    active_links_[Idx(state.active_pos)] = moved;
+    links_[Idx(moved)].active_pos = state.active_pos;
+    active_links_.pop_back();
+    state.active_pos = -1;
   }
 }
 
@@ -594,7 +853,9 @@ void Fabric::Recompute() {
   in_recompute_ = true;
   dirty_ = false;
   AccrueCounters();
-  RefreshCapacities();
+  if (capacities_stale_) {
+    RefreshCapacities();
+  }
 
   // Round 1 only matters for DDIO-eligible flows (it sets desired spills):
   // skip it — and the cache-cap bookkeeping — when none are active, the
@@ -604,10 +865,11 @@ void Fabric::Recompute() {
     // Round 1: potential rates with the cache throttle lifted. These set
     // each DDIO flow's desired spill (what it *would* push to memory). Only
     // flows actually capped last round change — and only they get dirtied.
-    for (auto& [id, f] : flows_) {
-      if (f.cache_cap != kUnlimitedDemand) {  // mihn-check: float-eq-ok(unlimited sentinel)
+    for (size_t row = 0; row < rows_.size(); ++row) {
+      FlowRow& f = rows_[row];
+      if (f.alive && f.cache_cap != kUnlimitedDemand) {  // The unlimited sentinel is exact.
         f.cache_cap = kUnlimitedDemand;
-        dirty_flows_.push_back(id);
+        dirty_ids_.push_back(ids_[row]);
       }
     }
     SolveRates();
@@ -626,15 +888,16 @@ void Fabric::Recompute() {
     // fixed point) keeps the result stable and deterministic. Skipped when
     // no spill child was capped.
     bool any_cap = false;
-    for (auto& [id, f] : flows_) {
-      if (f.spill_child == kInvalidFlow || f.miss_fraction <= 1e-9) {
+    for (size_t row = 0; row < rows_.size(); ++row) {
+      FlowRow& f = rows_[row];
+      if (!f.alive || f.spill_child == kInvalidFlow || f.miss_fraction <= 1e-9) {
         continue;
       }
-      const FlowState& child = flows_.at(f.spill_child);
-      const double achieved = child.solved_rate;
-      if (achieved < child.demand * (1.0 - 1e-6)) {
+      const int32_t child = FindRow(f.spill_child);
+      const double achieved = (*solved_)[Idx(child)];
+      if (achieved < rows_[Idx(child)].demand * (1.0 - 1e-6)) {
         f.cache_cap = achieved / f.miss_fraction;
-        dirty_flows_.push_back(id);
+        dirty_ids_.push_back(ids_[row]);
         any_cap = true;
       }
     }
@@ -643,27 +906,18 @@ void Fabric::Recompute() {
     }
   }
 
-  // Commit rates and rebuild per-link aggregates.
-  for (auto& state : links_) {
-    state.rate = 0.0;
-    state.rate_by_tenant.clear();
-    state.rate_by_class.fill(0.0);
-  }
-  for (auto& [id, f] : flows_) {
-    f.rate = f.solved_rate;
-    for (const int32_t li : f.link_indices) {
-      DirectedLinkState& state = links_[static_cast<size_t>(li)];
-      state.rate += f.rate;
-      state.rate_by_tenant[f.spec.tenant] += f.rate;
-      state.rate_by_class[static_cast<size_t>(f.spec.klass)] += f.rate;
-    }
-    // Record achieved spill in the socket stats.
-    if (f.spill_parent != kInvalidFlow) {
-      const FlowState& parent = flows_.at(f.spill_parent);
-      const topology::ComponentId socket = parent.spec.path.destination();
-      const auto sit = cache_stats_.find(socket);
+  CommitRates();
+  if (!cache_stats_.empty()) {
+    // Record achieved spill in the socket stats, in id order.
+    for (size_t row = 0; row < rows_.size(); ++row) {
+      const FlowRow& f = rows_[row];
+      if (!f.alive || f.spill_parent == kInvalidFlow) {
+        continue;
+      }
+      const FlowRow& parent = rows_[Idx(FindRow(f.spill_parent))];
+      const auto sit = cache_stats_.find(parent.cold->path.destination());
       if (sit != cache_stats_.end()) {
-        sit->second.spill_rate_bps += f.rate;
+        sit->second.spill_rate_bps += rates_[row];
       }
     }
   }
@@ -674,7 +928,7 @@ void Fabric::Recompute() {
     for (const auto& [socket, stats] : cache_stats_) {
       spill_bps += stats.spill_rate_bps;
     }
-    solve_span.Arg("flows", static_cast<double>(flows_.size()));
+    solve_span.Arg("flows", static_cast<double>(live_flows_));
     solve_span.Arg("links", static_cast<double>(links_.size()));
     solve_span.Arg("rounds", static_cast<double>(solver_.last_rounds()));
     solve_span.Arg("coalesced_mutations",
@@ -688,7 +942,7 @@ void Fabric::Recompute() {
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.delta_fallbacks", solver_.delta_fallbacks());
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.delta_noop_splices",
                        solver_.delta_noop_splices());
-    MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.flows", flows_.size());
+    MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.flows", live_flows_);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.recomputes", recompute_count_);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.ddio_spill_bps", spill_bps);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.route_cache_hits", router_.cache_stats().hits);
@@ -714,48 +968,176 @@ void Fabric::CheckInvariants() const {
   MIHN_CHECK(recompute_count_ <= mutation_count_);
   MIHN_CHECK(!dirty_);
   MIHN_CHECK(!in_recompute_);
+  MIHN_CHECK(!capacities_stale_);
 
-  // Per-link conservation, recomputed independently from flow state.
-  std::vector<double> link_sums(links_.size(), 0.0);
-  for (const auto& [id, f] : flows_) {
-    MIHN_CHECK(f.rate >= 0.0);
-    MIHN_CHECK(f.bytes_moved >= 0.0);
+  // Per-link conservation and tenant membership, recomputed independently
+  // from the rows.
+  const size_t num_links = links_.size();
+  std::vector<double> link_sums(num_links, 0.0);
+  std::vector<int32_t> members(tenant_members_.size(), 0);
+  size_t live = 0;
+  size_t finite = 0;
+  sim::TimeNs earliest = sim::TimeNs::Max();
+  for (size_t row = 0; row < rows_.size(); ++row) {
+    const FlowRow& f = rows_[row];
+    MIHN_CHECK(row == 0 || ids_[row - 1] < ids_[row]);
     if (solver_retained_) {
-      // The retained mirror must be exact: a drifted pushed value means a
-      // mutation bypassed MarkFlowDirty and the solver solved stale inputs.
-      MIHN_CHECK(f.solver_slot >= 0);
-      MIHN_CHECK(f.pushed_weight == f.spec.weight);  // mihn-check: float-eq-ok(mirror exactness)
-      MIHN_CHECK(f.pushed_demand ==  // mihn-check: float-eq-ok(mirror exactness)
-                 std::min({f.demand, f.limit, f.cache_cap}));
+      // The retained mirror must be exact: a row is its solver slot, and a
+      // drifted pushed value means a mutation bypassed MarkFlowDirty and
+      // the solver solved stale inputs.
+      MIHN_CHECK(row < Idx(pushed_rows_));
+      MIHN_CHECK(row < solver_.retained_flows());
+      MIHN_CHECK(solver_.rates()[row] == rates_[row]);  // mihn-check: float-eq-ok(mirror exactness)
+    }
+    if (!f.alive) {
+      MIHN_CHECK(rates_[row] == 0.0);  // mihn-check: float-eq-ok(dead rows carry no rate)
+      MIHN_CHECK(f.heap_pos < 0);
+      continue;
+    }
+    ++live;
+    MIHN_CHECK(rates_[row] >= 0.0);
+    MIHN_CHECK(f.moved >= 0.0);
+    if (solver_retained_) {
+      MIHN_CHECK(f.pushed_weight == f.weight);  // mihn-check: float-eq-ok(mirror exactness)
+      MIHN_CHECK(f.pushed_demand == EffectiveDemand(f));
     }
     if (f.spill_child != kInvalidFlow) {
-      const auto child = flows_.find(f.spill_child);
-      MIHN_CHECK(child != flows_.end());
-      MIHN_CHECK(child->second.spill_parent == id);
+      const int32_t child = FindRow(f.spill_child);
+      MIHN_CHECK(child >= 0);
+      MIHN_CHECK(rows_[Idx(child)].spill_parent == ids_[row]);
     }
-    for (const int32_t li : f.link_indices) {
-      link_sums[static_cast<size_t>(li)] += f.rate;
+    if (f.remaining >= 0.0) {
+      ++finite;
+      MIHN_CHECK(f.heap_pos >= 0 && Idx(heap_[Idx(f.heap_pos)]) == row);
+      earliest = std::min(earliest, f.finish);
+    } else {
+      MIHN_CHECK(f.heap_pos < 0);
+    }
+    for (uint32_t h = 0; h < f.hop_count; ++h) {
+      const size_t li = Idx(Hops(static_cast<int32_t>(row))[h]);
+      link_sums[li] += rates_[row];
+      ++members[Idx(tenants_[row]) * num_links + li];
     }
   }
-  for (size_t i = 0; i < links_.size(); ++i) {
+  MIHN_CHECK(live == live_flows_);
+  MIHN_CHECK(members == tenant_members_);
+  MIHN_CHECK(heap_.size() == finite);
+  MIHN_CHECK(heap_.empty() || rows_[Idx(heap_[0])].finish == earliest);
+
+  // Capacities refresh only after faults and config changes: a missed
+  // refresh shows as a drift from the configured factor.
+  for (const topology::Link& link : topo_.links()) {
+    const double factor = CapacityFactor(link);
+    for (const bool forward : {true, false}) {
+      const size_t li =
+          static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}));
+      MIHN_CHECK(links_[li].effective_capacity ==  // mihn-check: float-eq-ok(same computation)
+                 links_[li].raw_capacity * factor);
+    }
+  }
+  for (size_t i = 0; i < num_links; ++i) {
     const DirectedLinkState& state = links_[i];
+    MIHN_CHECK(!state.stale);
     MIHN_CHECK(state.rate >= 0.0);
     MIHN_CHECK(state.effective_capacity >= 0.0);
     MIHN_CHECK(state.bytes_total >= 0.0);
+    MIHN_CHECK((state.active_pos >= 0) == (state.rate > 0.0));
     const double slack = state.rate * kRelTol + kAbsTolBps;
     MIHN_CHECK(std::abs(link_sums[i] - state.rate) <= slack);
     MIHN_CHECK(state.rate <= state.effective_capacity * (1.0 + kRelTol) + kAbsTolBps);
     double tenant_sum = 0.0;
-    for (const auto& [tenant, rate] : state.rate_by_tenant) {
-      MIHN_CHECK(rate >= 0.0);
-      tenant_sum += rate;
+    for (size_t at = i; at < tenant_rate_.size(); at += num_links) {
+      MIHN_CHECK(tenant_rate_[at] >= 0.0);
+      // An absent tenant carries no rate.
+      MIHN_CHECK(tenant_members_[at] > 0 ||
+                 tenant_rate_[at] == 0.0);  // mihn-check: float-eq-ok(exact zero)
+      tenant_sum += tenant_rate_[at];
     }
     MIHN_CHECK(std::abs(tenant_sum - state.rate) <= slack);
   }
 #endif
 }
 
+// -- Completion -------------------------------------------------------------------
+
+bool Fabric::HeapLess(int32_t a, int32_t b) const {
+  const sim::TimeNs fa = rows_[Idx(a)].finish;
+  const sim::TimeNs fb = rows_[Idx(b)].finish;
+  return fa < fb || (fa == fb && a < b);
+}
+
+void Fabric::HeapPlace(int32_t row, size_t pos) {
+  heap_[pos] = row;
+  rows_[Idx(row)].heap_pos = static_cast<int32_t>(pos);
+}
+
+void Fabric::HeapSiftUp(size_t pos) {
+  const int32_t row = heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!HeapLess(row, heap_[parent])) {
+      break;
+    }
+    HeapPlace(heap_[parent], pos);
+    pos = parent;
+  }
+  HeapPlace(row, pos);
+}
+
+void Fabric::HeapSiftDown(size_t pos) {
+  const int32_t row = heap_[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) {
+      break;
+    }
+    if (child + 1 < heap_.size() && HeapLess(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!HeapLess(heap_[child], row)) {
+      break;
+    }
+    HeapPlace(heap_[child], pos);
+    pos = child;
+  }
+  HeapPlace(row, pos);
+}
+
+void Fabric::HeapPush(int32_t row) {
+  heap_.push_back(row);
+  HeapSiftUp(heap_.size() - 1);
+}
+
+void Fabric::HeapRemove(int32_t row) {
+  const size_t pos = Idx(rows_[Idx(row)].heap_pos);
+  rows_[Idx(row)].heap_pos = -1;
+  const int32_t last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    HeapPlace(last, pos);
+    HeapUpdate(last);
+  }
+}
+
+void Fabric::HeapUpdate(int32_t row) {
+  const size_t pos = Idx(rows_[Idx(row)].heap_pos);
+  HeapSiftUp(pos);
+  HeapSiftDown(Idx(rows_[Idx(row)].heap_pos));
+}
+
+void Fabric::UpdateFinish(int32_t row, sim::TimeNs now) {
+  FlowRow& f = rows_[Idx(row)];
+  const double rate = rates_[Idx(row)];
+  const double secs = rate > 0.0 ? f.remaining / rate : kNeverSecs;
+  f.finish = secs < kNeverSecs ? now + sim::TimeNs::FromSecondsF(secs) : sim::TimeNs::Max();
+  HeapUpdate(row);
+}
+
 void Fabric::RescheduleCompletion() {
+  const bool due = !heap_.empty() && rows_[Idx(heap_[0])].finish != sim::TimeNs::Max();
+  if (!due && !completion_armed_) {
+    return;  // No live transfer drains: nothing to cancel or arm.
+  }
   // Under SettleStaged() the queue operations are recorded, not applied:
   // the cancel and the schedule land in the buffer in this exact order, so
   // a serial replay reproduces the direct path's event sequence (and pool
@@ -765,17 +1147,14 @@ void Fabric::RescheduleCompletion() {
   } else {
     completion_event_.Cancel();
   }
-  double min_secs = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : flows_) {
-    if (f.bytes_remaining >= 0.0 && f.rate > 0.0) {
-      min_secs = std::min(min_secs, f.bytes_remaining / f.rate);
-    }
-  }
-  if (!std::isfinite(min_secs)) {
+  completion_armed_ = false;
+  if (!due) {
     return;
   }
   // +1ns so float accrual definitively crosses the completion threshold.
-  const sim::TimeNs delay = sim::TimeNs::FromSecondsF(min_secs) + sim::TimeNs::Nanos(1);
+  const sim::TimeNs now = sim_.Now();
+  const sim::TimeNs delay =
+      std::max(rows_[Idx(heap_[0])].finish - now, sim::TimeNs::Zero()) + sim::TimeNs::Nanos(1);
   if (staging_ != nullptr) {
     staging_->StageScheduleAfter(
         delay, [this] { OnCompletionEvent(); }, "fabric.completion", &completion_event_);
@@ -783,67 +1162,102 @@ void Fabric::RescheduleCompletion() {
     completion_event_ =
         sim_.ScheduleAfter(delay, [this] { OnCompletionEvent(); }, "fabric.completion");
   }
+  completion_armed_ = true;
 }
 
 void Fabric::OnCompletionEvent() {
+  completion_armed_ = false;
   // Mutations from earlier events at this same timestamp may still be
   // pending (hooks only fire between timestamps): settle them so the done
   // check and delivery latencies see current rates.
   FlushIfDirty();
   AccrueCounters();
-  std::vector<FlowId> done;
-  for (const auto& [id, f] : flows_) {
-    if (f.bytes_remaining >= 0.0 && f.bytes_remaining <= kDoneBytes) {
-      done.push_back(id);
+  const sim::TimeNs now = sim_.Now();
+  // Every live finite row sits in the heap: the done scan is proportional
+  // to the transfers in flight, and delivers in id order.
+  std::vector<int32_t>& done = done_rows_;
+  done.clear();
+  for (const int32_t row : heap_) {
+    if (rows_[Idx(row)].remaining - PendingBytes(row, now) <= kDoneBytes) {
+      done.push_back(row);
     }
   }
-  for (const FlowId id : done) {
-    FlowState& f = flows_.at(id);
-    if (f.on_complete) {
+  std::sort(done.begin(), done.end());
+  for (const int32_t row : done) {
+    SettleBytes(row, now);
+    FlowRow& f = rows_[Idx(row)];
+    if (f.cold->on_complete) {
       TransferResult result;
-      result.id = id;
-      result.start = f.start_time;
+      result.id = ids_[Idx(row)];
+      result.start = f.cold->start_time;
       // Delivery: fluid drain time plus one traversal of (congested) path
       // latency and any interrupt-moderation delay.
-      result.end = sim_.Now() + ProbePathLatency(f.spec.path) + config_.interrupt_moderation;
-      result.bytes = static_cast<int64_t>(std::llround(f.bytes_moved));
-      sim_.ScheduleAt(result.end, [cb = std::move(f.on_complete), result] { cb(result); });
+      result.end = now + ProbePathLatency(f.cold->path) + config_.interrupt_moderation;
+      result.bytes = static_cast<int64_t>(std::llround(f.moved));
+      sim_.ScheduleAt(result.end, [cb = std::move(f.cold->on_complete), result] { cb(result); });
     }
-    RemoveFlowInternal(id);
+    RemoveFlowInternal(row);
   }
   if (!done.empty()) {
     MarkDirty(done.size());
-  } else {
-    // Spurious wake (rates changed since this event was armed): re-arm from
-    // the current — already settled — rates.
-    RescheduleCompletion();
-  }
-}
-
-void Fabric::RemoveFlowInternal(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
     return;
   }
-  const FlowId child = it->second.spill_child;
-  const FlowId parent = it->second.spill_parent;
-  if (it->second.spec.ddio_write && ddio_flow_count_ > 0) {
+  // Spurious wake (float rounding left a sliver above the done threshold):
+  // re-key overdue rows from their settled state and re-arm.
+  for (size_t pos = 0; pos < heap_.size(); ++pos) {
+    if (rows_[Idx(heap_[pos])].finish <= now) {
+      done.push_back(heap_[pos]);
+    }
+  }
+  for (const int32_t row : done) {
+    SettleBytes(row, now);
+    UpdateFinish(row, now);
+  }
+  RescheduleCompletion();
+}
+
+void Fabric::RemoveFlowInternal(int32_t row) {
+  FlowRow& f = rows_[Idx(row)];
+  const FlowId child = f.spill_child;
+  const FlowId parent = f.spill_parent;
+  if (f.ddio_write && ddio_flow_count_ > 0) {
     --ddio_flow_count_;
   }
-  if (solver_retained_ && it->second.solver_slot >= 0) {
-    solver_.RemoveFlowRetained(it->second.solver_slot);
+  if (solver_retained_ && row < pushed_rows_) {
+    solver_.RemoveFlowRetained(row);
     ++tombstoned_slots_;
+  } else {
+    ++dead_unpushed_;
   }
-  flows_.erase(it);
+  f.alive = false;
+  --live_flows_;
+  if (f.heap_pos >= 0) {
+    HeapRemove(row);
+  }
+  const size_t tenant_base = Idx(tenants_[Idx(row)]) * links_.size();
+  for (uint32_t h = 0; h < f.hop_count; ++h) {
+    const int32_t li = Hops(row)[h];
+    --tenant_members_[tenant_base + Idx(li)];
+    DirectedLinkState& state = links_[Idx(li)];
+    if (rates_[Idx(row)] != 0.0 && !state.stale) {  // mihn-check: float-eq-ok(zero adds nothing)
+      state.stale = true;
+      stale_links_.push_back(li);
+    }
+  }
+  rates_[Idx(row)] = 0.0;
+  f.cold.reset();
   if (child != kInvalidFlow) {
-    RemoveFlowInternal(child);
+    const int32_t child_row = FindRow(child);
+    if (child_row >= 0) {
+      RemoveFlowInternal(child_row);
+    }
   }
   if (parent != kInvalidFlow) {
-    const auto pit = flows_.find(parent);
-    if (pit != flows_.end()) {
-      pit->second.spill_child = kInvalidFlow;
-      pit->second.cache_cap = kUnlimitedDemand;
-      dirty_flows_.push_back(parent);  // Effective demand just changed.
+    const int32_t parent_row = FindRow(parent);
+    if (parent_row >= 0) {
+      rows_[Idx(parent_row)].spill_child = kInvalidFlow;
+      rows_[Idx(parent_row)].cache_cap = kUnlimitedDemand;
+      dirty_ids_.push_back(parent);  // Effective demand just changed.
     }
   }
 }

@@ -23,7 +23,9 @@
 #ifndef MIHN_SRC_FABRIC_FABRIC_H_
 #define MIHN_SRC_FABRIC_FABRIC_H_
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -54,6 +56,14 @@ struct LinkSnapshot {
   std::map<TenantId, double> bytes_by_tenant;
   std::array<double, kNumTrafficClasses> rate_by_class_bps{};
   std::array<double, kNumTrafficClasses> bytes_by_class{};
+};
+
+// The load totals of one directed link: the part of a LinkSnapshot that
+// fleet-scale rollups read every tick, without the per-tenant maps.
+struct LinkLoad {
+  double capacity_bps = 0.0;  // Effective (after config + faults).
+  double rate_bps = 0.0;
+  double bytes_total = 0.0;   // Accrued since start (fluid + packets).
 };
 
 class Fabric {
@@ -138,6 +148,11 @@ class Fabric {
   LinkSnapshot Snapshot(topology::DirectedLink dlink);
   std::vector<LinkSnapshot> SnapshotAll();
 
+  // The lean rollup read: settles and accrues like SnapshotAll(), then
+  // replaces |out| with one LinkLoad per directed link in SnapshotAll()
+  // order. Returns the live flow count (== ActiveFlows().size()).
+  size_t ReadLinkLoads(std::vector<LinkLoad>& out);
+
   // Effective capacity of one direction (after config + faults).
   sim::Bandwidth EffectiveCapacity(topology::DirectedLink dlink) const;
   double Utilization(topology::DirectedLink dlink) const;
@@ -187,38 +202,67 @@ class Fabric {
 
   // Debug invariant pass over the solved state: per-link conservation
   // (Σ flow rates on a link equals the link's aggregate and stays within
-  // effective capacity, modulo float tolerance), non-negative rates and
-  // counters, spill parent/child symmetry, and dirty-flag/recompute-count
-  // consistency. Aborts via MIHN_CHECK on the first violation. A no-op
-  // unless built with -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case
-  // Recompute() runs it after every solve, so the existing fabric/sim test
-  // suites exercise it end to end.
+  // effective capacity, modulo float tolerance), per-tenant sums and
+  // membership counts, non-negative rates and counters, spill parent/child
+  // symmetry, dirty-flag/recompute-count consistency, and the bookkeeping
+  // behind them: ids ascend, every live row matches its solver slot, the
+  // completion heap's top is the earliest finish over live finite rows, and
+  // effective capacities equal a fresh computation from config and faults.
+  // Aborts via MIHN_CHECK on the first violation. A no-op unless built with
+  // -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case Recompute() runs it
+  // after every solve, so the existing fabric/sim test suites exercise it
+  // end to end.
   void CheckInvariants() const;
 
  private:
-  struct FlowState {
-    FlowId id = kInvalidFlow;
-    FlowSpec spec;
-    double demand = 0.0;     // bytes/s (after spec.demand).
+  // The flow table is a set of columns over *rows*, kept in ascending id
+  // order. A row's index is its slot in the retained solver: rows are
+  // appended in id order (ids are monotonic) and compacted, still in id
+  // order, only at a full solver re-prime, so solver output maps onto rows
+  // without translation and every walk stays in id order. A removed row
+  // lingers as a dead row (rate 0, solver tombstone) until that compaction;
+  // one removed before it ever reached the solver is compacted away at the
+  // next solve. FlowId -> row is a binary search over the id column.
+  //
+  // The densely walked fields are the columns ids_, rates_, tenants_ and
+  // classes_; the rest of a row lives in FlowRow, its path and completion
+  // callback behind a pointer (stable while the flow lives: FlowInfo::path
+  // points into it).
+  struct ColdRow {
+    topology::Path path;
+    std::function<void(const TransferResult&)> on_complete;
+    sim::TimeNs start_time;
+  };
+
+  struct FlowRow {
+    bool alive = true;
+    bool ddio_write = false;
+    // Solver inputs; the effective demand is min(demand, limit, cache_cap).
+    double demand = 0.0;
     double limit = kUnlimitedDemand;
     double cache_cap = kUnlimitedDemand;  // Miss-drain throttle from the LLC model.
-    double miss_fraction = 0.0;           // 1 - hit rate of this flow's socket.
-    double rate = 0.0;
-    double bytes_remaining = -1.0;  // < 0: continuous.
-    double bytes_moved = 0.0;
-    sim::TimeNs start_time;
-    std::function<void(const TransferResult&)> on_complete;
-    FlowId spill_child = kInvalidFlow;
-    FlowId spill_parent = kInvalidFlow;
-    std::vector<int32_t> link_indices;  // DirectedIndex per hop (deduped).
-    double solved_rate = 0.0;           // Scratch: last SolveRates() output.
-    // Retained-solver mirror: the slot this flow occupies in the solver's
-    // rate vector, and the weight/effective-demand values last pushed to it.
-    // The diff in SolveRates() compares against these so an untouched flow
-    // costs nothing per solve.
-    int32_t solver_slot = -1;
+    double weight = 1.0;
+    // The values last pushed to the solver slot: the retained diff compares
+    // against them, so an untouched flow costs nothing per solve.
     double pushed_weight = 0.0;
     double pushed_demand = -1.0;
+    double miss_fraction = 0.0;  // 1 - hit rate of this flow's socket.
+    FlowId spill_child = kInvalidFlow;
+    FlowId spill_parent = kInvalidFlow;
+    // DirectedIndex per hop (sorted, deduped) in hop_pool_.
+    uint32_t hop_begin = 0;
+    uint32_t hop_count = 0;
+    // Lazy byte state: bytes moved and (finite transfers) bytes left as of
+    // |since|; the row has moved at its committed rate ever since. Settled
+    // when the rate changes and at completion.
+    sim::TimeNs since;
+    double moved = 0.0;
+    double remaining = -1.0;  // < 0: continuous.
+    // Finite transfers only: when |remaining| drains at the committed rate
+    // (TimeNs::Max() at rate 0), and the row's position in heap_.
+    sim::TimeNs finish = sim::TimeNs::Max();
+    int32_t heap_pos = -1;
+    std::unique_ptr<ColdRow> cold;
   };
 
   struct DirectedLinkState {
@@ -227,21 +271,58 @@ class Fabric {
     double rate = 0.0;
     double bytes_total = 0.0;
     uint64_t packets = 0;
-    std::map<TenantId, double> rate_by_tenant;
-    std::map<TenantId, double> bytes_by_tenant;
     std::array<double, kNumTrafficClasses> rate_by_class{};
     std::array<double, kNumTrafficClasses> bytes_by_class{};
+    // Pushed rows crossing this link, ascending (== id order); dead rows
+    // linger with rate 0 until compaction. The rate sums are re-summed
+    // over it in this order, so they stay bit-identical to a full rebuild.
+    std::vector<int32_t> members;
+    bool stale = false;        // A member's rate moved since the last re-sum.
+    int32_t active_pos = -1;   // Index in active_links_ while rate > 0.
   };
 
-  // Moves fluid bytes for the interval since the last accrual into the
-  // per-link and per-flow counters. Must be called before any rate change.
-  void AccrueCounters();
+  // -- Flow table ---------------------------------------------------------------
+  // Appends a live row (next id) and counts it in its links' tenant
+  // membership. Returns the row.
+  int32_t AppendRow(topology::Path path, int32_t tenant, TrafficClass klass, double weight,
+                    double demand, bool ddio_write);
+  // Row of a live flow, or -1.
+  int32_t FindRow(FlowId id) const;
+  // Dense index of |tenant|, registering it on first sight.
+  int32_t TenantIndex(TenantId tenant);
+  const int32_t* Hops(int32_t row) const {
+    return hop_pool_.data() + rows_[static_cast<size_t>(row)].hop_begin;
+  }
+  static double EffectiveDemand(const FlowRow& r) {
+    return std::min({r.demand, r.limit, r.cache_cap});
+  }
+  // Drops dead rows (all of them, or only those past the solver's pushed
+  // prefix), renumbering the survivors in id order.
+  void CompactRows(int32_t from);
+  // Appends |row| to its links' member lists; done as the row is pushed to
+  // the solver, so set-up pays nothing per link.
+  void JoinLinks(int32_t row);
+  void RemoveFlowInternal(int32_t row);
 
+  // -- Accrual ------------------------------------------------------------------
+  // Moves fluid bytes for the interval since the last accrual into the
+  // per-link counters, from the per-link aggregate rates. Must be called
+  // before any rate change.
+  void AccrueCounters();
+  // Finite transfers that drained inside (last, now] moved only what they
+  // had left: takes back what the aggregate-rate accrual credited beyond.
+  void TakeBackOvershoot(sim::TimeNs last, sim::TimeNs now, double dt);
+  // Bytes |row| moved since its settled state (capped for transfers).
+  double PendingBytes(int32_t row, sim::TimeNs now) const;
+  // Folds PendingBytes into the row's settled state as of |now|.
+  void SettleBytes(int32_t row, sim::TimeNs now);
+
+  // -- Solve --------------------------------------------------------------------
   // Records a rate-affecting mutation (|count| of them) and defers the solve
   // to the next FlushIfDirty() point.
   void MarkDirty(uint64_t count = 1);
 
-  // MarkDirty(1) plus an entry in dirty_flows_, so the retained diff in
+  // MarkDirty(1) plus an entry in dirty_ids_, so the retained diff in
   // SolveRates() visits only this flow instead of scanning all of them.
   void MarkFlowDirty(FlowId id);
 
@@ -254,26 +335,46 @@ class Fabric {
   // the next completion event.
   void Recompute();
 
-  // One max-min pass; leaves each flow's result in FlowState::solved_rate.
-  // Steady state pushes only the diff (changed capacities + dirty_flows_)
+  // One max-min pass; leaves the result in *solved_, indexed by row.
+  // Steady state pushes only the diff (changed capacities + dirty_ids_)
   // into the retained solver and lets SolveDelta() replay the previous
   // solve's trace; a full re-prime happens on the first solve and when
   // tombstoned slots pile up.
   void SolveRates();
 
+  // Commits *solved_: rows whose rate moved settle their bytes, re-key
+  // their completion and mark their links stale; stale links re-sum.
+  void CommitRates();
+  void ResumLink(int32_t li);
+
   // Applies config + faults to every directed link's effective capacity.
   void RefreshCapacities();
+  // The config and fault scaling of |link|'s raw capacity.
+  double CapacityFactor(const topology::Link& link) const;
 
   // Ensures/updates spill companions for DDIO flows, reading each parent's
-  // FlowState::solved_rate (round-1 potential rates). Part of Recompute.
+  // round-1 potential rate from *solved_. Part of Recompute.
   void UpdateCacheCoupling();
+
+  // -- Completion -----------------------------------------------------------------
+  // Min-heap of live finite rows keyed on (finish, row); rows ascend with
+  // ids, so ties break by FlowId.
+  bool HeapLess(int32_t a, int32_t b) const;
+  void HeapPlace(int32_t row, size_t pos);
+  void HeapSiftUp(size_t pos);
+  void HeapSiftDown(size_t pos);
+  void HeapPush(int32_t row);
+  void HeapRemove(int32_t row);
+  void HeapUpdate(int32_t row);
+  // Recomputes a settled finite row's finish time from its rate.
+  void UpdateFinish(int32_t row, sim::TimeNs now);
 
   void RescheduleCompletion();
   void OnCompletionEvent();
-  void RemoveFlowInternal(FlowId id);
 
   bool IsPcieKind(topology::LinkKind kind) const;
   sim::TimeNs HopBaseLatency(topology::DirectedLink hop) const;
+  void FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const;
 
   // Mirrors faults_ into the router's health sets (dead vs degraded) after
   // every inject/clear; bumps route_epoch_ when routing preferences moved.
@@ -288,10 +389,36 @@ class Fabric {
   FabricConfig config_;
 
   std::vector<DirectedLinkState> links_;  // Indexed by DirectedIndex.
-  std::map<FlowId, FlowState> flows_;    // Ordered: deterministic iteration.
+  std::vector<int32_t> active_links_;     // Links with rate > 0, any order.
+  std::vector<int32_t> stale_links_;
+
+  // Flow table columns (see above), one entry per row.
+  std::vector<FlowId> ids_;
+  std::vector<double> rates_;       // Committed rate; 0 for dead rows.
+  std::vector<int32_t> tenants_;    // Dense tenant index.
+  std::vector<TrafficClass> classes_;
+  std::vector<FlowRow> rows_;
+  std::vector<int32_t> hop_pool_;
+  size_t live_flows_ = 0;
+  size_t dead_unpushed_ = 0;  // Dead rows past the pushed prefix.
   FlowId next_flow_id_ = 1;
+
+  // Per-tenant link aggregates over the dense tenant index, tenant-major
+  // ([tenant * links + link]) so a new tenant appends a block. A tenant's
+  // rate key is in a snapshot while it has live members on the link; its
+  // bytes key once it ever moved bytes there.
+  std::vector<TenantId> tenant_ids_;                      // Index -> id.
+  std::vector<std::pair<TenantId, int32_t>> tenant_lookup_;  // Sorted by id.
+  std::vector<double> tenant_rate_;
+  std::vector<double> tenant_bytes_;
+  std::vector<int32_t> tenant_members_;
+  std::vector<uint8_t> tenant_seen_;
+
   sim::TimeNs last_accrual_;
   sim::EventHandle completion_event_;
+  bool completion_armed_ = false;  // completion_event_ may still fire.
+  std::vector<int32_t> heap_;
+  std::vector<int32_t> done_rows_;
   // Non-null only inside SettleStaged(): RescheduleCompletion() then stages
   // its queue operations instead of applying them.
   sim::StagedEvents* staging_ = nullptr;
@@ -301,20 +428,27 @@ class Fabric {
   std::map<topology::ComponentId, SocketCacheStats> cache_stats_;
   std::map<topology::ComponentId, std::vector<topology::ComponentId>> socket_dimms_;
   MaxMinSolver solver_;  // Persistent workspace: no allocation at steady state.
-  // Retained-solver bookkeeping. dirty_flows_ is the worklist of flows whose
+  const std::vector<double>* solved_ = nullptr;  // The last SolveRates() output.
+  // Retained-solver bookkeeping. dirty_ids_ is the worklist of flows whose
   // weight or effective demand may have moved since the last solve
-  // (duplicates fine — the solver elides no-op writes). Tombstoned slots
-  // accumulate until a full re-prime compacts them away.
-  std::vector<FlowId> dirty_flows_;
+  // (duplicates fine — the solver elides no-op writes). pushed_rows_ rows
+  // hold solver slots; tombstoned slots accumulate until a full re-prime
+  // compacts them away.
+  std::vector<FlowId> dirty_ids_;
+  int32_t pushed_rows_ = 0;
   size_t tombstoned_slots_ = 0;
   bool solver_retained_ = false;
+  // Capacities move only with faults and config: RefreshCapacities() and
+  // the solver's capacity sweep run only after one of those mutators (the
+  // next Recompute() refreshes, its first SolveRates() pushes and clears).
+  bool capacities_stale_ = false;
   sim::EventHandle pre_advance_hook_;
   obs::Tracer* tracer_ = obs::Tracer::Disabled();
   uint64_t route_epoch_ = 0;
   uint64_t recompute_count_ = 0;
   uint64_t mutation_count_ = 0;
   uint64_t mutations_at_last_solve_ = 0;  // For the per-solve coalescing arg.
-  size_t ddio_flow_count_ = 0;  // Active flows with spec.ddio_write.
+  size_t ddio_flow_count_ = 0;  // Active flows with ddio_write.
   bool dirty_ = false;
   bool in_recompute_ = false;
 };

@@ -31,6 +31,7 @@ Fleet::Fleet(int num_hosts, Options options)
     hosts_.push_back(std::make_unique<HostNetwork>(sim_, options_.host));
   }
   stagings_.resize(hosts_.size());
+  limit_batches_.resize(hosts_.size());
   const int requested =
       options_.worker_threads > 1 ? options_.worker_threads : options_.aggregation_threads;
   if (requested > 1) {
@@ -118,16 +119,16 @@ void Fleet::CoupleCrossHostFlows() {
   }
   // Lift the previous tick's caps so each intra-host stage re-competes at
   // its full demand; batched per host so every host pays one recompute.
-  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> lifts(hosts_.size());
+  for (auto& batch : limit_batches_) {
+    batch.clear();
+  }
   for (const auto& [id, flow] : cross_flows_) {
-    lifts[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, flow.spec.demand);
-    lifts[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, flow.spec.demand);
+    limit_batches_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow,
+                                                                         flow.spec.demand);
+    limit_batches_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow,
+                                                                         flow.spec.demand);
   }
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    if (!lifts[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(lifts[h]);
-    }
-  }
+  ApplyLimitBatches();
   // Settle the lifted fabrics across the pool before reading rates — a
   // FlowRate() read on a dirty fabric would otherwise solve serially on
   // this thread, one host at a time.
@@ -144,16 +145,22 @@ void Fleet::CoupleCrossHostFlows() {
   }
   inter_.Solve();
   // Cap both intra-host stages at the end-to-end rate.
-  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> caps(hosts_.size());
+  for (auto& batch : limit_batches_) {
+    batch.clear();
+  }
   for (auto& [id, flow] : cross_flows_) {
     flow.coupled_rate_bps = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
     const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);
-    caps[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
-    caps[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
+    limit_batches_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
+    limit_batches_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
   }
+  ApplyLimitBatches();
+}
+
+void Fleet::ApplyLimitBatches() {
   for (size_t h = 0; h < hosts_.size(); ++h) {
-    if (!caps[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(caps[h]);
+    if (!limit_batches_[h].empty()) {
+      hosts_[h]->fabric().SetFlowLimitsBatch(limit_batches_[h]);
     }
   }
 }
@@ -184,27 +191,30 @@ void Fleet::SettleHosts() {
   }
 }
 
-HostSample Fleet::ReduceHost(int i) {
-  fabric::Fabric& fabric = hosts_[static_cast<size_t>(i)]->fabric();
+HostSample Fleet::ReduceHost(int i, std::vector<fabric::LinkLoad>& loads) {
   HostSample sample;
   sample.host = i;
+  // The lean accessor: per-link totals in SnapshotAll() order, so the sums
+  // below add in the same order a snapshot walk would.
+  sample.active_flows =
+      static_cast<int>(hosts_[static_cast<size_t>(i)]->fabric().ReadLinkLoads(loads));
   double util_sum = 0.0;
   int util_count = 0;
-  for (const fabric::LinkSnapshot& snap : fabric.SnapshotAll()) {
-    sample.bytes_total += snap.bytes_total;
-    sample.rate_total_bps += snap.rate_bps;
-    if (snap.capacity_bps <= 0.0) {
+  for (const fabric::LinkLoad& link : loads) {
+    sample.bytes_total += link.bytes_total;
+    sample.rate_total_bps += link.rate_bps;
+    if (link.capacity_bps <= 0.0) {
       continue;
     }
-    util_sum += snap.utilization;
+    const double utilization = link.rate_bps / link.capacity_bps;
+    util_sum += utilization;
     ++util_count;
-    sample.max_utilization = std::max(sample.max_utilization, snap.utilization);
-    if (snap.utilization >= options_.congestion_threshold) {
+    sample.max_utilization = std::max(sample.max_utilization, utilization);
+    if (utilization >= options_.congestion_threshold) {
       ++sample.congested_links;
     }
   }
   sample.mean_utilization = util_count > 0 ? util_sum / util_count : 0.0;
-  sample.active_flows = static_cast<int>(fabric.ActiveFlows().size());
   return sample;
 }
 
@@ -217,8 +227,9 @@ FleetSample Fleet::AggregateSample() {
   // persistent pool, with each worker writing a disjoint slice of
   // sample.hosts.
   ForEachHost([this, &sample](size_t begin, size_t end) {
+    std::vector<fabric::LinkLoad> loads;  // Reused across the chunk's hosts.
     for (size_t i = begin; i < end; ++i) {
-      sample.hosts[i] = ReduceHost(static_cast<int>(i));
+      sample.hosts[i] = ReduceHost(static_cast<int>(i), loads);
     }
   });
   // Merge strictly in host order: the fleet totals (and the digest built

@@ -192,6 +192,8 @@ class Fleet {
   };
 
   void CoupleCrossHostFlows();
+  // Hands each host its limit_batches_ entry in one SetFlowLimitsBatch.
+  void ApplyLimitBatches();
   // Forces every fabric's pending solve: solves fan out across the worker
   // pool into per-host staging buffers, then the buffers are applied to the
   // shared clock serially in strict host order — the exact event sequence
@@ -202,7 +204,9 @@ class Fleet {
   // safe on disjoint host ranges.
   void ForEachHost(const std::function<void(size_t, size_t)>& body);
   FleetSample AggregateSample();
-  HostSample ReduceHost(int i);
+  // Reduces host |i| through Fabric::ReadLinkLoads; |loads| is the
+  // caller's reusable buffer.
+  HostSample ReduceHost(int i, std::vector<fabric::LinkLoad>& loads);
 
   Options options_;
   // Declaration order is destruction-safety: the clock outlives the hosts
@@ -220,6 +224,9 @@ class Fleet {
   std::unique_ptr<core::WorkerPool> pool_;
   // One staging buffer per host, reused every settle pass.
   std::vector<sim::StagedEvents> stagings_;
+  // Per-host (flow, limit) batches of the cross-host coupling, reused
+  // every tick.
+  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> limit_batches_;
 };
 
 }  // namespace mihn::fleet

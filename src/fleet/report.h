@@ -21,9 +21,10 @@
 
 namespace mihn::fleet {
 
-// One host's rollup of one fleet tick, reduced from its fabric's
-// SnapshotAll() — small enough that 256 hosts × thousands of ticks stay
-// resident, unlike retaining every per-link series on every host.
+// One host's rollup of one fleet tick, reduced from its fabric's per-link
+// loads (Fabric::ReadLinkLoads) — small enough that 256 hosts × thousands
+// of ticks stay resident, unlike retaining every per-link series on every
+// host.
 struct HostSample {
   int host = 0;
   double bytes_total = 0.0;       // Accrued bytes across all directed links.

@@ -125,6 +125,74 @@ TEST(CampaignFileTest, StrictUint64ParserRejectsJunk) {
   EXPECT_FALSE(ParseUint64Value("18446744073709551616", &value));  // Overflow.
 }
 
+// Boundary validation: each malformed value is rejected where it enters,
+// with the offending line named.
+std::string ParseError(const std::string& text) {
+  CampaignConfig config;
+  std::string error;
+  EXPECT_FALSE(ParseCampaignText(text, &config, &error)) << text;
+  return error;
+}
+
+TEST(CampaignFileTest, RejectsNegativeStreamDemandOrSlo) {
+  EXPECT_NE(ParseError("trials 1\nstream nic 0 cpu_socket 1 -80 64\n").find("line 2:"),
+            std::string::npos);
+  EXPECT_NE(ParseError("stream nic 0 cpu_socket 1 80 -1\n").find("line 1:"), std::string::npos);
+}
+
+TEST(CampaignFileTest, RejectsFlapPeriodAndDutyOutOfRange) {
+  EXPECT_NE(ParseError("fault flap pcie_switch_up 1 55 70 0 0.5\n").find("line 1: fault flap"),
+            std::string::npos);
+  EXPECT_NE(ParseError("\nfault flap pcie_switch_up 1 55 70 2000 0\n").find("line 2: fault flap"),
+            std::string::npos);
+  EXPECT_NE(ParseError("fault flap pcie_switch_up 1 55 70 2000 1.5\n").find("duty"),
+            std::string::npos);
+  CampaignConfig config;
+  std::string error;
+  EXPECT_TRUE(ParseCampaignText("fault flap pcie_switch_up 1 55 70 2000 1\n", &config, &error))
+      << error;  // Duty 1 (always down) is the closed end of (0, 1].
+}
+
+TEST(CampaignFileTest, RejectsDegradeFactorOutsideUnitRange) {
+  EXPECT_NE(ParseError("fault degrade inter_socket 1 30 40 -1\n").find("line 1: fault degrade"),
+            std::string::npos);
+  EXPECT_NE(ParseError("fault degrade inter_socket 1 30 40 1.5\n").find("[0, 1]"),
+            std::string::npos);
+}
+
+TEST(CampaignFileTest, RejectsFaultThatClearsBeforeItStarts) {
+  EXPECT_NE(ParseError("fault kill pcie_switch_up 0 45 30\n").find("line 1: fault kill"),
+            std::string::npos);
+  EXPECT_NE(ParseError("fault ddio_off 60 60\n").find("clear_ms"), std::string::npos);
+  CampaignConfig config;
+  std::string error;
+  EXPECT_TRUE(ParseCampaignText("fault kill inter_socket 0 80 0\n", &config, &error))
+      << error;  // clear_ms 0: never clears.
+}
+
+TEST(CampaignFileTest, RejectsTrailingTokens) {
+  // operator>> would read 1e300 as 1 µs and ignore the rest.
+  EXPECT_NE(ParseError("fault latency intra_socket 0 45 50 1e300\n").find("line 1:"),
+            std::string::npos);
+  EXPECT_NE(ParseError("trials 3 4\n").find("unexpected trailing '4'"), std::string::npos);
+  EXPECT_NE(ParseError("preset dgx_class edge_node\n").find("line 1: preset"),
+            std::string::npos);
+  EXPECT_NE(ParseError("stream gpu 2 dimm 0 40 0 ddio extra\n").find("'extra'"),
+            std::string::npos);
+  EXPECT_NE(ParseError("fault kill pcie_switch_up 0 10 20 0.5\n").find("'0.5'"),
+            std::string::npos);
+}
+
+TEST(CampaignFileTest, RejectsDurationAboveVirtualTimeCeiling) {
+  EXPECT_NE(ParseError("duration_ms 99999999999\n").find("line 1: duration_ms"),
+            std::string::npos);
+  CampaignConfig config;
+  std::string error;
+  EXPECT_TRUE(ParseCampaignText("duration_ms " + std::to_string(kMaxCampaignMs) + "\n",
+                                &config, &error))
+      << error;
+}
+
 TEST(CampaignFileTest, CommentsAndBlankLinesIgnored) {
   CampaignConfig config;
   std::string error;

@@ -485,5 +485,39 @@ TEST(FabricTest, RecomputeCountAdvances) {
   EXPECT_EQ(fabric.mutation_count(), 2u);
 }
 
+// The lean rollup read is the snapshot walk minus the tenant maps: same
+// link order, same totals, and the live-flow count.
+TEST(FabricTest, LinkLoadsMatchSnapshotAll) {
+  Simulation sim(7);
+  topology::Server server = topology::CommodityTwoSocket();
+  Fabric fabric(sim, server.topo);
+  FlowSpec spec;
+  spec.path = *fabric.Route(server.gpus[0], server.dimms[0]);
+  spec.tenant = 3;
+  fabric.StartFlow(spec);
+  TransferSpec transfer;
+  transfer.flow.path = *fabric.Route(server.nics[0], server.sockets[1]);
+  transfer.flow.ddio_write = true;
+  transfer.bytes = 1'000'000'000;
+  fabric.StartTransfer(std::move(transfer));
+  PacketSpec packet;
+  packet.path = *fabric.Route(server.nics[1], server.sockets[0]);
+  packet.bytes = 4096;
+  fabric.SendPacket(std::move(packet));
+  fabric.InjectLinkFault(server.topo.links().front().id, LinkFault{0.5, TimeNs::Zero()});
+  sim.RunFor(TimeNs::Millis(3));
+
+  std::vector<LinkLoad> loads = {LinkLoad{}};  // Stale contents are replaced.
+  const size_t live = fabric.ReadLinkLoads(loads);
+  const std::vector<LinkSnapshot> snaps = fabric.SnapshotAll();
+  EXPECT_EQ(live, fabric.ActiveFlows().size());
+  ASSERT_EQ(loads.size(), snaps.size());
+  for (size_t i = 0; i < snaps.size(); ++i) {
+    EXPECT_EQ(loads[i].capacity_bps, snaps[i].capacity_bps) << i;
+    EXPECT_EQ(loads[i].rate_bps, snaps[i].rate_bps) << i;
+    EXPECT_EQ(loads[i].bytes_total, snaps[i].bytes_total) << i;
+  }
+}
+
 }  // namespace
 }  // namespace mihn::fabric

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>  // For the wall-clock speedup gate only; sim time stays virtual.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -238,60 +237,20 @@ TEST(FleetTest, ParallelSettleWithFiniteTransfersMatchesSerial) {
   }
 }
 
-// The perf acceptance gate: at 1024 hosts a pooled tick must beat serial
-// ≥ 3× on machines with real parallelism to spare (≥ 6 cores; ≥ 1.8× on
-// 4–5 cores where 3× is not attainable after the serial fraction). Skipped
-// under sanitizers (instrumentation skews scheduling) and on < 4 cores,
-// where the pool clamps toward serial and there is nothing to measure.
-TEST(FleetTest, PooledTickSpeedupGate1024Hosts) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer build: wall-clock gate not meaningful";
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-  GTEST_SKIP() << "sanitizer build: wall-clock gate not meaningful";
-#endif
-#endif
-#ifdef MIHN_ENABLE_INVARIANT_CHECKS
-  GTEST_SKIP() << "invariant-check build: wall-clock gate not meaningful";
-#endif
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    GTEST_SKIP() << "only " << hw << " cores: no parallel speedup to measure";
-  }
-  const double required = hw >= 6 ? 3.0 : 1.8;
-
+// At the 1024-host scale the pooled tick must reproduce the serial one
+// byte for byte. (Its speedup is bench_fleet's --gate business: ctest makes
+// no wall-clock assertions.) The pool is unclamped so helper threads really
+// run even on small machines.
+TEST(FleetTest, PooledTickMatchesSerial1024Hosts) {
   constexpr int kHosts = 1024;
-  constexpr int kTicks = 5;
-  const auto time_run = [](Fleet::Options options) {
-    Fleet fleet(kHosts, options);
-    for (const CrossHostFlowSpec& spec : GateWorkload(kHosts)) {
-      fleet.StartCrossHostFlow(spec);
-    }
-    fleet.Tick();  // Warm-up: first solves, pool spin-up, page faults.
-    // mihn-check: nondet-ok(wall-clock speedup gate; never enters sim state)
-    const auto start = std::chrono::steady_clock::now();
-    fleet.Run(kTicks);
-    // mihn-check: nondet-ok(wall-clock speedup gate; never enters sim state)
-    const auto stop = std::chrono::steady_clock::now();
-    const double elapsed =
-        // mihn-check: nondet-ok(wall-clock speedup gate; never enters sim state)
-        std::chrono::duration<double>(stop - start).count();
-    return std::pair<double, uint64_t>(elapsed, fleet.TelemetryDigest());
-  };
-
+  constexpr int kTicks = 6;
   Fleet::Options serial;
   serial.worker_threads = 0;
   Fleet::Options pooled;
-  pooled.worker_threads = static_cast<int>(hw);
-  const auto [serial_secs, serial_digest] = time_run(serial);
-  const auto [pooled_secs, pooled_digest] = time_run(pooled);
-  ASSERT_EQ(pooled_digest, serial_digest);  // Speed must not buy divergence.
-  ASSERT_GT(pooled_secs, 0.0);
-  const double speedup = serial_secs / pooled_secs;
-  EXPECT_GE(speedup, required) << "serial " << serial_secs << "s vs pooled " << pooled_secs
-                               << "s on " << hw << " cores";
+  pooled.worker_threads = 4;
+  pooled.clamp_workers_to_hardware = false;
+  const uint64_t serial_digest = RunGate(kHosts, kTicks, serial, /*reverse_placement=*/false);
+  EXPECT_EQ(RunGate(kHosts, kTicks, pooled, /*reverse_placement=*/false), serial_digest);
 }
 
 TEST(FleetTest, TickAdvancesSharedClockAndSamples) {
