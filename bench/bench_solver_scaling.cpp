@@ -11,9 +11,9 @@
 //                    rebuild of the same mutated problem, with every step's
 //                    rate vector compared bit-for-bit against the full
 //                    solve (and the final state against the reference), and
-//                    the delta engine's work metrics (dirty links, resumed
-//                    component size, full-path fallbacks, no-op splices)
-//                    accumulated into the emitted JSON.
+//                    the delta engine's work metrics (resumed component
+//                    size, full-path fallbacks, no-op splices) accumulated
+//                    into the emitted JSON.
 //
 // Emits machine-readable BENCH_solver.json in the working directory so the
 // perf trajectory is tracked across PRs, plus TRACE_solver.json — a
@@ -150,7 +150,6 @@ struct Result {
   bool identical;
   // churn-single delta-engine metrics (zero for churn rows).
   bool has_delta_stats = false;
-  double dirty_links_mean = 0.0;
   double component_links_mean = 0.0;
   size_t fallback_full_solves = 0;
   size_t noop_splices = 0;
@@ -232,7 +231,7 @@ Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters,
 
   sim::Rng rng(seed + 1);
   double delta_sec = 0.0, full_sec = 0.0;
-  double dirty_links_sum = 0.0, component_links_sum = 0.0;
+  double component_links_sum = 0.0;
   size_t fallbacks = 0, noops = 0;
   {
     MIHN_TRACE_SPAN(span, &tracer, "solver", "churn_single.delta");
@@ -252,7 +251,6 @@ Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters,
       delta_sec += d1 - d0;
 
       const MaxMinSolver::DeltaStats& stats = delta_solver.last_delta_stats();
-      dirty_links_sum += static_cast<double>(stats.dirty_links);
       component_links_sum += static_cast<double>(stats.component_links);
       fallbacks += stats.fallback_full ? 1u : 0u;
       noops += stats.noop_splice ? 1u : 0u;
@@ -264,7 +262,6 @@ Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters,
 
       identical = identical && SameRates(got, want);
     }
-    span.Arg("dirty_links_mean", dirty_links_sum / static_cast<double>(iters));
     span.Arg("fallback_full_solves", static_cast<double>(fallbacks));
   }
   // End-state gate against the oracle itself (one reference solve).
@@ -281,7 +278,6 @@ Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters,
   r.speedup = r.base_ns_per_solve / r.new_ns_per_solve;
   r.identical = identical;
   r.has_delta_stats = true;
-  r.dirty_links_mean = dirty_links_sum / static_cast<double>(iters);
   r.component_links_mean = component_links_sum / static_cast<double>(iters);
   r.fallback_full_solves = fallbacks;
   r.noop_splices = noops;
@@ -381,7 +377,6 @@ int main(int argc, char** argv) {
                       {"base us/solve", 16},
                       {"new us/solve", 16},
                       {"speedup", 10},
-                      {"dirty", 8},
                       {"fallbk", 8},
                       {"identical", 10}});
 
@@ -419,7 +414,6 @@ int main(int argc, char** argv) {
     table.Row({r.scenario, std::to_string(r.flows), std::to_string(r.links),
                std::to_string(r.iters), bench::Fmt("%.1f", r.base_ns_per_solve / 1e3),
                bench::Fmt("%.1f", r.new_ns_per_solve / 1e3), bench::Fmt("%.1fx", r.speedup),
-               r.has_delta_stats ? bench::Fmt("%.1f", r.dirty_links_mean) : "-",
                r.has_delta_stats ? std::to_string(r.fallback_full_solves) : "-",
                r.identical ? "yes" : "NO"});
   }
@@ -437,11 +431,11 @@ int main(int argc, char** argv) {
         std::fprintf(json,
                      "    {\"scenario\": \"%s\", \"flows\": %zu, \"links\": %zu, "
                      "\"iters\": %zu, \"full_ns\": %.0f, \"delta_ns\": %.0f, "
-                     "\"speedup\": %.2f, \"dirty_links_mean\": %.2f, "
-                     "\"component_links_mean\": %.2f, \"fallback_full_solves\": %zu, "
+                     "\"speedup\": %.2f, \"component_links_mean\": %.2f, "
+                     "\"fallback_full_solves\": %zu, "
                      "\"noop_splices\": %zu, \"identical\": %s}%s\n",
                      r.scenario, r.flows, r.links, r.iters, r.base_ns_per_solve,
-                     r.new_ns_per_solve, r.speedup, r.dirty_links_mean, r.component_links_mean,
+                     r.new_ns_per_solve, r.speedup, r.component_links_mean,
                      r.fallback_full_solves, r.noop_splices, r.identical ? "true" : "false",
                      i + 1 < results.size() ? "," : "");
       } else {

@@ -20,7 +20,7 @@ int main() {
   using namespace mihn;
 
   fleet::Fleet::Options options;
-  options.aggregation_threads = 4;
+  options.worker_threads = 4;
   fleet::Fleet fleet(64, options);
   std::printf("fleet: %d hosts in %d racks, one shared clock\n", fleet.host_count(),
               fleet.inter_host().racks());

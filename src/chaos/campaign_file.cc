@@ -1,13 +1,11 @@
 #include "src/chaos/campaign_file.h"
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "src/topology/component.h"
@@ -53,29 +51,6 @@ bool Fail(std::string* error, int line, const std::string& what) {
   std::snprintf(buf, sizeof(buf), "line %d: %s", line, what.c_str());
   *error = buf;
   return false;
-}
-
-// Consumes one whitespace-separated token and accepts it only if the whole
-// token parses as a T (a finite one, for double). operator>> would read
-// "1e300" into an integer as 1 and leave "e300" behind.
-template <typename T>
-bool ReadNumber(std::istringstream& in, T* out) {
-  std::string token;
-  if (!(in >> token)) {
-    return false;
-  }
-  T value{};
-  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return false;
-  }
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) {
-      return false;
-    }
-  }
-  *out = value;
-  return true;
 }
 
 // A fault window [at_ms, clear_ms): clear_ms 0 means "never clears";

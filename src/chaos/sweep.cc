@@ -57,9 +57,15 @@ FaultSchedule ScaleSchedule(const FaultSchedule& schedule, double scale) {
         // (factor 0), at scale 0.5 cuts a quarter (factor 0.75).
         spec.capacity_factor = Clamp01(1.0 - scale * (1.0 - spec.capacity_factor));
         break;
-      case FaultKind::kLatency:
-        spec.extra_latency = sim::Scale(spec.extra_latency, scale);
+      case FaultKind::kLatency: {
+        // Clamp to the campaign ceiling before sim::Scale converts to
+        // integer nanoseconds: an out-of-range conversion is undefined.
+        const sim::TimeNs ceiling = sim::TimeNs::Millis(kMaxCampaignMs);
+        const bool fits = static_cast<double>(spec.extra_latency.nanos()) * scale <
+                          static_cast<double>(ceiling.nanos());
+        spec.extra_latency = fits ? sim::Scale(spec.extra_latency, scale) : ceiling;
         break;
+      }
       case FaultKind::kFlap:
         spec.flap_duty = Clamp01(spec.flap_duty * scale);
         break;
@@ -336,7 +342,7 @@ bool ParseSweepText(std::string_view text, const std::string& base_dir,
       config->presets.push_back(*preset);
     } else if (directive == "scale") {
       double scale = 0.0;
-      if (!(in >> scale) || !(scale > 0.0)) {
+      if (!ReadNumber(in, &scale) || !(scale > 0.0)) {
         return Fail(error, line_no, "scale: want a positive multiplier");
       }
       config->fault_scales.push_back(scale);
@@ -353,22 +359,29 @@ bool ParseSweepText(std::string_view text, const std::string& base_dir,
       }
       config->policies.push_back(*policy);
     } else if (directive == "trials") {
-      if (!(in >> config->trials) || config->trials < 1) {
+      if (!ReadNumber(in, &config->trials) || config->trials < 1) {
         return Fail(error, line_no, "trials: want a positive count");
       }
     } else if (directive == "seed") {
-      if (!(in >> config->seed)) {
-        return Fail(error, line_no, "seed: want an integer");
+      if (!ReadNumber(in, &config->seed)) {
+        return Fail(error, line_no, "seed: want a non-negative integer");
       }
       config->has_seed = true;
     } else if (directive == "duration_ms") {
+      // The campaign reader's ceiling: this override must not undo it.
       int64_t ms = 0;
-      if (!(in >> ms) || ms < 1) {
-        return Fail(error, line_no, "duration_ms: want a positive integer");
+      if (!ReadNumber(in, &ms) || ms < 1 || ms > kMaxCampaignMs) {
+        return Fail(error, line_no, "duration_ms: want an integer in [1, " +
+                                        std::to_string(kMaxCampaignMs) + "]");
       }
       config->duration = sim::TimeNs::Millis(ms);
     } else {
       return Fail(error, line_no, "unknown directive '" + directive + "'");
+    }
+    // As in campaign files, a directive ends at its last argument.
+    std::string extra;
+    if (in >> extra) {
+      return Fail(error, line_no, directive + ": unexpected trailing '" + extra + "'");
     }
   }
   if (config->campaigns.empty()) {

@@ -78,9 +78,9 @@ struct SweepResult {
 };
 
 // Scales a schedule's soft-fault intensity by |scale| (>= 0): degrade
-// capacity cuts and latency inflation multiply, flap duty multiplies
-// (clamped to [0, 1]). kKill and kDdioOff are binary and pass through
-// unchanged. scale 1.0 is the identity.
+// capacity cuts and flap duty multiply (clamped to [0, 1]), latency
+// inflation multiplies (clamped to kMaxCampaignMs). kKill and kDdioOff are
+// binary and pass through unchanged. scale 1.0 is the identity.
 FaultSchedule ScaleSchedule(const FaultSchedule& schedule, double scale);
 
 // Expands the pure cross product campaign × preset × scale × policy, in
@@ -123,7 +123,10 @@ bool WriteSweepReport(const SweepResult& result, const std::string& path);
 //                            #   restart_only, none; empty -> campaign's
 //   trials <n>               # override every cell
 //   seed <n>                 # override every cell's base seed
-//   duration_ms <n>          # override every cell
+//   duration_ms <n>          # override every cell, at most kMaxCampaignMs
+//
+// Validation matches the campaign reader's: numbers are whole tokens and
+// nothing may follow a directive's last argument.
 bool ParseSweepText(std::string_view text, const std::string& base_dir,
                     SweepConfig* config, std::string* error);
 

@@ -933,11 +933,6 @@ void Fabric::Recompute() {
     solve_span.Arg("rounds", static_cast<double>(solver_.last_rounds()));
     solve_span.Arg("coalesced_mutations",
                    static_cast<double>(mutation_count_ - mutations_at_last_solve_));
-    const MaxMinSolver::DeltaStats& ds = solver_.last_delta_stats();
-    solve_span.Arg("delta_dirty_links", static_cast<double>(ds.dirty_links));
-    solve_span.Arg("delta_divergence_round", static_cast<double>(ds.divergence_round));
-    solve_span.Arg("delta_resumed_rounds", static_cast<double>(ds.resumed_rounds));
-    solve_span.Arg("delta_fallback", ds.fallback_full ? 1.0 : 0.0);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.delta_solves", solver_.delta_solves());
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.delta_fallbacks", solver_.delta_fallbacks());
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.delta_noop_splices",

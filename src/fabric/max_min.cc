@@ -1,9 +1,9 @@
 // MaxMinSolver: the production progressive-filling engine with a retained
 // delta path. The full solve (SetupFromInputs + RunRounds) reproduces
 // SolveMaxMinReference bit-for-bit; the delta path (SolveDelta) replays the
-// retained per-round trace against the mutated problem and only re-runs
-// filling rounds from the first proven divergence. See DESIGN.md §5 for the
-// propagation rule and the determinism argument.
+// retained per-round trace against changed demands and only re-runs filling
+// rounds from the first proven divergence. See DESIGN.md §5.1 for the
+// replay rule and the determinism argument.
 
 #include <algorithm>
 #include <cmath>
@@ -65,7 +65,6 @@ void MaxMinSolver::BeginLocked(size_t num_links) {
   primed_ = false;
   force_full_ = false;
   flow_muts_.clear();
-  cap_muts_.clear();
 }
 
 void MaxMinSolver::SetCapacityLocked(int32_t link, double capacity) {
@@ -182,21 +181,16 @@ void MaxMinSolver::SetupFromInputs() {
     link_flow_off_[l + 1] += link_flow_off_[l];
   }
   link_flow_ids_.resize(static_cast<size_t>(link_flow_off_[nl]));
-  replay_order_.assign(link_flow_off_.begin(), link_flow_off_.end() - 1);
+  id_buffer_.assign(link_flow_off_.begin(), link_flow_off_.end() - 1);
   for (size_t f = 0; f < nf; ++f) {
     if (dead_[f]) {
       continue;
     }
     for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
       const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
-      link_flow_ids_[static_cast<size_t>(replay_order_[l]++)] = static_cast<int32_t>(f);
+      link_flow_ids_[static_cast<size_t>(id_buffer_[l]++)] = static_cast<int32_t>(f);
     }
   }
-  extra_members_.resize(nl);
-  for (auto& v : extra_members_) {
-    v.clear();
-  }
-  overlay_count_ = 0;
 
   link_unfixed_.assign(nl, 0);
   link_cursor_.assign(nl, 0);
@@ -204,7 +198,6 @@ void MaxMinSolver::SetupFromInputs() {
     link_unfixed_[l] = link_flow_off_[l + 1] - link_flow_off_[l];
     link_cursor_[l] = link_flow_off_[l];
   }
-  ratio_gen_ = 1;
 
   // Active link set with dense SoA mirrors. A link is active while its
   // unfixed-member weight is nonzero; links with weight in (0, kMinWeight]
@@ -227,8 +220,6 @@ void MaxMinSolver::SetupFromInputs() {
       act_satrec_.push_back(0);
     }
   }
-  act_ratio_.assign(active_links_.size(), 0.0);
-  act_ratio_gen_.assign(active_links_.size(), 0);
 
   heap_level_.clear();
   heap_fix_.clear();
@@ -252,18 +243,12 @@ void MaxMinSolver::SetupFromInputs() {
   // Trace reset: this full solve becomes the delta engine's new baseline.
   trace_level_.clear();
   trace_forced_.clear();
-  trace_fixed_.clear();
   sat_round_.assign(nl, kNeverSat);
-  lw_init_ = link_weight_;
-  unfixed_init_ = unfixed_;
   ckpt_count_ = 0;
   ckpt_stride_ = 1;
   last_ckpt_round_ = 0;
 
   flow_muts_.clear();
-  cap_muts_.clear();
-  scan_links_.clear();
-  dirty_pos_.assign(nl, -1);
   force_full_ = false;
 }
 
@@ -280,8 +265,6 @@ void MaxMinSolver::RemoveActiveLink(size_t pos) {
     act_thr_[pos] = act_thr_[last];
     act_unfixed_[pos] = act_unfixed_[last];
     act_satrec_[pos] = act_satrec_[last];
-    act_ratio_[pos] = act_ratio_[last];
-    act_ratio_gen_[pos] = act_ratio_gen_[last];
     active_pos_[static_cast<size_t>(active_links_[pos])] = static_cast<int32_t>(pos);
   }
   active_links_.pop_back();
@@ -290,18 +273,11 @@ void MaxMinSolver::RemoveActiveLink(size_t pos) {
   act_thr_.pop_back();
   act_unfixed_.pop_back();
   act_satrec_.pop_back();
-  act_ratio_.pop_back();
-  act_ratio_gen_.pop_back();
 }
 
 double MaxMinSolver::ResidualOf(size_t link) const {
   const int32_t pos = active_pos_[link];
   return pos >= 0 ? act_res_[static_cast<size_t>(pos)] : residual_[link];
-}
-
-double MaxMinSolver::LinkWeightOf(size_t link) const {
-  const int32_t pos = active_pos_[link];
-  return pos >= 0 ? act_lw_[static_cast<size_t>(pos)] : link_weight_[link];
 }
 
 void MaxMinSolver::FixFlow(int32_t flow, double rate) {
@@ -318,7 +294,6 @@ void MaxMinSolver::FixFlow(int32_t flow, double rate) {
     const int32_t pos = active_pos_[l];
     if (pos >= 0) {
       --act_unfixed_[static_cast<size_t>(pos)];
-      act_ratio_gen_[static_cast<size_t>(pos)] = 0;  // Drain stales the quotient.
       double& lw = act_lw_[static_cast<size_t>(pos)];
       lw -= w;
       if (lw < 0.0) {
@@ -389,8 +364,8 @@ void MaxMinSolver::StoreCheckpoint(size_t round, double level) {
 // exactly when one of its terms equals B. The reference's strict-less scan
 // returns the lowest index among those flows: the minimum of heap_level_'s
 // key ties and each B-achieving link's lowest-index unfixed member (its
-// member CSR ascends, overlay slots above it, so the monotone cursor past
-// the fixed prefix yields it in amortized O(1)).
+// member CSR ascends, so the monotone cursor past the fixed prefix yields it
+// in amortized O(1)).
 int32_t MaxMinSolver::ForcedArgmin(double level) {
   double b_key = std::numeric_limits<double>::infinity();
   while (!heap_level_.empty() && fixed_[static_cast<size_t>(heap_level_.front().second)]) {
@@ -403,11 +378,7 @@ int32_t MaxMinSolver::ForcedArgmin(double level) {
   const size_t na = active_links_.size();
   for (size_t i = 0; i < na; ++i) {
     if (act_lw_[i] > kMinWeight && act_unfixed_[i] > 0) {
-      if (act_ratio_gen_[i] != ratio_gen_) {
-        act_ratio_[i] = act_res_[i] / act_lw_[i];
-        act_ratio_gen_[i] = ratio_gen_;
-      }
-      const double t = level + act_ratio_[i];
+      const double t = level + act_res_[i] / act_lw_[i];
       b_link = t < b_link ? t : b_link;
     }
   }
@@ -420,7 +391,7 @@ int32_t MaxMinSolver::ForcedArgmin(double level) {
   if (b_key == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
     // Pop every key tie (lowest index may be any of them), then push the
     // entries back so each unfixed flow keeps its demand-ceiling entry.
-    mut_fix_scratch_.clear();
+    tie_buffer_.clear();
     while (!heap_level_.empty()) {
       const HeapEntry top = heap_level_.front();
       if (fixed_[static_cast<size_t>(top.second)]) {
@@ -431,26 +402,21 @@ int32_t MaxMinSolver::ForcedArgmin(double level) {
         break;
       }
       HeapPop(heap_level_);
-      mut_fix_scratch_.push_back(top.second);
+      tie_buffer_.push_back(top.second);
       if (argmin < 0 || top.second < argmin) {
         argmin = top.second;
       }
     }
-    for (const int32_t f : mut_fix_scratch_) {
+    for (const int32_t f : tie_buffer_) {
       HeapPush(heap_level_, best, f);
     }
-    mut_fix_scratch_.clear();
   }
   if (b_link == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
     for (size_t i = 0; i < na; ++i) {
       if (act_lw_[i] <= kMinWeight || act_unfixed_[i] == 0) {
         continue;
       }
-      if (act_ratio_gen_[i] != ratio_gen_) {
-        act_ratio_[i] = act_res_[i] / act_lw_[i];
-        act_ratio_gen_[i] = ratio_gen_;
-      }
-      const double t = level + act_ratio_[i];
+      const double t = level + act_res_[i] / act_lw_[i];
       if (t != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
         continue;
       }
@@ -460,204 +426,15 @@ int32_t MaxMinSolver::ForcedArgmin(double level) {
              fixed_[static_cast<size_t>(link_flow_ids_[static_cast<size_t>(cur)])]) {
         ++cur;
       }
-      int32_t cand = cur < link_flow_off_[l + 1] ? link_flow_ids_[static_cast<size_t>(cur)] : -1;
-      if (cand < 0) {
-        for (const int32_t f : extra_members_[l]) {
-          if (!fixed_[static_cast<size_t>(f)]) {
-            cand = f;
-            break;
-          }
+      if (cur < link_flow_off_[l + 1]) {
+        const int32_t cand = link_flow_ids_[static_cast<size_t>(cur)];
+        if (argmin < 0 || cand < argmin) {
+          argmin = cand;
         }
-      }
-      if (cand >= 0 && (argmin < 0 || cand < argmin)) {
-        argmin = cand;
       }
     }
   }
   return argmin;
-}
-
-// Proves the water level can never move again, so every remaining round is a
-// forced fix at exactly `level`. Called only after a forced round whose delta
-// was exactly 0.0. The three conditions:
-//
-//  (1) A permanent pin exists: an active link with weight above kMinWeight,
-//      residual exactly 0.0 and no unfixed members. Its saturation term is
-//      level + 0.0/lw == level, it is never drained again (drains come from
-//      fixing its members, all fixed) and never leaves the active set, so
-//      next_level <= level forever. Every other link term is level + q with
-//      q >= 0 (residuals are clamped nonnegative), hence >= level.
-//  (2) No saturated active link carries an unfixed member, so the gather
-//      never produces a candidate again: residuals are frozen by (1)+(3),
-//      meaning no link ever newly saturates and member counts only fall.
-//  (3) The cheapest unfixed demand key in heap_fix_, (d - tol)/w, exceeds
-//      the frozen harvest bound level*(1+kFixSlack), so the harvest never
-//      pops a candidate again — and it follows that d > level*w for every
-//      unfixed flow, so heap_level_'s keys d/w all exceed level and can
-//      never set a next_level below it.
-//
-// Together: next_level == level and zero natural fixes in every remaining
-// round, i.e. each one takes the forced-fix guard at this exact level.
-bool MaxMinSolver::TailPinned(double level) {
-  if (!(level >= 0.0)) {
-    return false;
-  }
-  bool pinned = false;
-  const size_t na = active_links_.size();
-  for (size_t i = 0; i < na; ++i) {
-    if (act_res_[i] <= act_thr_[i] && act_unfixed_[i] > 0) {
-      return false;  // A saturated link could still bottleneck-fix naturally.
-    }
-    if (act_lw_[i] > kMinWeight && act_res_[i] == 0.0 &&  // mihn-check: float-eq-ok(exact pin-term proof)
-        act_unfixed_[i] == 0) {
-      pinned = true;
-    }
-  }
-  if (!pinned) {
-    return false;
-  }
-  while (!heap_fix_.empty() && fixed_[static_cast<size_t>(heap_fix_.front().second)]) {
-    HeapPop(heap_fix_);
-  }
-  return heap_fix_.empty() || heap_fix_.front().first > level * (1.0 + kFixSlack);
-}
-
-// ForcedArgmin specialised to the frozen-level tail: the link-side bounds
-// come from the compact tail set (tail_links_/tail_terms_), which
-// RunTailRounds keeps equal to {links with weight above kMinWeight and an
-// unfixed member} with terms level + res/lw of the current operands — the
-// exact candidate set and values ForcedArgmin would scan, minus the
-// per-round sweep over fully-fixed and dust slots.
-int32_t MaxMinSolver::TailArgmin(double level) {
-  double b_key = std::numeric_limits<double>::infinity();
-  while (!heap_level_.empty() && fixed_[static_cast<size_t>(heap_level_.front().second)]) {
-    HeapPop(heap_level_);
-  }
-  if (!heap_level_.empty()) {
-    b_key = heap_level_.front().first;
-  }
-  double b_link = std::numeric_limits<double>::infinity();
-  const size_t nt = tail_terms_.size();
-  for (size_t i = 0; i < nt; ++i) {
-    b_link = tail_terms_[i] < b_link ? tail_terms_[i] : b_link;
-  }
-  const double best = b_key < b_link ? b_key : b_link;
-  if (!std::isfinite(best)) {
-    return -1;
-  }
-  int32_t argmin = -1;
-  if (b_key == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-    mut_fix_scratch_.clear();
-    while (!heap_level_.empty()) {
-      const HeapEntry top = heap_level_.front();
-      if (fixed_[static_cast<size_t>(top.second)]) {
-        HeapPop(heap_level_);
-        continue;
-      }
-      if (top.first != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-        break;
-      }
-      HeapPop(heap_level_);
-      mut_fix_scratch_.push_back(top.second);
-      if (argmin < 0 || top.second < argmin) {
-        argmin = top.second;
-      }
-    }
-    for (const int32_t f : mut_fix_scratch_) {
-      HeapPush(heap_level_, best, f);
-    }
-    mut_fix_scratch_.clear();
-  }
-  if (b_link == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-    for (size_t i = 0; i < nt; ++i) {
-      if (tail_terms_[i] != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-        continue;
-      }
-      const size_t l = static_cast<size_t>(tail_links_[i]);
-      int32_t& cur = link_cursor_[l];
-      while (cur < link_flow_off_[l + 1] &&
-             fixed_[static_cast<size_t>(link_flow_ids_[static_cast<size_t>(cur)])]) {
-        ++cur;
-      }
-      int32_t cand = cur < link_flow_off_[l + 1] ? link_flow_ids_[static_cast<size_t>(cur)] : -1;
-      if (cand < 0) {
-        for (const int32_t f : extra_members_[l]) {
-          if (!fixed_[static_cast<size_t>(f)]) {
-            cand = f;
-            break;
-          }
-        }
-      }
-      if (cand >= 0 && (argmin < 0 || cand < argmin)) {
-        argmin = cand;
-      }
-    }
-  }
-  return argmin;
-}
-
-// The frozen-level tail: rounds degenerate to "forced-fix the reference's
-// argmin, at rate min(level*w, d)". Skips the next-level scan (== level),
-// the residual charge (delta is 0.0, bitwise a no-op), the harvest and the
-// gather (both provably empty, see TailPinned) while emitting the identical
-// trace rounds, fix rounds and checkpoints the general loop would.
-void MaxMinSolver::RunTailRounds(double level) {
-  // Compact link-side bound set; each fix below refreshes the drained
-  // entries, so TailArgmin never rescans slots that stopped mattering.
-  tail_links_.clear();
-  tail_terms_.clear();
-  tail_pos_.assign(num_links_, -1);
-  const size_t na = active_links_.size();
-  for (size_t i = 0; i < na; ++i) {
-    if (act_lw_[i] > kMinWeight && act_unfixed_[i] > 0) {
-      const size_t l = static_cast<size_t>(active_links_[i]);
-      tail_pos_[l] = static_cast<int32_t>(tail_links_.size());
-      tail_links_.push_back(static_cast<int32_t>(l));
-      tail_terms_.push_back(level + act_res_[i] / act_lw_[i]);
-    }
-  }
-  while (unfixed_ > 0) {
-    if (ckpt_count_ == 0 || cur_round_ - last_ckpt_round_ >= ckpt_stride_) {
-      StoreCheckpoint(cur_round_, level);
-    }
-    fixed_this_round_ = 0;
-    const int32_t argmin = TailArgmin(level);
-    if (argmin < 0) {
-      break;  // Same exit as the general loop: unconstrained-tail rule.
-    }
-    const size_t af = static_cast<size_t>(argmin);
-    const double w = flow_weight_[af];
-    FixFlow(argmin, std::min(level * w, flow_demand_[af]));
-    // Refresh the tail entries of the links the fix drained.
-    for (int32_t i = flow_link_off_[af]; i < flow_link_off_[af + 1]; ++i) {
-      const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
-      const int32_t tp = tail_pos_[l];
-      if (tp < 0) {
-        continue;
-      }
-      const int32_t pos = active_pos_[l];
-      if (pos >= 0 && act_lw_[static_cast<size_t>(pos)] > kMinWeight &&
-          act_unfixed_[static_cast<size_t>(pos)] > 0) {
-        tail_terms_[static_cast<size_t>(tp)] =
-            level + act_res_[static_cast<size_t>(pos)] / act_lw_[static_cast<size_t>(pos)];
-        continue;
-      }
-      // Out of unfixed members or drained to dust: leave the bound set.
-      const size_t tl = tail_links_.size() - 1;
-      if (static_cast<size_t>(tp) != tl) {
-        tail_links_[static_cast<size_t>(tp)] = tail_links_[tl];
-        tail_terms_[static_cast<size_t>(tp)] = tail_terms_[tl];
-        tail_pos_[static_cast<size_t>(tail_links_[tl])] = tp;
-      }
-      tail_links_.pop_back();
-      tail_terms_.pop_back();
-      tail_pos_[l] = -1;
-    }
-    trace_level_.push_back(level);
-    trace_forced_.push_back(1);
-    trace_fixed_.push_back(static_cast<int32_t>(fixed_this_round_));
-    ++cur_round_;
-  }
 }
 
 void MaxMinSolver::RunRounds(double level, size_t start_round) {
@@ -711,9 +488,6 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     // loop; inactive links all carry exactly zero weight, so skipping them
     // is exact).
     const double delta = next_level - level;
-    if (delta != 0.0) {  // mihn-check: float-eq-ok(zero-delta charge leaves residuals bitwise intact)
-      ++ratio_gen_;  // Residuals move: every cached quotient goes stale.
-    }
     double* res_w = act_res_.data();
     for (size_t j = 0; j < na; ++j) {
       res_w[j] -= delta * lw_v[j];
@@ -725,7 +499,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 
     ++epoch_;
     candidates_.clear();
-    replay_order_.clear();  // Scratch here: flows harvested from heap_fix_.
+    id_buffer_.clear();  // Flows harvested from heap_fix_.
     fixed_this_round_ = 0;
 
     // Harvest at-demand candidates. Keys are conservative lower bounds, so
@@ -741,7 +515,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
         break;
       }
       HeapPop(heap_fix_);
-      replay_order_.push_back(top.second);
+      id_buffer_.push_back(top.second);
       if (candidate_epoch_[static_cast<size_t>(top.second)] != epoch_) {
         candidate_epoch_[static_cast<size_t>(top.second)] = epoch_;
         candidates_.push_back(top.second);
@@ -771,12 +545,6 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
       const size_t l = static_cast<size_t>(active_links_[i]);
       for (int32_t m = link_flow_off_[l]; m < link_flow_off_[l + 1]; ++m) {
         const int32_t f = link_flow_ids_[static_cast<size_t>(m)];
-        if (!fixed_[static_cast<size_t>(f)] && candidate_epoch_[static_cast<size_t>(f)] != epoch_) {
-          candidate_epoch_[static_cast<size_t>(f)] = epoch_;
-          candidates_.push_back(f);
-        }
-      }
-      for (const int32_t f : extra_members_[l]) {
         if (!fixed_[static_cast<size_t>(f)] && candidate_epoch_[static_cast<size_t>(f)] != epoch_) {
           candidate_epoch_[static_cast<size_t>(f)] = epoch_;
           candidates_.push_back(f);
@@ -812,7 +580,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 
     // Push over-harvested flows back (same key derivation; demands are
     // immutable during a solve).
-    for (const int32_t f : replay_order_) {
+    for (const int32_t f : id_buffer_) {
       if (!fixed_[static_cast<size_t>(f)]) {
         const double d = flow_demand_[static_cast<size_t>(f)];
         HeapPush(heap_fix_, (d - DemandTol(d)) / flow_weight_[static_cast<size_t>(f)], f);
@@ -835,19 +603,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 
     trace_level_.push_back(level);
     trace_forced_.push_back(forced ? 1 : 0);
-    trace_fixed_.push_back(static_cast<int32_t>(fixed_this_round_));
     ++cur_round_;
-
-    // Stall-tail fast path: a forced round that did not move the water
-    // level may prove the level frozen for the rest of the solve (see
-    // TailPinned), after which every remaining round is a forced fix at
-    // this exact level and the per-round scan/charge/harvest/gather sweeps
-    // are provably no-ops.
-    if (forced && delta == 0.0 &&  // mihn-check: float-eq-ok(frozen-level tail detection)
-        unfixed_ > 0 && TailPinned(level)) {
-      RunTailRounds(level);
-      break;
-    }
   }
 
   // Sync mirrors back so the sparse arrays are canonical between solves.
@@ -861,33 +617,23 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 // ---------------------------------------------------------------------------
 // Retained-problem mutators
 // ---------------------------------------------------------------------------
+//
+// Only a demand change to a flow that stays live is recorded for replay.
+// Every other mutation writes its input and sets force_full_; once set, the
+// rest of the batch just writes inputs, so dead_ and the trace always
+// describe the retained solve while they are read.
 
-MaxMinSolver::FlowMut* MaxMinSolver::FindMut(int32_t flow) {
-  for (FlowMut& m : flow_muts_) {
+void MaxMinSolver::RecordDemandMut(int32_t flow) {
+  for (const FlowMut& m : flow_muts_) {
     if (m.flow == flow) {
-      return &m;
+      return;  // The first record of the batch holds the retained key.
     }
-  }
-  return nullptr;
-}
-
-MaxMinSolver::FlowMut& MaxMinSolver::MutFor(int32_t flow) {
-  if (FlowMut* m = FindMut(flow)) {
-    return *m;
   }
   FlowMut m;
   m.flow = flow;
   const size_t f = static_cast<size_t>(flow);
-  m.w_old = flow_weight_[f];
-  m.d_old = flow_demand_[f];
-  m.key_old = m.d_old / m.w_old;
-  m.alive_old = !dead_[f];
-  m.links_dirty = false;
-  m.fixed_new = false;
-  m.rate_new = 0.0;
-  m.fix_round_new = kNeverFixed;
+  m.key_old = flow_demand_[f] / flow_weight_[f];
   flow_muts_.push_back(m);
-  return flow_muts_.back();
 }
 
 void MaxMinSolver::UpdateCapacity(int32_t link, double capacity) {
@@ -895,25 +641,12 @@ void MaxMinSolver::UpdateCapacity(int32_t link, double capacity) {
   if (link < 0 || static_cast<size_t>(link) >= num_links_) {
     return;
   }
-  const size_t l = static_cast<size_t>(link);
-  if (!primed_) {
-    capacities_[l] = capacity;
+  double& cap = capacities_[static_cast<size_t>(link)];
+  if (cap == capacity) {  // mihn-check: float-eq-ok(no-op mutation elision)
     return;
   }
-  const double old_cap = capacities_[l];
-  if (old_cap == capacity) {  // mihn-check: float-eq-ok(no-op mutation elision)
-    return;
-  }
-  if (dirty_pos_[l] < 0) {
-    dirty_pos_[l] = static_cast<int32_t>(cap_muts_.size());
-    cap_muts_.emplace_back(link, old_cap);
-  }
-  // Crossing zero kills or revives every member flow (the dead-flow rule);
-  // liveness flips restructure the problem, so take the full path.
-  if ((old_cap <= 0.0) != (capacity <= 0.0)) {
-    force_full_ = true;
-  }
-  capacities_[l] = capacity;
+  cap = capacity;
+  force_full_ = true;
 }
 
 void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
@@ -922,43 +655,31 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
     return;
   }
   const size_t f = static_cast<size_t>(flow);
-  if (!primed_) {
-    flow_demand_[f] = demand;
-    return;
-  }
   if (flow_demand_[f] == demand) {  // mihn-check: float-eq-ok(no-op mutation elision)
     return;
   }
-  // A flow crossing an invalid or zero-capacity link is dead at ANY demand:
-  // both worlds agree on that, so a demand write needs no mutation record.
-  bool link_dead = false;
-  for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-    const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-    if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
-        capacities_[static_cast<size_t>(l)] <= 0.0) {
-      link_dead = true;
-      break;
+  if (primed_ && !force_full_) {
+    if (!dead_[f]) {
+      if (demand > 0.0) {
+        RecordDemandMut(flow);  // Before the write: records the retained key.
+      } else {
+        force_full_ = true;  // Tombstone.
+      }
+    } else if (demand > 0.0) {
+      // Dead at the baseline. A flow crossing an invalid or zero-capacity
+      // link stays dead at any demand; anything else revives.
+      bool link_dead = false;
+      for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
+        const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
+        if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
+            capacities_[static_cast<size_t>(l)] <= 0.0) {
+          link_dead = true;
+          break;
+        }
+      }
+      force_full_ = !link_dead;
     }
   }
-  if (link_dead && dead_[f] && FindMut(flow) == nullptr) {
-    flow_demand_[f] = demand;
-    return;
-  }
-  FlowMut& m = MutFor(flow);
-  const uint8_t new_dead = (link_dead || demand <= 0.0) ? 1 : 0;
-  if (!new_dead && !m.alive_old) {
-    // Revive of a flow dead at the retained baseline: its weight re-enters
-    // every link it crosses, including links absent from the member index
-    // built at the last full prime — full path.
-    force_full_ = true;
-  }
-  if (new_dead != dead_[f]) {
-    // Liveness flip relative to the current batch state (tombstone via
-    // demand, or revive of a flow removed earlier in this same batch):
-    // weight moves on every crossed link.
-    m.links_dirty = true;
-  }
-  dead_[f] = new_dead;
   flow_demand_[f] = demand;
 }
 
@@ -972,64 +693,24 @@ void MaxMinSolver::UpdateFlowWeight(int32_t flow, double weight) {
   if (flow_weight_[f] == w) {  // mihn-check: float-eq-ok(no-op mutation elision)
     return;
   }
-  if (!primed_) {
-    flow_weight_[f] = w;
-    return;
+  // A dead flow's weight is invisible to the allocation; a later revive
+  // takes the full path and picks the new weight up from flow_weight_.
+  if (primed_ && !force_full_ && !dead_[f]) {
+    force_full_ = true;
   }
-  if (dead_[f] && FindMut(flow) == nullptr) {
-    // Dead in both worlds (dead at the baseline, untouched this batch): its
-    // weight is invisible to the allocation. A later revive forces the full
-    // path and picks the new weight up from flow_weight_.
-    flow_weight_[f] = w;
-    return;
-  }
-  FlowMut& m = MutFor(flow);
-  m.links_dirty = true;
   flow_weight_[f] = w;
 }
 
 int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_t* links,
                                       size_t count) {
   core::MutexLock lock(&mu_);
-  if (!primed_) {
-    return AddFlowLocked(weight, demand, links, count);
-  }
   const int32_t slot = AddFlowLocked(weight, demand, links, count);
-  const size_t f = static_cast<size_t>(slot);
-  // Extend the per-flow solve-state arrays the last prime sized.
-  rates_.push_back(0.0);
-  fixed_.push_back(1);
-  bool dead = flow_demand_[f] <= 0.0;
-  for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-    const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-    if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
-        capacities_[static_cast<size_t>(l)] <= 0.0) {
-      dead = true;
-    }
+  if (primed_) {
+    // The new slot reads rate 0 until the next solve, which is a full one:
+    // it rebuilds the member index over the grown flow table.
+    rates_.push_back(0.0);
+    force_full_ = true;
   }
-  dead_.push_back(dead ? 1 : 0);
-  fix_round_.push_back(dead ? kDeadRound : kNeverFixed);
-  candidate_epoch_.push_back(0);
-  if (!dead) {
-    // Overlay membership: slots appended here are all above the CSR range
-    // and registered in ascending order, preserving the flow-ascending
-    // member iteration the weight arithmetic depends on.
-    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-      extra_members_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])].push_back(slot);
-      ++overlay_count_;
-    }
-  }
-  FlowMut m;
-  m.flow = slot;
-  m.w_old = flow_weight_[f];
-  m.d_old = 0.0;
-  m.key_old = 0.0;
-  m.alive_old = false;  // Did not exist in the retained solve.
-  m.links_dirty = true;
-  m.fixed_new = false;
-  m.rate_new = 0.0;
-  m.fix_round_new = kNeverFixed;
-  flow_muts_.push_back(m);
   return slot;
 }
 
@@ -1039,19 +720,9 @@ void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
     return;
   }
   const size_t f = static_cast<size_t>(flow);
-  if (!primed_) {
-    flow_demand_[f] = 0.0;
-    return;
+  if (primed_ && !force_full_ && !dead_[f]) {
+    force_full_ = true;
   }
-  if (dead_[f] && FindMut(flow) == nullptr) {
-    flow_demand_[f] = 0.0;  // Already dead in both worlds.
-    return;
-  }
-  FlowMut& m = MutFor(flow);
-  if (m.alive_old || !dead_[f]) {
-    m.links_dirty = true;
-  }
-  dead_[f] = 1;
   flow_demand_[f] = 0.0;
 }
 
@@ -1059,78 +730,34 @@ void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
 // Delta dispatch
 // ---------------------------------------------------------------------------
 
-const std::vector<double>& MaxMinSolver::FullSolveRetained() {
-  delta_stats_.fallback_full = true;
-  ++delta_fallbacks_;
-  SetupFromInputs();
-  RunRounds(0.0, 0);
-  for (size_t f = 0; f < num_flows_; ++f) {
-    if (!fixed_[f]) {
-      rates_[f] = flow_demand_[f];
-    }
-  }
-  primed_ = true;
-  return rates_;
-}
-
-bool MaxMinSolver::DeltaWorthScanning() const {
-  if (trace_level_.empty()) {
-    return false;  // Degenerate trace: nothing to replay against.
-  }
-  const size_t nf = num_flows_;
-  const size_t nl = num_links_;
-  if (flow_muts_.size() + cap_muts_.size() > nf / 8 + 8) {
-    return false;
-  }
-  if (overlay_count_ > nf / 2 + 16) {
-    return false;  // Overlay lists dominate the CSR: re-prime instead.
-  }
-  size_t est_dirty = cap_muts_.size();
-  for (const FlowMut& m : flow_muts_) {
-    if (m.links_dirty) {
-      const size_t f = static_cast<size_t>(m.flow);
-      est_dirty += static_cast<size_t>(flow_link_off_[f + 1] - flow_link_off_[f]);
-    }
-  }
-  return est_dirty <= nl / 2 + 4;
-}
-
 const std::vector<double>& MaxMinSolver::SolveDelta() {
   core::MutexLock lock(&mu_);
   ++delta_solves_;
   delta_stats_ = DeltaStats{};
-  delta_stats_.mutations = flow_muts_.size() + cap_muts_.size();
-  delta_stats_.trace_rounds = trace_level_.size();
-  delta_stats_.divergence_round = trace_level_.size() + 1;  // "None" sentinel.
 
-  if (!primed_ || force_full_ || !DeltaWorthScanning()) {
-    return FullSolveRetained();  // Resets all mutation state via SetupFromInputs.
-  }
-  if (flow_muts_.empty() && cap_muts_.empty()) {
-    delta_stats_.noop_splice = true;
-    ++delta_noop_splices_;
-    return rates_;
+  // Structural mutations re-prime. So does a degenerate trace (nothing to
+  // replay against) and a batch large enough that the O(rounds × mutations)
+  // scan stops paying against a rebuild.
+  if (!primed_ || force_full_ || trace_level_.empty() ||
+      flow_muts_.size() > num_flows_ / 8 + 8) {
+    delta_stats_.fallback_full = true;
+    ++delta_fallbacks_;
+    return CommitLocked();  // Consumes the batch via SetupFromInputs.
   }
 
   size_t divergence = 0;
-  const bool clean = ScanTrace(&divergence);
-  delta_stats_.dirty_links = scan_links_.size();
-  if (clean) {
-    SpliceNoDivergence(divergence);
+  if (flow_muts_.empty() || ScanTrace(&divergence)) {
+    // Every round holds: the mutated flows fix where they did, so only
+    // their own rates move.
+    for (const FlowMut& m : flow_muts_) {
+      rates_[static_cast<size_t>(m.flow)] = m.rate_new;
+    }
     delta_stats_.noop_splice = true;
     ++delta_noop_splices_;
   } else {
-    delta_stats_.divergence_round = divergence;
-    ResumeFrom(divergence);  // Sets resumed_rounds / component_links.
+    ResumeFrom(divergence);
   }
-
-  // Consume the mutation batch.
-  for (const ScanLink& s : scan_links_) {
-    dirty_pos_[static_cast<size_t>(s.link)] = -1;
-  }
-  scan_links_.clear();
   flow_muts_.clear();
-  cap_muts_.clear();
   return rates_;
 }
 
@@ -1138,414 +765,114 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
 // Trace scan
 // ---------------------------------------------------------------------------
 
-// One member flow of a dirty link, during the scan prime: records its
-// old-world fix event on |s| and accumulates its new-world weight.
-void MaxMinSolver::TakeMember(ScanLink& s, int32_t flow) {
-  const size_t mf = static_cast<size_t>(flow);
-  const FlowMut* mu = FindMut(flow);
-  const bool old_live = mu ? mu->alive_old : (fix_round_[mf] != kDeadRound);
-  if (old_live) {
-    s.member_events.emplace_back(fix_round_[mf], flow);
-    if (mu == nullptr) {
-      ++s.clean_rem;
-    }
-  }
-  if (!dead_[mf]) {
-    s.lw_n += flow_weight_[mf];
-  }
-}
-
-bool MaxMinSolver::FlowCrosses(int32_t flow, int32_t link) const {
-  const size_t f = static_cast<size_t>(flow);
-  const int32_t* lo = flow_link_ids_.data() + flow_link_off_[f];
-  const int32_t* hi = flow_link_ids_.data() + flow_link_off_[f + 1];
-  return std::binary_search(lo, hi, link);
-}
-
+// Replays the retained trace against the new demands. While every mutated
+// flow fixes at the same round in both worlds, every link sees the same
+// weight drains, so residuals, link weights and saturation rounds are
+// identical and only two things can change: the water level (through the
+// mutated flows' demand keys) and the mutated flows' own fix decisions.
+// Returns true, with *divergence_round = rounds, if the whole trace holds;
+// otherwise false with the first round that changes.
 bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
   const size_t rounds = trace_level_.size();
-
-  // Dirty link set: capacity mutations first (dirty_pos_ already maps their
-  // links to matching indices), then every link of a weight/liveness-dirty
-  // flow mutation.
-  scan_links_.clear();
-  for (const auto& [link, old_cap] : cap_muts_) {
-    ScanLink s;
-    s.link = link;
-    s.cap_o = old_cap;
-    s.cap_n = capacities_[static_cast<size_t>(link)];
-    scan_links_.push_back(std::move(s));
-  }
-  for (const FlowMut& m : flow_muts_) {
-    if (!m.links_dirty) {
-      continue;
-    }
-    const size_t f = static_cast<size_t>(m.flow);
-    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-      const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-      if (l < 0 || static_cast<size_t>(l) >= num_links_) {
-        continue;  // Invalid links carry no state; the flow is dead anyway.
-      }
-      if (dirty_pos_[static_cast<size_t>(l)] < 0) {
-        dirty_pos_[static_cast<size_t>(l)] = static_cast<int32_t>(scan_links_.size());
-        ScanLink s;
-        s.link = l;
-        s.cap_o = capacities_[static_cast<size_t>(l)];
-        s.cap_n = s.cap_o;
-        scan_links_.push_back(std::move(s));
-      }
-    }
-  }
-
-  // Prime each dirty link's two-world evolution state. The new-world initial
-  // weight accumulates member weights in ascending flow order — the exact
-  // accumulation order of SetupFromInputs — over CSR members then overlay
-  // members (overlay slots are all above the CSR range).
-  for (ScanLink& s : scan_links_) {
-    const size_t l = static_cast<size_t>(s.link);
-    s.thr_o = s.cap_o * 1e-12 + kEps;
-    s.thr_n = s.cap_n * 1e-12 + kEps;
-    s.res_o = s.cap_o;
-    s.res_n = s.cap_n;
-    s.lw_o = lw_init_[l];
-    s.lw_n = 0.0;
-    s.sat_o = false;
-    s.sat_n = false;
-    s.clean_rem = 0;
-    s.sat_round_n = kNeverSat;
-    s.member_events.clear();
-    s.cursor = 0;
-    for (int32_t m = link_flow_off_[l]; m < link_flow_off_[l + 1]; ++m) {
-      TakeMember(s, link_flow_ids_[static_cast<size_t>(m)]);
-    }
-    for (const int32_t f : extra_members_[l]) {
-      TakeMember(s, f);
-    }
-    std::sort(s.member_events.begin(), s.member_events.end());
-    s.lw_init_n = s.lw_n;
-  }
-  for (FlowMut& m : flow_muts_) {
-    m.fixed_new = false;
-    m.rate_new = 0.0;
-    m.fix_round_new = kNeverFixed;
-  }
-
-  ptrdiff_t unfixed_new = static_cast<ptrdiff_t>(unfixed_init_);
-  for (const FlowMut& m : flow_muts_) {
-    unfixed_new += (dead_[static_cast<size_t>(m.flow)] ? 0 : 1) - (m.alive_old ? 1 : 0);
-  }
-
-  const size_t ns = scan_links_.size();
-  ckpt_dirty_res_.resize(ckpt_count_ * ns);
-  ckpt_dirty_lw_.resize(ckpt_count_ * ns);
-  size_t next_ckpt = 0;
-
   for (size_t r = 0; r < rounds; ++r) {
     const int32_t r32 = static_cast<int32_t>(r);
-
-    // Capture the new-world entry state of every dirty link at each retained
-    // checkpoint round, so surviving checkpoints can be re-pointed at the
-    // mutated problem afterwards.
-    while (next_ckpt < ckpt_count_ && ckpts_[next_ckpt].round == r) {
-      for (size_t si = 0; si < ns; ++si) {
-        ckpt_dirty_res_[next_ckpt * ns + si] = scan_links_[si].res_n;
-        ckpt_dirty_lw_[next_ckpt * ns + si] = scan_links_[si].lw_n;
-      }
-      ++next_ckpt;
-    }
+    *divergence_round = r;
 
     // Forced-fix rounds depend on global argmin state the scan does not
     // model; re-run from here.
     if (trace_forced_[r]) {
-      *divergence_round = r;
       return false;
     }
 
+    // The water level is min(clean terms, mutated keys). The trace proves
+    // min(clean, old keys) == level and clean terms are unchanged, so the
+    // new level equals the old iff the new keys agree with it (see
+    // DESIGN.md §5.1 for the case analysis).
     const double level = trace_level_[r];
-    const double prev = r > 0 ? trace_level_[r - 1] : 0.0;
-
-    // The water level is min(clean terms, dirty terms). The trace proves
-    // min(clean, old_dirty) == level and clean terms are unchanged, so the
-    // new level equals the old iff the dirty minima agree with it (see
-    // DESIGN.md §5 for the case analysis).
     double old_min = std::numeric_limits<double>::infinity();
     double new_min = std::numeric_limits<double>::infinity();
-    for (const ScanLink& s : scan_links_) {
-      if (s.lw_o > kMinWeight) {
-        const double t = prev + s.res_o / s.lw_o;
-        old_min = t < old_min ? t : old_min;
-      }
-      if (s.lw_n > kMinWeight) {
-        const double t = prev + s.res_n / s.lw_n;
-        new_min = t < new_min ? t : new_min;
-      }
-    }
     for (const FlowMut& m : flow_muts_) {
       const size_t f = static_cast<size_t>(m.flow);
-      if (m.alive_old && fix_round_[f] >= r32) {
+      if (fix_round_[f] >= r32) {
         old_min = m.key_old < old_min ? m.key_old : old_min;
       }
-      if (!dead_[f] && !m.fixed_new) {
+      if (!m.fixed_new) {
         const double t = flow_demand_[f] / flow_weight_[f];
         new_min = t < new_min ? t : new_min;
       }
     }
     if (new_min < level || (new_min > level && old_min <= level)) {
-      *divergence_round = r;
-      return false;
-    }
-
-    // Charge both worlds and track saturation. A saturation flip on a link
-    // that still carries unfixed clean members changes their fix decisions —
-    // divergence.
-    const double delta = level - prev;
-    bool sat_flip_diverges = false;
-    for (ScanLink& s : scan_links_) {
-      s.res_o -= delta * s.lw_o;
-      if (s.res_o < 0.0) {
-        s.res_o = 0.0;
-      }
-      s.res_n -= delta * s.lw_n;
-      if (s.res_n < 0.0) {
-        s.res_n = 0.0;
-      }
-      s.sat_o = s.res_o <= s.thr_o;
-      s.sat_n = s.res_n <= s.thr_n;
-      if (s.sat_n && s.sat_round_n == kNeverSat) {
-        s.sat_round_n = r32;
-      }
-      if (s.sat_o != s.sat_n && s.clean_rem > 0) {
-        sat_flip_diverges = true;
-      }
-    }
-    if (sat_flip_diverges) {
-      *divergence_round = r;
       return false;
     }
 
     // New-world fix decisions for the mutated flows (the reference's exact
-    // conditions; dirty links use the evolved sat_n, clean links saturate at
-    // the same round in both worlds).
-    int32_t mut_fixes = 0;
+    // conditions; links saturate at their recorded round in both worlds).
+    // A shifted fix round shifts the flow's weight drain on every link it
+    // crosses: divergence.
     for (FlowMut& m : flow_muts_) {
       const size_t f = static_cast<size_t>(m.flow);
-      if (dead_[f] || m.fixed_new) {
-        continue;
-      }
-      const double w = flow_weight_[f];
-      const double d = flow_demand_[f];
-      const bool at_demand = level * w >= d - DemandTol(d);
-      bool bottlenecked = false;
-      if (!at_demand) {
-        for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-          const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
-          const int32_t dp = dirty_pos_[l];
-          if (dp >= 0 ? scan_links_[static_cast<size_t>(dp)].sat_n : sat_round_[l] <= r32) {
-            bottlenecked = true;
-            break;
-          }
+      if (!m.fixed_new) {
+        const double w = flow_weight_[f];
+        const double d = flow_demand_[f];
+        bool fixes = level * w >= d - DemandTol(d);
+        for (int32_t i = flow_link_off_[f]; !fixes && i < flow_link_off_[f + 1]; ++i) {
+          fixes = sat_round_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])] <= r32;
+        }
+        if (fixes) {
+          m.fixed_new = true;
+          m.rate_new = std::min(level * w, d);
+          m.fix_round_new = r32;
         }
       }
-      if (at_demand || bottlenecked) {
-        m.fixed_new = true;
-        m.rate_new = std::min(level * w, d);
-        m.fix_round_new = r32;
-        ++mut_fixes;
-      }
-    }
-
-    // A demand-only mutation leaves its links clean only while the flow
-    // fixes at the same round in both worlds; a shifted fix round shifts its
-    // weight drain everywhere it goes.
-    for (const FlowMut& m : flow_muts_) {
-      if (m.links_dirty || !m.alive_old || dead_[static_cast<size_t>(m.flow)]) {
-        continue;
-      }
-      const bool old_here = fix_round_[static_cast<size_t>(m.flow)] == r32;
-      const bool new_here = m.fixed_new && m.fix_round_new == r32;
-      if (old_here != new_here) {
-        *divergence_round = r;
+      if ((fix_round_[f] == r32) != (m.fixed_new && m.fix_round_new == r32)) {
         return false;
       }
     }
-
-    // Weight drains on dirty links, both worlds, each in ascending flow
-    // order with the reference's per-subtraction clamp.
-    for (ScanLink& s : scan_links_) {
-      replay_order_.clear();
-      while (s.cursor < s.member_events.size() && s.member_events[s.cursor].first == r32) {
-        const int32_t f = s.member_events[s.cursor].second;
-        const FlowMut* mu = FindMut(f);
-        const double w_o = mu ? mu->w_old : flow_weight_[static_cast<size_t>(f)];
-        s.lw_o -= w_o;
-        if (s.lw_o < 0.0) {
-          s.lw_o = 0.0;
-        }
-        if (mu == nullptr) {
-          --s.clean_rem;
-          replay_order_.push_back(f);
-        }
-        ++s.cursor;
-      }
-      for (const FlowMut& m : flow_muts_) {
-        if (m.fixed_new && m.fix_round_new == r32 && FlowCrosses(m.flow, s.link)) {
-          replay_order_.push_back(m.flow);
-        }
-      }
-      std::sort(replay_order_.begin(), replay_order_.end());
-      for (const int32_t f : replay_order_) {
-        s.lw_n -= flow_weight_[static_cast<size_t>(f)];
-        if (s.lw_n < 0.0) {
-          s.lw_n = 0.0;
-        }
-      }
-    }
-
-    // Round accounting: the same clean flows fix in both worlds; a round
-    // with zero new-world fixes would trip the forced-fix guard.
-    int32_t old_mut_fixes = 0;
-    for (const FlowMut& m : flow_muts_) {
-      if (m.alive_old && fix_round_[static_cast<size_t>(m.flow)] == r32) {
-        ++old_mut_fixes;
-      }
-    }
-    const int32_t new_fixes = trace_fixed_[r] - old_mut_fixes + mut_fixes;
-    if (new_fixes <= 0) {
-      *divergence_round = r;
-      return false;
-    }
-    unfixed_new -= new_fixes;
-    if (unfixed_new <= 0) {
-      *divergence_round = r + 1;  // Rounds confirmed; new world ends here.
-      return true;
-    }
   }
-
-  if (unfixed_new > 0) {
-    // The new world needs more rounds than the trace has.
-    *divergence_round = rounds;
-    return false;
-  }
+  // Every round holds. A retained solve that stopped with flows still
+  // unfixed (the unconstrained-tail rule) may continue differently under
+  // the new keys: re-run from its end.
   *divergence_round = rounds;
-  return true;
+  return unfixed_ == 0;
 }
 
 // ---------------------------------------------------------------------------
-// Splice / resume
+// Resume
 // ---------------------------------------------------------------------------
-
-void MaxMinSolver::RepointRetainedState(size_t keep_rounds, bool keep_boundary_ckpt) {
-  const int32_t kr32 = static_cast<int32_t>(keep_rounds);
-
-  // trace_fixed_ must describe the *current* world: move every mutated
-  // flow's fix from its old round to its new one (old fix rounds first —
-  // the per-flow values are overwritten by the callers right after).
-  for (const FlowMut& m : flow_muts_) {
-    const int32_t old_fr = fix_round_[static_cast<size_t>(m.flow)];
-    if (m.alive_old && old_fr >= 0 && old_fr < kr32) {
-      --trace_fixed_[static_cast<size_t>(old_fr)];
-    }
-    if (m.fixed_new && m.fix_round_new < kr32) {
-      ++trace_fixed_[static_cast<size_t>(m.fix_round_new)];
-    }
-  }
-
-  // Keep (and re-point) the checkpoint prefix the scan captured.
-  const size_t ns = scan_links_.size();
-  size_t kept = 0;
-  while (kept < ckpt_count_ &&
-         (ckpts_[kept].round < keep_rounds ||
-          (keep_boundary_ckpt && ckpts_[kept].round == keep_rounds))) {
-    ++kept;
-  }
-  for (size_t ci = 0; ci < kept; ++ci) {
-    for (size_t si = 0; si < ns; ++si) {
-      const size_t l = static_cast<size_t>(scan_links_[si].link);
-      ckpts_[ci].res[l] = ckpt_dirty_res_[ci * ns + si];
-      ckpts_[ci].lw[l] = ckpt_dirty_lw_[ci * ns + si];
-    }
-  }
-  ckpt_count_ = kept;
-  if (kept > 0) {
-    last_ckpt_round_ = ckpts_[kept - 1].round;
-  } else {
-    last_ckpt_round_ = 0;
-  }
-
-  // Saturation rounds beyond the kept prefix are no longer meaningful;
-  // dirty links adopt their new-world saturation history.
-  for (size_t l = 0; l < num_links_; ++l) {
-    if (sat_round_[l] != kNeverSat && sat_round_[l] >= kr32) {
-      sat_round_[l] = kNeverSat;
-    }
-  }
-  for (const ScanLink& s : scan_links_) {
-    const size_t l = static_cast<size_t>(s.link);
-    sat_round_[l] = s.sat_round_n < kr32 ? s.sat_round_n : kNeverSat;
-    lw_init_[l] = s.lw_init_n;
-  }
-
-  ptrdiff_t delta_live = 0;
-  for (const FlowMut& m : flow_muts_) {
-    delta_live += (dead_[static_cast<size_t>(m.flow)] ? 0 : 1) - (m.alive_old ? 1 : 0);
-  }
-  unfixed_init_ = static_cast<size_t>(static_cast<ptrdiff_t>(unfixed_init_) + delta_live);
-
-  trace_level_.resize(keep_rounds);
-  trace_forced_.resize(keep_rounds);
-  trace_fixed_.resize(keep_rounds);
-}
-
-void MaxMinSolver::SpliceNoDivergence(size_t rounds_confirmed) {
-  RepointRetainedState(rounds_confirmed, /*keep_boundary_ckpt=*/false);
-  for (const FlowMut& m : flow_muts_) {
-    const size_t f = static_cast<size_t>(m.flow);
-    if (dead_[f]) {
-      rates_[f] = 0.0;
-      fixed_[f] = 1;
-      fix_round_[f] = kDeadRound;
-    } else if (m.fixed_new) {
-      rates_[f] = m.rate_new;
-      fixed_[f] = 1;
-      fix_round_[f] = m.fix_round_new;
-    } else {
-      // Unreachable when the scan proved completion, kept total: the
-      // unconstrained-tail rule.
-      rates_[f] = flow_demand_[f];
-      fixed_[f] = 0;
-      fix_round_[f] = kNeverFixed;
-    }
-  }
-}
 
 void MaxMinSolver::ResumeFrom(size_t divergence_round) {
-  // Largest retained checkpoint at or before the divergence; the scan has
-  // captured new-world dirty-link state for every one of them.
+  // Largest retained checkpoint at or before the divergence. The rounds
+  // before it fixed the same flows at the same levels in both worlds, so its
+  // per-link state holds for the mutated problem as is.
   size_t ci = 0;
   while (ci + 1 < ckpt_count_ && ckpts_[ci + 1].round <= divergence_round) {
     ++ci;
   }
   const size_t resume_round = ckpts_[ci].round;
   const double resume_level = ckpts_[ci].level;
+  const int32_t rr32 = static_cast<int32_t>(resume_round);
 
-  RepointRetainedState(resume_round, /*keep_boundary_ckpt=*/true);
-
-  // Splice mutation outcomes resolved before the resume point; everything
-  // else re-runs.
-  for (const FlowMut& m : flow_muts_) {
-    const size_t f = static_cast<size_t>(m.flow);
-    if (dead_[f]) {
-      rates_[f] = 0.0;
-      fix_round_[f] = kDeadRound;
-    } else if (m.fixed_new && m.fix_round_new < static_cast<int32_t>(resume_round)) {
-      rates_[f] = m.rate_new;
-      fix_round_[f] = m.fix_round_new;
-    } else {
-      fix_round_[f] = kNeverFixed;
+  // Truncate the retained trace at the resume point; RunRounds re-records
+  // the rest.
+  ckpt_count_ = ci + 1;
+  last_ckpt_round_ = resume_round;
+  trace_level_.resize(resume_round);
+  trace_forced_.resize(resume_round);
+  for (int32_t& sat : sat_round_) {
+    if (sat >= rr32) {
+      sat = kNeverSat;
     }
   }
 
-  // Restore the O(links) solver state from the (re-pointed) checkpoint.
+  // Mutated flows fixed before the resume point keep their fix round with
+  // the new rate; the others re-run with every later flow below.
+  for (const FlowMut& m : flow_muts_) {
+    if (m.fixed_new && m.fix_round_new < rr32) {
+      rates_[static_cast<size_t>(m.flow)] = m.rate_new;
+    }
+  }
+
+  // Restore the O(links) solver state from the checkpoint.
   residual_ = ckpts_[ci].res;
   link_weight_ = ckpts_[ci].lw;
 
@@ -1565,27 +892,20 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
       act_satrec_.push_back(sat_round_[l] != kNeverSat ? 1 : 0);
     }
   }
-  act_ratio_.assign(active_links_.size(), 0.0);
-  act_ratio_gen_.assign(active_links_.size(), 0);
   delta_stats_.component_links = active_links_.size();
 
   // Reconstruct flow-side state from fix rounds: O(flows), no per-flow
   // floating-point state to restore.
-  const int32_t rr32 = static_cast<int32_t>(resume_round);
   unfixed_ = 0;
   heap_level_.clear();
   heap_fix_.clear();
   link_unfixed_.assign(num_links_, 0);
   link_cursor_.assign(link_flow_off_.begin(), link_flow_off_.end() - 1);
-  ratio_gen_ = 1;
   for (size_t f = 0; f < num_flows_; ++f) {
     if (dead_[f]) {
-      fixed_[f] = 1;
-      fix_round_[f] = kDeadRound;
-      rates_[f] = 0.0;
       continue;
     }
-    if (fix_round_[f] != kNeverFixed && fix_round_[f] < rr32) {
+    if (fix_round_[f] < rr32) {
       fixed_[f] = 1;
       continue;
     }
@@ -1616,7 +936,6 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
       rates_[f] = flow_demand_[f];
     }
   }
-  delta_stats_.resumed_rounds = trace_level_.size() - resume_round;
 }
 
 }  // namespace mihn::fabric

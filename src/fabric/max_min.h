@@ -13,9 +13,9 @@
 //    residuals, demand heaps, dense active-set mirrors) so the steady-state
 //    solve path performs zero heap allocations, prunes each progressive-
 //    filling round down to the *active link set*, and — the delta path —
-//    retains the full solve trace so that a small mutation (capacity nudge,
-//    demand update, flow add/remove) is answered by replaying the unchanged
-//    prefix of the previous solve and re-filling only the diverging suffix.
+//    retains the full solve trace so that a demand update is answered by
+//    replaying the unchanged prefix of the previous solve and re-filling
+//    only the diverging suffix.
 //  * SolveMaxMinReference — the original O(rounds × flows × links) free
 //    function, kept as the behavioural oracle. The solver is required to
 //    reproduce its rates bit-for-bit (see the differential tests in
@@ -59,22 +59,24 @@ inline constexpr double kUnlimitedDemand = 1e30;
 // Usage (retained delta API, the fabric hot path): after a Commit() the
 // solver keeps the problem *and* the solve trace. Mutate it in place —
 //
-//   solver.UpdateCapacity(l, cap);
 //   solver.UpdateFlowDemand(slot, demand);
+//   solver.UpdateCapacity(l, cap);
 //   solver.UpdateFlowWeight(slot, weight);
 //   slot = solver.AddFlowRetained(weight, demand, links, n);
 //   solver.RemoveFlowRetained(slot);      // Tombstone: slot keeps rate 0.
 //
 // — then SolveDelta() re-solves. Results are bit-identical to a fresh
-// Commit() of the mutated problem (and therefore to the reference): the
-// delta engine replays the recorded per-round trace, proves round by round
-// that the mutation cannot have changed the water-level sequence, and only
-// re-runs filling rounds from the first point of divergence (restored from
-// an O(links) checkpoint). Mutations whose dirty set never touches a
-// binding constraint cost O(rounds × dirty_links); everything else costs
-// the diverging suffix only. Oversized dirty sets fall back to the proven
-// full path (the crossover heuristic), so SolveDelta() is never worse than
-// Commit() by more than the scan.
+// Commit() of the mutated problem (and therefore to the reference). Only
+// demand changes to flows that stay live are replayed: the delta engine
+// scans the recorded per-round trace and proves, round by round, that the
+// new demands leave the water level and every mutated flow's fix round
+// unchanged. If the whole trace holds, only the mutated flows' rates are
+// rewritten (a no-op splice); otherwise filling resumes from the O(links)
+// checkpoint before the first round that changes. Every other mutation —
+// capacity, weight, add, remove, or a demand that kills or revives a flow
+// — and any batch of more than flows/8 + 8 demand changes makes the next
+// SolveDelta() a full solve, so SolveDelta() is never worse than Commit()
+// by more than the O(rounds × mutations) scan.
 //
 // |rates| is indexed by AddFlow/AddFlowRetained order and remains valid
 // until the next Begin()/Solve(). All internal arrays are retained between
@@ -144,26 +146,29 @@ class MaxMinSolver {
     return primed_;
   }
 
-  // Changes one link's capacity in the retained problem. A capacity change
-  // that crosses zero (kills or revives member flows) forces the next solve
-  // down the full path.
+  // Changes one link's capacity in the retained problem. The next solve is
+  // a full one.
   void UpdateCapacity(int32_t link, double capacity) MIHN_EXCLUDES(mu_);
 
-  // Changes one retained flow's demand ceiling. A demand <= 0 tombstones
-  // the flow (equivalent to RemoveFlowRetained); raising a tombstoned
-  // flow's demand back above zero revives it via the full path.
+  // Changes one retained flow's demand ceiling — the one mutation the delta
+  // engine replays. A demand <= 0 tombstones the flow (equivalent to
+  // RemoveFlowRetained) and raising a tombstoned flow's demand back above
+  // zero revives it; either makes the next solve a full one.
   void UpdateFlowDemand(int32_t flow, double demand) MIHN_EXCLUDES(mu_);
 
-  // Changes one retained flow's fair-share weight.
+  // Changes one retained flow's fair-share weight. On a live flow the next
+  // solve is a full one.
   void UpdateFlowWeight(int32_t flow, double weight) MIHN_EXCLUDES(mu_);
 
-  // Appends one flow to the retained problem. Returns its rate-vector slot.
+  // Appends one flow to the retained problem. Returns its rate-vector slot,
+  // which reads rate 0 until the next solve (a full one).
   int32_t AddFlowRetained(double weight, double demand, const int32_t* links, size_t count)
       MIHN_EXCLUDES(mu_);
 
   // Tombstones one retained flow: its slot stays in the rate vector with
   // rate 0 and exactly zero effect on every other allocation (dead flows
   // contribute no weight anywhere — the reference's own dead-flow rule).
+  // Removing a live flow makes the next solve a full one.
   void RemoveFlowRetained(int32_t flow) MIHN_EXCLUDES(mu_);
 
   // Re-solves after the mutations recorded since the last solve. Returns
@@ -185,14 +190,9 @@ class MaxMinSolver {
 
   // Observability for the delta engine (obs counters, benches, tests).
   struct DeltaStats {
-    size_t mutations = 0;         // Mutation records consumed by the solve.
-    size_t dirty_links = 0;       // Links whose capacity/weight image changed.
-    size_t trace_rounds = 0;      // Rounds in the retained trace at scan time.
-    size_t divergence_round = 0;  // First re-run round (== trace_rounds+1 sentinel if none).
-    size_t resumed_rounds = 0;    // Rounds actually re-run.
-    size_t component_links = 0;   // Active links re-waterfilled at resume.
-    bool fallback_full = false;   // Crossover/unsupported: took the full path.
-    bool noop_splice = false;     // Proven no divergence: spliced rates only.
+    size_t component_links = 0;  // Active links re-waterfilled at resume.
+    bool fallback_full = false;  // Structural mutation or oversized batch: full path.
+    bool noop_splice = false;    // Proven no divergence: spliced rates only.
   };
   DeltaStats last_delta_stats() const MIHN_EXCLUDES(mu_) {
     core::MutexLock lock(&mu_);
@@ -229,38 +229,19 @@ class MaxMinSolver {
     std::vector<double> lw;
   };
 
-  // One link whose capacity or weight image differs between the retained
-  // ("old") solve and the mutated ("new") problem, with both evolutions.
-  struct ScanLink {
-    int32_t link = 0;
-    double cap_o = 0.0, cap_n = 0.0;
-    double thr_o = 0.0, thr_n = 0.0;  // Saturation thresholds cap*1e-12+eps.
-    double lw_o = 0.0, lw_n = 0.0;    // Evolving link weights.
-    double res_o = 0.0, res_n = 0.0;  // Evolving residuals.
-    double lw_init_n = 0.0;           // New-world initial weight (re-prime).
-    bool sat_o = false, sat_n = false;
-    int32_t clean_rem = 0;     // Unfixed live members that are NOT mutated.
-    int32_t sat_round_n = 0;   // First new-world saturated round (kNever if none).
-    // Live members ordered by (old fix round, flow index); cursor into it.
-    std::vector<std::pair<int32_t, int32_t>> member_events;
-    size_t cursor = 0;
-  };
-
-  // One mutated flow with its pre-mutation image.
+  // One flow whose demand changed since the last solve; it is live in both
+  // the retained solve and the mutated problem.
   struct FlowMut {
     int32_t flow = 0;
-    double w_old = 0.0, d_old = 0.0;
-    double key_old = 0.0;      // d_old / w_old (old demand-heap key).
-    bool alive_old = false;
-    bool links_dirty = false;  // Weight/liveness changed: links are dirty.
+    double key_old = 0.0;  // Retained demand / weight: its old water-level key.
     // Scan state: fixing progress in the new world.
     bool fixed_new = false;
     double rate_new = 0.0;
-    int32_t fix_round_new = 0;
+    int32_t fix_round_new = 0;  // Valid once fixed_new.
   };
 
   // Bodies of the public batch API, for callers already inside the monitor
-  // (Solve and AddFlowRetained compose them).
+  // (Solve, AddFlowRetained and SolveDelta compose them).
   void BeginLocked(size_t num_links) MIHN_REQUIRES(mu_);
   void SetCapacityLocked(int32_t link, double capacity) MIHN_REQUIRES(mu_);
   int32_t AddFlowLocked(double weight, double demand, const int32_t* links, size_t count)
@@ -270,27 +251,13 @@ class MaxMinSolver {
   void RemoveActiveLink(size_t pos) MIHN_REQUIRES(mu_);
   void FixFlow(int32_t flow, double rate) MIHN_REQUIRES(mu_);
   int32_t ForcedArgmin(double level) MIHN_REQUIRES(mu_);
-  bool TailPinned(double level) MIHN_REQUIRES(mu_);
-  int32_t TailArgmin(double level) MIHN_REQUIRES(mu_);
-  void RunTailRounds(double level) MIHN_REQUIRES(mu_);
   void SetupFromInputs() MIHN_REQUIRES(mu_);
   void RunRounds(double level, size_t start_round) MIHN_REQUIRES(mu_);
   void StoreCheckpoint(size_t round, double level) MIHN_REQUIRES(mu_);
   double ResidualOf(size_t link) const MIHN_REQUIRES(mu_);
-  double LinkWeightOf(size_t link) const MIHN_REQUIRES(mu_);
-  FlowMut* FindMut(int32_t flow) MIHN_REQUIRES(mu_);
-  FlowMut& MutFor(int32_t flow) MIHN_REQUIRES(mu_);
-  const std::vector<double>& FullSolveRetained() MIHN_REQUIRES(mu_);
-  bool DeltaWorthScanning() const MIHN_REQUIRES(mu_);
+  void RecordDemandMut(int32_t flow) MIHN_REQUIRES(mu_);
   bool ScanTrace(size_t* divergence_round) MIHN_REQUIRES(mu_);
-  // ScanTrace inner-loop helpers (methods, not lambdas: thread-safety
-  // analysis treats a lambda body as a separate unlocked function).
-  void TakeMember(ScanLink& s, int32_t flow) MIHN_REQUIRES(mu_);
-  bool FlowCrosses(int32_t flow, int32_t link) const MIHN_REQUIRES(mu_);
-  void SpliceNoDivergence(size_t rounds_confirmed) MIHN_REQUIRES(mu_);
   void ResumeFrom(size_t divergence_round) MIHN_REQUIRES(mu_);
-  void RepointRetainedState(size_t keep_rounds, bool keep_boundary_ckpt)
-      MIHN_REQUIRES(mu_);
 
   // mu_ is mutable so const accessors (primed, rates, the delta counters)
   // can take the lock. Everything below is workspace state of one solve —
@@ -316,13 +283,10 @@ class MaxMinSolver {
   std::vector<uint8_t> dead_ MIHN_GUARDED_BY(mu_);  // Excluded from the problem (reference dead rule).
   size_t unfixed_ MIHN_GUARDED_BY(mu_) = 0;
 
-  // CSR link -> member flows (live at last full prime only) + per-link
-  // overlay of members appended by AddFlowRetained since (slots above the
-  // CSR range, kept ascending).
+  // CSR link -> live member flows, ascending. Rebuilt by every full solve;
+  // the delta path never changes membership.
   std::vector<int32_t> link_flow_off_ MIHN_GUARDED_BY(mu_);
   std::vector<int32_t> link_flow_ids_ MIHN_GUARDED_BY(mu_);
-  std::vector<std::vector<int32_t>> extra_members_ MIHN_GUARDED_BY(mu_);
-  size_t overlay_count_ MIHN_GUARDED_BY(mu_) = 0;  // Total slots registered in extra_members_.
 
   // Active link set with dense SoA mirrors: per active position, residual,
   // weight and saturation threshold live contiguously so the per-round
@@ -338,24 +302,10 @@ class MaxMinSolver {
   std::vector<double> act_thr_ MIHN_GUARDED_BY(mu_);
   // More slot-parallel mirrors, so the per-round sweeps touch contiguous
   // memory instead of chasing link ids: unfixed-member count (mirror of
-  // link_unfixed_ for active slots), a saturation-recorded flag (sat_round_
-  // already stamped, skip the sparse probe), and a memoized residual/weight
-  // quotient for the forced-fix guard. A quotient is valid iff its
-  // generation matches ratio_gen_: the generation advances whenever a
-  // nonzero delta recharges every residual, and a weight drain stamps the
-  // drained slot invalid, so a cached quotient is always the exact division
-  // of the current operands.
+  // link_unfixed_ for active slots) and a saturation-recorded flag
+  // (sat_round_ already stamped, skip the sparse probe).
   std::vector<int32_t> act_unfixed_ MIHN_GUARDED_BY(mu_);
   std::vector<uint8_t> act_satrec_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> act_ratio_ MIHN_GUARDED_BY(mu_);
-  std::vector<uint64_t> act_ratio_gen_ MIHN_GUARDED_BY(mu_);
-  uint64_t ratio_gen_ MIHN_GUARDED_BY(mu_) = 1;
-
-  // Frozen-level tail scratch (RunTailRounds): the compact set of links
-  // that still bound an unfixed flow, with their (frozen) saturation terms.
-  std::vector<int32_t> tail_links_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> tail_terms_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> tail_pos_ MIHN_GUARDED_BY(mu_);  // link -> index in tail_links_, -1 if absent.
 
   // Min-heaps over unfixed flows with lazy deletion. heap_level_ is keyed by
   // demand/weight (the exact demand-ceiling term of the water level);
@@ -364,10 +314,10 @@ class MaxMinSolver {
   std::vector<std::pair<double, int32_t>> heap_level_ MIHN_GUARDED_BY(mu_);
   std::vector<std::pair<double, int32_t>> heap_fix_ MIHN_GUARDED_BY(mu_);
 
-  // Per link: count of unfixed live members (CSR + overlay). Lets the
-  // per-round saturated-link gather skip links whose members are all fixed —
-  // a pure no-op scan, so skipping it is exact — and tells the forced-fix
-  // guard which links still bound an unfixed flow.
+  // Per link: count of unfixed live members. Lets the per-round
+  // saturated-link gather skip links whose members are all fixed — a pure
+  // no-op scan, so skipping it is exact — and tells the forced-fix guard
+  // which links still bound an unfixed flow.
   std::vector<int32_t> link_unfixed_ MIHN_GUARDED_BY(mu_);
   // Per link: cursor past the fixed prefix of its member CSR slice (members
   // ascend and fixing is monotone within a solve), so the forced-fix guard
@@ -383,29 +333,20 @@ class MaxMinSolver {
 
   // -- Retained trace (the delta engine's memory of the last solve) ----------
   bool primed_ MIHN_GUARDED_BY(mu_) = false;
-  bool force_full_ MIHN_GUARDED_BY(mu_) = false;  // Unsupported mutation (liveness flip etc.).
+  bool force_full_ MIHN_GUARDED_BY(mu_) = false;  // A mutation other than a live demand change.
   std::vector<double> trace_level_ MIHN_GUARDED_BY(mu_);    // Water level after each round.
   std::vector<uint8_t> trace_forced_ MIHN_GUARDED_BY(mu_);  // Round used the forced-fix guard.
-  std::vector<int32_t> trace_fixed_ MIHN_GUARDED_BY(mu_);   // Flows fixed per round (current world).
   std::vector<int32_t> fix_round_ MIHN_GUARDED_BY(mu_);     // Per flow; kNeverFixed / kDeadRound.
   std::vector<int32_t> sat_round_ MIHN_GUARDED_BY(mu_);     // Per link: first saturated round, kNever.
-  std::vector<double> lw_init_ MIHN_GUARDED_BY(mu_);        // Per-link initial weight of the trace.
-  size_t unfixed_init_ MIHN_GUARDED_BY(mu_) = 0;            // Live flows at solve start.
   std::vector<Checkpoint> ckpts_ MIHN_GUARDED_BY(mu_);      // Pooled; ckpt_count_ are valid.
   size_t ckpt_count_ MIHN_GUARDED_BY(mu_) = 0;
   size_t ckpt_stride_ MIHN_GUARDED_BY(mu_) = 1;
   size_t last_ckpt_round_ MIHN_GUARDED_BY(mu_) = 0;
 
-  // Pending mutations and scan scratch.
+  // Pending demand changes, and reused id buffers.
   std::vector<FlowMut> flow_muts_ MIHN_GUARDED_BY(mu_);
-  std::vector<std::pair<int32_t, double>> cap_muts_ MIHN_GUARDED_BY(mu_);  // (link, old capacity).
-  std::vector<ScanLink> scan_links_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> dirty_pos_ MIHN_GUARDED_BY(mu_);  // link -> index in scan_links_/cap_muts_, -1 if absent.
-  std::vector<double> ckpt_dirty_res_ MIHN_GUARDED_BY(mu_);  // Per (checkpoint, dirty link): new-world
-  std::vector<double> ckpt_dirty_lw_ MIHN_GUARDED_BY(mu_);   // state captured while scanning, used to
-                                        // re-point checkpoints at the new problem.
-  std::vector<int32_t> replay_order_ MIHN_GUARDED_BY(mu_);   // Scratch: per-round weight-drain order.
-  std::vector<int32_t> mut_fix_scratch_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> id_buffer_ MIHN_GUARDED_BY(mu_);   // CSR fill cursors; harvested flows.
+  std::vector<int32_t> tie_buffer_ MIHN_GUARDED_BY(mu_);  // ForcedArgmin's demand-key ties.
 
   DeltaStats delta_stats_ MIHN_GUARDED_BY(mu_);
   uint64_t delta_solves_ MIHN_GUARDED_BY(mu_) = 0;

@@ -32,10 +32,9 @@ Fleet::Fleet(int num_hosts, Options options)
   }
   stagings_.resize(hosts_.size());
   limit_batches_.resize(hosts_.size());
-  const int requested =
-      options_.worker_threads > 1 ? options_.worker_threads : options_.aggregation_threads;
-  if (requested > 1) {
-    pool_ = std::make_unique<core::WorkerPool>(requested, options_.clamp_workers_to_hardware);
+  if (options_.worker_threads > 1) {
+    pool_ = std::make_unique<core::WorkerPool>(options_.worker_threads,
+                                               options_.clamp_workers_to_hardware);
   }
 }
 

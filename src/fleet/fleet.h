@@ -114,12 +114,8 @@ class Fleet {
     // the staged-events seam), per-host telemetry reduction, and the
     // root-cause scan all share one persistent core::WorkerPool. <= 1 runs
     // serially; digests are byte-identical across any value (per-host
-    // results merge in strict host order). Takes precedence over
-    // aggregation_threads when both are set.
+    // results merge in strict host order).
     int worker_threads = 0;
-    // Pre-worker-pool name for the same knob: sizes the shared pool when
-    // worker_threads is unset. Kept so existing callers keep their speedup.
-    int aggregation_threads = 0;
     // Cap the pool at std::thread::hardware_concurrency(). Oversubscribing
     // the tick's compute-bound chunks only adds context switches; tests
     // disable the clamp to force real cross-thread execution even on small

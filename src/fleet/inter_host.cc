@@ -18,8 +18,10 @@ InterHostNetwork::InterHostNetwork(const Config& config) : config_(config) {
     capacity_[static_cast<size_t>(RackDownIndex(r))] = config_.rack_down.bytes_per_sec();
   }
   link_rate_.assign(capacity_.size(), 0.0);
-  // Prime the solver on the (empty) problem so every later mutation takes
-  // the retained delta path and slots align with flows_ indices.
+  // Prime the solver on the (empty) problem so the retained API is live from
+  // the start: slots align with flows_ indices, and a flow added between
+  // solves reads rate 0 until the next Solve() (a full one; only demand
+  // changes replay the retained trace).
   solver_.Begin(capacity_.size());
   for (size_t l = 0; l < capacity_.size(); ++l) {
     solver_.SetCapacity(static_cast<int32_t>(l), capacity_[l]);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/chaos/campaign_file.h"
+
 namespace mihn::chaos {
 namespace {
 
@@ -70,6 +72,10 @@ TEST(ScaleScheduleTest, ScalesSoftFaultsAndPassesHardOnesThrough) {
   EXPECT_DOUBLE_EQ(identity.specs()[0].capacity_factor, 0.5);
   EXPECT_EQ(identity.specs()[1].extra_latency, TimeNs::Micros(100));
   EXPECT_DOUBLE_EQ(identity.specs()[2].flap_duty, 0.6);
+
+  // Latency clamps to the campaign ceiling rather than overflow int64.
+  const FaultSchedule huge = ScaleSchedule(schedule, 1e300);
+  EXPECT_EQ(huge.specs()[1].extra_latency, TimeNs::Millis(kMaxCampaignMs));
 }
 
 TEST(ExpandGridTest, CrossProductInDeclaredOrderPolicyInnermost) {
@@ -305,6 +311,17 @@ TEST_F(SweepParseTest, RejectsBadDirectivesWithLineNumbers) {
   error.clear();
   EXPECT_FALSE(ParseSweepText("scale 1.0\n", dir_, &config, &error));
   EXPECT_NE(error.find("no campaigns"), std::string::npos);
+
+  // Partial numbers, a duration past the campaign ceiling, trailing tokens.
+  for (const char* bad : {"scale 2x", "trials 1junk", "seed 12abc", "duration_ms 99999999999",
+                          "policy none extra"}) {
+    config = {};
+    error.clear();
+    EXPECT_FALSE(ParseSweepText(std::string("campaign mini mini.chaos\n") + bad + "\n", dir_,
+                                &config, &error))
+        << bad;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 }  // namespace

@@ -186,10 +186,8 @@ TEST(MaxMinDeltaDifferentialTest, DeltaPathActuallyEngages) {
     sh.flows[static_cast<size_t>(f)].demand = d;
     const std::vector<double>& got = solver.SolveDelta();
     ExpectIdentical(got, SolveMaxMinReference(sh.flows, sh.caps), 424243, step);
-    const auto& st = solver.last_delta_stats();
-    if (!st.fallback_full) {
+    if (!solver.last_delta_stats().fallback_full) {
       ++engaged;
-      EXPECT_LE(st.dirty_links, 5u) << "single-flow churn dirties at most its own links";
     }
     if (HasFailure()) {
       return;
@@ -231,6 +229,154 @@ TEST(MaxMinDeltaDifferentialTest, UnprimedMutatorsDegradeToBatch) {
   ExpectIdentical(rates, SolveMaxMinReference(flows, {100.0, 50.0}),
                   static_cast<uint64_t>(a + b), 0);
   EXPECT_TRUE(solver.last_delta_stats().fallback_full);
+}
+
+// The delta contract: only a demand change to a flow that stays live is
+// replayed against the retained trace; every other mutation makes the next
+// SolveDelta() a full solve. Each case mutates a freshly primed solver and
+// its shadow, solves, then takes one more live demand step to show the
+// re-primed solver is back on the delta path.
+TEST(MaxMinDeltaDifferentialTest, OnlyLiveDemandChangesAvoidTheFullPath) {
+  struct Case {
+    const char* name;
+    void (*mutate)(MaxMinSolver&, Shadow&);
+    bool want_full;
+  };
+  const Case cases[] = {
+      {"demand change on a live flow",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateFlowDemand(0, 40.0);
+         sh.flows[0].demand = 40.0;
+       },
+       false},
+      {"weight change on a dead flow",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateFlowWeight(3, 2.5);
+         sh.flows[3].weight = 2.5;
+       },
+       false},
+      {"capacity",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateCapacity(1, 60.0);
+         sh.caps[1] = 60.0;
+       },
+       true},
+      {"weight change on a live flow",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateFlowWeight(1, 3.0);
+         sh.flows[1].weight = 3.0;
+       },
+       true},
+      {"add",
+       [](MaxMinSolver& s, Shadow& sh) {
+         MaxMinFlow f{1.0, 10.0, {0, 2}};
+         const int32_t slot = s.AddFlowRetained(f.weight, f.demand, f.links.data(), 2);
+         EXPECT_EQ(static_cast<size_t>(slot), sh.flows.size());
+         // Readable before the solve (InterHostNetwork::FlowRate relies on it).
+         ASSERT_EQ(s.rates().size(), sh.flows.size() + 1);
+         EXPECT_EQ(s.rates()[static_cast<size_t>(slot)], 0.0);
+         sh.flows.push_back(std::move(f));
+       },
+       true},
+      {"remove",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.RemoveFlowRetained(2);
+         sh.flows[2].demand = 0.0;
+       },
+       true},
+      {"demand of 0",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateFlowDemand(4, 0.0);
+         sh.flows[4].demand = 0.0;
+       },
+       true},
+      {"revive",
+       [](MaxMinSolver& s, Shadow& sh) {
+         s.UpdateFlowDemand(3, 25.0);
+         sh.flows[3].demand = 25.0;
+       },
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Shadow sh;
+    sh.caps = {100.0, 50.0, 80.0};
+    sh.flows = {{1.0, 30.0, {0}},
+                {1.0, kUnlimitedDemand, {0, 1}},
+                {2.0, kUnlimitedDemand, {1, 2}},
+                {1.0, 0.0, {2}},  // Dead: tombstoned at the baseline.
+                {1.0, 20.0, {2}}};
+    MaxMinSolver solver;
+    PrimeSolver(solver, sh);
+    ExpectIdentical(solver.rates(), SolveMaxMinReference(sh.flows, sh.caps), 0, 0);
+
+    c.mutate(solver, sh);
+    ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 0, 1);
+    EXPECT_EQ(solver.last_delta_stats().fallback_full, c.want_full);
+
+    solver.UpdateFlowDemand(1, 35.0);
+    sh.flows[1].demand = 35.0;
+    ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 0, 2);
+    EXPECT_FALSE(solver.last_delta_stats().fallback_full);
+  }
+}
+
+// The stall regime: weight dust on drained links pins the water level, so
+// almost every round takes the forced-fix guard. This instance is the ctest
+// coverage of ForcedArgmin and of the scan's forced-round divergence: a
+// demand change resumes at the first forced round and re-runs the guard
+// from there. The instance follows bench_solver_scaling's MakeInstance.
+TEST(MaxMinDeltaDifferentialTest, StallRegimeMixedMutationsMatchReference) {
+  constexpr int kLinks = 4;
+  sim::Rng rng(1);
+  Shadow sh;
+  sh.caps.resize(kLinks);
+  for (auto& c : sh.caps) {
+    c = rng.Uniform(1e9, 100e9);
+  }
+  const auto make_flow = [&rng] {
+    MaxMinFlow f;
+    f.weight = rng.Uniform(0.5, 4.0);
+    f.demand = rng.Bernoulli(0.2) ? kUnlimitedDemand : rng.Uniform(1e6, 5e9);
+    const int nl = static_cast<int>(rng.UniformInt(1, 4));
+    for (int i = 0; i < nl; ++i) {
+      f.links.push_back(static_cast<int32_t>(rng.UniformInt(0, kLinks - 1)));
+    }
+    return f;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    sh.flows.push_back(make_flow());
+  }
+  MaxMinSolver solver;
+  PrimeSolver(solver, sh);
+  ASSERT_GE(solver.last_rounds(), 500u) << "the instance left the stall regime";
+  ExpectIdentical(solver.rates(), SolveMaxMinReference(sh.flows, sh.caps), 1, 0);
+
+  for (size_t step = 1; step <= 200; ++step) {
+    const auto f =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(sh.flows.size()) - 1));
+    const double kind = rng.Uniform(0.0, 1.0);
+    if (kind < 0.7) {
+      sh.flows[f].demand = rng.Bernoulli(0.2) ? kUnlimitedDemand : rng.Uniform(1e6, 5e9);
+      solver.UpdateFlowDemand(static_cast<int32_t>(f), sh.flows[f].demand);
+    } else if (kind < 0.8) {
+      sh.flows[f].weight = rng.Uniform(0.5, 4.0);
+      solver.UpdateFlowWeight(static_cast<int32_t>(f), sh.flows[f].weight);
+    } else if (kind < 0.9) {
+      const auto l = static_cast<size_t>(rng.UniformInt(0, kLinks - 1));
+      sh.caps[l] = rng.Uniform(1e9, 100e9);
+      solver.UpdateCapacity(static_cast<int32_t>(l), sh.caps[l]);
+    } else {
+      sh.flows.push_back(make_flow());
+      const MaxMinFlow& added = sh.flows.back();
+      solver.AddFlowRetained(added.weight, added.demand, added.links.data(), added.links.size());
+    }
+    ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 1, step);
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(solver.delta_solves(), solver.delta_fallbacks()) << "no demand step was replayed";
 }
 
 // End-to-end: the Fabric's retained diff path (dirty flow worklist +

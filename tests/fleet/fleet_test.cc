@@ -142,16 +142,6 @@ TEST(FleetTest, DigestIndependentOfPlacementOrder) {
   EXPECT_EQ(forward, reversed);
 }
 
-TEST(FleetTest, DigestIndependentOfAggregationThreads) {
-  // The pre-worker-pool knob still sizes the shared pool.
-  Fleet::Options serial;
-  serial.aggregation_threads = 0;
-  Fleet::Options threaded;
-  threaded.aggregation_threads = 4;
-  threaded.clamp_workers_to_hardware = false;  // Real threads even on 1 core.
-  EXPECT_EQ(RunGate(64, 3, serial, false), RunGate(64, 3, threaded, false));
-}
-
 // The tentpole gate: the parallel settle + reduction must be invisible in
 // the telemetry. Byte-identical digests across worker counts, including
 // 0/1 (serial, no pool) and widths beyond the machine's core count.
