@@ -21,7 +21,6 @@ struct TrialOutcome {
 
 TrialOutcome RunTrial(uint64_t seed, bool inject_fault) {
   HostNetwork::Options options;
-  options.seed = seed;
   options.autostart = HostNetwork::Autostart::kNone;
   sim::Simulation sim(seed);
   HostNetwork host(sim, options);

@@ -210,10 +210,7 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
   // Collector + manager running; telemetry processed in place so the
   // monitoring stream itself doesn't cross scheduled fault links.
   options.autostart = HostNetwork::Autostart::kAllUnreported;
-  // The trial owns the clock and injects it (the same seam the fleet layer
-  // and a future parallel trial executor use); seeding the Simulation
-  // directly is byte-identical to the old owning-constructor path, which
-  // forwarded Options::seed to the very same constructor.
+  // The trial owns the clock and lends it to the host.
   sim::Simulation sim(seed);
   HostNetwork host(sim, options);
 

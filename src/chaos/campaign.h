@@ -153,7 +153,7 @@ class Campaign {
   CampaignResult Run();
 
   // Same campaign, trials fanned over |executor|'s pool. Trials isolate
-  // all state in fresh owned-clock HostNetworks and results merge in
+  // all state in a fresh clock and HostNetwork each, and results merge in
   // strict trial order, so the report is byte-identical to Run() at any
   // worker count (tests/chaos/executor_test.cc holds this bar).
   CampaignResult Run(TrialExecutor& executor);

@@ -1,6 +1,5 @@
 #include "src/chaos/campaign_file.h"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -8,11 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "src/core/read_number.h"
 #include "src/topology/component.h"
 #include "src/topology/link.h"
 
 namespace mihn::chaos {
 namespace {
+
+using core::ReadNumber;
 
 std::optional<topology::ComponentKind> ParseComponentKind(const std::string& name) {
   static constexpr topology::ComponentKind kKinds[] = {
@@ -198,32 +200,16 @@ bool ParseStream(std::istringstream& in, int line_no, CampaignConfig* config,
 }  // namespace
 
 bool ParseNonNegativeInt(std::string_view token, int* out) {
-  if (token.empty()) {
-    return false;
-  }
   int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value, 10);
-  if (ec != std::errc() || ptr != token.data() + token.size() || value < 0) {
+  if (!ReadNumber(token, &value) || value < 0) {
     return false;
   }
   *out = value;
   return true;
 }
 
-bool ParseUint64Value(std::string_view token, uint64_t* out) {
-  if (token.empty() || token.front() == '-' || token.front() == '+') {
-    return false;
-  }
-  uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value, 10);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
+// from_chars accepts no sign for an unsigned type.
+bool ParseUint64Value(std::string_view token, uint64_t* out) { return ReadNumber(token, out); }
 
 std::optional<HostNetwork::Preset> ParsePresetName(std::string_view name) {
   if (name == "commodity_two_socket") {

@@ -35,14 +35,10 @@
 #ifndef MIHN_SRC_CHAOS_CAMPAIGN_FILE_H_
 #define MIHN_SRC_CHAOS_CAMPAIGN_FILE_H_
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "src/chaos/campaign.h"
 
@@ -59,30 +55,6 @@ inline constexpr int64_t kMaxCampaignMs = 60'000;
 // silently becoming 0 the way atoi/strtoull-without-endptr did.
 bool ParseNonNegativeInt(std::string_view token, int* out);
 bool ParseUint64Value(std::string_view token, uint64_t* out);
-
-// Consumes one whitespace-separated token and accepts it only if the whole
-// token parses as a T (a finite one, for double). operator>> would read
-// "1e300" into an integer as 1 and leave "e300" behind. The campaign and
-// sweep grammars read every number through this.
-template <typename T>
-bool ReadNumber(std::istringstream& in, T* out) {
-  std::string token;
-  if (!(in >> token)) {
-    return false;
-  }
-  T value{};
-  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return false;
-  }
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) {
-      return false;
-    }
-  }
-  *out = value;
-  return true;
-}
 
 // Canonical preset-name parsing ("commodity_two_socket", "dgx_class",
 // "edge_node"), shared by the campaign and sweep grammars.

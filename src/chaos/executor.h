@@ -1,7 +1,7 @@
 // Parallel trial execution for chaos campaigns and sweeps.
 //
 // Chaos trials are embarrassingly parallel: every trial isolates all of
-// its state in a fresh owned-clock Simulation + HostNetwork (plus its own
+// its state in a fresh Simulation and a HostNetwork on it (plus its own
 // streams, injector, and anomaly stack), so N trials can fan out over a
 // core::WorkerPool and still produce byte-identical reports — provided
 // the per-trial results merge back in strict trial order, which is the
@@ -9,15 +9,14 @@
 //
 // TrialExecutor owns that pool and exposes the one shape the chaos layer
 // needs: map [0, n) through a function, results in index order. A width
-// of 0 or 1 runs inline on the calling thread with no pool and no
-// threads, which is also the reference path the determinism tests compare
-// pooled runs against.
+// of 0 or 1 is a pool with no helper threads that runs every round inline
+// on the calling thread, which is also the reference path the determinism
+// tests compare pooled runs against.
 
 #ifndef MIHN_SRC_CHAOS_EXECUTOR_H_
 #define MIHN_SRC_CHAOS_EXECUTOR_H_
 
 #include <cstddef>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -27,36 +26,26 @@ namespace mihn::chaos {
 
 class TrialExecutor {
  public:
-  // |workers| <= 1: run inline (no pool). |clamp_to_hardware| mirrors
-  // WorkerPool: tests that must exercise real cross-thread execution on
-  // small machines pass false.
-  explicit TrialExecutor(int workers, bool clamp_to_hardware = true) {
-    if (workers > 1) {
-      pool_ = std::make_unique<core::WorkerPool>(workers, clamp_to_hardware);
-    }
-  }
+  // |workers| <= 1: run inline. |clamp_to_hardware| mirrors WorkerPool:
+  // tests that must exercise real cross-thread execution on small machines
+  // pass false.
+  explicit TrialExecutor(int workers, bool clamp_to_hardware = true)
+      : pool_(workers, clamp_to_hardware) {}
 
-  // Effective width: 1 when inline, the pool's (possibly clamped)
-  // parallelism otherwise. Reports must never depend on this value.
-  int workers() const { return pool_ ? pool_->parallelism() : 1; }
+  // Effective width: the pool's (possibly clamped) parallelism, 1 when
+  // inline. Reports must never depend on this value.
+  int workers() const { return pool_.parallelism(); }
 
-  // Runs fn(i) for every i in [0, n) — concurrently when a pool exists —
+  // Runs fn(i) for every i in [0, n) — concurrently when workers() > 1 —
   // and returns the results in strict index order. |fn| must be safe to
   // call concurrently for distinct indices and must not re-enter Map.
   template <typename Fn>
   auto Map(size_t n, Fn&& fn) -> std::vector<std::invoke_result_t<Fn&, size_t>> {
-    if (pool_) {
-      return pool_->ParallelMap(n, fn);
-    }
-    std::vector<std::invoke_result_t<Fn&, size_t>> results(n);
-    for (size_t i = 0; i < n; ++i) {
-      results[i] = fn(i);
-    }
-    return results;
+    return pool_.ParallelMap(n, fn);
   }
 
  private:
-  std::unique_ptr<core::WorkerPool> pool_;
+  core::WorkerPool pool_;
 };
 
 }  // namespace mihn::chaos

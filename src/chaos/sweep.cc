@@ -7,9 +7,12 @@
 
 #include "src/chaos/campaign_file.h"
 #include "src/chaos/json_util.h"
+#include "src/core/read_number.h"
 
 namespace mihn::chaos {
 namespace {
+
+using core::ReadNumber;
 
 using json::Int;
 using json::Num;

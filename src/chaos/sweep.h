@@ -6,7 +6,7 @@
 // up as faults intensify, does a policy that works on one topology work
 // on another. A SweepConfig crosses campaign files × preset overrides ×
 // fault-scale multipliers × recovery policies into a grid of cells; every
-// (cell, trial) pair is an isolated owned-clock simulation, so the whole
+// (cell, trial) pair is an isolated simulation on its own clock, so the whole
 // grid flattens into one work list for the TrialExecutor's pool.
 //
 // Determinism contract (same bar as the campaign and fleet layers): cell

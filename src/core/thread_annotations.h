@@ -1,31 +1,24 @@
 // Clang thread-safety annotation macros (abseil-style), MIHN_-prefixed.
 //
-// The ROADMAP's parallelism items — per-host solver threads for
-// million-flow fleet ticks and the parallel deterministic campaign runner
-// — will share exactly the structures these macros decorate: the event
-// pool, the calendar queue, the router's path memo, the solver workspace
-// and the obs rings. Annotating them NOW, while everything is still
-// single-threaded, means the compiler (clang -Wthread-safety, turned on as
-// errors in CI) proves the lock discipline before the first thread exists,
-// and mihn-check rule D9 keeps every annotated class honest about which
-// members its lock protects.
+// The tree has one real lock: core::WorkerPool's SyncMutex, which guards
+// the round state its helper threads share. Everything else is single-owner
+// by construction — each host (and each chaos trial) is driven by one
+// thread at a time, and parallel work is share-nothing partitions merged in
+// a fixed order — so nothing else carries a capability. These macros let
+// clang -Wthread-safety (turned on as errors in CI) prove the pool's lock
+// discipline, and mihn-check rule D9 keeps every annotated class honest
+// about which members its lock protects.
 //
 // Under non-clang compilers the attributes expand to nothing, so the
 // primary gcc build is unaffected.
 //
 // Conventions:
-//  - A class opts in by declaring a core::Mutex member (the capability) or
-//    by using any MIHN_* annotation; D9 then requires MIHN_GUARDED_BY on
+//  - A class opts in by declaring a core::SyncMutex member (the capability)
+//    or by using any MIHN_* annotation; D9 then requires MIHN_GUARDED_BY on
 //    every mutable member (const, static and std::atomic members are
 //    exempt).
-//  - Public methods take the lock (core::MutexLock) and are annotated
-//    MIHN_EXCLUDES(mu_); private helpers assume it and are annotated
-//    MIHN_REQUIRES(mu_). A public method never calls another public
-//    method of the same class — it calls the *Locked private variant.
-//  - Lambdas that touch guarded members from inside a locked method are
-//    analyzed as separate functions by clang; keep them small and mark
-//    the enclosing pattern with MIHN_NO_THREAD_SAFETY_ANALYSIS only when
-//    restructuring into a loop is worse.
+//  - Code that touches guarded state holds the lock (core::SyncMutexLock),
+//    or is annotated MIHN_REQUIRES(mu_) so its callers must.
 
 #ifndef MIHN_SRC_CORE_THREAD_ANNOTATIONS_H_
 #define MIHN_SRC_CORE_THREAD_ANNOTATIONS_H_
@@ -42,22 +35,14 @@
 
 // Data annotations: what a lock protects.
 #define MIHN_GUARDED_BY(x) MIHN_THREAD_ANNOTATION_ATTRIBUTE_(guarded_by(x))
-#define MIHN_PT_GUARDED_BY(x) MIHN_THREAD_ANNOTATION_ATTRIBUTE_(pt_guarded_by(x))
 
 // Function annotations: what a function assumes or does about locks.
 #define MIHN_REQUIRES(...) \
   MIHN_THREAD_ANNOTATION_ATTRIBUTE_(requires_capability(__VA_ARGS__))
-#define MIHN_REQUIRES_SHARED(...) \
-  MIHN_THREAD_ANNOTATION_ATTRIBUTE_(requires_shared_capability(__VA_ARGS__))
 #define MIHN_ACQUIRE(...) \
   MIHN_THREAD_ANNOTATION_ATTRIBUTE_(acquire_capability(__VA_ARGS__))
 #define MIHN_RELEASE(...) \
   MIHN_THREAD_ANNOTATION_ATTRIBUTE_(release_capability(__VA_ARGS__))
-#define MIHN_TRY_ACQUIRE(...) \
-  MIHN_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_capability(__VA_ARGS__))
-#define MIHN_EXCLUDES(...) MIHN_THREAD_ANNOTATION_ATTRIBUTE_(locks_excluded(__VA_ARGS__))
-#define MIHN_ASSERT_CAPABILITY(x) MIHN_THREAD_ANNOTATION_ATTRIBUTE_(assert_capability(x))
-#define MIHN_RETURN_CAPABILITY(x) MIHN_THREAD_ANNOTATION_ATTRIBUTE_(lock_returned(x))
 #define MIHN_NO_THREAD_SAFETY_ANALYSIS \
   MIHN_THREAD_ANNOTATION_ATTRIBUTE_(no_thread_safety_analysis)
 

@@ -19,9 +19,9 @@
 // that must exercise real cross-thread execution on small machines pass
 // clamp_to_hardware = false.
 //
-// Unlike core::Mutex (a no-op capability object for the single-threaded
-// engine), SyncMutex below is a real std::mutex: the pool is the one place
-// in the tree where threads actually contend today.
+// SyncMutex below is a real std::mutex and the only lock in the tree: the
+// pool is the one place where threads actually contend. Everything a round
+// body touches is partitioned by chunk, so no other structure needs one.
 
 #ifndef MIHN_SRC_CORE_WORKER_POOL_H_
 #define MIHN_SRC_CORE_WORKER_POOL_H_
@@ -40,9 +40,8 @@
 
 namespace mihn::core {
 
-// A real lock carrying the same clang thread-safety capability surface as
-// the no-op core::Mutex, so pool state is policed by -Wthread-safety and
-// mihn-check D9 exactly like engine state.
+// A real lock carrying clang thread-safety capabilities, so pool state is
+// policed by -Wthread-safety and mihn-check D9.
 class MIHN_CAPABILITY("mutex") SyncMutex {
  public:
   SyncMutex() = default;
@@ -66,7 +65,7 @@ class MIHN_CAPABILITY("mutex") SyncMutex {
   std::mutex mu_;
 };
 
-// RAII lock scope over SyncMutex, mirroring core::MutexLock.
+// RAII lock scope over SyncMutex.
 class MIHN_SCOPED_CAPABILITY SyncMutexLock {
  public:
   explicit SyncMutexLock(SyncMutex* mu) MIHN_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }

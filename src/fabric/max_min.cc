@@ -54,7 +54,7 @@ inline double DemandTol(double demand) { return std::max(kEps, demand * 1e-9); }
 // Batch API
 // ---------------------------------------------------------------------------
 
-void MaxMinSolver::BeginLocked(size_t num_links) {
+void MaxMinSolver::Begin(size_t num_links) {
   num_links_ = num_links;
   num_flows_ = 0;
   capacities_.assign(num_links, 0.0);
@@ -67,14 +67,13 @@ void MaxMinSolver::BeginLocked(size_t num_links) {
   flow_muts_.clear();
 }
 
-void MaxMinSolver::SetCapacityLocked(int32_t link, double capacity) {
+void MaxMinSolver::SetCapacity(int32_t link, double capacity) {
   if (link >= 0 && static_cast<size_t>(link) < num_links_) {
     capacities_[static_cast<size_t>(link)] = capacity;
   }
 }
 
-int32_t MaxMinSolver::AddFlowLocked(double weight, double demand, const int32_t* links,
-                                    size_t count) {
+int32_t MaxMinSolver::AddFlow(double weight, double demand, const int32_t* links, size_t count) {
   const int32_t slot = static_cast<int32_t>(num_flows_);
   flow_weight_.push_back(std::max(weight, kMinWeight));
   flow_demand_.push_back(demand);
@@ -100,7 +99,7 @@ int32_t MaxMinSolver::AddFlowLocked(double weight, double demand, const int32_t*
   return slot;
 }
 
-const std::vector<double>& MaxMinSolver::CommitLocked() {
+const std::vector<double>& MaxMinSolver::Commit() {
   SetupFromInputs();
   RunRounds(0.0, 0);
   for (size_t f = 0; f < num_flows_; ++f) {
@@ -114,15 +113,14 @@ const std::vector<double>& MaxMinSolver::CommitLocked() {
 
 const std::vector<double>& MaxMinSolver::Solve(const std::vector<MaxMinFlow>& flows,
                                                const std::vector<double>& capacities) {
-  core::MutexLock lock(&mu_);
-  BeginLocked(capacities.size());
+  Begin(capacities.size());
   for (size_t l = 0; l < capacities.size(); ++l) {
     capacities_[l] = capacities[l];
   }
   for (const MaxMinFlow& f : flows) {
-    AddFlowLocked(f.weight, f.demand, f.links.data(), f.links.size());
+    AddFlow(f.weight, f.demand, f.links.data(), f.links.size());
   }
-  return CommitLocked();
+  return Commit();
 }
 
 // ---------------------------------------------------------------------------
@@ -637,7 +635,6 @@ void MaxMinSolver::RecordDemandMut(int32_t flow) {
 }
 
 void MaxMinSolver::UpdateCapacity(int32_t link, double capacity) {
-  core::MutexLock lock(&mu_);
   if (link < 0 || static_cast<size_t>(link) >= num_links_) {
     return;
   }
@@ -650,7 +647,6 @@ void MaxMinSolver::UpdateCapacity(int32_t link, double capacity) {
 }
 
 void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
-  core::MutexLock lock(&mu_);
   if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
     return;
   }
@@ -684,7 +680,6 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
 }
 
 void MaxMinSolver::UpdateFlowWeight(int32_t flow, double weight) {
-  core::MutexLock lock(&mu_);
   if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
     return;
   }
@@ -703,8 +698,7 @@ void MaxMinSolver::UpdateFlowWeight(int32_t flow, double weight) {
 
 int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_t* links,
                                       size_t count) {
-  core::MutexLock lock(&mu_);
-  const int32_t slot = AddFlowLocked(weight, demand, links, count);
+  const int32_t slot = AddFlow(weight, demand, links, count);
   if (primed_) {
     // The new slot reads rate 0 until the next solve, which is a full one:
     // it rebuilds the member index over the grown flow table.
@@ -715,7 +709,6 @@ int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_
 }
 
 void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
-  core::MutexLock lock(&mu_);
   if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
     return;
   }
@@ -731,7 +724,6 @@ void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
 // ---------------------------------------------------------------------------
 
 const std::vector<double>& MaxMinSolver::SolveDelta() {
-  core::MutexLock lock(&mu_);
   ++delta_solves_;
   delta_stats_ = DeltaStats{};
 
@@ -742,7 +734,7 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
       flow_muts_.size() > num_flows_ / 8 + 8) {
     delta_stats_.fallback_full = true;
     ++delta_fallbacks_;
-    return CommitLocked();  // Consumes the batch via SetupFromInputs.
+    return Commit();  // Consumes the batch via SetupFromInputs.
   }
 
   size_t divergence = 0;

@@ -29,9 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
-
 namespace mihn::fabric {
 
 struct MaxMinFlow {
@@ -101,39 +98,25 @@ class MaxMinSolver {
 
   // Starts a new problem over |num_links| resources, all capacities 0.
   // Drops the retained problem and trace (primed() becomes false).
-  void Begin(size_t num_links) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    BeginLocked(num_links);
-  }
+  void Begin(size_t num_links);
 
   // Sets one link's capacity. Must precede all AddFlow calls so dead-flow
   // detection in Commit() sees final capacities.
-  void SetCapacity(int32_t link, double capacity) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    SetCapacityLocked(link, capacity);
-  }
+  void SetCapacity(int32_t link, double capacity);
 
   // Appends one flow crossing |count| links (duplicates allowed; a sorted,
   // deduplicated list is detected and copied without re-sorting). Returns
   // the flow's index in the rate vector.
-  int32_t AddFlow(double weight, double demand, const int32_t* links, size_t count)
-      MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return AddFlowLocked(weight, demand, links, count);
-  }
+  int32_t AddFlow(double weight, double demand, const int32_t* links, size_t count);
 
   // Solves the problem accumulated since Begin() from scratch, records the
   // solve trace, and primes the delta engine. The returned reference is
   // invalidated by the next Begin()/Solve().
-  const std::vector<double>& Commit() MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return CommitLocked();
-  }
+  const std::vector<double>& Commit();
 
   // One-shot convenience over Begin/SetCapacity/AddFlow/Commit.
   const std::vector<double>& Solve(const std::vector<MaxMinFlow>& flows,
-                                   const std::vector<double>& capacities)
-      MIHN_EXCLUDES(mu_);
+                                   const std::vector<double>& capacities);
 
   // -- Retained-problem delta API ---------------------------------------------
   // All mutators below require a preceding Commit() (primed() == true) to
@@ -141,52 +124,42 @@ class MaxMinSolver {
   // equivalents and the next solve is a full one.
 
   // True once a Commit() has retained a problem + trace.
-  bool primed() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return primed_;
-  }
+  bool primed() const { return primed_; }
 
   // Changes one link's capacity in the retained problem. The next solve is
   // a full one.
-  void UpdateCapacity(int32_t link, double capacity) MIHN_EXCLUDES(mu_);
+  void UpdateCapacity(int32_t link, double capacity);
 
   // Changes one retained flow's demand ceiling — the one mutation the delta
   // engine replays. A demand <= 0 tombstones the flow (equivalent to
   // RemoveFlowRetained) and raising a tombstoned flow's demand back above
   // zero revives it; either makes the next solve a full one.
-  void UpdateFlowDemand(int32_t flow, double demand) MIHN_EXCLUDES(mu_);
+  void UpdateFlowDemand(int32_t flow, double demand);
 
   // Changes one retained flow's fair-share weight. On a live flow the next
   // solve is a full one.
-  void UpdateFlowWeight(int32_t flow, double weight) MIHN_EXCLUDES(mu_);
+  void UpdateFlowWeight(int32_t flow, double weight);
 
   // Appends one flow to the retained problem. Returns its rate-vector slot,
   // which reads rate 0 until the next solve (a full one).
-  int32_t AddFlowRetained(double weight, double demand, const int32_t* links, size_t count)
-      MIHN_EXCLUDES(mu_);
+  int32_t AddFlowRetained(double weight, double demand, const int32_t* links, size_t count);
 
   // Tombstones one retained flow: its slot stays in the rate vector with
   // rate 0 and exactly zero effect on every other allocation (dead flows
   // contribute no weight anywhere — the reference's own dead-flow rule).
   // Removing a live flow makes the next solve a full one.
-  void RemoveFlowRetained(int32_t flow) MIHN_EXCLUDES(mu_);
+  void RemoveFlowRetained(int32_t flow);
 
   // Re-solves after the mutations recorded since the last solve. Returns
   // the same retained rate vector as Commit(), bit-identical to a fresh
   // full solve of the mutated problem.
-  const std::vector<double>& SolveDelta() MIHN_EXCLUDES(mu_);
+  const std::vector<double>& SolveDelta();
 
   // Last solved rates without re-solving (valid after Commit/SolveDelta).
-  const std::vector<double>& rates() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return rates_;
-  }
+  const std::vector<double>& rates() const { return rates_; }
 
   // Number of retained flow slots (live + tombstoned).
-  size_t retained_flows() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return num_flows_;
-  }
+  size_t retained_flows() const { return num_flows_; }
 
   // Observability for the delta engine (obs counters, benches, tests).
   struct DeltaStats {
@@ -194,29 +167,14 @@ class MaxMinSolver {
     bool fallback_full = false;  // Structural mutation or oversized batch: full path.
     bool noop_splice = false;    // Proven no divergence: spliced rates only.
   };
-  DeltaStats last_delta_stats() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return delta_stats_;
-  }
-  uint64_t delta_solves() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return delta_solves_;
-  }
-  uint64_t delta_fallbacks() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return delta_fallbacks_;
-  }
-  uint64_t delta_noop_splices() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return delta_noop_splices_;
-  }
+  DeltaStats last_delta_stats() const { return delta_stats_; }
+  uint64_t delta_solves() const { return delta_solves_; }
+  uint64_t delta_fallbacks() const { return delta_fallbacks_; }
+  uint64_t delta_noop_splices() const { return delta_noop_splices_; }
 
   // Number of progressive-filling rounds of the last solve's trace
   // (observability for benches and tests).
-  size_t last_rounds() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return trace_level_.size();
-  }
+  size_t last_rounds() const { return trace_level_.size(); }
 
  private:
   // Full solver state at the *entry* of one filling round: level plus the
@@ -240,53 +198,40 @@ class MaxMinSolver {
     int32_t fix_round_new = 0;  // Valid once fixed_new.
   };
 
-  // Bodies of the public batch API, for callers already inside the monitor
-  // (Solve, AddFlowRetained and SolveDelta compose them).
-  void BeginLocked(size_t num_links) MIHN_REQUIRES(mu_);
-  void SetCapacityLocked(int32_t link, double capacity) MIHN_REQUIRES(mu_);
-  int32_t AddFlowLocked(double weight, double demand, const int32_t* links, size_t count)
-      MIHN_REQUIRES(mu_);
-  const std::vector<double>& CommitLocked() MIHN_REQUIRES(mu_);
+  void RemoveActiveLink(size_t pos);
+  void FixFlow(int32_t flow, double rate);
+  int32_t ForcedArgmin(double level);
+  void SetupFromInputs();
+  void RunRounds(double level, size_t start_round);
+  void StoreCheckpoint(size_t round, double level);
+  double ResidualOf(size_t link) const;
+  void RecordDemandMut(int32_t flow);
+  bool ScanTrace(size_t* divergence_round);
+  void ResumeFrom(size_t divergence_round);
 
-  void RemoveActiveLink(size_t pos) MIHN_REQUIRES(mu_);
-  void FixFlow(int32_t flow, double rate) MIHN_REQUIRES(mu_);
-  int32_t ForcedArgmin(double level) MIHN_REQUIRES(mu_);
-  void SetupFromInputs() MIHN_REQUIRES(mu_);
-  void RunRounds(double level, size_t start_round) MIHN_REQUIRES(mu_);
-  void StoreCheckpoint(size_t round, double level) MIHN_REQUIRES(mu_);
-  double ResidualOf(size_t link) const MIHN_REQUIRES(mu_);
-  void RecordDemandMut(int32_t flow) MIHN_REQUIRES(mu_);
-  bool ScanTrace(size_t* divergence_round) MIHN_REQUIRES(mu_);
-  void ResumeFrom(size_t divergence_round) MIHN_REQUIRES(mu_);
-
-  // mu_ is mutable so const accessors (primed, rates, the delta counters)
-  // can take the lock. Everything below is workspace state of one solve —
-  // a single capability covers it all.
-  mutable core::Mutex mu_;
-
-  size_t num_links_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t num_flows_ MIHN_GUARDED_BY(mu_) = 0;
+  size_t num_links_ = 0;
+  size_t num_flows_ = 0;
 
   // Problem inputs, flat. Retained (and mutated in place) between solves.
-  std::vector<double> capacities_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> flow_weight_ MIHN_GUARDED_BY(mu_);  // Clamped to >= 1e-12.
-  std::vector<double> flow_demand_ MIHN_GUARDED_BY(mu_);
+  std::vector<double> capacities_;
+  std::vector<double> flow_weight_;  // Clamped to >= 1e-12.
+  std::vector<double> flow_demand_;
   // CSR flow -> sorted deduped link list.
-  std::vector<int32_t> flow_link_off_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> flow_link_ids_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> flow_link_off_;
+  std::vector<int32_t> flow_link_ids_;
 
   // Solve state.
-  std::vector<double> rates_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> residual_ MIHN_GUARDED_BY(mu_);     // Canonical for links outside the active set.
-  std::vector<double> link_weight_ MIHN_GUARDED_BY(mu_);  // Canonical for links outside the active set.
-  std::vector<uint8_t> fixed_ MIHN_GUARDED_BY(mu_);
-  std::vector<uint8_t> dead_ MIHN_GUARDED_BY(mu_);  // Excluded from the problem (reference dead rule).
-  size_t unfixed_ MIHN_GUARDED_BY(mu_) = 0;
+  std::vector<double> rates_;
+  std::vector<double> residual_;     // Canonical for links outside the active set.
+  std::vector<double> link_weight_;  // Canonical for links outside the active set.
+  std::vector<uint8_t> fixed_;
+  std::vector<uint8_t> dead_;  // Excluded from the problem (reference dead rule).
+  size_t unfixed_ = 0;
 
   // CSR link -> live member flows, ascending. Rebuilt by every full solve;
   // the delta path never changes membership.
-  std::vector<int32_t> link_flow_off_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> link_flow_ids_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> link_flow_off_;
+  std::vector<int32_t> link_flow_ids_;
 
   // Active link set with dense SoA mirrors: per active position, residual,
   // weight and saturation threshold live contiguously so the per-round
@@ -295,63 +240,63 @@ class MaxMinSolver {
   // arrays) when its weight drains to *exactly* zero — rounding dust from
   // weight subtraction must not leave a memberless link able to pin the
   // water level (see DESIGN.md §5).
-  std::vector<int32_t> active_links_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> active_pos_ MIHN_GUARDED_BY(mu_);  // link -> index in active_links_, -1 if absent.
-  std::vector<double> act_res_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> act_lw_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> act_thr_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> active_links_;
+  std::vector<int32_t> active_pos_;  // link -> index in active_links_, -1 if absent.
+  std::vector<double> act_res_;
+  std::vector<double> act_lw_;
+  std::vector<double> act_thr_;
   // More slot-parallel mirrors, so the per-round sweeps touch contiguous
   // memory instead of chasing link ids: unfixed-member count (mirror of
   // link_unfixed_ for active slots) and a saturation-recorded flag
   // (sat_round_ already stamped, skip the sparse probe).
-  std::vector<int32_t> act_unfixed_ MIHN_GUARDED_BY(mu_);
-  std::vector<uint8_t> act_satrec_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> act_unfixed_;
+  std::vector<uint8_t> act_satrec_;
 
   // Min-heaps over unfixed flows with lazy deletion. heap_level_ is keyed by
   // demand/weight (the exact demand-ceiling term of the water level);
   // heap_fix_ is keyed by (demand - demand_tol)/weight, a conservative lower
   // bound on the level at which the flow becomes fixable at-demand.
-  std::vector<std::pair<double, int32_t>> heap_level_ MIHN_GUARDED_BY(mu_);
-  std::vector<std::pair<double, int32_t>> heap_fix_ MIHN_GUARDED_BY(mu_);
+  std::vector<std::pair<double, int32_t>> heap_level_;
+  std::vector<std::pair<double, int32_t>> heap_fix_;
 
   // Per link: count of unfixed live members. Lets the per-round
   // saturated-link gather skip links whose members are all fixed — a pure
   // no-op scan, so skipping it is exact — and tells the forced-fix guard
   // which links still bound an unfixed flow.
-  std::vector<int32_t> link_unfixed_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> link_unfixed_;
   // Per link: cursor past the fixed prefix of its member CSR slice (members
   // ascend and fixing is monotone within a solve), so the forced-fix guard
   // finds a link's lowest-index unfixed member in amortized O(1).
-  std::vector<int32_t> link_cursor_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> link_cursor_;
 
   // Per-round scratch: candidate flows and an epoch mark for deduping them.
-  std::vector<int32_t> candidates_ MIHN_GUARDED_BY(mu_);
-  std::vector<uint32_t> candidate_epoch_ MIHN_GUARDED_BY(mu_);
-  uint32_t epoch_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t fixed_this_round_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t cur_round_ MIHN_GUARDED_BY(mu_) = 0;
+  std::vector<int32_t> candidates_;
+  std::vector<uint32_t> candidate_epoch_;
+  uint32_t epoch_ = 0;
+  size_t fixed_this_round_ = 0;
+  size_t cur_round_ = 0;
 
   // -- Retained trace (the delta engine's memory of the last solve) ----------
-  bool primed_ MIHN_GUARDED_BY(mu_) = false;
-  bool force_full_ MIHN_GUARDED_BY(mu_) = false;  // A mutation other than a live demand change.
-  std::vector<double> trace_level_ MIHN_GUARDED_BY(mu_);    // Water level after each round.
-  std::vector<uint8_t> trace_forced_ MIHN_GUARDED_BY(mu_);  // Round used the forced-fix guard.
-  std::vector<int32_t> fix_round_ MIHN_GUARDED_BY(mu_);     // Per flow; kNeverFixed / kDeadRound.
-  std::vector<int32_t> sat_round_ MIHN_GUARDED_BY(mu_);     // Per link: first saturated round, kNever.
-  std::vector<Checkpoint> ckpts_ MIHN_GUARDED_BY(mu_);      // Pooled; ckpt_count_ are valid.
-  size_t ckpt_count_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t ckpt_stride_ MIHN_GUARDED_BY(mu_) = 1;
-  size_t last_ckpt_round_ MIHN_GUARDED_BY(mu_) = 0;
+  bool primed_ = false;
+  bool force_full_ = false;  // A mutation other than a live demand change.
+  std::vector<double> trace_level_;    // Water level after each round.
+  std::vector<uint8_t> trace_forced_;  // Round used the forced-fix guard.
+  std::vector<int32_t> fix_round_;     // Per flow; kNeverFixed / kDeadRound.
+  std::vector<int32_t> sat_round_;     // Per link: first saturated round, kNever.
+  std::vector<Checkpoint> ckpts_;      // Pooled; ckpt_count_ are valid.
+  size_t ckpt_count_ = 0;
+  size_t ckpt_stride_ = 1;
+  size_t last_ckpt_round_ = 0;
 
   // Pending demand changes, and reused id buffers.
-  std::vector<FlowMut> flow_muts_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> id_buffer_ MIHN_GUARDED_BY(mu_);   // CSR fill cursors; harvested flows.
-  std::vector<int32_t> tie_buffer_ MIHN_GUARDED_BY(mu_);  // ForcedArgmin's demand-key ties.
+  std::vector<FlowMut> flow_muts_;
+  std::vector<int32_t> id_buffer_;   // CSR fill cursors; harvested flows.
+  std::vector<int32_t> tie_buffer_;  // ForcedArgmin's demand-key ties.
 
-  DeltaStats delta_stats_ MIHN_GUARDED_BY(mu_);
-  uint64_t delta_solves_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t delta_fallbacks_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t delta_noop_splices_ MIHN_GUARDED_BY(mu_) = 0;
+  DeltaStats delta_stats_;
+  uint64_t delta_solves_ = 0;
+  uint64_t delta_fallbacks_ = 0;
+  uint64_t delta_noop_splices_ = 0;
 };
 
 // The original straightforward implementation, O(F·L) per filling round.

@@ -21,7 +21,8 @@ Fleet::Fleet(int num_hosts, Options options)
         InterHostNetwork::Config config = options_.inter;
         config.hosts = num_hosts;
         return config;
-      }()) {
+      }()),
+      pool_(options_.worker_threads, options_.clamp_workers_to_hardware) {
   MIHN_CHECK(num_hosts >= 1);
   // One observer slot per Simulation: a traced host template would install
   // num_hosts observers onto one clock.
@@ -32,10 +33,6 @@ Fleet::Fleet(int num_hosts, Options options)
   }
   stagings_.resize(hosts_.size());
   limit_batches_.resize(hosts_.size());
-  if (options_.worker_threads > 1) {
-    pool_ = std::make_unique<core::WorkerPool>(options_.worker_threads,
-                                               options_.clamp_workers_to_hardware);
-  }
 }
 
 Fleet::~Fleet() = default;
@@ -164,19 +161,11 @@ void Fleet::ApplyLimitBatches() {
   }
 }
 
-void Fleet::ForEachHost(const std::function<void(size_t, size_t)>& body) {
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(hosts_.size(), body);
-  } else {
-    body(0, hosts_.size());
-  }
-}
-
 void Fleet::SettleHosts() {
   // Fan the solves out: each fabric settles into its own staging buffer, so
   // no worker ever touches the shared calendar queue. The solve reads the
   // clock but never advances it.
-  ForEachHost([this](size_t begin, size_t end) {
+  pool_.ParallelFor(hosts_.size(), [this](size_t begin, size_t end) {
     for (size_t h = begin; h < end; ++h) {
       hosts_[h]->fabric().SettleStaged(stagings_[h]);
     }
@@ -225,7 +214,7 @@ FleetSample Fleet::AggregateSample() {
   // pure host-local reads + counter accrual: embarrassingly parallel on the
   // persistent pool, with each worker writing a disjoint slice of
   // sample.hosts.
-  ForEachHost([this, &sample](size_t begin, size_t end) {
+  pool_.ParallelFor(hosts_.size(), [this, &sample](size_t begin, size_t end) {
     std::vector<fabric::LinkLoad> loads;  // Reused across the chunk's hosts.
     for (size_t i = begin; i < end; ++i) {
       sample.hosts[i] = ReduceHost(static_cast<int>(i), loads);
@@ -296,13 +285,11 @@ FleetRootCause Fleet::RootCauseView() {
   // an analyzer on a dirty fabric would trigger a solve, and a staged-free
   // solve schedules on the shared clock.
   SettleHosts();
-  std::vector<std::vector<anomaly::CongestionReport>> per_host(hosts_.size());
-  ForEachHost([this, &per_host](size_t begin, size_t end) {
-    for (size_t h = begin; h < end; ++h) {
-      anomaly::RootCauseAnalyzer analyzer(hosts_[h]->fabric(), options_.congestion_threshold);
-      per_host[h] = analyzer.FindCongestedLinks();
-    }
-  });
+  std::vector<std::vector<anomaly::CongestionReport>> per_host =
+      pool_.ParallelMap(hosts_.size(), [this](size_t h) {
+        anomaly::RootCauseAnalyzer analyzer(hosts_[h]->fabric(), options_.congestion_threshold);
+        return analyzer.FindCongestedLinks();
+      });
   // Merge the root-cause inputs strictly in host order.
   FleetRootCause view;
   std::map<fabric::TenantId, FleetSuspect> suspects;

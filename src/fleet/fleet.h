@@ -4,9 +4,8 @@
 // The paper argues the intra-host network needs the same manageability as
 // the inter-host network; a data-center operator runs thousands of such
 // hosts at once. Fleet is that operator's view in this repo: it owns the
-// single sim::Simulation, constructs every host through HostNetwork's
-// clock-injection constructors (the API redesign this layer motivated), and
-// advances all of them in lock-step ticks:
+// single sim::Simulation, constructs every host on it (each HostNetwork
+// borrows the clock), and advances all of them in lock-step ticks:
 //
 //   fleet::Fleet fleet(256);
 //   auto flow = fleet.StartCrossHostFlow({.tenant = 7, .src_host = 0,
@@ -30,7 +29,6 @@
 #ifndef MIHN_SRC_FLEET_FLEET_H_
 #define MIHN_SRC_FLEET_FLEET_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -106,8 +104,7 @@ class Fleet {
     // Inter-host capacities and rack width; Config::hosts is overwritten
     // with the fleet's host count.
     InterHostNetwork::Config inter;
-    // Template applied to every host. Options::seed is ignored (the fleet
-    // seeds the one shared clock); Options::trace must stay disabled (a
+    // Template applied to every host. Options::trace must stay disabled (a
     // Simulation has a single observer slot).
     HostNetwork::Options host = DefaultHostOptions();
     // Worker parallelism for the whole tick: parallel fabric settle (via
@@ -141,7 +138,7 @@ class Fleet {
   sim::TimeNs Now() const { return sim_.Now(); }
   const Options& options() const { return options_; }
   // Actual pool width after the hardware clamp; 1 means serial.
-  int worker_parallelism() const { return pool_ != nullptr ? pool_->parallelism() : 1; }
+  int worker_parallelism() const { return pool_.parallelism(); }
 
   // -- Cross-host placement ----------------------------------------------------
   // Starts the three coupled stages. The end-to-end rate settles over the
@@ -195,10 +192,6 @@ class Fleet {
   // shared clock serially in strict host order — the exact event sequence
   // (and event-pool slot reuse) of a serial pass.
   void SettleHosts();
-  // Runs body(begin, end) over contiguous host-order chunks of [0, N) on
-  // the pool, or inline when the fleet is serial. |body| must be parallel-
-  // safe on disjoint host ranges.
-  void ForEachHost(const std::function<void(size_t, size_t)>& body);
   FleetSample AggregateSample();
   // Reduces host |i| through Fabric::ReadLinkLoads; |loads| is the
   // caller's reusable buffer.
@@ -214,10 +207,10 @@ class Fleet {
   std::map<CrossFlowId, CrossFlow> cross_flows_;  // Ordered: deterministic coupling.
   CrossFlowId next_cross_id_ = 1;
   std::vector<FleetSample> samples_;
-  // Null when the fleet is serial (effective worker_threads <= 1). Worker
-  // threads only ever run inside ForEachHost rounds, so the pool needs no
+  // Width 1 (no helper threads) when the fleet is serial. Worker threads
+  // only ever run inside ParallelFor rounds, so the pool needs no
   // particular destruction order relative to sim_/hosts_.
-  std::unique_ptr<core::WorkerPool> pool_;
+  core::WorkerPool pool_;
   // One staging buffer per host, reused every settle pass.
   std::vector<sim::StagedEvents> stagings_;
   // Per-host (flow, limit) batches of the cross-host coupling, reused

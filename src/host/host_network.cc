@@ -19,33 +19,13 @@ topology::Server BuildPreset(HostNetwork::Preset preset) {
 
 }  // namespace
 
-HostNetwork::HostNetwork() : HostNetwork(Options{}) {}
-
-HostNetwork::HostNetwork(Options options) : HostNetwork(BuildPreset(options.preset), options) {}
-
-HostNetwork::HostNetwork(topology::Server server, Options options)
-    : HostNetwork(std::make_unique<sim::Simulation>(options.seed), nullptr, std::move(server),
-                  std::move(options)) {}
-
 HostNetwork::HostNetwork(sim::Simulation& sim) : HostNetwork(sim, Options{}) {}
 
 HostNetwork::HostNetwork(sim::Simulation& sim, Options options)
-    : HostNetwork(nullptr, &sim, BuildPreset(options.preset), std::move(options)) {}
+    : HostNetwork(sim, BuildPreset(options.preset), std::move(options)) {}
 
 HostNetwork::HostNetwork(sim::Simulation& sim, topology::Server server, Options options)
-    : HostNetwork(nullptr, &sim, std::move(server), std::move(options)) {}
-
-HostNetwork::~HostNetwork() {
-  if (sim_observer_ != nullptr) {
-    sim_.SetEventObserver(nullptr);
-  }
-}
-
-HostNetwork::HostNetwork(std::unique_ptr<sim::Simulation> owned, sim::Simulation* borrowed,
-                         topology::Server server, Options options)
-    : owned_sim_(std::move(owned)),
-      sim_(owned_sim_ != nullptr ? *owned_sim_ : *borrowed),
-      server_(std::move(server)) {
+    : sim_(sim), server_(std::move(server)) {
   tracer_ = std::make_unique<obs::Tracer>(options.trace, &sim_);
   if (tracer_->enabled()) {
     sim_observer_ = std::make_unique<obs::SimTraceObserver>(tracer_.get());
@@ -68,6 +48,12 @@ HostNetwork::HostNetwork(std::unique_ptr<sim::Simulation> owned, sim::Simulation
   if (options.autostart == Autostart::kManagerOnly || options.autostart == Autostart::kAll ||
       options.autostart == Autostart::kAllUnreported) {
     manager_->Start();
+  }
+}
+
+HostNetwork::~HostNetwork() {
+  if (sim_observer_ != nullptr) {
+    sim_.SetEventObserver(nullptr);
   }
 }
 

@@ -8,13 +8,11 @@
 // from src/{sim,topology,fabric,telemetry,anomaly,diagnose,manager}
 // directly — HostNetwork adds no behaviour of its own.
 //
-// Clock ownership: the preferred constructors *borrow* a caller-owned
+// Clock ownership: every constructor *borrows* a caller-owned
 // sim::Simulation, so many hosts can share one virtual clock and one
 // pooled event queue — the seam the fleet layer (src/fleet/) is built on.
-// The legacy owning constructors remain as thin wrappers that allocate a
-// private Simulation seeded from Options::seed and delegate; single-host
-// call sites inside this repo use the clock-injection form (enforced by
-// mihn-check rule D8:owned-clock outside a small allowlist).
+// The clock's owner seeds it; a single-host caller makes its own
+// Simulation first.
 
 #ifndef MIHN_SRC_HOST_HOST_NETWORK_H_
 #define MIHN_SRC_HOST_HOST_NETWORK_H_
@@ -57,10 +55,6 @@ class HostNetwork {
 
   struct Options {
     Preset preset = Preset::kCommodityTwoSocket;
-    // Seeds the Simulation the *owning* wrappers allocate. Ignored on the
-    // clock-injection path: the clock's owner already seeded the root RNG,
-    // and one shared clock cannot take per-host seeds.
-    uint64_t seed = 1;
     fabric::FabricConfig fabric;
     manager::ManagerConfig manager;
     telemetry::Collector::Config telemetry;
@@ -71,7 +65,7 @@ class HostNetwork {
     obs::TraceConfig trace;
   };
 
-  // -- Construction: clock injection (the redesigned surface) -----------------
+  // -- Construction -------------------------------------------------------------
   // The network borrows |sim|, which must outlive it. Several hosts may
   // share one Simulation: their events interleave on one virtual clock in
   // deterministic (time, insertion-order) order while their fabrics stay
@@ -87,28 +81,14 @@ class HostNetwork {
   // Wraps a caller-built server (takes ownership of the topology).
   HostNetwork(sim::Simulation& sim, topology::Server server, Options options);
 
-  // -- Construction: owning wrappers ------------------------------------------
-  // Thin wrappers over the clock-injection path for standalone single-host
-  // use: each allocates a private Simulation seeded from Options::seed.
-  //
-  // Builds the default preset server with default options.
-  HostNetwork();
-  // Builds a preset server.
-  explicit HostNetwork(Options options);
-  // Wraps a caller-built server (takes ownership of the topology).
-  HostNetwork(topology::Server server, Options options);
-
   HostNetwork(const HostNetwork&) = delete;
   HostNetwork& operator=(const HostNetwork&) = delete;
 
-  // Uninstalls this host's trace observer from a borrowed clock.
+  // Uninstalls this host's trace observer from the clock.
   ~HostNetwork();
 
   // -- Component access ---------------------------------------------------------
   sim::Simulation& simulation() { return sim_; }
-  // True when this host allocated (and owns) its clock; false when the
-  // clock was injected.
-  bool owns_clock() const { return owned_sim_ != nullptr; }
   const topology::Server& server() const { return server_; }
   const topology::Topology& topo() const { return server_.topo; }
   fabric::Fabric& fabric() { return *fabric_; }
@@ -141,12 +121,6 @@ class HostNetwork {
       anomaly::HeartbeatMesh::Config config = {});
 
  private:
-  // All construction funnels here: exactly one of |owned| / |borrowed| is
-  // set, and sim_ aliases whichever that is.
-  HostNetwork(std::unique_ptr<sim::Simulation> owned, sim::Simulation* borrowed,
-              topology::Server server, Options options);
-
-  std::unique_ptr<sim::Simulation> owned_sim_;  // Null on the borrowed path.
   sim::Simulation& sim_;
   topology::Server server_;
   std::unique_ptr<obs::Tracer> tracer_;

@@ -40,7 +40,6 @@ void Tracer::StampBegin(Span& span) const {
   if (!enabled_) {
     return;
   }
-  core::MutexLock lock(&mu_);
   span.start = VirtualNow();
   if (config_.profiling) {
     span.wall_start_ns = WallNowNs();
@@ -51,7 +50,6 @@ void Tracer::EndAndRecord(Span& span) {
   if (!enabled_) {
     return;
   }
-  core::MutexLock lock(&mu_);
   span.end = VirtualNow();
   if (config_.profiling) {
     span.wall_end_ns = WallNowNs();
@@ -68,7 +66,6 @@ void Tracer::RecordCounter(const char* category, const char* name, double value)
   if (!enabled_) {
     return;
   }
-  core::MutexLock lock(&mu_);
   CounterSample sample;
   sample.name = name;
   sample.category = category;
@@ -86,7 +83,6 @@ void Tracer::RecordCounter(const char* category, const char* name, double value)
 }
 
 std::vector<Span> Tracer::spans() const {
-  core::MutexLock lock(&mu_);
   std::vector<Span> out;
   if (!enabled_ || spans_recorded_ == 0) {
     return out;
@@ -104,7 +100,6 @@ std::vector<Span> Tracer::spans() const {
 }
 
 std::vector<CounterSample> Tracer::counters() const {
-  core::MutexLock lock(&mu_);
   std::vector<CounterSample> out;
   if (!enabled_ || counters_recorded_ == 0) {
     return out;
@@ -121,7 +116,6 @@ std::vector<CounterSample> Tracer::counters() const {
 }
 
 void Tracer::Clear() {
-  core::MutexLock lock(&mu_);
   span_next_ = 0;
   counter_next_ = 0;
   spans_recorded_ = 0;

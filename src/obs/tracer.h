@@ -36,8 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -90,7 +88,9 @@ struct CounterSample {
 
 // Span + counter recorder. Bind one per HostNetwork (or standalone for
 // benches); hand instrumented components a pointer via their set_tracer().
-// Not thread-safe, same as the simulation it observes.
+// Single-owner, like the simulation it observes: an enabled tracer is
+// driven by one thread at a time (the inert Disabled() instance is only
+// ever read).
 class Tracer {
  public:
   // The process-wide inert tracer: never enabled, never records, never
@@ -117,78 +117,57 @@ class Tracer {
 
   // Rebinds the virtual clock source (used when a tracer outlives or
   // predates its simulation).
-  void BindSimulation(const sim::VirtualClock* clock) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    clock_ = clock;
-  }
+  void BindSimulation(const sim::VirtualClock* clock) { clock_ = clock; }
 
   // -- Recording (macro entry points) -----------------------------------------
   // Fills |span|'s start stamps. No-op when disabled.
-  void StampBegin(Span& span) const MIHN_EXCLUDES(mu_);
+  void StampBegin(Span& span) const;
   // Fills |span|'s end stamps and pushes it into the ring. No-op when
   // disabled.
-  void EndAndRecord(Span& span) MIHN_EXCLUDES(mu_);
+  void EndAndRecord(Span& span);
   // Records one counter sample. No-op when disabled.
-  void RecordCounter(const char* category, const char* name, double value)
-      MIHN_EXCLUDES(mu_);
+  void RecordCounter(const char* category, const char* name, double value);
 
   // -- Drained views (export / tests) -----------------------------------------
   // Retained records, oldest first. Copies; intended for export time, not
   // hot paths.
-  std::vector<Span> spans() const MIHN_EXCLUDES(mu_);
-  std::vector<CounterSample> counters() const MIHN_EXCLUDES(mu_);
+  std::vector<Span> spans() const;
+  std::vector<CounterSample> counters() const;
 
-  uint64_t spans_recorded() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return spans_recorded_;
-  }
-  uint64_t counters_recorded() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return counters_recorded_;
-  }
-  uint64_t dropped_spans() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return dropped_spans_;
-  }
-  uint64_t dropped_counters() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return dropped_counters_;
-  }
+  uint64_t spans_recorded() const { return spans_recorded_; }
+  uint64_t counters_recorded() const { return counters_recorded_; }
+  uint64_t dropped_spans() const { return dropped_spans_; }
+  uint64_t dropped_counters() const { return dropped_counters_; }
 
   // Bytes held by the ring buffers — zero for a disabled tracer (the
   // "allocates nothing" contract, asserted by tests/obs/tracer_test.cc).
-  size_t allocated_bytes() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  size_t allocated_bytes() const {
     return span_ring_.capacity() * sizeof(Span) +
            counter_ring_.capacity() * sizeof(CounterSample);
   }
 
   // Discards all retained records (capacity is kept).
-  void Clear() MIHN_EXCLUDES(mu_);
+  void Clear();
 
  private:
-  sim::TimeNs VirtualNow() const MIHN_REQUIRES(mu_) {
+  sim::TimeNs VirtualNow() const {
     return clock_ != nullptr ? clock_->VirtualNow() : sim::TimeNs::Zero();
   }
 
-  // mu_ protects the rings and the clock binding. config_ and enabled_ are
-  // immutable after construction, so the macros' enabled() fast path stays
-  // a lock-free branch.
-  mutable core::Mutex mu_;
   const TraceConfig config_{};
   const bool enabled_ = false;  // Cached: the one flag the macros branch on.
-  const sim::VirtualClock* clock_ MIHN_GUARDED_BY(mu_) = nullptr;
+  const sim::VirtualClock* clock_ = nullptr;
 
   // Ring buffers: fixed capacity reserved at construction, wrap-around
   // writes, no steady-state allocation.
-  std::vector<Span> span_ring_ MIHN_GUARDED_BY(mu_);
-  std::vector<CounterSample> counter_ring_ MIHN_GUARDED_BY(mu_);
-  size_t span_next_ MIHN_GUARDED_BY(mu_) = 0;  // Next write slot.
-  size_t counter_next_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t spans_recorded_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t counters_recorded_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_spans_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_counters_ MIHN_GUARDED_BY(mu_) = 0;
+  std::vector<Span> span_ring_;
+  std::vector<CounterSample> counter_ring_;
+  size_t span_next_ = 0;  // Next write slot.
+  size_t counter_next_ = 0;
+  uint64_t spans_recorded_ = 0;
+  uint64_t counters_recorded_ = 0;
+  uint64_t dropped_spans_ = 0;
+  uint64_t dropped_counters_ = 0;
 };
 
 // Scope guard: opens a span at construction, records it at destruction.

@@ -50,8 +50,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
 #include "src/sim/time.h"
 
 namespace mihn::sim {
@@ -71,14 +69,8 @@ class CalendarQueue {
   explicit CalendarQueue(int bucket_shift = 10)
       : bucket_shift_(bucket_shift), buckets_(kNumBuckets) {}
 
-  bool empty() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return size_ == 0;
-  }
-  size_t size() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return size_;
-  }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
   // Pre-sizes every bucket, the overflow tier and the position table.
   // Without this the queue still converges to a high-water mark organically,
@@ -88,9 +80,7 @@ class CalendarQueue {
   // entries of capacity — size accordingly (per_bucket bounds *concurrent*
   // entries per 2^shift-ns slice, not total events). |slots| is the highest
   // pool slot index expected (one position-table row per slot).
-  void Reserve(size_t per_bucket, size_t overflow, size_t slots)
-      MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void Reserve(size_t per_bucket, size_t overflow, size_t slots) {
     for (std::vector<CalendarEntry>& bucket : buckets_) {
       bucket.reserve(per_bucket);
     }
@@ -100,8 +90,7 @@ class CalendarQueue {
     }
   }
 
-  void Push(CalendarEntry entry) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void Push(CalendarEntry entry) {
     const int64_t at = entry.at.nanos();
     if (entry.slot >= pos_.size()) {
       GrowPos(entry.slot);
@@ -139,8 +128,7 @@ class CalendarQueue {
   // bucket (O(1) swap-remove). Returns false — leaving the entry for lazy
   // deletion — when the entry is in the active heap, in the overflow tier,
   // or not in the queue at all. Only call for slots known to be queued.
-  bool TryRemove(uint32_t slot) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  bool TryRemove(uint32_t slot) {
     if (slot >= pos_.size()) {
       return false;
     }
@@ -161,14 +149,12 @@ class CalendarQueue {
   }
 
   // The (at, seq)-minimum entry. Requires !empty().
-  const CalendarEntry& Min() MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  const CalendarEntry& Min() {
     SettleMin();
     return buckets_[cursor_].front();
   }
 
-  CalendarEntry PopMin() MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  CalendarEntry PopMin() {
     SettleMin();
     std::vector<CalendarEntry>& bucket = buckets_[cursor_];
     std::pop_heap(bucket.begin(), bucket.end(), EntryAfter{});
@@ -205,11 +191,9 @@ class CalendarQueue {
   int64_t Span() const {
     return static_cast<int64_t>(kNumBuckets) << bucket_shift_;
   }
-  int64_t WindowEnd() const MIHN_REQUIRES(mu_) {
-    return window_start_ + Span();
-  }
+  int64_t WindowEnd() const { return window_start_ + Span(); }
 
-  void GrowPos(uint32_t slot) MIHN_REQUIRES(mu_) {
+  void GrowPos(uint32_t slot) {
     size_t n = pos_.size() < 64 ? 64 : pos_.size() * 2;
     if (n <= slot) {
       n = static_cast<size_t>(slot) + 1;
@@ -219,7 +203,7 @@ class CalendarQueue {
 
   // Establishes the heap invariant on bucket |b| and untracks its entries
   // (their positions churn with every sift from here on).
-  void Heapify(size_t b) MIHN_REQUIRES(mu_) {
+  void Heapify(size_t b) {
     std::vector<CalendarEntry>& bucket = buckets_[b];
     std::make_heap(bucket.begin(), bucket.end(), EntryAfter{});
     for (const CalendarEntry& entry : bucket) {
@@ -231,7 +215,7 @@ class CalendarQueue {
   // Positions cursor_ on the bucket holding the global minimum — heapified,
   // ready to pop — jumping the window forward (and migrating overflow
   // entries) when in-window buckets are empty. Requires size_ > 0.
-  void SettleMin() MIHN_REQUIRES(mu_) {
+  void SettleMin() {
     for (;;) {
       if (in_window_ > 0) {
         while (buckets_[cursor_].empty()) {
@@ -267,20 +251,18 @@ class CalendarQueue {
     }
   }
 
-  // mu_ is mutable so const accessors (empty, size) can take the lock.
-  mutable core::Mutex mu_;
   const int bucket_shift_;
-  int64_t window_start_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t cursor_ MIHN_GUARDED_BY(mu_) = 0;
+  int64_t window_start_ = 0;
+  size_t cursor_ = 0;
   // The one bucket currently kept as a heap.
-  size_t heaped_ MIHN_GUARDED_BY(mu_) = kNoHeap;
-  size_t in_window_ MIHN_GUARDED_BY(mu_) = 0;
-  size_t size_ MIHN_GUARDED_BY(mu_) = 0;
-  std::vector<std::vector<CalendarEntry>> buckets_ MIHN_GUARDED_BY(mu_);
+  size_t heaped_ = kNoHeap;
+  size_t in_window_ = 0;
+  size_t size_ = 0;
+  std::vector<std::vector<CalendarEntry>> buckets_;
   // Min-heap via EntryAfter.
-  std::vector<CalendarEntry> overflow_ MIHN_GUARDED_BY(mu_);
+  std::vector<CalendarEntry> overflow_;
   // Slot index -> current location.
-  std::vector<Pos> pos_ MIHN_GUARDED_BY(mu_);
+  std::vector<Pos> pos_;
 };
 
 }  // namespace mihn::sim

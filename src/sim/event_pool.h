@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/mutex.h"
 #include "src/sim/calendar_queue.h"
 #include "src/sim/inline_fn.h"
 #include "src/sim/time.h"
@@ -80,10 +79,7 @@ class EventPool {
   };
 
   // Wires up the queue for eager cancellation removal (see CancelHandle).
-  void BindQueue(CalendarQueue* queue) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    queue_ = queue;
-  }
+  void BindQueue(CalendarQueue* queue) { queue_ = queue; }
 
   // Claims a slot (recycling the free list before growing the slab) and
   // constructs the callback directly in it — a lambda at a scheduling site
@@ -91,8 +87,7 @@ class EventPool {
   // kQueued in |flags| counts the slot live immediately (one Meta write
   // instead of an Allocate + MarkQueued pair).
   template <typename F>
-  uint32_t Allocate(F&& fn, const char* label, uint32_t flags) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  uint32_t Allocate(F&& fn, const char* label, uint32_t flags) {
     uint32_t index;
     if (free_head_ != kNoSlot) {
       index = free_head_;
@@ -108,7 +103,7 @@ class EventPool {
     m.flags = kInUse | flags;
     m.next_free = kNoSlot;
     live_pending_ += (flags & kQueued) != 0 ? 1 : 0;
-    Payload& p = PayloadLocked(index);
+    Payload& p = payload(index);
     p.fn.Emplace(std::forward<F>(fn));  // Also destroys any stale occupant.
     p.label = label;
     return index;
@@ -122,43 +117,34 @@ class EventPool {
   // soon. The old engine held cancelled closures until their tombstone
   // finally popped, so this defers no longer than before; it just avoids
   // re-touching a long-evicted payload cache line on the cancel path.
-  void Free(uint32_t index) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    FreeLocked(index);
+  void Free(uint32_t index) {
+    Meta& m = metas_[index];
+    m.flags = 0;
+    ++m.generation;
+    m.next_free = free_head_;
+    free_head_ = index;
   }
 
-  Meta& meta(uint32_t index) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return metas_[index];
-  }
-  const Meta& meta(uint32_t index) const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return metas_[index];
-  }
-  Payload& payload(uint32_t index) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return PayloadLocked(index);
+  Meta& meta(uint32_t index) { return metas_[index]; }
+  const Meta& meta(uint32_t index) const { return metas_[index]; }
+  Payload& payload(uint32_t index) {
+    return payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
   // Pulls a slot's hot and cold lines toward the cache. The dispatch loop
   // issues this for the *next* event before invoking the current callback,
   // so the callback's execution hides what would otherwise be two
   // demand misses on a multi-megabyte slab.
-  void Prefetch(uint32_t index) const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void Prefetch(uint32_t index) const {
     __builtin_prefetch(&metas_[index]);
     __builtin_prefetch(
         &payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)]);
   }
 
-  uint32_t generation(uint32_t index) const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return metas_[index].generation;
-  }
+  uint32_t generation(uint32_t index) const { return metas_[index].generation; }
 
   // Marks a slot as having a queue entry and counts it live.
-  void MarkQueued(uint32_t index) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void MarkQueued(uint32_t index) {
     metas_[index].flags |= kQueued;
     ++live_pending_;
   }
@@ -166,8 +152,7 @@ class EventPool {
   // Clears the queued flag when its entry is popped. Returns true when the
   // slot is live (not cancelled) — i.e. the pop is a real firing. A
   // cancelled slot already left the live count at Cancel() time.
-  bool UnmarkQueued(uint32_t index) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  bool UnmarkQueued(uint32_t index) {
     Meta& m = metas_[index];
     m.flags &= ~kQueued;
     if ((m.flags & kCancelled) != 0) {
@@ -182,8 +167,7 @@ class EventPool {
   // entry and slot are reclaimed immediately — no tombstone ever reaches
   // the dispatch loop. Otherwise the slot is left flagged for lazy
   // deletion by PurgeCancelledMin/Step.
-  void CancelHandle(uint32_t index, uint32_t generation) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void CancelHandle(uint32_t index, uint32_t generation) {
     if (index >= metas_.size()) {
       return;
     }
@@ -197,13 +181,12 @@ class EventPool {
     if ((m.flags & kQueued) != 0) {
       --live_pending_;
       if (queue_ != nullptr && queue_->TryRemove(index)) {
-        FreeLocked(index);
+        Free(index);
       }
     }
   }
 
-  bool HandleCancelled(uint32_t index, uint32_t generation) const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  bool HandleCancelled(uint32_t index, uint32_t generation) const {
     if (index >= metas_.size()) {
       return false;
     }
@@ -218,8 +201,7 @@ class EventPool {
 
   // Pre-sizes the slab so growth never reallocates mid-run (Allocate still
   // extends size() up to the reserved capacity without touching the heap).
-  void Reserve(size_t n) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void Reserve(size_t n) {
     metas_.reserve(n);
     while (payload_chunks_.size() * kChunkSize < n) {
       payload_chunks_.emplace_back(new Payload[kChunkSize]);
@@ -227,41 +209,20 @@ class EventPool {
   }
 
   // Exact number of pending (queued, not cancelled) events.
-  size_t live_pending() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return live_pending_;
-  }
+  size_t live_pending() const { return live_pending_; }
 
   // Slab capacity (tests/benchmarks: high-water mark of concurrent slots).
-  size_t capacity() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return metas_.size();
-  }
+  size_t capacity() const { return metas_.size(); }
 
  private:
   static constexpr size_t kChunkShift = 9;  // 512 payloads (~48KB) per chunk.
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
-  Payload& PayloadLocked(uint32_t index) MIHN_REQUIRES(mu_) {
-    return payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
-  }
-
-  void FreeLocked(uint32_t index) MIHN_REQUIRES(mu_) {
-    Meta& m = metas_[index];
-    m.flags = 0;
-    ++m.generation;
-    m.next_free = free_head_;
-    free_head_ = index;
-  }
-
-  // The pool lock. A no-op today (single-threaded engine); the annotations
-  // are the contract the parallel campaign runner will inherit.
-  mutable core::Mutex mu_;
-  std::vector<Meta> metas_ MIHN_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Payload[]>> payload_chunks_ MIHN_GUARDED_BY(mu_);
-  CalendarQueue* queue_ MIHN_GUARDED_BY(mu_) = nullptr;
-  uint32_t free_head_ MIHN_GUARDED_BY(mu_) = kNoSlot;
-  size_t live_pending_ MIHN_GUARDED_BY(mu_) = 0;
+  std::vector<Meta> metas_;
+  std::vector<std::unique_ptr<Payload[]>> payload_chunks_;
+  CalendarQueue* queue_ = nullptr;
+  uint32_t free_head_ = kNoSlot;
+  size_t live_pending_ = 0;
 };
 
 // Cancellation handle for a scheduled event or pre-advance hook. Copyable;

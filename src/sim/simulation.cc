@@ -9,7 +9,6 @@ Simulation::Simulation(uint64_t seed) : root_rng_(seed) {
 }
 
 EventHandle Simulation::AddPreAdvanceHook(EventFn fn) {
-  core::MutexLock lock(&mu_);
   const uint32_t index = pool_.Allocate(std::move(fn), nullptr, EventPool::kHook);
   pre_advance_hooks_.push_back(index);
   return EventHandle(&pool_, index, pool_.generation(index));
@@ -25,15 +24,9 @@ bool Simulation::FirePreAdvanceHooks() {
     if ((pool_.meta(index).flags & EventPool::kCancelled) != 0) {
       continue;
     }
-    EventPool::Payload& p = pool_.payload(index);
-    // Hook bodies run outside the monitor: they re-enter the engine
-    // (ScheduleAt, Cancel) and must not find mu_ held.
-    mu_.Unlock();
-    p.fn();
-    mu_.Lock();
+    pool_.payload(index).fn();
   }
-  // Compact out cancelled hooks (kept lambda-free: thread-safety analysis
-  // treats a lambda body as a separate unlocked function).
+  // Compact out cancelled hooks.
   size_t kept = 0;
   for (size_t i = 0; i < pre_advance_hooks_.size(); ++i) {
     const uint32_t index = pre_advance_hooks_[i];
@@ -114,34 +107,21 @@ bool Simulation::Step() {
       // Step would do anyway, just moved under the callback's shadow.)
       pool_.Prefetch(queue_.Min().slot);
     }
-    // The callback — and the observer hooks around it — run outside the
-    // monitor: both re-enter the engine (scheduling, cancelling, clock
-    // reads through VirtualNow) and must not find mu_ held.
     EventObserver* const observer = observer_;
     if (observer != nullptr) {
-      const TimeNs begin_now = now_;
-      const size_t depth = pool_.live_pending();
-      mu_.Unlock();
-      observer->OnEventBegin(label, begin_now, depth);
+      observer->OnEventBegin(label, now_, pool_.live_pending());
       p.fn();
-      mu_.Lock();
       FinishFired(entry.slot, periodic);
-      const TimeNs end_now = now_;
-      mu_.Unlock();
-      observer->OnEventEnd(label, end_now);
-      mu_.Lock();
+      observer->OnEventEnd(label, now_);
       return true;
     }
-    mu_.Unlock();
     p.fn();
-    mu_.Lock();
     FinishFired(entry.slot, periodic);
     return true;
   }
 }
 
 TimeNs Simulation::Run() {
-  core::MutexLock lock(&mu_);
   stopped_ = false;
   while (!stopped_ && Step()) {
   }
@@ -149,7 +129,6 @@ TimeNs Simulation::Run() {
 }
 
 TimeNs Simulation::RunUntil(TimeNs deadline) {
-  core::MutexLock lock(&mu_);
   stopped_ = false;
   while (!stopped_) {
     PurgeCancelledMin();
@@ -170,13 +149,6 @@ TimeNs Simulation::RunUntil(TimeNs deadline) {
   return now_;
 }
 
-TimeNs Simulation::RunFor(TimeNs duration) {
-  TimeNs deadline;
-  {
-    core::MutexLock lock(&mu_);
-    deadline = now_ + duration;
-  }
-  return RunUntil(deadline);
-}
+TimeNs Simulation::RunFor(TimeNs duration) { return RunUntil(now_ + duration); }
 
 }  // namespace mihn::sim

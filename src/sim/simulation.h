@@ -24,8 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
 #include "src/sim/calendar_queue.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/inline_fn.h"
@@ -58,13 +56,10 @@ class EventObserver {
   virtual void OnEventEnd(const char* label, TimeNs now) = 0;
 };
 
-// The event loop. A simulation is single-threaded by design (determinism);
-// benchmarks wanting parallelism run independent Simulation instances. The
-// engine state is nonetheless a lock-annotated monitor (core::Mutex is a
-// no-op today): event callbacks and observer hooks always run with mu_
-// RELEASED, so re-entrant scheduling/cancelling from inside a callback —
-// and clock reads from the tracer — never self-deadlock when the lock
-// becomes real.
+// The event loop. A simulation is single-threaded by design (determinism)
+// and has exactly one owner; parallel runners (fleet hosts, chaos trials)
+// each drive their own instance. Event callbacks and observer hooks may
+// re-enter the engine: schedule, cancel, stop, or read the clock.
 class Simulation : public VirtualClock {
  public:
   using Handle = EventHandle;  // For code generic over engine type.
@@ -76,10 +71,7 @@ class Simulation : public VirtualClock {
   Simulation& operator=(const Simulation&) = delete;
 
   // Current virtual time.
-  TimeNs Now() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return now_;
-  }
+  TimeNs Now() const { return now_; }
   TimeNs VirtualNow() const override { return Now(); }
 
   // Schedules |fn| to run at absolute virtual time |at|. Scheduling in the
@@ -90,18 +82,19 @@ class Simulation : public VirtualClock {
   // closure is constructed directly in its pooled slot (an EventFn argument
   // collapses to a move).
   template <typename F>
-  EventHandle ScheduleAt(TimeNs at, F&& fn, const char* label = nullptr)
-      MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return ScheduleAtLocked(at, std::forward<F>(fn), label);
+  EventHandle ScheduleAt(TimeNs at, F&& fn, const char* label = nullptr) {
+    if (at < now_) {
+      at = now_;
+    }
+    const uint32_t index = pool_.Allocate(std::forward<F>(fn), label, EventPool::kQueued);
+    queue_.Push({at, next_seq_++, index});
+    return EventHandle(&pool_, index, pool_.generation(index));
   }
 
   // Schedules |fn| to run |delay| after Now().
   template <typename F>
-  EventHandle ScheduleAfter(TimeNs delay, F&& fn, const char* label = nullptr)
-      MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return ScheduleAtLocked(now_ + delay, std::forward<F>(fn), label);
+  EventHandle ScheduleAfter(TimeNs delay, F&& fn, const char* label = nullptr) {
+    return ScheduleAt(now_ + delay, std::forward<F>(fn), label);
   }
 
   // Schedules |fn| every |period| starting at Now() + period, until the
@@ -109,9 +102,7 @@ class Simulation : public VirtualClock {
   // stored once and the pooled slot re-armed in place per firing — no
   // per-firing closure.
   template <typename F>
-  EventHandle SchedulePeriodic(TimeNs period, F&& fn, const char* label = nullptr)
-      MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  EventHandle SchedulePeriodic(TimeNs period, F&& fn, const char* label = nullptr) {
     const uint32_t index = pool_.Allocate(
         std::forward<F>(fn), label, EventPool::kPeriodic | EventPool::kQueued);
     pool_.payload(index).period = period;
@@ -121,30 +112,24 @@ class Simulation : public VirtualClock {
 
   // Installs (or, with null, removes) the event observer. The observer
   // must outlive the simulation or be removed first.
-  void SetEventObserver(EventObserver* observer) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    observer_ = observer;
-  }
+  void SetEventObserver(EventObserver* observer) { observer_ = observer; }
 
   // Runs until the queue is empty or Stop() is called. Returns the final
   // virtual time.
-  TimeNs Run() MIHN_EXCLUDES(mu_);
+  TimeNs Run();
 
   // Runs until virtual time reaches |deadline| (events at exactly |deadline|
   // are executed), the queue empties, or Stop() is called. The clock is left
   // at min(deadline, last event time); if the queue emptied early the clock
   // is advanced to |deadline| so RunUntil composes sequentially.
-  TimeNs RunUntil(TimeNs deadline) MIHN_EXCLUDES(mu_);
+  TimeNs RunUntil(TimeNs deadline);
 
   // RunUntil(Now() + duration).
-  TimeNs RunFor(TimeNs duration) MIHN_EXCLUDES(mu_);
+  TimeNs RunFor(TimeNs duration);
 
   // Makes Run()/RunUntil() return after the current event completes. Safe
-  // to call from inside a callback (the run loop releases mu_ around it).
-  void Stop() MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    stopped_ = true;
-  }
+  // to call from inside a callback.
+  void Stop() { stopped_ = true; }
 
   // Registers a hook fired whenever the simulation is about to advance the
   // virtual clock past the current timestamp — including when the event
@@ -155,90 +140,59 @@ class Simulation : public VirtualClock {
   // later-time event observes them. Hooks must be idempotent; they may
   // schedule new events (scheduling re-runs the advance decision). Cancel
   // via the returned handle; a cancelled hook is compacted out lazily.
-  EventHandle AddPreAdvanceHook(EventFn fn) MIHN_EXCLUDES(mu_);
+  EventHandle AddPreAdvanceHook(EventFn fn);
 
   // Number of events executed so far (for tests and engine benchmarks).
-  uint64_t events_executed() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return events_executed_;
-  }
+  uint64_t events_executed() const { return events_executed_; }
 
   // Exact number of events currently pending: cancelled-but-unreclaimed
   // queue entries are not counted (pre-advance hooks never are).
-  size_t pending_events() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return pool_.live_pending();
-  }
+  size_t pending_events() const { return pool_.live_pending(); }
 
   // Pool slab high-water mark (tests/benchmarks).
-  size_t event_pool_capacity() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return pool_.capacity();
-  }
+  size_t event_pool_capacity() const { return pool_.capacity(); }
 
   // Pre-sizes the event pool and queue for |n| concurrent pending events,
   // making steady-state dispatch allocation-free from the first event
   // instead of after organic high-water warm-up. Optional; sized workloads
   // (benchmarks, the allocation test) call it up front.
-  void ReserveEvents(size_t n) MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
+  void ReserveEvents(size_t n) {
     pool_.Reserve(n);
     queue_.Reserve(n, n, n);
   }
 
   // Derives a deterministic named random stream from the root seed.
-  Rng ForkRng(uint64_t stream_id) const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return root_rng_.Fork(stream_id);
-  }
+  Rng ForkRng(uint64_t stream_id) const { return root_rng_.Fork(stream_id); }
 
  private:
-  // ScheduleAt's body, for callers already inside the monitor.
-  template <typename F>
-  EventHandle ScheduleAtLocked(TimeNs at, F&& fn, const char* label)
-      MIHN_REQUIRES(mu_) {
-    if (at < now_) {
-      at = now_;
-    }
-    const uint32_t index =
-        pool_.Allocate(std::forward<F>(fn), label, EventPool::kQueued);
-    queue_.Push({at, next_seq_++, index});
-    return EventHandle(&pool_, index, pool_.generation(index));
-  }
-
   // Pops and executes the next event. Returns false if the queue is empty.
   // Fires pre-advance hooks before the clock moves past now_ (and before
-  // concluding the queue is empty). mu_ is RELEASED for the duration of
-  // the event callback and each observer callback.
-  bool Step() MIHN_REQUIRES(mu_);
+  // concluding the queue is empty).
+  bool Step();
 
   // Drops leading cancelled entries, reclaiming their slots, so the
   // advance decision sees the real next event time.
-  void PurgeCancelledMin() MIHN_REQUIRES(mu_);
+  void PurgeCancelledMin();
 
   // Post-callback bookkeeping for a fired slot: re-arm a live periodic in
   // place or retire the slot (the callback never leaves its slot).
-  void FinishFired(uint32_t index, bool periodic) MIHN_REQUIRES(mu_);
+  void FinishFired(uint32_t index, bool periodic);
 
-  // Runs all live pre-advance hooks (mu_ released around each hook body).
+  // Runs all live pre-advance hooks.
   // Returns true if any hook scheduled a new event (the caller must
   // re-evaluate what to run next).
-  bool FirePreAdvanceHooks() MIHN_REQUIRES(mu_);
+  bool FirePreAdvanceHooks();
 
-  // mu_ is mutable so const accessors (Now, pending_events, ForkRng, ...)
-  // can take the lock. pool_ and queue_ are monitors of their own, but
-  // belong to the engine's critical section: mu_ is always the outer lock.
-  mutable core::Mutex mu_;
-  TimeNs now_ MIHN_GUARDED_BY(mu_) = TimeNs::Zero();
-  uint64_t next_seq_ MIHN_GUARDED_BY(mu_) = 0;
-  uint64_t events_executed_ MIHN_GUARDED_BY(mu_) = 0;
-  bool stopped_ MIHN_GUARDED_BY(mu_) = false;
-  EventPool pool_ MIHN_GUARDED_BY(mu_);
-  CalendarQueue queue_ MIHN_GUARDED_BY(mu_);
+  TimeNs now_ = TimeNs::Zero();
+  uint64_t next_seq_ = 0;
+  uint64_t events_executed_ = 0;
+  bool stopped_ = false;
+  EventPool pool_;
+  CalendarQueue queue_;
   // Pool slot indices.
-  std::vector<uint32_t> pre_advance_hooks_ MIHN_GUARDED_BY(mu_);
-  EventObserver* observer_ MIHN_GUARDED_BY(mu_) = nullptr;
-  Rng root_rng_ MIHN_GUARDED_BY(mu_);
+  std::vector<uint32_t> pre_advance_hooks_;
+  EventObserver* observer_ = nullptr;
+  Rng root_rng_;
 };
 
 }  // namespace mihn::sim

@@ -47,7 +47,6 @@ std::string Path::ToString(const Topology& topo) const {
 
 std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst,
                                          const std::vector<LinkId>& excluded_links) const {
-  core::MutexLock lock(&mu_);
   if (!excluded_links.empty()) {
     // Exclusion sets are Yen-internal spur searches: high-cardinality keys
     // with near-zero reuse. Caching them would only bloat the memo.
@@ -61,7 +60,6 @@ std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst,
 }
 
 std::vector<Path> Router::KShortestPaths(ComponentId src, ComponentId dst, int k) const {
-  core::MutexLock lock(&mu_);
   if (k <= 0) {
     return {};
   }
@@ -69,7 +67,6 @@ std::vector<Path> Router::KShortestPaths(ComponentId src, ComponentId dst, int k
 }
 
 bool Router::SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded) {
-  core::MutexLock lock(&mu_);
   auto normalize = [](std::vector<LinkId>& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());

@@ -15,8 +15,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
 #include "src/sim/time.h"
 #include "src/sim/units.h"
 #include "src/topology/topology.h"
@@ -76,28 +74,22 @@ class Router {
   // exclusions are served from the cache (and only those honor link
   // health — explicit exclusion calls are raw graph queries).
   std::optional<Path> ShortestPath(ComponentId src, ComponentId dst,
-                                   const std::vector<LinkId>& excluded_links = {}) const
-      MIHN_EXCLUDES(mu_);
+                                   const std::vector<LinkId>& excluded_links = {}) const;
 
   // Up to |k| loop-free paths in nondecreasing base-latency order (Yen's
   // algorithm). Deterministic: ties broken by node-id sequence. Cached.
   // Dead links (SetLinkHealth) never appear in any returned path.
-  std::vector<Path> KShortestPaths(ComponentId src, ComponentId dst, int k) const
-      MIHN_EXCLUDES(mu_);
+  std::vector<Path> KShortestPaths(ComponentId src, ComponentId dst, int k) const;
 
   // Replaces the health sets. |dead| links are routed around
   // unconditionally; |degraded| links only when an alternative exists.
   // Returns true — and bumps fault_epoch(), flushing the memo — iff the
   // de-duplicated sets actually changed, so periodic re-syncs are free.
-  bool SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded)
-      MIHN_EXCLUDES(mu_);
+  bool SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded);
 
   // Monotonic counter of effective health changes. Folded into cache
   // invalidation; consumers (heartbeat mesh) watch it to re-resolve paths.
-  uint64_t fault_epoch() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return fault_epoch_;
-  }
+  uint64_t fault_epoch() const { return fault_epoch_; }
 
   struct CacheStats {
     uint64_t hits = 0;
@@ -105,47 +97,35 @@ class Router {
     uint64_t invalidations = 0;  // Epoch flushes observed.
   };
   // Snapshot by value: the memo (and its counters) can be flushed by any
-  // later query, so a reference would dangle semantically under threads.
-  CacheStats cache_stats() const MIHN_EXCLUDES(mu_) {
-    core::MutexLock lock(&mu_);
-    return stats_;
-  }
+  // later query.
+  CacheStats cache_stats() const { return stats_; }
 
  private:
   // Returns the memoized path set for (src, dst, k), computing on miss.
-  const std::vector<Path>& Cached(ComponentId src, ComponentId dst, int k) const
-      MIHN_REQUIRES(mu_);
+  const std::vector<Path>& Cached(ComponentId src, ComponentId dst, int k) const;
 
   std::optional<Path> ComputeShortestPath(ComponentId src, ComponentId dst,
-                                          const std::vector<LinkId>& excluded_links) const
-      MIHN_REQUIRES(mu_);
-  std::vector<Path> ComputeKShortestPaths(ComponentId src, ComponentId dst, int k) const
-      MIHN_REQUIRES(mu_);
+                                          const std::vector<LinkId>& excluded_links) const;
+  std::vector<Path> ComputeKShortestPaths(ComponentId src, ComponentId dst, int k) const;
 
   // Health-aware Dijkstra: avoid dead ∪ degraded, fall back to avoiding
   // only dead, nullopt when every route crosses a dead link.
-  std::optional<Path> ComputeHealthyShortestPath(ComponentId src, ComponentId dst) const
-      MIHN_REQUIRES(mu_);
-
-  // mu_ protects the memo and the health sets; const queries mutate the
-  // cache, so the lock (like the memo itself) is mutable.
-  mutable core::Mutex mu_;
+  std::optional<Path> ComputeHealthyShortestPath(ComponentId src, ComponentId dst) const;
 
   const Topology& topo_;
 
   // Link-health sets (sorted, de-duplicated) mirrored from the fabric's
   // fault table. fault_epoch_ moves only on effective change.
-  std::vector<LinkId> dead_links_ MIHN_GUARDED_BY(mu_);
-  std::vector<LinkId> degraded_links_ MIHN_GUARDED_BY(mu_);
-  uint64_t fault_epoch_ MIHN_GUARDED_BY(mu_) = 0;
+  std::vector<LinkId> dead_links_;
+  std::vector<LinkId> degraded_links_;
+  uint64_t fault_epoch_ = 0;
 
   // Memo state. Ordered map: iteration never observes hash order (D1), and
   // the key tuple gives deterministic, allocation-light lookups.
-  mutable std::map<std::tuple<ComponentId, ComponentId, int>, std::vector<Path>> cache_
-      MIHN_GUARDED_BY(mu_);
-  mutable uint64_t cached_version_ MIHN_GUARDED_BY(mu_) = 0;
-  mutable uint64_t cached_fault_epoch_ MIHN_GUARDED_BY(mu_) = 0;
-  mutable CacheStats stats_ MIHN_GUARDED_BY(mu_);
+  mutable std::map<std::tuple<ComponentId, ComponentId, int>, std::vector<Path>> cache_;
+  mutable uint64_t cached_version_ = 0;
+  mutable uint64_t cached_fault_epoch_ = 0;
+  mutable CacheStats stats_;
 };
 
 }  // namespace mihn::topology

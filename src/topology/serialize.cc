@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "src/core/read_number.h"
+
 namespace mihn::topology {
 namespace {
 
@@ -142,17 +144,17 @@ ParseResult FromText(std::string_view text) {
       LinkSpec spec = DefaultLinkSpec(*kind);
       for (size_t i = 4; i < tokens.size(); ++i) {
         if (const auto value = Attr(tokens[i], "gbps")) {
-          try {
-            spec.capacity = sim::Bandwidth::Gbps(std::stod(*value));
-          } catch (...) {
-            return fail("bad gbps value '" + *value + "'");
+          double gbps = 0.0;
+          if (!core::ReadNumber(*value, &gbps) || !(gbps > 0.0)) {
+            return fail("bad gbps value '" + *value + "' (want a finite number > 0)");
           }
+          spec.capacity = sim::Bandwidth::Gbps(gbps);
         } else if (const auto ns = Attr(tokens[i], "ns")) {
-          try {
-            spec.base_latency = sim::TimeNs::Nanos(std::stoll(*ns));
-          } catch (...) {
-            return fail("bad ns value '" + *ns + "'");
+          int64_t nanos = 0;
+          if (!core::ReadNumber(*ns, &nanos) || nanos < 0) {
+            return fail("bad ns value '" + *ns + "' (want an integer >= 0)");
           }
+          spec.base_latency = sim::TimeNs::Nanos(nanos);
         } else {
           return fail("unknown link attribute '" + tokens[i] + "'");
         }

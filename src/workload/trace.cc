@@ -3,6 +3,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/core/read_number.h"
+
 namespace mihn::workload {
 
 std::string TraceToCsv(const std::vector<TraceEvent>& events) {
@@ -21,6 +23,10 @@ TraceParseResult TraceFromCsv(std::string_view text) {
   std::string line;
   int line_no = 0;
   bool saw_header = false;
+  auto fail = [&](const std::string& message) {
+    result.error = "line " + std::to_string(line_no) + ": " + message;
+    return result;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) {
@@ -28,8 +34,7 @@ TraceParseResult TraceFromCsv(std::string_view text) {
     }
     if (!saw_header) {
       if (line != "at_ns,src,dst,bytes,tenant,ddio") {
-        result.error = "line 1: missing trace header";
-        return result;
+        return fail("missing trace header");
       }
       saw_header = true;
       continue;
@@ -41,23 +46,28 @@ TraceParseResult TraceFromCsv(std::string_view text) {
       parts.push_back(field);
     }
     if (parts.size() != 6) {
-      result.error = "line " + std::to_string(line_no) + ": expected 6 fields, got " +
-                     std::to_string(parts.size());
-      return result;
+      return fail("expected 6 fields, got " + std::to_string(parts.size()));
     }
-    try {
-      TraceEvent event;
-      event.at = sim::TimeNs::Nanos(std::stoll(parts[0]));
-      event.src = parts[1];
-      event.dst = parts[2];
-      event.bytes = std::stoll(parts[3]);
-      event.tenant = static_cast<fabric::TenantId>(std::stoi(parts[4]));
-      event.ddio_write = parts[5] == "1";
-      result.events.push_back(std::move(event));
-    } catch (...) {
-      result.error = "line " + std::to_string(line_no) + ": bad numeric field";
-      return result;
+    int64_t at_ns = 0;
+    TraceEvent event;
+    int ddio = 0;
+    if (!core::ReadNumber(parts[0], &at_ns) || at_ns < 0) {
+      return fail("bad at_ns '" + parts[0] + "' (want an integer >= 0)");
     }
+    if (!core::ReadNumber(parts[3], &event.bytes) || event.bytes < 0) {
+      return fail("bad bytes '" + parts[3] + "' (want an integer >= 0)");
+    }
+    if (!core::ReadNumber(parts[4], &event.tenant) || event.tenant < fabric::kNoTenant) {
+      return fail("bad tenant '" + parts[4] + "' (want an integer >= -1)");
+    }
+    if (!core::ReadNumber(parts[5], &ddio) || (ddio != 0 && ddio != 1)) {
+      return fail("bad ddio '" + parts[5] + "' (want 0 or 1)");
+    }
+    event.at = sim::TimeNs::Nanos(at_ns);
+    event.src = parts[1];
+    event.dst = parts[2];
+    event.ddio_write = ddio == 1;
+    result.events.push_back(std::move(event));
   }
   if (!saw_header) {
     result.error = "empty trace";

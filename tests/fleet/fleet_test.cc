@@ -144,7 +144,8 @@ TEST(FleetTest, DigestIndependentOfPlacementOrder) {
 
 // The tentpole gate: the parallel settle + reduction must be invisible in
 // the telemetry. Byte-identical digests across worker counts, including
-// 0/1 (serial, no pool) and widths beyond the machine's core count.
+// 0/1 (serial: a width-1 pool, no helper threads) and widths beyond the
+// machine's core count.
 TEST(FleetTest, DigestIndependentOfWorkerCount256Hosts) {
   std::string baseline_report;
   Fleet::Options serial;
@@ -376,8 +377,8 @@ TEST(FleetTest, HostTemplateOptionsApply) {
   options.host.preset = HostNetwork::Preset::kEdgeNode;
   Fleet fleet(2, options);
   EXPECT_EQ(fleet.host(0).server().gpus.size(), 0u);
-  EXPECT_FALSE(fleet.host(0).owns_clock());
-  EXPECT_FALSE(fleet.host(1).owns_clock());
+  EXPECT_EQ(&fleet.host(0).simulation(), &fleet.simulation());
+  EXPECT_EQ(&fleet.host(1).simulation(), &fleet.simulation());
 }
 
 }  // namespace

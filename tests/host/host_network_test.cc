@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <utility>
 
 namespace mihn {
 namespace {
@@ -11,7 +10,8 @@ namespace {
 using sim::TimeNs;
 
 TEST(HostNetworkTest, DefaultBuildIsWired) {
-  HostNetwork host;
+  sim::Simulation sim;
+  HostNetwork host(sim);
   EXPECT_EQ(host.topo().Validate(), "");
   EXPECT_EQ(host.Now(), TimeNs::Zero());
   EXPECT_GT(host.topo().component_count(), 10u);
@@ -23,15 +23,17 @@ TEST(HostNetworkTest, PresetsSelectTopology) {
   HostNetwork::Options options;
   options.preset = HostNetwork::Preset::kEdgeNode;
   options.autostart = HostNetwork::Autostart::kNone;
-  HostNetwork edge(options);
+  sim::Simulation sim;
+  HostNetwork edge(sim, options);
   EXPECT_EQ(edge.server().gpus.size(), 0u);
   options.preset = HostNetwork::Preset::kDgxClass;
-  HostNetwork dgx(options);
+  HostNetwork dgx(sim, options);
   EXPECT_EQ(dgx.server().gpus.size(), 8u);
 }
 
 TEST(HostNetworkTest, RunForAdvancesClock) {
-  HostNetwork host;
+  sim::Simulation sim;
+  HostNetwork host(sim);
   host.RunFor(TimeNs::Millis(3));
   EXPECT_EQ(host.Now(), TimeNs::Millis(3));
   host.RunFor(TimeNs::Millis(2));
@@ -39,7 +41,8 @@ TEST(HostNetworkTest, RunForAdvancesClock) {
 }
 
 TEST(HostNetworkTest, AutoStartedCollectorReportsToMonitorStore) {
-  HostNetwork host;
+  sim::Simulation sim;
+  HostNetwork host(sim);
   host.RunFor(TimeNs::Millis(10));
   EXPECT_GT(host.collector().samples_taken(), 0u);
   EXPECT_GT(host.collector().bytes_reported(), 0);
@@ -48,13 +51,15 @@ TEST(HostNetworkTest, AutoStartedCollectorReportsToMonitorStore) {
 TEST(HostNetworkTest, ReportingCanBeDisabled) {
   HostNetwork::Options options;
   options.autostart = HostNetwork::Autostart::kAllUnreported;
-  HostNetwork host(options);
+  sim::Simulation sim;
+  HostNetwork host(sim, options);
   host.RunFor(TimeNs::Millis(10));
   EXPECT_EQ(host.collector().bytes_reported(), 0);
 }
 
 TEST(HostNetworkTest, DevicesListCoversEndpoints) {
-  HostNetwork host;
+  sim::Simulation sim;
+  HostNetwork host(sim);
   const auto devices = host.Devices();
   const auto& server = host.server();
   EXPECT_EQ(devices.size(),
@@ -62,7 +67,8 @@ TEST(HostNetworkTest, DevicesListCoversEndpoints) {
 }
 
 TEST(HostNetworkTest, MakeHeartbeatMeshDefaultsToDevices) {
-  HostNetwork host;
+  sim::Simulation sim;
+  HostNetwork host(sim);
   auto mesh = host.MakeHeartbeatMesh();
   const size_t n = host.Devices().size();
   EXPECT_EQ(mesh->pair_count(), n * (n - 1));
@@ -74,20 +80,10 @@ TEST(HostNetworkTest, CustomServerConstructor) {
   spec.gpus_per_leaf = 3;
   HostNetwork::Options options;
   options.autostart = HostNetwork::Autostart::kNone;
-  HostNetwork host(topology::BuildServer(spec), options);
+  sim::Simulation sim;
+  HostNetwork host(sim, topology::BuildServer(spec), options);
   EXPECT_EQ(host.server().gpus.size(), 6u);  // 2 root ports x 1 switch x 3.
   EXPECT_EQ(host.topo().Validate(), "");
-}
-
-TEST(HostNetworkTest, SeedControlsDeterminism) {
-  auto fingerprint = [](uint64_t seed) {
-    HostNetwork::Options options;
-    options.seed = seed;
-    HostNetwork host(options);
-    return host.simulation().ForkRng(1).NextU64();
-  };
-  EXPECT_EQ(fingerprint(7), fingerprint(7));
-  EXPECT_NE(fingerprint(7), fingerprint(8));
 }
 
 // -- Clock injection ----------------------------------------------------------
@@ -96,36 +92,6 @@ HostNetwork::Options Quiet() {
   HostNetwork::Options options;
   options.autostart = HostNetwork::Autostart::kNone;
   return options;
-}
-
-// Elastic SSD -> DIMM flow; returns (bytes_moved, rate) after |run|.
-std::pair<double, double> DriveOneFlow(HostNetwork& host, TimeNs run) {
-  fabric::FlowSpec spec;
-  spec.path = *host.fabric().Route(host.server().ssds[0], host.server().dimms[0]);
-  spec.tenant = 1;
-  const fabric::FlowId id = host.fabric().StartFlow(spec);
-  host.simulation().RunFor(run);
-  const auto info = host.fabric().GetFlowInfo(id);
-  return {static_cast<double>(info->bytes_moved), info->rate.bytes_per_sec()};
-}
-
-TEST(HostNetworkTest, BorrowedClockMatchesOwnedClock) {
-  // The owning wrappers are *thin*: an owned host seeded with s and a
-  // borrowed host on a caller-made Simulation(s) must be byte-identical.
-  HostNetwork::Options options = Quiet();
-  options.seed = 42;
-  HostNetwork owned(options);
-  ASSERT_TRUE(owned.owns_clock());
-  const auto owned_result = DriveOneFlow(owned, TimeNs::Millis(5));
-
-  sim::Simulation sim(42);
-  HostNetwork borrowed(sim, Quiet());
-  ASSERT_FALSE(borrowed.owns_clock());
-  const auto borrowed_result = DriveOneFlow(borrowed, TimeNs::Millis(5));
-
-  EXPECT_EQ(owned_result.first, borrowed_result.first);
-  EXPECT_EQ(owned_result.second, borrowed_result.second);
-  EXPECT_EQ(owned.simulation().ForkRng(9).NextU64(), sim.ForkRng(9).NextU64());
 }
 
 TEST(HostNetworkTest, TwoHostsShareOneClockWithInterleavedEvents) {

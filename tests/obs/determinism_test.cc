@@ -18,7 +18,6 @@ namespace {
 
 std::string TracedRun(uint64_t seed) {
   HostNetwork::Options options;
-  options.seed = seed;
   options.trace.enabled = true;
   sim::Simulation sim(seed);
   HostNetwork host(sim, options);

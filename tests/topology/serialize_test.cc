@@ -78,6 +78,24 @@ TEST(SerializeTest, ErrorsCiteLineNumbers) {
       {"component s0 cpu_socket\nlink s0 s0 intra_socket\n", "self-loop"},
       {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=xyz\n",
        "bad gbps"},
+      // Numbers are whole tokens; capacities are finite and positive,
+      // latencies are integers >= 0.
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=10junk\n",
+       "line 3: bad gbps"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host ns=12abc\n",
+       "line 3: bad ns"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=nan\n",
+       "line 3: bad gbps"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=inf\n",
+       "line 3: bad gbps"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=-5\n",
+       "line 3: bad gbps"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host gbps=0\n",
+       "line 3: bad gbps"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host ns=-3\n",
+       "line 3: bad ns"},
+      {"component s0 cpu_socket\ncomponent n nic\nlink s0 n inter_host ns=1.5\n",
+       "line 3: bad ns"},
   };
   for (const Case& c : cases) {
     const ParseResult parsed = FromText(c.text);

@@ -29,6 +29,10 @@ TEST(TraceTest, CsvRoundTrip) {
   const TraceParseResult parsed = TraceFromCsv(csv);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_EQ(parsed.events, events);
+  // An untagged event writes tenant -1 (kNoTenant) and must read back.
+  const std::vector<TraceEvent> untagged = {
+      {TimeNs::Zero(), "nic0", "s0", 0, fabric::kNoTenant, false}};
+  EXPECT_EQ(TraceFromCsv(TraceToCsv(untagged)).events, untagged);
 }
 
 TEST(TraceTest, ParseErrors) {
@@ -40,6 +44,23 @@ TEST(TraceTest, ParseErrors) {
   EXPECT_NE(TraceFromCsv("at_ns,src,dst,bytes,tenant,ddio\n1,a,b,1,1,0\nxx,a,b\n")
                 .error.find("line 3"),
             std::string::npos);
+  // Numbers are whole tokens; at_ns and bytes are >= 0, tenant >= -1
+  // (kNoTenant), ddio 0 or 1.
+  struct Case {
+    const char* row;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"1junk,a,b,1,1,0", "line 2: bad at_ns"}, {"-1,a,b,1,1,0", "line 2: bad at_ns"},
+      {"1,a,b,5x,1,0", "line 2: bad bytes"},    {"1,a,b,-5,1,0", "line 2: bad bytes"},
+      {"1,a,b,1,2y,0", "line 2: bad tenant"},   {"1,a,b,1,-2,0", "line 2: bad tenant"},
+      {"1,a,b,1,1,2", "line 2: bad ddio"},      {"1,a,b,1,1,yes", "line 2: bad ddio"},
+  };
+  for (const Case& c : cases) {
+    const std::string csv = std::string("at_ns,src,dst,bytes,tenant,ddio\n") + c.row + "\n";
+    EXPECT_NE(TraceFromCsv(csv).error.find(c.expect), std::string::npos)
+        << c.row << " -> " << TraceFromCsv(csv).error;
+  }
 }
 
 TEST(TraceTest, ReplayIssuesAllTransfers) {

@@ -307,121 +307,6 @@ void RuleApiDrift(RuleContext& ctx) {
   }
 }
 
-// -- D8 owned clock -----------------------------------------------------------
-//
-// HostNetwork's owning constructors (which allocate a private
-// sim::Simulation) are compatibility wrappers for downstream users; repo
-// code must use the clock-injection constructors so hosts can share one
-// virtual clock (the fleet seam). Lexical heuristic: at every HostNetwork
-// construction expression, the first constructor argument must mention an
-// identifier containing "sim" — `sim`, `simulation()`, `*sim_`,
-// `fleet.simulation()` all qualify; `options`, `Quiet()`, empty argument
-// lists do not. Misclassification degrades to a false finding carrying the
-// clock-ok suppression hint, never a crash.
-
-// Wrapper definition sites, plus the one test that exercises the owning
-// wrappers' equivalence with the injected path.
-bool ExemptFromOwnedClock(const std::string& rel_path) {
-  return IsOneOf(rel_path, {"src/host/host_network.h", "src/host/host_network.cc",
-                            "tests/host/host_network_test.cc"});
-}
-
-bool MentionsSimIdent(const std::vector<Token>& toks, size_t begin, size_t end) {
-  for (size_t i = begin; i < end && i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent) {
-      continue;
-    }
-    std::string lower(toks[i].text);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    if (lower.find("sim") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// The end (exclusive) of the first constructor argument starting at
-// |begin|: the first top-level ',' or the matching close of |open|.
-size_t FirstArgEnd(const std::vector<Token>& toks, size_t begin, std::string_view open) {
-  const std::string_view close = open == "(" ? ")" : "}";
-  int depth = 0;
-  for (size_t i = begin; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kPunct) {
-      continue;
-    }
-    if (t.text == "(" || t.text == "{" || t.text == "[") {
-      ++depth;
-    } else if (t.text == ")" || t.text == "}" || t.text == "]") {
-      if (depth == 0 && t.text == close) {
-        return i;
-      }
-      --depth;
-    } else if (t.text == "," && depth == 0) {
-      return i;
-    }
-  }
-  return toks.size();
-}
-
-void RuleOwnedClock(RuleContext& ctx) {
-  if (ExemptFromOwnedClock(ctx.rel_path)) {
-    return;
-  }
-  const std::vector<Token>& toks = ctx.ft.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (!IsIdent(toks[i], "HostNetwork")) {
-      continue;
-    }
-    // Skip non-construction mentions: class/struct declarations, qualified
-    // names (HostNetwork::Preset), and pure type positions (HostNetwork&,
-    // HostNetwork*, parameter lists).
-    if (i > 0 && (IsIdent(toks[i - 1], "class") || IsIdent(toks[i - 1], "struct"))) {
-      continue;
-    }
-    if (i + 1 >= toks.size()) {
-      continue;
-    }
-    size_t args_begin = 0;
-    std::string_view open;
-    const Token& next = toks[i + 1];
-    if (IsPunct(next, ">") && i + 2 < toks.size() && IsPunct(toks[i + 2], "(")) {
-      // make_unique<HostNetwork>(...) and friends.
-      args_begin = i + 3;
-      open = "(";
-    } else if (next.kind == TokKind::kIdent) {
-      // HostNetwork host(...);  HostNetwork host{...};  HostNetwork host;
-      if (i + 2 >= toks.size()) {
-        continue;
-      }
-      const Token& after_name = toks[i + 2];
-      if (IsPunct(after_name, ";")) {
-        Report(ctx, static_cast<size_t>(toks[i].line) - 1, "clock-ok", "D8:owned-clock",
-               "default-constructed HostNetwork owns a private clock; inject a shared "
-               "sim::Simulation (HostNetwork host(sim)) so hosts can share virtual time");
-        continue;
-      }
-      if (!IsPunct(after_name, "(") && !IsPunct(after_name, "{")) {
-        continue;
-      }
-      args_begin = i + 3;
-      open = after_name.text;
-    } else {
-      continue;
-    }
-    if (args_begin == 0) {
-      continue;
-    }
-    const size_t args_end = FirstArgEnd(toks, args_begin, open);
-    if (args_end == args_begin || !MentionsSimIdent(toks, args_begin, args_end)) {
-      Report(ctx, static_cast<size_t>(toks[i].line) - 1, "clock-ok", "D8:owned-clock",
-             "HostNetwork constructed through an owning (private-clock) constructor; pass "
-             "a caller-owned sim::Simulation as the first argument instead");
-    }
-  }
-}
-
 // -- D7 mutable state & D9 guarded-by (shared structural pass) ----------------
 //
 // A lightweight scope walk over the token stream: every '{' is classified
@@ -435,10 +320,9 @@ void RuleOwnedClock(RuleContext& ctx) {
 enum class ScopeKind { kNamespace, kClass, kEnum, kFunction, kInit };
 
 bool IsTsaMarker(std::string_view x) {
-  return x == "MIHN_GUARDED_BY" || x == "MIHN_PT_GUARDED_BY" || x == "MIHN_REQUIRES" ||
-         x == "MIHN_EXCLUDES" || x == "MIHN_ACQUIRE" || x == "MIHN_RELEASE" ||
-         x == "MIHN_CAPABILITY" || x == "MIHN_SCOPED_CAPABILITY" ||
-         x == "MIHN_RETURN_CAPABILITY" || x == "MIHN_NO_THREAD_SAFETY_ANALYSIS";
+  return x == "MIHN_GUARDED_BY" || x == "MIHN_REQUIRES" || x == "MIHN_ACQUIRE" ||
+         x == "MIHN_RELEASE" || x == "MIHN_CAPABILITY" || x == "MIHN_SCOPED_CAPABILITY" ||
+         x == "MIHN_NO_THREAD_SAFETY_ANALYSIS";
 }
 
 // Tokens from lines that are not preprocessor directives (directive bodies
@@ -547,7 +431,7 @@ struct SegmentInfo {
   bool is_function = false;  // '(' at top level before any '=' — a declarator of a callable.
   bool has_const = false;
   bool has_static = false;
-  bool has_guard = false;       // MIHN_GUARDED_BY / MIHN_PT_GUARDED_BY present.
+  bool has_guard = false;       // MIHN_GUARDED_BY present.
   bool has_tsa_marker = false;  // Any thread-safety annotation present.
   bool is_mutex = false;        // Declares the capability itself.
   bool is_atomic = false;       // std::atomic members are internally synchronized.
@@ -602,7 +486,7 @@ SegmentInfo AnalyzeDecl(const std::vector<Token>& toks, size_t b, size_t e) {
     const std::string_view x = t.text;
     if (IsTsaMarker(x)) {
       info.has_tsa_marker = true;
-      if (x == "MIHN_GUARDED_BY" || x == "MIHN_PT_GUARDED_BY") {
+      if (x == "MIHN_GUARDED_BY") {
         info.has_guard = true;
       }
       if (i + 1 < e && IsPunct(toks[i + 1], "(")) {
@@ -628,8 +512,7 @@ SegmentInfo AnalyzeDecl(const std::vector<Token>& toks, size_t b, size_t e) {
       info.has_const = true;
     } else if (x == "static" || x == "thread_local") {
       info.has_static = true;
-    } else if (x == "Mutex" || x == "MutexLock" || x == "SyncMutex" || x == "SyncMutexLock" ||
-               x == "mutex") {
+    } else if (x == "SyncMutex" || x == "SyncMutexLock" || x == "mutex") {
       // Lock objects are the capability itself, never guarded state. "mutex"
       // covers the std::mutex a real lock (core::SyncMutex) wraps.
       info.is_mutex = true;
@@ -816,7 +699,6 @@ std::vector<Finding> CheckFileText(const std::string& rel_path, const FileText& 
   }
   if (RuleOn(options, "D8")) {
     RuleApiDrift(ctx);
-    RuleOwnedClock(ctx);
   }
   const bool d7 = RuleOn(options, "D7");
   const bool d9 = RuleOn(options, "D9");

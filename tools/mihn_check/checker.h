@@ -49,25 +49,14 @@
 //                            both migrations are finished, so the allowlists
 //                            are empty and the bans only stop revivals.
 //                            Suppress: drift-ok(...)
-//      owned-clock           HostNetwork must be constructed through the
-//                            clock-injection constructors (first argument a
-//                            caller-owned sim::Simulation — lexically, the
-//                            first constructor argument must mention an
-//                            identifier containing "sim"). The owning
-//                            wrappers that allocate a private clock are for
-//                            downstream users only; sharing one clock is the
-//                            fleet seam. Exempt: the wrapper definition
-//                            sites (src/host/host_network.{h,cc}) and the
-//                            owning-vs-injected equivalence test
-//                            (tests/host/host_network_test.cc). Suppress:
-//                            clock-ok(...)
 //   D9 guarded-by            a class that opts into thread-safety
 //                            annotations (any MIHN_GUARDED_BY/MIHN_REQUIRES
-//                            marker, or a core::Mutex / core::SyncMutex
-//                            member) must annotate every mutable data member
-//                            with MIHN_GUARDED_BY(...). const, static,
-//                            std::atomic and lock members (Mutex, SyncMutex,
+//                            marker, or a core::SyncMutex member) must
+//                            annotate every mutable data member with
+//                            MIHN_GUARDED_BY(...). const, static,
+//                            std::atomic and lock members (SyncMutex,
 //                            std::mutex — the capability itself) are exempt.
+//                            Today only core::WorkerPool opts in.
 //                            Suppress: guarded-ok(...)
 //
 // A suppression annotation must sit on the offending line or on an

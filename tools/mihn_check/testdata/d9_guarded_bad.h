@@ -6,27 +6,26 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
+#include "src/core/worker_pool.h"
 
 namespace fixture {
 
 class Ring {
  public:
-  void Push(int v) MIHN_EXCLUDES(mu_) {
-    mihn::core::MutexLock lock(&mu_);
+  // Callers hold mu_.
+  void Push(int v) MIHN_REQUIRES(mu_) {
     buf_.push_back(v);
     ++writes_;
   }
 
  private:
-  mutable mihn::core::Mutex mu_;
+  mihn::core::SyncMutex mu_;
   std::vector<int> buf_;    // BAD: no MIHN_GUARDED_BY.
   uint64_t writes_ = 0;     // BAD: no MIHN_GUARDED_BY.
   const int capacity_ = 8;  // OK: const.
 };
 
-// A real-lock monitor (core::SyncMutex) opts in exactly like the no-op one.
+// A SyncMutex member alone opts a class in.
 class Pool {
  private:
   mihn::core::SyncMutex mu_;  // OK: the capability itself.

@@ -8,22 +8,20 @@
 #include <mutex>
 #include <vector>
 
-#include "src/core/mutex.h"
-#include "src/core/thread_annotations.h"
 #include "src/core/worker_pool.h"
 
 namespace fixture {
 
 class Ring {
  public:
-  void Push(int v) MIHN_EXCLUDES(mu_) {
-    mihn::core::MutexLock lock(&mu_);
+  void Push(int v) {
+    mihn::core::SyncMutexLock lock(&mu_);
     buf_.push_back(v);
     ++writes_;
   }
 
  private:
-  mutable mihn::core::Mutex mu_;
+  mihn::core::SyncMutex mu_;
   std::vector<int> buf_ MIHN_GUARDED_BY(mu_);
   uint64_t writes_ MIHN_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> drops_{0};   // OK: atomic.
@@ -33,11 +31,11 @@ class Ring {
   std::vector<int> scratch_;
 };
 
-// A real-lock monitor: SyncMutex (and the std::mutex it wraps) is the
-// capability itself, exempt like core::Mutex; guarded state still annotates.
+// SyncMutex (and the std::mutex it wraps) is the capability itself, exempt
+// from guarding; guarded state still annotates.
 class Pool {
  public:
-  void Bump() MIHN_EXCLUDES(mu_) {
+  void Bump() {
     mihn::core::SyncMutexLock lock(&mu_);
     ++rounds_;
   }
