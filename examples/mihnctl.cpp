@@ -16,11 +16,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "src/anomaly/misconfig.h"
+#include "src/core/read_file.h"
 #include "src/host/host_network.h"
 #include "src/diagnose/session.h"
 #include "src/topology/serialize.h"
@@ -70,14 +69,13 @@ int main(int argc, char** argv) {
   if (topo_file.empty()) {
     host = std::make_unique<HostNetwork>(sim, options);
   } else {
-    std::ifstream in(topo_file);
-    if (!in) {
-      std::fprintf(stderr, "mihnctl: cannot open '%s'\n", topo_file.c_str());
+    std::string text;
+    std::string error;
+    if (!core::ReadBoundedFile(topo_file, &text, &error)) {
+      std::fprintf(stderr, "mihnctl: %s\n", error.c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto parsed = topology::FromText(text.str());
+    auto parsed = topology::FromText(text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "mihnctl: parse error: %s\n", parsed.error.c_str());
       return 2;

@@ -14,11 +14,16 @@ void DetectorBank::Attach(std::string metric_key, std::unique_ptr<Detector> dete
 std::vector<Anomaly> DetectorBank::Scan(const telemetry::Collector& collector) {
   std::vector<Anomaly> fired;
   for (Attachment& a : attachments_) {
-    const sim::TimeSeries* series = collector.Series(a.metric);
-    if (series == nullptr) {
-      continue;
+    if (a.source != &collector) {
+      a.series = collector.Series(a.metric);
+      a.source = a.series == nullptr ? nullptr : &collector;
+      if (a.series == nullptr) {
+        continue;
+      }
     }
-    for (const sim::TimePoint& p : series->Window(a.last_seen + sim::TimeNs::Nanos(1))) {
+    const sim::TimeSeries& series = *a.series;
+    for (size_t i = series.FirstAfter(a.last_seen); i < series.size(); ++i) {
+      const sim::TimePoint& p = series.At(i);
       a.last_seen = p.time;
       if (auto anomaly = a.detector->Observe(p.time, p.value)) {
         anomaly->metric = a.metric;

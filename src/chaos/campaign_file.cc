@@ -1,12 +1,12 @@
 #include "src/chaos/campaign_file.h"
 
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/read_file.h"
 #include "src/core/read_number.h"
 #include "src/topology/component.h"
 #include "src/topology/link.h"
@@ -323,14 +323,11 @@ bool ParseCampaignText(std::string_view text, CampaignConfig* config,
 
 bool LoadCampaignFile(const std::string& path, CampaignConfig* config,
                       std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    *error = "cannot open " + path;
+  std::string text;
+  if (!core::ReadBoundedFile(path, &text, error)) {
     return false;
   }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return ParseCampaignText(text.str(), config, error);
+  return ParseCampaignText(text, config, error);
 }
 
 }  // namespace mihn::chaos

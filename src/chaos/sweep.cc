@@ -7,6 +7,7 @@
 
 #include "src/chaos/campaign_file.h"
 #include "src/chaos/json_util.h"
+#include "src/core/read_file.h"
 #include "src/core/read_number.h"
 
 namespace mihn::chaos {
@@ -395,16 +396,13 @@ bool ParseSweepText(std::string_view text, const std::string& base_dir,
 }
 
 bool LoadSweepFile(const std::string& path, SweepConfig* config, std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    *error = "cannot open " + path;
+  std::string text;
+  if (!core::ReadBoundedFile(path, &text, error)) {
     return false;
   }
-  std::ostringstream text;
-  text << file.rdbuf();
   const size_t slash = path.find_last_of('/');
   const std::string base_dir = slash == std::string::npos ? "" : path.substr(0, slash);
-  return ParseSweepText(text.str(), base_dir, config, error);
+  return ParseSweepText(text, base_dir, config, error);
 }
 
 }  // namespace mihn::chaos

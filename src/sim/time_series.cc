@@ -2,32 +2,44 @@
 
 #include <algorithm>
 
+#include "src/core/check.h"
+
 namespace mihn::sim {
 
-TimeSeries::TimeSeries(size_t capacity) : buffer_(std::max<size_t>(capacity, 1)) {}
+TimeSeries::TimeSeries(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
 void TimeSeries::Append(TimeNs time, double value) {
-  if (size_ == buffer_.size()) {
-    buffer_[head_] = TimePoint{time, value};
-    head_ = (head_ + 1) % buffer_.size();
-    ++dropped_;
-  } else {
-    buffer_[(head_ + size_) % buffer_.size()] = TimePoint{time, value};
-    ++size_;
+  MIHN_DCHECK(buffer_.empty() || time >= Latest().time);
+  if (buffer_.size() < capacity_) {
+    if (buffer_.size() == buffer_.capacity()) {
+      // Double, but never hold storage for more than capacity_ points.
+      buffer_.reserve(std::min(capacity_, std::max<size_t>(8, 2 * buffer_.size())));
+    }
+    buffer_.push_back(TimePoint{time, value});
+    return;
   }
+  buffer_[head_] = TimePoint{time, value};
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  ++dropped_;
 }
 
-const TimePoint& TimeSeries::At(size_t i) const { return buffer_[(head_ + i) % buffer_.size()]; }
+size_t TimeSeries::FirstAfter(TimeNs t) const {
+  size_t i = buffer_.size();
+  while (i > 0 && At(i - 1).time > t) {
+    --i;
+  }
+  return i;
+}
 
 void TimeSeries::ForEach(const std::function<void(const TimePoint&)>& fn) const {
-  for (size_t i = 0; i < size_; ++i) {
+  for (size_t i = 0; i < buffer_.size(); ++i) {
     fn(At(i));
   }
 }
 
 RunningStats TimeSeries::StatsSince(TimeNs since) const {
   RunningStats stats;
-  for (size_t i = 0; i < size_; ++i) {
+  for (size_t i = 0; i < buffer_.size(); ++i) {
     const TimePoint& p = At(i);
     if (p.time >= since) {
       stats.Add(p.value);
@@ -37,31 +49,20 @@ RunningStats TimeSeries::StatsSince(TimeNs since) const {
 }
 
 double TimeSeries::MeanOfLast(size_t n) const {
-  if (size_ == 0) {
+  if (buffer_.empty()) {
     return 0.0;
   }
-  const size_t take = std::min(n, size_);
+  const size_t take = std::min(n, buffer_.size());
   double sum = 0.0;
-  for (size_t i = size_ - take; i < size_; ++i) {
+  for (size_t i = buffer_.size() - take; i < buffer_.size(); ++i) {
     sum += At(i).value;
   }
   return sum / static_cast<double>(take);
 }
 
-std::vector<TimePoint> TimeSeries::Window(TimeNs since) const {
-  std::vector<TimePoint> out;
-  for (size_t i = 0; i < size_; ++i) {
-    const TimePoint& p = At(i);
-    if (p.time >= since) {
-      out.push_back(p);
-    }
-  }
-  return out;
-}
-
 void TimeSeries::Clear() {
+  buffer_.clear();
   head_ = 0;
-  size_ = 0;
   dropped_ = 0;
 }
 

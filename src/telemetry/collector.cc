@@ -35,13 +35,8 @@ void Collector::Stop() {
   timer_.Cancel();
 }
 
-void Collector::Record(const std::string& key, double value) {
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, sim::TimeSeries(config_.series_capacity)).first;
-  }
-  it->second.Append(fabric_.simulation().Now(), value);
-  ++last_tick_metrics_;
+sim::TimeSeries& Collector::Resolve(std::string key) {
+  return series_.try_emplace(std::move(key), config_.series_capacity).first->second;
 }
 
 void Collector::SampleOnce() {
@@ -52,36 +47,64 @@ void Collector::SampleOnce() {
 
   const sim::TimeNs now = fabric_.simulation().Now();
   const double dt = (now - last_sample_time_).ToSecondsF();
-  for (const fabric::LinkSnapshot& snap : fabric_.SnapshotAll()) {
-    Record(LinkUtilKey(snap.link, snap.forward), snap.utilization);
-    Record(LinkRateKey(snap.link, snap.forward), snap.rate_bps);
-    Record(LinkBytesKey(snap.link, snap.forward), snap.bytes_total);
+  // Appends to the series behind |handle|, resolving it from |key()| the
+  // first time the series appears.
+  auto put = [&](sim::TimeSeries*& handle, const auto& key, double value) {
+    if (handle == nullptr) {
+      handle = &Resolve(key());
+    }
+    handle->Append(now, value);
+    ++last_tick_metrics_;
+  };
+  // Slots, like series, appear at the first sample: a collector that never
+  // samples (a fleet host's) costs nothing.
+  const std::vector<fabric::LinkSnapshot> snapshots = fabric_.SnapshotAll();
+  link_slots_.resize(snapshots.size());
+  if (fine && socket_slots_.empty()) {
+    for (const topology::ComponentId socket :
+         fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {
+      socket_slots_.push_back(SocketSlot{socket});
+    }
+  }
+  for (const fabric::LinkSnapshot& snap : snapshots) {
+    const topology::LinkId link = snap.link;
+    const bool forward = snap.forward;
+    LinkSlot& slot = link_slots_[static_cast<size_t>(topology::DirectedIndex({link, forward}))];
+    put(slot.util, [&] { return LinkUtilKey(link, forward); }, snap.utilization);
+    put(slot.rate, [&] { return LinkRateKey(link, forward); }, snap.rate_bps);
+    put(slot.bytes, [&] { return LinkBytesKey(link, forward); }, snap.bytes_total);
     // Byte-delta throughput: covers fluid AND packet traffic.
-    const int32_t index = topology::DirectedIndex({snap.link, snap.forward});
-    double& prev = prev_bytes_[index];
-    const double thpt = (dt > 0.0 && samples_taken_ > 1) ? (snap.bytes_total - prev) / dt : 0.0;
-    prev = snap.bytes_total;
-    Record(LinkThroughputKey(snap.link, snap.forward), thpt);
+    const double thpt =
+        (dt > 0.0 && samples_taken_ > 1) ? (snap.bytes_total - slot.prev_bytes) / dt : 0.0;
+    slot.prev_bytes = snap.bytes_total;
+    put(slot.thpt, [&] { return LinkThroughputKey(link, forward); }, thpt);
     if (fine) {
+      // Both sides are sorted by tenant id, so one forward walk pairs them.
+      auto entry = slot.tenant_rate.begin();
       for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
-        Record(TenantRateKey(snap.link, snap.forward, tenant), rate);
+        entry = std::lower_bound(entry, slot.tenant_rate.end(), tenant,
+                                 [](const auto& e, fabric::TenantId t) { return e.first < t; });
+        if (entry == slot.tenant_rate.end() || entry->first != tenant) {
+          entry = slot.tenant_rate.insert(entry, {tenant, nullptr});
+        }
+        put(entry->second, [&] { return TenantRateKey(link, forward, tenant); }, rate);
+        ++entry;
       }
       for (int k = 0; k < fabric::kNumTrafficClasses; ++k) {
         const double rate = snap.rate_by_class_bps[static_cast<size_t>(k)];
         if (rate > 0.0) {
-          Record(ClassRateKey(snap.link, snap.forward, static_cast<fabric::TrafficClass>(k)),
-                 rate);
+          const auto klass = static_cast<fabric::TrafficClass>(k);
+          put(slot.class_rate[static_cast<size_t>(k)],
+              [&] { return ClassRateKey(link, forward, klass); }, rate);
         }
       }
     }
   }
-  if (fine) {
-    for (const topology::ComponentId socket :
-         fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {
-      const fabric::SocketCacheStats stats = fabric_.CacheStats(socket);
-      Record(CacheHitKey(socket), stats.hit_rate);
-      Record(CacheSpillKey(socket), stats.spill_rate_bps);
-    }
+  for (SocketSlot& slot : socket_slots_) {
+    const topology::ComponentId socket = slot.socket;
+    const fabric::SocketCacheStats stats = fabric_.CacheStats(socket);
+    put(slot.hit, [&] { return CacheHitKey(socket); }, stats.hit_rate);
+    put(slot.spill, [&] { return CacheSpillKey(socket); }, stats.spill_rate_bps);
   }
 
   last_sample_time_ = now;

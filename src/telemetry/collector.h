@@ -5,6 +5,13 @@
 // into bounded time series that the anomaly platform and diagnostic tools
 // consume.
 //
+// The store is one string-keyed map of series, the boundary index behind
+// Series(key), Keys() and total_dropped_points(). The sampler itself keeps
+// one slot per directed link and per socket holding the handle of each of
+// that slot's series: a key is built, and the map searched, only the first
+// time a series appears. Map nodes never move, so handles — and the
+// pointers Series() returns — stay valid for the Collector's lifetime.
+//
 // Two of the paper's §3.1 open questions are modelled explicitly:
 //
 //  Q1 (granularity): Granularity::kFine samples everything per tenant and
@@ -21,8 +28,10 @@
 #ifndef MIHN_SRC_TELEMETRY_COLLECTOR_H_
 #define MIHN_SRC_TELEMETRY_COLLECTOR_H_
 
+#include <array>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fabric/fabric.h"
@@ -56,6 +65,9 @@ class Collector {
   };
 
   Collector(fabric::Fabric& fabric, Config config);
+  // Slots hold handles into this collector's own store.
+  Collector(const Collector&) = delete;
+  Collector& operator=(const Collector&) = delete;
 
   // Begins periodic sampling. Idempotent.
   void Start();
@@ -66,7 +78,8 @@ class Collector {
   void SampleOnce();
 
   // -- Series access ----------------------------------------------------------
-  // nullptr if the key has never been sampled.
+  // nullptr if the key has never been sampled. A non-null result stays
+  // valid, and keeps receiving points, for the Collector's lifetime.
   const sim::TimeSeries* Series(const std::string& key) const;
   std::vector<std::string> Keys() const;
   size_t series_count() const { return series_.size(); }
@@ -97,14 +110,33 @@ class Collector {
   fabric::Fabric& fabric() { return fabric_; }
 
  private:
-  void Record(const std::string& key, double value);
+  // The series of one directed link. A null handle is a series that has
+  // not appeared yet.
+  struct LinkSlot {
+    sim::TimeSeries* util = nullptr;
+    sim::TimeSeries* rate = nullptr;
+    sim::TimeSeries* bytes = nullptr;
+    sim::TimeSeries* thpt = nullptr;
+    std::array<sim::TimeSeries*, fabric::kNumTrafficClasses> class_rate{};
+    std::vector<std::pair<fabric::TenantId, sim::TimeSeries*>> tenant_rate;  // Sorted by id.
+    double prev_bytes = 0.0;  // bytes_total at the previous sample.
+  };
+  struct SocketSlot {
+    topology::ComponentId socket = topology::kInvalidComponent;
+    sim::TimeSeries* hit = nullptr;
+    sim::TimeSeries* spill = nullptr;
+  };
+
+  // The store's series under |key|, created empty if absent.
+  sim::TimeSeries& Resolve(std::string key);
 
   fabric::Fabric& fabric_;
   Config config_;
   std::map<std::string, sim::TimeSeries> series_;
+  std::vector<LinkSlot> link_slots_;      // By topology::DirectedIndex.
+  std::vector<SocketSlot> socket_slots_;  // Every CPU socket, once fine sampling starts.
   sim::EventHandle timer_;
   bool running_ = false;
-  std::map<int32_t, double> prev_bytes_;
   sim::TimeNs last_sample_time_;
   uint64_t samples_taken_ = 0;
   int64_t bytes_reported_ = 0;

@@ -14,8 +14,9 @@
 namespace mihn::telemetry {
 
 // Writes every retained point of the selected series (all series when
-// |keys| is empty), oldest first per series, with a header row. Returns the
-// number of data rows written.
+// |keys| is empty), oldest first per series, with a header row. Values are
+// written with max_digits10 significant digits, so each parses back to the
+// stored double bit for bit. Returns the number of data rows written.
 size_t WriteCsv(const Collector& collector, std::ostream& out,
                 const std::vector<std::string>& keys = {});
 

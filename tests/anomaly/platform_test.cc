@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/anomaly/bank.h"
 #include "src/anomaly/misconfig.h"
 #include "src/anomaly/root_cause.h"
@@ -78,6 +83,161 @@ TEST(DetectorBankTest, ScanDoesNotReprocessOldPoints) {
   EXPECT_TRUE(bank.Scan(collector).empty());
   host.RunFor(TimeNs::Millis(3));
   EXPECT_EQ(bank.Scan(collector).size(), 3u);
+}
+
+// Records every point the bank feeds it; never fires.
+class RecordingDetector : public Detector {
+ public:
+  explicit RecordingDetector(std::vector<sim::TimePoint>* seen) : seen_(seen) {}
+  std::optional<Anomaly> Observe(TimeNs at, double value) override {
+    seen_->push_back({at, value});
+    return std::nullopt;
+  }
+  std::string name() const override { return "recording"; }
+  void Reset() override {}
+
+ private:
+  std::vector<sim::TimePoint>* seen_;
+};
+
+std::vector<int64_t> Millis(const std::vector<sim::TimePoint>& points) {
+  std::vector<int64_t> out;
+  for (const sim::TimePoint& p : points) {
+    out.push_back(p.time.nanos() / 1'000'000);
+  }
+  return out;
+}
+
+TEST(DetectorBankTest, MoreNewPointsThanCapacityAreEachSeenOnceInOrder) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  telemetry::Collector::Config tconfig;
+  tconfig.period = TimeNs::Millis(1);
+  tconfig.series_capacity = 4;
+  telemetry::Collector collector(host.fabric(), tconfig);
+  collector.Start();
+
+  std::vector<sim::TimePoint> seen;
+  DetectorBank bank;
+  bank.Attach(telemetry::Collector::LinkUtilKey(0, true),
+              std::make_unique<RecordingDetector>(&seen));
+  host.RunFor(TimeNs::Millis(2));
+  bank.Scan(collector);
+  EXPECT_EQ(Millis(seen), (std::vector<int64_t>{1, 2}));
+
+  // Ten new points into a 4-point ring: the scan sees the 4 retained ones.
+  seen.clear();
+  host.RunFor(TimeNs::Millis(10));
+  bank.Scan(collector);
+  EXPECT_EQ(Millis(seen), (std::vector<int64_t>{9, 10, 11, 12}));
+
+  seen.clear();
+  host.RunFor(TimeNs::Millis(1));
+  bank.Scan(collector);
+  EXPECT_EQ(Millis(seen), (std::vector<int64_t>{13}));
+}
+
+TEST(DetectorBankTest, KeyThatAppearsAfterAttachIsPickedUp) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  const auto& server = host.server();
+  telemetry::Collector::Config tconfig;
+  tconfig.period = TimeNs::Millis(1);
+  telemetry::Collector collector(host.fabric(), tconfig);
+  collector.Start();
+
+  const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
+  const std::string key =
+      telemetry::Collector::TenantRateKey(path.hops[0].link, path.hops[0].forward, 5);
+  std::vector<sim::TimePoint> seen;
+  DetectorBank bank;
+  bank.Attach(key, std::make_unique<RecordingDetector>(&seen));
+  host.RunFor(TimeNs::Millis(3));
+  bank.Scan(collector);
+  EXPECT_EQ(collector.Series(key), nullptr);
+  EXPECT_TRUE(seen.empty());
+
+  workload::StreamSource::Config bulk;
+  bulk.src = server.ssds[0];
+  bulk.dst = server.dimms[0];
+  bulk.tenant = 5;
+  workload::StreamSource stream(host.fabric(), bulk);
+  stream.Start();
+  host.RunFor(TimeNs::Millis(3));
+  bank.Scan(collector);
+  EXPECT_EQ(Millis(seen), (std::vector<int64_t>{4, 5, 6}));
+  EXPECT_GT(seen.back().value, 0.0);
+}
+
+TEST(DetectorBankTest, SecondSampleAtOneTimeIsNotFedAgain) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  telemetry::Collector collector(host.fabric(), telemetry::Collector::Config{});
+  const std::string key = telemetry::Collector::LinkUtilKey(0, true);
+  std::vector<sim::TimePoint> seen;
+  DetectorBank bank;
+  bank.Attach(key, std::make_unique<RecordingDetector>(&seen));
+
+  // Two samples at t=0 with no scan between: both are new.
+  collector.SampleOnce();
+  collector.SampleOnce();
+  bank.Scan(collector);
+  EXPECT_EQ(seen.size(), 2u);
+
+  // A third sample at t=0 after that scan is not later than the last point
+  // fed, so the next scan skips it.
+  collector.SampleOnce();
+  bank.Scan(collector);
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_EQ(collector.Series(key)->size(), 3u);
+
+  host.RunFor(TimeNs::Millis(1));
+  collector.SampleOnce();
+  bank.Scan(collector);
+  EXPECT_EQ(Millis(seen), (std::vector<int64_t>{0, 0, 1}));
+}
+
+TEST(DetectorBankTest, OneBankScansTwoCollectors) {
+  sim::Simulation sim;
+  HostNetwork idle(sim, Quiet());
+  HostNetwork busy(sim, Quiet());
+  telemetry::Collector::Config tconfig;
+  tconfig.period = TimeNs::Millis(1);
+  telemetry::Collector idle_collector(idle.fabric(), tconfig);
+  telemetry::Collector busy_collector(busy.fabric(), tconfig);
+  idle_collector.Start();
+  busy_collector.Start();
+
+  const auto& server = busy.server();
+  workload::StreamSource::Config bulk;
+  bulk.src = server.ssds[0];
+  bulk.dst = server.dimms[0];
+  workload::StreamSource stream(busy.fabric(), bulk);
+  stream.Start();
+  const topology::DirectedLink hop = busy.fabric().Route(bulk.src, bulk.dst)->hops[0];
+  const std::string key = telemetry::Collector::LinkUtilKey(hop.link, hop.forward);
+
+  std::vector<sim::TimePoint> seen;
+  DetectorBank bank;
+  bank.Attach(key, std::make_unique<RecordingDetector>(&seen));
+  sim.RunFor(TimeNs::Millis(2));
+  bank.Scan(idle_collector);
+  ASSERT_EQ(Millis(seen), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(seen.back().value, 0.0);
+
+  // The same attachment reads the other collector's series from there on.
+  seen.clear();
+  sim.RunFor(TimeNs::Millis(2));
+  bank.Scan(busy_collector);
+  ASSERT_EQ(Millis(seen), (std::vector<int64_t>{3, 4}));
+  EXPECT_EQ(seen.back().value, busy_collector.Series(key)->Latest().value);
+  EXPECT_GT(seen.back().value, 0.0);
+
+  seen.clear();
+  sim.RunFor(TimeNs::Millis(1));
+  bank.Scan(idle_collector);
+  ASSERT_EQ(Millis(seen), (std::vector<int64_t>{5}));
+  EXPECT_EQ(seen.back().value, 0.0);
 }
 
 TEST(RootCauseTest, QuietFabricHasNoCongestion) {

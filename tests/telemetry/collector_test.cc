@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "src/anomaly/bank.h"
 #include "src/host/host_network.h"
 #include "src/workload/sources.h"
 
@@ -243,6 +247,155 @@ TEST(CollectorTest, SeriesLookupMissReturnsNull) {
   Collector collector(host.fabric(), Collector::Config{});
   EXPECT_EQ(collector.Series("nope"), nullptr);
   EXPECT_TRUE(collector.Keys().empty());
+}
+
+// FNV-1a 64 over raw bytes.
+uint64_t Fold(uint64_t h, const void* data, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+uint64_t Fold(uint64_t h, const std::string& s) { return Fold(h, s.data(), s.size() + 1); }
+uint64_t Fold(uint64_t h, uint64_t v) { return Fold(h, &v, sizeof(v)); }
+uint64_t Fold(uint64_t h, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return Fold(h, bits);
+}
+
+// The pinned telemetry scenario: a seeded host sampled finely every 1 ms
+// into 64-point rings (so they wrap), with per-tenant, per-class and
+// socket-cache series (a DDIO writer), packet throughput, a tenant whose
+// series first appear mid-run, and an EWMA bank on every link-util key
+// plus one late key, scanned every ms. One extra sample lands on an
+// already-sampled time, with a scan on each side.
+struct PinnedRun {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  size_t keys = 0;
+  uint64_t dropped = 0;
+  size_t anomalies = 0;
+  size_t late_points = 0;
+  bool has_class_key = false;
+  bool has_cache_key = false;
+};
+
+PinnedRun RunPinnedScenario() {
+  sim::Simulation sim(11);
+  HostNetwork::Options options = NoAutoStart();
+  // A small DDIO (2 x 64 KiB ways), so the writer's bursts spill.
+  options.fabric.ddio_ways = 2;
+  options.fabric.way_bytes = 64 * 1024;
+  HostNetwork host(sim, options);
+  const auto& server = host.server();
+  fabric::Fabric& fabric = host.fabric();
+  Collector::Config config;
+  config.period = TimeNs::Millis(1);
+  config.granularity = Granularity::kFine;
+  config.series_capacity = 64;
+  Collector collector(fabric, config);
+
+  workload::StreamSource::Config steady;
+  steady.src = server.ssds[0];
+  steady.dst = server.dimms[0];
+  steady.demand = Bandwidth::GBps(5);
+  steady.tenant = 1;
+  workload::StreamSource steady_stream(fabric, steady);
+  steady_stream.Start();
+
+  workload::BurstySource::Config ddio;
+  ddio.src = server.nics[0];
+  ddio.dst = server.sockets[0];
+  ddio.on_demand = Bandwidth::GBps(40);
+  ddio.mean_on = TimeNs::Millis(7);
+  ddio.mean_off = TimeNs::Millis(9);
+  ddio.ddio_write = true;
+  ddio.tenant = 2;
+  workload::BurstySource ddio_writer(fabric, ddio);
+  ddio_writer.Start();
+
+  const auto packet_path = *fabric.Route(server.nics[1], server.sockets[1]);
+  host.simulation().SchedulePeriodic(TimeNs::Micros(20), [&] {
+    fabric::PacketSpec pkt;
+    pkt.path = packet_path;
+    pkt.bytes = 4096;
+    fabric.SendPacket(std::move(pkt));
+  });
+
+  workload::StreamSource::Config late;
+  late.src = server.ssds[1];
+  late.dst = server.dimms[1];
+  late.demand = Bandwidth::GBps(3);
+  late.tenant = 3;
+  workload::StreamSource late_stream(fabric, late);
+  const topology::DirectedLink late_hop = fabric.Route(late.src, late.dst)->hops[0];
+  const std::string late_key = Collector::TenantRateKey(late_hop.link, late_hop.forward, 3);
+
+  anomaly::DetectorBank bank;
+  for (const topology::Link& link : host.topo().links()) {
+    for (const bool forward : {true, false}) {
+      bank.Attach(Collector::LinkUtilKey(link.id, forward),
+                  std::make_unique<anomaly::EwmaDetector>());
+    }
+  }
+  bank.Attach(late_key, std::make_unique<anomaly::EwmaDetector>(0.2, 3.0, 4));
+
+  collector.Start();
+  for (int ms = 1; ms <= 160; ++ms) {
+    if (ms == 70) {
+      late_stream.Start();
+    }
+    if (ms == 120) {
+      late_stream.Stop();
+    }
+    host.RunFor(TimeNs::Millis(1));
+    bank.Scan(collector);
+    if (ms == 100) {
+      collector.SampleOnce();  // Same virtual time as the timer's sample.
+      bank.Scan(collector);
+    }
+  }
+
+  PinnedRun run;
+  for (const std::string& key : collector.Keys()) {
+    const sim::TimeSeries* series = collector.Series(key);
+    run.digest = Fold(run.digest, key);
+    run.digest = Fold(run.digest, series->dropped());
+    for (size_t i = 0; i < series->size(); ++i) {
+      run.digest = Fold(run.digest, static_cast<uint64_t>(series->At(i).time.nanos()));
+      run.digest = Fold(run.digest, series->At(i).value);
+    }
+    ++run.keys;
+    run.dropped += series->dropped();
+    run.has_class_key |= key.find("/class/spill/") != std::string::npos;
+    run.has_cache_key |= key.find("/cache_hit") != std::string::npos;
+  }
+  for (const anomaly::Anomaly& a : bank.log()) {
+    run.digest = Fold(run.digest, static_cast<uint64_t>(a.at.nanos()));
+    run.digest = Fold(run.digest, a.metric);
+    run.digest = Fold(run.digest, a.value);
+    run.digest = Fold(run.digest, a.score);
+    run.digest = Fold(run.digest, a.detail);
+  }
+  run.anomalies = bank.log().size();
+  const sim::TimeSeries* late_series = collector.Series(late_key);
+  run.late_points = late_series == nullptr ? 0 : late_series->size();
+  return run;
+}
+
+TEST(CollectorTest, SeriesAndAnomaliesMatchPinnedGolden) {
+  const PinnedRun run = RunPinnedScenario();
+  // Guard against the golden degenerating: rings wrapped, every key family
+  // appeared, the late tenant's series exists, and the bank fired.
+  EXPECT_GT(run.dropped, 0u);
+  EXPECT_TRUE(run.has_class_key);
+  EXPECT_TRUE(run.has_cache_key);
+  EXPECT_GT(run.late_points, 0u);
+  EXPECT_GT(run.anomalies, 0u);
+  EXPECT_EQ(run.keys, 351u);
+  EXPECT_EQ(run.digest, 0x7902bbd5ead5cfe6ull);
 }
 
 }  // namespace
