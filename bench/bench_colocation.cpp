@@ -91,8 +91,8 @@ int main() {
              bench::Fmt("%.0f", paced.kops),
              bench::Fmt("%.0f", paced.trainer_iters_per_sec)});
 
-  std::printf("\nexpected shape: the unpaced trainer inflates the KV tail (it saturates the\n"
+  std::printf("\nexpected shape: the unpaced trainer inflates KV latency (it saturates the\n"
               "shared PCIe uplink during each batch load); pacing the trainer trades a\n"
-              "modest iteration-rate loss for most of the KV tail recovery.\n");
+              "modest iteration-rate loss for most of the KV latency recovery.\n");
   return 0;
 }

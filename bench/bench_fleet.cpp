@@ -1,28 +1,31 @@
 // Fleet scaling bench: per-tick cost of a Fleet as host count grows.
 //
-// A fleet tick is (a) settling pending mutations across the worker pool,
-// (b) advancing every host's events on the one shared clock, (c) the
-// cross-host coupling pass, (d) settling every fabric again (parallel,
-// staged, applied in host order), and (e) the per-host telemetry
-// reduction. Every per-host stage fans out over the persistent
+// Every host runs on its own clock. A fleet tick is (a) each host settling
+// its pending mutations and running its own event window to the tick's end,
+// (b) the cross-host coupling pass at the barrier, with its settle of every
+// lifted fabric, and (c) the per-host telemetry reduction, which settles the
+// coupling's caps. Every per-host stage fans out over the persistent
 // core::WorkerPool (Fleet::Options::worker_threads), so the bench measures
 // each configuration serial and pooled, and verifies that serial, pooled,
 // and an oversubscribed 4-worker run all produce the same telemetry digest
 // — the fleet's determinism contract, enforced here exactly as in
 // tests/fleet/fleet_test.cc but at bench scale.
 //
-// Two grids: host-count scaling (16 -> 4096 hosts, cross-host flows only)
-// and a high-flow grid where every host also runs hundreds of intra-host
+// Three grids: host-count scaling (16 -> 4096 hosts, cross-host flows
+// only); a high-flow grid where every host also runs hundreds of intra-host
 // flows with per-tick demand churn — the top row is 4096 hosts x 256 flows
-// = 1,048,576 aggregate flows solved per tick.
+// = 1,048,576 aggregate flows solved per tick; and heartbeat rows, where
+// every host also probes a mesh every 100 us, so the per-host event window
+// carries the tick.
 //
 // Emits machine-readable BENCH_fleet.json in the working directory so the
 // scaling trajectory is tracked across PRs.
 //
 // Exits non-zero if
 //  * any digest diverges (serial vs pooled vs oversubscribed),
-//  * per-tick cost grows super-linearly across a 4x host-count step
-//    (allow 8x per 4x hosts over a 200 us noise floor),
+//  * per-tick cost grows super-linearly across a 4x host-count step at
+//    equal flow load and mesh period (allow 8x per 4x hosts over a 200 us
+//    noise floor),
 //  * the pooled path is slower than serial at >= 64 hosts (allow 1.1x plus
 //    a 200 us floor — the pool must never lose to no pool; it clamps to
 //    the machine, so this holds even on one core), or
@@ -110,6 +113,7 @@ struct Result {
   int racks = 0;
   int cross_flows = 0;
   int intra_per_host = 0;
+  int mesh_period_us = 0;  // 0: no heartbeat meshes.
   long long aggregate_flows = 0;
   int ticks = 0;
   int workers = 0;  // Pooled run's actual pool width after the clamp.
@@ -123,11 +127,12 @@ struct Result {
 // the machine's width (timed), and pooled at 4 workers with the hardware
 // clamp off (digest only — proves real cross-thread settle stays
 // byte-identical even when threads outnumber cores).
-Result RunConfig(int hosts, int ticks, int intra_per_host) {
+Result RunConfig(int hosts, int ticks, int intra_per_host, int mesh_period_us) {
   Result r;
   r.hosts = hosts;
   r.ticks = ticks;
   r.intra_per_host = intra_per_host;
+  r.mesh_period_us = mesh_period_us;
 
   const auto run = [&](Fleet::Options options, double* ns_per_tick) {
     Fleet f(hosts, options);
@@ -136,6 +141,11 @@ Result RunConfig(int hosts, int ticks, int intra_per_host) {
     std::vector<fabric::FlowId> churn;
     if (intra_per_host > 0) {
       churn = PlaceIntraFlows(f, intra_per_host);
+    }
+    if (mesh_period_us > 0) {
+      anomaly::HeartbeatMesh::Config mesh;
+      mesh.period = sim::TimeNs::Micros(mesh_period_us);
+      f.EnableHeartbeats(mesh);
     }
     r.aggregate_flows =
         r.cross_flows * 2LL + static_cast<long long>(intra_per_host) * hosts;
@@ -185,13 +195,14 @@ Result RunConfig(int hosts, int ticks, int intra_per_host) {
 }
 
 // Per-tick cost must scale ~linearly in host count: across each 4x
-// host-count step (at equal per-host flow load) allow at most 8x over a
-// 200 us floor.
+// host-count step (at equal per-host flow load and mesh period) allow at
+// most 8x over a 200 us floor.
 bool CheckScalingSane(const std::vector<Result>& results) {
   bool ok = true;
   for (const Result& big : results) {
     for (const Result& small : results) {
-      if (big.hosts != 4 * small.hosts || big.intra_per_host != small.intra_per_host) {
+      if (big.hosts != 4 * small.hosts || big.intra_per_host != small.intra_per_host ||
+          big.mesh_period_us != small.mesh_period_us) {
         continue;
       }
       const double allowed = 8.0 * std::max(small.serial_ns_per_tick, 2e5);
@@ -272,11 +283,12 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner("fleet_scaling",
-                "Per-tick cost of a shared-clock fleet vs host count and flow load; "
-                "serial vs pooled (worker_threads) with digests compared across "
-                "serial/pooled/oversubscribed runs");
+                "Per-tick cost of a fleet (one clock per host) vs host count, flow "
+                "load and heartbeat meshes; serial vs pooled (worker_threads) with "
+                "digests compared across serial/pooled/oversubscribed runs");
   bench::Table table({{"hosts", 8},
                       {"flows", 10},
+                      {"mesh us", 9},
                       {"ticks", 8},
                       {"workers", 9},
                       {"serial us/tick", 16},
@@ -287,30 +299,33 @@ int main(int argc, char** argv) {
 
   // Host-count scaling grid (cross-host flows only), then the high-flow
   // grid: every host runs intra-host flows with per-tick demand churn; the
-  // top row solves >= 10^6 aggregate flows per tick.
+  // top row solves >= 10^6 aggregate flows per tick. Last, the heartbeat
+  // rows: cross-host flows plus a mesh on every host probing every 100 us.
   struct Config {
     int hosts;
     int intra_per_host;
+    int mesh_period_us;
   };
   std::vector<Config> grid;
   if (smoke) {
-    grid = {{16, 0}, {64, 0}, {64, 32}};
+    grid = {{16, 0, 0}, {64, 0, 0}, {64, 32, 0}, {64, 0, 100}};
   } else {
-    grid = {{16, 0},   {64, 0},    {256, 0},    {1024, 0},  {4096, 0},
-            {1024, 128}, {4096, 256}};
+    grid = {{16, 0, 0},     {64, 0, 0},     {256, 0, 0},    {1024, 0, 0}, {4096, 0, 0},
+            {1024, 128, 0}, {4096, 256, 0}, {256, 0, 100},  {1024, 0, 100}};
   }
   const int ticks = smoke ? 5 : 10;
 
   std::vector<Result> results;
   for (const Config& config : grid) {
-    results.push_back(RunConfig(config.hosts, ticks, config.intra_per_host));
+    results.push_back(
+        RunConfig(config.hosts, ticks, config.intra_per_host, config.mesh_period_us));
   }
 
   for (const Result& r : results) {
     const double speedup =
         r.pooled_ns_per_tick > 0.0 ? r.serial_ns_per_tick / r.pooled_ns_per_tick : 0.0;
     table.Row({std::to_string(r.hosts), std::to_string(r.aggregate_flows),
-               std::to_string(r.ticks), std::to_string(r.workers),
+               std::to_string(r.mesh_period_us), std::to_string(r.ticks), std::to_string(r.workers),
                bench::Fmt("%.1f", r.serial_ns_per_tick / 1e3),
                bench::Fmt("%.1f", r.pooled_ns_per_tick / 1e3), bench::Fmt("%.2fx", speedup),
                bench::Fmt("%.2f", r.serial_ns_per_tick / 1e3 / r.hosts),
@@ -329,12 +344,14 @@ int main(int argc, char** argv) {
           r.pooled_ns_per_tick > 0.0 ? r.serial_ns_per_tick / r.pooled_ns_per_tick : 0.0;
       std::fprintf(json,
                    "    {\"hosts\": %d, \"racks\": %d, \"cross_host_flows\": %d, "
-                   "\"intra_flows_per_host\": %d, \"aggregate_flows\": %lld, "
+                   "\"intra_flows_per_host\": %d, \"mesh_period_us\": %d, "
+                   "\"aggregate_flows\": %lld, "
                    "\"ticks\": %d, \"workers\": %d, \"serial_ns_per_tick\": %.0f, "
                    "\"pooled_ns_per_tick\": %.0f, \"speedup\": %.2f, "
                    "\"ns_per_tick_per_host\": %.0f, \"digest\": \"%016llx\", "
                    "\"identical\": %s}%s\n",
-                   r.hosts, r.racks, r.cross_flows, r.intra_per_host, r.aggregate_flows,
+                   r.hosts, r.racks, r.cross_flows, r.intra_per_host, r.mesh_period_us,
+                   r.aggregate_flows,
                    r.ticks, r.workers, r.serial_ns_per_tick, r.pooled_ns_per_tick, speedup,
                    r.serial_ns_per_tick / r.hosts,
                    static_cast<unsigned long long>(r.digest), r.identical ? "true" : "false",

@@ -164,9 +164,10 @@ int main() {
                 bench::Fmt("%.0f%%", 100.0 * held / samples),
                 bench::Fmt("%llu", static_cast<unsigned long long>(mgr.arbitrations()))});
   }
-  std::printf("\nexpected shape: unmanaged splits the link evenly (both SLOs missed);\n"
-              "static meets SLOs but strands slack; work-conserving meets SLOs and\n"
-              "hands the slack to whoever can use it. Finer quanta close the window in\n"
-              "which a fresh burst can violate the SLO.\n");
+  std::printf("\nexpected shape: unmanaged splits the link evenly three ways, which\n"
+              "misses alice's SLO and happens to clear bob's; static meets SLOs but\n"
+              "strands slack; work-conserving meets SLOs and hands the slack to\n"
+              "whoever can use it. Finer quanta close the window in which a fresh\n"
+              "burst can violate the SLO.\n");
   return 0;
 }

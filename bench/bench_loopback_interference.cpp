@@ -68,7 +68,7 @@ int main() {
                bench::Fmt("%.1f", kv.latency_us().Percentile(0.5)),
                bench::Fmt("%.1f", kv.latency_us().Percentile(0.99))});
   }
-  std::printf("\nexpected shape: victim bandwidth collapses toward a fair share and KV tail\n"
+  std::printf("\nexpected shape: victim bandwidth collapses toward a fair share and KV\n"
               "latency inflates as loopback intensity approaches PCIe line rate.\n");
   return 0;
 }

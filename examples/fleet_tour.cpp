@@ -1,11 +1,11 @@
-// Fleet tour: many hosts on one shared clock (the operator's view the
-// paper's manageability argument scales up to).
+// Fleet tour: many hosts, each on its own clock, in lock-step ticks (the
+// operator's view the paper's manageability argument scales up to).
 //
 // Builds a 64-host fleet, places intra-rack and cross-rack tenant flows,
 // saturates one host from the inside, and walks through what the fleet
 // layer gives you over 64 independent HostNetworks:
 //
-//   * lock-step ticks on one sim::Simulation (clock injection),
+//   * lock-step ticks over one sim::Simulation per host (clock injection),
 //   * cross-host flows coupled through the rack/ToR max-min model,
 //   * fleet-wide telemetry rollups and the determinism digest,
 //   * the fleet-level root-cause view naming the culprit tenant.
@@ -22,7 +22,7 @@ int main() {
   fleet::Fleet::Options options;
   options.worker_threads = 4;
   fleet::Fleet fleet(64, options);
-  std::printf("fleet: %d hosts in %d racks, one shared clock\n", fleet.host_count(),
+  std::printf("fleet: %d hosts in %d racks, one clock per host\n", fleet.host_count(),
               fleet.inter_host().racks());
 
   // Tenant 7: storage reads within rack 0. Tenant 9: a cross-rack stream

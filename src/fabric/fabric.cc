@@ -705,12 +705,6 @@ void Fabric::FlushIfDirty() const {
   }
 }
 
-void Fabric::SettleStaged(sim::StagedEvents& staging) {
-  staging_ = &staging;
-  FlushIfDirty();
-  staging_ = nullptr;
-}
-
 void Fabric::SolveRates() {
   // Full re-prime: first solve ever, or enough tombstoned slots accumulated
   // that the retained problem is mostly dead weight. Compaction renumbers
@@ -1133,15 +1127,7 @@ void Fabric::RescheduleCompletion() {
   if (!due && !completion_armed_) {
     return;  // No live transfer drains: nothing to cancel or arm.
   }
-  // Under SettleStaged() the queue operations are recorded, not applied:
-  // the cancel and the schedule land in the buffer in this exact order, so
-  // a serial replay reproduces the direct path's event sequence (and pool
-  // slot reuse) byte-for-byte.
-  if (staging_ != nullptr) {
-    staging_->StageCancel(completion_event_);
-  } else {
-    completion_event_.Cancel();
-  }
+  completion_event_.Cancel();
   completion_armed_ = false;
   if (!due) {
     return;
@@ -1150,13 +1136,8 @@ void Fabric::RescheduleCompletion() {
   const sim::TimeNs now = sim_.Now();
   const sim::TimeNs delay =
       std::max(rows_[Idx(heap_[0])].finish - now, sim::TimeNs::Zero()) + sim::TimeNs::Nanos(1);
-  if (staging_ != nullptr) {
-    staging_->StageScheduleAfter(
-        delay, [this] { OnCompletionEvent(); }, "fabric.completion", &completion_event_);
-  } else {
-    completion_event_ =
-        sim_.ScheduleAfter(delay, [this] { OnCompletionEvent(); }, "fabric.completion");
-  }
+  completion_event_ =
+      sim_.ScheduleAfter(delay, [this] { OnCompletionEvent(); }, "fabric.completion");
   completion_armed_ = true;
 }
 

@@ -36,7 +36,6 @@
 #include "src/fabric/types.h"
 #include "src/obs/tracer.h"
 #include "src/sim/simulation.h"
-#include "src/sim/staged_events.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
 
@@ -163,18 +162,13 @@ class Fabric {
   const topology::Topology& topo() const { return topo_; }
   sim::Simulation& simulation() { return sim_; }
 
-  // -- Parallel settle -----------------------------------------------------------
-  // Runs any pending deferred solve now — like the flush a read accessor
-  // triggers — but records the completion-event cancel/(re)schedule in
-  // |staging| instead of applying it to the shared Simulation. This is the
-  // fleet's parallel-settle seam: the solve itself touches only host-local
-  // state plus read-only clock queries, so fabrics sharing one clock may
-  // settle concurrently as long as each gets its own buffer and the buffers
-  // are replayed serially afterwards (strict host order reproduces the
-  // serial pass's event sequence byte-for-byte; see sim/staged_events.h).
-  // The caller must ApplyTo() the buffer before the next mutation, read, or
-  // clock advance touches this fabric. No-op when nothing is dirty.
-  void SettleStaged(sim::StagedEvents& staging);
+  // -- Settle -------------------------------------------------------------------
+  // Runs any pending deferred solve now, like the flush a read accessor
+  // triggers, rescheduling the completion event on this fabric's clock.
+  // No-op when nothing is dirty. The fleet settles every host this way on
+  // that host's worker, ahead of its event window and before the coupling
+  // reads stage rates.
+  void Settle() { FlushIfDirty(); }
 
   // -- Tracing -------------------------------------------------------------------
   // Installs the tracer that receives "fabric.solve" spans (flow/link
@@ -419,9 +413,6 @@ class Fabric {
   bool completion_armed_ = false;  // completion_event_ may still fire.
   std::vector<int32_t> heap_;
   std::vector<int32_t> done_rows_;
-  // Non-null only inside SettleStaged(): RescheduleCompletion() then stages
-  // its queue operations instead of applying them.
-  sim::StagedEvents* staging_ = nullptr;
   // Ordered maps: fault and DIMM state feed snapshots, telemetry, and spill
   // placement, so iteration order must be the key order, never hash order.
   std::map<topology::LinkId, LinkFault> faults_;

@@ -24,14 +24,13 @@ Fleet::Fleet(int num_hosts, Options options)
       }()),
       pool_(options_.worker_threads, options_.clamp_workers_to_hardware) {
   MIHN_CHECK(num_hosts >= 1);
-  // One observer slot per Simulation: a traced host template would install
-  // num_hosts observers onto one clock.
-  MIHN_CHECK(!options_.host.trace.enabled);
+  clocks_.reserve(static_cast<size_t>(num_hosts));
   hosts_.reserve(static_cast<size_t>(num_hosts));
   for (int i = 0; i < num_hosts; ++i) {
-    hosts_.push_back(std::make_unique<HostNetwork>(sim_, options_.host));
+    // The fleet seed, not a per-host one: see the header comment.
+    clocks_.push_back(std::make_unique<sim::Simulation>(options_.seed));
+    hosts_.push_back(std::make_unique<HostNetwork>(*clocks_.back(), options_.host));
   }
-  stagings_.resize(hosts_.size());
   limit_batches_.resize(hosts_.size());
 }
 
@@ -128,7 +127,11 @@ void Fleet::CoupleCrossHostFlows() {
   // Settle the lifted fabrics across the pool before reading rates — a
   // FlowRate() read on a dirty fabric would otherwise solve serially on
   // this thread, one host at a time.
-  SettleHosts();
+  pool_.ParallelFor(hosts_.size(), [this](size_t begin, size_t end) {
+    for (size_t h = begin; h < end; ++h) {
+      hosts_[h]->fabric().Settle();
+    }
+  });
   // Each stage's achievable intra-host rate bounds the inter-host demand;
   // the shared inter-host solve then yields the end-to-end rate.
   for (auto& [id, flow] : cross_flows_) {
@@ -158,24 +161,6 @@ void Fleet::ApplyLimitBatches() {
     if (!limit_batches_[h].empty()) {
       hosts_[h]->fabric().SetFlowLimitsBatch(limit_batches_[h]);
     }
-  }
-}
-
-void Fleet::SettleHosts() {
-  // Fan the solves out: each fabric settles into its own staging buffer, so
-  // no worker ever touches the shared calendar queue. The solve reads the
-  // clock but never advances it.
-  pool_.ParallelFor(hosts_.size(), [this](size_t begin, size_t end) {
-    for (size_t h = begin; h < end; ++h) {
-      hosts_[h]->fabric().SettleStaged(stagings_[h]);
-    }
-  });
-  // Replay the buffered queue operations serially in strict host order:
-  // cancel-then-schedule per host is the exact interleaving the serial
-  // direct path produces, so event sequence numbers — and event-pool slot
-  // reuse — are byte-identical to a serial run.
-  for (sim::StagedEvents& staging : stagings_) {
-    staging.ApplyTo(sim_);
   }
 }
 
@@ -210,10 +195,9 @@ FleetSample Fleet::AggregateSample() {
   FleetSample sample;
   sample.at = sim_.Now();
   sample.hosts.resize(hosts_.size());
-  // Every fabric was settled in SettleHosts(), so the per-host reduction is
-  // pure host-local reads + counter accrual: embarrassingly parallel on the
-  // persistent pool, with each worker writing a disjoint slice of
-  // sample.hosts.
+  // The per-host reduction settles the coupling's caps and accrues
+  // counters, all host-local: embarrassingly parallel on the persistent
+  // pool, with each worker writing a disjoint slice of sample.hosts.
   pool_.ParallelFor(hosts_.size(), [this, &sample](size_t begin, size_t end) {
     std::vector<fabric::LinkLoad> loads;  // Reused across the chunk's hosts.
     for (size_t i = begin; i < end; ++i) {
@@ -241,14 +225,19 @@ FleetSample Fleet::AggregateSample() {
 }
 
 const FleetSample& Fleet::Tick() {
-  // Settle mutations made since the last tick (placements, demand changes)
-  // in parallel *before* entering the event loop — otherwise the engine's
-  // pre-advance hook would flush each dirty fabric serially, one at a time,
-  // on this thread.
-  SettleHosts();
-  sim_.RunFor(options_.tick_period);
+  const sim::TimeNs end = sim_.Now() + options_.tick_period;
+  // Hosts meet only at the barrier below, so each runs its whole tick on
+  // one worker: settle the mutations made since the last tick (placements,
+  // demand changes), then the event window. The settle stays ahead of the
+  // window, so an event already due at Now() sees settled rates.
+  pool_.ParallelFor(hosts_.size(), [this, end](size_t begin, size_t stop) {
+    for (size_t h = begin; h < stop; ++h) {
+      hosts_[h]->fabric().Settle();
+      clocks_[h]->RunUntil(end);
+    }
+  });
+  sim_.RunUntil(end);
   CoupleCrossHostFlows();
-  SettleHosts();
   samples_.push_back(AggregateSample());
   return samples_.back();
 }
@@ -281,10 +270,7 @@ void Fleet::EnableHeartbeats(anomaly::HeartbeatMesh::Config config) {
 }
 
 FleetRootCause Fleet::RootCauseView() {
-  // Settle first so the parallel analyzers below only read settled state —
-  // an analyzer on a dirty fabric would trigger a solve, and a staged-free
-  // solve schedules on the shared clock.
-  SettleHosts();
+  // Each analyzer settles its own fabric, on its own worker.
   std::vector<std::vector<anomaly::CongestionReport>> per_host =
       pool_.ParallelMap(hosts_.size(), [this](size_t h) {
         anomaly::RootCauseAnalyzer analyzer(hosts_[h]->fabric(), options_.congestion_threshold);

@@ -1,30 +1,37 @@
-// Fleet: many HostNetworks on one shared virtual clock, coupled by the
+// Fleet: many HostNetworks, each on its own virtual clock, coupled by the
 // inter-host rack/ToR model and aggregated into fleet-wide telemetry.
 //
 // The paper argues the intra-host network needs the same manageability as
 // the inter-host network; a data-center operator runs thousands of such
-// hosts at once. Fleet is that operator's view in this repo: it owns the
-// single sim::Simulation, constructs every host on it (each HostNetwork
-// borrows the clock), and advances all of them in lock-step ticks:
+// hosts at once. Fleet is that operator's view in this repo: it owns one
+// sim::Simulation per host (each HostNetwork borrows its own), plus a
+// coordinator clock that marks the fleet's time, and advances all of them
+// in lock-step ticks:
 //
 //   fleet::Fleet fleet(256);
 //   auto flow = fleet.StartCrossHostFlow({.tenant = 7, .src_host = 0,
 //                                         .dst_host = 9});
-//   fleet.Run(20);                         // 20 ticks on the shared clock.
+//   fleet.Run(20);                         // 20 ticks, every clock in step.
 //   uint64_t digest = fleet.TelemetryDigest();
 //   auto view = fleet.RootCauseView();
 //
+// Hosts are share-nothing partitions. They interact only through the
+// cross-host coupling, which runs at the tick barrier, so the tick period
+// is a safe lookahead: within a tick every host settles its fabric and runs
+// its own event window up to the tick's end, on one worker of a persistent
+// core::WorkerPool (Options::worker_threads), in contiguous host-order
+// chunks. Every clock is seeded with the fleet seed, not a per-host seed:
+// ForkRng is a pure function of (seed, stream), so every host forks the
+// same stream for the same stream id, as hosts sharing one clock would.
+//
 // Determinism contract: a fleet run is a pure function of (host count,
-// options, placement calls). The tick's per-host work — fabric settle,
-// telemetry reduction, root-cause scan — fans out over a persistent
-// core::WorkerPool (Options::worker_threads) in contiguous host-order
-// chunks. Each fabric settles into its own sim::StagedEvents buffer
-// instead of scheduling on the shared clock; the buffers are then applied
-// serially in strict host order, so the calendar queue sees the exact
-// event sequence a serial pass produces. All merges (telemetry samples,
-// root-cause inputs) are likewise in strict host order. Digests are
-// therefore byte-identical across runs, worker counts (including 0/1 =
-// serial), and cross-host placement order.
+// options, placement calls). Each host's events fire in the same order at
+// any worker count, and every merge (telemetry samples, root-cause inputs)
+// is in strict host order, so digests are byte-identical across runs,
+// worker counts (including 0/1 = serial), and cross-host placement order.
+// Callbacks of different hosts run on different workers: inside a tick
+// there is no global order across hosts' callbacks, and in a pooled fleet a
+// callback that writes state shared by several hosts is a data race.
 
 #ifndef MIHN_SRC_FLEET_FLEET_H_
 #define MIHN_SRC_FLEET_FLEET_H_
@@ -39,13 +46,12 @@
 #include "src/fleet/inter_host.h"
 #include "src/fleet/report.h"
 #include "src/host/host_network.h"
-#include "src/sim/staged_events.h"
 
 namespace mihn::fleet {
 
 // The per-host options template the fleet defaults to: telemetry and
 // management services off (Autostart::kNone). The fleet aggregates
-// telemetry centrally; 256 per-host collectors each ticking the shared
+// telemetry centrally; 256 per-host collectors each ticking their host's
 // clock would dominate every run. Opt back in via Options::host.
 HostNetwork::Options DefaultHostOptions();
 
@@ -104,11 +110,11 @@ class Fleet {
     // Inter-host capacities and rack width; Config::hosts is overwritten
     // with the fleet's host count.
     InterHostNetwork::Config inter;
-    // Template applied to every host. Options::trace must stay disabled (a
-    // Simulation has a single observer slot).
+    // Template applied to every host. A traced template gives every host
+    // its own tracer, observing that host's clock.
     HostNetwork::Options host = DefaultHostOptions();
-    // Worker parallelism for the whole tick: parallel fabric settle (via
-    // the staged-events seam), per-host telemetry reduction, and the
+    // Worker parallelism for the whole tick: per-host settle and event
+    // window, the coupling's settle, per-host telemetry reduction, and the
     // root-cause scan all share one persistent core::WorkerPool. <= 1 runs
     // serially; digests are byte-identical across any value (per-host
     // results merge in strict host order).
@@ -132,8 +138,12 @@ class Fleet {
 
   // -- Topology ----------------------------------------------------------------
   int host_count() const { return static_cast<int>(hosts_.size()); }
+  // Host i, on its own clock. Advance time through Tick()/Run() only: a
+  // host clock run directly leaves the fleet's lock-step.
   HostNetwork& host(int i) { return *hosts_[static_cast<size_t>(i)]; }
   InterHostNetwork& inter_host() { return inter_; }
+  // The coordinator clock: it marks the fleet's time and holds no host
+  // events. Host i's events are on host(i).simulation().
   sim::Simulation& simulation() { return sim_; }
   sim::TimeNs Now() const { return sim_.Now(); }
   const Options& options() const { return options_; }
@@ -150,9 +160,11 @@ class Fleet {
   int cross_host_flow_count() const { return static_cast<int>(cross_flows_.size()); }
 
   // -- Time --------------------------------------------------------------------
-  // One fleet tick: settle pending mutations (in parallel, staged), advance
-  // the shared clock by tick_period, re-couple cross-host flows, settle
-  // again, aggregate one FleetSample. Returns the new sample.
+  // One fleet tick: every host settles pending mutations and runs its
+  // event window to the tick's end (in parallel, one host per worker at a
+  // time); then, at the barrier, the coordinator clock advances, cross-host
+  // flows re-couple, and one FleetSample aggregates. Returns the new
+  // sample.
   const FleetSample& Tick();
   void Run(int ticks);
 
@@ -187,20 +199,18 @@ class Fleet {
   void CoupleCrossHostFlows();
   // Hands each host its limit_batches_ entry in one SetFlowLimitsBatch.
   void ApplyLimitBatches();
-  // Forces every fabric's pending solve: solves fan out across the worker
-  // pool into per-host staging buffers, then the buffers are applied to the
-  // shared clock serially in strict host order — the exact event sequence
-  // (and event-pool slot reuse) of a serial pass.
-  void SettleHosts();
   FleetSample AggregateSample();
   // Reduces host |i| through Fabric::ReadLinkLoads; |loads| is the
   // caller's reusable buffer.
   HostSample ReduceHost(int i, std::vector<fabric::LinkLoad>& loads);
 
   Options options_;
-  // Declaration order is destruction-safety: the clock outlives the hosts
-  // (hosts_ destructs first), per HostNetwork's shared-clock lifetime rule.
+  // The coordinator clock; no host schedules on it.
   sim::Simulation sim_;
+  // One clock per host. Declaration order is destruction-safety: each
+  // clock outlives its host (hosts_ destructs first), per HostNetwork's
+  // borrowed-clock lifetime rule.
+  std::vector<std::unique_ptr<sim::Simulation>> clocks_;
   std::vector<std::unique_ptr<HostNetwork>> hosts_;
   InterHostNetwork inter_;
   std::vector<std::unique_ptr<anomaly::HeartbeatMesh>> meshes_;  // Empty unless enabled.
@@ -209,10 +219,8 @@ class Fleet {
   std::vector<FleetSample> samples_;
   // Width 1 (no helper threads) when the fleet is serial. Worker threads
   // only ever run inside ParallelFor rounds, so the pool needs no
-  // particular destruction order relative to sim_/hosts_.
+  // particular destruction order relative to the clocks and hosts.
   core::WorkerPool pool_;
-  // One staging buffer per host, reused every settle pass.
-  std::vector<sim::StagedEvents> stagings_;
   // Per-host (flow, limit) batches of the cross-host coupling, reused
   // every tick.
   std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> limit_batches_;

@@ -9,10 +9,9 @@
 // directly — HostNetwork adds no behaviour of its own.
 //
 // Clock ownership: every constructor *borrows* a caller-owned
-// sim::Simulation, so many hosts can share one virtual clock and one
-// pooled event queue — the seam the fleet layer (src/fleet/) is built on.
-// The clock's owner seeds it; a single-host caller makes its own
-// Simulation first.
+// sim::Simulation. The clock's owner seeds it; a single-host caller makes
+// its own Simulation first, and the fleet layer (src/fleet/) gives every
+// host a clock of its own, all seeded alike.
 
 #ifndef MIHN_SRC_HOST_HOST_NETWORK_H_
 #define MIHN_SRC_HOST_HOST_NETWORK_H_
@@ -66,17 +65,15 @@ class HostNetwork {
   };
 
   // -- Construction -------------------------------------------------------------
-  // The network borrows |sim|, which must outlive it. Several hosts may
-  // share one Simulation: their events interleave on one virtual clock in
-  // deterministic (time, insertion-order) order while their fabrics stay
-  // fully independent. Lifetime rule for shared clocks: do not Run() the
-  // simulation after destroying a host that scheduled events on it (the
-  // fleet destroys hosts and clock together). At most one host per clock
+  // The network borrows |sim|, which must outlive it; do not Run() the
+  // simulation after destroying the host (the fleet destroys each host
+  // before its clock). Several hosts may share one Simulation, their events
+  // interleaving in (time, insertion-order) order, but at most one of them
   // may enable Options::trace — the Simulation has a single observer slot.
   //
-  // Builds the default preset server on the shared clock.
+  // Builds the default preset server on |sim|.
   explicit HostNetwork(sim::Simulation& sim);
-  // Builds a preset server on the shared clock.
+  // Builds a preset server on |sim|.
   HostNetwork(sim::Simulation& sim, Options options);
   // Wraps a caller-built server (takes ownership of the topology).
   HostNetwork(sim::Simulation& sim, topology::Server server, Options options);

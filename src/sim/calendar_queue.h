@@ -8,7 +8,8 @@
 // the EventPool slab, structured as a calendar:
 //
 //   Level 1 — a ring of kNumBuckets buckets of width 2^bucket_shift ns
-//     covering the window [window_start, window_start + span). Buckets are
+//     covering the window [window_start, window_start + span), allocated
+//     on first use. Buckets are
 //     plain unsorted vectors while they sit in the future — pushing is an
 //     O(1) push_back — and are heapified by (at, seq) exactly once, when
 //     the cursor reaches them (std::make_heap is O(n), cheaper than n
@@ -66,8 +67,10 @@ class CalendarQueue {
   // (1.024us buckets, ~262us window) suits the repo's fabric workloads —
   // transfer completions tens of ns to tens of us apart, telemetry and
   // arbiter periodics in the overflow tier.
-  explicit CalendarQueue(int bucket_shift = 10)
-      : bucket_shift_(bucket_shift), buckets_(kNumBuckets) {}
+  // The bucket ring is allocated on first use (the first in-window push,
+  // overflow migration or Reserve), so an idle queue, such as the clock of
+  // a fleet host that schedules nothing, costs no ring.
+  explicit CalendarQueue(int bucket_shift = 10) : bucket_shift_(bucket_shift) {}
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -81,6 +84,7 @@ class CalendarQueue {
   // entries per 2^shift-ns slice, not total events). |slots| is the highest
   // pool slot index expected (one position-table row per slot).
   void Reserve(size_t per_bucket, size_t overflow, size_t slots) {
+    EnsureBuckets();
     for (std::vector<CalendarEntry>& bucket : buckets_) {
       bucket.reserve(per_bucket);
     }
@@ -107,6 +111,7 @@ class CalendarQueue {
                            ? 0
                            : static_cast<size_t>((at - window_start_) >>
                                                  bucket_shift_);
+      EnsureBuckets();
       std::vector<CalendarEntry>& bucket = buckets_[b];
       bucket.push_back(entry);
       if (b == heaped_) {
@@ -193,6 +198,12 @@ class CalendarQueue {
   }
   int64_t WindowEnd() const { return window_start_ + Span(); }
 
+  void EnsureBuckets() {
+    if (buckets_.empty()) {
+      buckets_.resize(kNumBuckets);
+    }
+  }
+
   void GrowPos(uint32_t slot) {
     size_t n = pos_.size() < 64 ? 64 : pos_.size() * 2;
     if (n <= slot) {
@@ -231,6 +242,7 @@ class CalendarQueue {
       // pure function of the timestamp. Migrated entries land unsorted and
       // tracked; the bucket the cursor settles on is heapified above.
       heaped_ = kNoHeap;
+      EnsureBuckets();
       const int64_t min_at = overflow_.front().at.nanos();
       window_start_ = min_at - (min_at % Span());
       cursor_ = static_cast<size_t>((min_at - window_start_) >> bucket_shift_);
@@ -258,6 +270,7 @@ class CalendarQueue {
   size_t heaped_ = kNoHeap;
   size_t in_window_ = 0;
   size_t size_ = 0;
+  // kNumBuckets long once allocated; empty until then.
   std::vector<std::vector<CalendarEntry>> buckets_;
   // Min-heap via EntryAfter.
   std::vector<CalendarEntry> overflow_;

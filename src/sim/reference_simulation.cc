@@ -133,12 +133,14 @@ TimeNs ReferenceSimulation::RunUntil(TimeNs deadline) {
       if (!pre_advance_hooks_.empty() && FirePreAdvanceHooks()) {
         continue;
       }
+      // Nothing is left at or before the deadline. Only then may the clock
+      // jump to it: after Stop() an event may still be due before it.
+      if (now_ < deadline) {
+        now_ = deadline;
+      }
       break;
     }
     Step();
-  }
-  if (now_ < deadline) {
-    now_ = deadline;
   }
   return now_;
 }

@@ -119,9 +119,10 @@ class Simulation : public VirtualClock {
   TimeNs Run();
 
   // Runs until virtual time reaches |deadline| (events at exactly |deadline|
-  // are executed), the queue empties, or Stop() is called. The clock is left
-  // at min(deadline, last event time); if the queue emptied early the clock
-  // is advanced to |deadline| so RunUntil composes sequentially.
+  // are executed), the queue empties, or Stop() is called. When no event is
+  // left at or before |deadline| the clock advances to it, so RunUntil
+  // composes sequentially; after Stop() it stays at the stopping event's
+  // time, so a later run never moves it backwards.
   TimeNs RunUntil(TimeNs deadline);
 
   // RunUntil(Now() + duration).

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/fleet/inter_host.h"
+#include "src/obs/export.h"
 
 namespace mihn::fleet {
 namespace {
@@ -180,13 +183,40 @@ TEST(FleetTest, WorkerParallelismReflectsOptionsAndClamp) {
   EXPECT_GE(sane.worker_parallelism(), 1);
 }
 
-// Finite transfers are the one settle output that touches the shared clock
-// (completion events). Cross-worker staging must reproduce the serial
-// event sequence exactly: same completion times, same digests.
+// Finite transfers on every host, sized to finish mid-run and re-solved
+// every tick by the coupling churn on the same host, plus one cross-host
+// flow per host pair. |completions| gets one list of completion times per
+// host; only that host's callbacks write its list.
+void PlaceTransfersAndPairs(Fleet& fleet, std::vector<std::vector<int64_t>>& completions) {
+  completions.assign(static_cast<size_t>(fleet.host_count()), {});
+  for (int h = 0; h < fleet.host_count(); ++h) {
+    fabric::TransferSpec transfer;
+    transfer.flow.path = *fleet.host(h).fabric().Route(fleet.host(h).server().ssds[0],
+                                                       fleet.host(h).server().dimms[0]);
+    transfer.flow.tenant = 2;
+    transfer.flow.demand = Bandwidth::Gbps(50);
+    transfer.bytes = 4 * 1000 * 1000 * (h + 1);  // Staggered completions.
+    transfer.on_complete = [&completions, h](const fabric::TransferResult& result) {
+      completions[static_cast<size_t>(h)].push_back(result.end.nanos());
+    };
+    fleet.host(h).fabric().StartTransfer(std::move(transfer));
+  }
+  for (int h = 0; h + 1 < fleet.host_count(); h += 2) {
+    CrossHostFlowSpec cross;
+    cross.tenant = 5;
+    cross.src_host = h;
+    cross.dst_host = h + 1;
+    fleet.StartCrossHostFlow(cross);
+  }
+}
+
+// Completion events are the settle output that lands on a host's clock.
+// Each host's completions, and the digest, must not depend on which worker
+// ran the host.
 TEST(FleetTest, ParallelSettleWithFiniteTransfersMatchesSerial) {
   struct Outcome {
     uint64_t digest = 0;
-    std::vector<std::pair<int, int64_t>> completions;  // (host, end ns).
+    std::vector<std::vector<int64_t>> completions;  // Per host: end ns.
   };
   const auto run = [](int workers) {
     Fleet::Options options;
@@ -194,37 +224,48 @@ TEST(FleetTest, ParallelSettleWithFiniteTransfersMatchesSerial) {
     options.clamp_workers_to_hardware = false;
     Fleet fleet(8, options);
     Outcome out;
-    for (int h = 0; h < fleet.host_count(); ++h) {
-      // A transfer sized to finish mid-run, re-solved every tick by the
-      // cross-host coupling churn on the same host.
-      fabric::TransferSpec transfer;
-      transfer.flow.path = *fleet.host(h).fabric().Route(fleet.host(h).server().ssds[0],
-                                                         fleet.host(h).server().dimms[0]);
-      transfer.flow.tenant = 2;
-      transfer.flow.demand = Bandwidth::Gbps(50);
-      transfer.bytes = 4 * 1000 * 1000 * (h + 1);  // Staggered completions.
-      transfer.on_complete = [&out, h](const fabric::TransferResult& result) {
-        out.completions.emplace_back(h, result.end.nanos());
-      };
-      fleet.host(h).fabric().StartTransfer(std::move(transfer));
-    }
-    for (int h = 0; h + 1 < fleet.host_count(); h += 2) {
-      CrossHostFlowSpec cross;
-      cross.tenant = 5;
-      cross.src_host = h;
-      cross.dst_host = h + 1;
-      fleet.StartCrossHostFlow(cross);
-    }
+    PlaceTransfersAndPairs(fleet, out.completions);
     fleet.Run(4);
     out.digest = fleet.TelemetryDigest();
     return out;
   };
   const Outcome serial = run(0);
-  ASSERT_FALSE(serial.completions.empty());  // The gate must exercise completions.
+  ASSERT_FALSE(serial.completions.front().empty());  // The gate must exercise completions.
   for (const int workers : {2, 8}) {
     const Outcome pooled = run(workers);
     EXPECT_EQ(pooled.digest, serial.digest) << workers << " workers";
     EXPECT_EQ(pooled.completions, serial.completions) << workers << " workers";
+  }
+}
+
+// A traced host template gives every host its own tracer on its own clock.
+// Each host's trace export must not depend on which worker ran the host.
+TEST(FleetTest, TracedFleetExportsAreByteStable) {
+  const auto run = [](int workers) {
+    Fleet::Options options;
+    options.host.trace.enabled = true;
+    options.worker_threads = workers;
+    options.clamp_workers_to_hardware = false;
+    Fleet fleet(8, options);
+    std::vector<std::vector<int64_t>> completions;
+    PlaceTransfersAndPairs(fleet, completions);
+    anomaly::HeartbeatMesh::Config mesh;
+    mesh.period = TimeNs::Micros(100);
+    fleet.EnableHeartbeats(mesh);
+    fleet.Run(4);
+    std::vector<std::string> exports;
+    for (int h = 0; h < fleet.host_count(); ++h) {
+      exports.push_back(obs::ChromeTraceJson(fleet.host(h).tracer()));
+    }
+    return exports;
+  };
+  const std::vector<std::string> serial = run(0);
+  for (const std::string& json : serial) {
+    EXPECT_NE(json.find("fabric.solve"), std::string::npos);
+  }
+  EXPECT_NE(serial.front().find("fabric.completion"), std::string::npos);
+  for (const int workers : {2, 8}) {
+    EXPECT_EQ(run(workers), serial) << workers << " workers";
   }
 }
 
@@ -326,29 +367,53 @@ TEST(FleetTest, RootCauseViewRanksFleetWideSuspects) {
   EXPECT_GT(fleet.samples().back().max_host_utilization, 0.9);
 }
 
+// Every host's mesh probes on its own clock; pooled, those event windows
+// run on helper threads. The alarms, bit for bit, and the digest must match
+// the serial run.
 TEST(FleetTest, HeartbeatAlarmsSurfacePerHost) {
-  Fleet::Options options;
-  options.tick_period = TimeNs::Millis(2);
-  Fleet fleet(2, options);
-  anomaly::HeartbeatMesh::Config mesh;
-  mesh.period = TimeNs::Micros(100);
-  mesh.baseline_samples = 4;
-  fleet.EnableHeartbeats(mesh);
-  EXPECT_TRUE(fleet.heartbeats_enabled());
-  fleet.Run(2);  // Establish baselines on a healthy fleet.
+  struct Outcome {
+    uint64_t digest = 0;
+    // (host, first alarm ns, top suspect, score bits).
+    std::vector<std::tuple<int, int64_t, topology::LinkId, uint64_t>> alarms;
+  };
+  const auto run = [](int workers) {
+    Fleet::Options options;
+    options.tick_period = TimeNs::Millis(2);
+    options.worker_threads = workers;
+    options.clamp_workers_to_hardware = false;
+    Fleet fleet(4, options);
+    anomaly::HeartbeatMesh::Config mesh;
+    mesh.period = TimeNs::Micros(100);
+    mesh.baseline_samples = 4;
+    fleet.EnableHeartbeats(mesh);
+    EXPECT_TRUE(fleet.heartbeats_enabled());
+    fleet.Run(2);  // Establish baselines on a healthy fleet.
 
-  // Silent +5us degradation on host 1, on a link its probes traverse.
-  HostNetwork& faulty = fleet.host(1);
-  const auto path = *faulty.fabric().Route(faulty.server().nics[0], faulty.server().sockets[0]);
-  fabric::LinkFault fault;
-  fault.extra_latency = TimeNs::Micros(5);
-  faulty.fabric().InjectLinkFault(path.hops[0].link, fault);
-  fleet.Run(3);
+    // Silent +5us degradation on host 1, on a link its probes traverse.
+    HostNetwork& faulty = fleet.host(1);
+    const auto path = *faulty.fabric().Route(faulty.server().nics[0], faulty.server().sockets[0]);
+    fabric::LinkFault fault;
+    fault.extra_latency = TimeNs::Micros(5);
+    faulty.fabric().InjectLinkFault(path.hops[0].link, fault);
+    fleet.Run(3);
 
-  const FleetRootCause view = fleet.RootCauseView();
-  ASSERT_EQ(view.alarms.size(), 1u);
-  EXPECT_EQ(view.alarms.front().host, 1);
-  EXPECT_GT(view.alarms.front().first_alarm_at, TimeNs::Zero());
+    Outcome out;
+    for (const HostAlarm& alarm : fleet.RootCauseView().alarms) {
+      out.alarms.emplace_back(alarm.host, alarm.first_alarm_at.nanos(), alarm.top_suspect,
+                              std::bit_cast<uint64_t>(alarm.score));
+    }
+    out.digest = fleet.TelemetryDigest();
+    return out;
+  };
+  const Outcome serial = run(0);
+  ASSERT_EQ(serial.alarms.size(), 1u);
+  EXPECT_EQ(std::get<0>(serial.alarms.front()), 1);
+  EXPECT_GT(std::get<1>(serial.alarms.front()), 0);
+  for (const int workers : {2, 8}) {
+    const Outcome pooled = run(workers);
+    EXPECT_EQ(pooled.alarms, serial.alarms) << workers << " workers";
+    EXPECT_EQ(pooled.digest, serial.digest) << workers << " workers";
+  }
 }
 
 TEST(FleetTest, ReportRendersAndWrites) {
@@ -377,8 +442,14 @@ TEST(FleetTest, HostTemplateOptionsApply) {
   options.host.preset = HostNetwork::Preset::kEdgeNode;
   Fleet fleet(2, options);
   EXPECT_EQ(fleet.host(0).server().gpus.size(), 0u);
-  EXPECT_EQ(&fleet.host(0).simulation(), &fleet.simulation());
-  EXPECT_EQ(&fleet.host(1).simulation(), &fleet.simulation());
+  // Every host runs on its own clock, apart from the coordinator clock.
+  EXPECT_NE(&fleet.host(0).simulation(), &fleet.host(1).simulation());
+  EXPECT_NE(&fleet.host(0).simulation(), &fleet.simulation());
+  EXPECT_NE(&fleet.host(1).simulation(), &fleet.simulation());
+  fleet.Tick();
+  for (int h = 0; h < fleet.host_count(); ++h) {
+    EXPECT_EQ(fleet.host(h).Now(), fleet.Now()) << "host " << h;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -237,6 +238,27 @@ TYPED_TEST(EngineContractTest, RunUntilComposesSequentially) {
   sim.RunFor(TimeNs::Nanos(10));  // To t=20: fires at 14.
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.Now(), TimeNs::Nanos(20));
+}
+
+// Stop() inside RunUntil leaves the clock at the stopping event: jumping to
+// the deadline would let the next run fire an earlier event and move the
+// clock backwards.
+TYPED_TEST(EngineContractTest, StopInsideRunUntilKeepsClockMonotone) {
+  auto& sim = this->sim_;
+  std::vector<TimeNs> seen;
+  sim.ScheduleAt(TimeNs::Nanos(10), [&] {
+    seen.push_back(sim.Now());
+    sim.Stop();
+  });
+  sim.ScheduleAt(TimeNs::Nanos(20), [&] { seen.push_back(sim.Now()); });
+  EXPECT_EQ(sim.RunUntil(TimeNs::Nanos(100)), TimeNs::Nanos(10));
+  EXPECT_EQ(sim.Now(), TimeNs::Nanos(10));
+  seen.push_back(sim.Now());
+  sim.Run();
+  seen.push_back(sim.Now());
+  EXPECT_EQ(seen, (std::vector<TimeNs>{TimeNs::Nanos(10), TimeNs::Nanos(10), TimeNs::Nanos(20),
+                                       TimeNs::Nanos(20)}));
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
 
 TYPED_TEST(EngineContractTest, DefaultHandleIsInert) {
