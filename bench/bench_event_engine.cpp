@@ -22,15 +22,18 @@
 //
 // Emits machine-readable BENCH_event_engine.json in the working directory.
 // --smoke runs a reduced grid (CI keeps it under a couple of seconds).
+// Unknown flags and bad filter values print the usage line and exit 2.
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/read_number.h"
 #include "src/obs/sim_trace.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
@@ -163,14 +166,23 @@ int main(int argc, char** argv) {
   const char* only_engine = nullptr;
   size_t only_pending = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string_view arg = argv[i];
+    const std::string_view value = i + 1 < argc ? argv[i + 1] : "";
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--mix") == 0 && i + 1 < argc) {
+    } else if (arg == "--mix" && (value == "steady" || value == "churn")) {
       only_mix = argv[++i];
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
+    } else if (arg == "--engine" && (value == "pooled" || value == "reference")) {
       only_engine = argv[++i];
-    } else if (std::strcmp(argv[i], "--pending") == 0 && i + 1 < argc) {
-      only_pending = static_cast<size_t>(std::atol(argv[++i]));
+    } else if (arg == "--pending" && core::ReadNumber(value, &only_pending) &&
+               only_pending > 0) {
+      ++i;
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--smoke] [--mix steady|churn] [--pending N] "
+                   "[--engine pooled|reference]\n",
+                   argv[0]);
+      return 2;
     }
   }
 

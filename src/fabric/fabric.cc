@@ -106,6 +106,7 @@ int32_t Fabric::AppendRow(topology::Path path, int32_t tenant, TrafficClass klas
   tenants_.push_back(tenant);
   classes_.push_back(klass);
   ++live_flows_;
+  reprime_ = true;
   return row;
 }
 
@@ -124,14 +125,13 @@ void Fabric::JoinLinks(int32_t row) {
   }
 }
 
-void Fabric::CompactRows(int32_t from) {
+void Fabric::CompactRows() {
   // Survivors slide down in order, so ids stay ascending and relative order
-  // (hence heap order) is preserved. The hop pool past |from| is rewritten
-  // in the same pass.
-  const size_t begin = Idx(from);
-  size_t pool = begin < rows_.size() ? rows_[begin].hop_begin : hop_pool_.size();
-  size_t out = begin;
-  for (size_t row = begin; row < rows_.size(); ++row) {
+  // (hence heap order) is preserved. The hop pool is rewritten in the same
+  // pass.
+  size_t pool = 0;
+  size_t out = 0;
+  for (size_t row = 0; row < rows_.size(); ++row) {
     if (!rows_[row].alive) {
       continue;
     }
@@ -160,15 +160,10 @@ void Fabric::CompactRows(int32_t from) {
   classes_.resize(out);
   rows_.resize(out);
   hop_pool_.resize(pool);
-  // Member lists hold row numbers of pushed rows only. Rows past a partial
-  // compaction's |from| were never pushed; a full one renumbers every row,
-  // and the re-prime that follows re-joins them all.
-  if (begin == 0) {
-    for (DirectedLinkState& state : links_) {
-      state.members.clear();
-    }
+  // Rows were renumbered; the re-prime that follows re-joins them all.
+  for (DirectedLinkState& state : links_) {
+    state.members.clear();
   }
-  dead_unpushed_ = 0;
 }
 
 // -- Flows ----------------------------------------------------------------------
@@ -249,8 +244,13 @@ void Fabric::SetFlowWeight(FlowId id, double weight) {
   if (row < 0) {
     return;
   }
-  rows_[Idx(row)].weight = std::max(weight, 1e-9);
-  MarkFlowDirty(id);
+  double& current = rows_[Idx(row)].weight;
+  const double clamped = std::max(weight, 1e-9);
+  if (current != clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
+    current = clamped;
+    reprime_ = true;
+  }
+  MarkDirty();
 }
 
 void Fabric::SetFlowDemand(FlowId id, sim::Bandwidth demand) {
@@ -706,72 +706,35 @@ void Fabric::FlushIfDirty() const {
 }
 
 void Fabric::SolveRates() {
-  // Full re-prime: first solve ever, or enough tombstoned slots accumulated
-  // that the retained problem is mostly dead weight. Compaction renumbers
-  // rows densely in id order — the order the delta path appends in (flow
-  // ids are monotonic) — so allocations are identical either way.
-  if (!solver_retained_ || tombstoned_slots_ > live_flows_ / 2 + 8) {
-    CompactRows(0);
+  if (reprime_) {
+    // A new problem: compaction renumbers rows densely in id order, and the
+    // solver is loaded from the whole table. Hop lists are pre-sorted and
+    // deduped, so the solver copies them without re-sorting; no allocation
+    // at steady state.
+    CompactRows();
     solver_.Begin(links_.size());
     for (size_t i = 0; i < links_.size(); ++i) {
       solver_.SetCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
     }
-    // Hop lists are pre-sorted and deduped, so the solver copies them
-    // without re-sorting; no allocation at steady state.
     for (size_t row = 0; row < rows_.size(); ++row) {
       FlowRow& f = rows_[row];
-      const double eff = EffectiveDemand(f);
-      solver_.AddFlow(f.weight, eff, Hops(static_cast<int32_t>(row)), f.hop_count);
-      f.pushed_weight = f.weight;
-      f.pushed_demand = eff;
+      f.pushed_demand = EffectiveDemand(f);
+      solver_.AddFlow(f.weight, f.pushed_demand, Hops(static_cast<int32_t>(row)), f.hop_count);
       JoinLinks(static_cast<int32_t>(row));
     }
-    solved_ = &solver_.Commit();
-    pushed_rows_ = static_cast<int32_t>(rows_.size());
-    solver_retained_ = true;
-    tombstoned_slots_ = 0;
-    capacities_stale_ = false;
-    dirty_ids_.clear();
-    return;
-  }
-
-  // Delta path: push only what moved since the last solve. The solver elides
-  // writes that match its current value; the capacity sweep runs only after
-  // a fault or config change.
-  if (capacities_stale_) {
-    for (size_t i = 0; i < links_.size(); ++i) {
-      solver_.UpdateCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
-    }
-    capacities_stale_ = false;
-  }
-  if (dead_unpushed_ > 0) {
-    CompactRows(pushed_rows_);  // Flows stopped before they reached the solver.
-  }
-  for (const FlowId id : dirty_ids_) {
-    const int32_t row = FindRow(id);
-    if (row < 0) {
-      continue;  // Removed after being dirtied; the solver saw the removal.
-    }
-    FlowRow& f = rows_[Idx(row)];
-    const double eff = EffectiveDemand(f);
-    if (row >= pushed_rows_) {
-      // New rows first appear in the worklist in id order, so each one
-      // lands in the slot equal to its row.
-      const int32_t slot = solver_.AddFlowRetained(f.weight, eff, Hops(row), f.hop_count);
-      MIHN_CHECK(slot == row);
-      pushed_rows_ = row + 1;
-      f.pushed_weight = f.weight;
-      f.pushed_demand = eff;
-      JoinLinks(row);
-      continue;
-    }
-    if (f.pushed_weight != f.weight) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowWeight(row, f.weight);
-      f.pushed_weight = f.weight;
-    }
-    if (f.pushed_demand != eff) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowDemand(row, eff);
-      f.pushed_demand = eff;
+    reprime_ = false;
+  } else {
+    // Only demands moved: push the dirty rows' changes for the solver to
+    // replay against its retained trace.
+    for (const FlowId id : dirty_ids_) {
+      const int32_t row = FindRow(id);
+      MIHN_CHECK(row >= 0);  // A removal re-primes, so every dirty flow is live.
+      FlowRow& f = rows_[Idx(row)];
+      const double eff = EffectiveDemand(f);
+      if (f.pushed_demand != eff) {  // mihn-check: float-eq-ok(pushed-state diff)
+        solver_.UpdateFlowDemand(row, eff);
+        f.pushed_demand = eff;
+      }
     }
   }
   dirty_ids_.clear();
@@ -780,8 +743,7 @@ void Fabric::SolveRates() {
 
 void Fabric::CommitRates() {
   // Dense old-vs-new compare: only rows whose rate moved settle bytes,
-  // re-key their completion and touch their links. Dead rows read 0 on
-  // both sides (solver tombstones).
+  // re-key their completion and touch their links.
   const std::vector<double>& solved = *solved_;
   const sim::TimeNs now = sim_.Now();
   for (size_t row = 0; row < rates_.size(); ++row) {
@@ -811,7 +773,7 @@ void Fabric::CommitRates() {
 
 void Fabric::ResumLink(int32_t link) {
   // Id-order summation over the link's members, exactly as a from-scratch
-  // rebuild would add them (dead members add +0.0, a no-op).
+  // rebuild would add them.
   const size_t li = Idx(link);
   const size_t num_links = links_.size();
   DirectedLinkState& state = links_[li];
@@ -849,6 +811,8 @@ void Fabric::Recompute() {
   AccrueCounters();
   if (capacities_stale_) {
     RefreshCapacities();
+    capacities_stale_ = false;
+    reprime_ = true;
   }
 
   // Round 1 only matters for DDIO-eligible flows (it sets desired spills):
@@ -958,38 +922,30 @@ void Fabric::CheckInvariants() const {
   MIHN_CHECK(!dirty_);
   MIHN_CHECK(!in_recompute_);
   MIHN_CHECK(!capacities_stale_);
+  // After a solve the table is exactly the solver's problem: no dead row
+  // outlives the re-prime, and each row is its solver slot. A fabric that
+  // has never solved has no rows either, but still owes its first re-prime.
+  MIHN_CHECK(!reprime_ || recompute_count_ == 0);
+  MIHN_CHECK(solver_.rates().size() == rows_.size());
+  MIHN_CHECK(rows_.size() == live_flows_);
 
   // Per-link conservation and tenant membership, recomputed independently
   // from the rows.
   const size_t num_links = links_.size();
   std::vector<double> link_sums(num_links, 0.0);
   std::vector<int32_t> members(tenant_members_.size(), 0);
-  size_t live = 0;
   size_t finite = 0;
   sim::TimeNs earliest = sim::TimeNs::Max();
   for (size_t row = 0; row < rows_.size(); ++row) {
     const FlowRow& f = rows_[row];
     MIHN_CHECK(row == 0 || ids_[row - 1] < ids_[row]);
-    if (solver_retained_) {
-      // The retained mirror must be exact: a row is its solver slot, and a
-      // drifted pushed value means a mutation bypassed MarkFlowDirty and
-      // the solver solved stale inputs.
-      MIHN_CHECK(row < Idx(pushed_rows_));
-      MIHN_CHECK(row < solver_.retained_flows());
-      MIHN_CHECK(solver_.rates()[row] == rates_[row]);  // mihn-check: float-eq-ok(mirror exactness)
-    }
-    if (!f.alive) {
-      MIHN_CHECK(rates_[row] == 0.0);  // mihn-check: float-eq-ok(dead rows carry no rate)
-      MIHN_CHECK(f.heap_pos < 0);
-      continue;
-    }
-    ++live;
+    MIHN_CHECK(f.alive);
+    // The retained mirror must be exact: a drifted pushed value means a
+    // mutation bypassed MarkFlowDirty and the solver solved stale inputs.
+    MIHN_CHECK(solver_.rates()[row] == rates_[row]);  // mihn-check: float-eq-ok(mirror exactness)
+    MIHN_CHECK(f.pushed_demand == EffectiveDemand(f));  // mihn-check: float-eq-ok(mirror exactness)
     MIHN_CHECK(rates_[row] >= 0.0);
     MIHN_CHECK(f.moved >= 0.0);
-    if (solver_retained_) {
-      MIHN_CHECK(f.pushed_weight == f.weight);  // mihn-check: float-eq-ok(mirror exactness)
-      MIHN_CHECK(f.pushed_demand == EffectiveDemand(f));
-    }
     if (f.spill_child != kInvalidFlow) {
       const int32_t child = FindRow(f.spill_child);
       MIHN_CHECK(child >= 0);
@@ -1008,7 +964,6 @@ void Fabric::CheckInvariants() const {
       ++members[Idx(tenants_[row]) * num_links + li];
     }
   }
-  MIHN_CHECK(live == live_flows_);
   MIHN_CHECK(members == tenant_members_);
   MIHN_CHECK(heap_.size() == finite);
   MIHN_CHECK(heap_.empty() || rows_[Idx(heap_[0])].finish == earliest);
@@ -1199,14 +1154,9 @@ void Fabric::RemoveFlowInternal(int32_t row) {
   if (f.ddio_write && ddio_flow_count_ > 0) {
     --ddio_flow_count_;
   }
-  if (solver_retained_ && row < pushed_rows_) {
-    solver_.RemoveFlowRetained(row);
-    ++tombstoned_slots_;
-  } else {
-    ++dead_unpushed_;
-  }
   f.alive = false;
   --live_flows_;
+  reprime_ = true;
   if (f.heap_pos >= 0) {
     HeapRemove(row);
   }

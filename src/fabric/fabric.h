@@ -199,9 +199,10 @@ class Fabric {
   // effective capacity, modulo float tolerance), per-tenant sums and
   // membership counts, non-negative rates and counters, spill parent/child
   // symmetry, dirty-flag/recompute-count consistency, and the bookkeeping
-  // behind them: ids ascend, every live row matches its solver slot, the
-  // completion heap's top is the earliest finish over live finite rows, and
-  // effective capacities equal a fresh computation from config and faults.
+  // behind them: ids ascend, no dead row outlives a solve, every row matches
+  // its solver slot, the completion heap's top is the earliest finish over
+  // live finite rows, and effective capacities equal a fresh computation
+  // from config and faults.
   // Aborts via MIHN_CHECK on the first violation. A no-op unless built with
   // -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case Recompute() runs it
   // after every solve, so the existing fabric/sim test suites exercise it
@@ -212,11 +213,10 @@ class Fabric {
   // The flow table is a set of columns over *rows*, kept in ascending id
   // order. A row's index is its slot in the retained solver: rows are
   // appended in id order (ids are monotonic) and compacted, still in id
-  // order, only at a full solver re-prime, so solver output maps onto rows
-  // without translation and every walk stays in id order. A removed row
-  // lingers as a dead row (rate 0, solver tombstone) until that compaction;
-  // one removed before it ever reached the solver is compacted away at the
-  // next solve. FlowId -> row is a binary search over the id column.
+  // order, at the solver re-prime that follows any add or remove, so solver
+  // output maps onto rows without translation and every walk stays in id
+  // order. A removed row lingers as a dead row (rate 0) only until that
+  // re-prime. FlowId -> row is a binary search over the id column.
   //
   // The densely walked fields are the columns ids_, rates_, tenants_ and
   // classes_; the rest of a row lives in FlowRow, its path and completion
@@ -236,9 +236,8 @@ class Fabric {
     double limit = kUnlimitedDemand;
     double cache_cap = kUnlimitedDemand;  // Miss-drain throttle from the LLC model.
     double weight = 1.0;
-    // The values last pushed to the solver slot: the retained diff compares
-    // against them, so an untouched flow costs nothing per solve.
-    double pushed_weight = 0.0;
+    // The effective demand last pushed to the solver slot: the retained diff
+    // compares against it, so an untouched flow costs nothing per solve.
     double pushed_demand = -1.0;
     double miss_fraction = 0.0;  // 1 - hit rate of this flow's socket.
     FlowId spill_child = kInvalidFlow;
@@ -267,9 +266,9 @@ class Fabric {
     uint64_t packets = 0;
     std::array<double, kNumTrafficClasses> rate_by_class{};
     std::array<double, kNumTrafficClasses> bytes_by_class{};
-    // Pushed rows crossing this link, ascending (== id order); dead rows
-    // linger with rate 0 until compaction. The rate sums are re-summed
-    // over it in this order, so they stay bit-identical to a full rebuild.
+    // Rows crossing this link as of the last re-prime, ascending (== id
+    // order). The rate sums are re-summed over it in this order, so they
+    // stay bit-identical to a full rebuild.
     std::vector<int32_t> members;
     bool stale = false;        // A member's rate moved since the last re-sum.
     int32_t active_pos = -1;   // Index in active_links_ while rate > 0.
@@ -290,9 +289,9 @@ class Fabric {
   static double EffectiveDemand(const FlowRow& r) {
     return std::min({r.demand, r.limit, r.cache_cap});
   }
-  // Drops dead rows (all of them, or only those past the solver's pushed
-  // prefix), renumbering the survivors in id order.
-  void CompactRows(int32_t from);
+  // Drops dead rows, renumbering the survivors in id order, and empties
+  // every link's member list for the re-prime to refill.
+  void CompactRows();
   // Appends |row| to its links' member lists; done as the row is pushed to
   // the solver, so set-up pays nothing per link.
   void JoinLinks(int32_t row);
@@ -330,10 +329,10 @@ class Fabric {
   void Recompute();
 
   // One max-min pass; leaves the result in *solved_, indexed by row.
-  // Steady state pushes only the diff (changed capacities + dirty_ids_)
-  // into the retained solver and lets SolveDelta() replay the previous
-  // solve's trace; a full re-prime happens on the first solve and when
-  // tombstoned slots pile up.
+  // After an add, a remove, a weight change or a capacity refresh it
+  // re-primes the solver from the compacted table; otherwise it pushes only
+  // the dirty rows' changed demands and lets SolveDelta() replay the
+  // previous solve's trace.
   void SolveRates();
 
   // Commits *solved_: rows whose rate moved settle their bytes, re-key
@@ -394,7 +393,6 @@ class Fabric {
   std::vector<FlowRow> rows_;
   std::vector<int32_t> hop_pool_;
   size_t live_flows_ = 0;
-  size_t dead_unpushed_ = 0;  // Dead rows past the pushed prefix.
   FlowId next_flow_id_ = 1;
 
   // Per-tenant link aggregates over the dense tenant index, tenant-major
@@ -421,17 +419,15 @@ class Fabric {
   MaxMinSolver solver_;  // Persistent workspace: no allocation at steady state.
   const std::vector<double>* solved_ = nullptr;  // The last SolveRates() output.
   // Retained-solver bookkeeping. dirty_ids_ is the worklist of flows whose
-  // weight or effective demand may have moved since the last solve
-  // (duplicates fine — the solver elides no-op writes). pushed_rows_ rows
-  // hold solver slots; tombstoned slots accumulate until a full re-prime
-  // compacts them away.
+  // effective demand may have moved since the last solve, new flows
+  // included (duplicates fine — the diff skips unmoved demands). reprime_
+  // makes the next SolveRates() load the whole table into the solver
+  // instead: set by any add, remove, weight change or capacity refresh, and
+  // before the first solve.
   std::vector<FlowId> dirty_ids_;
-  int32_t pushed_rows_ = 0;
-  size_t tombstoned_slots_ = 0;
-  bool solver_retained_ = false;
-  // Capacities move only with faults and config: RefreshCapacities() and
-  // the solver's capacity sweep run only after one of those mutators (the
-  // next Recompute() refreshes, its first SolveRates() pushes and clears).
+  bool reprime_ = true;
+  // Capacities move only with faults and config: RefreshCapacities() runs
+  // only after one of those mutators, in the next Recompute().
   bool capacities_stale_ = false;
   sim::EventHandle pre_advance_hook_;
   obs::Tracer* tracer_ = obs::Tracer::Disabled();

@@ -613,11 +613,11 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 }
 
 // ---------------------------------------------------------------------------
-// Retained-problem mutators
+// Retained-problem mutation
 // ---------------------------------------------------------------------------
 //
-// Only a demand change to a flow that stays live is recorded for replay.
-// Every other mutation writes its input and sets force_full_; once set, the
+// Only a demand change to a flow that stays live is recorded for replay. A
+// kill or a revive writes its input and sets force_full_; once set, the
 // rest of the batch just writes inputs, so dead_ and the trace always
 // describe the retained solve while they are read.
 
@@ -634,18 +634,6 @@ void MaxMinSolver::RecordDemandMut(int32_t flow) {
   flow_muts_.push_back(m);
 }
 
-void MaxMinSolver::UpdateCapacity(int32_t link, double capacity) {
-  if (link < 0 || static_cast<size_t>(link) >= num_links_) {
-    return;
-  }
-  double& cap = capacities_[static_cast<size_t>(link)];
-  if (cap == capacity) {  // mihn-check: float-eq-ok(no-op mutation elision)
-    return;
-  }
-  cap = capacity;
-  force_full_ = true;
-}
-
 void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
   if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
     return;
@@ -659,7 +647,7 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
       if (demand > 0.0) {
         RecordDemandMut(flow);  // Before the write: records the retained key.
       } else {
-        force_full_ = true;  // Tombstone.
+        force_full_ = true;  // Kill.
       }
     } else if (demand > 0.0) {
       // Dead at the baseline. A flow crossing an invalid or zero-capacity
@@ -679,46 +667,6 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
   flow_demand_[f] = demand;
 }
 
-void MaxMinSolver::UpdateFlowWeight(int32_t flow, double weight) {
-  if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
-    return;
-  }
-  const size_t f = static_cast<size_t>(flow);
-  const double w = std::max(weight, kMinWeight);
-  if (flow_weight_[f] == w) {  // mihn-check: float-eq-ok(no-op mutation elision)
-    return;
-  }
-  // A dead flow's weight is invisible to the allocation; a later revive
-  // takes the full path and picks the new weight up from flow_weight_.
-  if (primed_ && !force_full_ && !dead_[f]) {
-    force_full_ = true;
-  }
-  flow_weight_[f] = w;
-}
-
-int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_t* links,
-                                      size_t count) {
-  const int32_t slot = AddFlow(weight, demand, links, count);
-  if (primed_) {
-    // The new slot reads rate 0 until the next solve, which is a full one:
-    // it rebuilds the member index over the grown flow table.
-    rates_.push_back(0.0);
-    force_full_ = true;
-  }
-  return slot;
-}
-
-void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
-  if (flow < 0 || static_cast<size_t>(flow) >= num_flows_) {
-    return;
-  }
-  const size_t f = static_cast<size_t>(flow);
-  if (primed_ && !force_full_ && !dead_[f]) {
-    force_full_ = true;
-  }
-  flow_demand_[f] = 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // Delta dispatch
 // ---------------------------------------------------------------------------
@@ -727,9 +675,9 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
   ++delta_solves_;
   delta_stats_ = DeltaStats{};
 
-  // Structural mutations re-prime. So does a degenerate trace (nothing to
-  // replay against) and a batch large enough that the O(rounds × mutations)
-  // scan stops paying against a rebuild.
+  // A new problem since Begin(), a kill or a revive re-primes. So does a
+  // degenerate trace (nothing to replay against) and a batch large enough
+  // that the O(rounds × mutations) scan stops paying against a rebuild.
   if (!primed_ || force_full_ || trace_level_.empty() ||
       flow_muts_.size() > num_flows_ / 8 + 8) {
     delta_stats_.fallback_full = true;

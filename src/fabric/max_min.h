@@ -53,32 +53,33 @@ inline constexpr double kUnlimitedDemand = 1e30;
 //   solver.AddFlow(weight, demand, links, n);  // in flow order
 //   const std::vector<double>& rates = solver.Commit();
 //
-// Usage (retained delta API, the fabric hot path): after a Commit() the
-// solver keeps the problem *and* the solve trace. Mutate it in place —
+// Usage (retained delta API, the fabric hot path): after a solve the solver
+// keeps the problem *and* the solve trace. The one retained mutation is a
+// demand change —
 //
 //   solver.UpdateFlowDemand(slot, demand);
-//   solver.UpdateCapacity(l, cap);
-//   solver.UpdateFlowWeight(slot, weight);
-//   slot = solver.AddFlowRetained(weight, demand, links, n);
-//   solver.RemoveFlowRetained(slot);      // Tombstone: slot keeps rate 0.
 //
 // — then SolveDelta() re-solves. Results are bit-identical to a fresh
-// Commit() of the mutated problem (and therefore to the reference). Only
-// demand changes to flows that stay live are replayed: the delta engine
-// scans the recorded per-round trace and proves, round by round, that the
-// new demands leave the water level and every mutated flow's fix round
-// unchanged. If the whole trace holds, only the mutated flows' rates are
-// rewritten (a no-op splice); otherwise filling resumes from the O(links)
-// checkpoint before the first round that changes. Every other mutation —
-// capacity, weight, add, remove, or a demand that kills or revives a flow
-// — and any batch of more than flows/8 + 8 demand changes makes the next
-// SolveDelta() a full solve, so SolveDelta() is never worse than Commit()
-// by more than the O(rounds × mutations) scan.
+// Commit() of the mutated problem (and therefore to the reference). The
+// delta engine scans the recorded per-round trace and proves, round by
+// round, that the new demands leave the water level and every mutated
+// flow's fix round unchanged. If the whole trace holds, only the mutated
+// flows' rates are rewritten (a no-op splice); otherwise filling resumes
+// from the O(links) checkpoint before the first round that changes. A
+// demand that kills (<= 0) or revives a flow, and a batch of more than
+// flows/8 + 8 changes, make the next SolveDelta() a full solve, so
+// SolveDelta() is never worse than Commit() by more than the
+// O(rounds × mutations) scan.
 //
-// |rates| is indexed by AddFlow/AddFlowRetained order and remains valid
-// until the next Begin()/Solve(). All internal arrays are retained between
-// solves, so after a warm-up call of at least the same problem size the
-// entire mutate/SolveDelta cycle allocates nothing.
+// A capacity, weight, add or remove change is a new problem: the caller
+// loads it with Begin/SetCapacity/AddFlow again. SolveDelta() right after
+// Begin() is a full solve, so a caller may end every solve with it and the
+// delta counters still count every solve and every full one.
+//
+// |rates| is indexed by AddFlow order and remains valid until the next
+// Begin()/Solve(). All internal arrays are retained between solves, so
+// after a warm-up call of at least the same problem size the entire
+// mutate/SolveDelta cycle allocates nothing.
 //
 // Guarantees (identical to SolveMaxMinReference, bit-for-bit):
 //  * Feasibility: for every link, sum of rates of flows crossing it does
@@ -97,7 +98,7 @@ class MaxMinSolver {
   MaxMinSolver& operator=(const MaxMinSolver&) = delete;
 
   // Starts a new problem over |num_links| resources, all capacities 0.
-  // Drops the retained problem and trace (primed() becomes false).
+  // Drops the retained problem and trace.
   void Begin(size_t num_links);
 
   // Sets one link's capacity. Must precede all AddFlow calls so dead-flow
@@ -119,36 +120,13 @@ class MaxMinSolver {
                                    const std::vector<double>& capacities);
 
   // -- Retained-problem delta API ---------------------------------------------
-  // All mutators below require a preceding Commit() (primed() == true) to
-  // take the delta path; on an unprimed solver they degrade to their batch
-  // equivalents and the next solve is a full one.
-
-  // True once a Commit() has retained a problem + trace.
-  bool primed() const { return primed_; }
-
-  // Changes one link's capacity in the retained problem. The next solve is
-  // a full one.
-  void UpdateCapacity(int32_t link, double capacity);
-
-  // Changes one retained flow's demand ceiling — the one mutation the delta
-  // engine replays. A demand <= 0 tombstones the flow (equivalent to
-  // RemoveFlowRetained) and raising a tombstoned flow's demand back above
-  // zero revives it; either makes the next solve a full one.
+  // Changes one flow's demand ceiling — the one mutation the delta engine
+  // replays. A demand <= 0 kills the flow (it keeps its slot at rate 0 and
+  // has no effect on any other allocation: the reference's dead-flow rule),
+  // and raising a dead flow's demand back above zero revives it; either
+  // makes the next solve a full one. Before the first solve since Begin()
+  // it only writes the input.
   void UpdateFlowDemand(int32_t flow, double demand);
-
-  // Changes one retained flow's fair-share weight. On a live flow the next
-  // solve is a full one.
-  void UpdateFlowWeight(int32_t flow, double weight);
-
-  // Appends one flow to the retained problem. Returns its rate-vector slot,
-  // which reads rate 0 until the next solve (a full one).
-  int32_t AddFlowRetained(double weight, double demand, const int32_t* links, size_t count);
-
-  // Tombstones one retained flow: its slot stays in the rate vector with
-  // rate 0 and exactly zero effect on every other allocation (dead flows
-  // contribute no weight anywhere — the reference's own dead-flow rule).
-  // Removing a live flow makes the next solve a full one.
-  void RemoveFlowRetained(int32_t flow);
 
   // Re-solves after the mutations recorded since the last solve. Returns
   // the same retained rate vector as Commit(), bit-identical to a fresh
@@ -158,13 +136,10 @@ class MaxMinSolver {
   // Last solved rates without re-solving (valid after Commit/SolveDelta).
   const std::vector<double>& rates() const { return rates_; }
 
-  // Number of retained flow slots (live + tombstoned).
-  size_t retained_flows() const { return num_flows_; }
-
   // Observability for the delta engine (obs counters, benches, tests).
   struct DeltaStats {
     size_t component_links = 0;  // Active links re-waterfilled at resume.
-    bool fallback_full = false;  // Structural mutation or oversized batch: full path.
+    bool fallback_full = false;  // New problem, kill/revive or oversized batch: full path.
     bool noop_splice = false;    // Proven no divergence: spliced rates only.
   };
   DeltaStats last_delta_stats() const { return delta_stats_; }
@@ -212,7 +187,7 @@ class MaxMinSolver {
   size_t num_links_ = 0;
   size_t num_flows_ = 0;
 
-  // Problem inputs, flat. Retained (and mutated in place) between solves.
+  // Problem inputs, flat. Retained between solves; demands change in place.
   std::vector<double> capacities_;
   std::vector<double> flow_weight_;  // Clamped to >= 1e-12.
   std::vector<double> flow_demand_;
@@ -278,7 +253,7 @@ class MaxMinSolver {
 
   // -- Retained trace (the delta engine's memory of the last solve) ----------
   bool primed_ = false;
-  bool force_full_ = false;  // A mutation other than a live demand change.
+  bool force_full_ = false;  // A demand change killed or revived a flow.
   std::vector<double> trace_level_;    // Water level after each round.
   std::vector<uint8_t> trace_forced_;  // Round used the forced-fix guard.
   std::vector<int32_t> fix_round_;     // Per flow; kNeverFixed / kDeadRound.

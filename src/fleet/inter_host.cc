@@ -18,15 +18,6 @@ InterHostNetwork::InterHostNetwork(const Config& config) : config_(config) {
     capacity_[static_cast<size_t>(RackDownIndex(r))] = config_.rack_down.bytes_per_sec();
   }
   link_rate_.assign(capacity_.size(), 0.0);
-  // Prime the solver on the (empty) problem so the retained API is live from
-  // the start: slots align with flows_ indices, and a flow added between
-  // solves reads rate 0 until the next Solve() (a full one; only demand
-  // changes replay the retained trace).
-  solver_.Begin(capacity_.size());
-  for (size_t l = 0; l < capacity_.size(); ++l) {
-    solver_.SetCapacity(static_cast<int32_t>(l), capacity_[l]);
-  }
-  solver_.Commit();
 }
 
 int32_t InterHostNetwork::AddFlow(int src_host, int dst_host, sim::Bandwidth demand,
@@ -36,6 +27,8 @@ int32_t InterHostNetwork::AddFlow(int src_host, int dst_host, sim::Bandwidth dem
   MIHN_CHECK(src_host != dst_host);
   FlowRec rec;
   rec.live = true;
+  rec.demand = demand.bytes_per_sec();
+  rec.weight = weight;
   rec.links.push_back(HostUpIndex(src_host));
   const int src_rack = RackOf(src_host);
   const int dst_rack = RackOf(dst_host);
@@ -44,19 +37,21 @@ int32_t InterHostNetwork::AddFlow(int src_host, int dst_host, sim::Bandwidth dem
     rec.links.push_back(RackDownIndex(dst_rack));
   }
   rec.links.push_back(HostDownIndex(dst_host));
-  const int32_t slot = solver_.AddFlowRetained(weight, demand.bytes_per_sec(), rec.links.data(),
-                                               rec.links.size());
-  MIHN_CHECK(slot == static_cast<int32_t>(flows_.size()));
   flows_.push_back(std::move(rec));
-  return slot;
+  reprime_ = true;
+  return static_cast<int32_t>(flows_.size()) - 1;
 }
 
 void InterHostNetwork::SetFlowDemand(int32_t slot, sim::Bandwidth demand) {
   MIHN_CHECK(slot >= 0 && slot < static_cast<int32_t>(flows_.size()));
-  if (!flows_[static_cast<size_t>(slot)].live) {
+  FlowRec& rec = flows_[static_cast<size_t>(slot)];
+  if (!rec.live) {
     return;
   }
-  solver_.UpdateFlowDemand(slot, demand.bytes_per_sec());
+  rec.demand = demand.bytes_per_sec();
+  if (!reprime_) {
+    solver_.UpdateFlowDemand(slot, rec.demand);
+  }
 }
 
 void InterHostNetwork::RemoveFlow(int32_t slot) {
@@ -66,10 +61,23 @@ void InterHostNetwork::RemoveFlow(int32_t slot) {
     return;
   }
   rec.live = false;
-  solver_.RemoveFlowRetained(slot);
+  rec.demand = 0.0;  // The reference's dead-flow rule: no effect on anyone.
+  reprime_ = true;
 }
 
 void InterHostNetwork::Solve() {
+  if (reprime_) {
+    // An add or a remove is a new problem: load every slot, removed ones
+    // included, so slots stay the solver's flow indices.
+    solver_.Begin(capacity_.size());
+    for (size_t l = 0; l < capacity_.size(); ++l) {
+      solver_.SetCapacity(static_cast<int32_t>(l), capacity_[l]);
+    }
+    for (const FlowRec& rec : flows_) {
+      solver_.AddFlow(rec.weight, rec.demand, rec.links.data(), rec.links.size());
+    }
+    reprime_ = false;
+  }
   const std::vector<double>& rates = solver_.SolveDelta();
   link_rate_.assign(capacity_.size(), 0.0);
   for (size_t f = 0; f < flows_.size(); ++f) {
@@ -84,10 +92,11 @@ void InterHostNetwork::Solve() {
 
 sim::Bandwidth InterHostNetwork::FlowRate(int32_t slot) const {
   MIHN_CHECK(slot >= 0 && slot < static_cast<int32_t>(flows_.size()));
-  if (!flows_[static_cast<size_t>(slot)].live) {
-    return sim::Bandwidth::Zero();
+  const std::vector<double>& rates = solver_.rates();
+  if (!flows_[static_cast<size_t>(slot)].live || static_cast<size_t>(slot) >= rates.size()) {
+    return sim::Bandwidth::Zero();  // Removed, or added since the last Solve().
   }
-  return sim::Bandwidth::BytesPerSec(solver_.rates()[static_cast<size_t>(slot)]);
+  return sim::Bandwidth::BytesPerSec(rates[static_cast<size_t>(slot)]);
 }
 
 std::vector<InterHostLinkUse> InterHostNetwork::SnapshotLinks() const {

@@ -14,9 +14,9 @@
 //
 // (the bracketed rack hops only when the hosts sit in different racks) and
 // competes with every other cross-host flow for those capacities under the
-// exact same fabric::MaxMinSolver the intra-host fabric uses — including
-// its retained delta path, so steady-state fleet ticks re-solve only what
-// changed.
+// exact same fabric::MaxMinSolver the intra-host fabric uses. A tick that
+// only changes demands takes the solver's retained delta path; an added or
+// removed flow re-primes it from every slot.
 
 #ifndef MIHN_SRC_FLEET_INTER_HOST_H_
 #define MIHN_SRC_FLEET_INTER_HOST_H_
@@ -65,13 +65,15 @@ class InterHostNetwork {
 
   // -- Flows -------------------------------------------------------------------
   // Adds a src -> dst flow (src != dst) and returns its slot. Slots are
-  // stable until RemoveFlow; rates are read per slot after Solve().
+  // stable until RemoveFlow; rates are read per slot after Solve(), and a
+  // slot added since the last Solve() reads 0.
   int32_t AddFlow(int src_host, int dst_host, sim::Bandwidth demand, double weight = 1.0);
   void SetFlowDemand(int32_t slot, sim::Bandwidth demand);
   void RemoveFlow(int32_t slot);
 
-  // Re-solves the shared allocation. Steady state takes the solver's
-  // retained delta path; results are bit-identical to a full solve.
+  // Re-solves the shared allocation. After an add or a remove it re-primes
+  // the solver; otherwise it takes the retained delta path. Either way the
+  // rates are bit-identical to a full solve.
   void Solve();
 
   // Last solved rate of |slot| (zero after RemoveFlow).
@@ -91,6 +93,8 @@ class InterHostNetwork {
 
   struct FlowRec {
     bool live = false;
+    double demand = 0.0;  // 0 once removed.
+    double weight = 1.0;
     std::vector<int32_t> links;
   };
 
@@ -100,6 +104,7 @@ class InterHostNetwork {
   std::vector<double> link_rate_;  // Rebuilt from flow rates on Solve().
   std::vector<FlowRec> flows_;     // Slot-indexed; mirrors solver slots.
   fabric::MaxMinSolver solver_;
+  bool reprime_ = true;  // An add or remove since the last Solve(), or no Solve() yet.
 };
 
 }  // namespace mihn::fleet

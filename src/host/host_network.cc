@@ -45,8 +45,7 @@ HostNetwork::HostNetwork(sim::Simulation& sim, topology::Server server, Options 
       options.autostart == Autostart::kAllUnreported) {
     collector_->Start();
   }
-  if (options.autostart == Autostart::kManagerOnly || options.autostart == Autostart::kAll ||
-      options.autostart == Autostart::kAllUnreported) {
+  if (options.autostart == Autostart::kAll || options.autostart == Autostart::kAllUnreported) {
     manager_->Start();
   }
 }

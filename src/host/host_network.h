@@ -35,20 +35,18 @@ class HostNetwork {
  public:
   enum class Preset { kCommodityTwoSocket, kDgxClass, kEdgeNode };
 
-  // Which manageability services the constructor starts. Replaces the old
-  // trio of bools (start_collector / start_manager /
-  // report_telemetry_to_store); anything not auto-started here can be
-  // started later via StartCollector() / StartManager().
+  // Which manageability services the constructor starts; anything not
+  // auto-started here can be started later via StartCollector() /
+  // StartManager().
   enum class Autostart {
     // Nothing runs until explicitly started. Telemetry reporting to the
     // monitor store is still wired, so a later StartCollector() reports.
     kNone,
     kCollectorOnly,
-    kManagerOnly,
     // Collector + manager (the default, matching a managed production host).
     kAll,
     // kAll, but telemetry is processed in place: no reporting traffic to
-    // the monitor store (the old report_telemetry_to_store=false).
+    // the monitor store.
     kAllUnreported,
   };
 

@@ -86,7 +86,7 @@ TEST(WorkerPoolTest, SpreadsWorkAcrossRealThreads) {
   std::set<std::thread::id> ids;
   // Helper t always runs chunk t, so with n >= parallelism every pool
   // thread (caller included) executes one chunk.
-  pool.ParallelFor(8, [&](size_t begin, size_t end) {
+  pool.ParallelFor(8, [&](size_t, size_t) {
     std::lock_guard<std::mutex> lock(mu);
     ids.insert(std::this_thread::get_id());
   });

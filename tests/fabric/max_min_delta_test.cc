@@ -1,10 +1,11 @@
 // Mutation-trace differential tests for the MaxMinSolver delta engine.
 //
-// The retained delta path (UpdateCapacity / UpdateFlowDemand /
-// UpdateFlowWeight / AddFlowRetained / RemoveFlowRetained + SolveDelta) must
-// produce rates bit-identical to a fresh full solve — and therefore to
-// SolveMaxMinReference — after EVERY mutation step, whether it splices,sews
-// a resumed suffix, or falls back to the full path. These suites drive long
+// The retained delta path (UpdateFlowDemand + SolveDelta) must produce rates
+// bit-identical to a fresh full solve — and therefore to
+// SolveMaxMinReference — after EVERY mutation step, whether it splices,
+// sews a resumed suffix, or falls back to the full path. A capacity, weight
+// or add step reloads the solver (Begin/SetCapacity/AddFlow) as the fabric
+// does, and its SolveDelta() is a full solve. These suites drive long
 // random mutation traces against a shadow instance that is re-solved from
 // scratch by the reference oracle at each step.
 
@@ -32,7 +33,7 @@ void ExpectIdentical(const std::vector<double>& got, const std::vector<double>& 
 }
 
 // Shadow copy of the retained problem: slot-for-slot mirror of the solver's
-// rate vector (tombstoned flows stay as demand-0 entries, exactly the
+// rate vector (killed flows stay as demand-0 entries, exactly the
 // reference's dead-flow rule).
 struct Shadow {
   std::vector<MaxMinFlow> flows;
@@ -67,7 +68,8 @@ Shadow MakeShadow(sim::Rng& rng, int num_links, int num_flows) {
   return sh;
 }
 
-void PrimeSolver(MaxMinSolver& solver, const Shadow& sh) {
+// Loads the shadow as a new problem; the next solve is a full one.
+void LoadSolver(MaxMinSolver& solver, const Shadow& sh) {
   solver.Begin(sh.caps.size());
   for (size_t l = 0; l < sh.caps.size(); ++l) {
     solver.SetCapacity(static_cast<int32_t>(l), sh.caps[l]);
@@ -75,6 +77,10 @@ void PrimeSolver(MaxMinSolver& solver, const Shadow& sh) {
   for (const MaxMinFlow& f : sh.flows) {
     solver.AddFlow(f.weight, f.demand, f.links.data(), f.links.size());
   }
+}
+
+void PrimeSolver(MaxMinSolver& solver, const Shadow& sh) {
+  LoadSolver(solver, sh);
   solver.Commit();
 }
 
@@ -93,28 +99,26 @@ bool MutateOnce(sim::Rng& rng, MaxMinSolver& solver, Shadow& sh) {
       return true;
     }
     case 3:
-    case 4: {  // Weight change.
+    case 4: {  // Weight change: a new problem.
       const auto f = static_cast<int32_t>(rng.UniformInt(0, static_cast<int>(sh.flows.size()) - 1));
-      const double w = rng.Uniform(0.1, 4.0);
-      solver.UpdateFlowWeight(f, w);
-      sh.flows[static_cast<size_t>(f)].weight = w;
+      sh.flows[static_cast<size_t>(f)].weight = rng.Uniform(0.1, 4.0);
+      LoadSolver(solver, sh);
       return true;
     }
     case 5:
-    case 6: {  // Capacity nudge (occasionally to/from zero: the full path).
+    case 6: {  // Capacity nudge (occasionally to/from zero): a new problem.
       const auto l = static_cast<int32_t>(rng.UniformInt(0, static_cast<int>(sh.caps.size()) - 1));
-      const double c = rng.Bernoulli(0.06) ? 0.0 : rng.Uniform(1.0, 1000.0);
-      solver.UpdateCapacity(l, c);
-      sh.caps[static_cast<size_t>(l)] = c;
+      sh.caps[static_cast<size_t>(l)] = rng.Bernoulli(0.06) ? 0.0 : rng.Uniform(1.0, 1000.0);
+      LoadSolver(solver, sh);
       return true;
     }
-    case 7: {  // Tombstone.
+    case 7: {  // Kill: a demand of 0.
       const auto f = static_cast<int32_t>(rng.UniformInt(0, static_cast<int>(sh.flows.size()) - 1));
-      solver.RemoveFlowRetained(f);
+      solver.UpdateFlowDemand(f, 0.0);
       sh.flows[static_cast<size_t>(f)].demand = 0.0;
       return true;
     }
-    default: {  // Add a flow.
+    default: {  // Add a flow: a new problem.
       MaxMinFlow f;
       f.weight = rng.Uniform(0.1, 4.0);
       f.demand = RandomDemand(rng);
@@ -122,9 +126,8 @@ bool MutateOnce(sim::Rng& rng, MaxMinSolver& solver, Shadow& sh) {
       for (int i = 0; i < nl; ++i) {
         f.links.push_back(static_cast<int32_t>(rng.UniformInt(0, static_cast<int>(sh.caps.size()) - 1)));
       }
-      const int32_t slot = solver.AddFlowRetained(f.weight, f.demand, f.links.data(), f.links.size());
-      EXPECT_EQ(static_cast<size_t>(slot), sh.flows.size());
       sh.flows.push_back(std::move(f));
+      LoadSolver(solver, sh);
       return true;
     }
   }
@@ -211,31 +214,41 @@ TEST(MaxMinDeltaDifferentialTest, NoopDeltaSplicesWithoutResolving) {
 
   // Writing back the identical value is elided entirely.
   solver.UpdateFlowDemand(3, sh.flows[3].demand);
-  solver.UpdateCapacity(2, sh.caps[2]);
   ExpectIdentical(solver.SolveDelta(), before, 99, 1);
   EXPECT_EQ(solver.delta_noop_splices(), noops_before + 2);
 }
 
-TEST(MaxMinDeltaDifferentialTest, UnprimedMutatorsDegradeToBatch) {
+// SolveDelta() right after Begin() solves the loaded problem from scratch,
+// whether or not the solver held an earlier one, and counts as a full solve;
+// a demand written before that first solve is just an input.
+TEST(MaxMinDeltaDifferentialTest, SolveDeltaAfterBeginIsAFullSolve) {
   MaxMinSolver solver;
-  solver.Begin(2);
-  solver.SetCapacity(0, 100.0);
-  solver.SetCapacity(1, 50.0);
-  const int32_t a = solver.AddFlowRetained(1.0, kUnlimitedDemand, (const int32_t[]){0}, 1);
-  const int32_t b = solver.AddFlowRetained(1.0, kUnlimitedDemand, (const int32_t[]){0, 1}, 2);
-  solver.UpdateFlowDemand(a, 30.0);
-  const std::vector<double>& rates = solver.SolveDelta();
-  std::vector<MaxMinFlow> flows{{1.0, 30.0, {0}}, {1.0, kUnlimitedDemand, {0, 1}}};
-  ExpectIdentical(rates, SolveMaxMinReference(flows, {100.0, 50.0}),
-                  static_cast<uint64_t>(a + b), 0);
+  Shadow sh;
+  sh.caps = {100.0, 50.0};
+  sh.flows = {{1.0, kUnlimitedDemand, {0}}, {1.0, kUnlimitedDemand, {0, 1}}};
+  LoadSolver(solver, sh);
+  solver.UpdateFlowDemand(0, 30.0);
+  sh.flows[0].demand = 30.0;
+  ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 0, 0);
   EXPECT_TRUE(solver.last_delta_stats().fallback_full);
+  EXPECT_EQ(solver.delta_solves(), 1u);
+  EXPECT_EQ(solver.delta_fallbacks(), 1u);
+
+  // A primed solver reloaded with a new problem drops its trace.
+  sh.caps[1] = 60.0;
+  sh.flows.push_back({2.0, 15.0, {1}});
+  LoadSolver(solver, sh);
+  ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 0, 1);
+  EXPECT_TRUE(solver.last_delta_stats().fallback_full);
+  EXPECT_EQ(solver.delta_solves(), 2u);
+  EXPECT_EQ(solver.delta_fallbacks(), 2u);
 }
 
 // The delta contract: only a demand change to a flow that stays live is
-// replayed against the retained trace; every other mutation makes the next
-// SolveDelta() a full solve. Each case mutates a freshly primed solver and
-// its shadow, solves, then takes one more live demand step to show the
-// re-primed solver is back on the delta path.
+// replayed against the retained trace; a demand that kills or revives a
+// flow makes the next SolveDelta() a full solve. Each case mutates a freshly
+// primed solver and its shadow, solves, then takes one more live demand step
+// to show the re-primed solver is back on the delta path.
 TEST(MaxMinDeltaDifferentialTest, OnlyLiveDemandChangesAvoidTheFullPath) {
   struct Case {
     const char* name;
@@ -249,41 +262,6 @@ TEST(MaxMinDeltaDifferentialTest, OnlyLiveDemandChangesAvoidTheFullPath) {
          sh.flows[0].demand = 40.0;
        },
        false},
-      {"weight change on a dead flow",
-       [](MaxMinSolver& s, Shadow& sh) {
-         s.UpdateFlowWeight(3, 2.5);
-         sh.flows[3].weight = 2.5;
-       },
-       false},
-      {"capacity",
-       [](MaxMinSolver& s, Shadow& sh) {
-         s.UpdateCapacity(1, 60.0);
-         sh.caps[1] = 60.0;
-       },
-       true},
-      {"weight change on a live flow",
-       [](MaxMinSolver& s, Shadow& sh) {
-         s.UpdateFlowWeight(1, 3.0);
-         sh.flows[1].weight = 3.0;
-       },
-       true},
-      {"add",
-       [](MaxMinSolver& s, Shadow& sh) {
-         MaxMinFlow f{1.0, 10.0, {0, 2}};
-         const int32_t slot = s.AddFlowRetained(f.weight, f.demand, f.links.data(), 2);
-         EXPECT_EQ(static_cast<size_t>(slot), sh.flows.size());
-         // Readable before the solve (InterHostNetwork::FlowRate relies on it).
-         ASSERT_EQ(s.rates().size(), sh.flows.size() + 1);
-         EXPECT_EQ(s.rates()[static_cast<size_t>(slot)], 0.0);
-         sh.flows.push_back(std::move(f));
-       },
-       true},
-      {"remove",
-       [](MaxMinSolver& s, Shadow& sh) {
-         s.RemoveFlowRetained(2);
-         sh.flows[2].demand = 0.0;
-       },
-       true},
       {"demand of 0",
        [](MaxMinSolver& s, Shadow& sh) {
          s.UpdateFlowDemand(4, 0.0);
@@ -304,7 +282,7 @@ TEST(MaxMinDeltaDifferentialTest, OnlyLiveDemandChangesAvoidTheFullPath) {
     sh.flows = {{1.0, 30.0, {0}},
                 {1.0, kUnlimitedDemand, {0, 1}},
                 {2.0, kUnlimitedDemand, {1, 2}},
-                {1.0, 0.0, {2}},  // Dead: tombstoned at the baseline.
+                {1.0, 0.0, {2}},  // Dead at the baseline.
                 {1.0, 20.0, {2}}};
     MaxMinSolver solver;
     PrimeSolver(solver, sh);
@@ -359,17 +337,17 @@ TEST(MaxMinDeltaDifferentialTest, StallRegimeMixedMutationsMatchReference) {
     if (kind < 0.7) {
       sh.flows[f].demand = rng.Bernoulli(0.2) ? kUnlimitedDemand : rng.Uniform(1e6, 5e9);
       solver.UpdateFlowDemand(static_cast<int32_t>(f), sh.flows[f].demand);
-    } else if (kind < 0.8) {
-      sh.flows[f].weight = rng.Uniform(0.5, 4.0);
-      solver.UpdateFlowWeight(static_cast<int32_t>(f), sh.flows[f].weight);
-    } else if (kind < 0.9) {
-      const auto l = static_cast<size_t>(rng.UniformInt(0, kLinks - 1));
-      sh.caps[l] = rng.Uniform(1e9, 100e9);
-      solver.UpdateCapacity(static_cast<int32_t>(l), sh.caps[l]);
     } else {
-      sh.flows.push_back(make_flow());
-      const MaxMinFlow& added = sh.flows.back();
-      solver.AddFlowRetained(added.weight, added.demand, added.links.data(), added.links.size());
+      // Weight, capacity and add steps are new problems: reload.
+      if (kind < 0.8) {
+        sh.flows[f].weight = rng.Uniform(0.5, 4.0);
+      } else if (kind < 0.9) {
+        const auto l = static_cast<size_t>(rng.UniformInt(0, kLinks - 1));
+        sh.caps[l] = rng.Uniform(1e9, 100e9);
+      } else {
+        sh.flows.push_back(make_flow());
+      }
+      LoadSolver(solver, sh);
     }
     ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 1, step);
     if (HasFailure()) {

@@ -12,8 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/fabric/max_min.h"
 #include "src/fleet/inter_host.h"
 #include "src/obs/export.h"
+#include "src/sim/random.h"
 
 namespace mihn::fleet {
 namespace {
@@ -86,6 +88,92 @@ TEST(InterHostNetworkTest, SnapshotOrderIsFixed) {
   EXPECT_FALSE(links[1].up);
   EXPECT_EQ(links[6].host, -1);  // First rack link after 3 host pairs.
   EXPECT_EQ(links[6].rack, 0);
+}
+
+// A random add/demand/remove trace: after every Solve(), whether it replayed
+// demand changes or re-primed after an add or a remove, each slot's rate
+// equals SolveMaxMinReference over all slots (removed ones at demand 0) bit
+// for bit. The links follow the SnapshotLinks() order: host h up/down at
+// 2h and 2h + 1, then rack r up/down at 2·hosts + 2r and 2·hosts + 2r + 1.
+TEST(InterHostNetworkTest, MutationTraceMatchesReference) {
+  InterHostNetwork::Config config;
+  config.hosts = 12;
+  config.hosts_per_rack = 4;
+  // Narrower than the four 100G host links behind each: racks bind too.
+  config.rack_up = Bandwidth::Gbps(250);
+  config.rack_down = Bandwidth::Gbps(180);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    InterHostNetwork net(config);
+    ASSERT_EQ(net.racks(), 3);
+    std::vector<double> caps;
+    for (const InterHostLinkUse& use : net.SnapshotLinks()) {
+      caps.push_back(use.capacity_bps);
+    }
+    sim::Rng rng(seed);
+    const auto random_demand = [&rng] {
+      if (rng.Bernoulli(0.1)) {
+        return 0.0;
+      }
+      if (rng.Bernoulli(0.2)) {
+        return fabric::kUnlimitedDemand;
+      }
+      return Bandwidth::Gbps(rng.Uniform(1.0, 150.0)).bytes_per_sec();
+    };
+    std::vector<fabric::MaxMinFlow> shadow;  // Slot-indexed.
+    std::vector<bool> live;
+    for (int batch = 0; batch < 60; ++batch) {
+      std::vector<int32_t> added;
+      const int64_t ops = rng.UniformInt(1, 4);
+      for (int64_t op = 0; op < ops; ++op) {
+        const int64_t kind = shadow.empty() ? 0 : rng.UniformInt(0, 4);
+        if (kind <= 1) {
+          const int src = static_cast<int>(rng.UniformInt(0, config.hosts - 1));
+          int dst = static_cast<int>(rng.UniformInt(0, config.hosts - 2));
+          dst += dst >= src ? 1 : 0;
+          fabric::MaxMinFlow f;
+          f.weight = rng.Uniform(0.5, 4.0);
+          f.demand = random_demand();
+          f.links.push_back(2 * src);
+          if (net.RackOf(src) != net.RackOf(dst)) {
+            f.links.push_back(2 * config.hosts + 2 * net.RackOf(src));
+            f.links.push_back(2 * config.hosts + 2 * net.RackOf(dst) + 1);
+          }
+          f.links.push_back(2 * dst + 1);
+          const int32_t slot =
+              net.AddFlow(src, dst, Bandwidth::BytesPerSec(f.demand), f.weight);
+          ASSERT_EQ(static_cast<size_t>(slot), shadow.size());
+          shadow.push_back(std::move(f));
+          live.push_back(true);
+          added.push_back(slot);
+          continue;
+        }
+        const auto slot = static_cast<int32_t>(
+            rng.UniformInt(0, static_cast<int64_t>(shadow.size()) - 1));
+        const size_t at = static_cast<size_t>(slot);
+        if (kind <= 3) {  // A removed slot ignores it.
+          const double demand = random_demand();
+          net.SetFlowDemand(slot, Bandwidth::BytesPerSec(demand));
+          shadow[at].demand = live[at] ? demand : 0.0;
+        } else {
+          net.RemoveFlow(slot);
+          live[at] = false;
+          shadow[at].demand = 0.0;
+        }
+      }
+      for (const int32_t slot : added) {
+        EXPECT_EQ(net.FlowRate(slot).bytes_per_sec(), 0.0) << "seed " << seed;
+      }
+      net.Solve();
+      const std::vector<double> want = fabric::SolveMaxMinReference(shadow, caps);
+      for (size_t at = 0; at < shadow.size(); ++at) {
+        const double got = net.FlowRate(static_cast<int32_t>(at)).bytes_per_sec();
+        ASSERT_EQ(got, want[at]) << "seed " << seed << " batch " << batch << " slot " << at;
+        if (!live[at]) {
+          ASSERT_EQ(got, 0.0) << "seed " << seed << " batch " << batch << " slot " << at;
+        }
+      }
+    }
+  }
 }
 
 // -- Fleet --------------------------------------------------------------------
