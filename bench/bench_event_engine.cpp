@@ -1,6 +1,7 @@
 // Event-engine bench: the pooled Simulation (slab + inline closures +
-// calendar queue) vs ReferenceSimulation (std::function + shared_ptr flag +
-// binary priority_queue) across schedule/fire/cancel mixes.
+// indexed heap of 24-byte entries) vs ReferenceSimulation (std::function +
+// shared_ptr flag + binary priority_queue) across schedule/fire/cancel
+// mixes.
 //
 // Two mixes, both driven by the same templated code so the engines see
 // byte-identical workloads (and must produce identical checksums):
@@ -14,15 +15,18 @@
 //
 // The pending-size axis (10^2..10^6) is swept with far-future ballast
 // events, measuring how dispatch cost scales with queue depth: O(log n)
-// sifts of fat events for the reference vs near-O(1) calendar buckets of
-// 24-byte entries for the pooled engine. Event closures carry a 32-byte
+// sifts of fat events (closure included) for the reference vs O(log n)
+// sifts of 24-byte entries for the pooled engine, whose cancels also leave
+// no tombstones behind. Event closures carry a 32-byte
 // payload on top of the context pointer — the size of the fabric's
 // completion captures — which exceeds libstdc++'s std::function inline
 // buffer but fits InlineFn's.
 //
 // Emits machine-readable BENCH_event_engine.json in the working directory.
 // --smoke runs a reduced grid (CI keeps it under a couple of seconds).
-// Unknown flags and bad filter values print the usage line and exit 2.
+// Unknown flags and bad filter values print the usage line and exit 2. The
+// bench is its own oracle: it exits 1 (after writing the JSON) when any
+// row's checksum or event count differs between the two engines.
 
 #include <chrono>
 #include <cinttypes>
@@ -293,8 +297,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  bool all_identical = true;
+  for (const Row& r : rows) {
+    all_identical = all_identical && r.identical;
+  }
+  if (!all_identical) {
+    std::fprintf(stderr, "FAIL: pooled engine diverged from the reference\n");
+  }
   if (only_mix != nullptr || only_engine != nullptr || only_pending != 0) {
-    return 0;  // Filtered (profiling) runs never clobber the full-grid JSON.
+    // Filtered (profiling) runs never clobber the full-grid JSON.
+    return all_identical ? 0 : 1;
   }
 
   std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
@@ -317,5 +329,5 @@ int main(int argc, char** argv) {
     std::fclose(json);
     std::printf("\nwrote BENCH_event_engine.json\n");
   }
-  return 0;
+  return all_identical ? 0 : 1;
 }

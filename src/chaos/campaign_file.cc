@@ -199,18 +199,6 @@ bool ParseStream(std::istringstream& in, int line_no, CampaignConfig* config,
 
 }  // namespace
 
-bool ParseNonNegativeInt(std::string_view token, int* out) {
-  int value = 0;
-  if (!ReadNumber(token, &value) || value < 0) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// from_chars accepts no sign for an unsigned type.
-bool ParseUint64Value(std::string_view token, uint64_t* out) { return ReadNumber(token, out); }
-
 std::optional<HostNetwork::Preset> ParsePresetName(std::string_view name) {
   if (name == "commodity_two_socket") {
     return HostNetwork::Preset::kCommodityTwoSocket;

@@ -49,13 +49,6 @@ namespace mihn::chaos {
 // beyond it) is a budget mistake, not a scenario.
 inline constexpr int64_t kMaxCampaignMs = 60'000;
 
-// Strict decimal parsers for CLI flags and grammar values: the entire
-// token must be base-10 digits (no sign, no trailing junk) and fit the
-// target type. Garbage like "3x", "-2", or "" returns false instead of
-// silently becoming 0 the way atoi/strtoull-without-endptr did.
-bool ParseNonNegativeInt(std::string_view token, int* out);
-bool ParseUint64Value(std::string_view token, uint64_t* out);
-
 // Canonical preset-name parsing ("commodity_two_socket", "dgx_class",
 // "edge_node"), shared by the campaign and sweep grammars.
 std::optional<HostNetwork::Preset> ParsePresetName(std::string_view name);

@@ -7,11 +7,11 @@
 //
 //   Meta (16 bytes, four per cache line) — generation counter, free-list
 //     link and lifecycle flags: everything the dispatch loop's bookkeeping
-//     (allocate, cancel checks, queued/live accounting, free) reads and
-//     writes. Keeping these dense matters: under load the slab spans
-//     megabytes and slot indices arrive in allocation order, not address
-//     order, so every slot touch is a potential cache miss — a miss on a
-//     16-byte record costs a quarter of the line a fat struct would.
+//     (allocate, cancel checks, free) reads and writes. Keeping these dense
+//     matters: under load the slab spans megabytes and slot indices arrive
+//     in allocation order, not address order, so every slot touch is a
+//     potential cache miss — a miss on a 16-byte record costs a quarter of
+//     the line a fat struct would.
 //   Payload (cold) — the callback, the static label and the periodic
 //     re-arm interval: read only when the event actually fires.
 //
@@ -23,16 +23,12 @@
 // IsCancelled() stay O(1) and safe after the event fired and the slot was
 // recycled.
 //
-// The pool also owns the engine's exact live-pending count: slots queued
-// and not cancelled. Cancel() decrements it immediately, which is what lets
-// Simulation::pending_events() report the true count instead of the old
-// lazily-deleted overcount. When the cancelled event still sits in an
-// unsorted calendar bucket, Cancel() goes further: it swap-removes the
-// queue entry (CalendarQueue::TryRemove) and reclaims the slot on the spot,
-// so the dispatch loop never pops a tombstone for it. The slot's
-// cancelled_generation keeps IsCancelled() truthful after that eager
-// reclaim: it remembers which generation was cancelled until the slot is
-// next cancelled under a new life.
+// Cancelling a queued event removes its queue entry (EventQueue::Remove)
+// and frees the slot on the spot, so the dispatch loop never pops a
+// cancelled event and every queued entry is live. The slot's
+// cancelled_generation keeps IsCancelled() truthful after that: it
+// remembers which generation was cancelled until the slot is next
+// cancelled under a new life.
 
 #ifndef MIHN_SRC_SIM_EVENT_POOL_H_
 #define MIHN_SRC_SIM_EVENT_POOL_H_
@@ -42,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/calendar_queue.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/inline_fn.h"
 #include "src/sim/time.h"
 
@@ -55,9 +51,7 @@ class EventPool {
   // Slot lifecycle flags.
   static constexpr uint32_t kInUse = 1u << 0;
   static constexpr uint32_t kCancelled = 1u << 1;
-  static constexpr uint32_t kQueued = 1u << 2;     // Has a calendar-queue entry.
-  static constexpr uint32_t kPeriodic = 1u << 3;   // Re-arms in place after firing.
-  static constexpr uint32_t kHook = 1u << 4;       // Pre-advance hook, never queued.
+  static constexpr uint32_t kPeriodic = 1u << 2;  // Re-arms in place after firing.
 
   // Hot per-slot bookkeeping. 16 bytes — keep it that way.
   struct Meta {
@@ -78,14 +72,12 @@ class EventPool {
     const char* label = nullptr;  // Static scheduling-site tag.
   };
 
-  // Wires up the queue for eager cancellation removal (see CancelHandle).
-  void BindQueue(CalendarQueue* queue) { queue_ = queue; }
+  // |queue| is where the pool's events wait; CancelHandle removes from it.
+  explicit EventPool(EventQueue* queue) : queue_(queue) {}
 
   // Claims a slot (recycling the free list before growing the slab) and
   // constructs the callback directly in it — a lambda at a scheduling site
-  // materialises in its pooled slot with zero intermediate copies. Passing
-  // kQueued in |flags| counts the slot live immediately (one Meta write
-  // instead of an Allocate + MarkQueued pair).
+  // materialises in its pooled slot with zero intermediate copies.
   template <typename F>
   uint32_t Allocate(F&& fn, const char* label, uint32_t flags) {
     uint32_t index;
@@ -102,7 +94,6 @@ class EventPool {
     Meta& m = metas_[index];
     m.flags = kInUse | flags;
     m.next_free = kNoSlot;
-    live_pending_ += (flags & kQueued) != 0 ? 1 : 0;
     Payload& p = payload(index);
     p.fn.Emplace(std::forward<F>(fn));  // Also destroys any stale occupant.
     p.label = label;
@@ -111,12 +102,10 @@ class EventPool {
 
   // Retires a slot: bumps the generation (stale handles go inert) and
   // pushes the slot onto the free list. Deliberately touches only the hot
-  // Meta record: a still-live callback (eagerly-reclaimed cancellation) is
-  // destroyed lazily, when the slot is next allocated and the move-assign
-  // into it resets the old occupant — the free list is LIFO, so that is
-  // soon. The old engine held cancelled closures until their tombstone
-  // finally popped, so this defers no longer than before; it just avoids
-  // re-touching a long-evicted payload cache line on the cancel path.
+  // Meta record: the callback is destroyed lazily, when the slot is next
+  // allocated and the emplace into it resets the old occupant — the free
+  // list is LIFO, so that is soon. Destroying it here would make the cancel
+  // path touch a payload cache line it otherwise never reads.
   void Free(uint32_t index) {
     Meta& m = metas_[index];
     m.flags = 0;
@@ -131,42 +120,11 @@ class EventPool {
     return payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
-  // Pulls a slot's hot and cold lines toward the cache. The dispatch loop
-  // issues this for the *next* event before invoking the current callback,
-  // so the callback's execution hides what would otherwise be two
-  // demand misses on a multi-megabyte slab.
-  void Prefetch(uint32_t index) const {
-    __builtin_prefetch(&metas_[index]);
-    __builtin_prefetch(
-        &payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)]);
-  }
-
   uint32_t generation(uint32_t index) const { return metas_[index].generation; }
 
-  // Marks a slot as having a queue entry and counts it live.
-  void MarkQueued(uint32_t index) {
-    metas_[index].flags |= kQueued;
-    ++live_pending_;
-  }
-
-  // Clears the queued flag when its entry is popped. Returns true when the
-  // slot is live (not cancelled) — i.e. the pop is a real firing. A
-  // cancelled slot already left the live count at Cancel() time.
-  bool UnmarkQueued(uint32_t index) {
-    Meta& m = metas_[index];
-    m.flags &= ~kQueued;
-    if ((m.flags & kCancelled) != 0) {
-      return false;
-    }
-    --live_pending_;
-    return true;
-  }
-
-  // Handle-facing cancellation. Inert for stale generations; O(1). When the
-  // event's queue entry is still swap-removable (unsorted future bucket),
-  // entry and slot are reclaimed immediately — no tombstone ever reaches
-  // the dispatch loop. Otherwise the slot is left flagged for lazy
-  // deletion by PurgeCancelledMin/Step.
+  // Handle-facing cancellation. Inert for stale generations. A queued
+  // event leaves the queue and its slot is freed at once; a firing event
+  // or a hook is only flagged, and its owner frees the slot.
   void CancelHandle(uint32_t index, uint32_t generation) {
     if (index >= metas_.size()) {
       return;
@@ -178,11 +136,8 @@ class EventPool {
     }
     m.flags |= kCancelled;
     m.cancelled_generation = generation;
-    if ((m.flags & kQueued) != 0) {
-      --live_pending_;
-      if (queue_ != nullptr && queue_->TryRemove(index)) {
-        Free(index);
-      }
+    if (queue_->Remove(index)) {
+      Free(index);
     }
   }
 
@@ -194,8 +149,8 @@ class EventPool {
     if (m.generation == generation) {
       return (m.flags & kInUse) != 0 && (m.flags & kCancelled) != 0;
     }
-    // The slot moved on (eager reclaim or tombstone pop); the cancellation
-    // record survives until the slot's next life is itself cancelled.
+    // The slot moved on; the cancellation record survives until the
+    // slot's next life is itself cancelled.
     return m.cancelled_generation == generation;
   }
 
@@ -208,9 +163,6 @@ class EventPool {
     }
   }
 
-  // Exact number of pending (queued, not cancelled) events.
-  size_t live_pending() const { return live_pending_; }
-
   // Slab capacity (tests/benchmarks: high-water mark of concurrent slots).
   size_t capacity() const { return metas_.size(); }
 
@@ -222,9 +174,8 @@ class EventPool {
 
   std::vector<Meta> metas_;
   std::vector<std::unique_ptr<Payload[]>> payload_chunks_;
-  CalendarQueue* queue_ = nullptr;
+  EventQueue* queue_;
   uint32_t free_head_ = kNoSlot;
-  size_t live_pending_ = 0;
 };
 
 // Cancellation handle for a scheduled event or pre-advance hook. Copyable;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/core/check.h"
+
 namespace mihn::sim {
 
 ReferenceSimulation::ReferenceSimulation(uint64_t seed) : root_rng_(seed) {}
@@ -26,6 +28,7 @@ ReferenceSimulation::Handle ReferenceSimulation::ScheduleAfter(TimeNs delay,
 
 ReferenceSimulation::Handle ReferenceSimulation::SchedulePeriodic(
     TimeNs period, std::function<void()> fn, const char* label) {
+  MIHN_CHECK(period > TimeNs::Zero());
   auto flag = std::make_shared<bool>(false);
   ArmPeriodic(period, std::make_shared<std::function<void()>>(std::move(fn)), flag, label);
   return Handle(std::move(flag));

@@ -13,10 +13,11 @@
 // tests/sim/engine_contract_test.cc runs the behavioral contract suite
 // against both. bench_event_engine measures the gap.
 //
-// The one deliberate delta from the historical code: pending_events() and
-// the observer's queue_depth report the exact live count (cancelled-but-
+// The deliberate deltas from the historical code: pending_events() and the
+// observer's queue_depth report the exact live count (cancelled-but-
 // unpopped entries excluded, via an O(n) scan — reference-grade cost), so
-// both engines expose identical observable state.
+// both engines expose identical observable state, and SchedulePeriodic
+// rejects a non-positive period as the pooled engine does.
 
 #ifndef MIHN_SRC_SIM_REFERENCE_SIMULATION_H_
 #define MIHN_SRC_SIM_REFERENCE_SIMULATION_H_

@@ -4,12 +4,10 @@
 
 namespace mihn::sim {
 
-Simulation::Simulation(uint64_t seed) : root_rng_(seed) {
-  pool_.BindQueue(&queue_);
-}
+Simulation::Simulation(uint64_t seed) : root_rng_(seed) {}
 
 EventHandle Simulation::AddPreAdvanceHook(EventFn fn) {
-  const uint32_t index = pool_.Allocate(std::move(fn), nullptr, EventPool::kHook);
+  const uint32_t index = pool_.Allocate(std::move(fn), nullptr, 0);
   pre_advance_hooks_.push_back(index);
   return EventHandle(&pool_, index, pool_.generation(index));
 }
@@ -40,21 +38,6 @@ bool Simulation::FirePreAdvanceHooks() {
   return next_seq_ != seq_before;
 }
 
-void Simulation::PurgeCancelledMin() {
-  // Only entries cancelled after reaching the active heap (or the overflow
-  // tier) surface here; cancellations caught in unsorted buckets were
-  // swap-removed and reclaimed inside Cancel() itself.
-  while (!queue_.empty()) {
-    const uint32_t index = queue_.Min().slot;
-    if ((pool_.meta(index).flags & EventPool::kCancelled) == 0) {
-      return;
-    }
-    queue_.PopMin();
-    pool_.UnmarkQueued(index);
-    pool_.Free(index);
-  }
-}
-
 void Simulation::FinishFired(uint32_t index, bool periodic) {
   if (periodic && (pool_.meta(index).flags & EventPool::kCancelled) == 0) {
     // Re-arm in place: the callback never left its slot. The re-arm draws
@@ -62,7 +45,6 @@ void Simulation::FinishFired(uint32_t index, bool periodic) {
     // scheduled at the same future timestamp fires before the next
     // periodic tick — exactly as if the tick were re-scheduled by hand at
     // the end of the callback.
-    pool_.MarkQueued(index);
     queue_.Push({now_ + pool_.payload(index).period, next_seq_++, index});
     return;
   }
@@ -71,9 +53,6 @@ void Simulation::FinishFired(uint32_t index, bool periodic) {
 
 bool Simulation::Step() {
   for (;;) {
-    // Drop leading cancelled events so the advance decision below sees the
-    // real next event time.
-    PurgeCancelledMin();
     if (!pre_advance_hooks_.empty() && (queue_.empty() || queue_.Min().at > now_)) {
       // End of this timestamp: let hooks settle coalesced work. They may
       // schedule events (possibly at now_), so re-evaluate if they did.
@@ -84,12 +63,9 @@ bool Simulation::Step() {
     if (queue_.empty()) {
       return false;
     }
-    const CalendarEntry entry = queue_.PopMin();
-    if (!pool_.UnmarkQueued(entry.slot)) {
-      // Cancelled after the purge above (by a pre-advance hook).
-      pool_.Free(entry.slot);
-      continue;
-    }
+    const QueueEntry entry = queue_.PopMin();
+    // Cancel() takes an event out of the queue, so only live events pop.
+    MIHN_DCHECK((pool_.meta(entry.slot).flags & EventPool::kCancelled) == 0);
     now_ = entry.at;
     ++events_executed_;
     // The callback runs in place — payload chunks are address-stable, so a
@@ -100,16 +76,9 @@ bool Simulation::Step() {
     const bool periodic = (pool_.meta(entry.slot).flags & EventPool::kPeriodic) != 0;
     EventPool::Payload& p = pool_.payload(entry.slot);
     const char* label = p.label;
-    if (!queue_.empty()) {
-      // Warm the next event's slot lines while this callback runs; on deep
-      // queues the next slot is a near-certain pair of cache misses
-      // otherwise. (Min() also settles the queue's cursor — work the next
-      // Step would do anyway, just moved under the callback's shadow.)
-      pool_.Prefetch(queue_.Min().slot);
-    }
     EventObserver* const observer = observer_;
     if (observer != nullptr) {
-      observer->OnEventBegin(label, now_, pool_.live_pending());
+      observer->OnEventBegin(label, now_, queue_.size());
       p.fn();
       FinishFired(entry.slot, periodic);
       observer->OnEventEnd(label, now_);
@@ -131,7 +100,6 @@ TimeNs Simulation::Run() {
 TimeNs Simulation::RunUntil(TimeNs deadline) {
   stopped_ = false;
   while (!stopped_) {
-    PurgeCancelledMin();
     if (queue_.empty() || queue_.Min().at > deadline) {
       // Stopping short of the next event (or out of events) still advances
       // the clock below — give pre-advance hooks their end-of-timestamp

@@ -9,10 +9,11 @@
 // Internals (this is the hot path bounding every simulated scenario — see
 // DESIGN.md §5): events live in a pooled slab (src/sim/event_pool.h) and
 // carry a move-only small-buffer callback (src/sim/inline_fn.h); the queue
-// is a two-level calendar of 24-byte entries (src/sim/calendar_queue.h);
-// periodic events re-arm their own pooled slot in place. Steady-state
-// dispatch — schedule, fire, cancel, re-arm — performs zero heap
-// allocations (proven by tests/sim/engine_alloc_test.cc). The previous
+// is a binary heap of 24-byte entries (src/sim/event_queue.h) that a
+// cancel leaves at once, so only live events are ever queued; periodic
+// events re-arm their own pooled slot in place. Steady-state dispatch —
+// schedule, fire, cancel, re-arm — performs zero heap allocations (proven
+// by tests/sim/engine_alloc_test.cc). The previous
 // std::function + priority_queue engine is preserved verbatim as
 // ReferenceSimulation (src/sim/reference_simulation.h); a differential test
 // drives both with identical scripts and asserts identical firing sequences
@@ -24,8 +25,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/sim/calendar_queue.h"
+#include "src/core/check.h"
 #include "src/sim/event_pool.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/inline_fn.h"
 #include "src/sim/random.h"
 #include "src/sim/time.h"
@@ -50,8 +52,8 @@ class EventObserver {
  public:
   virtual ~EventObserver() = default;
   // |label| is the scheduling site's static tag (null for unlabeled
-  // events); |queue_depth| counts live events still pending (the fired one
-  // and cancelled-but-unreclaimed entries excluded).
+  // events); |queue_depth| counts events still pending, the fired one
+  // excluded.
   virtual void OnEventBegin(const char* label, TimeNs now, size_t queue_depth) = 0;
   virtual void OnEventEnd(const char* label, TimeNs now) = 0;
 };
@@ -86,7 +88,7 @@ class Simulation : public VirtualClock {
     if (at < now_) {
       at = now_;
     }
-    const uint32_t index = pool_.Allocate(std::forward<F>(fn), label, EventPool::kQueued);
+    const uint32_t index = pool_.Allocate(std::forward<F>(fn), label, 0);
     queue_.Push({at, next_seq_++, index});
     return EventHandle(&pool_, index, pool_.generation(index));
   }
@@ -98,13 +100,13 @@ class Simulation : public VirtualClock {
   }
 
   // Schedules |fn| every |period| starting at Now() + period, until the
-  // returned handle is cancelled or the simulation stops. The callback is
-  // stored once and the pooled slot re-armed in place per firing — no
-  // per-firing closure.
+  // returned handle is cancelled or the simulation stops. |period| must be
+  // positive. The callback is stored once and the pooled slot re-armed in
+  // place per firing — no per-firing closure.
   template <typename F>
   EventHandle SchedulePeriodic(TimeNs period, F&& fn, const char* label = nullptr) {
-    const uint32_t index = pool_.Allocate(
-        std::forward<F>(fn), label, EventPool::kPeriodic | EventPool::kQueued);
+    MIHN_CHECK(period > TimeNs::Zero());
+    const uint32_t index = pool_.Allocate(std::forward<F>(fn), label, EventPool::kPeriodic);
     pool_.payload(index).period = period;
     queue_.Push({now_ + period, next_seq_++, index});
     return EventHandle(&pool_, index, pool_.generation(index));
@@ -146,9 +148,8 @@ class Simulation : public VirtualClock {
   // Number of events executed so far (for tests and engine benchmarks).
   uint64_t events_executed() const { return events_executed_; }
 
-  // Exact number of events currently pending: cancelled-but-unreclaimed
-  // queue entries are not counted (pre-advance hooks never are).
-  size_t pending_events() const { return pool_.live_pending(); }
+  // Number of events currently pending (pre-advance hooks not counted).
+  size_t pending_events() const { return queue_.size(); }
 
   // Pool slab high-water mark (tests/benchmarks).
   size_t event_pool_capacity() const { return pool_.capacity(); }
@@ -159,7 +160,7 @@ class Simulation : public VirtualClock {
   // (benchmarks, the allocation test) call it up front.
   void ReserveEvents(size_t n) {
     pool_.Reserve(n);
-    queue_.Reserve(n, n, n);
+    queue_.Reserve(n);
   }
 
   // Derives a deterministic named random stream from the root seed.
@@ -170,10 +171,6 @@ class Simulation : public VirtualClock {
   // Fires pre-advance hooks before the clock moves past now_ (and before
   // concluding the queue is empty).
   bool Step();
-
-  // Drops leading cancelled entries, reclaiming their slots, so the
-  // advance decision sees the real next event time.
-  void PurgeCancelledMin();
 
   // Post-callback bookkeeping for a fired slot: re-arm a live periodic in
   // place or retire the slot (the callback never leaves its slot).
@@ -188,8 +185,8 @@ class Simulation : public VirtualClock {
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   bool stopped_ = false;
-  EventPool pool_;
-  CalendarQueue queue_;
+  EventQueue queue_;
+  EventPool pool_{&queue_};
   // Pool slot indices.
   std::vector<uint32_t> pre_advance_hooks_;
   EventObserver* observer_ = nullptr;

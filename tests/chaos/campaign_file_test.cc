@@ -95,36 +95,6 @@ TEST(CampaignFileTest, ParsesRecoveryPolicy) {
   EXPECT_NE(error.find("aggressive"), std::string::npos);
 }
 
-// The strict numeric parsers behind every count/seed directive (and the
-// CLI's flag values): full-token match only, no atoi-style prefix salvage.
-TEST(CampaignFileTest, StrictIntParserRejectsJunk) {
-  int value = -1;
-  EXPECT_TRUE(ParseNonNegativeInt("42", &value));
-  EXPECT_EQ(value, 42);
-  EXPECT_TRUE(ParseNonNegativeInt("0", &value));
-  EXPECT_EQ(value, 0);
-  EXPECT_FALSE(ParseNonNegativeInt("", &value));
-  EXPECT_FALSE(ParseNonNegativeInt("x", &value));
-  EXPECT_FALSE(ParseNonNegativeInt("3x", &value));   // atoi would say 3.
-  EXPECT_FALSE(ParseNonNegativeInt("-3", &value));
-  EXPECT_FALSE(ParseNonNegativeInt("4.5", &value));
-  EXPECT_FALSE(ParseNonNegativeInt("99999999999999999999", &value));  // Overflow.
-}
-
-TEST(CampaignFileTest, StrictUint64ParserRejectsJunk) {
-  uint64_t value = 0;
-  EXPECT_TRUE(ParseUint64Value("18446744073709551615", &value));  // UINT64_MAX.
-  EXPECT_EQ(value, 18446744073709551615ull);
-  EXPECT_TRUE(ParseUint64Value("7", &value));
-  EXPECT_EQ(value, 7u);
-  EXPECT_FALSE(ParseUint64Value("", &value));
-  EXPECT_FALSE(ParseUint64Value("banana", &value));
-  EXPECT_FALSE(ParseUint64Value("12abc", &value));  // strtoull would say 12.
-  EXPECT_FALSE(ParseUint64Value("-1", &value));     // strtoull would wrap.
-  EXPECT_FALSE(ParseUint64Value("+1", &value));
-  EXPECT_FALSE(ParseUint64Value("18446744073709551616", &value));  // Overflow.
-}
-
 // Boundary validation: each malformed value is rejected where it enters,
 // with the offending line named.
 std::string ParseError(const std::string& text) {

@@ -3,12 +3,12 @@
 // This binary overrides global operator new/delete with a counting shim
 // (which is why it is its own test target: the override is link-global).
 // The test warms a stationary schedule/fire/cancel/periodic mix until the
-// event pool and calendar queue reach their high-water marks, then flips
-// the counter on and drives hundreds of thousands more events. Any heap
+// event pool and event queue reach their high-water marks, then flips the
+// counter on and drives hundreds of thousands more events. Any heap
 // allocation on the dispatch path — a closure that outgrew the inline
-// buffer, a re-arm that builds a fresh closure, a queue node — fails the
-// test. Callbacks here are small POD functors on purpose: the claim under
-// test is about the engine, so the workload must not allocate either.
+// buffer, a re-arm that builds a fresh closure, a queue that grew — fails
+// the test. Callbacks here are small POD functors on purpose: the claim
+// under test is about the engine, so the workload must not allocate either.
 
 #include <gtest/gtest.h>
 
@@ -124,8 +124,8 @@ TEST(EngineAllocTest, SteadyStateDispatchAllocatesNothing) {
   uint64_t hook_fired = 0;
   sim.AddPreAdvanceHook([&hook_fired] { ++hook_fired; });
 
-  // Warm-up: let pool slab, calendar buckets and free lists hit their
-  // high-water marks.
+  // Warm-up: let the pool slab, the queue's heap and the free list hit
+  // their high-water marks.
   sim.RunUntil(TimeNs::Micros(500));
   const uint64_t warm_events = sim.events_executed();
   const size_t warm_capacity = sim.event_pool_capacity();

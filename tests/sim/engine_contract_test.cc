@@ -228,6 +228,29 @@ TYPED_TEST(EngineContractTest, CancelledHookNeverFiresAgain) {
   EXPECT_EQ(hook_fired, 1);
 }
 
+// The fabric's flush hook takes this path on every re-solve: it cancels the
+// pending completion before the clock reaches it.
+TYPED_TEST(EngineContractTest, HookCancellingTheNextEventPreventsIt) {
+  auto& sim = this->sim_;
+  typename TypeParam::Handle next;
+  bool armed = false;
+  sim.AddPreAdvanceHook([&] {
+    if (!armed && sim.Now() == TimeNs::Nanos(10)) {
+      armed = true;
+      next.Cancel();  // Due next, at t=20.
+    }
+  });
+  sim.ScheduleAt(TimeNs::Nanos(10), [&] { this->Mark("e10"); });
+  next = sim.ScheduleAt(TimeNs::Nanos(20), [&] { this->Mark("e20"); });
+  sim.ScheduleAt(TimeNs::Nanos(30), [&] { this->Mark("e30"); });
+  sim.Run();
+  EXPECT_TRUE(armed);
+  EXPECT_TRUE(next.IsCancelled());
+  EXPECT_EQ(this->order_, (std::vector<std::string>{"e10", "e30"}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TYPED_TEST(EngineContractTest, RunUntilComposesSequentially) {
   auto& sim = this->sim_;
   int fired = 0;
@@ -259,6 +282,15 @@ TYPED_TEST(EngineContractTest, StopInsideRunUntilKeepsClockMonotone) {
   EXPECT_EQ(seen, (std::vector<TimeNs>{TimeNs::Nanos(10), TimeNs::Nanos(10), TimeNs::Nanos(20),
                                        TimeNs::Nanos(20)}));
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+}
+
+// A zero period would re-fire at one timestamp forever and a negative one
+// would run the clock backwards, so both are fatal at the scheduling site.
+TYPED_TEST(EngineContractTest, NonPositivePeriodIsFatal) {
+  auto& sim = this->sim_;
+  sim.RunUntil(TimeNs::Nanos(100));
+  EXPECT_DEATH(sim.SchedulePeriodic(TimeNs::Zero(), [] {}), "period > TimeNs::Zero");
+  EXPECT_DEATH(sim.SchedulePeriodic(TimeNs::Nanos(-30), [] {}), "period > TimeNs::Zero");
 }
 
 TYPED_TEST(EngineContractTest, DefaultHandleIsInert) {

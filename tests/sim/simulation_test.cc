@@ -227,6 +227,22 @@ TEST(SimulationTest, CancelledPreAdvanceHookStopsFiring) {
   EXPECT_EQ(fired, fired_before);
 }
 
+// Cancel frees the slot and the queue entry at once, however far ahead the
+// event was due: a schedule-then-cancel loop reuses one slot and leaves
+// nothing queued.
+TEST(SimulationTest, CancelFreesItsSlotAtOnce) {
+  Simulation sim;
+  for (int i = 0; i < 10000; ++i) {
+    EventHandle h = sim.ScheduleAfter(TimeNs::Seconds(1), [] {});
+    h.Cancel();
+    EXPECT_TRUE(h.IsCancelled());
+  }
+  EXPECT_EQ(sim.event_pool_capacity(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
 TEST(SimulationTest, ForkRngIsDeterministicPerSeed) {
   Simulation a(99);
   Simulation b(99);

@@ -23,6 +23,7 @@
 #include "src/chaos/executor.h"
 #include "src/chaos/report.h"
 #include "src/chaos/sweep.h"
+#include "src/core/read_number.h"
 
 namespace {
 
@@ -36,10 +37,11 @@ int Usage(const char* argv0) {
   return 1;
 }
 
-// Strict flag-value parsing: garbage or out-of-domain values are hard
-// errors (exit 1), never silently zero.
+// Strict flag-value parsing: the whole value must be the number (see
+// core::ReadNumber), and garbage or out-of-domain values are hard errors
+// (exit 1), never silently zero.
 bool FlagPositiveInt(const char* flag, const char* value, int* out) {
-  if (!mihn::chaos::ParseNonNegativeInt(value, out) || *out < 1) {
+  if (!mihn::core::ReadNumber(value, out) || *out < 1) {
     std::fprintf(stderr, "mihn_chaos: %s wants a positive integer, got '%s'\n", flag,
                  value);
     return false;
@@ -48,7 +50,7 @@ bool FlagPositiveInt(const char* flag, const char* value, int* out) {
 }
 
 bool FlagNonNegativeInt(const char* flag, const char* value, int* out) {
-  if (!mihn::chaos::ParseNonNegativeInt(value, out)) {
+  if (!mihn::core::ReadNumber(value, out) || *out < 0) {
     std::fprintf(stderr, "mihn_chaos: %s wants a non-negative integer, got '%s'\n", flag,
                  value);
     return false;
@@ -57,7 +59,7 @@ bool FlagNonNegativeInt(const char* flag, const char* value, int* out) {
 }
 
 bool FlagUint64(const char* flag, const char* value, uint64_t* out) {
-  if (!mihn::chaos::ParseUint64Value(value, out)) {
+  if (!mihn::core::ReadNumber(value, out)) {
     std::fprintf(stderr, "mihn_chaos: %s wants an unsigned integer, got '%s'\n", flag,
                  value);
     return false;
