@@ -1,25 +1,8 @@
 #include "src/anomaly/detectors.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace mihn::anomaly {
-
-ThresholdDetector::ThresholdDetector(double low, double high) : low_(low), high_(high) {}
-
-std::optional<Anomaly> ThresholdDetector::Observe(sim::TimeNs at, double value) {
-  if (value < low_ || value > high_) {
-    const double bound = value < low_ ? low_ : high_;
-    Anomaly a;
-    a.at = at;
-    a.value = value;
-    // mihn-check: float-eq-ok(guard against division by an exact-zero bound)
-    a.score = bound != 0.0 ? std::abs(value - bound) / std::abs(bound) : std::abs(value);
-    a.detail = value < low_ ? "below threshold" : "above threshold";
-    return a;
-  }
-  return std::nullopt;
-}
 
 EwmaDetector::EwmaDetector(double alpha, double k, int warmup)
     : alpha_(alpha), k_(k), warmup_(warmup) {}
@@ -62,85 +45,6 @@ std::optional<Anomaly> EwmaDetector::Observe(sim::TimeNs at, double value) {
   var_ = (1.0 - alpha_) * (var_ + alpha_ * diff * diff);
   ++seen_;
   return fired;
-}
-
-ZScoreDetector::ZScoreDetector(size_t window, double k) : window_(std::max<size_t>(window, 4)), k_(k) {}
-
-void ZScoreDetector::Reset() {
-  values_.clear();
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
-}
-
-std::optional<Anomaly> ZScoreDetector::Observe(sim::TimeNs at, double value) {
-  std::optional<Anomaly> fired;
-  if (values_.size() >= window_ / 2) {
-    const double n = static_cast<double>(values_.size());
-    const double mean = sum_ / n;
-    const double var = std::max(0.0, sum_sq_ / n - mean * mean);
-    const double sigma = std::sqrt(var);
-    if (sigma > 0.0) {
-      const double z = std::abs(value - mean) / sigma;
-      if (z > k_) {
-        Anomaly a;
-        a.at = at;
-        a.value = value;
-        a.score = z;
-        a.detail = "z-score";
-        fired = a;
-      }
-    }
-  }
-  values_.push_back(value);
-  sum_ += value;
-  sum_sq_ += value * value;
-  if (values_.size() > window_) {
-    const double old = values_.front();
-    values_.pop_front();
-    sum_ -= old;
-    sum_sq_ -= old * old;
-  }
-  return fired;
-}
-
-CusumDetector::CusumDetector(double k, double h, int warmup) : k_(k), h_(h), warmup_(warmup) {}
-
-void CusumDetector::Reset() {
-  seen_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  pos_ = 0.0;
-  neg_ = 0.0;
-}
-
-std::optional<Anomaly> CusumDetector::Observe(sim::TimeNs at, double value) {
-  if (seen_ < warmup_) {
-    ++seen_;
-    const double delta = value - mean_;
-    mean_ += delta / seen_;
-    m2_ += delta * (value - mean_);
-    return std::nullopt;
-  }
-  double sigma = std::sqrt(m2_ / seen_);
-  if (sigma <= 0.0) {
-    // A perfectly flat baseline: any change is significant; scale by the
-    // mean (or 1) to stay dimensionless.
-    sigma = std::abs(mean_) > 0.0 ? std::abs(mean_) * 0.01 : 1.0;
-  }
-  const double z = (value - mean_) / sigma;
-  pos_ = std::max(0.0, pos_ + z - k_);
-  neg_ = std::max(0.0, neg_ - z - k_);
-  if (pos_ > h_ || neg_ > h_) {
-    Anomaly a;
-    a.at = at;
-    a.value = value;
-    a.score = std::max(pos_, neg_);
-    a.detail = pos_ > h_ ? "cusum upward shift" : "cusum downward shift";
-    pos_ = 0.0;
-    neg_ = 0.0;
-    return a;
-  }
-  return std::nullopt;
 }
 
 }  // namespace mihn::anomaly

@@ -1,15 +1,16 @@
 // Online anomaly detectors (paper §3.1: "a platform for anomaly
 // detection ... to analyze monitoring results holistically").
 //
-// Each detector is a small streaming algorithm over one scalar metric:
-// feed it (time, value) observations; it emits an Anomaly when it fires.
-// Detectors are deliberately dependency-free so they compose (the
-// DetectorBank runs many of them over a Collector's series).
+// A detector is a small streaming algorithm over one scalar metric: feed
+// it (time, value) observations; it emits an Anomaly when it fires. The
+// DetectorBank runs many of them over a Collector's series. The EWMA
+// detector is the one the benches and the chaos campaigns attach; the
+// Detector interface stays open so a bank can hold any streaming detector
+// (the tests attach fakes through it).
 
 #ifndef MIHN_SRC_ANOMALY_DETECTORS_H_
 #define MIHN_SRC_ANOMALY_DETECTORS_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,7 +24,7 @@ struct Anomaly {
   sim::TimeNs at;
   std::string metric;
   double value = 0.0;
-  // Detector-specific severity (e.g. sigmas, CUSUM excess). Higher = worse.
+  // Detector-specific severity (for the EWMA detector, sigmas). Higher = worse.
   double score = 0.0;
   std::string detail;
 };
@@ -39,20 +40,6 @@ class Detector {
 
   // Forgets all learned state.
   virtual void Reset() = 0;
-};
-
-// Fires when the value leaves [low, high]. The blunt instrument today's
-// operators use on PCM counters.
-class ThresholdDetector : public Detector {
- public:
-  ThresholdDetector(double low, double high);
-  std::optional<Anomaly> Observe(sim::TimeNs at, double value) override;
-  std::string name() const override { return "threshold"; }
-  void Reset() override {}
-
- private:
-  double low_;
-  double high_;
 };
 
 // Exponentially-weighted moving average with a companion EW variance; fires
@@ -74,45 +61,6 @@ class EwmaDetector : public Detector {
   int seen_ = 0;
   double mean_ = 0.0;
   double var_ = 0.0;
-};
-
-// Sliding-window z-score: fires when the newest value deviates from the
-// window mean by more than k window-stddevs.
-class ZScoreDetector : public Detector {
- public:
-  ZScoreDetector(size_t window = 64, double k = 4.0);
-  std::optional<Anomaly> Observe(sim::TimeNs at, double value) override;
-  std::string name() const override { return "zscore"; }
-  void Reset() override;
-
- private:
-  size_t window_;
-  double k_;
-  std::deque<double> values_;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-};
-
-// Two-sided CUSUM change-point detector: accumulates deviations beyond a
-// slack |k| (in reference-stddev units) and fires when either cumulative
-// sum exceeds |h|. Reference mean/stddev learned from the first |warmup|
-// samples. The right tool for slow silent degradations.
-class CusumDetector : public Detector {
- public:
-  CusumDetector(double k = 0.5, double h = 8.0, int warmup = 32);
-  std::optional<Anomaly> Observe(sim::TimeNs at, double value) override;
-  std::string name() const override { return "cusum"; }
-  void Reset() override;
-
- private:
-  double k_;
-  double h_;
-  int warmup_;
-  int seen_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double pos_ = 0.0;
-  double neg_ = 0.0;
 };
 
 }  // namespace mihn::anomaly

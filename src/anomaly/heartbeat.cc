@@ -32,10 +32,7 @@ void HeartbeatMesh::Start() {
   timer_ = fabric_.simulation().SchedulePeriodic(config_.period, [this] { Tick(); });
 }
 
-void HeartbeatMesh::Stop() {
-  running_ = false;
-  timer_.Cancel();
-}
+HeartbeatMesh::~HeartbeatMesh() { timer_.Cancel(); }
 
 void HeartbeatMesh::Tick() {
   const sim::TimeNs now = fabric_.simulation().Now();
@@ -169,17 +166,6 @@ std::vector<HeartbeatMesh::SuspectLink> HeartbeatMesh::LocalizeFaults() const {
     return a.link < b.link;
   });
   return suspects;
-}
-
-void HeartbeatMesh::ResetBaselines() {
-  const sim::TimeNs now = fabric_.simulation().Now();
-  for (auto& [key, state] : pairs_) {
-    CloseAlarm(state, now);
-    state.samples = 0;
-    state.baseline_ns = 0.0;
-    state.smoothed_ns = 0.0;
-  }
-  first_alarm_at_.reset();
 }
 
 }  // namespace mihn::anomaly

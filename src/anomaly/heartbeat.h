@@ -56,10 +56,10 @@ class HeartbeatMesh {
   };
 
   // One raise→clear episode of a pair alarm. Recovery (latency back under
-  // the threshold), a fault-driven re-route (baseline restarts on the new
-  // path), and ResetBaselines() all close an open episode; cleared stays
-  // false while the alarm is still raised. The scorer joins these against
-  // injected ground truth.
+  // the threshold) and a fault-driven re-route (baseline restarts on the
+  // new path) both close an open episode; cleared stays false while the
+  // alarm is still raised. The scorer joins these against injected ground
+  // truth.
   struct AlarmEvent {
     topology::ComponentId src = topology::kInvalidComponent;
     topology::ComponentId dst = topology::kInvalidComponent;
@@ -69,10 +69,15 @@ class HeartbeatMesh {
   };
 
   HeartbeatMesh(fabric::Fabric& fabric, Config config);
+  // Cancels the probe timer. The mesh must be destroyed before its
+  // fabric's clock.
+  ~HeartbeatMesh();
+
+  HeartbeatMesh(const HeartbeatMesh&) = delete;
+  HeartbeatMesh& operator=(const HeartbeatMesh&) = delete;
 
   // Starts periodic probing. Idempotent.
   void Start();
-  void Stop();
 
   size_t pair_count() const { return pairs_.size(); }
   uint64_t probes_sent() const { return probes_sent_; }
@@ -92,9 +97,6 @@ class HeartbeatMesh {
   // descending, then link id). Links never crossed by an alarmed pair are
   // omitted.
   std::vector<SuspectLink> LocalizeFaults() const;
-
-  // Clears alarms and relearns baselines from subsequent probes.
-  void ResetBaselines();
 
  private:
   struct PairState {

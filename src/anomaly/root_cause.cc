@@ -67,30 +67,6 @@ std::vector<CongestionReport> RootCauseAnalyzer::FindCongestedLinks() {
   return reports;
 }
 
-std::vector<CongestionReport> RootCauseAnalyzer::DiagnoseVictim(
-    const topology::Path& victim_path) {
-  std::vector<CongestionReport> reports;
-  for (const topology::DirectedLink& hop : victim_path.hops) {
-    const fabric::LinkSnapshot snap = fabric_.Snapshot(hop);
-    if (snap.utilization >= threshold_) {
-      reports.push_back(BuildReport(hop, snap));
-    }
-  }
-  std::sort(reports.begin(), reports.end(),
-            [](const CongestionReport& a, const CongestionReport& b) {
-              return a.utilization > b.utilization;
-            });
-  return reports;
-}
-
-fabric::TenantId RootCauseAnalyzer::PrimarySuspect() {
-  const auto reports = FindCongestedLinks();
-  if (reports.empty() || reports.front().tenants.empty()) {
-    return fabric::kNoTenant;
-  }
-  return reports.front().tenants.front().tenant;
-}
-
 std::string RootCauseAnalyzer::Render(const CongestionReport& report) const {
   const topology::Link& link = fabric_.topo().link(report.link.link);
   const topology::ComponentId from = report.link.forward ? link.a : link.b;

@@ -43,14 +43,6 @@ class RootCauseAnalyzer {
   // All congested directed links, most utilized first.
   std::vector<CongestionReport> FindCongestedLinks();
 
-  // Congested links on a specific victim path — "why is my flow slow?".
-  std::vector<CongestionReport> DiagnoseVictim(const topology::Path& victim_path);
-
-  // The tenant with the largest share on the most utilized congested link,
-  // or kNoTenant when nothing is congested. The one-line answer an on-call
-  // operator wants.
-  fabric::TenantId PrimarySuspect();
-
   // Human-readable multi-line rendering of a report.
   std::string Render(const CongestionReport& report) const;
 

@@ -1,7 +1,6 @@
 #include "src/diagnose/session.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -42,62 +41,6 @@ PingReport Session::Ping(topology::ComponentId src, topology::ComponentId dst,
   }
   report.latency = latency;
   return report;
-}
-
-namespace {
-
-struct PingSeriesState {
-  sim::Histogram latency_us;
-  int remaining = 0;
-  topology::Path path;
-  sim::TimeNs interval;
-  int64_t probe_bytes = 0;
-  std::function<void(const sim::Histogram&)> on_done;
-};
-
-// Sends one probe; each delivery re-arms via a fresh closure, so no event
-// ever owns a reference to itself (the same rule Simulation::ArmPeriodic
-// follows — a self-referential std::function cycle would leak the closure).
-void FirePingProbe(fabric::Fabric& fabric, const std::shared_ptr<PingSeriesState>& state) {
-  fabric::PacketSpec probe;
-  probe.path = state->path;
-  probe.bytes = state->probe_bytes;
-  probe.klass = fabric::TrafficClass::kProbe;
-  probe.on_delivered = [state, &fabric](sim::TimeNs latency) {
-    state->latency_us.Add(latency.ToMicrosF());
-    if (--state->remaining <= 0) {
-      if (state->on_done) {
-        state->on_done(state->latency_us);
-      }
-      return;
-    }
-    fabric.simulation().ScheduleAfter(
-        state->interval, [state, &fabric] { FirePingProbe(fabric, state); },
-        "diagnose.ping_series");
-  };
-  fabric.SendPacket(std::move(probe));
-}
-
-}  // namespace
-
-void Session::PingSeries(topology::ComponentId src, topology::ComponentId dst, int count,
-                         sim::TimeNs interval,
-                         std::function<void(const sim::Histogram&)> on_done,
-                         int64_t probe_bytes) {
-  auto path = fabric_.Route(src, dst);
-  if (!path || count <= 0) {
-    if (on_done) {
-      on_done(sim::Histogram{});
-    }
-    return;
-  }
-  auto state = std::make_shared<PingSeriesState>();
-  state->remaining = count;
-  state->path = std::move(*path);
-  state->interval = interval;
-  state->probe_bytes = probe_bytes;
-  state->on_done = std::move(on_done);
-  FirePingProbe(fabric_, state);
 }
 
 // -- Trace --------------------------------------------------------------------
@@ -150,46 +93,8 @@ PerfReport Session::Perf(topology::ComponentId src, topology::ComponentId dst) {
     return report;
   }
   report.initial_rate = fabric_.FlowRate(id);
-  report.average_rate = report.initial_rate;
   fabric_.StopFlow(id);
   return report;
-}
-
-void Session::PerfRun(topology::ComponentId src, topology::ComponentId dst,
-                      sim::TimeNs duration, std::function<void(const PerfReport&)> on_done) {
-  PerfReport initial;
-  initial.probe = MakeProbe(src, dst);
-  if (!initial.probe.reachable) {
-    if (on_done) {
-      on_done(initial);
-    }
-    return;
-  }
-  fabric::FlowSpec probe;
-  probe.path = initial.probe.path;
-  probe.klass = fabric::TrafficClass::kProbe;
-  const fabric::FlowId id = fabric_.StartFlow(std::move(probe));
-  initial.initial_rate = fabric_.FlowRate(id);
-  const sim::TimeNs start = fabric_.simulation().Now();
-  fabric::Fabric& fabric = fabric_;
-  fabric_.simulation().ScheduleAfter(
-      duration,
-      [&fabric, id, initial, start, on_done = std::move(on_done)] {
-        PerfReport report = initial;
-        if (const auto info = fabric.GetFlowInfo(id)) {
-          report.bytes_moved = info->bytes_moved;
-          const double secs = (fabric.simulation().Now() - start).ToSecondsF();
-          report.average_rate =
-              secs > 0
-                  ? sim::Bandwidth::BytesPerSec(static_cast<double>(info->bytes_moved) / secs)
-                  : sim::Bandwidth::Zero();
-        }
-        fabric.StopFlow(id);
-        if (on_done) {
-          on_done(report);
-        }
-      },
-      "diagnose.perf_run");
 }
 
 // -- Capture ------------------------------------------------------------------

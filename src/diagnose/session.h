@@ -23,21 +23,18 @@
 //             that competes like application traffic (iperf).
 //   Capture — live flow-table capture with filters (wireshark).
 //
-// Each tool has an instantaneous form (the fluid model is deterministic, so
-// "what would a probe see right now" is directly computable) and, for ping
-// and perf, a timed form that runs inside the simulation and reports a
-// distribution/average over an interval.
+// Every tool is instantaneous: the fluid model is deterministic, so "what
+// would a probe see right now" is directly computable, and no probe
+// advances the clock.
 
 #ifndef MIHN_SRC_DIAGNOSE_SESSION_H_
 #define MIHN_SRC_DIAGNOSE_SESSION_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/fabric/fabric.h"
-#include "src/sim/stats.h"
 
 namespace mihn::diagnose {
 
@@ -79,9 +76,6 @@ struct PerfReport {
   ProbeReport probe;
   // Rate the probe flow achieved instantaneously on start.
   sim::Bandwidth initial_rate;
-  // Average over the measurement window (bytes moved / duration).
-  sim::Bandwidth average_rate;
-  int64_t bytes_moved = 0;
 };
 
 // Capture filter (wireshark-style).
@@ -103,8 +97,7 @@ struct CaptureReport {
 
 // The diagnostic toolbox, bound to one fabric. Cheap to construct (holds
 // only the reference); a long-lived Session per operator console is the
-// intended shape. The fabric must outlive the session and any in-flight
-// timed probes.
+// intended shape. The fabric must outlive the session.
 class Session {
  public:
   explicit Session(fabric::Fabric& fabric) : fabric_(fabric) {}
@@ -113,14 +106,6 @@ class Session {
   // Latency of a |probe_bytes| packet src -> dst along the current
   // shortest path, under current congestion. Does not perturb the fabric.
   PingReport Ping(topology::ComponentId src, topology::ComponentId dst,
-                  int64_t probe_bytes = 64);
-
-  // Timed ping: sends |count| probes every |interval| (these DO appear in
-  // telemetry as kProbe traffic) and delivers the latency distribution in
-  // microseconds to |on_done|.
-  void PingSeries(topology::ComponentId src, topology::ComponentId dst, int count,
-                  sim::TimeNs interval,
-                  std::function<void(const sim::Histogram& latency_us)> on_done,
                   int64_t probe_bytes = 64);
 
   // -- Trace -------------------------------------------------------------------
@@ -135,11 +120,6 @@ class Session {
   // the measurement reflects real contention (the probe competes max-min
   // like any flow, exactly as iperf perturbs a production network).
   PerfReport Perf(topology::ComponentId src, topology::ComponentId dst);
-
-  // Timed probe: runs the elastic flow for |duration|, then reports. Other
-  // traffic may come and go during the window; average_rate captures that.
-  void PerfRun(topology::ComponentId src, topology::ComponentId dst, sim::TimeNs duration,
-               std::function<void(const PerfReport&)> on_done);
 
   // -- Capture -----------------------------------------------------------------
   // Captures the current flow table (every fluid flow, including spill

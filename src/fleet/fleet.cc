@@ -12,8 +12,6 @@ HostNetwork::Options DefaultHostOptions() {
   return options;
 }
 
-Fleet::Fleet(int num_hosts) : Fleet(num_hosts, Options{}) {}
-
 Fleet::Fleet(int num_hosts, Options options)
     : options_(std::move(options)),
       sim_(options_.seed),
@@ -87,17 +85,6 @@ CrossFlowId Fleet::StartCrossHostFlow(const CrossHostFlowSpec& spec) {
   const CrossFlowId id = next_cross_id_++;
   cross_flows_.emplace(id, std::move(flow));
   return id;
-}
-
-void Fleet::StopCrossHostFlow(CrossFlowId id) {
-  const auto it = cross_flows_.find(id);
-  if (it == cross_flows_.end()) {
-    return;
-  }
-  host(it->second.spec.src_host).fabric().StopFlow(it->second.src_flow);
-  host(it->second.spec.dst_host).fabric().StopFlow(it->second.dst_flow);
-  inter_.RemoveFlow(it->second.inter_slot);
-  cross_flows_.erase(it);
 }
 
 sim::Bandwidth Fleet::CrossHostRate(CrossFlowId id) const {
@@ -246,14 +233,6 @@ void Fleet::Run(int ticks) {
   for (int i = 0; i < ticks; ++i) {
     Tick();
   }
-}
-
-std::string Fleet::RenderReport() const {
-  return RenderFleetReport(host_count(), inter_.racks(), samples_);
-}
-
-bool Fleet::WriteReportFile(const std::string& path) const {
-  return WriteFleetReportFile(path, host_count(), inter_.racks(), samples_);
 }
 
 void Fleet::EnableHeartbeats(anomaly::HeartbeatMesh::Config config) {

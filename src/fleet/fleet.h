@@ -129,7 +129,6 @@ class Fleet {
     double congestion_threshold = 0.9;
   };
 
-  explicit Fleet(int num_hosts);
   Fleet(int num_hosts, Options options);
 
   Fleet(const Fleet&) = delete;
@@ -154,7 +153,6 @@ class Fleet {
   // Starts the three coupled stages. The end-to-end rate settles over the
   // following ticks (one coupling pass per tick).
   CrossFlowId StartCrossHostFlow(const CrossHostFlowSpec& spec);
-  void StopCrossHostFlow(CrossFlowId id);
   // Last coupled end-to-end rate (zero before the first tick after start).
   sim::Bandwidth CrossHostRate(CrossFlowId id) const;
   int cross_host_flow_count() const { return static_cast<int>(cross_flows_.size()); }
@@ -172,9 +170,6 @@ class Fleet {
   const std::vector<FleetSample>& samples() const { return samples_; }
   // FNV-1a 64 digest of the full sample history (see report.h).
   uint64_t TelemetryDigest() const { return DigestSamples(samples_); }
-  // JSON report over the sample history (see report.h).
-  std::string RenderReport() const;
-  bool WriteReportFile(const std::string& path) const;
 
   // -- Anomaly -----------------------------------------------------------------
   // Builds and starts one heartbeat mesh per host (config.participants is

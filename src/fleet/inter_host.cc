@@ -26,7 +26,6 @@ int32_t InterHostNetwork::AddFlow(int src_host, int dst_host, sim::Bandwidth dem
   MIHN_CHECK(dst_host >= 0 && dst_host < config_.hosts);
   MIHN_CHECK(src_host != dst_host);
   FlowRec rec;
-  rec.live = true;
   rec.demand = demand.bytes_per_sec();
   rec.weight = weight;
   rec.links.push_back(HostUpIndex(src_host));
@@ -45,30 +44,16 @@ int32_t InterHostNetwork::AddFlow(int src_host, int dst_host, sim::Bandwidth dem
 void InterHostNetwork::SetFlowDemand(int32_t slot, sim::Bandwidth demand) {
   MIHN_CHECK(slot >= 0 && slot < static_cast<int32_t>(flows_.size()));
   FlowRec& rec = flows_[static_cast<size_t>(slot)];
-  if (!rec.live) {
-    return;
-  }
   rec.demand = demand.bytes_per_sec();
   if (!reprime_) {
     solver_.UpdateFlowDemand(slot, rec.demand);
   }
 }
 
-void InterHostNetwork::RemoveFlow(int32_t slot) {
-  MIHN_CHECK(slot >= 0 && slot < static_cast<int32_t>(flows_.size()));
-  FlowRec& rec = flows_[static_cast<size_t>(slot)];
-  if (!rec.live) {
-    return;
-  }
-  rec.live = false;
-  rec.demand = 0.0;  // The reference's dead-flow rule: no effect on anyone.
-  reprime_ = true;
-}
-
 void InterHostNetwork::Solve() {
   if (reprime_) {
-    // An add or a remove is a new problem: load every slot, removed ones
-    // included, so slots stay the solver's flow indices.
+    // An add is a new problem: load every slot, so slots stay the solver's
+    // flow indices.
     solver_.Begin(capacity_.size());
     for (size_t l = 0; l < capacity_.size(); ++l) {
       solver_.SetCapacity(static_cast<int32_t>(l), capacity_[l]);
@@ -81,9 +66,6 @@ void InterHostNetwork::Solve() {
   const std::vector<double>& rates = solver_.SolveDelta();
   link_rate_.assign(capacity_.size(), 0.0);
   for (size_t f = 0; f < flows_.size(); ++f) {
-    if (!flows_[f].live) {
-      continue;
-    }
     for (const int32_t l : flows_[f].links) {
       link_rate_[static_cast<size_t>(l)] += rates[f];
     }
@@ -93,8 +75,8 @@ void InterHostNetwork::Solve() {
 sim::Bandwidth InterHostNetwork::FlowRate(int32_t slot) const {
   MIHN_CHECK(slot >= 0 && slot < static_cast<int32_t>(flows_.size()));
   const std::vector<double>& rates = solver_.rates();
-  if (!flows_[static_cast<size_t>(slot)].live || static_cast<size_t>(slot) >= rates.size()) {
-    return sim::Bandwidth::Zero();  // Removed, or added since the last Solve().
+  if (static_cast<size_t>(slot) >= rates.size()) {
+    return sim::Bandwidth::Zero();  // Added since the last Solve().
   }
   return sim::Bandwidth::BytesPerSec(rates[static_cast<size_t>(slot)]);
 }

@@ -15,8 +15,8 @@
 // (the bracketed rack hops only when the hosts sit in different racks) and
 // competes with every other cross-host flow for those capacities under the
 // exact same fabric::MaxMinSolver the intra-host fabric uses. A tick that
-// only changes demands takes the solver's retained delta path; an added or
-// removed flow re-primes it from every slot.
+// only changes demands takes the solver's retained delta path; an added
+// flow re-primes it from every slot.
 
 #ifndef MIHN_SRC_FLEET_INTER_HOST_H_
 #define MIHN_SRC_FLEET_INTER_HOST_H_
@@ -65,18 +65,17 @@ class InterHostNetwork {
 
   // -- Flows -------------------------------------------------------------------
   // Adds a src -> dst flow (src != dst) and returns its slot. Slots are
-  // stable until RemoveFlow; rates are read per slot after Solve(), and a
-  // slot added since the last Solve() reads 0.
+  // stable for the network's lifetime; rates are read per slot after
+  // Solve(), and a slot added since the last Solve() reads 0.
   int32_t AddFlow(int src_host, int dst_host, sim::Bandwidth demand, double weight = 1.0);
   void SetFlowDemand(int32_t slot, sim::Bandwidth demand);
-  void RemoveFlow(int32_t slot);
 
-  // Re-solves the shared allocation. After an add or a remove it re-primes
-  // the solver; otherwise it takes the retained delta path. Either way the
-  // rates are bit-identical to a full solve.
+  // Re-solves the shared allocation. After an add it re-primes the solver;
+  // otherwise it takes the retained delta path. Either way the rates are
+  // bit-identical to a full solve.
   void Solve();
 
-  // Last solved rate of |slot| (zero after RemoveFlow).
+  // Last solved rate of |slot|.
   sim::Bandwidth FlowRate(int32_t slot) const;
 
   // -- Telemetry ---------------------------------------------------------------
@@ -92,8 +91,7 @@ class InterHostNetwork {
   int32_t RackDownIndex(int rack) const { return 2 * config_.hosts + 2 * rack + 1; }
 
   struct FlowRec {
-    bool live = false;
-    double demand = 0.0;  // 0 once removed.
+    double demand = 0.0;
     double weight = 1.0;
     std::vector<int32_t> links;
   };
@@ -104,7 +102,7 @@ class InterHostNetwork {
   std::vector<double> link_rate_;  // Rebuilt from flow rates on Solve().
   std::vector<FlowRec> flows_;     // Slot-indexed; mirrors solver slots.
   fabric::MaxMinSolver solver_;
-  bool reprime_ = true;  // An add or remove since the last Solve(), or no Solve() yet.
+  bool reprime_ = true;  // An add since the last Solve(), or no Solve() yet.
 };
 
 }  // namespace mihn::fleet

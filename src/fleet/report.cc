@@ -1,7 +1,6 @@
 #include "src/fleet/report.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace mihn::fleet {
@@ -56,58 +55,6 @@ uint64_t DigestSamples(const std::vector<FleetSample>& samples) {
     h = FnvFold(h, "\n");
   }
   return h;
-}
-
-std::string RenderFleetReport(int host_count, int rack_count,
-                              const std::vector<FleetSample>& samples) {
-  std::ostringstream out;
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(DigestSamples(samples)));
-  out << "{\n";
-  out << "  \"fleet\": {\"hosts\": " << Int(host_count) << ", \"racks\": " << Int(rack_count)
-      << ", \"ticks\": " << Int(static_cast<int64_t>(samples.size())) << "},\n";
-  out << "  \"telemetry_digest\": \"" << digest << "\",\n";
-  out << "  \"ticks\": [\n";
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const FleetSample& s = samples[i];
-    out << "    {\"at_ns\": " << Int(s.at.nanos()) << ", \"total_bytes\": " << Num(s.total_bytes)
-        << ", \"total_rate_bps\": " << Num(s.total_rate_bps)
-        << ", \"active_flows\": " << Int(s.total_active_flows)
-        << ", \"max_host_utilization\": " << Num(s.max_host_utilization)
-        << ", \"inter_rate_bps\": " << Num(s.inter_rate_bps)
-        << ", \"inter_max_utilization\": " << Num(s.inter_max_utilization)
-        << ", \"cross_host_flows\": " << Int(s.cross_host_flows) << "}"
-        << (i + 1 < samples.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"final_hosts\": [\n";
-  if (!samples.empty()) {
-    const std::vector<HostSample>& hosts = samples.back().hosts;
-    for (size_t i = 0; i < hosts.size(); ++i) {
-      const HostSample& h = hosts[i];
-      out << "    {\"host\": " << Int(h.host) << ", \"bytes_total\": " << Num(h.bytes_total)
-          << ", \"rate_total_bps\": " << Num(h.rate_total_bps)
-          << ", \"max_utilization\": " << Num(h.max_utilization)
-          << ", \"mean_utilization\": " << Num(h.mean_utilization)
-          << ", \"active_flows\": " << Int(h.active_flows)
-          << ", \"congested_links\": " << Int(h.congested_links) << "}"
-          << (i + 1 < hosts.size() ? "," : "") << "\n";
-    }
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return out.str();
-}
-
-bool WriteFleetReportFile(const std::string& path, int host_count, int rack_count,
-                          const std::vector<FleetSample>& samples) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << RenderFleetReport(host_count, rack_count, samples);
-  return static_cast<bool>(out);
 }
 
 }  // namespace mihn::fleet

@@ -1,6 +1,5 @@
-// Fleet telemetry aggregation: per-tick per-host rollups, the
-// deterministic digest the fleet's byte-identity gates hash, and the JSON
-// report renderer.
+// Fleet telemetry aggregation: per-tick per-host rollups and the
+// deterministic digest the fleet's byte-identity gates hash.
 //
 // The digest is the fleet's determinism contract made testable: every
 // sampled number is formatted with the repo-wide fixed "%.9g" convention
@@ -51,21 +50,12 @@ struct FleetSample {
 };
 
 // Canonical one-line encoding of one sample (every number through "%.9g"
-// / integer formatting): what the digest hashes and the report embeds.
+// / integer formatting): what the digest hashes.
 std::string EncodeSample(const FleetSample& sample);
 
 // FNV-1a 64 over EncodeSample() of every sample in order. 0xcbf29ce484222325
 // for an empty history.
 uint64_t DigestSamples(const std::vector<FleetSample>& samples);
-
-// Deterministic JSON fleet report: configuration echo, per-tick fleet
-// aggregates, the final tick's per-host rows, and the digest.
-std::string RenderFleetReport(int host_count, int rack_count,
-                              const std::vector<FleetSample>& samples);
-
-// Writes RenderFleetReport to |path|. Returns false on I/O failure.
-bool WriteFleetReportFile(const std::string& path, int host_count, int rack_count,
-                          const std::vector<FleetSample>& samples);
 
 }  // namespace mihn::fleet
 

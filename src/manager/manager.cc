@@ -29,6 +29,8 @@ std::string_view ModeName(ManagerConfig::Mode mode) {
 Manager::Manager(fabric::Fabric& fabric, ManagerConfig config)
     : fabric_(fabric), config_(config), scheduler_(fabric, config.scheduler) {}
 
+Manager::~Manager() { arbiter_timer_.Cancel(); }
+
 fabric::TenantId Manager::RegisterTenant(std::string name, double weight, ResourceModel model) {
   const fabric::TenantId id = next_tenant_id_++;
   Tenant tenant;
@@ -130,14 +132,6 @@ std::map<int32_t, double> Manager::AdmissionLedger(fabric::TenantId tenant,
   return check;
 }
 
-std::optional<Scheduler::Placement> Manager::ProbeIntent(fabric::TenantId tenant,
-                                                         const PerformanceTarget& target) const {
-  if (!tenants_.contains(tenant) || target.bandwidth.bytes_per_sec() <= 0.0) {
-    return std::nullopt;
-  }
-  return scheduler_.Place(target, AdmissionLedger(tenant, target));
-}
-
 void Manager::ReleaseAllocation(AllocationId id) {
   const auto it = allocations_.find(id);
   if (it == allocations_.end()) {
@@ -217,16 +211,6 @@ const Allocation* Manager::GetAllocation(AllocationId id) const {
   return it == allocations_.end() ? nullptr : &it->second;
 }
 
-std::vector<AllocationId> Manager::AllocationsOf(fabric::TenantId tenant) const {
-  std::vector<AllocationId> ids;
-  for (const auto& [id, alloc] : allocations_) {
-    if (alloc.tenant == tenant) {
-      ids.push_back(id);
-    }
-  }
-  return ids;
-}
-
 std::vector<AllocationId> Manager::AllAllocations() const {
   std::vector<AllocationId> ids;
   ids.reserve(allocations_.size());
@@ -248,17 +232,6 @@ void Manager::AttachFlow(AllocationId id, fabric::FlowId flow) {
   }
 }
 
-void Manager::DetachFlow(AllocationId id, fabric::FlowId flow) {
-  const auto it = allocations_.find(id);
-  if (it == allocations_.end()) {
-    return;
-  }
-  auto& flows = it->second.flows;
-  flows.erase(std::remove(flows.begin(), flows.end(), flow), flows.end());
-  flow_to_allocation_.erase(flow);
-  fabric_.SetFlowLimit(flow, sim::Bandwidth::BytesPerSec(kUnlimited));
-}
-
 void Manager::Start() {
   if (running_ || config_.mode == ManagerConfig::Mode::kOff) {
     return;
@@ -266,11 +239,6 @@ void Manager::Start() {
   running_ = true;
   arbiter_timer_ = fabric_.simulation().SchedulePeriodic(
       config_.arbiter_quantum, [this] { ArbitrateOnce(); }, "manager.arbiter");
-}
-
-void Manager::Stop() {
-  running_ = false;
-  arbiter_timer_.Cancel();
 }
 
 void Manager::ArbitrateOnce() {

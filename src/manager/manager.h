@@ -20,7 +20,6 @@
 #define MIHN_SRC_MANAGER_MANAGER_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,6 +77,12 @@ struct VirtualView {
 class Manager {
  public:
   Manager(fabric::Fabric& fabric, ManagerConfig config = {});
+  // Cancels the arbiter timer. The manager must be destroyed before its
+  // fabric's clock.
+  ~Manager();
+
+  Manager(const Manager&) = delete;
+  Manager& operator=(const Manager&) = delete;
 
   // -- Tenants -----------------------------------------------------------------
   fabric::TenantId RegisterTenant(std::string name, double weight = 1.0,
@@ -86,12 +91,6 @@ class Manager {
 
   // -- Compile / schedule / admit ------------------------------------------------
   SubmitResult SubmitIntent(fabric::TenantId tenant, PerformanceTarget target);
-
-  // Dry-run admission: would SubmitIntent succeed right now, and on which
-  // path? Changes nothing (no ledger update, no counters). The capacity-
-  // planning call an orchestrator makes before migrating a VM in.
-  std::optional<Scheduler::Placement> ProbeIntent(fabric::TenantId tenant,
-                                                  const PerformanceTarget& target) const;
 
   void ReleaseAllocation(AllocationId id);
 
@@ -116,19 +115,16 @@ class Manager {
   std::vector<AllocationId> RepairFaultedAllocations();
 
   const Allocation* GetAllocation(AllocationId id) const;
-  std::vector<AllocationId> AllocationsOf(fabric::TenantId tenant) const;
   std::vector<AllocationId> AllAllocations() const;
 
   // -- Flow attachment -----------------------------------------------------------
   // Ties an application flow to its allocation so the arbiter enforces the
   // allocation across exactly these flows.
   void AttachFlow(AllocationId id, fabric::FlowId flow);
-  void DetachFlow(AllocationId id, fabric::FlowId flow);
 
   // -- Arbitration -----------------------------------------------------------------
   // Starts the periodic arbiter (no-op in Mode::kOff). Idempotent.
   void Start();
-  void Stop();
   // One enforcement pass right now (also what the timer runs).
   void ArbitrateOnce();
 

@@ -1,8 +1,6 @@
 #include "src/manager/slo_monitor.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace mihn::manager {
 
@@ -17,10 +15,7 @@ void SloMonitor::Start() {
   timer_ = fabric_.simulation().SchedulePeriodic(config_.period, [this] { CheckOnce(); });
 }
 
-void SloMonitor::Stop() {
-  running_ = false;
-  timer_.Cancel();
-}
+SloMonitor::~SloMonitor() { timer_.Cancel(); }
 
 void SloMonitor::CheckOnce() {
   ++checks_;
@@ -92,26 +87,6 @@ double SloMonitor::Compliance(AllocationId id) const {
     return 1.0;
   }
   return static_cast<double>(it->second.passed) / static_cast<double>(it->second.checked);
-}
-
-std::string SloMonitor::Render() const {
-  std::ostringstream out;
-  for (const Violation& v : violations_) {
-    char buf[160];
-    if (v.kind == Violation::Kind::kBandwidth) {
-      std::snprintf(buf, sizeof(buf),
-                    "t=%s alloc %lld (tenant %d) bandwidth: entitled %.1f GB/s got %.1f GB/s",
-                    v.at.ToString().c_str(), static_cast<long long>(v.allocation), v.tenant,
-                    v.expected / 1e9, v.actual / 1e9);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "t=%s alloc %lld (tenant %d) latency: bound %.0f ns measured %.0f ns",
-                    v.at.ToString().c_str(), static_cast<long long>(v.allocation), v.tenant,
-                    v.expected, v.actual);
-    }
-    out << buf << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace mihn::manager

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <deque>
 #include <map>
-#include <string>
 
 #include "src/manager/manager.h"
 
@@ -52,10 +51,15 @@ class SloMonitor {
   SloMonitor(Manager& manager, fabric::Fabric& fabric)
       : SloMonitor(manager, fabric, Config{}) {}
   SloMonitor(Manager& manager, fabric::Fabric& fabric, Config config);
+  // Cancels the check timer. The monitor must be destroyed before its
+  // fabric's clock.
+  ~SloMonitor();
+
+  SloMonitor(const SloMonitor&) = delete;
+  SloMonitor& operator=(const SloMonitor&) = delete;
 
   // Begins periodic checking. Idempotent.
   void Start();
-  void Stop();
 
   // One check pass right now (also what the timer runs).
   void CheckOnce();
@@ -75,9 +79,6 @@ class SloMonitor {
   double Compliance(AllocationId id) const;
 
   uint64_t checks_performed() const { return checks_; }
-
-  // "t=12ms alloc 3 (tenant 2) bandwidth: promised 12.0 GB/s got 9.1" lines.
-  std::string Render() const;
 
  private:
   struct Tally {

@@ -90,26 +90,4 @@ double Rng::BoundedPareto(double lo, double hi, double alpha) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  if (n <= 1) {
-    return 0;
-  }
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(static_cast<size_t>(n));
-    double sum = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[static_cast<size_t>(i)] = sum;
-    }
-    for (auto& c : zipf_cdf_) {
-      c /= sum;
-    }
-  }
-  const double u = NextDouble();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<int64_t>(it - zipf_cdf_.begin());
-}
-
 }  // namespace mihn::sim

@@ -12,7 +12,6 @@
 #define MIHN_SRC_SIM_RANDOM_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace mihn::sim {
 
@@ -52,19 +51,10 @@ class Rng {
   // Bounded Pareto on [lo, hi] with shape |alpha|; heavy-tailed sizes.
   double BoundedPareto(double lo, double hi, double alpha);
 
-  // Zipf-distributed integer in [0, n) with skew |s| (s=0 is uniform).
-  // O(1) draws after O(n) table construction on first use per (n, s).
-  int64_t Zipf(int64_t n, double s);
-
  private:
   explicit Rng(const uint64_t state[4]);
 
   uint64_t s_[4];
-
-  // Cached inverse-CDF table for Zipf (rebuilt when n or s changes).
-  int64_t zipf_n_ = 0;
-  double zipf_s_ = -1.0;
-  std::vector<double> zipf_cdf_;
 };
 
 }  // namespace mihn::sim

@@ -79,7 +79,7 @@ size_t ReferenceSimulation::pending_events() const {
                     [](const Event& ev) { return !ev.cancelled || !*ev.cancelled; }));
 }
 
-bool ReferenceSimulation::Step() {
+bool ReferenceSimulation::Step(TimeNs deadline) {
   for (;;) {
     // Drop leading cancelled events so the advance decision below sees the
     // real next event time.
@@ -93,7 +93,7 @@ bool ReferenceSimulation::Step() {
         continue;
       }
     }
-    if (queue_.empty()) {
+    if (queue_.empty() || queue_.top().at > deadline) {
       return false;
     }
     // priority_queue::top returns const&; the event is copied out before pop
@@ -118,7 +118,7 @@ bool ReferenceSimulation::Step() {
 
 TimeNs ReferenceSimulation::Run() {
   stopped_ = false;
-  while (!stopped_ && Step()) {
+  while (!stopped_ && Step(TimeNs::Max())) {
   }
   return now_;
 }
@@ -143,7 +143,7 @@ TimeNs ReferenceSimulation::RunUntil(TimeNs deadline) {
       }
       break;
     }
-    Step();
+    Step(deadline);
   }
   return now_;
 }

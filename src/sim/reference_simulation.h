@@ -108,7 +108,8 @@ class ReferenceSimulation : public VirtualClock {
     using priority_queue::c;
   };
 
-  bool Step();
+  // As Simulation::Step: runs the next event due at or before |deadline|.
+  bool Step(TimeNs deadline);
   void ArmPeriodic(TimeNs period, std::shared_ptr<std::function<void()>> fn,
                    std::shared_ptr<bool> flag, const char* label);
   bool FirePreAdvanceHooks();

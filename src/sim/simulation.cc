@@ -51,7 +51,7 @@ void Simulation::FinishFired(uint32_t index, bool periodic) {
   pool_.Free(index);
 }
 
-bool Simulation::Step() {
+bool Simulation::Step(TimeNs deadline) {
   for (;;) {
     if (!pre_advance_hooks_.empty() && (queue_.empty() || queue_.Min().at > now_)) {
       // End of this timestamp: let hooks settle coalesced work. They may
@@ -60,7 +60,7 @@ bool Simulation::Step() {
         continue;
       }
     }
-    if (queue_.empty()) {
+    if (queue_.empty() || queue_.Min().at > deadline) {
       return false;
     }
     const QueueEntry entry = queue_.PopMin();
@@ -92,7 +92,7 @@ bool Simulation::Step() {
 
 TimeNs Simulation::Run() {
   stopped_ = false;
-  while (!stopped_ && Step()) {
+  while (!stopped_ && Step(TimeNs::Max())) {
   }
   return now_;
 }
@@ -114,7 +114,7 @@ TimeNs Simulation::RunUntil(TimeNs deadline) {
       }
       break;
     }
-    Step();
+    Step(deadline);
   }
   return now_;
 }

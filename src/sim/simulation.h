@@ -167,10 +167,13 @@ class Simulation : public VirtualClock {
   Rng ForkRng(uint64_t stream_id) const { return root_rng_.Fork(stream_id); }
 
  private:
-  // Pops and executes the next event. Returns false if the queue is empty.
-  // Fires pre-advance hooks before the clock moves past now_ (and before
-  // concluding the queue is empty).
-  bool Step();
+  // Pops and executes the next event due at or before |deadline|. Returns
+  // false, having executed nothing, when no such event is left. Fires
+  // pre-advance hooks before the clock moves past now_ (and before
+  // concluding nothing is due), then looks at the queue again: a hook may
+  // have cancelled or re-timed the event the caller saw. Run() passes
+  // TimeNs::Max(), i.e. no deadline.
+  bool Step(TimeNs deadline);
 
   // Post-callback bookkeeping for a fired slot: re-arm a live periodic in
   // place or retire the slot (the callback never leaves its slot).

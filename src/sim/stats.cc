@@ -14,37 +14,8 @@ void RunningStats::Add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStats::Reset() { *this = RunningStats(); }
-
-double RunningStats::variance() const {
-  return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 
@@ -78,32 +49,6 @@ void Histogram::Add(double value) {
   ++count_;
   sum_ += value;
   ++buckets_[static_cast<size_t>(BucketIndex(value))];
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
-  }
-}
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0u);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
 }
 
 double Histogram::mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }

@@ -1,4 +1,5 @@
-// Statistics primitives: running moments and a log-bucketed histogram.
+// Statistics primitives: running count/mean/min/max and a log-bucketed
+// histogram.
 //
 // Telemetry, the anomaly detectors, and every benchmark report through
 // these. The histogram is HDR-style (logarithmic major buckets with linear
@@ -14,17 +15,14 @@
 
 namespace mihn::sim {
 
-// Welford running moments: O(1) memory, numerically stable mean/variance.
+// Running count, mean, min and max: O(1) memory, with the numerically
+// stable incremental mean of Welford's method.
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
-  void Reset();
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // Population variance.
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return count_ > 0 ? mean_ * static_cast<double>(count_) : 0.0; }
@@ -32,7 +30,6 @@ class RunningStats {
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -44,8 +41,6 @@ class Histogram {
   Histogram();
 
   void Add(double value);
-  void Merge(const Histogram& other);
-  void Reset();
 
   int64_t count() const { return count_; }
   double mean() const;

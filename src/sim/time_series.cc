@@ -31,39 +31,4 @@ size_t TimeSeries::FirstAfter(TimeNs t) const {
   return i;
 }
 
-void TimeSeries::ForEach(const std::function<void(const TimePoint&)>& fn) const {
-  for (size_t i = 0; i < buffer_.size(); ++i) {
-    fn(At(i));
-  }
-}
-
-RunningStats TimeSeries::StatsSince(TimeNs since) const {
-  RunningStats stats;
-  for (size_t i = 0; i < buffer_.size(); ++i) {
-    const TimePoint& p = At(i);
-    if (p.time >= since) {
-      stats.Add(p.value);
-    }
-  }
-  return stats;
-}
-
-double TimeSeries::MeanOfLast(size_t n) const {
-  if (buffer_.empty()) {
-    return 0.0;
-  }
-  const size_t take = std::min(n, buffer_.size());
-  double sum = 0.0;
-  for (size_t i = buffer_.size() - take; i < buffer_.size(); ++i) {
-    sum += At(i).value;
-  }
-  return sum / static_cast<double>(take);
-}
-
-void TimeSeries::Clear() {
-  buffer_.clear();
-  head_ = 0;
-  dropped_ = 0;
-}
-
 }  // namespace mihn::sim

@@ -14,10 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace mihn::sim {
@@ -56,18 +54,6 @@ class TimeSeries {
   // is none. Walks back from the newest point, so a reader that remembers
   // the last time it saw pays only for the points that are new since.
   size_t FirstAfter(TimeNs t) const;
-
-  // Visits retained points oldest-first.
-  void ForEach(const std::function<void(const TimePoint&)>& fn) const;
-
-  // Statistics over points with time >= since.
-  RunningStats StatsSince(TimeNs since) const;
-
-  // Mean over the last |n| points (all points if fewer).
-  double MeanOfLast(size_t n) const;
-
-  // Forgets every point and the drop count; the ring grows again from empty.
-  void Clear();
 
  private:
   size_t capacity_;

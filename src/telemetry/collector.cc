@@ -30,10 +30,7 @@ void Collector::Start() {
       config_.period, [this] { SampleOnce(); }, "telemetry.tick");
 }
 
-void Collector::Stop() {
-  running_ = false;
-  timer_.Cancel();
-}
+Collector::~Collector() { timer_.Cancel(); }
 
 sim::TimeSeries& Collector::Resolve(std::string key) {
   return series_.try_emplace(std::move(key), config_.series_capacity).first->second;

@@ -65,13 +65,15 @@ class Collector {
   };
 
   Collector(fabric::Fabric& fabric, Config config);
+  // Cancels the sampling timer. The collector must be destroyed before its
+  // fabric's clock.
+  ~Collector();
   // Slots hold handles into this collector's own store.
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
   // Begins periodic sampling. Idempotent.
   void Start();
-  void Stop();
   bool running() const { return running_; }
 
   // Takes one sample immediately (also used internally by the timer).

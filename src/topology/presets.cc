@@ -131,12 +131,6 @@ Server DgxClass() {
   return BuildServer(spec);
 }
 
-Server CxlPooledServer() {
-  ServerSpec spec;
-  spec.cxl_memory_per_socket = 1;
-  return BuildServer(spec);
-}
-
 Server EdgeNode() {
   ServerSpec spec;
   spec.sockets = 1;

@@ -80,10 +80,6 @@ Server DgxClass();
 // Single-socket edge node: direct-attached NIC and SSD, no GPU.
 Server EdgeNode();
 
-// Two-socket server with one CXL memory expander per socket: the emerging
-// memory-pooling configuration the paper points to.
-Server CxlPooledServer();
-
 }  // namespace mihn::topology
 
 #endif  // MIHN_SRC_TOPOLOGY_PRESETS_H_

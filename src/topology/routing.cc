@@ -16,19 +16,6 @@ sim::TimeNs Path::BaseLatency(const Topology& topo) const {
   return total;
 }
 
-sim::Bandwidth Path::BottleneckCapacity(const Topology& topo) const {
-  sim::Bandwidth narrowest = sim::Bandwidth::Zero();
-  bool first = true;
-  for (const DirectedLink& hop : hops) {
-    const sim::Bandwidth cap = topo.link(hop.link).spec.capacity;
-    if (first || cap < narrowest) {
-      narrowest = cap;
-      first = false;
-    }
-  }
-  return narrowest;
-}
-
 bool Path::Uses(LinkId link) const {
   return std::any_of(hops.begin(), hops.end(),
                      [link](const DirectedLink& h) { return h.link == link; });

@@ -34,9 +34,6 @@ struct Path {
   // Sum of per-hop base latencies (unloaded end-to-end latency).
   sim::TimeNs BaseLatency(const Topology& topo) const;
 
-  // Capacity of the narrowest hop (unloaded achievable bandwidth).
-  sim::Bandwidth BottleneckCapacity(const Topology& topo) const;
-
   // True if |link| (either direction) is on this path.
   bool Uses(LinkId link) const;
 

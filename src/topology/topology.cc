@@ -35,10 +35,6 @@ LinkId Topology::AddLink(ComponentId a, ComponentId b, LinkSpec spec) {
   return id;
 }
 
-LinkId Topology::AddLink(ComponentId a, ComponentId b, LinkKind kind) {
-  return AddLink(a, b, DefaultLinkSpec(kind));
-}
-
 std::optional<ComponentId> Topology::FindComponent(std::string_view name) const {
   const auto it = by_name_.find(std::string(name));
   if (it == by_name_.end()) {
@@ -65,12 +61,6 @@ std::vector<LinkId> Topology::LinksOfKind(LinkKind kind) const {
     }
   }
   return out;
-}
-
-bool Topology::SameSocket(ComponentId a, ComponentId b) const {
-  const ComponentId sa = component(a).socket;
-  const ComponentId sb = component(b).socket;
-  return sa != kInvalidComponent && sa == sb;
 }
 
 std::string Topology::Validate() const {

@@ -35,9 +35,6 @@ class Topology {
   // rejected (returns kInvalidLink).
   LinkId AddLink(ComponentId a, ComponentId b, LinkSpec spec);
 
-  // AddLink with DefaultLinkSpec(kind).
-  LinkId AddLink(ComponentId a, ComponentId b, LinkKind kind);
-
   // -- Queries --------------------------------------------------------------
 
   size_t component_count() const { return components_.size(); }
@@ -67,9 +64,6 @@ class Topology {
 
   // All links of the given kind.
   std::vector<LinkId> LinksOfKind(LinkKind kind) const;
-
-  // True if |a| and |b| live on the same CPU socket (NUMA-local).
-  bool SameSocket(ComponentId a, ComponentId b) const;
 
   // -- Validation -----------------------------------------------------------
 

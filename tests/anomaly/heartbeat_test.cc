@@ -127,24 +127,17 @@ TEST(HeartbeatTest, RecoversWhenFaultCleared) {
   EXPECT_TRUE(mesh->Alarms().empty());
 }
 
-TEST(HeartbeatTest, ResetBaselinesClearsState) {
+TEST(HeartbeatTest, DestroyedMeshCancelsItsTimer) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
-  HeartbeatMesh::Config config;
-  config.period = TimeNs::Millis(1);
-  auto mesh = host.MakeHeartbeatMesh(config);
-  mesh->Start();
-  host.RunFor(TimeNs::Millis(20));
-  const auto path = *host.fabric().Route(host.server().nics[0], host.server().sockets[0]);
-  host.fabric().InjectLinkFault(path.hops[0].link, fabric::LinkFault{1.0, TimeNs::Micros(5)});
-  host.RunFor(TimeNs::Millis(20));
-  EXPECT_FALSE(mesh->Alarms().empty());
-  // Re-baseline with the fault active: the degraded latency becomes the new
-  // normal (operator accepted it).
-  mesh->ResetBaselines();
-  host.RunFor(TimeNs::Millis(30));
-  EXPECT_TRUE(mesh->Alarms().empty());
-  EXPECT_FALSE(mesh->first_alarm_at().has_value());
+  const size_t before = sim.pending_events();
+  {
+    auto mesh = host.MakeHeartbeatMesh({});
+    mesh->Start();
+    EXPECT_EQ(sim.pending_events(), before + 1);
+  }
+  // No probe tick is left bound to the dead mesh.
+  EXPECT_EQ(sim.pending_events(), before);
 }
 
 TEST(HeartbeatTest, ProbeTrafficIsVisibleInTelemetry) {
@@ -183,14 +176,14 @@ DualPorted MakeDualPorted() {
   const auto rp1 = d.topo.AddComponent(ComponentKind::kPcieRootPort, "s0.rp1", d.socket);
   const auto sw1 = d.topo.AddComponent(ComponentKind::kPcieSwitch, "s0.rp1.sw0", d.socket);
   d.nic = d.topo.AddComponent(ComponentKind::kNic, "nic0", d.socket);
-  d.topo.AddLink(d.socket, rp0, LinkKind::kIntraSocket);
-  d.up0 = d.topo.AddLink(rp0, sw0, LinkKind::kPcieSwitchUp);
-  d.topo.AddLink(sw0, d.nic, LinkKind::kPcieSwitchDown);
-  d.topo.AddLink(d.socket, rp1, LinkKind::kIntraSocket);
+  d.topo.AddLink(d.socket, rp0, topology::DefaultLinkSpec(LinkKind::kIntraSocket));
+  d.up0 = d.topo.AddLink(rp0, sw0, topology::DefaultLinkSpec(LinkKind::kPcieSwitchUp));
+  d.topo.AddLink(sw0, d.nic, topology::DefaultLinkSpec(LinkKind::kPcieSwitchDown));
+  d.topo.AddLink(d.socket, rp1, topology::DefaultLinkSpec(LinkKind::kIntraSocket));
   d.up1 = d.topo.AddLink(
       rp1, sw1,
       LinkSpec{LinkKind::kPcieSwitchUp, sim::Bandwidth::Gbps(256), TimeNs::Micros(50)});
-  d.topo.AddLink(sw1, d.nic, LinkKind::kPcieSwitchDown);
+  d.topo.AddLink(sw1, d.nic, topology::DefaultLinkSpec(LinkKind::kPcieSwitchDown));
   return d;
 }
 

@@ -61,37 +61,6 @@ TEST(HostPingTest, PingSeesCongestion) {
   EXPECT_GT(after.latency, before.latency * 2);
 }
 
-TEST(HostPingTest, SeriesCollectsDistribution) {
-  sim::Simulation sim;
-  HostNetwork host(sim, Quiet());
-  const auto& server = host.server();
-  sim::Histogram latency;
-  bool done = false;
-  host.diagnose().PingSeries(server.nics[0], server.sockets[0], 20, TimeNs::Micros(100),
-                             [&](const sim::Histogram& h) {
-                               latency = h;
-                               done = true;
-                             });
-  host.simulation().Run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(latency.count(), 20);
-  EXPECT_GT(latency.mean(), 0.0);
-}
-
-TEST(HostPingTest, SeriesOnUnreachablePairReturnsEmpty) {
-  sim::Simulation sim;
-  HostNetwork host(sim, Quiet());
-  bool done = false;
-  host.diagnose().PingSeries(host.server().nics[0], host.server().nics[0], 5,
-                             TimeNs::Micros(10),
-                             [&](const sim::Histogram& h) {
-                               EXPECT_EQ(h.count(), 0);
-                               done = true;
-                             });
-  host.simulation().Run();
-  EXPECT_TRUE(done);
-}
-
 TEST(HostTraceTest, BreaksDownPerHop) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
@@ -171,25 +140,6 @@ TEST(HostPerfTest, SeesContention) {
   const double loaded =
       host.diagnose().Perf(server.ssds[0], server.dimms[0]).initial_rate.ToGBps();
   EXPECT_NEAR(loaded, idle / 2, idle * 0.1);
-}
-
-TEST(HostPerfTest, TimedRunAveragesOverWindow) {
-  sim::Simulation sim;
-  HostNetwork host(sim, Quiet());
-  const auto& server = host.server();
-  PerfReport result;
-  bool done = false;
-  host.diagnose().PerfRun(server.ssds[0], server.dimms[0], TimeNs::Millis(10),
-                          [&](const PerfReport& r) {
-                            result = r;
-                            done = true;
-                          });
-  host.RunFor(TimeNs::Millis(20));
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(result.probe.reachable);
-  EXPECT_GT(result.bytes_moved, 0);
-  EXPECT_NEAR(result.average_rate.ToGBps(), result.initial_rate.ToGBps(), 1.0);
-  EXPECT_TRUE(host.fabric().ActiveFlows().empty());
 }
 
 TEST(HostSharkTest, CapturesAndFilters) {

@@ -401,7 +401,7 @@ TEST(FabricTest, PcieCapacityFactorApplied) {
   Topology topo;
   const ComponentId rp = topo.AddComponent(ComponentKind::kPcieRootPort, "rp");
   const ComponentId nic = topo.AddComponent(ComponentKind::kNic, "nic");
-  const LinkId l = topo.AddLink(rp, nic, LinkKind::kPcieRootLink);
+  const LinkId l = topo.AddLink(rp, nic, topology::DefaultLinkSpec(LinkKind::kPcieRootLink));
   FabricConfig config;
   Fabric fabric(sim, topo, config);
   const double raw = topology::DefaultLinkSpec(LinkKind::kPcieRootLink).capacity.bytes_per_sec();
@@ -418,7 +418,7 @@ TEST(FabricTest, IommuAddsPcieLatency) {
   Topology topo;
   const ComponentId rp = topo.AddComponent(ComponentKind::kPcieRootPort, "rp");
   const ComponentId nic = topo.AddComponent(ComponentKind::kNic, "nic");
-  topo.AddLink(rp, nic, LinkKind::kPcieRootLink);
+  topo.AddLink(rp, nic, topology::DefaultLinkSpec(LinkKind::kPcieRootLink));
   Fabric fabric(sim, topo);
   auto path = fabric.Route(nic, rp);
   ASSERT_TRUE(path.has_value());

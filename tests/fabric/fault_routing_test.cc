@@ -44,12 +44,12 @@ DualPorted MakeDualPorted() {
   d.rp1 = d.topo.AddComponent(ComponentKind::kPcieRootPort, "s0.rp1", d.socket);
   d.sw1 = d.topo.AddComponent(ComponentKind::kPcieSwitch, "s0.rp1.sw0", d.socket);
   d.nic = d.topo.AddComponent(ComponentKind::kNic, "nic0", d.socket);
-  d.topo.AddLink(d.socket, d.rp0, LinkKind::kIntraSocket);
-  d.up0 = d.topo.AddLink(d.rp0, d.sw0, LinkKind::kPcieSwitchUp);
-  d.down0 = d.topo.AddLink(d.sw0, d.nic, LinkKind::kPcieSwitchDown);
-  d.topo.AddLink(d.socket, d.rp1, LinkKind::kIntraSocket);
-  d.up1 = d.topo.AddLink(d.rp1, d.sw1, LinkKind::kPcieSwitchUp);
-  d.down1 = d.topo.AddLink(d.sw1, d.nic, LinkKind::kPcieSwitchDown);
+  d.topo.AddLink(d.socket, d.rp0, topology::DefaultLinkSpec(LinkKind::kIntraSocket));
+  d.up0 = d.topo.AddLink(d.rp0, d.sw0, topology::DefaultLinkSpec(LinkKind::kPcieSwitchUp));
+  d.down0 = d.topo.AddLink(d.sw0, d.nic, topology::DefaultLinkSpec(LinkKind::kPcieSwitchDown));
+  d.topo.AddLink(d.socket, d.rp1, topology::DefaultLinkSpec(LinkKind::kIntraSocket));
+  d.up1 = d.topo.AddLink(d.rp1, d.sw1, topology::DefaultLinkSpec(LinkKind::kPcieSwitchUp));
+  d.down1 = d.topo.AddLink(d.sw1, d.nic, topology::DefaultLinkSpec(LinkKind::kPcieSwitchDown));
   return d;
 }
 

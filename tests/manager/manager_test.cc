@@ -186,11 +186,24 @@ TEST(ManagerTest, PeriodicArbitrationRuns) {
   config.arbiter_quantum = TimeNs::Micros(100);
   Manager manager(host.fabric(), config);
   manager.Start();
+  manager.Start();  // Idempotent: still one arbiter.
   host.RunFor(TimeNs::Millis(1));
   EXPECT_EQ(manager.arbitrations(), 10u);
-  manager.Stop();
   host.RunFor(TimeNs::Millis(1));
-  EXPECT_EQ(manager.arbitrations(), 10u);
+  EXPECT_EQ(manager.arbitrations(), 20u);
+}
+
+TEST(ManagerTest, DestroyedManagerCancelsItsTimer) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  const size_t before = sim.pending_events();
+  {
+    Manager manager(host.fabric());
+    manager.Start();
+    EXPECT_EQ(sim.pending_events(), before + 1);
+  }
+  // No arbiter tick is left bound to the dead manager.
+  EXPECT_EQ(sim.pending_events(), before);
 }
 
 TEST(ManagerTest, OffModeDoesNothing) {
@@ -235,24 +248,6 @@ TEST(ManagerTest, TenantViewShowsVirtualLinks) {
   EXPECT_DOUBLE_EQ(view.total_allocated.ToGBps(), 10.0);
   // Other tenants see nothing of alice's world.
   EXPECT_TRUE(manager.TenantView(tenant + 1).links.empty());
-}
-
-TEST(ManagerTest, DetachRestoresFlowFreedom) {
-  sim::Simulation sim;
-  HostNetwork host(sim, Quiet());
-  ManagerConfig config;
-  config.mode = ManagerConfig::Mode::kStatic;
-  Manager manager(host.fabric(), config);
-  const fabric::TenantId tenant = manager.RegisterTenant("alice");
-  const auto alloc = manager.SubmitIntent(tenant, SsdTarget(host.server(), 2));
-  fabric::FlowSpec spec;
-  spec.path = manager.GetAllocation(alloc.id)->path;
-  const fabric::FlowId flow = host.fabric().StartFlow(spec);
-  manager.AttachFlow(alloc.id, flow);
-  manager.ArbitrateOnce();
-  EXPECT_NEAR(host.fabric().FlowRate(flow).ToGBps(), 2.0, 0.1);
-  manager.DetachFlow(alloc.id, flow);
-  EXPECT_GT(host.fabric().FlowRate(flow).ToGBps(), 20.0);
 }
 
 TEST(ManagerTest, AttachedFlowPrunedAfterCompletion) {

@@ -74,7 +74,6 @@ TEST(SloMonitorTest, FlagsBandwidthViolationUnderUnmanagedContention) {
   EXPECT_NEAR(v.expected, 20e9, 1e8);
   EXPECT_LT(v.actual, 16e9);
   EXPECT_LT(monitor.Compliance(f.alloc), 1.0);
-  EXPECT_NE(monitor.Render().find("bandwidth"), std::string::npos);
 }
 
 TEST(SloMonitorTest, IdleTenantNeverFlagged) {
@@ -102,7 +101,6 @@ TEST(SloMonitorTest, FlagsLatencyViolation) {
   monitor.CheckOnce();
   ASSERT_FALSE(monitor.violations().empty());
   EXPECT_EQ(monitor.violations().front().kind, SloMonitor::Violation::Kind::kLatency);
-  EXPECT_NE(monitor.Render().find("latency"), std::string::npos);
 }
 
 TEST(SloMonitorTest, UnattachedAllocationSkipped) {
@@ -122,14 +120,19 @@ TEST(SloMonitorTest, UnattachedAllocationSkipped) {
   EXPECT_TRUE(monitor.violations().empty());
 }
 
-TEST(SloMonitorTest, StopHaltsChecks) {
+TEST(SloMonitorTest, DestroyedMonitorCancelsItsTimer) {
   Fixture f(10, ManagerConfig::Mode::kStatic);
-  SloMonitor monitor(*f.manager, f.host->fabric());
-  monitor.Start();
-  f.host->RunFor(TimeNs::Millis(3));
-  monitor.Stop();
-  f.host->RunFor(TimeNs::Millis(5));
-  EXPECT_EQ(monitor.checks_performed(), 3u);
+  sim::Simulation& sim = *f.sim;
+  const size_t before = sim.pending_events();
+  {
+    SloMonitor monitor(*f.manager, f.host->fabric());
+    monitor.Start();
+    f.host->RunFor(TimeNs::Millis(3));
+    EXPECT_EQ(monitor.checks_performed(), 3u);
+    EXPECT_EQ(sim.pending_events(), before + 1);
+  }
+  // No check tick is left bound to the dead monitor.
+  EXPECT_EQ(sim.pending_events(), before);
 }
 
 TEST(SloMonitorTest, ComplianceTracksMixedOutcomes) {

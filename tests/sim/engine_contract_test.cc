@@ -251,6 +251,22 @@ TYPED_TEST(EngineContractTest, HookCancellingTheNextEventPreventsIt) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+// When a hook cancels the event RunUntil was about to run, the next one may
+// lie past the deadline: it stays pending for a later run.
+TYPED_TEST(EngineContractTest, HookCancellingTheNextEventKeepsTheDeadline) {
+  auto& sim = this->sim_;
+  typename TypeParam::Handle first;
+  sim.AddPreAdvanceHook([&] { first.Cancel(); });
+  first = sim.ScheduleAt(TimeNs::Nanos(10), [&] { this->Mark("e10"); });
+  sim.ScheduleAt(TimeNs::Nanos(50), [&] { this->Mark("e50"); });
+  EXPECT_EQ(sim.RunUntil(TimeNs::Nanos(20)), TimeNs::Nanos(20));
+  EXPECT_TRUE(this->order_.empty());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.RunUntil(TimeNs::Nanos(60)), TimeNs::Nanos(60));
+  EXPECT_EQ(this->order_, (std::vector<std::string>{"e50"}));
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
 TYPED_TEST(EngineContractTest, RunUntilComposesSequentially) {
   auto& sim = this->sim_;
   int fired = 0;

@@ -129,35 +129,5 @@ TEST(RngTest, BoundedParetoStaysInBounds) {
   }
 }
 
-TEST(RngTest, ZipfSkewPrefersLowRanks) {
-  Rng rng(12);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 50'000; ++i) {
-    const int64_t v = rng.Zipf(10, 1.2);
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 10);
-    ++counts[static_cast<size_t>(v)];
-  }
-  EXPECT_GT(counts[0], counts[5]);
-  EXPECT_GT(counts[0], counts[9]);
-}
-
-TEST(RngTest, ZipfHandlesTrivialN) {
-  Rng rng(13);
-  EXPECT_EQ(rng.Zipf(1, 1.0), 0);
-  EXPECT_EQ(rng.Zipf(0, 1.0), 0);
-}
-
-TEST(RngTest, ZipfRebuildsTableOnParamChange) {
-  Rng rng(14);
-  // Exercise the cache-invalidation path: alternate (n, s) pairs.
-  for (int i = 0; i < 10; ++i) {
-    const int64_t a = rng.Zipf(5, 1.0);
-    EXPECT_LT(a, 5);
-    const int64_t b = rng.Zipf(50, 0.5);
-    EXPECT_LT(b, 50);
-  }
-}
-
 }  // namespace
 }  // namespace mihn::sim

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace mihn::sim {
 namespace {
 
@@ -51,36 +49,6 @@ TEST(TimeSeriesTest, ZeroCapacityClampedToOne) {
   EXPECT_EQ(ts.Latest().value, 7.0);
 }
 
-TEST(TimeSeriesTest, ForEachVisitsOldestFirst) {
-  TimeSeries ts(4);
-  for (int i = 0; i < 6; ++i) {
-    ts.Append(TimeNs::Nanos(i), static_cast<double>(i));
-  }
-  std::vector<double> seen;
-  ts.ForEach([&](const TimePoint& p) { seen.push_back(p.value); });
-  EXPECT_EQ(seen, (std::vector<double>{2.0, 3.0, 4.0, 5.0}));
-}
-
-TEST(TimeSeriesTest, StatsSinceFiltersOnTime) {
-  TimeSeries ts(16);
-  for (int i = 0; i < 10; ++i) {
-    ts.Append(TimeNs::Micros(i), static_cast<double>(i));
-  }
-  const RunningStats s = ts.StatsSince(TimeNs::Micros(5));
-  EXPECT_EQ(s.count(), 5);
-  EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-}
-
-TEST(TimeSeriesTest, MeanOfLast) {
-  TimeSeries ts(16);
-  for (int i = 1; i <= 5; ++i) {
-    ts.Append(TimeNs::Nanos(i), static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(ts.MeanOfLast(2), 4.5);
-  EXPECT_DOUBLE_EQ(ts.MeanOfLast(100), 3.0);
-  EXPECT_EQ(TimeSeries(4).MeanOfLast(3), 0.0);
-}
-
 TEST(TimeSeriesTest, FirstAfterFindsOldestNewerPoint) {
   TimeSeries ts(16);
   for (int i = 0; i < 8; ++i) {
@@ -120,7 +88,7 @@ TEST(TimeSeriesTest, CapacityIsABoundNotAnAllocation) {
   EXPECT_EQ(ts.Latest().value, 1.0);
 }
 
-TEST(TimeSeriesTest, GrowsThenWrapsThenRegrowsAfterClear) {
+TEST(TimeSeriesTest, GrowsThenWrapsInArrivalOrder) {
   TimeSeries ts(5);
   for (int i = 0; i < 3; ++i) {
     ts.Append(TimeNs::Nanos(i), static_cast<double>(i));
@@ -136,30 +104,6 @@ TEST(TimeSeriesTest, GrowsThenWrapsThenRegrowsAfterClear) {
   for (size_t i = 0; i < ts.size(); ++i) {
     EXPECT_EQ(ts.At(i).value, static_cast<double>(i + 2));
   }
-
-  ts.Clear();
-  EXPECT_TRUE(ts.empty());
-  EXPECT_EQ(ts.dropped(), 0u);
-  EXPECT_EQ(ts.capacity(), 5u);
-  for (int i = 0; i < 8; ++i) {
-    ts.Append(TimeNs::Nanos(100 + i), static_cast<double>(100 + i));
-    EXPECT_EQ(ts.size(), std::min<size_t>(static_cast<size_t>(i + 1), 5u));
-    EXPECT_EQ(ts.Latest().value, static_cast<double>(100 + i));
-  }
-  EXPECT_EQ(ts.dropped(), 3u);
-  EXPECT_EQ(ts.Oldest().value, 103.0);
-}
-
-TEST(TimeSeriesTest, ClearResets) {
-  TimeSeries ts(4);
-  for (int i = 0; i < 10; ++i) {
-    ts.Append(TimeNs::Nanos(i), 1.0);
-  }
-  ts.Clear();
-  EXPECT_TRUE(ts.empty());
-  EXPECT_EQ(ts.dropped(), 0u);
-  ts.Append(TimeNs::Nanos(99), 9.0);
-  EXPECT_EQ(ts.Oldest().value, 9.0);
 }
 
 }  // namespace

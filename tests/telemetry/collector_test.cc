@@ -30,9 +30,21 @@ TEST(CollectorTest, SamplesPeriodically) {
   collector.Start();
   host.RunFor(TimeNs::Millis(10));
   EXPECT_EQ(collector.samples_taken(), 10u);
-  collector.Stop();
   host.RunFor(TimeNs::Millis(10));
-  EXPECT_EQ(collector.samples_taken(), 10u);
+  EXPECT_EQ(collector.samples_taken(), 20u);
+}
+
+TEST(CollectorTest, DestroyedCollectorCancelsItsTimer) {
+  sim::Simulation sim;
+  HostNetwork host(sim, NoAutoStart());
+  const size_t before = sim.pending_events();
+  {
+    Collector collector(host.fabric(), Collector::Config{});
+    collector.Start();
+    EXPECT_EQ(sim.pending_events(), before + 1);
+  }
+  // No sampling tick is left bound to the dead collector.
+  EXPECT_EQ(sim.pending_events(), before);
 }
 
 TEST(CollectorTest, RecordsUtilizationOfActiveLink) {

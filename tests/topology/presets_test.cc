@@ -124,6 +124,14 @@ TEST(PresetsTest, AlternateGpuSsdPathwaysExistOnDgx) {
   EXPECT_GE(paths.size(), 2u);
 }
 
+// Two-socket server with one CXL memory expander per socket: the
+// memory-pooling configuration the paper points to.
+Server CxlPooledServer() {
+  ServerSpec spec;
+  spec.cxl_memory_per_socket = 1;
+  return BuildServer(spec);
+}
+
 TEST(PresetsTest, CxlPooledServerValidates) {
   const Server s = CxlPooledServer();
   EXPECT_EQ(s.topo.Validate(), "");

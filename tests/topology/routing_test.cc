@@ -106,14 +106,6 @@ TEST(RoutingTest, DirectionsAreCorrect) {
   }
 }
 
-TEST(RoutingTest, BottleneckCapacity) {
-  const Diamond d = MakeDiamond();
-  Router router(d.topo);
-  const auto path = router.ShortestPath(d.s, d.t, {d.sa});
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(path->BottleneckCapacity(d.topo).ToGbps(), 400.0);
-}
-
 TEST(RoutingTest, PathUses) {
   const Diamond d = MakeDiamond();
   Router router(d.topo);

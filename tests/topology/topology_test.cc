@@ -13,9 +13,9 @@ Topology MakeTriangle() {
   const ComponentId s0 = topo.AddComponent(ComponentKind::kCpuSocket, "s0");
   const ComponentId nic = topo.AddComponent(ComponentKind::kNic, "nic0", s0);
   const ComponentId gpu = topo.AddComponent(ComponentKind::kGpu, "gpu0", s0);
-  topo.AddLink(s0, nic, LinkKind::kPcieRootLink);
-  topo.AddLink(s0, gpu, LinkKind::kPcieRootLink);
-  topo.AddLink(nic, gpu, LinkKind::kPcieRootLink);
+  topo.AddLink(s0, nic, DefaultLinkSpec(LinkKind::kPcieRootLink));
+  topo.AddLink(s0, gpu, DefaultLinkSpec(LinkKind::kPcieRootLink));
+  topo.AddLink(nic, gpu, DefaultLinkSpec(LinkKind::kPcieRootLink));
   return topo;
 }
 
@@ -46,14 +46,15 @@ TEST(TopologyTest, SocketSelfReference) {
 TEST(TopologyTest, SelfLoopRejected) {
   Topology topo;
   const ComponentId s0 = topo.AddComponent(ComponentKind::kCpuSocket, "s0");
-  EXPECT_EQ(topo.AddLink(s0, s0, LinkKind::kIntraSocket), kInvalidLink);
+  EXPECT_EQ(topo.AddLink(s0, s0, DefaultLinkSpec(LinkKind::kIntraSocket)), kInvalidLink);
 }
 
 TEST(TopologyTest, OutOfRangeLinkRejected) {
   Topology topo;
   const ComponentId s0 = topo.AddComponent(ComponentKind::kCpuSocket, "s0");
-  EXPECT_EQ(topo.AddLink(s0, 42, LinkKind::kIntraSocket), kInvalidLink);
-  EXPECT_EQ(topo.AddLink(kInvalidComponent, s0, LinkKind::kIntraSocket), kInvalidLink);
+  EXPECT_EQ(topo.AddLink(s0, 42, DefaultLinkSpec(LinkKind::kIntraSocket)), kInvalidLink);
+  EXPECT_EQ(topo.AddLink(kInvalidComponent, s0, DefaultLinkSpec(LinkKind::kIntraSocket)),
+            kInvalidLink);
 }
 
 TEST(TopologyTest, IncidentLinksTrackBothEndpoints) {
@@ -88,19 +89,6 @@ TEST(TopologyTest, LinksOfKind) {
   const Topology topo = MakeTriangle();
   EXPECT_EQ(topo.LinksOfKind(LinkKind::kPcieRootLink).size(), 3u);
   EXPECT_EQ(topo.LinksOfKind(LinkKind::kInterSocket).size(), 0u);
-}
-
-TEST(TopologyTest, SameSocket) {
-  Topology topo;
-  const ComponentId s0 = topo.AddComponent(ComponentKind::kCpuSocket, "s0");
-  const ComponentId s1 = topo.AddComponent(ComponentKind::kCpuSocket, "s1");
-  const ComponentId nic = topo.AddComponent(ComponentKind::kNic, "nic0", s0);
-  const ComponentId gpu = topo.AddComponent(ComponentKind::kGpu, "gpu0", s1);
-  const ComponentId ext = topo.AddComponent(ComponentKind::kExternalHost, "remote0");
-  EXPECT_TRUE(topo.SameSocket(nic, s0));
-  EXPECT_FALSE(topo.SameSocket(nic, gpu));
-  EXPECT_FALSE(topo.SameSocket(nic, ext));
-  EXPECT_FALSE(topo.SameSocket(ext, ext));  // No socket at all.
 }
 
 TEST(TopologyTest, ValidateAcceptsWellFormed) {
