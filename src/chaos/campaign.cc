@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/anomaly/bank.h"
+#include "src/anomaly/heartbeat.h"
 #include "src/anomaly/misconfig.h"
 #include "src/manager/slo_monitor.h"
 #include "src/obs/tracer.h"
@@ -103,18 +104,6 @@ std::string_view PresetName(HostNetwork::Preset preset) {
 
 Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {}
 
-CampaignResult Campaign::Run() {
-  std::vector<TrialRun> runs;
-  runs.reserve(static_cast<size_t>(config_.trials));
-  for (int trial = 0; trial < config_.trials; ++trial) {
-    runs.push_back(RunTrial(trial));
-    if (!runs.back().error.empty()) {
-      break;  // Assemble truncates here; later trials would be discarded.
-    }
-  }
-  return Assemble(std::move(runs));
-}
-
 CampaignResult Campaign::Run(TrialExecutor& executor) {
   return Assemble(executor.Map(
       static_cast<size_t>(config_.trials < 0 ? 0 : config_.trials),
@@ -122,8 +111,8 @@ CampaignResult Campaign::Run(TrialExecutor& executor) {
 }
 
 TrialRun Campaign::RunTrial(int trial) const {
-  // Trial seeds derive from base_seed the same way on every path (serial,
-  // pooled, sweep), so a trial's entire execution is a pure function of
+  // Trial seeds derive from base_seed the same way on every path (campaign
+  // at any width, sweep), so a trial's entire execution is a pure function of
   // (config, trial index).
   const uint64_t seed =
       sim::Rng(config_.base_seed).Fork(static_cast<uint64_t>(trial) + 1).NextU64();
@@ -275,30 +264,27 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
     streams.push_back(std::move(runtime));
   }
 
-  // Anomaly stack: mesh, detector bank, misconfig checker.
-  std::unique_ptr<anomaly::HeartbeatMesh> mesh;
-  if (config_.enable_mesh) {
-    mesh = host.MakeHeartbeatMesh(config_.mesh);
-    mesh->Start();
-  }
+  // Anomaly stack: a heartbeat mesh over every device, EWMA detectors over
+  // every directed link's utilization series plus each socket's cache hit
+  // rate, and a misconfiguration sweep whose findings beyond the trial's
+  // baseline set signal once per appearance.
+  const std::unique_ptr<anomaly::HeartbeatMesh> mesh = host.MakeHeartbeatMesh();
+  mesh->Start();
   anomaly::DetectorBank bank;
-  if (config_.enable_detector_bank) {
-    const topology::Topology& topo = host.topo();
-    for (topology::LinkId link = 0; link < static_cast<topology::LinkId>(topo.link_count());
-         ++link) {
-      for (const bool forward : {true, false}) {
-        bank.Attach(telemetry::Collector::LinkUtilKey(link, forward),
-                    std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
-      }
-    }
-    for (const topology::ComponentId socket : host.server().sockets) {
-      bank.Attach(telemetry::Collector::CacheHitKey(socket),
+  const topology::Topology& topo = host.topo();
+  for (topology::LinkId link = 0; link < static_cast<topology::LinkId>(topo.link_count());
+       ++link) {
+    for (const bool forward : {true, false}) {
+      bank.Attach(telemetry::Collector::LinkUtilKey(link, forward),
                   std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
     }
   }
+  for (const topology::ComponentId socket : host.server().sockets) {
+    bank.Attach(telemetry::Collector::CacheHitKey(socket),
+                std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
+  }
   anomaly::MisconfigChecker misconfig(host.fabric());
-  const std::set<std::string> misconfig_baseline =
-      config_.enable_misconfig_check ? FlaggedKnobs(misconfig) : std::set<std::string>{};
+  const std::set<std::string> misconfig_baseline = FlaggedKnobs(misconfig);
   std::set<std::string> misconfig_active;
 
   injector.Arm();
@@ -321,26 +307,24 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
         // dead that only now have a route back.
         bool new_closure = false;
 
-        if (mesh) {
-          const auto& log = mesh->alarm_log();
-          for (size_t i = state.alarms_seen; i < log.size(); ++i) {
-            Signal signal;
-            signal.at = log[i].raised_at;
-            signal.source = Signal::Source::kHeartbeat;
-            signal.detail = "pair " + host.topo().component(log[i].src).name + "->" +
-                            host.topo().component(log[i].dst).name;
-            result.signals.push_back(std::move(signal));
-            new_signal = true;
-          }
-          state.alarms_seen = log.size();
-          size_t closures = 0;
-          for (const anomaly::HeartbeatMesh::AlarmEvent& event : log) {
-            closures += event.cleared ? 1 : 0;
-          }
-          if (closures > state.closures_seen) {
-            state.closures_seen = closures;
-            new_closure = true;
-          }
+        const auto& alarms = mesh->alarm_log();
+        for (size_t i = state.alarms_seen; i < alarms.size(); ++i) {
+          Signal signal;
+          signal.at = alarms[i].raised_at;
+          signal.source = Signal::Source::kHeartbeat;
+          signal.detail = "pair " + host.topo().component(alarms[i].src).name + "->" +
+                          host.topo().component(alarms[i].dst).name;
+          result.signals.push_back(std::move(signal));
+          new_signal = true;
+        }
+        state.alarms_seen = alarms.size();
+        size_t closures = 0;
+        for (const anomaly::HeartbeatMesh::AlarmEvent& event : alarms) {
+          closures += event.cleared ? 1 : 0;
+        }
+        if (closures > state.closures_seen) {
+          state.closures_seen = closures;
+          new_closure = true;
         }
 
         const uint64_t violations_total = slo.violations_total();
@@ -365,33 +349,29 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
           new_signal = true;
         }
 
-        if (config_.enable_detector_bank) {
-          for (const anomaly::Anomaly& anomaly : bank.Scan(host.collector())) {
+        for (const anomaly::Anomaly& anomaly : bank.Scan(host.collector())) {
+          Signal signal;
+          signal.at = anomaly.at;
+          signal.source = Signal::Source::kDetector;
+          signal.detail = anomaly.metric;
+          result.signals.push_back(std::move(signal));
+          new_signal = true;
+        }
+
+        const std::set<std::string> flagged = FlaggedKnobs(misconfig);
+        for (const std::string& knob : flagged) {
+          if (!misconfig_baseline.contains(knob) && !misconfig_active.contains(knob)) {
             Signal signal;
-            signal.at = anomaly.at;
-            signal.source = Signal::Source::kDetector;
-            signal.detail = anomaly.metric;
+            signal.at = now;
+            signal.source = Signal::Source::kMisconfig;
+            signal.detail = knob;
             result.signals.push_back(std::move(signal));
+            misconfig_active.insert(knob);
             new_signal = true;
           }
         }
-
-        if (config_.enable_misconfig_check) {
-          const std::set<std::string> flagged = FlaggedKnobs(misconfig);
-          for (const std::string& knob : flagged) {
-            if (!misconfig_baseline.contains(knob) && !misconfig_active.contains(knob)) {
-              Signal signal;
-              signal.at = now;
-              signal.source = Signal::Source::kMisconfig;
-              signal.detail = knob;
-              result.signals.push_back(std::move(signal));
-              misconfig_active.insert(knob);
-              new_signal = true;
-            }
-          }
-          std::erase_if(misconfig_active,
-                        [&](const std::string& knob) { return !flagged.contains(knob); });
-        }
+        std::erase_if(misconfig_active,
+                      [&](const std::string& knob) { return !flagged.contains(knob); });
 
         // Recovery policy: signals (never ground truth) trigger the
         // manager's re-placement and/or stream restarts onto fault-aware
@@ -447,7 +427,7 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
 
         HealthSample sample;
         sample.at = now;
-        sample.healthy = !new_signal && (!mesh || mesh->Alarms().empty());
+        sample.healthy = !new_signal && mesh->Alarms().empty();
         result.health.push_back(sample);
         MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.signals",
                            result.signals.size());
@@ -466,7 +446,7 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
   }
   tick.Cancel();
 
-  result.probes_sent = mesh ? mesh->probes_sent() : 0;
+  result.probes_sent = mesh->probes_sent();
   result.violations_total = slo.violations_total();
   result.violations_dropped = slo.violations_dropped();
   result.anomalies = bank.log().size();

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/anomaly/heartbeat.h"
 #include "src/chaos/executor.h"
 #include "src/chaos/fault_schedule.h"
 #include "src/chaos/scorer.h"
@@ -71,16 +70,6 @@ struct CampaignConfig {
   // and the SLO monitor all run at this period.
   sim::TimeNs tick = sim::TimeNs::Millis(1);
   sim::TimeNs telemetry_period = sim::TimeNs::Millis(1);
-  // Heartbeat mesh shape (participants are overridden per trial with the
-  // host's device set).
-  anomaly::HeartbeatMesh::Config mesh;
-  bool enable_mesh = true;
-  // EWMA detectors over every directed link's utilization series plus each
-  // socket's cache hit rate.
-  bool enable_detector_bank = true;
-  // Periodic MisconfigChecker sweep; findings beyond the trial's baseline
-  // set signal once per appearance.
-  bool enable_misconfig_check = true;
   // Recovery action taken on new signals (and on alarm closures).
   RecoveryPolicy recovery = RecoveryPolicy::kRepair;
   Scorer::Config scoring;
@@ -148,14 +137,12 @@ class Campaign {
  public:
   explicit Campaign(CampaignConfig config);
 
-  // Runs every trial serially and aggregates. Deterministic; no
-  // wall-clock reads.
-  CampaignResult Run();
-
-  // Same campaign, trials fanned over |executor|'s pool. Trials isolate
-  // all state in a fresh clock and HostNetwork each, and results merge in
-  // strict trial order, so the report is byte-identical to Run() at any
-  // worker count (tests/chaos/executor_test.cc holds this bar).
+  // Runs every trial on |executor| and aggregates. Deterministic; no
+  // wall-clock reads. Trials isolate all state in a fresh clock and
+  // HostNetwork each, and results merge in strict trial order, so the
+  // report is byte-identical at any worker count, a width-1 executor
+  // running every trial inline (tests/chaos/executor_test.cc holds this
+  // bar).
   CampaignResult Run(TrialExecutor& executor);
 
   // Building blocks for the sweep's flattened (cell, trial) fan-out.

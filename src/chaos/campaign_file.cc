@@ -15,38 +15,8 @@ namespace mihn::chaos {
 namespace {
 
 using core::ReadNumber;
-
-std::optional<topology::ComponentKind> ParseComponentKind(const std::string& name) {
-  static constexpr topology::ComponentKind kKinds[] = {
-      topology::ComponentKind::kCpuSocket,    topology::ComponentKind::kMemoryController,
-      topology::ComponentKind::kDimm,         topology::ComponentKind::kPcieRootPort,
-      topology::ComponentKind::kPcieSwitch,   topology::ComponentKind::kNic,
-      topology::ComponentKind::kGpu,          topology::ComponentKind::kNvmeSsd,
-      topology::ComponentKind::kFpga,         topology::ComponentKind::kExternalHost,
-      topology::ComponentKind::kMonitorStore, topology::ComponentKind::kCxlMemory,
-  };
-  for (const topology::ComponentKind kind : kKinds) {
-    if (name == topology::ComponentKindName(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<topology::LinkKind> ParseLinkKind(const std::string& name) {
-  static constexpr topology::LinkKind kKinds[] = {
-      topology::LinkKind::kInterSocket,    topology::LinkKind::kIntraSocket,
-      topology::LinkKind::kPcieSwitchUp,   topology::LinkKind::kPcieSwitchDown,
-      topology::LinkKind::kInterHost,      topology::LinkKind::kPcieRootLink,
-      topology::LinkKind::kDeviceInternal, topology::LinkKind::kCxl,
-  };
-  for (const topology::LinkKind kind : kKinds) {
-    if (name == topology::LinkKindName(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
+using topology::ParseComponentKind;
+using topology::ParseLinkKind;
 
 bool Fail(std::string* error, int line, const std::string& what) {
   char buf[192];

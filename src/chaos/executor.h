@@ -10,8 +10,7 @@
 // TrialExecutor owns that pool and exposes the one shape the chaos layer
 // needs: map [0, n) through a function, results in index order. A width
 // of 0 or 1 is a pool with no helper threads that runs every round inline
-// on the calling thread, which is also the reference path the determinism
-// tests compare pooled runs against.
+// on the calling thread: the serial run of a campaign or sweep.
 
 #ifndef MIHN_SRC_CHAOS_EXECUTOR_H_
 #define MIHN_SRC_CHAOS_EXECUTOR_H_

@@ -3,15 +3,15 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/chaos/json_util.h"
+#include "src/core/json.h"
 #include "src/topology/link.h"
 
 namespace mihn::chaos {
 namespace {
 
-using json::Int;
-using json::Num;
-using json::Str;
+using core::json::Int;
+using core::json::Num;
+using core::json::Str;
 
 void EmitOutcome(std::ostringstream& out, const FaultOutcome& o, const char* indent) {
   out << indent << "{\"fault_index\": " << o.fault.index

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/chaos/campaign_file.h"
-#include "src/chaos/json_util.h"
+#include "src/core/json.h"
 #include "src/core/read_file.h"
 #include "src/core/read_number.h"
 
@@ -15,9 +15,9 @@ namespace {
 
 using core::ReadNumber;
 
-using json::Int;
-using json::Num;
-using json::Str;
+using core::json::Int;
+using core::json::Num;
+using core::json::Str;
 
 bool Fail(std::string* error, int line, const std::string& what) {
   *error = "line " + std::to_string(line) + ": " + what;
@@ -199,7 +199,7 @@ SweepResult Sweep::Run(TrialExecutor& executor) {
   });
 
   // Strict (cell, trial)-order merge: slice the flat run list back into
-  // per-cell groups and assemble each exactly like a serial campaign.
+  // per-cell groups and assemble each exactly as Campaign::Run does.
   size_t next = 0;
   out.cells.reserve(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {

@@ -1,20 +1,20 @@
-// Shared deterministic JSON scalar formatting for chaos reports.
+// Deterministic JSON scalar formatting, shared by every report writer.
 //
-// Campaign and sweep reports are byte-contracts: two runs of the same
-// config — at any worker count — must produce identical files. Every
-// number therefore goes through one fixed, locale-independent format
-// ("%.9g", mirroring obs/export.cc), every time is an integer nanosecond
-// count, and strings are escaped the same way everywhere.
+// Chaos reports, Chrome traces and fleet digests are byte contracts: the
+// same run must produce the same bytes on every machine and at any worker
+// count. Every number therefore goes through one fixed, locale-independent
+// format ("%.9g" round-trips the counts, rates and stamps recorded), every
+// integer through "%lld", and strings are escaped the same way everywhere.
 
-#ifndef MIHN_SRC_CHAOS_JSON_UTIL_H_
-#define MIHN_SRC_CHAOS_JSON_UTIL_H_
+#ifndef MIHN_SRC_CORE_JSON_H_
+#define MIHN_SRC_CORE_JSON_H_
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
 
-namespace mihn::chaos::json {
+namespace mihn::core::json {
 
 inline std::string Num(double v) {
   char buf[64];
@@ -28,6 +28,7 @@ inline std::string Int(int64_t v) {
   return std::string(buf);
 }
 
+// Escapes '"', '\\' and '\n'; every other byte passes through.
 inline std::string Escape(std::string_view s) {
   std::string out;
   for (const char c : s) {
@@ -48,6 +49,11 @@ inline std::string Escape(std::string_view s) {
   return out;
 }
 
+// Trace events carry C-string names that may be null; null escapes as "".
+inline std::string Escape(const char* s) {
+  return Escape(s != nullptr ? std::string_view(s) : std::string_view());
+}
+
 // Built with += rather than an operator+ chain: GCC 12 emits a spurious
 // -Wrestrict on the chained form when Escape is inlined (PR 105651).
 inline std::string Str(std::string_view s) {
@@ -57,6 +63,6 @@ inline std::string Str(std::string_view s) {
   return out;
 }
 
-}  // namespace mihn::chaos::json
+}  // namespace mihn::core::json
 
-#endif  // MIHN_SRC_CHAOS_JSON_UTIL_H_
+#endif  // MIHN_SRC_CORE_JSON_H_

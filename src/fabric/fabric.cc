@@ -52,8 +52,8 @@ Fabric::~Fabric() {
 std::optional<topology::Path> Fabric::Route(topology::ComponentId src,
                                             topology::ComponentId dst) const {
   // The router carries the fabric's fault table as health sets (see
-  // SyncRouterHealth), so the memoized answer already avoids dead links and
-  // prefers non-degraded paths.
+  // SyncRouterHealth), so its answer already avoids dead links and prefers
+  // non-degraded paths.
   return router_.ShortestPath(src, dst);
 }
 
@@ -71,9 +71,7 @@ int32_t Fabric::TenantIndex(TenantId tenant) {
   tenant_ids_.push_back(tenant);
   const size_t block = tenant_rate_.size() + links_.size();
   tenant_rate_.resize(block, 0.0);
-  tenant_bytes_.resize(block, 0.0);
   tenant_members_.resize(block, 0);
-  tenant_seen_.resize(block, 0);
   return index;
 }
 
@@ -222,23 +220,6 @@ void Fabric::SetFlowLimit(FlowId id, sim::Bandwidth limit) {
   MarkFlowDirty(id);
 }
 
-void Fabric::SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwidth>>& limits) {
-  uint64_t applied = 0;
-  for (const auto& [id, limit] : limits) {
-    const int32_t row = FindRow(id);
-    if (row < 0) {
-      continue;
-    }
-    rows_[Idx(row)].limit =
-        limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
-    dirty_ids_.push_back(id);
-    ++applied;
-  }
-  if (applied > 0) {
-    MarkDirty(applied);
-  }
-}
-
 void Fabric::SetFlowWeight(FlowId id, double weight) {
   const int32_t row = FindRow(id);
   if (row < 0) {
@@ -307,7 +288,6 @@ std::vector<FlowId> Fabric::ActiveFlows() const {
 sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
   FlushIfDirty();
   sim::TimeNs latency = ProbePathLatency(spec.path);
-  const size_t tenant_base = Idx(TenantIndex(spec.tenant)) * links_.size();
   const double bytes = static_cast<double>(spec.bytes);
   for (const topology::DirectedLink& hop : spec.path.hops) {
     const size_t li = static_cast<size_t>(DirectedIndex(hop));
@@ -317,9 +297,6 @@ sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
       latency += sim::TimeNs::FromSecondsF(bytes / state.effective_capacity);
     }
     state.bytes_total += bytes;
-    state.packets += 1;
-    tenant_bytes_[tenant_base + li] += bytes;
-    tenant_seen_[tenant_base + li] = 1;
     state.bytes_by_class[static_cast<size_t>(spec.klass)] += bytes;
   }
   latency += config_.interrupt_moderation;
@@ -402,14 +379,10 @@ void Fabric::FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) cons
   snap.rate_bps = state.rate;
   snap.utilization = state.effective_capacity > 0 ? state.rate / state.effective_capacity : 0.0;
   snap.bytes_total = state.bytes_total;
-  snap.packets = state.packets;
   for (size_t t = 0; t < tenant_ids_.size(); ++t) {
     const size_t at = t * links_.size() + li;
     if (tenant_members_[at] > 0) {
       snap.rate_by_tenant_bps.emplace(tenant_ids_[t], tenant_rate_[at]);
-    }
-    if (tenant_seen_[at] != 0) {
-      snap.bytes_by_tenant.emplace(tenant_ids_[t], tenant_bytes_[at]);
     }
   }
   snap.rate_by_class_bps = state.rate_by_class;
@@ -550,21 +523,13 @@ void Fabric::AccrueCounters() {
     return;
   }
   // Per-flow byte counters are lazy (FlowRow::since); links accrue from
-  // their aggregate rates, so the cost is O(active links x tenants), not
+  // their aggregate rates, so the cost is O(active links), not
   // O(flows x hops).
-  const size_t num_links = links_.size();
   for (const int32_t link : active_links_) {
-    const size_t li = Idx(link);
-    DirectedLinkState& state = links_[li];
+    DirectedLinkState& state = links_[Idx(link)];
     state.bytes_total += state.rate * dt;
     for (size_t k = 0; k < state.bytes_by_class.size(); ++k) {
       state.bytes_by_class[k] += state.rate_by_class[k] * dt;
-    }
-    for (size_t at = li; at < tenant_rate_.size(); at += num_links) {
-      if (tenant_rate_[at] > 0.0) {
-        tenant_bytes_[at] += tenant_rate_[at] * dt;
-        tenant_seen_[at] = 1;
-      }
     }
   }
   if (!heap_.empty() && rows_[Idx(heap_[0])].finish <= now) {
@@ -591,13 +556,11 @@ void Fabric::TakeBackOvershoot(sim::TimeNs last, sim::TimeNs now, double dt) {
     if (over <= 0.0) {
       continue;
     }
-    const size_t tenant_base = Idx(tenants_[Idx(row)]) * links_.size();
     const size_t klass = static_cast<size_t>(classes_[Idx(row)]);
     for (uint32_t h = 0; h < r.hop_count; ++h) {
-      const size_t li = Idx(Hops(row)[h]);
-      links_[li].bytes_total -= over;
-      links_[li].bytes_by_class[klass] -= over;
-      tenant_bytes_[tenant_base + li] -= over;
+      DirectedLinkState& state = links_[Idx(Hops(row)[h])];
+      state.bytes_total -= over;
+      state.bytes_by_class[klass] -= over;
     }
   }
 }
@@ -898,9 +861,6 @@ void Fabric::Recompute() {
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.flows", live_flows_);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.recomputes", recompute_count_);
     MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.ddio_spill_bps", spill_bps);
-    MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.route_cache_hits", router_.cache_stats().hits);
-    MIHN_TRACE_COUNTER(tracer_, "fabric", "fabric.route_cache_misses",
-                       router_.cache_stats().misses);
   }
   mutations_at_last_solve_ = mutation_count_;
 #ifdef MIHN_ENABLE_INVARIANT_CHECKS

@@ -14,8 +14,9 @@
 //    and throttle the parent to its miss-drain rate.
 //  * Small *packets* (RPCs, heartbeats, probes) ride on top without
 //    claiming fluid bandwidth; they observe congestion latency.
-//  * Every byte is attributed to a (tenant, traffic class) per directed
-//    link — the observability substrate the telemetry module samples.
+//  * Every directed link carries its rate per tenant and per traffic
+//    class, and its bytes in total and per class — the observability
+//    substrate the telemetry module samples.
 //
 // This class is the hardware-substitution boundary (see DESIGN.md §1): the
 // manageability layers above talk only to this interface.
@@ -49,10 +50,8 @@ struct LinkSnapshot {
   double rate_bps = 0.0;      // Currently allocated fluid rate.
   double utilization = 0.0;   // rate / capacity in [0, 1].
   double bytes_total = 0.0;   // Accrued since start (fluid + packets).
-  uint64_t packets = 0;
   // Deterministically ordered per-tenant attribution.
   std::map<TenantId, double> rate_by_tenant_bps;
-  std::map<TenantId, double> bytes_by_tenant;
   std::array<double, kNumTrafficClasses> rate_by_class_bps{};
   std::array<double, kNumTrafficClasses> bytes_by_class{};
 };
@@ -81,6 +80,10 @@ class Fabric {
   std::optional<topology::Path> Route(topology::ComponentId src,
                                       topology::ComponentId dst) const;
 
+  // The fabric's router, its health sets mirrored from the fault table.
+  // The manager's scheduler enumerates candidate paths with it.
+  const topology::Router& router() const { return router_; }
+
   // Bumps whenever a fault injection/clear changes which paths Route()
   // prefers. Path-caching consumers (heartbeat mesh, workloads) compare it
   // to re-resolve; it never moves on no-op fault churn.
@@ -98,12 +101,10 @@ class Fabric {
   // stopped early never fire on_complete. No-op for unknown ids.
   void StopFlow(FlowId id);
 
-  // Arbiter hooks: rate cap and fair-share weight.
+  // Arbiter hooks: rate cap and fair-share weight. Unknown ids are a no-op.
+  // Like every mutator they coalesce (see below): an arbiter that sets N
+  // limits at one timestamp pays for one solve.
   void SetFlowLimit(FlowId id, sim::Bandwidth limit);
-  // Applies many limits with a single rate recomputation — what a real
-  // arbiter's batched enforcement write-back would do. Unknown ids are
-  // skipped.
-  void SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwidth>>& limits);
   void SetFlowWeight(FlowId id, double weight);
   // Application hook: change a continuous flow's offered demand.
   void SetFlowDemand(FlowId id, sim::Bandwidth demand);
@@ -132,9 +133,7 @@ class Fabric {
   void ClearLinkFault(topology::LinkId link);
   std::optional<LinkFault> GetLinkFault(topology::LinkId link) const;
 
-  // The live fault table (deterministic key order). Routing-adjacent
-  // consumers (the scheduler's private router) mirror this into their own
-  // health sets.
+  // The live fault table (deterministic key order).
   const std::map<topology::LinkId, LinkFault>& link_faults() const { return faults_; }
 
   // -- Configuration -------------------------------------------------------------
@@ -263,7 +262,6 @@ class Fabric {
     double effective_capacity = 0.0;
     double rate = 0.0;
     double bytes_total = 0.0;
-    uint64_t packets = 0;
     std::array<double, kNumTrafficClasses> rate_by_class{};
     std::array<double, kNumTrafficClasses> bytes_by_class{};
     // Rows crossing this link as of the last re-prime, ascending (== id
@@ -369,8 +367,9 @@ class Fabric {
   sim::TimeNs HopBaseLatency(topology::DirectedLink hop) const;
   void FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const;
 
-  // Mirrors faults_ into the router's health sets (dead vs degraded) after
-  // every inject/clear; bumps route_epoch_ when routing preferences moved.
+  // Mirrors faults_ into the router's health sets after every inject/clear:
+  // capacity factor 0 is dead; a reduced factor or added latency is
+  // degraded. Bumps route_epoch_ when routing preferences moved.
   void SyncRouterHealth();
 
   // Chooses the spill destination DIMM for a socket (round-robin).
@@ -397,14 +396,11 @@ class Fabric {
 
   // Per-tenant link aggregates over the dense tenant index, tenant-major
   // ([tenant * links + link]) so a new tenant appends a block. A tenant's
-  // rate key is in a snapshot while it has live members on the link; its
-  // bytes key once it ever moved bytes there.
+  // rate key is in a snapshot while it has live members on the link.
   std::vector<TenantId> tenant_ids_;                      // Index -> id.
   std::vector<std::pair<TenantId, int32_t>> tenant_lookup_;  // Sorted by id.
   std::vector<double> tenant_rate_;
-  std::vector<double> tenant_bytes_;
   std::vector<int32_t> tenant_members_;
-  std::vector<uint8_t> tenant_seen_;
 
   sim::TimeNs last_accrual_;
   sim::EventHandle completion_event_;

@@ -29,7 +29,6 @@ Fleet::Fleet(int num_hosts, Options options)
     clocks_.push_back(std::make_unique<sim::Simulation>(options_.seed));
     hosts_.push_back(std::make_unique<HostNetwork>(*clocks_.back(), options_.host));
   }
-  limit_batches_.resize(hosts_.size());
 }
 
 Fleet::~Fleet() = default;
@@ -100,17 +99,11 @@ void Fleet::CoupleCrossHostFlows() {
     return;
   }
   // Lift the previous tick's caps so each intra-host stage re-competes at
-  // its full demand; batched per host so every host pays one recompute.
-  for (auto& batch : limit_batches_) {
-    batch.clear();
-  }
+  // its full demand; the limits coalesce, so every host pays one solve.
   for (const auto& [id, flow] : cross_flows_) {
-    limit_batches_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow,
-                                                                         flow.spec.demand);
-    limit_batches_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow,
-                                                                         flow.spec.demand);
+    host(flow.spec.src_host).fabric().SetFlowLimit(flow.src_flow, flow.spec.demand);
+    host(flow.spec.dst_host).fabric().SetFlowLimit(flow.dst_flow, flow.spec.demand);
   }
-  ApplyLimitBatches();
   // Settle the lifted fabrics across the pool before reading rates — a
   // FlowRate() read on a dirty fabric would otherwise solve serially on
   // this thread, one host at a time.
@@ -131,23 +124,11 @@ void Fleet::CoupleCrossHostFlows() {
   }
   inter_.Solve();
   // Cap both intra-host stages at the end-to-end rate.
-  for (auto& batch : limit_batches_) {
-    batch.clear();
-  }
   for (auto& [id, flow] : cross_flows_) {
     flow.coupled_rate_bps = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
     const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);
-    limit_batches_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
-    limit_batches_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
-  }
-  ApplyLimitBatches();
-}
-
-void Fleet::ApplyLimitBatches() {
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    if (!limit_batches_[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(limit_batches_[h]);
-    }
+    host(flow.spec.src_host).fabric().SetFlowLimit(flow.src_flow, cap);
+    host(flow.spec.dst_host).fabric().SetFlowLimit(flow.dst_flow, cap);
   }
 }
 

@@ -151,7 +151,10 @@ class Fleet {
 
   // -- Cross-host placement ----------------------------------------------------
   // Starts the three coupled stages. The end-to-end rate settles over the
-  // following ticks (one coupling pass per tick).
+  // following ticks (one coupling pass per tick), each of which lifts and
+  // re-caps the intra-host stages with SetFlowLimit. A device with no route
+  // to its host's NIC, an id outside the host's topology included, is a
+  // fatal MIHN_CHECK.
   CrossFlowId StartCrossHostFlow(const CrossHostFlowSpec& spec);
   // Last coupled end-to-end rate (zero before the first tick after start).
   sim::Bandwidth CrossHostRate(CrossFlowId id) const;
@@ -192,8 +195,6 @@ class Fleet {
   };
 
   void CoupleCrossHostFlows();
-  // Hands each host its limit_batches_ entry in one SetFlowLimitsBatch.
-  void ApplyLimitBatches();
   FleetSample AggregateSample();
   // Reduces host |i| through Fabric::ReadLinkLoads; |loads| is the
   // caller's reusable buffer.
@@ -216,9 +217,6 @@ class Fleet {
   // only ever run inside ParallelFor rounds, so the pool needs no
   // particular destruction order relative to the clocks and hosts.
   core::WorkerPool pool_;
-  // Per-host (flow, limit) batches of the cross-host coupling, reused
-  // every tick.
-  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> limit_batches_;
 };
 
 }  // namespace mihn::fleet

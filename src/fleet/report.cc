@@ -1,23 +1,14 @@
 #include "src/fleet/report.h"
 
-#include <cstdio>
 #include <sstream>
+
+#include "src/core/json.h"
 
 namespace mihn::fleet {
 namespace {
 
-// Fixed number format: deterministic, locale-independent (obs/export.cc).
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return std::string(buf);
-}
-
-std::string Int(int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  return std::string(buf);
-}
+using core::json::Int;
+using core::json::Num;
 
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;

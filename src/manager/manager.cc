@@ -85,11 +85,6 @@ SubmitResult Manager::SubmitIntent(fabric::TenantId tenant, PerformanceTarget ta
     place_span.Arg("candidates", static_cast<double>(placement->candidates_considered));
     place_span.Arg("path_hops", static_cast<double>(placement->path.hops.size()));
     place_span.Arg("max_utilization", placement->max_utilization);
-    const auto& route_cache = scheduler_.router().cache_stats();
-    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.route_cache_hits",
-                       route_cache.hits);
-    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.route_cache_misses",
-                       route_cache.misses);
   }
   const AllocationId id = next_allocation_id_++;
   Allocation alloc;
@@ -384,7 +379,11 @@ void Manager::ArbitrateOnce() {
     MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.flows_limited", limits.size());
     MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.granted_bps", granted_bps);
   }
-  fabric_.SetFlowLimitsBatch(limits);
+  // Applied only after every rate read above: the limits coalesce into the
+  // fabric's next solve.
+  for (const auto& [flow, limit] : limits) {
+    fabric_.SetFlowLimit(flow, limit);
+  }
 }
 
 VirtualView Manager::TenantView(fabric::TenantId tenant) {

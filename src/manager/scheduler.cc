@@ -6,27 +6,12 @@
 namespace mihn::manager {
 
 Scheduler::Scheduler(const fabric::Fabric& fabric, SchedulerConfig config)
-    : fabric_(fabric), router_(fabric.topo()), config_(config) {}
-
-void Scheduler::SyncRouterHealth() const {
-  std::vector<topology::LinkId> dead;
-  std::vector<topology::LinkId> degraded;
-  for (const auto& [link, fault] : fabric_.link_faults()) {
-    if (fault.capacity_factor <= 0.0) {
-      dead.push_back(link);
-    } else if (fault.capacity_factor < 1.0 ||
-               fault.extra_latency > sim::TimeNs::Zero()) {
-      degraded.push_back(link);
-    }
-  }
-  router_.SetLinkHealth(std::move(dead), std::move(degraded));
-}
+    : fabric_(fabric), config_(config) {}
 
 std::optional<Scheduler::Placement> Scheduler::Place(
     const PerformanceTarget& target, const std::map<int32_t, double>& reserved) const {
-  SyncRouterHealth();
   const int k = config_.topology_aware ? std::max(config_.k_paths, 1) : 1;
-  const auto candidates = router_.KShortestPaths(target.src, target.dst, k);
+  const auto candidates = fabric_.router().KShortestPaths(target.src, target.dst, k);
   const double bw = target.bandwidth.bytes_per_sec();
 
   std::optional<Placement> best;

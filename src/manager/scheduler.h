@@ -6,7 +6,8 @@
 // information to maximize overall resource efficiency."
 //
 // Given a target and the current reservation ledger, the scheduler
-// enumerates up to k candidate paths, filters by feasibility (residual
+// enumerates up to k candidate paths with the fabric's router (so a dead
+// link never takes a candidate slot), filters by feasibility (residual
 // capacity and the latency bound), and picks the one minimizing the
 // post-placement maximum link utilization — spreading load across
 // alternate pathways. A naive mode (always the shortest path) exists for
@@ -53,20 +54,8 @@ class Scheduler {
 
   const SchedulerConfig& config() const { return config_; }
 
-  // The scheduler's private router (and its path-cache stats). Exposed so
-  // the manager can surface cache hit/miss counters on the place span.
-  const topology::Router& router() const { return router_; }
-
  private:
-  // Re-mirrors the fabric's fault table into router_'s health sets so
-  // candidate enumeration never spends a k slot on a dead path. No-op (no
-  // cache flush) when the fault table is unchanged.
-  void SyncRouterHealth() const;
-
   const fabric::Fabric& fabric_;
-  // mutable: the router is a memo over (topology, fault table); Place() is
-  // logically const but must refresh that mirror before enumerating.
-  mutable topology::Router router_;
   SchedulerConfig config_;
 };
 

@@ -9,16 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "src/core/json.h"
+
 namespace mihn::obs {
 namespace {
 
-// Fixed number format: deterministic, locale-independent, round-trips
-// every value we record (counts, rates, microsecond stamps).
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return std::string(buf);
-}
+// Span and counter names are static literals under our control, but they
+// are escaped anyway so the export never emits invalid JSON.
+using core::json::Escape;
+using core::json::Num;
 
 // Microsecond timestamp with nanosecond resolution kept exact.
 std::string MicrosTs(int64_t ns) {
@@ -26,28 +25,6 @@ std::string MicrosTs(int64_t ns) {
   std::snprintf(buf, sizeof(buf), "%lld.%03d", static_cast<long long>(ns / 1000),
                 static_cast<int>(ns % 1000 < 0 ? -(ns % 1000) : ns % 1000));
   return std::string(buf);
-}
-
-// Span/counter names are static literals under our control, but escape
-// anyway so the export never emits invalid JSON.
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; s != nullptr && *s != '\0'; ++s) {
-    switch (*s) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += *s;
-    }
-  }
-  return out;
 }
 
 // Track (tid) per category, assigned in sorted-name order so the mapping —
@@ -111,7 +88,7 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
   for (const auto& [name, tid] : tracks) {
     sep();
     out << R"({"name": "thread_name", "ph": "M", "pid": 0, "tid": )" << tid
-        << R"(, "args": {"name": ")" << JsonEscape(name.c_str()) << "\"}}";
+        << R"(, "args": {"name": ")" << Escape(name) << "\"}}";
   }
 
   for (const Span& s : spans) {
@@ -119,8 +96,8 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
     const int64_t start = wall ? s.wall_start_ns - wall_base : s.start.nanos();
     const int64_t end = wall ? s.wall_end_ns - wall_base : s.end.nanos();
     sep();
-    out << R"({"name": ")" << JsonEscape(s.name) << R"(", "cat": ")"
-        << JsonEscape(s.category) << R"(", "ph": "X", "pid": 0, "tid": )" << tid
+    out << R"({"name": ")" << Escape(s.name) << R"(", "cat": ")"
+        << Escape(s.category) << R"(", "ph": "X", "pid": 0, "tid": )" << tid
         << R"(, "ts": )" << MicrosTs(start) << R"(, "dur": )"
         << MicrosTs(end >= start ? end - start : 0);
     out << R"(, "args": {)";
@@ -128,7 +105,7 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
       if (a > 0) {
         out << ", ";
       }
-      out << '"' << JsonEscape(s.args[a].key) << "\": " << Num(s.args[a].value);
+      out << '"' << Escape(s.args[a].key) << "\": " << Num(s.args[a].value);
     }
     if (wall) {
       // Keep the deterministic virtual stamp visible on wall timelines so
@@ -145,8 +122,8 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
     const int tid = tracks.at(c.category != nullptr ? c.category : "");
     const int64_t at = wall ? c.wall_ns - wall_base : c.at.nanos();
     sep();
-    out << R"({"name": ")" << JsonEscape(c.name) << R"(", "cat": ")"
-        << JsonEscape(c.category) << R"(", "ph": "C", "pid": 0, "tid": )" << tid
+    out << R"({"name": ")" << Escape(c.name) << R"(", "cat": ")"
+        << Escape(c.category) << R"(", "ph": "C", "pid": 0, "tid": )" << tid
         << R"(, "ts": )" << MicrosTs(at) << R"(, "args": {"value": )" << Num(c.value)
         << "}}";
   }

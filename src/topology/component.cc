@@ -52,4 +52,21 @@ std::string_view ComponentKindName(ComponentKind kind) {
   return "unknown";
 }
 
+std::optional<ComponentKind> ParseComponentKind(std::string_view name) {
+  static constexpr ComponentKind kKinds[] = {
+      ComponentKind::kCpuSocket,    ComponentKind::kMemoryController,
+      ComponentKind::kDimm,         ComponentKind::kPcieRootPort,
+      ComponentKind::kPcieSwitch,   ComponentKind::kNic,
+      ComponentKind::kGpu,          ComponentKind::kNvmeSsd,
+      ComponentKind::kFpga,         ComponentKind::kExternalHost,
+      ComponentKind::kMonitorStore, ComponentKind::kCxlMemory,
+  };
+  for (const ComponentKind kind : kKinds) {
+    if (ComponentKindName(kind) == name) {
+      return kind;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace mihn::topology

@@ -6,6 +6,7 @@
 #define MIHN_SRC_TOPOLOGY_COMPONENT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -41,6 +42,9 @@ bool IsEndpointKind(ComponentKind kind);
 
 // Short lowercase label, e.g. "nic", "pcie_switch".
 std::string_view ComponentKindName(ComponentKind kind);
+
+// Inverse of ComponentKindName; nullopt for a name no kind carries.
+std::optional<ComponentKind> ParseComponentKind(std::string_view name);
 
 struct Component {
   ComponentId id = kInvalidComponent;

@@ -24,6 +24,20 @@ std::string_view LinkKindName(LinkKind kind) {
   return "unknown";
 }
 
+std::optional<LinkKind> ParseLinkKind(std::string_view name) {
+  static constexpr LinkKind kKinds[] = {
+      LinkKind::kInterSocket,    LinkKind::kIntraSocket,  LinkKind::kPcieSwitchUp,
+      LinkKind::kPcieSwitchDown, LinkKind::kInterHost,    LinkKind::kPcieRootLink,
+      LinkKind::kDeviceInternal, LinkKind::kCxl,
+  };
+  for (const LinkKind kind : kKinds) {
+    if (LinkKindName(kind) == name) {
+      return kind;
+    }
+  }
+  return std::nullopt;
+}
+
 int Figure1Class(LinkKind kind) {
   switch (kind) {
     case LinkKind::kInterSocket:

@@ -10,6 +10,7 @@
 #define MIHN_SRC_TOPOLOGY_LINK_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "src/sim/time.h"
@@ -31,6 +32,9 @@ enum class LinkKind : uint8_t {
 };
 
 std::string_view LinkKindName(LinkKind kind);
+
+// Inverse of LinkKindName; nullopt for a name no kind carries.
+std::optional<LinkKind> ParseLinkKind(std::string_view name);
 
 // Figure 1 class number (1..5) for the headline classes, 0 for auxiliary.
 int Figure1Class(LinkKind kind);

@@ -35,22 +35,32 @@ std::string Path::ToString(const Topology& topo) const {
 std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst,
                                          const std::vector<LinkId>& excluded_links) const {
   if (!excluded_links.empty()) {
-    // Exclusion sets are Yen-internal spur searches: high-cardinality keys
-    // with near-zero reuse. Caching them would only bloat the memo.
     return ComputeShortestPath(src, dst, excluded_links);
   }
-  const std::vector<Path>& paths = Cached(src, dst, 1);
-  if (paths.empty()) {
-    return std::nullopt;
+  // Avoid dead and degraded links, fall back to avoiding only dead ones,
+  // nullopt when every route crosses a dead link.
+  if (!degraded_links_.empty()) {
+    std::vector<LinkId> avoid = dead_links_;
+    avoid.insert(avoid.end(), degraded_links_.begin(), degraded_links_.end());
+    if (auto healthy = ComputeShortestPath(src, dst, avoid)) {
+      return healthy;
+    }
   }
-  return paths.front();
+  return ComputeShortestPath(src, dst, dead_links_);
 }
 
 std::vector<Path> Router::KShortestPaths(ComponentId src, ComponentId dst, int k) const {
   if (k <= 0) {
     return {};
   }
-  return Cached(src, dst, k);
+  if (k > 1) {
+    return ComputeKShortestPaths(src, dst, k);
+  }
+  std::vector<Path> paths;
+  if (auto path = ShortestPath(src, dst)) {
+    paths.push_back(std::move(*path));
+  }
+  return paths;
 }
 
 bool Router::SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded) {
@@ -65,60 +75,16 @@ bool Router::SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degrade
   }
   dead_links_ = std::move(dead);
   degraded_links_ = std::move(degraded);
-  ++fault_epoch_;
   return true;
-}
-
-const std::vector<Path>& Router::Cached(ComponentId src, ComponentId dst, int k) const {
-  if (cached_version_ != topo_.version() || cached_fault_epoch_ != fault_epoch_) {
-    if (!cache_.empty()) {
-      ++stats_.invalidations;
-    }
-    cache_.clear();
-    cached_version_ = topo_.version();
-    cached_fault_epoch_ = fault_epoch_;
-  }
-  const auto key = std::make_tuple(src, dst, k);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++stats_.hits;
-    return it->second;
-  }
-  ++stats_.misses;
-  std::vector<Path> paths;
-  if (k == 1) {
-    // ShortestPath and KShortestPaths(k=1) agree by construction (Yen's
-    // first result IS the Dijkstra path), so they share a cache entry.
-    auto p = ComputeHealthyShortestPath(src, dst);
-    if (p) {
-      paths.push_back(std::move(*p));
-    }
-  } else {
-    paths = ComputeKShortestPaths(src, dst, k);
-  }
-  return cache_.emplace(key, std::move(paths)).first->second;
-}
-
-std::optional<Path> Router::ComputeHealthyShortestPath(ComponentId src, ComponentId dst) const {
-  if (dead_links_.empty() && degraded_links_.empty()) {
-    return ComputeShortestPath(src, dst, {});
-  }
-  if (!degraded_links_.empty()) {
-    std::vector<LinkId> avoid = dead_links_;
-    avoid.insert(avoid.end(), degraded_links_.begin(), degraded_links_.end());
-    if (auto healthy = ComputeShortestPath(src, dst, avoid)) {
-      return healthy;
-    }
-  }
-  return ComputeShortestPath(src, dst, dead_links_);
 }
 
 std::optional<Path> Router::ComputeShortestPath(ComponentId src, ComponentId dst,
                                                 const std::vector<LinkId>& excluded_links) const {
-  if (src == dst || src < 0 || dst < 0) {
+  const size_t n = topo_.component_count();
+  if (src == dst || src < 0 || dst < 0 || static_cast<size_t>(src) >= n ||
+      static_cast<size_t>(dst) >= n) {
     return std::nullopt;
   }
-  const size_t n = topo_.component_count();
   std::vector<bool> link_excluded(topo_.link_count(), false);
   for (const LinkId l : excluded_links) {
     if (l >= 0 && static_cast<size_t>(l) < link_excluded.size()) {

@@ -8,11 +8,8 @@
 #ifndef MIHN_SRC_TOPOLOGY_ROUTING_H_
 #define MIHN_SRC_TOPOLOGY_ROUTING_H_
 
-#include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -43,18 +40,11 @@ struct Path {
   bool operator==(const Path&) const = default;
 };
 
-// Shortest-path queries with a built-in memo cache.
+// Shortest-path queries over a Topology and the fabric's link health.
 //
-// Both hot consumers ask the same questions over and over against a
-// topology that mutates rarely (never, after build, in most scenarios): the
-// fabric re-resolves the DDIO spill path socket→DIMM when attaching a spill
-// child mid-solve, and the scheduler runs Yen's algorithm per placement.
-// Results are memoized keyed by (src, dst, k) and invalidated wholesale
-// when Topology::version() moves or the link-health fault epoch bumps
-// (SetLinkHealth) — an epoch compare per lookup, no subscription
-// machinery. Exclusion-constrained ShortestPath calls (Yen's spur
-// searches) bypass the cache. Hit/miss totals are exposed via
-// cache_stats(); the fabric and manager surface them as trace counters.
+// Every query searches on demand: Dijkstra for ShortestPath, Yen's
+// algorithm for KShortestPaths. A health change therefore takes effect at
+// the next query, and a query writes nothing.
 //
 // Link health: the fabric mirrors its fault table here via SetLinkHealth.
 // Dead links are treated as absent from the graph everywhere; degraded
@@ -66,63 +56,38 @@ class Router {
  public:
   explicit Router(const Topology& topo) : topo_(topo) {}
 
-  // Lowest-total-base-latency path (Dijkstra). nullopt if unreachable or
-  // src == dst. |excluded_links| are treated as absent; only calls without
-  // exclusions are served from the cache (and only those honor link
-  // health — explicit exclusion calls are raw graph queries).
+  // Lowest-total-base-latency path (Dijkstra). nullopt if unreachable,
+  // src == dst, or either endpoint is not a component of the topology.
+  // Without |excluded_links| the query honors link health; with them it is
+  // a raw graph query (Yen's spur searches) that treats those links as
+  // absent.
   std::optional<Path> ShortestPath(ComponentId src, ComponentId dst,
                                    const std::vector<LinkId>& excluded_links = {}) const;
 
   // Up to |k| loop-free paths in nondecreasing base-latency order (Yen's
-  // algorithm). Deterministic: ties broken by node-id sequence. Cached.
-  // Dead links (SetLinkHealth) never appear in any returned path.
+  // algorithm). Deterministic: ties broken by node-id sequence. Dead links
+  // (SetLinkHealth) never appear in any returned path; k == 1 is
+  // ShortestPath's health-aware answer. Empty for k <= 0 or an endpoint
+  // outside the topology.
   std::vector<Path> KShortestPaths(ComponentId src, ComponentId dst, int k) const;
 
   // Replaces the health sets. |dead| links are routed around
   // unconditionally; |degraded| links only when an alternative exists.
-  // Returns true — and bumps fault_epoch(), flushing the memo — iff the
-  // de-duplicated sets actually changed, so periodic re-syncs are free.
+  // Returns true iff the de-duplicated sets actually changed, so periodic
+  // re-syncs can tell a no-op apart.
   bool SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded);
 
-  // Monotonic counter of effective health changes. Folded into cache
-  // invalidation; consumers (heartbeat mesh) watch it to re-resolve paths.
-  uint64_t fault_epoch() const { return fault_epoch_; }
-
-  struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t invalidations = 0;  // Epoch flushes observed.
-  };
-  // Snapshot by value: the memo (and its counters) can be flushed by any
-  // later query.
-  CacheStats cache_stats() const { return stats_; }
-
  private:
-  // Returns the memoized path set for (src, dst, k), computing on miss.
-  const std::vector<Path>& Cached(ComponentId src, ComponentId dst, int k) const;
-
   std::optional<Path> ComputeShortestPath(ComponentId src, ComponentId dst,
                                           const std::vector<LinkId>& excluded_links) const;
   std::vector<Path> ComputeKShortestPaths(ComponentId src, ComponentId dst, int k) const;
 
-  // Health-aware Dijkstra: avoid dead ∪ degraded, fall back to avoiding
-  // only dead, nullopt when every route crosses a dead link.
-  std::optional<Path> ComputeHealthyShortestPath(ComponentId src, ComponentId dst) const;
-
   const Topology& topo_;
 
   // Link-health sets (sorted, de-duplicated) mirrored from the fabric's
-  // fault table. fault_epoch_ moves only on effective change.
+  // fault table.
   std::vector<LinkId> dead_links_;
   std::vector<LinkId> degraded_links_;
-  uint64_t fault_epoch_ = 0;
-
-  // Memo state. Ordered map: iteration never observes hash order (D1), and
-  // the key tuple gives deterministic, allocation-light lookups.
-  mutable std::map<std::tuple<ComponentId, ComponentId, int>, std::vector<Path>> cache_;
-  mutable uint64_t cached_version_ = 0;
-  mutable uint64_t cached_fault_epoch_ = 0;
-  mutable CacheStats stats_;
 };
 
 }  // namespace mihn::topology

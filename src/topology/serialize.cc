@@ -10,39 +10,6 @@
 namespace mihn::topology {
 namespace {
 
-const ComponentKind kAllComponentKinds[] = {
-    ComponentKind::kCpuSocket,    ComponentKind::kMemoryController,
-    ComponentKind::kDimm,         ComponentKind::kPcieRootPort,
-    ComponentKind::kPcieSwitch,   ComponentKind::kNic,
-    ComponentKind::kGpu,          ComponentKind::kNvmeSsd,
-    ComponentKind::kFpga,         ComponentKind::kExternalHost,
-    ComponentKind::kMonitorStore, ComponentKind::kCxlMemory,
-};
-
-const LinkKind kAllLinkKinds[] = {
-    LinkKind::kInterSocket, LinkKind::kIntraSocket,  LinkKind::kPcieSwitchUp,
-    LinkKind::kPcieSwitchDown, LinkKind::kInterHost, LinkKind::kPcieRootLink,
-    LinkKind::kDeviceInternal, LinkKind::kCxl,
-};
-
-std::optional<ComponentKind> ParseComponentKind(std::string_view name) {
-  for (const ComponentKind kind : kAllComponentKinds) {
-    if (ComponentKindName(kind) == name) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<LinkKind> ParseLinkKind(std::string_view name) {
-  for (const LinkKind kind : kAllLinkKinds) {
-    if (LinkKindName(kind) == name) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
 std::vector<std::string> Tokenize(const std::string& line) {
   std::vector<std::string> tokens;
   std::istringstream in(line);

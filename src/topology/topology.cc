@@ -18,7 +18,6 @@ ComponentId Topology::AddComponent(ComponentKind kind, std::string name, Compone
   by_name_.emplace(c.name, id);
   components_.push_back(std::move(c));
   adjacency_.emplace_back();
-  ++version_;
   return id;
 }
 
@@ -31,7 +30,6 @@ LinkId Topology::AddLink(ComponentId a, ComponentId b, LinkSpec spec) {
   links_.push_back(Link{id, a, b, spec});
   adjacency_[static_cast<size_t>(a)].push_back(id);
   adjacency_[static_cast<size_t>(b)].push_back(id);
-  ++version_;
   return id;
 }
 

@@ -40,11 +40,6 @@ class Topology {
   size_t component_count() const { return components_.size(); }
   size_t link_count() const { return links_.size(); }
 
-  // Structural epoch: bumped by every successful mutation. Consumers that
-  // memoize derived structure (e.g. topology::Router's path cache) compare
-  // epochs to detect staleness instead of subscribing to mutations.
-  uint64_t version() const { return version_; }
-
   const Component& component(ComponentId id) const { return components_[static_cast<size_t>(id)]; }
   const Link& link(LinkId id) const { return links_[static_cast<size_t>(id)]; }
 
@@ -78,7 +73,6 @@ class Topology {
   std::string Describe() const;
 
  private:
-  uint64_t version_ = 0;
   std::vector<Component> components_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;

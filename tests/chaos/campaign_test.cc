@@ -26,6 +26,12 @@ StreamSpec Stream(ComponentKind src_kind, int src_index, ComponentKind dst_kind,
   return spec;
 }
 
+// Every trial inline, in trial order.
+CampaignResult RunInline(Campaign& campaign) {
+  TrialExecutor inline_executor(1);
+  return campaign.Run(inline_executor);
+}
+
 CampaignConfig BaseConfig() {
   CampaignConfig config;
   config.preset = HostNetwork::Preset::kCommodityTwoSocket;
@@ -44,8 +50,8 @@ TEST(CampaignTest, SameSeedYieldsByteIdenticalReports) {
 
   Campaign first(config);
   Campaign second(config);
-  const CampaignResult a = first.Run();
-  const CampaignResult b = second.Run();
+  const CampaignResult a = RunInline(first);
+  const CampaignResult b = RunInline(second);
   ASSERT_TRUE(a.ok()) << a.error;
   EXPECT_EQ(CampaignReportJson(a), CampaignReportJson(b));
 }
@@ -58,8 +64,8 @@ TEST(CampaignTest, DifferentSeedStillFindsTheSameFaults) {
   Campaign a(config);
   config.base_seed = 12;
   Campaign b(config);
-  const CampaignResult ra = a.Run();
-  const CampaignResult rb = b.Run();
+  const CampaignResult ra = RunInline(a);
+  const CampaignResult rb = RunInline(b);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_DOUBLE_EQ(ra.hard_recall, 1.0);
@@ -76,7 +82,7 @@ TEST(CampaignTest, NoFaultCampaignHasZeroFalsePositives) {
       Stream(ComponentKind::kNic, 2, ComponentKind::kCpuSocket, 0, 40, 0, true));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_EQ(result.results.size(), 2u);
   for (const TrialResult& trial : result.results) {
@@ -101,7 +107,7 @@ TEST(CampaignTest, HardLinkDeathAlwaysDetected) {
   config.schedule.Kill(LinkKind::kInterSocket, 0, TimeNs::Millis(40));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(result.hard_faults_total, 4);  // 2 faults x 2 trials.
   EXPECT_EQ(result.hard_detected_total, 4);
@@ -124,7 +130,7 @@ TEST(CampaignTest, ClearedFaultRecovers) {
   config.schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(15), TimeNs::Millis(25));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   const FaultOutcome& outcome = result.results[0].score.outcomes[0];
   ASSERT_TRUE(outcome.detected);
@@ -142,7 +148,7 @@ TEST(CampaignTest, PermanentInterSocketKillRecoversViaReroute) {
   config.schedule.Kill(LinkKind::kInterSocket, 0, TimeNs::Millis(20));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   const TrialResult& trial = result.results[0];
   const FaultOutcome& outcome = trial.score.outcomes[0];
@@ -163,7 +169,7 @@ TEST(CampaignTest, NonePolicyDetectsButNeverActs) {
   config.schedule.Kill(LinkKind::kInterSocket, 0, TimeNs::Millis(20));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   const TrialResult& trial = result.results[0];
   EXPECT_FALSE(trial.signals.empty());  // Detection still fires...
@@ -179,7 +185,7 @@ TEST(CampaignTest, RestartOnlyPolicyNeverRepairsAllocations) {
   config.schedule.Kill(LinkKind::kInterSocket, 0, TimeNs::Millis(20));
 
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(result.results[0].repairs, 0u);
   EXPECT_GT(result.results[0].stream_restarts, 0u);
@@ -189,7 +195,7 @@ TEST(CampaignTest, UnresolvableFaultFailsSetup) {
   CampaignConfig config = BaseConfig();
   config.schedule.Kill(LinkKind::kCxl, 0, TimeNs::Millis(10));  // No CXL links here.
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("cxl"), std::string::npos);
   // A failed campaign reports what actually happened: no completed trials,
@@ -209,7 +215,7 @@ TEST(CampaignTest, BadStreamEndpointFailsSetup) {
   config.streams.push_back(Stream(ComponentKind::kGpu, 99, ComponentKind::kCpuSocket, 0,
                                   10, 0));
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("stream"), std::string::npos);
 }
@@ -220,7 +226,7 @@ TEST(CampaignReportTest, JsonIsWellFormedAndStable) {
   config.duration = TimeNs::Millis(30);
   config.schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(10), TimeNs::Millis(20));
   Campaign campaign(config);
-  const CampaignResult result = campaign.Run();
+  const CampaignResult result = RunInline(campaign);
   ASSERT_TRUE(result.ok());
 
   const std::string json = CampaignReportJson(result);

@@ -1,11 +1,12 @@
 // Parallel trial executor determinism: campaign reports must be
-// byte-identical across worker counts {0, 1, 2, 8} and against the serial
-// path, trial results must merge in strict trial order, and the
-// failed-campaign path must stay honest (and identical) under the pool.
+// byte-identical across worker counts {0, 1, 2, 8} and equal to merging
+// RunTrial results in trial order with Assemble, and the failed-campaign
+// path must stay honest (and identical) under the pool.
 
 #include "src/chaos/executor.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,16 +73,26 @@ TEST(TrialExecutorTest, InlineWidthsRunWithoutAPool) {
             (std::vector<size_t>{0, 2, 4, 6}));
 }
 
+// The reference a pooled run must reproduce: RunTrial(i) for every trial,
+// merged in index order by Assemble.
+CampaignResult TrialOrderMerge(const Campaign& campaign) {
+  std::vector<TrialRun> runs;
+  for (int trial = 0; trial < campaign.config().trials; ++trial) {
+    runs.push_back(campaign.RunTrial(trial));
+  }
+  return campaign.Assemble(std::move(runs));
+}
+
 // The ctest determinism gate for the campaign executor: byte-identical
-// reports across worker counts {0, 1, 2, 8} and vs the serial Run() path.
+// reports across worker counts {0, 1, 2, 8} and vs the trial-order merge.
 TEST(CampaignExecutorTest, ReportBytesIdenticalAcrossWorkerCounts) {
   Campaign campaign(FaultyConfig(4));
-  const std::string serial = CampaignReportJson(campaign.Run());
-  ASSERT_FALSE(serial.empty());
+  const std::string reference = CampaignReportJson(TrialOrderMerge(campaign));
+  ASSERT_FALSE(reference.empty());
   for (const int workers : {0, 1, 2, 8}) {
     TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
     const std::string pooled = CampaignReportJson(campaign.Run(executor));
-    EXPECT_EQ(pooled, serial) << "workers=" << workers;
+    EXPECT_EQ(pooled, reference) << "workers=" << workers;
   }
 }
 
@@ -89,11 +100,7 @@ TEST(CampaignExecutorTest, PooledRunMatchesTrialOrderMerge) {
   // Run(executor) must equal assembling RunTrial(i) results in index
   // order — the merge rule the sweep also relies on.
   Campaign campaign(FaultyConfig(3));
-  std::vector<TrialRun> runs;
-  for (int trial = 0; trial < 3; ++trial) {
-    runs.push_back(campaign.RunTrial(trial));
-  }
-  const std::string assembled = CampaignReportJson(campaign.Assemble(std::move(runs)));
+  const std::string assembled = CampaignReportJson(TrialOrderMerge(campaign));
   TrialExecutor executor(2, /*clamp_to_hardware=*/false);
   EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), assembled);
 }
@@ -103,7 +110,8 @@ TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
   config.streams.push_back(Stream(ComponentKind::kGpu, 99, ComponentKind::kCpuSocket, 0,
                                   10, 0));  // Unresolvable endpoint.
   Campaign campaign(config);
-  const CampaignResult serial = campaign.Run();
+  TrialExecutor inline_executor(1);
+  const CampaignResult serial = campaign.Run(inline_executor);
   EXPECT_FALSE(serial.ok());
   EXPECT_EQ(serial.trials, 3);
   EXPECT_EQ(serial.trials_completed, 0);
@@ -117,6 +125,7 @@ TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
   EXPECT_NE(serial_json.find("\"ok\": false"), std::string::npos);
   EXPECT_NE(serial_json.find("\"error\""), std::string::npos);
   EXPECT_NE(serial_json.find("\"trials_completed\": 0"), std::string::npos);
+  EXPECT_EQ(CampaignReportJson(TrialOrderMerge(campaign)), serial_json);
   for (const int workers : {2, 8}) {
     TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
     EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), serial_json)

@@ -100,7 +100,8 @@ TEST(CoalescingTest, LazyRatesMatchEagerRecomputation) {
         fabric.FlowRate(ids.back());
       }
     }
-    fabric.SetFlowLimitsBatch({{ids[0], Bandwidth::GBps(0.25)}, {ids[3], Bandwidth::GBps(0.5)}});
+    fabric.SetFlowLimit(ids[0], Bandwidth::GBps(0.25));
+    fabric.SetFlowLimit(ids[3], Bandwidth::GBps(0.5));
     fabric.SetFlowWeight(ids[5], 0.1);
     fabric.SetFlowDemand(ids[6], Bandwidth::GBps(20));
     if (force_eager) {

@@ -31,15 +31,15 @@ void DumpFabric(Fabric& fabric, const topology::Server& server, std::ostringstre
   for (const LinkSnapshot& snap : fabric.SnapshotAll()) {
     out << "link=" << snap.link << " fwd=" << snap.forward << " cap=" << snap.capacity_bps
         << " rate=" << snap.rate_bps << " util=" << snap.utilization
-        << " bytes=" << snap.bytes_total << " pkts=" << snap.packets;
+        << " bytes=" << snap.bytes_total;
     for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
       out << " t" << tenant << "=" << rate;
     }
-    for (const auto& [tenant, bytes] : snap.bytes_by_tenant) {
-      out << " tb" << tenant << "=" << bytes;
-    }
     for (const double r : snap.rate_by_class_bps) {
       out << " c=" << r;
+    }
+    for (const double b : snap.bytes_by_class) {
+      out << " cb=" << b;
     }
     out << "\n";
   }

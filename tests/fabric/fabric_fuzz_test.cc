@@ -11,9 +11,10 @@
 //  * with no DDIO write live (so the cache model is out of the loop), the
 //    rates equal SolveMaxMinReference on the problem rebuilt from
 //    GetFlowInfo and EffectiveCapacity, bit for bit;
-//  * per-link and per-tenant byte counters match a shadow integrator fed by
+//  * per-link and per-class byte counters match a shadow integrator fed by
 //    a pre-advance hook (which sees every settled rate before time moves)
-//    to within 1e-9 relative, with the same tenant key sets;
+//    to within 1e-9 relative, so a transfer that drains between accruals
+//    must take back exactly what the aggregate rates overcredited;
 //  * every finite transfer that was not stopped fires on_complete exactly
 //    once, reporting the requested byte count;
 //  * CheckInvariants() holds (armed in invariant-check builds).
@@ -61,7 +62,7 @@ class FuzzHarness {
       endpoints_.insert(endpoints_.end(), group->begin(), group->end());
     }
     link_bytes_.resize(server_.topo.link_count() * 2, 0.0);
-    tenant_bytes_.resize(link_bytes_.size());
+    class_bytes_.resize(link_bytes_.size());
     // Registered after the fabric's own flush hook, so it reads settled
     // rates: the ones in force until the clock moves again.
     hook_ = sim_.AddPreAdvanceHook([this] {
@@ -87,13 +88,12 @@ class FuzzHarness {
                                           : Bandwidth::Gbps(gbps));
       }
     } else if (op < 43) {
-      std::vector<std::pair<FlowId, Bandwidth>> batch;
+      // An arbiter's burst of limits at one timestamp. Unknown and stopped
+      // ids ride along: the fabric must skip them.
       for (int64_t i = rng_.UniformInt(1, 6); i > 0; --i) {
-        // Unknown and stopped ids ride along: the batch must skip them.
         const FlowId id = rng_.UniformInt(0, 4) == 0 ? rng_.UniformInt(1, 4000) : PickOwned();
-        batch.emplace_back(id, Bandwidth::Gbps(static_cast<double>(rng_.UniformInt(1, 400))));
+        fabric_.SetFlowLimit(id, Bandwidth::Gbps(static_cast<double>(rng_.UniformInt(1, 400))));
       }
-      fabric_.SetFlowLimitsBatch(batch);
     } else if (op < 49) {
       if (const FlowId id = PickOwned(); id != kInvalidFlow) {
         fabric_.SetFlowWeight(id, static_cast<double>(rng_.UniformInt(0, 8)) * 0.5);
@@ -150,12 +150,10 @@ class FuzzHarness {
       EXPECT_EQ(snap.rate_by_class_bps, class_rate[l]) << "link " << l;
       EXPECT_TRUE(Near(snap.bytes_total, link_bytes_[l]))
           << "link " << l << ": " << snap.bytes_total << " vs shadow " << link_bytes_[l];
-      ASSERT_EQ(snap.bytes_by_tenant.size(), tenant_bytes_[l].size()) << "link " << l;
-      for (const auto& [tenant, bytes] : tenant_bytes_[l]) {
-        const auto it = snap.bytes_by_tenant.find(tenant);
-        ASSERT_NE(it, snap.bytes_by_tenant.end()) << "link " << l << " tenant " << tenant;
-        EXPECT_TRUE(Near(it->second, bytes))
-            << "link " << l << " tenant " << tenant << ": " << it->second << " vs " << bytes;
+      for (size_t k = 0; k < kNumTrafficClasses; ++k) {
+        EXPECT_TRUE(Near(snap.bytes_by_class[k], class_bytes_[l][k]))
+            << "link " << l << " class " << k << ": " << snap.bytes_by_class[k] << " vs "
+            << class_bytes_[l][k];
       }
     }
 
@@ -300,7 +298,7 @@ class FuzzHarness {
     for (const topology::DirectedLink& hop : packet.path.hops) {
       const size_t l = static_cast<size_t>(topology::DirectedIndex(hop));
       link_bytes_[l] += static_cast<double>(packet.bytes);
-      tenant_bytes_[l][packet.tenant] += static_cast<double>(packet.bytes);
+      class_bytes_[l][static_cast<size_t>(packet.klass)] += static_cast<double>(packet.bytes);
     }
     fabric_.SendPacket(std::move(packet));
   }
@@ -330,7 +328,7 @@ class FuzzHarness {
       }
       for (const int32_t li : flow.links) {
         link_bytes_[static_cast<size_t>(li)] += bytes;
-        tenant_bytes_[static_cast<size_t>(li)][flow.tenant] += bytes;
+        class_bytes_[static_cast<size_t>(li)][static_cast<size_t>(flow.klass)] += bytes;
       }
     }
   }
@@ -372,7 +370,7 @@ class FuzzHarness {
   std::map<FlowId, ShadowFlow> recorded_;                   // Id order.
   TimeNs last_;
   std::vector<double> link_bytes_;
-  std::vector<std::map<TenantId, double>> tenant_bytes_;
+  std::vector<std::array<double, kNumTrafficClasses>> class_bytes_;
 };
 
 class FabricFuzzTest : public ::testing::TestWithParam<uint64_t> {};

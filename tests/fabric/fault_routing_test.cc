@@ -87,9 +87,8 @@ TEST(FaultRoutingTest, ClearRestoresOriginalRouteNotTheDetour) {
   ASSERT_TRUE(detour.has_value());
   EXPECT_NE(*detour, *original);
 
-  // PR-4 regression: the route memo must be invalidated by the fault
-  // epoch, not only by topology edits — after the clear we must get the
-  // original path back, not the cached detour.
+  // After the clear the original path comes back, not the detour: a fault
+  // must never pin routes once it is gone.
   fabric.ClearLinkFault(used);
   const auto restored = fabric.Route(d.nic, d.socket);
   ASSERT_TRUE(restored.has_value());

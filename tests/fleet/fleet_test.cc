@@ -387,6 +387,23 @@ TEST(FleetTest, CrossHostFlowCouplesToMinOfStages) {
   EXPECT_EQ(fleet.samples().back().cross_host_flows, 1);
 }
 
+TEST(FleetDeathTest, OutOfRangeDeviceDiesOnTheRouteCheck) {
+  // A device id that names no component of the host has no route: the
+  // placement dies on its route check instead of reading past the router's
+  // search arrays.
+  Fleet fleet(2, {});
+  const auto bad = static_cast<topology::ComponentId>(fleet.host(0).topo().component_count()) +
+                   1000;
+  CrossHostFlowSpec spec;
+  spec.src_host = 0;
+  spec.dst_host = 1;
+  spec.src_device = bad;
+  EXPECT_DEATH(fleet.StartCrossHostFlow(spec), "src_path.has_value");
+  spec.src_device = topology::kInvalidComponent;
+  spec.dst_device = bad;
+  EXPECT_DEATH(fleet.StartCrossHostFlow(spec), "dst_path.has_value");
+}
+
 TEST(FleetTest, RootCauseViewRanksFleetWideSuspects) {
   Fleet fleet(3, {});
   // Tenant 7 saturates a link on hosts 0 and 2; tenant 4 rides along small

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/anomaly/bank.h"
@@ -109,16 +110,23 @@ TEST(EndToEndTest, BatchLimitsApplyAtomically) {
   const auto f2 = host.fabric().StartFlow(spec);
   host.fabric().FlowRate(f1);  // Settle the StartFlow mutations.
   const uint64_t recomputes_before = host.fabric().recompute_count();
-  host.fabric().SetFlowLimitsBatch({{f1, Bandwidth::GBps(3)},
-                                    {f2, Bandwidth::GBps(4)},
-                                    {9999, Bandwidth::GBps(1)}});  // Unknown skipped.
+  const uint64_t mutations_before = host.fabric().mutation_count();
+  // An arbiter's limits at one timestamp coalesce into one solve; an
+  // unknown id is skipped.
+  const std::vector<std::pair<fabric::FlowId, Bandwidth>> limits = {
+      {f1, Bandwidth::GBps(3)}, {f2, Bandwidth::GBps(4)}, {9999, Bandwidth::GBps(1)}};
+  for (const auto& [flow, limit] : limits) {
+    host.fabric().SetFlowLimit(flow, limit);
+  }
   EXPECT_DOUBLE_EQ(host.fabric().FlowRate(f1).ToGBps(), 3.0);
   EXPECT_DOUBLE_EQ(host.fabric().FlowRate(f2).ToGBps(), 4.0);
   EXPECT_EQ(host.fabric().recompute_count(), recomputes_before + 1);  // One solve.
-  // An all-unknown batch does not even mark the fabric dirty.
-  host.fabric().SetFlowLimitsBatch({{12345, Bandwidth::GBps(1)}});
+  EXPECT_EQ(host.fabric().mutation_count(), mutations_before + 2);
+  // An unknown id does not even mark the fabric dirty.
+  host.fabric().SetFlowLimit(12345, Bandwidth::GBps(1));
   host.fabric().FlowRate(f1);
   EXPECT_EQ(host.fabric().recompute_count(), recomputes_before + 1);
+  EXPECT_EQ(host.fabric().mutation_count(), mutations_before + 2);
 }
 
 TEST(EndToEndTest, WorkConservingSplitsSlackByTenantWeight) {

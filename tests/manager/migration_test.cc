@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/host/host_network.h"
 #include "src/manager/manager.h"
 
@@ -80,6 +83,43 @@ TEST(MigrationTest, FailureLeavesAllocationIntact) {
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->target.dst, before.target.dst);
   EXPECT_DOUBLE_EQ(manager.ReservedOn(before.path.hops[0]).ToGBps(), 10.0);
+}
+
+TEST(MigrationTest, RepairLeavesADeadHopAndAClearedFaultRestoresThePath) {
+  // The scheduler places with the fabric's router, so a dead link is never
+  // a candidate while the fault lasts and is one again once it clears.
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  Manager manager(host.fabric());
+  const auto& server = host.server();
+  const auto tenant = manager.RegisterTenant("alice");
+  PerformanceTarget target;
+  target.src = server.ssds[0];
+  target.dst = server.dimms.back();  // Across sockets: two parallel links.
+  target.bandwidth = Bandwidth::GBps(2);
+  const auto alloc = manager.SubmitIntent(tenant, target);
+  ASSERT_TRUE(alloc.ok()) << alloc.error;
+  const topology::Path original = manager.GetAllocation(alloc.id)->path;
+  const auto hop = std::find_if(
+      original.hops.begin(), original.hops.end(), [&](const topology::DirectedLink& h) {
+        return host.topo().link(h.link).spec.kind == topology::LinkKind::kInterSocket;
+      });
+  ASSERT_NE(hop, original.hops.end());
+
+  host.fabric().InjectLinkFault(hop->link, fabric::LinkFault{0.0, sim::TimeNs::Zero()});
+  EXPECT_EQ(manager.RepairFaultedAllocations(), std::vector<AllocationId>{alloc.id});
+  const topology::Path& repaired = manager.GetAllocation(alloc.id)->path;
+  EXPECT_FALSE(repaired.Uses(hop->link));
+  EXPECT_EQ(repaired.source(), target.src);
+  EXPECT_EQ(repaired.destination(), target.dst);
+  EXPECT_DOUBLE_EQ(manager.ReservedOn(*hop).ToGBps(), 0.0);
+  // Nothing left on a dead hop: a second pass repairs nothing.
+  EXPECT_TRUE(manager.RepairFaultedAllocations().empty());
+
+  host.fabric().ClearLinkFault(hop->link);
+  const auto fresh = manager.SubmitIntent(tenant, target);
+  ASSERT_TRUE(fresh.ok()) << fresh.error;
+  EXPECT_EQ(manager.GetAllocation(fresh.id)->path, original);
 }
 
 TEST(MigrationTest, UnknownAllocationRejected) {

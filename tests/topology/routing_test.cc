@@ -162,103 +162,34 @@ TEST(RoutingTest, PathToStringReadable) {
   EXPECT_EQ(path->ToString(d.topo), "s -> a -> t");
 }
 
-TEST(RoutingCacheTest, RepeatQueriesHitCache) {
+TEST(RoutingTest, OutOfRangeEndpointsAreUnroutable) {
+  // Ids outside [0, component_count()) name no component: every query
+  // answers "no route" instead of indexing past the search arrays.
   const Diamond d = MakeDiamond();
   Router router(d.topo);
-  EXPECT_EQ(router.cache_stats().hits, 0u);
-  EXPECT_EQ(router.cache_stats().misses, 0u);
-
-  const auto first = router.ShortestPath(d.s, d.t);
-  EXPECT_EQ(router.cache_stats().misses, 1u);
-  EXPECT_EQ(router.cache_stats().hits, 0u);
-
-  const auto second = router.ShortestPath(d.s, d.t);
-  EXPECT_EQ(router.cache_stats().misses, 1u);
-  EXPECT_EQ(router.cache_stats().hits, 1u);
-  EXPECT_EQ(*first, *second);
-
-  // A different k is a different key.
-  const auto kpaths = router.KShortestPaths(d.s, d.t, 2);
-  EXPECT_EQ(router.cache_stats().misses, 2u);
-  const auto kpaths_again = router.KShortestPaths(d.s, d.t, 2);
-  EXPECT_EQ(router.cache_stats().hits, 2u);
-  EXPECT_EQ(kpaths, kpaths_again);
-}
-
-TEST(RoutingCacheTest, ShortestPathAndK1ShareAnEntry) {
-  const Diamond d = MakeDiamond();
-  Router router(d.topo);
-  const auto direct = router.ShortestPath(d.s, d.t);
-  const auto via_k = router.KShortestPaths(d.s, d.t, 1);
-  EXPECT_EQ(router.cache_stats().misses, 1u);
-  EXPECT_EQ(router.cache_stats().hits, 1u);
-  ASSERT_EQ(via_k.size(), 1u);
-  EXPECT_EQ(*direct, via_k.front());
-}
-
-TEST(RoutingCacheTest, ExcludedLinkQueriesBypassCache) {
-  const Diamond d = MakeDiamond();
-  Router router(d.topo);
-  const auto detour = router.ShortestPath(d.s, d.t, {d.sa});
-  ASSERT_TRUE(detour.has_value());
-  EXPECT_EQ(detour->ToString(d.topo), "s -> b -> t");
-  EXPECT_EQ(router.cache_stats().hits, 0u);
-  EXPECT_EQ(router.cache_stats().misses, 0u);
-}
-
-TEST(RoutingCacheTest, TopologyMutationInvalidates) {
-  Diamond d = MakeDiamond();
-  Router router(d.topo);
-  const auto before = router.ShortestPath(d.s, d.t);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(before->ToString(d.topo), "s -> a -> t");
-  EXPECT_EQ(router.ShortestPath(d.s, d.t)->ToString(d.topo), "s -> a -> t");
-  EXPECT_EQ(router.cache_stats().hits, 1u);
-
-  // Add a direct s -> t shortcut; the memoized answer is now wrong and the
-  // version bump must flush it.
-  d.topo.AddLink(d.s, d.t,
-                 LinkSpec{LinkKind::kPcieSwitchDown, Bandwidth::Gbps(100), TimeNs::Nanos(1)});
-  const auto after = router.ShortestPath(d.s, d.t);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->ToString(d.topo), "s -> t");
-  EXPECT_EQ(router.cache_stats().invalidations, 1u);
-  EXPECT_EQ(router.cache_stats().misses, 2u);
-}
-
-TEST(RoutingCacheTest, CachedResultsMatchUncached) {
-  Server server = DgxClass();
-  Router cold(server.topo);
-  Router warm(server.topo);
-  // Warm one router, then compare every repeated query against a fresh
-  // router answering the same question for the first time.
-  for (int k : {1, 2, 4, 6}) {
-    const auto warm_first = warm.KShortestPaths(server.gpus[0], server.ssds.back(), k);
-    const auto warm_second = warm.KShortestPaths(server.gpus[0], server.ssds.back(), k);
-    const auto cold_answer = cold.KShortestPaths(server.gpus[0], server.ssds.back(), k);
-    EXPECT_EQ(warm_first, warm_second) << "k=" << k;
-    EXPECT_EQ(warm_second, cold_answer) << "k=" << k;
+  const auto n = static_cast<ComponentId>(d.topo.component_count());
+  for (const ComponentId bad : {n, n + 1000, ComponentId{-1}}) {
+    EXPECT_FALSE(router.ShortestPath(d.s, bad).has_value()) << bad;
+    EXPECT_FALSE(router.ShortestPath(bad, d.t).has_value()) << bad;
+    EXPECT_TRUE(router.KShortestPaths(d.s, bad, 1).empty()) << bad;
+    EXPECT_TRUE(router.KShortestPaths(bad, d.t, 1).empty()) << bad;
+    EXPECT_TRUE(router.KShortestPaths(d.s, bad, 3).empty()) << bad;
+    EXPECT_TRUE(router.KShortestPaths(bad, d.t, 3).empty()) << bad;
   }
-  EXPECT_GT(warm.cache_stats().hits, 0u);
 }
 
 TEST(RoutingHealthTest, SetLinkHealthOnlyBumpsEpochOnEffectiveChange) {
+  // The fabric bumps its route epoch exactly when SetLinkHealth reports a
+  // change, so a re-sync with the same sets must report none.
   const Diamond d = MakeDiamond();
   Router router(d.topo);
-  EXPECT_EQ(router.fault_epoch(), 0u);
-
   EXPECT_TRUE(router.SetLinkHealth({d.sa}, {}));
-  EXPECT_EQ(router.fault_epoch(), 1u);
-
-  // Same sets (order and duplicates ignored): no epoch movement.
+  // Same sets (order and duplicates ignored): no change.
   EXPECT_FALSE(router.SetLinkHealth({d.sa, d.sa}, {}));
-  EXPECT_EQ(router.fault_epoch(), 1u);
-
   EXPECT_TRUE(router.SetLinkHealth({d.sa}, {d.bt}));
-  EXPECT_EQ(router.fault_epoch(), 2u);
-
+  EXPECT_FALSE(router.SetLinkHealth({d.sa}, {d.bt, d.bt}));
   EXPECT_TRUE(router.SetLinkHealth({}, {}));
-  EXPECT_EQ(router.fault_epoch(), 3u);
+  EXPECT_FALSE(router.SetLinkHealth({}, {}));
 }
 
 TEST(RoutingHealthTest, DeadLinkExcludedFromShortestAndKShortest) {
@@ -284,6 +215,8 @@ TEST(RoutingHealthTest, DegradedLinkAvoidedOnlyWhenAlternativeExists) {
   auto path = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->ToString(d.topo), "s -> b -> t");
+  // k == 1 is the same health-aware answer.
+  EXPECT_EQ(router.KShortestPaths(d.s, d.t, 1), std::vector<Path>{*path});
 
   // Degrading both legs leaves no healthy alternative: the router falls
   // back to routing over degraded links rather than failing.
@@ -293,28 +226,25 @@ TEST(RoutingHealthTest, DegradedLinkAvoidedOnlyWhenAlternativeExists) {
   EXPECT_EQ(path->ToString(d.topo), "s -> a -> t");
 }
 
-TEST(RoutingHealthTest, FaultEpochInvalidatesMemoizedRoutes) {
+TEST(RoutingHealthTest, InjectDetoursAndClearRestoresTheOriginalRoute) {
   const Diamond d = MakeDiamond();
   Router router(d.topo);
 
   const auto original = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(original.has_value());
   EXPECT_EQ(original->ToString(d.topo), "s -> a -> t");
-  EXPECT_EQ(*router.ShortestPath(d.s, d.t), *original);
-  EXPECT_EQ(router.cache_stats().hits, 1u);
 
-  // PR-4 regression: inject -> the cached s->a->t answer must die.
+  // Inject: the s->a->t answer must give way to the detour...
   router.SetLinkHealth({d.sa}, {});
   const auto detour = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(detour.has_value());
   EXPECT_EQ(detour->ToString(d.topo), "s -> b -> t");
 
-  // ... and clear -> the cached detour must die too.
+  // ... and clear: the original route comes back.
   router.SetLinkHealth({}, {});
   const auto restored = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(*restored, *original);
-  EXPECT_GE(router.cache_stats().invalidations, 2u);
 }
 
 }  // namespace

@@ -84,8 +84,7 @@ int RunCampaign(const std::string& path, const std::string& out_path, int trials
 
   mihn::chaos::Campaign campaign(std::move(config));
   mihn::chaos::TrialExecutor executor(workers);
-  const mihn::chaos::CampaignResult result =
-      workers > 1 ? campaign.Run(executor) : campaign.Run();
+  const mihn::chaos::CampaignResult result = campaign.Run(executor);
   if (!result.ok()) {
     std::fprintf(stderr, "mihn_chaos: campaign failed: %s\n", result.error.c_str());
     return 1;
