@@ -6,6 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "src/host/host_network.h"
+#include "src/sim/stats.h"
 #include "src/workload/sources.h"
 
 namespace {

@@ -62,7 +62,7 @@ struct Payload {
 
 template <typename Engine>
 struct Ctx {
-  explicit Ctx(uint64_t seed) : sim(seed), rng(seed * 2654435761u) {}
+  explicit Ctx(uint64_t seed) : rng(seed * 2654435761u) {}
 
   Engine sim;
   sim::Rng rng;

@@ -31,7 +31,7 @@ int main() {
 
   std::printf("DDIO capacity: %.1f MiB, drain window %s\n\n",
               static_cast<double>(host.fabric().config().DdioCapacityBytes()) / (1024 * 1024),
-              host.fabric().config().llc_drain_time.ToString().c_str());
+              fabric::kLlcDrainTime.ToString().c_str());
 
   // A victim stream using the memory bus (DIMM -> GPU data loading).
   workload::StreamSource::Config victim_config;

@@ -46,7 +46,6 @@ class DetectorBank {
   void Rebaseline();
 
   const std::vector<Anomaly>& log() const { return log_; }
-  size_t attachment_count() const { return attachments_.size(); }
 
  private:
   struct Attachment {

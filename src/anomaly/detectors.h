@@ -52,8 +52,6 @@ class EwmaDetector : public Detector {
   std::string name() const override { return "ewma"; }
   void Reset() override;
 
-  double mean() const { return mean_; }
-
  private:
   double alpha_;
   double k_;

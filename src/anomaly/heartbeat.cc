@@ -4,6 +4,13 @@
 #include <utility>
 
 namespace mihn::anomaly {
+namespace {
+
+constexpr int64_t kProbeBytes = 64;
+// EWMA weight for the smoothed latency.
+constexpr double kSmoothingAlpha = 0.3;
+
+}  // namespace
 
 HeartbeatMesh::HeartbeatMesh(fabric::Fabric& fabric, Config config)
     : fabric_(fabric), config_(std::move(config)),
@@ -42,7 +49,7 @@ void HeartbeatMesh::Tick() {
   for (auto& [key, state] : pairs_) {
     fabric::PacketSpec probe;
     probe.path = state.path;
-    probe.bytes = config_.probe_bytes;
+    probe.bytes = kProbeBytes;
     probe.klass = fabric::TrafficClass::kProbe;
     const sim::TimeNs latency = fabric_.SendPacket(std::move(probe));
     ++probes_sent_;
@@ -55,7 +62,7 @@ void HeartbeatMesh::Tick() {
       state.smoothed_ns = state.baseline_ns;
       continue;
     }
-    state.smoothed_ns += config_.alpha * (lat_ns - state.smoothed_ns);
+    state.smoothed_ns += kSmoothingAlpha * (lat_ns - state.smoothed_ns);
     const bool degraded =
         state.baseline_ns > 0.0 &&
         state.smoothed_ns > config_.degradation_factor * state.baseline_ns;

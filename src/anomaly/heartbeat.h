@@ -27,14 +27,11 @@ class HeartbeatMesh {
   struct Config {
     std::vector<topology::ComponentId> participants;
     sim::TimeNs period = sim::TimeNs::Millis(1);
-    int64_t probe_bytes = 64;
     // A pair alarms when its smoothed latency exceeds this multiple of its
     // baseline.
     double degradation_factor = 2.0;
     // Probes used to learn the per-pair baseline before arming.
     int baseline_samples = 8;
-    // EWMA weight for the smoothed latency.
-    double alpha = 0.3;
   };
 
   struct PairReport {

@@ -26,12 +26,12 @@ std::vector<Finding> MisconfigChecker::Check() const {
   // PCIe payload size: the silent bandwidth tax.
   if (config.max_payload_bytes < 256) {
     const double eff = static_cast<double>(config.max_payload_bytes) /
-                       (config.max_payload_bytes + config.pcie_header_overhead_bytes);
+                       (config.max_payload_bytes + fabric::kPcieHeaderOverheadBytes);
     std::snprintf(buf, sizeof(buf),
                   "PCIe max payload size is %d B; transaction-layer efficiency is %.0f%% "
                   "(vs %.0f%% at 256 B). Raise MPS in firmware.",
                   config.max_payload_bytes, eff * 100.0,
-                  256.0 / (256.0 + config.pcie_header_overhead_bytes) * 100.0);
+                  256.0 / (256.0 + fabric::kPcieHeaderOverheadBytes) * 100.0);
     findings.push_back({config.max_payload_bytes <= 64 ? Finding::Severity::kCritical
                                                        : Finding::Severity::kWarning,
                         "max_payload_bytes", buf});
@@ -41,7 +41,7 @@ std::vector<Finding> MisconfigChecker::Check() const {
     std::snprintf(buf, sizeof(buf),
                   "Relaxed ordering disabled: PCIe writes serialize at the root complex "
                   "(~%.0f%% capacity).",
-                  config.strict_ordering_capacity_factor * 100.0);
+                  fabric::kStrictOrderingCapacityFactor * 100.0);
     findings.push_back({Finding::Severity::kWarning, "relaxed_ordering", buf});
   }
 
@@ -50,8 +50,8 @@ std::vector<Finding> MisconfigChecker::Check() const {
                   "IOMMU enabled: +%lld ns translation latency per PCIe hop and ~%.0f%% "
                   "throughput on small payloads. Expected in multi-tenant hosts; verify it "
                   "is intentional.",
-                  static_cast<long long>(config.iommu_latency.nanos()),
-                  config.iommu_capacity_factor * 100.0);
+                  static_cast<long long>(fabric::kIommuLatency.nanos()),
+                  fabric::kIommuCapacityFactor * 100.0);
     findings.push_back({Finding::Severity::kInfo, "iommu_enabled", buf});
   }
 

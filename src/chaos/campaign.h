@@ -152,8 +152,6 @@ class Campaign {
   TrialRun RunTrial(int trial) const;
   CampaignResult Assemble(std::vector<TrialRun> runs) const;
 
-  const CampaignConfig& config() const { return config_; }
-
  private:
   TrialResult RunTrialImpl(int trial, uint64_t seed, std::string* error) const;
 

@@ -31,13 +31,10 @@ class TrialExecutor {
   explicit TrialExecutor(int workers, bool clamp_to_hardware = true)
       : pool_(workers, clamp_to_hardware) {}
 
-  // Effective width: the pool's (possibly clamped) parallelism, 1 when
-  // inline. Reports must never depend on this value.
-  int workers() const { return pool_.parallelism(); }
-
-  // Runs fn(i) for every i in [0, n) — concurrently when workers() > 1 —
-  // and returns the results in strict index order. |fn| must be safe to
-  // call concurrently for distinct indices and must not re-enter Map.
+  // Runs fn(i) for every i in [0, n) — concurrently when the pool has
+  // helper threads — and returns the results in strict index order. |fn|
+  // must be safe to call concurrently for distinct indices and must not
+  // re-enter Map.
   template <typename Fn>
   auto Map(size_t n, Fn&& fn) -> std::vector<std::invoke_result_t<Fn&, size_t>> {
     return pool_.ParallelMap(n, fn);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/core/check.h"
 #include "src/obs/tracer.h"
 
 namespace mihn::chaos {
@@ -117,10 +118,16 @@ std::vector<ResolvedFault> FaultSchedule::Resolve(const topology::Topology& topo
 
 FaultInjector::FaultInjector(fabric::Fabric& fabric, std::vector<ResolvedFault> faults,
                              sim::TimeNs run_duration)
-    : fabric_(fabric), faults_(std::move(faults)), run_duration_(run_duration) {
+    : fabric_(fabric),
+      faults_(std::move(faults)),
+      run_duration_(run_duration),
+      events_(faults_.size()) {
   ground_truth_.reserve(faults_.size());
   for (size_t i = 0; i < faults_.size(); ++i) {
     const FaultSpec& spec = faults_[i].spec;
+    // A longer duty would leave a revive pending past the next cycle.
+    MIHN_CHECK(spec.kind != FaultKind::kFlap ||
+               (spec.flap_duty >= 0.0 && spec.flap_duty <= 1.0));
     GroundTruth truth;
     truth.index = static_cast<int>(i);
     truth.kind = spec.kind;
@@ -132,6 +139,14 @@ FaultInjector::FaultInjector(fabric::Fabric& fabric, std::vector<ResolvedFault> 
   }
 }
 
+FaultInjector::~FaultInjector() {
+  for (FaultEvents& events : events_) {
+    events.start.Cancel();
+    events.revive.Cancel();
+    events.clear.Cancel();
+  }
+}
+
 void FaultInjector::Arm() {
   if (armed_) {
     return;
@@ -140,29 +155,29 @@ void FaultInjector::Arm() {
   sim::Simulation& sim = fabric_.simulation();
   for (size_t i = 0; i < faults_.size(); ++i) {
     const ResolvedFault& fault = faults_[i];
+    FaultEvents& events = events_[i];
     switch (fault.spec.kind) {
       case FaultKind::kKill:
       case FaultKind::kDegrade:
       case FaultKind::kLatency:
-        handles_.push_back(sim.ScheduleAt(
-            fault.spec.at, [this, i] { InjectAt(faults_[i]); }, "chaos.inject"));
+        events.start = sim.ScheduleAt(
+            fault.spec.at, [this, i] { InjectAt(faults_[i]); }, "chaos.inject");
         if (fault.spec.Cleared()) {
-          handles_.push_back(sim.ScheduleAt(
-              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear"));
+          events.clear = sim.ScheduleAt(
+              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear");
         }
         break;
       case FaultKind::kFlap:
-        handles_.push_back(sim.ScheduleAt(
-            fault.spec.at, [this, i] { FlapCycle(i); }, "chaos.flap"));
+        events.start = sim.ScheduleAt(fault.spec.at, [this, i] { FlapCycle(i); }, "chaos.flap");
         // The cycle only schedules toggles strictly before the stop time,
         // so one terminal clear leaves the link healthy afterwards.
         if (fault.spec.Cleared()) {
-          handles_.push_back(sim.ScheduleAt(
-              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear"));
+          events.clear = sim.ScheduleAt(
+              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear");
         }
         break;
       case FaultKind::kDdioOff:
-        handles_.push_back(sim.ScheduleAt(
+        events.start = sim.ScheduleAt(
             fault.spec.at,
             [this] {
               fabric::FabricConfig config = fabric_.config();
@@ -171,9 +186,9 @@ void FaultInjector::Arm() {
               fabric_.SetConfig(config);
               ++operations_;
             },
-            "chaos.ddio_off"));
+            "chaos.ddio_off");
         if (fault.spec.Cleared()) {
-          handles_.push_back(sim.ScheduleAt(
+          events.clear = sim.ScheduleAt(
               fault.spec.clear_at,
               [this] {
                 fabric::FabricConfig config = fabric_.config();
@@ -181,7 +196,7 @@ void FaultInjector::Arm() {
                 fabric_.SetConfig(config);
                 ++operations_;
               },
-              "chaos.ddio_restore"));
+              "chaos.ddio_restore");
         }
         break;
     }
@@ -233,15 +248,15 @@ void FaultInjector::FlapCycle(size_t fault_index) {
   const double period_ns = static_cast<double>(fault.spec.flap_period.nanos());
   const sim::TimeNs revive =
       now + sim::TimeNs::Nanos(static_cast<int64_t>(period_ns * fault.spec.flap_duty));
+  FaultEvents& events = events_[fault_index];
   if (revive < stop) {
-    handles_.push_back(sim.ScheduleAt(
-        revive, [this, fault_index] { ClearAt(faults_[fault_index]); },
-        "chaos.flap.revive"));
+    events.revive = sim.ScheduleAt(
+        revive, [this, fault_index] { ClearAt(faults_[fault_index]); }, "chaos.flap.revive");
   }
   const sim::TimeNs next = now + fault.spec.flap_period;
   if (next < stop) {
-    handles_.push_back(sim.ScheduleAt(
-        next, [this, fault_index] { FlapCycle(fault_index); }, "chaos.flap"));
+    events.start = sim.ScheduleAt(
+        next, [this, fault_index] { FlapCycle(fault_index); }, "chaos.flap");
   }
 }
 

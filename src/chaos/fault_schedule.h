@@ -86,8 +86,6 @@ class FaultSchedule {
   FaultSchedule& Add(FaultSpec spec);
 
   const std::vector<FaultSpec>& specs() const { return specs_; }
-  bool empty() const { return specs_.empty(); }
-  size_t size() const { return specs_.size(); }
 
   // Binds every spec to a LinkId of |topo|. On a dangling reference (index
   // out of range for its kind) returns an empty vector and sets |error|.
@@ -100,12 +98,20 @@ class FaultSchedule {
 
 // Arms a resolved schedule against a fabric: injection, clearing, and flap
 // toggling all run as simulation events, so a campaign run is a pure
-// function of (topology, workload, schedule, seed). Must outlive the run.
+// function of (topology, workload, schedule, seed). Destroying the injector
+// cancels its pending events; it must be destroyed before the fabric's
+// clock.
 class FaultInjector {
  public:
   // |run_duration| caps the ground-truth window of never-cleared faults.
+  // A flap's duty must lie in [0, 1].
   FaultInjector(fabric::Fabric& fabric, std::vector<ResolvedFault> faults,
                 sim::TimeNs run_duration);
+  ~FaultInjector();
+
+  // Pending events capture this injector.
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Schedules every fault's events. Call once, before running.
   void Arm();
@@ -123,11 +129,21 @@ class FaultInjector {
   // fault's clear time (or forever if never cleared).
   void FlapCycle(size_t fault_index);
 
+  // The live events of one fault. |start| is the inject (or DDIO-off)
+  // event, or a flap's next cycle; |revive| is a flap cycle's pending
+  // clear, due no later than the next cycle; |clear| is the final clear
+  // (or DDIO restore). A later cycle overwrites handles whose events fired.
+  struct FaultEvents {
+    sim::EventHandle start;
+    sim::EventHandle revive;
+    sim::EventHandle clear;
+  };
+
   fabric::Fabric& fabric_;
   std::vector<ResolvedFault> faults_;
   sim::TimeNs run_duration_;
   std::vector<GroundTruth> ground_truth_;
-  std::vector<sim::EventHandle> handles_;
+  std::vector<FaultEvents> events_;  // One per fault.
   uint64_t operations_ = 0;
   bool armed_ = false;
   bool ddio_was_enabled_ = true;  // For restoring on kDdioOff clear.

@@ -87,7 +87,6 @@ class Scorer {
     int convergence_ticks = 3;
   };
 
-  Scorer() : Scorer(Config{}) {}
   explicit Scorer(Config config) : config_(config) {}
 
   TrialScore Score(const std::vector<GroundTruth>& faults,

@@ -100,8 +100,6 @@ class Sweep {
   // report is byte-identical across worker counts.
   SweepResult Run(TrialExecutor& executor);
 
-  const SweepConfig& config() const { return config_; }
-
  private:
   SweepConfig config_;
 };

@@ -30,16 +30,9 @@ PingReport Session::Ping(topology::ComponentId src, topology::ComponentId dst,
   if (!report.probe.reachable) {
     return report;
   }
-  // Latency + serialization, identical to what SendPacket would charge, but
-  // without injecting the probe into the counters.
-  sim::TimeNs latency = fabric_.ProbePathLatency(report.probe.path);
-  for (const topology::DirectedLink& hop : report.probe.path.hops) {
-    const sim::Bandwidth cap = fabric_.EffectiveCapacity(hop);
-    if (!cap.IsZero()) {
-      latency += cap.TransferTime(probe_bytes);
-    }
-  }
-  report.latency = latency;
+  // What SendPacket would charge, without injecting the probe into the
+  // counters.
+  report.latency = fabric_.PacketLatency(report.probe.path, probe_bytes);
   return report;
 }
 

@@ -104,7 +104,8 @@ class Session {
 
   // -- Ping --------------------------------------------------------------------
   // Latency of a |probe_bytes| packet src -> dst along the current
-  // shortest path, under current congestion. Does not perturb the fabric.
+  // shortest path, under current congestion: Fabric::PacketLatency, the
+  // price SendPacket charges. Does not perturb the fabric.
   PingReport Ping(topology::ComponentId src, topology::ComponentId dst,
                   int64_t probe_bytes = 64);
 
@@ -137,8 +138,6 @@ class Session {
   static std::string RenderFlowTable(const topology::Topology& topo,
                                      const std::vector<fabric::FlowInfo>& flows);
 
-  fabric::Fabric& fabric() { return fabric_; }
-  const fabric::Fabric& fabric() const { return fabric_; }
 
  private:
   // Resolves the common header (stamp, route) for a src->dst probe.

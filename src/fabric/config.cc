@@ -4,10 +4,10 @@
 
 namespace mihn::fabric {
 
-double FabricConfig::LatencyInflation(double rho) const {
+double LatencyInflation(double rho) {
   rho = std::clamp(rho, 0.0, 0.999999);
-  const double inflation = 1.0 + congestion_alpha * rho / (1.0 - rho);
-  return std::min(inflation, max_latency_inflation);
+  const double inflation = 1.0 + kCongestionAlpha * rho / (1.0 - rho);
+  return std::min(inflation, kMaxLatencyInflation);
 }
 
 }  // namespace mihn::fabric

@@ -286,22 +286,28 @@ std::vector<FlowId> Fabric::ActiveFlows() const {
 }
 
 sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
-  FlushIfDirty();
-  sim::TimeNs latency = ProbePathLatency(spec.path);
+  const sim::TimeNs latency = PacketLatency(spec.path, spec.bytes);
   const double bytes = static_cast<double>(spec.bytes);
   for (const topology::DirectedLink& hop : spec.path.hops) {
-    const size_t li = static_cast<size_t>(DirectedIndex(hop));
-    DirectedLinkState& state = links_[li];
-    // Store-and-forward serialization on each hop.
-    if (state.effective_capacity > 0) {
-      latency += sim::TimeNs::FromSecondsF(bytes / state.effective_capacity);
-    }
+    DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
     state.bytes_total += bytes;
     state.bytes_by_class[static_cast<size_t>(spec.klass)] += bytes;
   }
-  latency += config_.interrupt_moderation;
   if (spec.on_delivered) {
     sim_.ScheduleAfter(latency, [cb = std::move(spec.on_delivered), latency] { cb(latency); });
+  }
+  return latency;
+}
+
+sim::TimeNs Fabric::PacketLatency(const topology::Path& path, int64_t bytes) const {
+  FlushIfDirty();
+  sim::TimeNs latency = config_.interrupt_moderation;
+  for (const topology::DirectedLink& hop : path.hops) {
+    latency += HopLatency(hop);
+    const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
+    if (state.effective_capacity > 0) {
+      latency += sim::TimeNs::FromSecondsF(static_cast<double>(bytes) / state.effective_capacity);
+    }
   }
   return latency;
 }
@@ -320,7 +326,7 @@ sim::TimeNs Fabric::HopLatency(topology::DirectedLink hop) const {
   const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
   const double rho =
       state.effective_capacity > 0 ? state.rate / state.effective_capacity : 1.0;
-  return Scale(HopBaseLatency(hop), config_.LatencyInflation(rho));
+  return Scale(HopBaseLatency(hop), LatencyInflation(rho));
 }
 
 void Fabric::InjectLinkFault(topology::LinkId link, LinkFault fault) {
@@ -466,7 +472,7 @@ sim::TimeNs Fabric::HopBaseLatency(topology::DirectedLink hop) const {
     base += fault->second.extra_latency;
   }
   if (config_.iommu_enabled && IsPcieKind(link.spec.kind)) {
-    base += config_.iommu_latency;
+    base += kIommuLatency;
   }
   return base;
 }
@@ -597,7 +603,7 @@ void Fabric::UpdateCacheCoupling() {
     }
     const double hit =
         config_.ddio_enabled
-            ? DdioHitRate(sim::Bandwidth::BytesPerSec(io_rate), config_.llc_drain_time,
+            ? DdioHitRate(sim::Bandwidth::BytesPerSec(io_rate), kLlcDrainTime,
                           config_.DdioCapacityBytes())
             : 0.0;
     const double miss = 1.0 - hit;
@@ -605,7 +611,7 @@ void Fabric::UpdateCacheCoupling() {
     SocketCacheStats stats;
     stats.io_write_rate_bps = io_rate;
     stats.hit_rate = hit;
-    stats.working_set_bytes = io_rate * config_.llc_drain_time.ToSecondsF();
+    stats.working_set_bytes = io_rate * kLlcDrainTime.ToSecondsF();
     stats.ddio_capacity_bytes = config_.DdioCapacityBytes();
     cache_stats_[socket] = stats;
 
@@ -1081,9 +1087,9 @@ void Fabric::OnCompletionEvent() {
       TransferResult result;
       result.id = ids_[Idx(row)];
       result.start = f.cold->start_time;
-      // Delivery: fluid drain time plus one traversal of (congested) path
-      // latency and any interrupt-moderation delay.
-      result.end = now + ProbePathLatency(f.cold->path) + config_.interrupt_moderation;
+      // Delivery: fluid drain time plus the price of a zero-byte packet
+      // over the path.
+      result.end = now + PacketLatency(f.cold->path, 0);
       result.bytes = static_cast<int64_t>(std::llround(f.moved));
       sim_.ScheduleAt(result.end, [cb = std::move(f.cold->on_complete), result] { cb(result); });
     }

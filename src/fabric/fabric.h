@@ -115,13 +115,17 @@ class Fabric {
   std::vector<FlowId> ActiveFlows() const;
 
   // -- Packets -----------------------------------------------------------------
-  // Sends a packetized message; on_delivered fires after per-hop congestion
-  // latency + serialization (+ interrupt moderation). Returns the latency
-  // it will experience (known immediately — the model is deterministic).
+  // Sends a packetized message; on_delivered fires after PacketLatency().
+  // Returns that latency (known immediately — the model is deterministic).
   sim::TimeNs SendPacket(PacketSpec spec);
 
+  // The one price of a |bytes| packet along |path| right now: per-hop
+  // congested latency, store-and-forward serialization on every hop, and
+  // interrupt moderation. A transfer's delivery pays it with 0 bytes.
+  sim::TimeNs PacketLatency(const topology::Path& path, int64_t bytes) const;
+
   // Current end-to-end latency along |path| for a minimal probe (no
-  // serialization): what a zero-byte ping would see right now.
+  // serialization, no interrupt moderation).
   sim::TimeNs ProbePathLatency(const topology::Path& path) const;
 
   // Current one-hop latency (with congestion inflation and faults).
@@ -132,9 +136,6 @@ class Fabric {
   void InjectLinkFault(topology::LinkId link, LinkFault fault);
   void ClearLinkFault(topology::LinkId link);
   std::optional<LinkFault> GetLinkFault(topology::LinkId link) const;
-
-  // The live fault table (deterministic key order).
-  const std::map<topology::LinkId, LinkFault>& link_faults() const { return faults_; }
 
   // -- Configuration -------------------------------------------------------------
   const FabricConfig& config() const { return config_; }

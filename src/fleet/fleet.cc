@@ -16,7 +16,7 @@ Fleet::Fleet(int num_hosts, Options options)
     : options_(std::move(options)),
       sim_(options_.seed),
       inter_([&] {
-        InterHostNetwork::Config config = options_.inter;
+        InterHostNetwork::Config config;
         config.hosts = num_hosts;
         return config;
       }()),
@@ -151,7 +151,7 @@ HostSample Fleet::ReduceHost(int i, std::vector<fabric::LinkLoad>& loads) {
     util_sum += utilization;
     ++util_count;
     sample.max_utilization = std::max(sample.max_utilization, utilization);
-    if (utilization >= options_.congestion_threshold) {
+    if (utilization >= kCongestionThreshold) {
       ++sample.congested_links;
     }
   }
@@ -233,7 +233,7 @@ FleetRootCause Fleet::RootCauseView() {
   // Each analyzer settles its own fabric, on its own worker.
   std::vector<std::vector<anomaly::CongestionReport>> per_host =
       pool_.ParallelMap(hosts_.size(), [this](size_t h) {
-        anomaly::RootCauseAnalyzer analyzer(hosts_[h]->fabric(), options_.congestion_threshold);
+        anomaly::RootCauseAnalyzer analyzer(hosts_[h]->fabric(), kCongestionThreshold);
         return analyzer.FindCongestedLinks();
       });
   // Merge the root-cause inputs strictly in host order.
@@ -264,7 +264,7 @@ FleetRootCause Fleet::RootCauseView() {
     view.hosts.push_back({i, std::move(reports)});
   }
   for (const InterHostLinkUse& use : inter_.SnapshotLinks()) {
-    if (use.utilization >= options_.congestion_threshold) {
+    if (use.utilization >= kCongestionThreshold) {
       view.inter_links.push_back(use);
     }
   }

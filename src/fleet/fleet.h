@@ -74,6 +74,10 @@ struct CrossHostFlowSpec {
 using CrossFlowId = int64_t;
 inline constexpr CrossFlowId kInvalidCrossFlow = -1;
 
+// Directed-link utilization at/above this counts as congested, in both
+// per-host rollups and RootCauseView().
+inline constexpr double kCongestionThreshold = 0.9;
+
 // Fleet-level root-cause view: per-host congestion reports (host order),
 // saturated inter-host links, per-host heartbeat alarms (when meshes are
 // enabled), and the fleet-wide tenant suspect ranking.
@@ -97,7 +101,7 @@ struct HostAlarm {
 
 struct FleetRootCause {
   std::vector<HostCongestion> hosts;          // Only hosts with congested links.
-  std::vector<InterHostLinkUse> inter_links;  // Inter-host links at/over threshold.
+  std::vector<InterHostLinkUse> inter_links;  // Inter-host links at/over kCongestionThreshold.
   std::vector<HostAlarm> alarms;              // Only hosts whose mesh alarmed.
   std::vector<FleetSuspect> suspects;         // Descending share_sum.
 };
@@ -107,9 +111,6 @@ class Fleet {
   struct Options {
     uint64_t seed = 1;
     sim::TimeNs tick_period = sim::TimeNs::Millis(1);
-    // Inter-host capacities and rack width; Config::hosts is overwritten
-    // with the fleet's host count.
-    InterHostNetwork::Config inter;
     // Template applied to every host. A traced template gives every host
     // its own tracer, observing that host's clock.
     HostNetwork::Options host = DefaultHostOptions();
@@ -124,9 +125,6 @@ class Fleet {
     // disable the clamp to force real cross-thread execution even on small
     // machines. Never affects results, only scheduling.
     bool clamp_workers_to_hardware = true;
-    // Directed-link utilization at/above this counts as congested, in both
-    // per-host rollups and RootCauseView().
-    double congestion_threshold = 0.9;
   };
 
   Fleet(int num_hosts, Options options);
@@ -145,7 +143,6 @@ class Fleet {
   // events. Host i's events are on host(i).simulation().
   sim::Simulation& simulation() { return sim_; }
   sim::TimeNs Now() const { return sim_.Now(); }
-  const Options& options() const { return options_; }
   // Actual pool width after the hardware clamp; 1 means serial.
   int worker_parallelism() const { return pool_.parallelism(); }
 
@@ -158,7 +155,6 @@ class Fleet {
   CrossFlowId StartCrossHostFlow(const CrossHostFlowSpec& spec);
   // Last coupled end-to-end rate (zero before the first tick after start).
   sim::Bandwidth CrossHostRate(CrossFlowId id) const;
-  int cross_host_flow_count() const { return static_cast<int>(cross_flows_.size()); }
 
   // -- Time --------------------------------------------------------------------
   // One fleet tick: every host settles pending mutations and runs its
@@ -178,7 +174,6 @@ class Fleet {
   // Builds and starts one heartbeat mesh per host (config.participants is
   // replaced per host with that host's Devices()). Idempotent.
   void EnableHeartbeats(anomaly::HeartbeatMesh::Config config = {});
-  bool heartbeats_enabled() const { return !meshes_.empty(); }
 
   // Fleet-level root cause: every host's congested links and suspects,
   // merged in host order, plus saturated inter-host links and heartbeat

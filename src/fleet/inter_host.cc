@@ -10,8 +10,8 @@ InterHostNetwork::InterHostNetwork(const Config& config) : config_(config) {
   racks_ = (config_.hosts + config_.hosts_per_rack - 1) / config_.hosts_per_rack;
   capacity_.resize(static_cast<size_t>(2 * config_.hosts + 2 * racks_), 0.0);
   for (int h = 0; h < config_.hosts; ++h) {
-    capacity_[static_cast<size_t>(HostUpIndex(h))] = config_.host_up.bytes_per_sec();
-    capacity_[static_cast<size_t>(HostDownIndex(h))] = config_.host_down.bytes_per_sec();
+    capacity_[static_cast<size_t>(HostUpIndex(h))] = kHostLinkCapacity.bytes_per_sec();
+    capacity_[static_cast<size_t>(HostDownIndex(h))] = kHostLinkCapacity.bytes_per_sec();
   }
   for (int r = 0; r < racks_; ++r) {
     capacity_[static_cast<size_t>(RackUpIndex(r))] = config_.rack_up.bytes_per_sec();

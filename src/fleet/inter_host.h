@@ -40,15 +40,15 @@ struct InterHostLinkUse {
   double utilization = 0.0;  // rate / capacity in [0, 1].
 };
 
+// Each direction of a host's access link: 100GbE.
+inline constexpr sim::Bandwidth kHostLinkCapacity = sim::Bandwidth::Gbps(100);
+
 class InterHostNetwork {
  public:
   struct Config {
     int hosts = 1;
     int hosts_per_rack = 32;
-    // 100GbE host access links; 4:1 oversubscribed rack uplinks by default
-    // at a full rack.
-    sim::Bandwidth host_up = sim::Bandwidth::Gbps(100);
-    sim::Bandwidth host_down = sim::Bandwidth::Gbps(100);
+    // Rack uplinks 4:1 oversubscribed by default at a full rack.
     sim::Bandwidth rack_up = sim::Bandwidth::Gbps(800);
     sim::Bandwidth rack_down = sim::Bandwidth::Gbps(800);
   };
@@ -58,10 +58,8 @@ class InterHostNetwork {
   InterHostNetwork(const InterHostNetwork&) = delete;
   InterHostNetwork& operator=(const InterHostNetwork&) = delete;
 
-  int hosts() const { return config_.hosts; }
   int racks() const { return racks_; }
   int RackOf(int host) const { return host / config_.hosts_per_rack; }
-  size_t link_count() const { return capacity_.size(); }
 
   // -- Flows -------------------------------------------------------------------
   // Adds a src -> dst flow (src != dst) and returns its slot. Slots are

@@ -36,11 +36,11 @@ class HostNetwork {
   enum class Preset { kCommodityTwoSocket, kDgxClass, kEdgeNode };
 
   // Which manageability services the constructor starts; anything not
-  // auto-started here can be started later via StartCollector() /
-  // StartManager().
+  // auto-started here can be started later via collector().Start() /
+  // manager().Start().
   enum class Autostart {
     // Nothing runs until explicitly started. Telemetry reporting to the
-    // monitor store is still wired, so a later StartCollector() reports.
+    // monitor store is still wired, so a later collector().Start() reports.
     kNone,
     kCollectorOnly,
     // Collector + manager (the default, matching a managed production host).
@@ -96,11 +96,6 @@ class HostNetwork {
 
   // The diagnostic toolbox, pre-bound to this network's fabric.
   diagnose::Session& diagnose() { return *diagnose_; }
-
-  // -- Service control --------------------------------------------------------------
-  // Idempotent; for services not covered by Options::autostart.
-  void StartCollector() { collector_->Start(); }
-  void StartManager() { manager_->Start(); }
 
   // -- Conveniences ----------------------------------------------------------------
   sim::TimeNs Now() const { return sim_.Now(); }

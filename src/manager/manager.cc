@@ -12,6 +12,10 @@ namespace {
 
 constexpr double kUnlimited = fabric::kUnlimitedDemand;
 
+// Relative weight of an unallocated best-effort flow vs. tenant weights
+// when slack is redistributed.
+constexpr double kScavengerWeight = 0.1;
+
 }  // namespace
 
 std::string_view ModeName(ManagerConfig::Mode mode) {
@@ -65,19 +69,16 @@ SubmitResult Manager::SubmitIntent(fabric::TenantId tenant, PerformanceTarget ta
   SubmitResult result;
   if (!tenants_.contains(tenant)) {
     result.error = "unknown tenant";
-    ++rejected_;
     return result;
   }
   if (target.bandwidth.bytes_per_sec() <= 0.0) {
     result.error = "non-positive bandwidth target";
-    ++rejected_;
     return result;
   }
   const auto placement = scheduler_.Place(target, AdmissionLedger(tenant, target));
   if (!placement) {
     place_span.Arg("admitted", 0.0);
     result.error = "no feasible path: capacity or latency bound unsatisfiable";
-    ++rejected_;
     return result;
   }
   if (place_span.active()) {
@@ -94,7 +95,6 @@ SubmitResult Manager::SubmitIntent(fabric::TenantId tenant, PerformanceTarget ta
   alloc.path = placement->path;
   allocations_.emplace(id, std::move(alloc));
   RecomputeLedger();
-  ++admitted_;
   result.id = id;
   return result;
 }
@@ -306,7 +306,7 @@ void Manager::ArbitrateOnce() {
   }
   for (const Scavenger& s : scavengers) {
     for (const int32_t index : s.links) {
-      claim[index] += config_.scavenger_weight;
+      claim[index] += kScavengerWeight;
     }
   }
 
@@ -350,12 +350,12 @@ void Manager::ArbitrateOnce() {
 
   // Scavengers: best-effort share of the slack only. Reservations stay
   // protected; in work-conserving mode they compete with allocation
-  // bonuses at scavenger_weight.
+  // bonuses at kScavengerWeight.
   for (const Scavenger& s : scavengers) {
     double limit = std::numeric_limits<double>::infinity();
     for (const int32_t index : s.links) {
       const double c = claim[index];
-      limit = std::min(limit, c > 0.0 ? leftover_of(index) * config_.scavenger_weight / c
+      limit = std::min(limit, c > 0.0 ? leftover_of(index) * kScavengerWeight / c
                                       : leftover_of(index));
     }
     if (!std::isfinite(limit)) {

@@ -39,9 +39,6 @@ struct ManagerConfig {
   // Enforcement cadence. §3.2 Q3 asks for microsecond-level arbitration;
   // bench_manager_overhead measures what a pass costs.
   sim::TimeNs arbiter_quantum = sim::TimeNs::Micros(100);
-  // Relative weight of an unallocated best-effort flow vs. tenant weights
-  // when slack is redistributed.
-  double scavenger_weight = 0.1;
   SchedulerConfig scheduler;
 };
 
@@ -132,10 +129,7 @@ class Manager {
   VirtualView TenantView(fabric::TenantId tenant);
   sim::Bandwidth ReservedOn(topology::DirectedLink link) const;
 
-  const ManagerConfig& config() const { return config_; }
   uint64_t arbitrations() const { return arbitrations_; }
-  uint64_t admitted() const { return admitted_; }
-  uint64_t rejected() const { return rejected_; }
 
  private:
   // Rebuilds reserved_ from live allocations (resource-model aware).
@@ -162,8 +156,6 @@ class Manager {
   sim::EventHandle arbiter_timer_;
   bool running_ = false;
   uint64_t arbitrations_ = 0;
-  uint64_t admitted_ = 0;
-  uint64_t rejected_ = 0;
 };
 
 }  // namespace mihn::manager

@@ -52,7 +52,6 @@ class Scheduler {
   std::optional<Placement> Place(const PerformanceTarget& target,
                                  const std::map<int32_t, double>& reserved) const;
 
-  const SchedulerConfig& config() const { return config_; }
 
  private:
   const fabric::Fabric& fabric_;

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace mihn::manager {
+namespace {
+
+// Delivered bandwidth must reach promise * tolerance.
+constexpr double kBandwidthTolerance = 0.95;
+
+}  // namespace
 
 SloMonitor::SloMonitor(Manager& manager, fabric::Fabric& fabric, Config config)
     : manager_(manager), fabric_(fabric), config_(config) {}
@@ -18,7 +24,6 @@ void SloMonitor::Start() {
 SloMonitor::~SloMonitor() { timer_.Cancel(); }
 
 void SloMonitor::CheckOnce() {
-  ++checks_;
   const sim::TimeNs now = fabric_.simulation().Now();
   for (const AllocationId id : manager_.AllAllocations()) {
     const Allocation* alloc = manager_.GetAllocation(id);
@@ -40,7 +45,7 @@ void SloMonitor::CheckOnce() {
       }
     }
     const double entitled = std::min(offered, promise);
-    if (entitled > 0.0 && delivered < entitled * config_.bandwidth_tolerance) {
+    if (entitled > 0.0 && delivered < entitled * kBandwidthTolerance) {
       passed = false;
       Violation v;
       v.at = now;

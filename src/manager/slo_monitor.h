@@ -29,8 +29,6 @@ class SloMonitor {
  public:
   struct Config {
     sim::TimeNs period = sim::TimeNs::Millis(1);
-    // Delivered bandwidth must reach promise * tolerance.
-    double bandwidth_tolerance = 0.95;
     // Retained violation records; the oldest are evicted beyond this and
     // counted in violations_dropped() — mirrors sim::TimeSeries eviction
     // accounting so a violating allocation can't grow memory without bound
@@ -78,7 +76,6 @@ class SloMonitor {
   // Fraction of checks an allocation passed (1.0 if never checked).
   double Compliance(AllocationId id) const;
 
-  uint64_t checks_performed() const { return checks_; }
 
  private:
   struct Tally {
@@ -97,7 +94,6 @@ class SloMonitor {
   std::map<AllocationId, Tally> tallies_;
   sim::EventHandle timer_;
   bool running_ = false;
-  uint64_t checks_ = 0;
 };
 
 }  // namespace mihn::manager

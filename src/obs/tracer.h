@@ -113,11 +113,6 @@ class Tracer {
 
   bool enabled() const { return enabled_; }
   bool profiling() const { return config_.profiling; }
-  const TraceConfig& config() const { return config_; }
-
-  // Rebinds the virtual clock source (used when a tracer outlives or
-  // predates its simulation).
-  void BindSimulation(const sim::VirtualClock* clock) { clock_ = clock; }
 
   // -- Recording (macro entry points) -----------------------------------------
   // Fills |span|'s start stamps. No-op when disabled.
@@ -134,8 +129,6 @@ class Tracer {
   std::vector<Span> spans() const;
   std::vector<CounterSample> counters() const;
 
-  uint64_t spans_recorded() const { return spans_recorded_; }
-  uint64_t counters_recorded() const { return counters_recorded_; }
   uint64_t dropped_spans() const { return dropped_spans_; }
   uint64_t dropped_counters() const { return dropped_counters_; }
 

@@ -5,12 +5,12 @@
 // Every scheduled event (and every pre-advance hook) occupies one pooled
 // slot, split across two parallel arrays:
 //
-//   Meta (16 bytes, four per cache line) — generation counter, free-list
+//   Meta (12 bytes, five per cache line) — generation counter, free-list
 //     link and lifecycle flags: everything the dispatch loop's bookkeeping
 //     (allocate, cancel checks, free) reads and writes. Keeping these dense
 //     matters: under load the slab spans megabytes and slot indices arrive
 //     in allocation order, not address order, so every slot touch is a
-//     potential cache miss — a miss on a 16-byte record costs a quarter of
+//     potential cache miss — a miss on a 12-byte record costs a fifth of
 //     the line a fat struct would.
 //   Payload (cold) — the callback, the static label and the periodic
 //     re-arm interval: read only when the event actually fires.
@@ -19,16 +19,12 @@
 // steady-state schedule/fire mix performs zero heap allocations once the
 // pool has reached its high-water mark. A slot's generation counter is
 // bumped on every Free(): an EventHandle is just {pool, index, generation},
-// and a handle whose generation no longer matches is inert — Cancel() and
-// IsCancelled() stay O(1) and safe after the event fired and the slot was
-// recycled.
+// and a handle whose generation no longer matches is inert — Cancel()
+// stays O(1) and safe after the event fired and the slot was recycled.
 //
 // Cancelling a queued event removes its queue entry (EventQueue::Remove)
 // and frees the slot on the spot, so the dispatch loop never pops a
-// cancelled event and every queued entry is live. The slot's
-// cancelled_generation keeps IsCancelled() truthful after that: it
-// remembers which generation was cancelled until the slot is next
-// cancelled under a new life.
+// cancelled event and every queued entry is live.
 
 #ifndef MIHN_SRC_SIM_EVENT_POOL_H_
 #define MIHN_SRC_SIM_EVENT_POOL_H_
@@ -53,10 +49,9 @@ class EventPool {
   static constexpr uint32_t kCancelled = 1u << 1;
   static constexpr uint32_t kPeriodic = 1u << 2;  // Re-arms in place after firing.
 
-  // Hot per-slot bookkeeping. 16 bytes — keep it that way.
+  // Hot per-slot bookkeeping. 12 bytes — keep it that way.
   struct Meta {
     uint32_t generation = 1;
-    uint32_t cancelled_generation = 0;  // Last generation to be cancelled.
     uint32_t next_free = kNoSlot;
     uint32_t flags = 0;
   };
@@ -115,7 +110,6 @@ class EventPool {
   }
 
   Meta& meta(uint32_t index) { return metas_[index]; }
-  const Meta& meta(uint32_t index) const { return metas_[index]; }
   Payload& payload(uint32_t index) {
     return payload_chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
@@ -135,23 +129,9 @@ class EventPool {
       return;
     }
     m.flags |= kCancelled;
-    m.cancelled_generation = generation;
     if (queue_->Remove(index)) {
       Free(index);
     }
-  }
-
-  bool HandleCancelled(uint32_t index, uint32_t generation) const {
-    if (index >= metas_.size()) {
-      return false;
-    }
-    const Meta& m = metas_[index];
-    if (m.generation == generation) {
-      return (m.flags & kInUse) != 0 && (m.flags & kCancelled) != 0;
-    }
-    // The slot moved on; the cancellation record survives until the
-    // slot's next life is itself cancelled.
-    return m.cancelled_generation == generation;
   }
 
   // Pre-sizes the slab so growth never reallocates mid-run (Allocate still
@@ -180,10 +160,9 @@ class EventPool {
 
 // Cancellation handle for a scheduled event or pre-advance hook. Copyable;
 // cancelling any copy cancels the event. A default-constructed handle is
-// inert. Once the event has fired every handle to it goes inert: Cancel()
-// is a no-op and IsCancelled() reports false. A cancelled (never-fired)
-// event keeps reporting IsCancelled() until its slot is recycled into a new
-// cancelled life. Handles must not outlive the Simulation that issued them.
+// inert. Once the event has fired or been cancelled every handle to it goes
+// inert: Cancel() is a no-op, even after the slot is reused by a later
+// event. Handles must not outlive the Simulation that issued them.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -194,11 +173,6 @@ class EventHandle {
     if (pool_ != nullptr) {
       pool_->CancelHandle(index_, generation_);
     }
-  }
-
-  // True once Cancel() has taken effect (see class comment for lifetime).
-  bool IsCancelled() const {
-    return pool_ != nullptr && pool_->HandleCancelled(index_, generation_);
   }
 
  private:

@@ -7,8 +7,6 @@
 
 namespace mihn::sim {
 
-ReferenceSimulation::ReferenceSimulation(uint64_t seed) : root_rng_(seed) {}
-
 ReferenceSimulation::Handle ReferenceSimulation::ScheduleAt(TimeNs at,
                                                             std::function<void()> fn,
                                                             const char* label) {

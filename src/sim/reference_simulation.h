@@ -28,7 +28,6 @@
 #include <queue>
 #include <vector>
 
-#include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -48,8 +47,6 @@ class ReferenceSimulation : public VirtualClock {
       }
     }
 
-    bool IsCancelled() const { return cancelled_ && *cancelled_; }
-
    private:
     friend class ReferenceSimulation;
     explicit Handle(std::shared_ptr<bool> flag) : cancelled_(std::move(flag)) {}
@@ -57,7 +54,7 @@ class ReferenceSimulation : public VirtualClock {
     std::shared_ptr<bool> cancelled_;
   };
 
-  explicit ReferenceSimulation(uint64_t seed = 1);
+  ReferenceSimulation() = default;
 
   ReferenceSimulation(const ReferenceSimulation&) = delete;
   ReferenceSimulation& operator=(const ReferenceSimulation&) = delete;
@@ -84,8 +81,6 @@ class ReferenceSimulation : public VirtualClock {
 
   // Exact live pending count (cancelled entries excluded), by scan.
   size_t pending_events() const;
-
-  Rng ForkRng(uint64_t stream_id) const { return root_rng_.Fork(stream_id); }
 
  private:
   struct Event {
@@ -121,7 +116,6 @@ class ReferenceSimulation : public VirtualClock {
   Queue queue_;
   std::vector<std::pair<std::shared_ptr<bool>, std::function<void()>>> pre_advance_hooks_;
   EventObserver* observer_ = nullptr;
-  Rng root_rng_;
 };
 
 }  // namespace mihn::sim

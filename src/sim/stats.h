@@ -1,5 +1,4 @@
-// Statistics primitives: running count/mean/min/max and a log-bucketed
-// histogram.
+// Statistics primitives: a running mean/max and a log-bucketed histogram.
 //
 // Telemetry, the anomaly detectors, and every benchmark report through
 // these. The histogram is HDR-style (logarithmic major buckets with linear
@@ -15,22 +14,18 @@
 
 namespace mihn::sim {
 
-// Running count, mean, min and max: O(1) memory, with the numerically
-// stable incremental mean of Welford's method.
+// Running mean and max: O(1) memory, with the numerically stable
+// incremental mean of Welford's method.
 class RunningStats {
  public:
   void Add(double x);
 
-  int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return count_ > 0 ? mean_ * static_cast<double>(count_) : 0.0; }
 
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 
@@ -44,7 +39,6 @@ class Histogram {
 
   int64_t count() const { return count_; }
   double mean() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
 
   // Value at quantile |q| in [0, 1]; e.g. Percentile(0.99) is p99.

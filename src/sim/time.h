@@ -19,8 +19,8 @@ namespace mihn::sim {
 // A point in (or duration of) simulated time, in integer nanoseconds.
 //
 // TimeNs is used for both instants and durations; the arithmetic provided
-// (instant + duration, instant - instant, duration scaling) covers both
-// uses without a second type. Construct via the named factories:
+// (instant + duration, instant - instant, and Scale() for a duration)
+// covers both uses without a second type. Construct via the named factories:
 //
 //   TimeNs t = TimeNs::Micros(3) + TimeNs::Nanos(250);
 class TimeNs {
@@ -48,17 +48,8 @@ class TimeNs {
   // Arithmetic.
   constexpr TimeNs operator+(TimeNs other) const { return TimeNs(ns_ + other.ns_); }
   constexpr TimeNs operator-(TimeNs other) const { return TimeNs(ns_ - other.ns_); }
-  constexpr TimeNs operator*(int64_t k) const { return TimeNs(ns_ * k); }
-  constexpr TimeNs operator/(int64_t k) const { return TimeNs(ns_ / k); }
-  constexpr double operator/(TimeNs other) const {
-    return static_cast<double>(ns_) / static_cast<double>(other.ns_);
-  }
   TimeNs& operator+=(TimeNs other) {
     ns_ += other.ns_;
-    return *this;
-  }
-  TimeNs& operator-=(TimeNs other) {
-    ns_ -= other.ns_;
     return *this;
   }
 

@@ -35,8 +35,6 @@ class TimeSeries {
   void Append(TimeNs time, double value);
 
   size_t size() const { return buffer_.size(); }
-  bool empty() const { return buffer_.empty(); }
-  size_t capacity() const { return capacity_; }
 
   // Number of points evicted due to capacity overflow.
   uint64_t dropped() const { return dropped_; }
@@ -48,7 +46,6 @@ class TimeSeries {
   }
 
   const TimePoint& Latest() const { return At(size() - 1); }
-  const TimePoint& Oldest() const { return At(0); }
 
   // Index of the oldest retained point with time > |t|, or size() if there
   // is none. Walks back from the newest point, so a reader that remembers

@@ -1,4 +1,4 @@
-// Bandwidth and byte-count units.
+// The bandwidth unit.
 //
 // The paper's Figure 1 mixes GB/s (memory and inter-socket fabrics) and
 // Gbps (PCIe and Ethernet); a strong Bandwidth type avoids the classic
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/core/check.h"
-#include "src/sim/time.h"
 
 namespace mihn::sim {
 
@@ -24,8 +23,6 @@ class Bandwidth {
 
   // A rate is a magnitude: the named factories reject negative and NaN
   // inputs under invariant-check builds (v >= 0.0 is false for NaN).
-  // Differences (headroom, deficits) built with operator- may still go
-  // negative; IsZero() treats those as empty.
   static constexpr Bandwidth BytesPerSec(double v) {
     MIHN_DCHECK(v >= 0.0);
     return Bandwidth(v);
@@ -52,25 +49,8 @@ class Bandwidth {
 
   constexpr bool IsZero() const { return bps_ <= 0.0; }
 
-  // Time to move |bytes| at this rate. Returns TimeNs::Max() for zero rate.
-  TimeNs TransferTime(int64_t bytes) const {
-    if (bps_ <= 0.0) {
-      return TimeNs::Max();
-    }
-    return TimeNs::FromSecondsF(static_cast<double>(bytes) / bps_);
-  }
-
-  constexpr Bandwidth operator+(Bandwidth o) const { return Bandwidth(bps_ + o.bps_); }
-  constexpr Bandwidth operator-(Bandwidth o) const { return Bandwidth(bps_ - o.bps_); }
-  constexpr Bandwidth operator*(double k) const { return Bandwidth(bps_ * k); }
-  constexpr Bandwidth operator/(double k) const { return Bandwidth(bps_ / k); }
-  constexpr double operator/(Bandwidth o) const { return bps_ / o.bps_; }
   Bandwidth& operator+=(Bandwidth o) {
     bps_ += o.bps_;
-    return *this;
-  }
-  Bandwidth& operator-=(Bandwidth o) {
-    bps_ -= o.bps_;
     return *this;
   }
 
@@ -84,10 +64,6 @@ class Bandwidth {
 
   double bps_ = 0.0;
 };
-
-constexpr int64_t KiB(int64_t n) { return n * 1024; }
-constexpr int64_t MiB(int64_t n) { return n * 1024 * 1024; }
-constexpr int64_t GiB(int64_t n) { return n * 1024 * 1024 * 1024; }
 
 }  // namespace mihn::sim
 

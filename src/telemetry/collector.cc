@@ -109,24 +109,17 @@ void Collector::SampleOnce() {
   // Q2: ship the encoded samples across the fabric to the collection point.
   if (config_.report_to != topology::kInvalidComponent) {
     if (!report_path_resolved_) {
-      topology::ComponentId from = config_.report_from;
-      if (from == topology::kInvalidComponent) {
-        const auto sockets =
-            fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket);
-        if (!sockets.empty()) {
-          from = sockets.front();
-        }
-      }
-      if (from != topology::kInvalidComponent && from != config_.report_to) {
-        if (auto p = fabric_.Route(from, config_.report_to)) {
+      // Reports originate at the first CPU socket.
+      const auto sockets = fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket);
+      if (!sockets.empty() && sockets.front() != config_.report_to) {
+        if (auto p = fabric_.Route(sockets.front(), config_.report_to)) {
           report_path_ = std::move(*p);
         }
       }
       report_path_resolved_ = true;
     }
     if (!report_path_.empty()) {
-      const int64_t bytes =
-          static_cast<int64_t>(last_tick_metrics_) * config_.bytes_per_sample;
+      const int64_t bytes = static_cast<int64_t>(last_tick_metrics_) * kBytesPerSample;
       fabric::PacketSpec pkt;
       pkt.path = report_path_;
       pkt.bytes = bytes;

@@ -46,6 +46,9 @@ enum class Granularity {
 
 inline constexpr sim::TimeNs kCoarseMinPeriod = sim::TimeNs::Millis(100);
 
+// Encoded size of one metric sample on the wire.
+inline constexpr int64_t kBytesPerSample = 16;
+
 class Collector {
  public:
   struct Config {
@@ -54,14 +57,9 @@ class Collector {
     // Retained points per series (the storage half of Q2).
     size_t series_capacity = 4096;
     // Where encoded samples are shipped (kInvalidComponent = processed
-    // in-place, no fabric cost).
+    // in-place, no fabric cost). Reports travel from the first CPU socket
+    // to it, kBytesPerSample bytes per metric.
     topology::ComponentId report_to = topology::kInvalidComponent;
-    // Encoded size of one metric sample on the wire.
-    int64_t bytes_per_sample = 16;
-    // Sources whose samples originate at a device (the reporting packet
-    // travels source -> report_to). By default reports originate at the
-    // first CPU socket.
-    topology::ComponentId report_from = topology::kInvalidComponent;
   };
 
   Collector(fabric::Fabric& fabric, Config config);
@@ -74,7 +72,6 @@ class Collector {
 
   // Begins periodic sampling. Idempotent.
   void Start();
-  bool running() const { return running_; }
 
   // Takes one sample immediately (also used internally by the timer).
   void SampleOnce();
@@ -108,8 +105,6 @@ class Collector {
   // Points dropped across all series due to capacity (storage pressure).
   uint64_t total_dropped_points() const;
 
-  const Config& config() const { return config_; }
-  fabric::Fabric& fabric() { return fabric_; }
 
  private:
   // The series of one directed link. A null handle is a series that has

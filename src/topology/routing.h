@@ -25,7 +25,6 @@ struct Path {
   std::vector<DirectedLink> hops;
 
   bool empty() const { return hops.empty(); }
-  ComponentId source() const { return nodes.front(); }
   ComponentId destination() const { return nodes.back(); }
 
   // Sum of per-hop base latencies (unloaded end-to-end latency).

@@ -38,7 +38,6 @@ class RingAllReduce : public Workload {
 
   // Communication-phase duration per iteration, ms.
   const sim::Histogram& comm_ms() const { return comm_ms_; }
-  int64_t iterations() const { return comm_ms_.count(); }
 
   // Algorithm ("bus") bandwidth of the last completed iteration:
   // 2*(N-1)/N * tensor_bytes / comm_time — the metric NCCL reports.

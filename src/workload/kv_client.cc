@@ -3,6 +3,12 @@
 #include <utility>
 
 namespace mihn::workload {
+namespace {
+
+constexpr int64_t kRequestBytes = 64;
+constexpr int64_t kResponseBytes = 4096;
+
+}  // namespace
 
 KvClient::KvClient(fabric::Fabric& fabric, Config config)
     : fabric_(fabric), config_(std::move(config)) {
@@ -48,7 +54,7 @@ void KvClient::IssueOp() {
 
   fabric::PacketSpec request;
   request.path = request_path_;
-  request.bytes = config_.request_bytes;
+  request.bytes = kRequestBytes;
   request.tenant = config_.tenant;
   request.klass = fabric::TrafficClass::kData;
   request.on_delivered = [this, issued, gen, &sim](sim::TimeNs) {
@@ -62,7 +68,7 @@ void KvClient::IssueOp() {
       }
       fabric::PacketSpec response;
       response.path = response_path_;
-      response.bytes = config_.response_bytes;
+      response.bytes = kResponseBytes;
       response.tenant = config_.tenant;
       response.klass = fabric::TrafficClass::kData;
       response.on_delivered = [this, issued, gen](sim::TimeNs) {

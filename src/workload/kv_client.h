@@ -3,7 +3,7 @@
 // A remote client issues GET requests across the inter-host link; the
 // request DMA lands in host memory, the host serves it after a fixed
 // service time, and the response travels back. The client keeps
-// |concurrency| requests outstanding. Request/response packets observe
+// |concurrency| requests (64 B each, 4 KiB responses) outstanding. Request/response packets observe
 // congestion latency on every fabric hop, so co-located bulk traffic on the
 // PCIe root port or memory bus directly inflates the recorded tail — the
 // paper's interference narrative, measurable.
@@ -26,8 +26,6 @@ class KvClient : public Workload {
     topology::ComponentId client = topology::kInvalidComponent;  // e.g. external host.
     topology::ComponentId server = topology::kInvalidComponent;  // e.g. CPU socket.
     int concurrency = 4;
-    int64_t request_bytes = 64;
-    int64_t response_bytes = 4096;
     // Host-side service time per op (hash lookup + syscall-free RDMA path).
     sim::TimeNs service_time = sim::TimeNs::Micros(1);
     fabric::TenantId tenant = fabric::kNoTenant;

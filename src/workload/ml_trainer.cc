@@ -9,11 +9,6 @@ MlTrainer::MlTrainer(fabric::Fabric& fabric, Config config)
   if (auto p = fabric_.Route(config_.data_source, config_.gpu)) {
     load_path_ = std::move(*p);
   }
-  if (config_.gradient_bytes > 0 && config_.gradient_sink != topology::kInvalidComponent) {
-    if (auto p = fabric_.Route(config_.gpu, config_.gradient_sink)) {
-      gradient_path_ = std::move(*p);
-    }
-  }
 }
 
 void MlTrainer::Start() {
@@ -38,7 +33,6 @@ void MlTrainer::BeginIteration() {
   if (!running_) {
     return;
   }
-  const sim::TimeNs iter_start = fabric_.simulation().Now();
   const uint64_t gen = generation_;
   fabric::TransferSpec spec;
   spec.flow.path = load_path_;
@@ -46,47 +40,23 @@ void MlTrainer::BeginIteration() {
   spec.flow.weight = config_.weight;
   spec.flow.demand = config_.load_demand;
   spec.bytes = config_.batch_bytes;
-  spec.on_complete = [this, iter_start, gen](const fabric::TransferResult& result) {
+  spec.on_complete = [this, gen](const fabric::TransferResult& result) {
     if (gen != generation_) {
       return;
     }
     active_transfer_ = fabric::kInvalidFlow;
     load_bandwidth_gbps_.Add(result.AverageRate().ToGBps());
-    fabric_.simulation().ScheduleAfter(config_.compute_time,
-                                       [this, iter_start, gen] {
-                                         if (gen == generation_) {
-                                           AfterCompute(iter_start);
-                                         }
-                                       });
+    fabric_.simulation().ScheduleAfter(config_.compute_time, [this, gen] {
+      if (gen == generation_) {
+        FinishIteration();
+      }
+    });
   };
   active_transfer_ = fabric_.StartTransfer(std::move(spec));
 }
 
-void MlTrainer::AfterCompute(sim::TimeNs iter_start) {
-  if (!running_) {
-    return;
-  }
-  if (gradient_path_.empty()) {
-    FinishIteration(iter_start);
-    return;
-  }
-  const uint64_t gen = generation_;
-  fabric::TransferSpec spec;
-  spec.flow.path = gradient_path_;
-  spec.flow.tenant = config_.tenant;
-  spec.flow.weight = config_.weight;
-  spec.bytes = config_.gradient_bytes;
-  spec.on_complete = [this, iter_start, gen](const fabric::TransferResult&) {
-    if (gen == generation_) {
-      active_transfer_ = fabric::kInvalidFlow;
-      FinishIteration(iter_start);
-    }
-  };
-  active_transfer_ = fabric_.StartTransfer(std::move(spec));
-}
-
-void MlTrainer::FinishIteration(sim::TimeNs iter_start) {
-  iteration_ms_.Add((fabric_.simulation().Now() - iter_start).ToMillisF());
+void MlTrainer::FinishIteration() {
+  ++iterations_;
   BeginIteration();
 }
 

@@ -1,9 +1,8 @@
 // ML training workload (paper §2).
 //
 // Each iteration loads a training batch from host memory to the GPU (a bulk
-// fluid transfer over the memory bus + PCIe fabric), computes for a fixed
-// time, and optionally pushes gradients out through a NIC. Its bulk
-// transfers are exactly the "substantial workload for CPU-GPU
+// fluid transfer over the memory bus + PCIe fabric), then computes for a
+// fixed time. Its bulk transfers are exactly the "substantial workload for CPU-GPU
 // communication" that interferes with a co-located latency-sensitive
 // service.
 
@@ -25,9 +24,6 @@ class MlTrainer : public Workload {
     topology::ComponentId gpu = topology::kInvalidComponent;
     int64_t batch_bytes = 256LL * 1024 * 1024;
     sim::TimeNs compute_time = sim::TimeNs::Millis(10);
-    // Optional gradient push after compute (0 bytes disables).
-    topology::ComponentId gradient_sink = topology::kInvalidComponent;
-    int64_t gradient_bytes = 0;
     // Cap on the data-load transfer rate (pacing, à la BytePS scheduling);
     // default unlimited.
     sim::Bandwidth load_demand = sim::Bandwidth::BytesPerSec(fabric::kUnlimitedDemand);
@@ -42,23 +38,20 @@ class MlTrainer : public Workload {
   void Stop() override;
   std::string name() const override { return config_.name; }
 
-  // Full iteration (load + compute + optional push) durations, ms.
-  const sim::Histogram& iteration_ms() const { return iteration_ms_; }
-  int64_t iterations() const { return iteration_ms_.count(); }
+  // Completed iterations (load + compute).
+  int64_t iterations() const { return iterations_; }
 
   // Data-load phase achieved bandwidth, GB/s.
   const sim::Histogram& load_bandwidth_gbps() const { return load_bandwidth_gbps_; }
 
  private:
   void BeginIteration();
-  void AfterCompute(sim::TimeNs iter_start);
-  void FinishIteration(sim::TimeNs iter_start);
+  void FinishIteration();
 
   fabric::Fabric& fabric_;
   Config config_;
   topology::Path load_path_;
-  topology::Path gradient_path_;
-  sim::Histogram iteration_ms_;
+  int64_t iterations_ = 0;
   sim::Histogram load_bandwidth_gbps_;
   fabric::FlowId active_transfer_ = fabric::kInvalidFlow;
   uint64_t generation_ = 0;

@@ -125,18 +125,16 @@ void PoissonSource::ScheduleNext() {
         if (gen != generation_) {
           return;
         }
-        const sim::TimeNs issued = fabric_.simulation().Now();
         fabric::TransferSpec spec;
         spec.flow.path = path_;
         spec.flow.tenant = config_.tenant;
         spec.flow.ddio_write = config_.ddio_write;
         spec.bytes = DrawBytes();
-        spec.on_complete = [this, issued, gen](const fabric::TransferResult&) {
+        spec.on_complete = [this, gen](const fabric::TransferResult&) {
           if (gen == generation_) {
-            sojourn_us_.Add((fabric_.simulation().Now() - issued).ToMicrosF());
+            ++completed_;
           }
         };
-        ++started_;
         fabric_.StartTransfer(std::move(spec));
         ScheduleNext();
       });

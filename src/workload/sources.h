@@ -8,7 +8,6 @@
 
 #include "src/fabric/fabric.h"
 #include "src/sim/random.h"
-#include "src/sim/stats.h"
 #include "src/workload/workload.h"
 
 namespace mihn::workload {
@@ -63,7 +62,6 @@ class LoopbackRdma : public Workload {
   void Stop() override;
   std::string name() const override { return config_.name; }
 
-  sim::Bandwidth ReadRate() const { return fabric_.FlowRate(read_flow_); }
   sim::Bandwidth WriteRate() const { return fabric_.FlowRate(write_flow_); }
 
  private:
@@ -74,7 +72,7 @@ class LoopbackRdma : public Workload {
 };
 
 // Open-loop Poisson transfer generator: arrivals ~ Exp(rate), sizes fixed
-// or bounded-Pareto. Records sojourn (transfer completion) latency.
+// or bounded-Pareto. Counts the transfers that complete while it runs.
 class PoissonSource : public Workload {
  public:
   struct Config {
@@ -96,10 +94,7 @@ class PoissonSource : public Workload {
   void Stop() override;
   std::string name() const override { return config_.name; }
 
-  const sim::Histogram& sojourn_us() const { return sojourn_us_; }
-  int64_t started_transfers() const { return started_; }
-  int64_t completed_transfers() const { return sojourn_us_.count(); }
-  int64_t in_flight() const { return started_ - sojourn_us_.count(); }
+  int64_t completed_transfers() const { return completed_; }
 
  private:
   void ScheduleNext();
@@ -109,8 +104,7 @@ class PoissonSource : public Workload {
   Config config_;
   topology::Path path_;
   sim::Rng rng_;
-  sim::Histogram sojourn_us_;
-  int64_t started_ = 0;
+  int64_t completed_ = 0;
   sim::EventHandle next_arrival_;
   uint64_t generation_ = 0;
 };
@@ -138,7 +132,6 @@ class BurstySource : public Workload {
   void Stop() override;
   std::string name() const override { return config_.name; }
 
-  bool IsOn() const { return flow_ != fabric::kInvalidFlow; }
   int64_t bursts() const { return bursts_; }
 
  private:

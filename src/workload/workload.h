@@ -26,8 +26,6 @@ class Workload {
 
   virtual std::string name() const = 0;
 
-  bool running() const { return running_; }
-
  protected:
   bool running_ = false;
 };

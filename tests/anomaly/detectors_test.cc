@@ -43,7 +43,6 @@ TEST(EwmaDetectorTest, AnomalyDoesNotPoisonBaseline) {
   for (int i = 0; i < 50; ++i) {
     d.Observe(T(i), 10.0 + rng.Normal(0.0, 0.3));
   }
-  const double mean_before = d.mean();
   // A sustained shift keeps firing because the baseline is frozen against
   // anomalous samples.
   int fires = 0;
@@ -53,7 +52,8 @@ TEST(EwmaDetectorTest, AnomalyDoesNotPoisonBaseline) {
     }
   }
   EXPECT_EQ(fires, 20);
-  EXPECT_NEAR(d.mean(), mean_before, 1.0);
+  // Back at the old level: the baseline never moved towards the shift.
+  EXPECT_FALSE(d.Observe(T(70), 10.0).has_value());
 }
 
 TEST(EwmaDetectorTest, ResetForgets) {

@@ -50,7 +50,7 @@ fault ddio_off 60 65
   EXPECT_TRUE(config.streams[1].ddio_write);
   EXPECT_TRUE(config.streams[1].slo.IsZero());
 
-  ASSERT_EQ(config.schedule.size(), 5u);
+  ASSERT_EQ(config.schedule.specs().size(), 5u);
   EXPECT_EQ(config.schedule.specs()[0].kind, FaultKind::kKill);
   EXPECT_EQ(config.schedule.specs()[1].capacity_factor, 0.25);
   EXPECT_EQ(config.schedule.specs()[2].extra_latency, TimeNs::Micros(100));

@@ -6,6 +6,7 @@
 #include "src/chaos/executor.h"
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -67,17 +68,21 @@ TEST(TrialExecutorTest, MapPreservesIndexOrderAcrossThreads) {
 TEST(TrialExecutorTest, InlineWidthsRunWithoutAPool) {
   TrialExecutor zero(0);
   TrialExecutor one(1);
-  EXPECT_EQ(zero.workers(), 1);
-  EXPECT_EQ(one.workers(), 1);
   EXPECT_EQ(zero.Map(4, [](size_t i) { return i * 2; }),
             (std::vector<size_t>{0, 2, 4, 6}));
+  // Every index runs on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (TrialExecutor* executor : {&zero, &one}) {
+    EXPECT_EQ(executor->Map(4, [&](size_t) { return std::this_thread::get_id() == caller ? 1 : 0; }),
+              (std::vector<int>{1, 1, 1, 1}));
+  }
 }
 
 // The reference a pooled run must reproduce: RunTrial(i) for every trial,
 // merged in index order by Assemble.
-CampaignResult TrialOrderMerge(const Campaign& campaign) {
+CampaignResult TrialOrderMerge(const Campaign& campaign, int trials) {
   std::vector<TrialRun> runs;
-  for (int trial = 0; trial < campaign.config().trials; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     runs.push_back(campaign.RunTrial(trial));
   }
   return campaign.Assemble(std::move(runs));
@@ -87,7 +92,7 @@ CampaignResult TrialOrderMerge(const Campaign& campaign) {
 // reports across worker counts {0, 1, 2, 8} and vs the trial-order merge.
 TEST(CampaignExecutorTest, ReportBytesIdenticalAcrossWorkerCounts) {
   Campaign campaign(FaultyConfig(4));
-  const std::string reference = CampaignReportJson(TrialOrderMerge(campaign));
+  const std::string reference = CampaignReportJson(TrialOrderMerge(campaign, 4));
   ASSERT_FALSE(reference.empty());
   for (const int workers : {0, 1, 2, 8}) {
     TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
@@ -100,7 +105,7 @@ TEST(CampaignExecutorTest, PooledRunMatchesTrialOrderMerge) {
   // Run(executor) must equal assembling RunTrial(i) results in index
   // order — the merge rule the sweep also relies on.
   Campaign campaign(FaultyConfig(3));
-  const std::string assembled = CampaignReportJson(TrialOrderMerge(campaign));
+  const std::string assembled = CampaignReportJson(TrialOrderMerge(campaign, 3));
   TrialExecutor executor(2, /*clamp_to_hardware=*/false);
   EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), assembled);
 }
@@ -125,7 +130,7 @@ TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
   EXPECT_NE(serial_json.find("\"ok\": false"), std::string::npos);
   EXPECT_NE(serial_json.find("\"error\""), std::string::npos);
   EXPECT_NE(serial_json.find("\"trials_completed\": 0"), std::string::npos);
-  EXPECT_EQ(CampaignReportJson(TrialOrderMerge(campaign)), serial_json);
+  EXPECT_EQ(CampaignReportJson(TrialOrderMerge(campaign, config.trials)), serial_json);
   for (const int workers : {2, 8}) {
     TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
     EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), serial_json)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/topology/presets.h"
 
 namespace mihn::chaos {
@@ -10,6 +12,18 @@ namespace {
 using sim::TimeNs;
 using topology::LinkKind;
 
+// The links of |topo| that carry a fault, in id order.
+std::vector<topology::LinkId> FaultedLinks(const fabric::Fabric& fabric,
+                                           const topology::Topology& topo) {
+  std::vector<topology::LinkId> faulted;
+  for (const topology::Link& link : topo.links()) {
+    if (fabric.GetLinkFault(link.id).has_value()) {
+      faulted.push_back(link.id);
+    }
+  }
+  return faulted;
+}
+
 TEST(FaultScheduleTest, BuildersAppendSpecsInOrder) {
   FaultSchedule schedule;
   schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(10), TimeNs::Millis(20))
@@ -17,7 +31,7 @@ TEST(FaultScheduleTest, BuildersAppendSpecsInOrder) {
       .InflateLatency(LinkKind::kIntraSocket, 0, TimeNs::Micros(10), TimeNs::Millis(40))
       .Flap(LinkKind::kPcieSwitchUp, 1, TimeNs::Micros(500), 0.5, TimeNs::Millis(50))
       .DisableDdio(TimeNs::Millis(60));
-  ASSERT_EQ(schedule.size(), 5u);
+  ASSERT_EQ(schedule.specs().size(), 5u);
   EXPECT_EQ(schedule.specs()[0].kind, FaultKind::kKill);
   EXPECT_EQ(schedule.specs()[1].kind, FaultKind::kDegrade);
   EXPECT_EQ(schedule.specs()[2].kind, FaultKind::kLatency);
@@ -90,13 +104,12 @@ TEST(FaultInjectorTest, KillInjectsAndClearsOnSchedule) {
   injector.Arm();
 
   sim.RunFor(TimeNs::Millis(5));
-  EXPECT_TRUE(fabric.link_faults().empty());
+  EXPECT_TRUE(FaultedLinks(fabric, server.topo).empty());
   sim.RunFor(TimeNs::Millis(10));  // t = 15ms: fault active.
-  ASSERT_EQ(fabric.link_faults().size(), 1u);
-  EXPECT_EQ(fabric.link_faults().begin()->first, link);
-  EXPECT_EQ(fabric.link_faults().begin()->second.capacity_factor, 0.0);
+  ASSERT_EQ(FaultedLinks(fabric, server.topo), std::vector<topology::LinkId>{link});
+  EXPECT_EQ(fabric.GetLinkFault(link)->capacity_factor, 0.0);
   sim.RunFor(TimeNs::Millis(10));  // t = 25ms: cleared.
-  EXPECT_TRUE(fabric.link_faults().empty());
+  EXPECT_TRUE(FaultedLinks(fabric, server.topo).empty());
   EXPECT_EQ(injector.operations(), 2u);
 }
 
@@ -116,8 +129,38 @@ TEST(FaultInjectorTest, FlapTogglesAndEndsClean) {
 
   sim.RunFor(TimeNs::Millis(50));
   // However the cycles land, the link must be healthy after clear_at.
-  EXPECT_TRUE(fabric.link_faults().empty());
+  EXPECT_TRUE(FaultedLinks(fabric, server.topo).empty());
   EXPECT_GE(injector.operations(), 8u);  // 4 kills + >= 4 clears.
+}
+
+// The injector's events capture it: destroying it must cancel every one
+// still pending, or they would run on freed memory.
+TEST(FaultInjectorTest, DestroyedInjectorCancelsItsPendingEvents) {
+  const topology::Server server = topology::CommodityTwoSocket();
+  sim::Simulation sim;
+  fabric::Fabric fabric(sim, server.topo);
+  const topology::LinkId flapped = server.topo.LinksOfKind(LinkKind::kPcieSwitchUp)[1];
+
+  FaultSchedule schedule;
+  schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(10), TimeNs::Millis(20))
+      .Flap(LinkKind::kPcieSwitchUp, 1, TimeNs::Millis(1), 0.5, TimeNs::Millis(2),
+            TimeNs::Millis(30))
+      .DisableDdio(TimeNs::Millis(15), TimeNs::Millis(25));
+  std::string error;
+  {
+    FaultInjector injector(fabric, schedule.Resolve(server.topo, &error),
+                           TimeNs::Millis(50));
+    injector.Arm();
+    sim.RunFor(TimeNs::Millis(5));  // Mid-flap: a revive and a cycle pending.
+    ASSERT_EQ(FaultedLinks(fabric, server.topo), std::vector<topology::LinkId>{flapped});
+  }
+  // The pending inject, clear, flap and DDIO events left with the injector.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.RunFor(TimeNs::Millis(60));
+  // Nothing touched the fabric after the injector died: the flapped link
+  // is still down, the kill never landed and DDIO stayed on.
+  EXPECT_EQ(FaultedLinks(fabric, server.topo), std::vector<topology::LinkId>{flapped});
+  EXPECT_TRUE(fabric.config().ddio_enabled);
 }
 
 TEST(FaultInjectorTest, DdioOffTogglesFabricConfig) {

@@ -79,7 +79,7 @@ TEST(ScorerTest, GraceTailStillAttributes) {
 }
 
 TEST(ScorerTest, HardRecallCountsOnlyHardFaults) {
-  Scorer scorer;
+  Scorer scorer(Scorer::Config{});
   const std::vector<GroundTruth> faults = {
       Fault(0, TimeNs::Millis(10), TimeNs::Millis(20), true),
       Fault(1, TimeNs::Millis(40), TimeNs::Millis(50), false)};
@@ -131,7 +131,7 @@ TEST(ScorerTest, SamplesBeforeDetectionDoNotCountTowardsRecovery) {
 }
 
 TEST(ScorerTest, EmptyInputsScorePerfect) {
-  Scorer scorer;
+  Scorer scorer(Scorer::Config{});
   const TrialScore score = scorer.Score({}, {}, {});
   EXPECT_EQ(score.faults, 0);
   EXPECT_DOUBLE_EQ(score.recall, 1.0);

@@ -56,7 +56,7 @@ TEST(ScaleScheduleTest, ScalesSoftFaultsAndPassesHardOnesThrough) {
   schedule.Kill(LinkKind::kPcieSwitchUp, 1, TimeNs::Millis(7), TimeNs::Millis(8));
 
   const FaultSchedule half = ScaleSchedule(schedule, 0.5);
-  ASSERT_EQ(half.size(), 4u);
+  ASSERT_EQ(half.specs().size(), 4u);
   // Degrade scales the *cut*: a 50% haircut at half intensity cuts 25%.
   EXPECT_DOUBLE_EQ(half.specs()[0].capacity_factor, 0.75);
   EXPECT_EQ(half.specs()[1].extra_latency, TimeNs::Micros(50));

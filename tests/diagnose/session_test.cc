@@ -28,6 +28,28 @@ TEST(HostPingTest, UnloadedPingMatchesPathLatency) {
   EXPECT_LT(result.latency, path.BaseLatency(host.topo()) + TimeNs::Micros(1));
 }
 
+// Ping quotes the price SendPacket charges, interrupt moderation included,
+// on a loaded path (where congestion and serialization both count).
+TEST(HostPingTest, PingChargesWhatSendPacketCharges) {
+  sim::Simulation sim;
+  HostNetwork::Options options = Quiet();
+  options.fabric.interrupt_moderation = TimeNs::Micros(10);
+  HostNetwork host(sim, options);
+  const auto& server = host.server();
+  workload::StreamSource::Config bulk;
+  bulk.src = server.gpus[0];
+  bulk.dst = server.sockets[0];
+  workload::StreamSource stream(host.fabric(), bulk);
+  stream.Start();
+
+  const auto ping = host.diagnose().Ping(server.nics[0], server.sockets[0], 64);
+  ASSERT_TRUE(ping.probe.reachable);
+  fabric::PacketSpec packet;
+  packet.path = ping.probe.path;
+  packet.bytes = 64;
+  EXPECT_EQ(ping.latency, host.fabric().SendPacket(std::move(packet)));
+}
+
 TEST(HostPingTest, ProbeHeaderRecordsEndpointsAndTime) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
@@ -58,7 +80,7 @@ TEST(HostPingTest, PingSeesCongestion) {
   workload::StreamSource stream(host.fabric(), bulk);
   stream.Start();
   const auto after = host.diagnose().Ping(server.nics[0], server.sockets[0]);
-  EXPECT_GT(after.latency, before.latency * 2);
+  EXPECT_GT(after.latency, Scale(before.latency, 2.0));
 }
 
 TEST(HostTraceTest, BreaksDownPerHop) {

@@ -82,10 +82,9 @@ class FuzzHarness {
       StopOne();
     } else if (op < 38) {
       if (const FlowId id = PickOwned(); id != kInvalidFlow) {
-        // Negative limits (an arbiter's deficit arithmetic) clamp to zero.
+        // A negative draw is a zero limit.
         const double gbps = static_cast<double>(rng_.UniformInt(-5, 300));
-        fabric_.SetFlowLimit(id, gbps < 0 ? Bandwidth::Zero() - Bandwidth::Gbps(-gbps)
-                                          : Bandwidth::Gbps(gbps));
+        fabric_.SetFlowLimit(id, gbps < 0 ? Bandwidth::Zero() : Bandwidth::Gbps(gbps));
       }
     } else if (op < 43) {
       // An arbiter's burst of limits at one timestamp. Unknown and stopped
@@ -181,8 +180,8 @@ class FuzzHarness {
   // Lets every surviving transfer drain, then checks each fired exactly
   // once with its requested size (and stopped ones never).
   void Drain() {
-    for (const auto& [link, fault] : std::map<topology::LinkId, LinkFault>(fabric_.link_faults())) {
-      fabric_.ClearLinkFault(link);
+    for (const topology::Link& link : server_.topo.links()) {
+      fabric_.ClearLinkFault(link.id);  // A no-op on a healthy link.
     }
     for (const auto& [id, bytes] : requested_) {
       fabric_.SetFlowDemand(id, Bandwidth::Gbps(100));

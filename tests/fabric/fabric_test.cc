@@ -283,9 +283,9 @@ TEST(FabricTest, ProbeLatencyInflatesUnderLoad) {
   spec.path = path;
   fabric.StartFlow(spec);  // Saturates the bc link.
   const TimeNs loaded = fabric.ProbePathLatency(path);
-  EXPECT_GT(loaded, unloaded * 2);
-  // Capped at max_latency_inflation per hop.
-  EXPECT_LE(loaded, Scale(unloaded, fabric.config().max_latency_inflation));
+  EXPECT_GT(loaded, Scale(unloaded, 2.0));
+  // Capped at kMaxLatencyInflation per hop.
+  EXPECT_LE(loaded, Scale(unloaded, kMaxLatencyInflation));
 }
 
 TEST(FabricTest, PartialLoadInflationIsModerate) {
@@ -424,7 +424,7 @@ TEST(FabricTest, IommuAddsPcieLatency) {
   FabricConfig config;
   config.iommu_enabled = true;
   fabric.SetConfig(config);
-  EXPECT_EQ(fabric.ProbePathLatency(*path), before + config.iommu_latency);
+  EXPECT_EQ(fabric.ProbePathLatency(*path), before + kIommuLatency);
 }
 
 TEST(FabricTest, InterruptModerationDelaysPackets) {

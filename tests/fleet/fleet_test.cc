@@ -65,7 +65,6 @@ TEST(InterHostNetworkTest, SnapshotOrderIsFixed) {
   config.hosts_per_rack = 2;
   InterHostNetwork net(config);
   const auto links = net.SnapshotLinks();
-  ASSERT_EQ(links.size(), net.link_count());
   ASSERT_EQ(links.size(), 2u * 3 + 2u * 2);
   EXPECT_EQ(links[0].host, 0);
   EXPECT_TRUE(links[0].up);
@@ -353,12 +352,12 @@ TEST(FleetTest, TickAdvancesSharedClockAndSamples) {
   Fleet fleet(2, {});
   EXPECT_EQ(fleet.Now(), TimeNs::Zero());
   const FleetSample& first = fleet.Tick();
-  EXPECT_EQ(first.at, fleet.options().tick_period);
+  EXPECT_EQ(first.at, Fleet::Options{}.tick_period);
   EXPECT_EQ(fleet.host(0).Now(), fleet.Now());
   EXPECT_EQ(fleet.host(1).Now(), fleet.Now());
   fleet.Run(2);
   EXPECT_EQ(fleet.samples().size(), 3u);
-  EXPECT_EQ(fleet.samples().back().at.nanos(), 3 * fleet.options().tick_period.nanos());
+  EXPECT_EQ(fleet.samples().back().at.nanos(), 3 * Fleet::Options{}.tick_period.nanos());
 }
 
 TEST(FleetTest, CrossHostFlowCouplesToMinOfStages) {
@@ -374,7 +373,7 @@ TEST(FleetTest, CrossHostFlowCouplesToMinOfStages) {
   const double settled = fleet.CrossHostRate(id).bytes_per_sec();
   EXPECT_GT(settled, 0.0);
   // Bounded by the inter-host access link and by both intra-host stages.
-  EXPECT_LE(settled, fleet.options().inter.host_up.bytes_per_sec());
+  EXPECT_LE(settled, kHostLinkCapacity.bytes_per_sec());
   // After coupling, the source intra-host stage is capped at exactly the
   // end-to-end rate.
   const auto src_flows = fleet.host(0).fabric().ActiveFlows();
@@ -451,7 +450,6 @@ TEST(FleetTest, HeartbeatAlarmsSurfacePerHost) {
     mesh.period = TimeNs::Micros(100);
     mesh.baseline_samples = 4;
     fleet.EnableHeartbeats(mesh);
-    EXPECT_TRUE(fleet.heartbeats_enabled());
     fleet.Run(2);  // Establish baselines on a healthy fleet.
 
     // Silent +5us degradation on host 1, on a link its probes traverse.

@@ -16,7 +16,9 @@ TEST(HostNetworkTest, DefaultBuildIsWired) {
   EXPECT_EQ(host.Now(), TimeNs::Zero());
   EXPECT_GT(host.topo().component_count(), 10u);
   // Collector and manager auto-started.
-  EXPECT_TRUE(host.collector().running());
+  host.RunFor(TimeNs::Millis(2));
+  EXPECT_GT(host.collector().samples_taken(), 0u);
+  EXPECT_GT(host.manager().arbitrations(), 0u);
 }
 
 TEST(HostNetworkTest, PresetsSelectTopology) {

@@ -45,7 +45,6 @@ TEST(ManagerTest, SubmitIntentAdmitsAndReserves) {
   const fabric::TenantId tenant = manager.RegisterTenant("alice");
   const auto result = manager.SubmitIntent(tenant, SsdTarget(host.server(), 10));
   ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_EQ(manager.admitted(), 1u);
   const Allocation* alloc = manager.GetAllocation(result.id);
   ASSERT_NE(alloc, nullptr);
   EXPECT_EQ(alloc->tenant, tenant);
@@ -61,7 +60,7 @@ TEST(ManagerTest, RejectsUnknownTenantAndBadTargets) {
   EXPECT_FALSE(manager.SubmitIntent(42, SsdTarget(host.server(), 10)).ok());
   const fabric::TenantId tenant = manager.RegisterTenant("alice");
   EXPECT_FALSE(manager.SubmitIntent(tenant, SsdTarget(host.server(), 0)).ok());
-  EXPECT_EQ(manager.rejected(), 2u);
+  EXPECT_TRUE(manager.AllAllocations().empty());
 }
 
 TEST(ManagerTest, AdmissionControlRejectsOversubscription) {

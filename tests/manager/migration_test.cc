@@ -110,7 +110,7 @@ TEST(MigrationTest, RepairLeavesADeadHopAndAClearedFaultRestoresThePath) {
   EXPECT_EQ(manager.RepairFaultedAllocations(), std::vector<AllocationId>{alloc.id});
   const topology::Path& repaired = manager.GetAllocation(alloc.id)->path;
   EXPECT_FALSE(repaired.Uses(hop->link));
-  EXPECT_EQ(repaired.source(), target.src);
+  EXPECT_EQ(repaired.nodes.front(), target.src);
   EXPECT_EQ(repaired.destination(), target.dst);
   EXPECT_DOUBLE_EQ(manager.ReservedOn(*hop).ToGBps(), 0.0);
   // Nothing left on a dead hop: a second pass repairs nothing.

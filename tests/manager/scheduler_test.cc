@@ -27,7 +27,7 @@ TEST(SchedulerTest, PlacesFeasibleTarget) {
   target.bandwidth = Bandwidth::Gbps(20);
   const auto placement = scheduler.Place(target, {});
   ASSERT_TRUE(placement.has_value());
-  EXPECT_EQ(placement->path.source(), target.src);
+  EXPECT_EQ(placement->path.nodes.front(), target.src);
   EXPECT_EQ(placement->path.destination(), target.dst);
   EXPECT_GT(placement->max_utilization, 0.0);
 }

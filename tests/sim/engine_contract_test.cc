@@ -72,7 +72,6 @@ TYPED_TEST(EngineContractTest, CancelPreventsExecution) {
   auto h = sim.ScheduleAt(TimeNs::Nanos(10), [&] { this->Mark("cancelled"); });
   sim.ScheduleAt(TimeNs::Nanos(20), [&] { this->Mark("kept"); });
   h.Cancel();
-  EXPECT_TRUE(h.IsCancelled());
   sim.Run();
   EXPECT_EQ(this->order_, (std::vector<std::string>{"kept"}));
   EXPECT_EQ(sim.events_executed(), 1u);
@@ -245,7 +244,6 @@ TYPED_TEST(EngineContractTest, HookCancellingTheNextEventPreventsIt) {
   sim.ScheduleAt(TimeNs::Nanos(30), [&] { this->Mark("e30"); });
   sim.Run();
   EXPECT_TRUE(armed);
-  EXPECT_TRUE(next.IsCancelled());
   EXPECT_EQ(this->order_, (std::vector<std::string>{"e10", "e30"}));
   EXPECT_EQ(sim.events_executed(), 2u);
   EXPECT_EQ(sim.pending_events(), 0u);
@@ -310,17 +308,27 @@ TYPED_TEST(EngineContractTest, NonPositivePeriodIsFatal) {
 }
 
 TYPED_TEST(EngineContractTest, DefaultHandleIsInert) {
+  auto& sim = this->sim_;
+  sim.ScheduleAt(TimeNs::Nanos(10), [&] { this->Mark("e10"); });
   typename TypeParam::Handle h;
-  EXPECT_FALSE(h.IsCancelled());
   h.Cancel();  // Must be a no-op.
-  EXPECT_FALSE(h.IsCancelled());
+  h.Cancel();
+  sim.Run();
+  EXPECT_EQ(this->order_, (std::vector<std::string>{"e10"}));
 }
 
-TYPED_TEST(EngineContractTest, ForkRngIsDeterministicPerStream) {
+// A handle outlives its event: once A has fired, the pooled engine hands
+// A's slot to the next event B under a new generation, and A's old handle
+// must not reach B.
+TYPED_TEST(EngineContractTest, FiredHandleCannotCancelTheNextEventInItsSlot) {
   auto& sim = this->sim_;
-  Rng a = sim.ForkRng(7);
-  Rng b = sim.ForkRng(7);
-  EXPECT_EQ(a.NextU64(), b.NextU64());
+  auto a = sim.ScheduleAt(TimeNs::Nanos(10), [&] { this->Mark("a"); });
+  sim.RunUntil(TimeNs::Nanos(20));
+  sim.ScheduleAt(TimeNs::Nanos(30), [&] { this->Mark("b"); });
+  a.Cancel();
+  sim.Run();
+  EXPECT_EQ(this->order_, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(sim.events_executed(), 2u);
 }
 
 }  // namespace

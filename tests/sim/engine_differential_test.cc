@@ -40,7 +40,7 @@ constexpr const char* kOneShotLabels[] = {"ev.alpha", "ev.beta", "ev.gamma",
 
 template <typename Engine>
 ScriptResult RunScript(uint64_t seed) {
-  Engine sim(seed);
+  Engine sim;
   obs::TraceConfig config;
   config.enabled = true;
   obs::Tracer tracer(config, &sim);

@@ -61,7 +61,6 @@ TEST(SimulationTest, CancelPreventsExecution) {
   bool fired = false;
   EventHandle h = sim.ScheduleAt(TimeNs::Nanos(10), [&] { fired = true; });
   h.Cancel();
-  EXPECT_TRUE(h.IsCancelled());
   sim.Run();
   EXPECT_FALSE(fired);
 }
@@ -77,10 +76,14 @@ TEST(SimulationTest, CancelCopyCancelsOriginal) {
 }
 
 TEST(SimulationTest, DefaultHandleIsInert) {
+  Simulation sim;
+  bool fired = false;
+  sim.ScheduleAt(TimeNs::Nanos(10), [&] { fired = true; });
   EventHandle h;
-  EXPECT_FALSE(h.IsCancelled());
-  h.Cancel();  // Must not crash.
-  EXPECT_FALSE(h.IsCancelled());
+  h.Cancel();  // Must not crash, nor touch a scheduled event.
+  h.Cancel();
+  sim.Run();
+  EXPECT_TRUE(fired);
 }
 
 TEST(SimulationTest, PeriodicFiresRepeatedlyUntilCancelled) {
@@ -235,7 +238,6 @@ TEST(SimulationTest, CancelFreesItsSlotAtOnce) {
   for (int i = 0; i < 10000; ++i) {
     EventHandle h = sim.ScheduleAfter(TimeNs::Seconds(1), [] {});
     h.Cancel();
-    EXPECT_TRUE(h.IsCancelled());
   }
   EXPECT_EQ(sim.event_pool_capacity(), 1u);
   EXPECT_EQ(sim.pending_events(), 0u);

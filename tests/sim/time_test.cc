@@ -23,17 +23,12 @@ TEST(TimeNsTest, Arithmetic) {
   const TimeNs b = TimeNs::Micros(4);
   EXPECT_EQ((a + b).nanos(), 14'000);
   EXPECT_EQ((a - b).nanos(), 6'000);
-  EXPECT_EQ((a * 3).nanos(), 30'000);
-  EXPECT_EQ((a / 2).nanos(), 5'000);
-  EXPECT_DOUBLE_EQ(a / b, 2.5);
 }
 
 TEST(TimeNsTest, CompoundAssignment) {
   TimeNs t = TimeNs::Nanos(100);
   t += TimeNs::Nanos(50);
   EXPECT_EQ(t.nanos(), 150);
-  t -= TimeNs::Nanos(150);
-  EXPECT_EQ(t, TimeNs::Zero());
 }
 
 TEST(TimeNsTest, Comparisons) {

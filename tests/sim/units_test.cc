@@ -50,40 +50,15 @@ TEST(BandwidthDeathTest, NaNConstructionIsRejected) {
 }
 #endif  // MIHN_ENABLE_INVARIANT_CHECKS
 
-TEST(BandwidthTest, DifferencesMayGoNegativeAndReadAsEmpty) {
-  // Headroom arithmetic is allowed to underflow zero; IsZero() treats the
-  // result as an empty rate.
-  const Bandwidth deficit = Bandwidth::GBps(1) - Bandwidth::GBps(2);
-  EXPECT_TRUE(deficit.IsZero());
-  EXPECT_LT(deficit.bytes_per_sec(), 0.0);
-}
-
-TEST(BandwidthTest, TransferTime) {
-  // 1 GB/s moving 1e9 bytes takes 1 second.
-  EXPECT_EQ(Bandwidth::GBps(1).TransferTime(1'000'000'000), TimeNs::Seconds(1));
-  // 200 Gbps moving 25000 bytes takes 1 microsecond.
-  EXPECT_EQ(Bandwidth::Gbps(200).TransferTime(25'000), TimeNs::Micros(1));
-}
-
-TEST(BandwidthTest, ZeroRateTransferNeverCompletes) {
-  EXPECT_EQ(Bandwidth::Zero().TransferTime(1), TimeNs::Max());
+TEST(BandwidthTest, OnlyTheZeroRateIsZero) {
   EXPECT_TRUE(Bandwidth::Zero().IsZero());
   EXPECT_FALSE(Bandwidth::Gbps(1).IsZero());
 }
 
 TEST(BandwidthTest, Arithmetic) {
-  const Bandwidth a = Bandwidth::GBps(10);
-  const Bandwidth b = Bandwidth::GBps(4);
-  EXPECT_DOUBLE_EQ((a + b).ToGBps(), 14.0);
-  EXPECT_DOUBLE_EQ((a - b).ToGBps(), 6.0);
-  EXPECT_DOUBLE_EQ((a * 2.0).ToGBps(), 20.0);
-  EXPECT_DOUBLE_EQ((a / 2.0).ToGBps(), 5.0);
-  EXPECT_DOUBLE_EQ(a / b, 2.5);
-  Bandwidth c = a;
-  c += b;
+  Bandwidth c = Bandwidth::GBps(10);
+  c += Bandwidth::GBps(4);
   EXPECT_DOUBLE_EQ(c.ToGBps(), 14.0);
-  c -= b;
-  EXPECT_DOUBLE_EQ(c.ToGBps(), 10.0);
 }
 
 TEST(BandwidthTest, Comparisons) {
@@ -94,12 +69,6 @@ TEST(BandwidthTest, Comparisons) {
 TEST(BandwidthTest, ToStringPicksUnit) {
   EXPECT_EQ(Bandwidth::GBps(25).ToString(), "25.0GB/s");
   EXPECT_EQ(Bandwidth::Mbps(80).ToString(), "10.0MB/s");
-}
-
-TEST(ByteUnitsTest, Helpers) {
-  EXPECT_EQ(KiB(4), 4096);
-  EXPECT_EQ(MiB(1), 1048576);
-  EXPECT_EQ(GiB(2), 2147483648LL);
 }
 
 }  // namespace

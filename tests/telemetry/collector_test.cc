@@ -161,7 +161,11 @@ TEST(CollectorTest, CoarseModeOmitsTenantsAndClampsPeriod) {
   config.granularity = Granularity::kCoarse;
   config.period = TimeNs::Micros(10);  // Far below the hardware floor.
   Collector collector(host.fabric(), config);
-  EXPECT_EQ(collector.config().period, kCoarseMinPeriod);
+  collector.Start();
+  host.RunFor(kCoarseMinPeriod - TimeNs::Nanos(1));
+  EXPECT_EQ(collector.samples_taken(), 0u);  // The 10 us period was floored.
+  host.RunFor(TimeNs::Nanos(1));
+  EXPECT_EQ(collector.samples_taken(), 1u);
 
   workload::StreamSource::Config bulk;
   bulk.src = server.ssds[0];

@@ -49,7 +49,7 @@ TEST(RoutingTest, PathEndpoints) {
   Router router(d.topo);
   const auto path = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->source(), d.s);
+  EXPECT_EQ(path->nodes.front(), d.s);
   EXPECT_EQ(path->destination(), d.t);
   EXPECT_EQ(path->hops.size(), 2u);
 }
@@ -140,7 +140,7 @@ TEST(RoutingTest, KShortestPathsAreUniqueAndSorted) {
   std::set<std::vector<std::pair<LinkId, bool>>> unique;
   TimeNs prev = TimeNs::Zero();
   for (const Path& p : paths) {
-    EXPECT_EQ(p.source(), server.gpus[0]);
+    EXPECT_EQ(p.nodes.front(), server.gpus[0]);
     EXPECT_EQ(p.destination(), server.ssds.back());
     std::vector<std::pair<LinkId, bool>> key;
     for (const DirectedLink& h : p.hops) {

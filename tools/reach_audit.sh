@@ -1,7 +1,7 @@
 #!/bin/sh
-# Link-time reachability audit: every out-of-line function in src/ must be
-# linked into at least one non-test binary, or be named in
-# tools/reach_audit_allowlist.txt with the reason a test needs it.
+# Link-time reachability audit: every function defined in src/, out of
+# line or in a header, must be linked into at least one non-test binary, or
+# be named in tools/reach_audit_allowlist.txt with the reason it may stay.
 #
 # Usage (from anywhere; takes no flags):
 #
@@ -18,8 +18,13 @@
 # keeps its out-of-line copy. Linkage, unlike coverage, needs no list of
 # runs, and it counts paths that a run may not take, such as error paths.
 #
-# The audit then compares the strong text symbols (nm type T) of every
-# libmihn_*.a against the symbols of those binaries, demangled and with
+# The set of defined functions has two parts: the strong text symbols
+# (nm type T) of every libmihn_*.a, and the mihn:: functions (nm type W or
+# T) of one generated file that includes every src/**/*.h in sorted order,
+# compiled with the same flags plus -fkeep-inline-functions, which emits
+# every inline function a header defines. Templates that this file never
+# instantiates emit nothing and stay out of scope. The audit compares that
+# set against the symbols of the binaries, demangled and with
 # constructor/destructor variants folded. It exits 1 if a function is
 # linked into none of them and is not allowlisted, or if an allowlist
 # entry no longer names such a function (a stale entry), and 0 otherwise.
@@ -56,11 +61,23 @@ bins=$(for d in $entry_dirs; do
        done; echo "$out/perfbench/perfbench_driver")
 nbins=$(echo "$bins" | wc -l)
 
+# Every header, compiled once, for the functions headers define.
+headers="$out/all_headers.cc"
+(cd "$root" && find src -name '*.h' | sort | sed 's/.*/#include "&"/') > "$headers"
+cxx=$(sed -n 's/^CMAKE_CXX_COMPILER:FILEPATH=//p' "$out/main/CMakeCache.txt")
+"$cxx" -std=c++20 -I"$root" $flags -fkeep-inline-functions \
+  -c "$headers" -o "$out/all_headers.o"
+
 # nm -C prints "address type name"; the name may contain spaces.
 defined=$(mktemp) linked=$(mktemp) unreached=$(mktemp) listed=$(mktemp)
 trap 'rm -f "$defined" "$linked" "$unreached" "$listed"' EXIT
-find "$out/main/src" -name 'libmihn_*.a' -exec nm -C --defined-only {} + 2>/dev/null \
-  | awk '$2 == "T" { $1 = ""; $2 = ""; sub(/^  /, ""); print }' | sort -u > "$defined"
+{
+  find "$out/main/src" -name 'libmihn_*.a' -exec nm -C --defined-only {} + 2>/dev/null \
+    | awk '$2 == "T" { $1 = ""; $2 = ""; sub(/^  /, ""); print }'
+  nm -C --defined-only "$out/all_headers.o" \
+    | awk '$2 == "W" || $2 == "T" { $1 = ""; $2 = ""; sub(/^  /, ""); print }' \
+    | grep '^mihn::'
+} | sort -u > "$defined"
 echo "$bins" | while read -r b; do nm -C --defined-only "$b"; done \
   | awk '{ $1 = ""; $2 = ""; sub(/^  /, ""); print }' | sort -u > "$linked"
 comm -23 "$defined" "$linked" > "$unreached"
