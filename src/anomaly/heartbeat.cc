@@ -1,6 +1,7 @@
 #include "src/anomaly/heartbeat.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace mihn::anomaly {
@@ -15,18 +16,23 @@ constexpr double kSmoothingAlpha = 0.3;
 HeartbeatMesh::HeartbeatMesh(fabric::Fabric& fabric, Config config)
     : fabric_(fabric), config_(std::move(config)),
       last_route_epoch_(fabric.route_epoch()) {
-  for (const topology::ComponentId src : config_.participants) {
-    for (const topology::ComponentId dst : config_.participants) {
-      if (src == dst) {
-        continue;
+  // Every routable ordered pair of distinct participants, resolved with one
+  // shortest-path tree per source.
+  std::vector<topology::ComponentId> ids = config_.participants;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<topology::ComponentId> dsts;
+  for (const topology::ComponentId src : ids) {
+    dsts.clear();
+    std::copy_if(ids.begin(), ids.end(), std::back_inserter(dsts),
+                 [src](topology::ComponentId id) { return id != src; });
+    std::vector<std::optional<topology::Path>> paths = fabric_.router().ShortestPaths(src, dsts);
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      if (paths[i]) {
+        PairState state;
+        state.path = std::move(*paths[i]);
+        pairs_.emplace_hint(pairs_.end(), std::make_pair(src, dsts[i]), std::move(state));
       }
-      auto path = fabric_.Route(src, dst);
-      if (!path) {
-        continue;
-      }
-      PairState state;
-      state.path = std::move(*path);
-      pairs_.emplace(std::make_pair(src, dst), std::move(state));
     }
   }
 }
@@ -48,7 +54,7 @@ void HeartbeatMesh::Tick() {
   }
   for (auto& [key, state] : pairs_) {
     fabric::PacketSpec probe;
-    probe.path = state.path;
+    probe.path = &state.path;
     probe.bytes = kProbeBytes;
     probe.klass = fabric::TrafficClass::kProbe;
     const sim::TimeNs latency = fabric_.SendPacket(std::move(probe));
@@ -86,21 +92,33 @@ void HeartbeatMesh::Tick() {
 
 void HeartbeatMesh::ReresolvePaths(sim::TimeNs now) {
   last_route_epoch_ = fabric_.route_epoch();
-  for (auto& [key, state] : pairs_) {
-    auto path = fabric_.Route(key.first, key.second);
-    // An unreachable pair (every route crosses a dead link) keeps probing
-    // its old path: the dead hop's latency inflation is exactly the signal
-    // the mesh exists to raise.
-    if (!path || *path == state.path) {
-      continue;
+  std::vector<topology::ComponentId> dsts;
+  // pairs_ is ordered by source: each pass takes one source's run of pairs.
+  for (auto first = pairs_.begin(); first != pairs_.end();) {
+    const topology::ComponentId src = first->first.first;
+    auto last = first;
+    dsts.clear();
+    for (; last != pairs_.end() && last->first.first == src; ++last) {
+      dsts.push_back(last->first.second);
     }
-    // Baselines are keyed to the path, so a re-route restarts learning and
-    // closes any alarm raised against the abandoned path.
-    CloseAlarm(state, now);
-    state.path = std::move(*path);
-    state.samples = 0;
-    state.baseline_ns = 0.0;
-    state.smoothed_ns = 0.0;
+    std::vector<std::optional<topology::Path>> paths = fabric_.router().ShortestPaths(src, dsts);
+    for (size_t i = 0; first != last; ++first, ++i) {
+      PairState& state = first->second;
+      std::optional<topology::Path>& path = paths[i];
+      // An unreachable pair (every route crosses a dead link) keeps probing
+      // its old path: the dead hop's latency inflation is exactly the
+      // signal the mesh exists to raise.
+      if (!path || *path == state.path) {
+        continue;
+      }
+      // Baselines are keyed to the path, so a re-route restarts learning
+      // and closes any alarm raised against the abandoned path.
+      CloseAlarm(state, now);
+      state.path = std::move(*path);
+      state.samples = 0;
+      state.baseline_ns = 0.0;
+      state.smoothed_ns = 0.0;
+    }
   }
 }
 
@@ -124,6 +142,7 @@ std::vector<HeartbeatMesh::PairReport> HeartbeatMesh::Pairs() const {
     PairReport r;
     r.src = key.first;
     r.dst = key.second;
+    r.path = &state.path;
     r.baseline = sim::TimeNs::Nanos(static_cast<int64_t>(state.baseline_ns));
     r.smoothed = sim::TimeNs::Nanos(static_cast<int64_t>(state.smoothed_ns));
     r.alarmed = state.alarmed;

@@ -37,6 +37,9 @@ class HeartbeatMesh {
   struct PairReport {
     topology::ComponentId src = topology::kInvalidComponent;
     topology::ComponentId dst = topology::kInvalidComponent;
+    // The path the pair probes, owned by the mesh: a re-route at a later
+    // tick rewrites it in place.
+    const topology::Path* path = nullptr;
     sim::TimeNs baseline;
     sim::TimeNs smoothed;
     bool alarmed = false;
@@ -87,7 +90,9 @@ class HeartbeatMesh {
   std::optional<sim::TimeNs> first_alarm_at() const { return first_alarm_at_; }
 
   // Append-only raise/clear history, in raise order (chaos campaigns score
-  // detection and recovery from this).
+  // detection and recovery from this). A pair is alarmed exactly while its
+  // latest event is uncleared, so the uncleared events count the alarmed
+  // pairs.
   const std::vector<AlarmEvent>& alarm_log() const { return alarm_log_; }
 
   // Ranks links by the fraction of their crossing pairs that alarm (score
@@ -108,10 +113,11 @@ class HeartbeatMesh {
 
   void Tick();
 
-  // Re-resolves every pair's path after the fabric's route epoch moved.
-  // A changed path restarts that pair's baseline learning (baselines are
-  // keyed to the path); an unreachable pair keeps probing its old path so
-  // the dead hop's latency inflation still raises the alarm.
+  // Re-resolves every pair's path after the fabric's route epoch moved,
+  // with one shortest-path tree per source. A changed path restarts that
+  // pair's baseline learning (baselines are keyed to the path); an
+  // unreachable pair keeps probing its old path so the dead hop's latency
+  // inflation still raises the alarm.
   void ReresolvePaths(sim::TimeNs now);
 
   // Closes |state|'s open alarm episode, if any, at |now|.

@@ -427,7 +427,8 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
 
         HealthSample sample;
         sample.at = now;
-        sample.healthy = !new_signal && mesh->Alarms().empty();
+        // A pair is alarmed exactly while its alarm event is uncleared.
+        sample.healthy = !new_signal && closures == alarms.size();
         result.health.push_back(sample);
         MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.signals",
                            result.signals.size());

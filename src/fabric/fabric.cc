@@ -26,13 +26,6 @@ size_t Idx(int32_t i) { return static_cast<size_t>(i); }
 Fabric::Fabric(sim::Simulation& sim, const topology::Topology& topo, FabricConfig config)
     : sim_(sim), topo_(topo), router_(topo), config_(config), last_accrual_(sim.Now()) {
   links_.resize(topo.link_count() * 2);
-  for (const topology::Link& link : topo.links()) {
-    for (const bool forward : {true, false}) {
-      DirectedLinkState& state =
-          links_[static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}))];
-      state.raw_capacity = link.spec.capacity.bytes_per_sec();
-    }
-  }
   for (const topology::Component& c : topo.components()) {
     if (c.kind == topology::ComponentKind::kDimm && c.socket != topology::kInvalidComponent) {
       socket_dimms_[c.socket].push_back(c.id);
@@ -285,16 +278,16 @@ std::vector<FlowId> Fabric::ActiveFlows() const {
   return ids;
 }
 
-sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
-  const sim::TimeNs latency = PacketLatency(spec.path, spec.bytes);
+sim::TimeNs Fabric::SendPacket(PacketSpec&& spec) {
+  const sim::TimeNs latency = PacketLatency(*spec.path, spec.bytes);
   const double bytes = static_cast<double>(spec.bytes);
-  for (const topology::DirectedLink& hop : spec.path.hops) {
+  for (const topology::DirectedLink& hop : spec.path->hops) {
     DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
     state.bytes_total += bytes;
     state.bytes_by_class[static_cast<size_t>(spec.klass)] += bytes;
   }
   if (spec.on_delivered) {
-    sim_.ScheduleAfter(latency, [cb = std::move(spec.on_delivered), latency] { cb(latency); });
+    sim_.ScheduleAfter(latency, std::move(spec.on_delivered));
   }
   return latency;
 }
@@ -303,8 +296,8 @@ sim::TimeNs Fabric::PacketLatency(const topology::Path& path, int64_t bytes) con
   FlushIfDirty();
   sim::TimeNs latency = config_.interrupt_moderation;
   for (const topology::DirectedLink& hop : path.hops) {
-    latency += HopLatency(hop);
     const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
+    latency += state.hop_latency;
     if (state.effective_capacity > 0) {
       latency += sim::TimeNs::FromSecondsF(static_cast<double>(bytes) / state.effective_capacity);
     }
@@ -316,17 +309,14 @@ sim::TimeNs Fabric::ProbePathLatency(const topology::Path& path) const {
   FlushIfDirty();
   sim::TimeNs total = sim::TimeNs::Zero();
   for (const topology::DirectedLink& hop : path.hops) {
-    total += HopLatency(hop);
+    total += links_[static_cast<size_t>(DirectedIndex(hop))].hop_latency;
   }
   return total;
 }
 
 sim::TimeNs Fabric::HopLatency(topology::DirectedLink hop) const {
   FlushIfDirty();
-  const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
-  const double rho =
-      state.effective_capacity > 0 ? state.rate / state.effective_capacity : 1.0;
-  return Scale(HopBaseLatency(hop), LatencyInflation(rho));
+  return links_[static_cast<size_t>(DirectedIndex(hop))].hop_latency;
 }
 
 void Fabric::InjectLinkFault(topology::LinkId link, LinkFault fault) {
@@ -385,10 +375,11 @@ void Fabric::FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) cons
   snap.rate_bps = state.rate;
   snap.utilization = state.effective_capacity > 0 ? state.rate / state.effective_capacity : 0.0;
   snap.bytes_total = state.bytes_total;
-  for (size_t t = 0; t < tenant_ids_.size(); ++t) {
-    const size_t at = t * links_.size() + li;
+  snap.rate_by_tenant_bps.clear();
+  for (const auto& [tenant, index] : tenant_lookup_) {
+    const size_t at = Idx(index) * links_.size() + li;
     if (tenant_members_[at] > 0) {
-      snap.rate_by_tenant_bps.emplace(tenant_ids_[t], tenant_rate_[at]);
+      snap.rate_by_tenant_bps.emplace_back(tenant, tenant_rate_[at]);
     }
   }
   snap.rate_by_class_bps = state.rate_by_class;
@@ -403,17 +394,16 @@ LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
   return snap;
 }
 
-std::vector<LinkSnapshot> Fabric::SnapshotAll() {
+void Fabric::SnapshotAll(std::vector<LinkSnapshot>& out) {
   FlushIfDirty();
   AccrueCounters();
-  std::vector<LinkSnapshot> all(links_.size());
+  out.resize(links_.size());
   size_t i = 0;
   for (const topology::Link& link : topo_.links()) {
     for (const bool forward : {true, false}) {
-      FillSnapshot(topology::DirectedLink{link.id, forward}, all[i++]);
+      FillSnapshot(topology::DirectedLink{link.id, forward}, out[i++]);
     }
   }
-  return all;
 }
 
 size_t Fabric::ReadLinkLoads(std::vector<LinkLoad>& out) {
@@ -464,10 +454,10 @@ bool Fabric::IsPcieKind(topology::LinkKind kind) const {
   }
 }
 
-sim::TimeNs Fabric::HopBaseLatency(topology::DirectedLink hop) const {
-  const topology::Link& link = topo_.link(hop.link);
+sim::TimeNs Fabric::HopBaseLatency(topology::LinkId link_id) const {
+  const topology::Link& link = topo_.link(link_id);
   sim::TimeNs base = link.spec.base_latency;
-  const auto fault = faults_.find(hop.link);
+  const auto fault = faults_.find(link_id);
   if (fault != faults_.end()) {
     base += fault->second.extra_latency;
   }
@@ -475,6 +465,14 @@ sim::TimeNs Fabric::HopBaseLatency(topology::DirectedLink hop) const {
     base += kIommuLatency;
   }
   return base;
+}
+
+sim::TimeNs Fabric::CongestedHopLatency(size_t li) const {
+  const DirectedLinkState& state = links_[li];
+  const double rho =
+      state.effective_capacity > 0 ? state.rate / state.effective_capacity : 1.0;
+  // DirectedIndex puts both directions of link l at 2l and 2l + 1.
+  return Scale(HopBaseLatency(static_cast<topology::LinkId>(li / 2)), LatencyInflation(rho));
 }
 
 double Fabric::CapacityFactor(const topology::Link& link) const {
@@ -490,9 +488,10 @@ void Fabric::RefreshCapacities() {
   for (const topology::Link& link : topo_.links()) {
     const double factor = CapacityFactor(link);
     for (const bool forward : {true, false}) {
-      DirectedLinkState& state =
-          links_[static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}))];
-      state.effective_capacity = state.raw_capacity * factor;
+      const size_t li =
+          static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}));
+      links_[li].effective_capacity = link.spec.capacity.bytes_per_sec() * factor;
+      links_[li].hop_latency = CongestedHopLatency(li);
     }
   }
 }
@@ -746,6 +745,7 @@ void Fabric::ResumLink(int32_t link) {
   const size_t li = Idx(link);
   const size_t num_links = links_.size();
   DirectedLinkState& state = links_[li];
+  const double old_rate = state.rate;
   state.stale = false;
   state.rate = 0.0;
   state.rate_by_class.fill(0.0);
@@ -757,6 +757,9 @@ void Fabric::ResumLink(int32_t link) {
     state.rate += rate;
     tenant_rate_[Idx(tenants_[Idx(row)]) * num_links + li] += rate;
     state.rate_by_class[static_cast<size_t>(classes_[Idx(row)])] += rate;
+  }
+  if (state.rate != old_rate) {  // mihn-check: float-eq-ok(exact change detection)
+    state.hop_latency = CongestedHopLatency(li);
   }
   if (state.rate > 0.0 && state.active_pos < 0) {
     state.active_pos = static_cast<int32_t>(active_links_.size());
@@ -942,12 +945,15 @@ void Fabric::CheckInvariants() const {
       const size_t li =
           static_cast<size_t>(DirectedIndex(topology::DirectedLink{link.id, forward}));
       MIHN_CHECK(links_[li].effective_capacity ==  // mihn-check: float-eq-ok(same computation)
-                 links_[li].raw_capacity * factor);
+                 link.spec.capacity.bytes_per_sec() * factor);
     }
   }
   for (size_t i = 0; i < num_links; ++i) {
     const DirectedLinkState& state = links_[i];
     MIHN_CHECK(!state.stale);
+    // Hop latencies refresh with the capacities and with each moved link
+    // rate: a missed refresh shows as a drift from a fresh computation.
+    MIHN_CHECK(state.hop_latency == CongestedHopLatency(i));
     MIHN_CHECK(state.rate >= 0.0);
     MIHN_CHECK(state.effective_capacity >= 0.0);
     MIHN_CHECK(state.bytes_total >= 0.0);

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/fabric/cache_model.h"
@@ -50,8 +51,9 @@ struct LinkSnapshot {
   double rate_bps = 0.0;      // Currently allocated fluid rate.
   double utilization = 0.0;   // rate / capacity in [0, 1].
   double bytes_total = 0.0;   // Accrued since start (fluid + packets).
-  // Deterministically ordered per-tenant attribution.
-  std::map<TenantId, double> rate_by_tenant_bps;
+  // (tenant, rate) for each tenant with a live flow on the link, sorted by
+  // tenant id.
+  std::vector<std::pair<TenantId, double>> rate_by_tenant_bps;
   std::array<double, kNumTrafficClasses> rate_by_class_bps{};
   std::array<double, kNumTrafficClasses> bytes_by_class{};
 };
@@ -85,8 +87,8 @@ class Fabric {
   const topology::Router& router() const { return router_; }
 
   // Bumps whenever a fault injection/clear changes which paths Route()
-  // prefers. Path-caching consumers (heartbeat mesh, workloads) compare it
-  // to re-resolve; it never moves on no-op fault churn.
+  // prefers. The heartbeat mesh, the one consumer that keeps paths, compares
+  // it to re-resolve; it never moves on no-op fault churn.
   uint64_t route_epoch() const { return route_epoch_; }
 
   // -- Flows -------------------------------------------------------------------
@@ -117,7 +119,7 @@ class Fabric {
   // -- Packets -----------------------------------------------------------------
   // Sends a packetized message; on_delivered fires after PacketLatency().
   // Returns that latency (known immediately — the model is deterministic).
-  sim::TimeNs SendPacket(PacketSpec spec);
+  sim::TimeNs SendPacket(PacketSpec&& spec);
 
   // The one price of a |bytes| packet along |path| right now: per-hop
   // congested latency, store-and-forward serialization on every hop, and
@@ -143,9 +145,12 @@ class Fabric {
 
   // -- Telemetry access ----------------------------------------------------------
   // Both accrue pending fluid bytes before reporting, so counters are
-  // exact as of Now().
+  // exact as of Now(). SnapshotAll refills |out| with one snapshot per
+  // directed link (link id order, forward first), reusing its storage: a
+  // caller that keeps the buffer between samples allocates nothing once
+  // the tenant lists have grown.
   LinkSnapshot Snapshot(topology::DirectedLink dlink);
-  std::vector<LinkSnapshot> SnapshotAll();
+  void SnapshotAll(std::vector<LinkSnapshot>& out);
 
   // The lean rollup read: settles and accrues like SnapshotAll(), then
   // replaces |out| with one LinkLoad per directed link in SnapshotAll()
@@ -201,8 +206,9 @@ class Fabric {
   // symmetry, dirty-flag/recompute-count consistency, and the bookkeeping
   // behind them: ids ascend, no dead row outlives a solve, every row matches
   // its solver slot, the completion heap's top is the earliest finish over
-  // live finite rows, and effective capacities equal a fresh computation
-  // from config and faults.
+  // live finite rows, effective capacities equal a fresh computation from
+  // config and faults, and every stored hop latency equals a fresh
+  // computation, bit for bit.
   // Aborts via MIHN_CHECK on the first violation. A no-op unless built with
   // -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case Recompute() runs it
   // after every solve, so the existing fabric/sim test suites exercise it
@@ -258,13 +264,18 @@ class Fabric {
     std::unique_ptr<ColdRow> cold;
   };
 
+  // 128 bytes, two cache lines: fleet ticks walk every link of every
+  // host, so one more field here puts a third line on each of them.
   struct DirectedLinkState {
-    double raw_capacity = 0.0;
     double effective_capacity = 0.0;
     double rate = 0.0;
     double bytes_total = 0.0;
     std::array<double, kNumTrafficClasses> rate_by_class{};
     std::array<double, kNumTrafficClasses> bytes_by_class{};
+    // CongestedHopLatency() as of the last change to an input: recomputed
+    // for every link by RefreshCapacities() and for a link whose rate moved
+    // by ResumLink(), so a packet reads one value per hop.
+    sim::TimeNs hop_latency;
     // Rows crossing this link as of the last re-prime, ascending (== id
     // order). The rate sums are re-summed over it in this order, so they
     // stay bit-identical to a full rebuild.
@@ -339,7 +350,8 @@ class Fabric {
   void CommitRates();
   void ResumLink(int32_t li);
 
-  // Applies config + faults to every directed link's effective capacity.
+  // Applies config + faults to every directed link's effective capacity
+  // and hop latency.
   void RefreshCapacities();
   // The config and fault scaling of |link|'s raw capacity.
   double CapacityFactor(const topology::Link& link) const;
@@ -365,7 +377,11 @@ class Fabric {
   void OnCompletionEvent();
 
   bool IsPcieKind(topology::LinkKind kind) const;
-  sim::TimeNs HopBaseLatency(topology::DirectedLink hop) const;
+  // Base latency of |link| plus fault and IOMMU latency.
+  sim::TimeNs HopBaseLatency(topology::LinkId link) const;
+  // Directed link |li|'s base latency inflated by its utilization (M/M/1
+  // shape; a zero-capacity link counts as saturated).
+  sim::TimeNs CongestedHopLatency(size_t li) const;
   void FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const;
 
   // Mirrors faults_ into the router's health sets after every inject/clear:

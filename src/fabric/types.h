@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "src/fabric/max_min.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/time.h"
 #include "src/sim/units.h"
 #include "src/topology/routing.h"
@@ -78,11 +79,12 @@ struct TransferSpec {
 // claim fluid bandwidth: they see the current per-hop congestion latency
 // plus store-and-forward serialization, and are counted in link telemetry.
 struct PacketSpec {
-  topology::Path path;
+  // The route, owned by the caller: SendPacket reads it and keeps nothing.
+  const topology::Path* path = nullptr;
   int64_t bytes = 64;
-  TenantId tenant = kNoTenant;
   TrafficClass klass = TrafficClass::kProbe;
-  std::function<void(sim::TimeNs latency)> on_delivered;
+  // Fired at delivery, when the latency SendPacket returns has elapsed.
+  sim::InlineFn<> on_delivered;
 };
 
 // Introspection view of one flow.

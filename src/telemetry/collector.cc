@@ -55,15 +55,15 @@ void Collector::SampleOnce() {
   };
   // Slots, like series, appear at the first sample: a collector that never
   // samples (a fleet host's) costs nothing.
-  const std::vector<fabric::LinkSnapshot> snapshots = fabric_.SnapshotAll();
-  link_slots_.resize(snapshots.size());
+  fabric_.SnapshotAll(snapshots_);
+  link_slots_.resize(snapshots_.size());
   if (fine && socket_slots_.empty()) {
     for (const topology::ComponentId socket :
          fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {
       socket_slots_.push_back(SocketSlot{socket});
     }
   }
-  for (const fabric::LinkSnapshot& snap : snapshots) {
+  for (const fabric::LinkSnapshot& snap : snapshots_) {
     const topology::LinkId link = snap.link;
     const bool forward = snap.forward;
     LinkSlot& slot = link_slots_[static_cast<size_t>(topology::DirectedIndex({link, forward}))];
@@ -121,7 +121,7 @@ void Collector::SampleOnce() {
     if (!report_path_.empty()) {
       const int64_t bytes = static_cast<int64_t>(last_tick_metrics_) * kBytesPerSample;
       fabric::PacketSpec pkt;
-      pkt.path = report_path_;
+      pkt.path = &report_path_;
       pkt.bytes = bytes;
       pkt.klass = fabric::TrafficClass::kMonitor;
       fabric_.SendPacket(std::move(pkt));

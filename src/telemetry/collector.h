@@ -131,6 +131,8 @@ class Collector {
   Config config_;
   std::map<std::string, sim::TimeSeries> series_;
   std::vector<LinkSlot> link_slots_;      // By topology::DirectedIndex.
+  // SnapshotAll()'s buffer, kept between samples so a sample reuses it.
+  std::vector<fabric::LinkSnapshot> snapshots_;
   std::vector<SocketSlot> socket_slots_;  // Every CPU socket, once fine sampling starts.
   sim::EventHandle timer_;
   bool running_ = false;

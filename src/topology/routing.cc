@@ -7,6 +7,100 @@
 #include <sstream>
 
 namespace mihn::topology {
+namespace {
+
+constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
+
+bool IsComponent(const Topology& topo, ComponentId id) {
+  return id >= 0 && static_cast<size_t>(id) < topo.component_count();
+}
+
+// One Dijkstra search: each node's distance from the source and the link
+// (and node) it was reached through.
+struct SearchTree {
+  std::vector<int64_t> dist;
+  std::vector<LinkId> via_link;
+  std::vector<ComponentId> via_node;
+};
+
+// Dijkstra from the component |src| with |excluded_links| treated as
+// absent. Heap entries are (distance, node), so equal distances settle in
+// node-id order. The search stops once |stop_at| is settled;
+// kInvalidComponent grows the full tree. A settled node's tree link never
+// changes afterwards (latencies are non-negative and only a strictly
+// shorter distance relinks), so an early-stopped search and the full tree
+// give every node they both settle the same path.
+SearchTree Search(const Topology& topo, ComponentId src, ComponentId stop_at,
+                  const std::vector<LinkId>& excluded_links) {
+  const size_t n = topo.component_count();
+  std::vector<bool> link_excluded(topo.link_count(), false);
+  for (const LinkId l : excluded_links) {
+    if (l >= 0 && static_cast<size_t>(l) < link_excluded.size()) {
+      link_excluded[static_cast<size_t>(l)] = true;
+    }
+  }
+
+  SearchTree tree{std::vector<int64_t>(n, kUnreached), std::vector<LinkId>(n, kInvalidLink),
+                  std::vector<ComponentId>(n, kInvalidComponent)};
+  using Entry = std::pair<int64_t, ComponentId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  tree.dist[static_cast<size_t>(src)] = 0;
+  heap.emplace(0, src);
+
+  while (!heap.empty()) {
+    const auto [d, node] = heap.top();
+    heap.pop();
+    if (d > tree.dist[static_cast<size_t>(node)]) {
+      continue;
+    }
+    if (node == stop_at) {
+      break;
+    }
+    for (const LinkId lid : topo.IncidentLinks(node)) {
+      if (link_excluded[static_cast<size_t>(lid)]) {
+        continue;
+      }
+      const Link& link = topo.link(lid);
+      const ComponentId next = link.Other(node);
+      const int64_t nd = d + link.spec.base_latency.nanos();
+      if (nd < tree.dist[static_cast<size_t>(next)]) {
+        tree.dist[static_cast<size_t>(next)] = nd;
+        tree.via_link[static_cast<size_t>(next)] = lid;
+        tree.via_node[static_cast<size_t>(next)] = node;
+        heap.emplace(nd, next);
+      }
+    }
+  }
+  return tree;
+}
+
+// |tree|'s path from its source |src| to |dst|; nullopt when |dst| is the
+// source, not a component, or unreached.
+std::optional<Path> TreePath(const Topology& topo, const SearchTree& tree, ComponentId src,
+                             ComponentId dst) {
+  if (dst == src || !IsComponent(topo, dst) ||
+      tree.dist[static_cast<size_t>(dst)] == kUnreached) {
+    return std::nullopt;
+  }
+  // Walk the tree links back from |dst| twice: once to size the path,
+  // once to fill it from the end.
+  size_t hops = 0;
+  for (ComponentId cur = dst; cur != src; cur = tree.via_node[static_cast<size_t>(cur)]) {
+    ++hops;
+  }
+  Path path;
+  path.nodes.resize(hops + 1);
+  path.hops.resize(hops);
+  path.nodes[0] = src;
+  for (ComponentId cur = dst; cur != src; cur = tree.via_node[static_cast<size_t>(cur)]) {
+    const LinkId lid = tree.via_link[static_cast<size_t>(cur)];
+    path.nodes[hops] = cur;
+    path.hops[--hops] = DirectedLink{lid, topo.link(lid).b == cur};
+  }
+  return path;
+}
+
+}  // namespace
 
 sim::TimeNs Path::BaseLatency(const Topology& topo) const {
   sim::TimeNs total = sim::TimeNs::Zero();
@@ -32,21 +126,42 @@ std::string Path::ToString(const Topology& topo) const {
   return out.str();
 }
 
-std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst,
-                                         const std::vector<LinkId>& excluded_links) const {
-  if (!excluded_links.empty()) {
-    return ComputeShortestPath(src, dst, excluded_links);
-  }
+std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst) const {
   // Avoid dead and degraded links, fall back to avoiding only dead ones,
   // nullopt when every route crosses a dead link.
   if (!degraded_links_.empty()) {
-    std::vector<LinkId> avoid = dead_links_;
-    avoid.insert(avoid.end(), degraded_links_.begin(), degraded_links_.end());
-    if (auto healthy = ComputeShortestPath(src, dst, avoid)) {
+    if (auto healthy = ComputeShortestPath(src, dst, DeadAndDegraded())) {
       return healthy;
     }
   }
   return ComputeShortestPath(src, dst, dead_links_);
+}
+
+std::vector<std::optional<Path>> Router::ShortestPaths(
+    ComponentId src, const std::vector<ComponentId>& dsts) const {
+  std::vector<std::optional<Path>> paths(dsts.size());
+  // Fills the still-unanswered destinations from one full tree; true if
+  // some destination is still unanswered after it.
+  auto answer_from_tree = [&](const std::vector<LinkId>& excluded_links) {
+    const SearchTree tree = Search(topo_, src, kInvalidComponent, excluded_links);
+    bool unanswered = false;
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      if (!paths[i]) {
+        paths[i] = TreePath(topo_, tree, src, dsts[i]);
+        unanswered = unanswered || !paths[i];
+      }
+    }
+    return unanswered;
+  };
+  if (dsts.empty() || !IsComponent(topo_, src)) {
+    return paths;
+  }
+  // The same two health levels as ShortestPath.
+  if (!degraded_links_.empty() && !answer_from_tree(DeadAndDegraded())) {
+    return paths;
+  }
+  answer_from_tree(dead_links_);
+  return paths;
 }
 
 std::vector<Path> Router::KShortestPaths(ComponentId src, ComponentId dst, int k) const {
@@ -80,69 +195,16 @@ bool Router::SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degrade
 
 std::optional<Path> Router::ComputeShortestPath(ComponentId src, ComponentId dst,
                                                 const std::vector<LinkId>& excluded_links) const {
-  const size_t n = topo_.component_count();
-  if (src == dst || src < 0 || dst < 0 || static_cast<size_t>(src) >= n ||
-      static_cast<size_t>(dst) >= n) {
+  if (src == dst || !IsComponent(topo_, src) || !IsComponent(topo_, dst)) {
     return std::nullopt;
   }
-  std::vector<bool> link_excluded(topo_.link_count(), false);
-  for (const LinkId l : excluded_links) {
-    if (l >= 0 && static_cast<size_t>(l) < link_excluded.size()) {
-      link_excluded[static_cast<size_t>(l)] = true;
-    }
-  }
+  return TreePath(topo_, Search(topo_, src, dst, excluded_links), src, dst);
+}
 
-  constexpr int64_t kInf = std::numeric_limits<int64_t>::max();
-  std::vector<int64_t> dist(n, kInf);
-  std::vector<LinkId> via_link(n, kInvalidLink);
-  std::vector<ComponentId> via_node(n, kInvalidComponent);
-
-  // (distance, node); ties resolved by node id for determinism.
-  using Entry = std::pair<int64_t, ComponentId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<size_t>(src)] = 0;
-  heap.emplace(0, src);
-
-  while (!heap.empty()) {
-    const auto [d, node] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<size_t>(node)]) {
-      continue;
-    }
-    if (node == dst) {
-      break;
-    }
-    for (const LinkId lid : topo_.IncidentLinks(node)) {
-      if (link_excluded[static_cast<size_t>(lid)]) {
-        continue;
-      }
-      const Link& link = topo_.link(lid);
-      const ComponentId next = link.Other(node);
-      const int64_t nd = d + link.spec.base_latency.nanos();
-      if (nd < dist[static_cast<size_t>(next)]) {
-        dist[static_cast<size_t>(next)] = nd;
-        via_link[static_cast<size_t>(next)] = lid;
-        via_node[static_cast<size_t>(next)] = node;
-        heap.emplace(nd, next);
-      }
-    }
-  }
-
-  if (dist[static_cast<size_t>(dst)] == kInf) {
-    return std::nullopt;
-  }
-
-  Path path;
-  for (ComponentId cur = dst; cur != src; cur = via_node[static_cast<size_t>(cur)]) {
-    const LinkId lid = via_link[static_cast<size_t>(cur)];
-    const Link& link = topo_.link(lid);
-    path.nodes.push_back(cur);
-    path.hops.push_back(DirectedLink{lid, link.b == cur});
-  }
-  path.nodes.push_back(src);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.hops.begin(), path.hops.end());
-  return path;
+std::vector<LinkId> Router::DeadAndDegraded() const {
+  std::vector<LinkId> links = dead_links_;
+  links.insert(links.end(), degraded_links_.begin(), degraded_links_.end());
+  return links;
 }
 
 std::vector<Path> Router::ComputeKShortestPaths(ComponentId src, ComponentId dst, int k) const {

@@ -41,9 +41,10 @@ struct Path {
 
 // Shortest-path queries over a Topology and the fabric's link health.
 //
-// Every query searches on demand: Dijkstra for ShortestPath, Yen's
-// algorithm for KShortestPaths. A health change therefore takes effect at
-// the next query, and a query writes nothing.
+// Every query searches on demand: Dijkstra for ShortestPath, one full
+// Dijkstra tree per health level for ShortestPaths, Yen's algorithm for
+// KShortestPaths. A health change therefore takes effect at the next
+// query, and a query writes nothing.
 //
 // Link health: the fabric mirrors its fault table here via SetLinkHealth.
 // Dead links are treated as absent from the graph everywhere; degraded
@@ -55,13 +56,19 @@ class Router {
  public:
   explicit Router(const Topology& topo) : topo_(topo) {}
 
-  // Lowest-total-base-latency path (Dijkstra). nullopt if unreachable,
-  // src == dst, or either endpoint is not a component of the topology.
-  // Without |excluded_links| the query honors link health; with them it is
-  // a raw graph query (Yen's spur searches) that treats those links as
-  // absent.
-  std::optional<Path> ShortestPath(ComponentId src, ComponentId dst,
-                                   const std::vector<LinkId>& excluded_links = {}) const;
+  // Lowest-total-base-latency path (Dijkstra), honoring link health.
+  // nullopt if unreachable, src == dst, or either endpoint is not a
+  // component of the topology.
+  std::optional<Path> ShortestPath(ComponentId src, ComponentId dst) const;
+
+  // ShortestPath(src, dsts[i]) for every i, from one search per health
+  // level instead of one per destination: a full tree with dead and
+  // degraded links excluded, then, for the destinations it did not reach,
+  // a full tree with only dead links excluded. Both run ShortestPath's
+  // search with its (distance, node) tie-break, so every answer is the
+  // same path.
+  std::vector<std::optional<Path>> ShortestPaths(ComponentId src,
+                                                 const std::vector<ComponentId>& dsts) const;
 
   // Up to |k| loop-free paths in nondecreasing base-latency order (Yen's
   // algorithm). Deterministic: ties broken by node-id sequence. Dead links
@@ -77,8 +84,12 @@ class Router {
   bool SetLinkHealth(std::vector<LinkId> dead, std::vector<LinkId> degraded);
 
  private:
+  // One Dijkstra search treating |excluded_links| as absent (Yen's spur
+  // searches pass their own).
   std::optional<Path> ComputeShortestPath(ComponentId src, ComponentId dst,
                                           const std::vector<LinkId>& excluded_links) const;
+  // Dead plus degraded links: the first health level's exclusions.
+  std::vector<LinkId> DeadAndDegraded() const;
   std::vector<Path> ComputeKShortestPaths(ComponentId src, ComponentId dst, int k) const;
 
   const Topology& topo_;

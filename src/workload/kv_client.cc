@@ -53,11 +53,10 @@ void KvClient::IssueOp() {
   const uint64_t gen = generation_;
 
   fabric::PacketSpec request;
-  request.path = request_path_;
+  request.path = &request_path_;
   request.bytes = kRequestBytes;
-  request.tenant = config_.tenant;
   request.klass = fabric::TrafficClass::kData;
-  request.on_delivered = [this, issued, gen, &sim](sim::TimeNs) {
+  request.on_delivered = [this, issued, gen, &sim] {
     if (gen != generation_) {
       return;
     }
@@ -67,11 +66,10 @@ void KvClient::IssueOp() {
         return;
       }
       fabric::PacketSpec response;
-      response.path = response_path_;
+      response.path = &response_path_;
       response.bytes = kResponseBytes;
-      response.tenant = config_.tenant;
       response.klass = fabric::TrafficClass::kData;
-      response.on_delivered = [this, issued, gen](sim::TimeNs) {
+      response.on_delivered = [this, issued, gen] {
         if (gen != generation_) {
           return;
         }

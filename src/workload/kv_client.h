@@ -28,6 +28,7 @@ class KvClient : public Workload {
     int concurrency = 4;
     // Host-side service time per op (hash lookup + syscall-free RDMA path).
     sim::TimeNs service_time = sim::TimeNs::Micros(1);
+    // Packets carry no tenant, so nothing reads this.
     fabric::TenantId tenant = fabric::kNoTenant;
     std::string name = "kv";
   };

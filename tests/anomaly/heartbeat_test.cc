@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/host/host_network.h"
+#include "src/sim/random.h"
 
 namespace mihn::anomaly {
 namespace {
@@ -150,7 +156,9 @@ TEST(HeartbeatTest, ProbeTrafficIsVisibleInTelemetry) {
   host.RunFor(TimeNs::Millis(10));
   // Probe bytes appear under TrafficClass::kProbe somewhere.
   double probe_bytes = 0.0;
-  for (auto& snap : host.fabric().SnapshotAll()) {
+  std::vector<fabric::LinkSnapshot> snaps;
+  host.fabric().SnapshotAll(snaps);
+  for (const auto& snap : snaps) {
     probe_bytes += snap.bytes_by_class[static_cast<size_t>(fabric::TrafficClass::kProbe)];
   }
   EXPECT_GT(probe_bytes, 0.0);
@@ -244,6 +252,98 @@ TEST(HeartbeatTest, AlarmLogRecordsRaiseAndClearEpisodes) {
     EXPECT_TRUE(event.cleared);
     EXPECT_GT(event.cleared_at, event.raised_at);
   }
+}
+
+// One step of a random fault walk: a dead, capacity-degraded or
+// latency-degraded link, or a clear. Clears are likelier, so a few links
+// stay faulted at a time.
+void RandomFaultStep(fabric::Fabric& fabric, sim::Rng& rng) {
+  const auto link = static_cast<topology::LinkId>(
+      rng.UniformInt(0, static_cast<int64_t>(fabric.topo().link_count()) - 1));
+  const double op = rng.NextDouble();
+  if (op < 0.15) {
+    fabric.InjectLinkFault(link, fabric::LinkFault{0.0, TimeNs::Zero()});
+  } else if (op < 0.3) {
+    fabric.InjectLinkFault(link, fabric::LinkFault{0.5, TimeNs::Zero()});
+  } else if (op < 0.45) {
+    fabric.InjectLinkFault(link, fabric::LinkFault{1.0, TimeNs::Micros(2)});
+  } else {
+    fabric.ClearLinkFault(link);
+  }
+}
+
+// The mesh re-resolves its pairs one source at a time from shortest-path
+// trees; after every tick each pair must probe exactly the path
+// Fabric::Route gives it, or, cut off by a dead link, its previous path.
+TEST(HeartbeatTest, ReresolvedPathsMatchFabricRoutes) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  fabric::Fabric& fabric = host.fabric();
+  HeartbeatMesh::Config config;
+  config.period = TimeNs::Millis(1);
+  auto mesh = host.MakeHeartbeatMesh(config);
+  mesh->Start();
+
+  std::map<std::pair<topology::ComponentId, topology::ComponentId>, topology::Path> previous;
+  for (const HeartbeatMesh::PairReport& pair : mesh->Pairs()) {
+    ASSERT_EQ(*pair.path, *fabric.Route(pair.src, pair.dst));
+    previous[{pair.src, pair.dst}] = *pair.path;
+  }
+  sim::Rng rng(2024);
+  int epoch_changes = 0;
+  int reroutes = 0;
+  int cut_off = 0;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t epoch = fabric.route_epoch();
+    RandomFaultStep(fabric, rng);
+    epoch_changes += fabric.route_epoch() != epoch ? 1 : 0;
+    host.RunFor(config.period);  // Exactly one mesh tick.
+    for (const HeartbeatMesh::PairReport& pair : mesh->Pairs()) {
+      topology::Path& before = previous[{pair.src, pair.dst}];
+      if (const auto route = fabric.Route(pair.src, pair.dst)) {
+        ASSERT_EQ(*pair.path, *route) << "step " << step << ": " << pair.src << "->" << pair.dst;
+        reroutes += *pair.path == before ? 0 : 1;
+      } else {
+        ASSERT_EQ(*pair.path, before) << "step " << step << ": " << pair.src << "->" << pair.dst;
+        ++cut_off;
+      }
+      before = *pair.path;
+    }
+  }
+  // The walk moved the routes often, re-routed pairs and cut some off.
+  EXPECT_GT(epoch_changes, 100);
+  EXPECT_GT(reroutes, 0);
+  EXPECT_GT(cut_off, 0);
+}
+
+// The chaos campaign counts alarmed pairs as the alarm log's uncleared
+// events; that count must equal Alarms() after every tick, through raises,
+// recoveries and re-routes.
+TEST(HeartbeatTest, UnclearedAlarmEventsCountTheAlarmedPairs) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  HeartbeatMesh::Config config;
+  config.period = TimeNs::Millis(1);
+  auto mesh = host.MakeHeartbeatMesh(config);
+  mesh->Start();
+  host.RunFor(TimeNs::Millis(10));  // Learn baselines.
+
+  sim::Rng rng(77);
+  size_t most_alarmed = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (step % 4 == 0) {
+      RandomFaultStep(host.fabric(), rng);
+    }
+    host.RunFor(config.period);
+    const auto& log = mesh->alarm_log();
+    const size_t uncleared = static_cast<size_t>(
+        std::count_if(log.begin(), log.end(), [](const auto& e) { return !e.cleared; }));
+    ASSERT_EQ(uncleared, mesh->Alarms().size()) << "step " << step;
+    most_alarmed = std::max(most_alarmed, uncleared);
+  }
+  const auto& log = mesh->alarm_log();
+  EXPECT_GT(most_alarmed, 0u);
+  EXPECT_GT(std::count_if(log.begin(), log.end(), [](const auto& e) { return e.cleared; }), 0);
 }
 
 }  // namespace

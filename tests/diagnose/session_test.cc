@@ -45,7 +45,7 @@ TEST(HostPingTest, PingChargesWhatSendPacketCharges) {
   const auto ping = host.diagnose().Ping(server.nics[0], server.sockets[0], 64);
   ASSERT_TRUE(ping.probe.reachable);
   fabric::PacketSpec packet;
-  packet.path = ping.probe.path;
+  packet.path = &ping.probe.path;
   packet.bytes = 64;
   EXPECT_EQ(ping.latency, host.fabric().SendPacket(std::move(packet)));
 }

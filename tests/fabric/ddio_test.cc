@@ -94,7 +94,9 @@ TEST(DdioTest, ThrashingSpillsToMemoryBus) {
   // and the kSpill class.
   const auto snap = fabric.Snapshot({h.mem_bus, true});
   EXPECT_GT(snap.rate_by_class_bps[static_cast<size_t>(TrafficClass::kSpill)], 0.0);
-  EXPECT_GT(snap.rate_by_tenant_bps.at(1), 0.0);
+  ASSERT_EQ(snap.rate_by_tenant_bps.size(), 1u);
+  EXPECT_EQ(snap.rate_by_tenant_bps[0].first, 1);
+  EXPECT_GT(snap.rate_by_tenant_bps[0].second, 0.0);
 }
 
 TEST(DdioTest, SpillEqualsMissFractionOfRate) {

@@ -11,6 +11,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/fabric/fabric.h"
 #include "src/sim/simulation.h"
@@ -28,7 +30,9 @@ using sim::TimeNs;
 // ASSERT_* is usable.
 void DumpFabric(Fabric& fabric, const topology::Server& server, std::ostringstream& out) {
   out << std::hexfloat;
-  for (const LinkSnapshot& snap : fabric.SnapshotAll()) {
+  std::vector<LinkSnapshot> snaps;
+  fabric.SnapshotAll(snaps);
+  for (const LinkSnapshot& snap : snaps) {
     out << "link=" << snap.link << " fwd=" << snap.forward << " cap=" << snap.capacity_bps
         << " rate=" << snap.rate_bps << " util=" << snap.utilization
         << " bytes=" << snap.bytes_total;
@@ -66,7 +70,9 @@ void DumpFabric(Fabric& fabric, const topology::Server& server, std::ostringstre
 // fabric splits time, while rates are pure functions of the solver inputs.
 void DumpRates(Fabric& fabric, const topology::Server& server, std::ostringstream& out) {
   out << std::hexfloat;
-  for (const LinkSnapshot& snap : fabric.SnapshotAll()) {
+  std::vector<LinkSnapshot> snaps;
+  fabric.SnapshotAll(snaps);
+  for (const LinkSnapshot& snap : snaps) {
     out << "link=" << snap.link << " fwd=" << snap.forward << " cap=" << snap.capacity_bps
         << " rate=" << snap.rate_bps << " util=" << snap.utilization;
     for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
@@ -126,9 +132,8 @@ std::string RunScenario(uint64_t seed,
   PacketSpec packet;
   auto packet_path = fabric.Route(server.nics[0], server.dimms[1]);
   EXPECT_TRUE(packet_path.has_value());
-  packet.path = *packet_path;
-  packet.tenant = 1;
-  fabric.SendPacket(packet);
+  packet.path = &*packet_path;
+  fabric.SendPacket(std::move(packet));
 
   FabricConfig config = fabric.config();
   config.iommu_enabled = !config.iommu_enabled;
@@ -276,7 +281,9 @@ TEST(DeterminismTest, DifferentFaultInsertionOrderSameState) {
     sim.RunFor(TimeNs::Millis(2));
     std::ostringstream out;
     out << std::hexfloat;
-    for (const LinkSnapshot& snap : fabric.SnapshotAll()) {
+    std::vector<LinkSnapshot> snaps;
+    fabric.SnapshotAll(snaps);
+    for (const LinkSnapshot& snap : snaps) {
       out << snap.link << ":" << snap.rate_bps << ":" << snap.bytes_total << "\n";
     }
     return out.str();

@@ -142,10 +142,13 @@ class FuzzHarness {
         class_rate[l][static_cast<size_t>(flow.klass)] += flow.rate;
       }
     }
-    for (const LinkSnapshot& snap : fabric_.SnapshotAll()) {
+    fabric_.SnapshotAll(snapshots_);
+    for (const LinkSnapshot& snap : snapshots_) {
       const size_t l = static_cast<size_t>(topology::DirectedIndex({snap.link, snap.forward}));
       EXPECT_EQ(snap.rate_bps, link_rate[l]) << "link " << l;
-      EXPECT_EQ(snap.rate_by_tenant_bps, tenant_rate[l]) << "link " << l;
+      EXPECT_EQ(snap.rate_by_tenant_bps, (std::vector<std::pair<TenantId, double>>(
+                                             tenant_rate[l].begin(), tenant_rate[l].end())))
+          << "link " << l;
       EXPECT_EQ(snap.rate_by_class_bps, class_rate[l]) << "link " << l;
       EXPECT_TRUE(Near(snap.bytes_total, link_bytes_[l]))
           << "link " << l << ": " << snap.bytes_total << " vs shadow " << link_bytes_[l];
@@ -291,10 +294,9 @@ class FuzzHarness {
       return;
     }
     PacketSpec packet;
-    packet.path = *path;
+    packet.path = &*path;
     packet.bytes = rng_.UniformInt(0, 9000);
-    packet.tenant = static_cast<TenantId>(rng_.UniformInt(0, 7));
-    for (const topology::DirectedLink& hop : packet.path.hops) {
+    for (const topology::DirectedLink& hop : path->hops) {
       const size_t l = static_cast<size_t>(topology::DirectedIndex(hop));
       link_bytes_[l] += static_cast<double>(packet.bytes);
       class_bytes_[l][static_cast<size_t>(packet.klass)] += static_cast<double>(packet.bytes);
@@ -369,6 +371,7 @@ class FuzzHarness {
   std::map<FlowId, ShadowFlow> recorded_;                   // Id order.
   TimeNs last_;
   std::vector<double> link_bytes_;
+  std::vector<LinkSnapshot> snapshots_;  // Refilled by every Check().
   std::vector<std::array<double, kNumTrafficClasses>> class_bytes_;
 };
 

@@ -146,7 +146,7 @@ TEST_P(FabricPropertyTest, InvariantsUnderRandomOperations) {
       const topology::ComponentId dst = pick();
       if (src != dst) {
         if (auto path = fabric.Route(src, dst)) {
-          pkt.path = std::move(*path);
+          pkt.path = &*path;
           pkt.bytes = rng.UniformInt(16, 9000);
           fabric.SendPacket(std::move(pkt));
         }

@@ -235,7 +235,9 @@ TEST(FabricTest, CountersAccrueBytesPerTenant) {
   const auto snap = fabric.Snapshot(spec.path.hops[1]);
   EXPECT_NEAR(snap.bytes_total, 10e9, 1e6);
   EXPECT_NEAR(snap.bytes_by_class[static_cast<size_t>(TrafficClass::kData)], 10e9, 1e6);
-  EXPECT_NEAR(snap.rate_by_tenant_bps.at(7), 10e9, 1.0);
+  ASSERT_EQ(snap.rate_by_tenant_bps.size(), 1u);
+  EXPECT_EQ(snap.rate_by_tenant_bps[0].first, 7);
+  EXPECT_NEAR(snap.rate_by_tenant_bps[0].second, 10e9, 1.0);
 }
 
 TEST(FabricTest, FlowInfoReportsProgress) {
@@ -307,15 +309,15 @@ TEST(FabricTest, PacketDeliveryAndCounters) {
   Simulation sim;
   const Line line = MakeLine();
   Fabric fabric(sim, line.topo);
+  const topology::Path path = RoutedPath(fabric, line.a, line.c);
   PacketSpec pkt;
-  pkt.path = RoutedPath(fabric, line.a, line.c);
+  pkt.path = &path;
   pkt.bytes = 1000;
-  pkt.tenant = 2;
   bool delivered = false;
   TimeNs seen = TimeNs::Zero();
-  pkt.on_delivered = [&](TimeNs lat) {
+  pkt.on_delivered = [&] {
     delivered = true;
-    seen = lat;
+    seen = sim.Now();
   };
   const TimeNs predicted = fabric.SendPacket(std::move(pkt));
   // 150ns base + serialization 1000B at 100GB/s (10ns) + at 10GB/s (100ns).
@@ -433,8 +435,9 @@ TEST(FabricTest, InterruptModerationDelaysPackets) {
   FabricConfig config;
   config.interrupt_moderation = TimeNs::Micros(10);
   Fabric fabric(sim, line.topo, config);
+  const topology::Path path = RoutedPath(fabric, line.a, line.c);
   PacketSpec pkt;
-  pkt.path = RoutedPath(fabric, line.a, line.c);
+  pkt.path = &path;
   pkt.bytes = 0;
   const TimeNs lat = fabric.SendPacket(std::move(pkt));
   EXPECT_EQ(lat, TimeNs::Nanos(150) + TimeNs::Micros(10));
@@ -455,7 +458,9 @@ TEST(FabricTest, DeterministicAcrossRuns) {
     fabric.StartTransfer(std::move(t));
     sim.RunFor(TimeNs::Millis(100));
     double sum = 0;
-    for (auto& s : fabric.SnapshotAll()) {
+    std::vector<LinkSnapshot> snaps;
+    fabric.SnapshotAll(snaps);
+    for (const LinkSnapshot& s : snaps) {
       sum += s.bytes_total;
     }
     return sum;
@@ -498,8 +503,9 @@ TEST(FabricTest, LinkLoadsMatchSnapshotAll) {
   transfer.flow.ddio_write = true;
   transfer.bytes = 1'000'000'000;
   fabric.StartTransfer(std::move(transfer));
+  const topology::Path packet_path = *fabric.Route(server.nics[1], server.sockets[0]);
   PacketSpec packet;
-  packet.path = *fabric.Route(server.nics[1], server.sockets[0]);
+  packet.path = &packet_path;
   packet.bytes = 4096;
   fabric.SendPacket(std::move(packet));
   fabric.InjectLinkFault(server.topo.links().front().id, LinkFault{0.5, TimeNs::Zero()});
@@ -507,13 +513,55 @@ TEST(FabricTest, LinkLoadsMatchSnapshotAll) {
 
   std::vector<LinkLoad> loads = {LinkLoad{}};  // Stale contents are replaced.
   const size_t live = fabric.ReadLinkLoads(loads);
-  const std::vector<LinkSnapshot> snaps = fabric.SnapshotAll();
+  std::vector<LinkSnapshot> snaps;
+  fabric.SnapshotAll(snaps);
   EXPECT_EQ(live, fabric.ActiveFlows().size());
   ASSERT_EQ(loads.size(), snaps.size());
   for (size_t i = 0; i < snaps.size(); ++i) {
     EXPECT_EQ(loads[i].capacity_bps, snaps[i].capacity_bps) << i;
     EXPECT_EQ(loads[i].rate_bps, snaps[i].rate_bps) << i;
     EXPECT_EQ(loads[i].bytes_total, snaps[i].bytes_total) << i;
+  }
+}
+
+// SnapshotAll refills the caller's buffer: stale entries and stale tenant
+// lists are replaced, and each link's tenants come sorted by id whatever
+// order they first appeared in.
+TEST(FabricTest, SnapshotAllRefillsItsBuffer) {
+  Simulation sim(7);
+  topology::Server server = topology::CommodityTwoSocket();
+  Fabric fabric(sim, server.topo);
+  const topology::Path path = *fabric.Route(server.gpus[0], server.dimms[0]);
+  for (const TenantId tenant : {9, 2, 5}) {
+    FlowSpec spec;
+    spec.path = path;
+    spec.tenant = tenant;
+    fabric.StartFlow(spec);
+  }
+  sim.RunFor(TimeNs::Millis(1));
+
+  std::vector<LinkSnapshot> fresh;
+  fabric.SnapshotAll(fresh);
+  ASSERT_EQ(fresh.size(), server.topo.link_count() * 2);
+  const LinkSnapshot& loaded = fresh[static_cast<size_t>(DirectedIndex(path.hops[0]))];
+  ASSERT_EQ(loaded.rate_by_tenant_bps.size(), 3u);
+  EXPECT_EQ(loaded.rate_by_tenant_bps[0].first, 2);
+  EXPECT_EQ(loaded.rate_by_tenant_bps[1].first, 5);
+  EXPECT_EQ(loaded.rate_by_tenant_bps[2].first, 9);
+
+  std::vector<LinkSnapshot> reused(fresh.size() + 3);
+  for (LinkSnapshot& snap : reused) {
+    snap.rate_bps = -1.0;
+    snap.rate_by_tenant_bps = {{42, 1.0}};
+  }
+  fabric.SnapshotAll(reused);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused[i].link, fresh[i].link) << i;
+    EXPECT_EQ(reused[i].forward, fresh[i].forward) << i;
+    EXPECT_EQ(reused[i].rate_bps, fresh[i].rate_bps) << i;
+    EXPECT_EQ(reused[i].rate_by_tenant_bps, fresh[i].rate_by_tenant_bps) << i;
+    EXPECT_EQ(reused[i].bytes_by_class, fresh[i].bytes_by_class) << i;
   }
 }
 

@@ -151,10 +151,13 @@ TEST(HostNetworkTest, SharedClockResultsIndependentOfConstructionOrder) {
     PerHost out;
     out.busy_bytes = 0.0;
     out.idle_bytes = 0.0;
-    for (const auto& snap : busy->fabric().SnapshotAll()) {
+    std::vector<fabric::LinkSnapshot> snaps;
+    busy->fabric().SnapshotAll(snaps);
+    for (const auto& snap : snaps) {
       out.busy_bytes += snap.bytes_total;
     }
-    for (const auto& snap : idle->fabric().SnapshotAll()) {
+    idle->fabric().SnapshotAll(snaps);
+    for (const auto& snap : snaps) {
       out.idle_bytes += snap.bytes_total;
     }
     return out;

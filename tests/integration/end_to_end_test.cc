@@ -228,7 +228,7 @@ TEST(EndToEndTest, DetectorBankOverThroughputCatchesPacketFlood) {
 
   host.simulation().SchedulePeriodic(TimeNs::Micros(2), [&] {
     fabric::PacketSpec pkt;
-    pkt.path = path;
+    pkt.path = &path;
     pkt.bytes = 4096;
     host.fabric().SendPacket(std::move(pkt));
   });

@@ -9,6 +9,10 @@
 // buffer, a re-arm that builds a fresh closure, a queue that grew — fails
 // the test. Callbacks here are small POD functors on purpose: the claim
 // under test is about the engine, so the workload must not allocate either.
+//
+// The same counter then holds the packet path to the same standard: a
+// heartbeat mesh and a KV client on an unfaulted fabric, past warm-up,
+// send their probes and packets without a single allocation.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +20,14 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/anomaly/heartbeat.h"
+#include "src/fabric/fabric.h"
 #include "src/obs/sim_trace.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
+#include "src/topology/presets.h"
+#include "src/workload/kv_client.h"
 
 namespace {
 
@@ -164,6 +172,48 @@ TEST(EngineAllocTest, RepoSizedClosuresStayInline) {
   FabricSizedCapture capture{};
   EventFn fn([capture] { (void)capture; });
   EXPECT_TRUE(fn.is_inline());
+}
+
+// Heartbeat probes and KV packets borrow their paths from their senders,
+// read each hop's latency from the fabric's table, and hand their delivery
+// callbacks to the event pool inline: once warm, 1000 mesh ticks (182
+// probes each) and at least 1000 KV round trips allocate nothing.
+TEST(EngineAllocTest, ProbesAndPacketsAllocateNothing) {
+  Simulation sim;
+  sim.ReserveEvents(64);
+  const topology::Server server = topology::CommodityTwoSocket();
+  fabric::Fabric fabric(sim, server.topo);
+
+  anomaly::HeartbeatMesh::Config mesh_config;
+  for (const auto* devices : {&server.sockets, &server.nics, &server.gpus, &server.ssds}) {
+    mesh_config.participants.insert(mesh_config.participants.end(), devices->begin(),
+                                    devices->end());
+  }
+  mesh_config.period = TimeNs::Micros(10);
+  anomaly::HeartbeatMesh mesh(fabric, mesh_config);
+  ASSERT_EQ(mesh.pair_count(), 182u);
+
+  workload::KvClient::Config kv_config;
+  kv_config.client = server.external_hosts[0];
+  kv_config.server = server.sockets[0];
+  kv_config.concurrency = 1;
+  workload::KvClient kv(fabric, kv_config);
+  mesh.Start();
+  kv.Start();
+
+  sim.RunFor(TimeNs::Millis(1));  // Warm-up: 100 ticks.
+  const uint64_t probes_before = mesh.probes_sent();
+  const int64_t ops_before = kv.completed_ops();
+  ASSERT_GT(ops_before, 0);
+
+  g_allocations = 0;
+  g_counting = true;
+  sim.RunFor(TimeNs::Millis(10));  // 1000 ticks.
+  g_counting = false;
+
+  EXPECT_EQ(mesh.probes_sent() - probes_before, 1000u * mesh.pair_count());
+  EXPECT_GE(kv.completed_ops() - ops_before, 1000);
+  EXPECT_EQ(g_allocations, 0u) << "the packet path allocated " << g_allocations << " times";
 }
 
 }  // namespace

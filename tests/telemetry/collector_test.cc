@@ -87,7 +87,7 @@ TEST(CollectorTest, ThroughputSeriesIncludesPacketTraffic) {
   const auto path = *host.fabric().Route(server.nics[0], server.sockets[0]);
   host.simulation().SchedulePeriodic(TimeNs::Micros(1), [&] {
     fabric::PacketSpec pkt;
-    pkt.path = path;
+    pkt.path = &path;
     pkt.bytes = 1024;
     host.fabric().SendPacket(std::move(pkt));
   });
@@ -335,7 +335,7 @@ PinnedRun RunPinnedScenario() {
   const auto packet_path = *fabric.Route(server.nics[1], server.sockets[1]);
   host.simulation().SchedulePeriodic(TimeNs::Micros(20), [&] {
     fabric::PacketSpec pkt;
-    pkt.path = packet_path;
+    pkt.path = &packet_path;
     pkt.bytes = 4096;
     fabric.SendPacket(std::move(pkt));
   });

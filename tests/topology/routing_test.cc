@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "src/sim/random.h"
 #include "src/topology/presets.h"
 
 namespace mihn::topology {
@@ -71,7 +75,8 @@ TEST(RoutingTest, UnreachableReturnsNull) {
 TEST(RoutingTest, ExcludedLinksForceAlternatePath) {
   const Diamond d = MakeDiamond();
   Router router(d.topo);
-  const auto path = router.ShortestPath(d.s, d.t, {d.sa});
+  router.SetLinkHealth({d.sa}, {});
+  const auto path = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->nodes, (std::vector<ComponentId>{d.s, d.b, d.t}));
   EXPECT_EQ(path->BaseLatency(d.topo), TimeNs::Nanos(100));
@@ -80,7 +85,8 @@ TEST(RoutingTest, ExcludedLinksForceAlternatePath) {
 TEST(RoutingTest, ExcludingAllPathsReturnsNull) {
   const Diamond d = MakeDiamond();
   Router router(d.topo);
-  EXPECT_FALSE(router.ShortestPath(d.s, d.t, {d.sa, d.sb}).has_value());
+  router.SetLinkHealth({d.sa, d.sb}, {});
+  EXPECT_FALSE(router.ShortestPath(d.s, d.t).has_value());
 }
 
 TEST(RoutingTest, DirectionsAreCorrect) {
@@ -245,6 +251,84 @@ TEST(RoutingHealthTest, InjectDetoursAndClearRestoresTheOriginalRoute) {
   const auto restored = router.ShortestPath(d.s, d.t);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(*restored, *original);
+}
+
+TEST(RoutingTreeTest, AnswersEveryDestinationInOrder) {
+  const Diamond d = MakeDiamond();
+  Router router(d.topo);
+  router.SetLinkHealth({}, {d.sa, d.at});
+  const std::vector<ComponentId> dsts = {d.t, d.s, d.a, kInvalidComponent, d.t};
+  const std::vector<std::optional<Path>> paths = router.ShortestPaths(d.s, dsts);
+  ASSERT_EQ(paths.size(), dsts.size());
+  // The healthy tree reaches t around the degraded links; a only across
+  // one, so its answer comes from the dead-only tree.
+  ASSERT_TRUE(paths[0].has_value());
+  EXPECT_EQ(paths[0]->ToString(d.topo), "s -> b -> t");
+  EXPECT_FALSE(paths[1].has_value());
+  ASSERT_TRUE(paths[2].has_value());
+  EXPECT_EQ(paths[2]->ToString(d.topo), "s -> a");
+  EXPECT_FALSE(paths[3].has_value());
+  EXPECT_EQ(paths[4], paths[0]);
+  for (const std::optional<Path>& path : router.ShortestPaths(kInvalidComponent, dsts)) {
+    EXPECT_FALSE(path.has_value());
+  }
+  EXPECT_TRUE(router.ShortestPaths(d.s, {}).empty());
+}
+
+// The per-source trees are an optimization of the per-pair search, so
+// they must return exactly its paths, (distance, node) tie-breaks
+// included, under every mix of dead and degraded links. The presets are
+// rich in equal-latency alternatives (sockets, root ports and switches
+// repeat), which is where a tie-break would show.
+TEST(RoutingTreeTest, TreesMatchPerPairSearchUnderRandomHealth) {
+  constexpr int kHealthSets = 200;
+  const std::vector<std::pair<const char*, Server>> presets = {
+      {"commodity_two_socket", CommodityTwoSocket()},
+      {"dgx_class", DgxClass()},
+      {"edge_node", EdgeNode()},
+  };
+  for (const auto& [name, server] : presets) {
+    const Topology& topo = server.topo;
+    std::vector<ComponentId> all(topo.component_count());
+    for (size_t c = 0; c < all.size(); ++c) {
+      all[c] = static_cast<ComponentId>(c);
+    }
+    sim::Rng rng(0x5eed0 + topo.component_count());
+    Router router(topo);
+    size_t compared = 0;
+    size_t routed = 0;
+    for (int set = 0; set < kHealthSets; ++set) {
+      // Dead and degraded fractions vary per set, from healthy to shattered.
+      const double dead_p = rng.Uniform(0.0, 0.3);
+      const double degraded_p = rng.Uniform(0.0, 0.4);
+      std::vector<LinkId> dead;
+      std::vector<LinkId> degraded;
+      for (size_t l = 0; l < topo.link_count(); ++l) {
+        if (rng.Bernoulli(dead_p)) {
+          dead.push_back(static_cast<LinkId>(l));
+        } else if (rng.Bernoulli(degraded_p)) {
+          degraded.push_back(static_cast<LinkId>(l));
+        }
+      }
+      router.SetLinkHealth(dead, degraded);
+      for (const ComponentId src : all) {
+        const std::vector<std::optional<Path>> tree = router.ShortestPaths(src, all);
+        ASSERT_EQ(tree.size(), all.size());
+        for (const ComponentId dst : all) {
+          const std::optional<Path> pair = router.ShortestPath(src, dst);
+          ASSERT_EQ(tree[static_cast<size_t>(dst)], pair)
+              << name << " set " << set << ": " << topo.component(src).name << " -> "
+              << topo.component(dst).name;
+          ++compared;
+          routed += pair.has_value() ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(compared, kHealthSets * all.size() * all.size()) << name;
+    // The sets leave most pairs routable and cut some: both answers occur.
+    EXPECT_GT(routed, compared / 2) << name;
+    EXPECT_LT(routed, compared) << name;
+  }
 }
 
 }  // namespace
