@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -346,6 +347,101 @@ TEST(FleetTest, PooledTickMatchesSerial1024Hosts) {
   pooled.clamp_workers_to_hardware = false;
   const uint64_t serial_digest = RunGate(kHosts, kTicks, serial, /*reverse_placement=*/false);
   EXPECT_EQ(RunGate(kHosts, kTicks, pooled, /*reverse_placement=*/false), serial_digest);
+}
+
+// FNV-1a 64 over the exact ("%a") end-to-end rates of |ids|, in order.
+uint64_t RateDigest(const Fleet& fleet, const std::vector<CrossFlowId>& ids) {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const CrossFlowId id : ids) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%a,", fleet.CrossHostRate(id).bytes_per_sec());
+    for (const char* c = buf; *c != '\0'; ++c) {
+      digest = (digest ^ static_cast<unsigned char>(*c)) * 0x100000001b3ull;
+    }
+  }
+  return digest;
+}
+
+// The inter-host links RootCauseView() reports congested, as ascending
+// "<index>:<utilization>" pairs. Host h's links are 2h (up) and 2h + 1
+// (down); rack r's uplink pair follows the hosts, at 2·hosts + 2r and
+// 2·hosts + 2r + 1.
+std::string CongestedInterLinks(Fleet& fleet) {
+  std::vector<std::pair<int, double>> links;
+  for (const InterHostLinkUse& use : fleet.RootCauseView().inter_links) {
+    const int base = use.host >= 0 ? 2 * use.host : 2 * fleet.host_count() + 2 * use.rack;
+    links.emplace_back(base + (use.up ? 0 : 1), use.utilization);
+  }
+  std::sort(links.begin(), links.end());
+  std::string out;
+  for (const auto& [index, utilization] : links) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%s%d:%.9g", out.empty() ? "" : " ", index, utilization);
+    out += buf;
+  }
+  return out;
+}
+
+// The fleet's bytes, pinned across commits. (a) is the determinism gate's
+// fleet. In (b), twelve DIMM-sourced cross-rack flows of weights 1 and 2
+// leave rack 0 (host 0 sources two of them and sinks a third flow, from
+// rack 2) and saturate its uplink, while intra-host churn moves demands on
+// a third of the hosts every tick. A change that moves any fleet output,
+// such as a rack capacity or a rack link's direction, fails here.
+TEST(FleetTest, DigestsMatchPinnedGoldens) {
+  EXPECT_EQ(RunGate(256, 20, Fleet::Options{}, false), 0x80d10488c8b9f63full);
+
+  Fleet fleet(96, {});
+  std::vector<CrossFlowId> ids;
+  for (int i = 0; i < 12; ++i) {
+    CrossHostFlowSpec spec;
+    spec.tenant = 21 + i % 2;
+    spec.src_host = i == 0 ? 0 : i - 1;
+    spec.dst_host = 32 + 5 * i;
+    spec.src_device = fleet.host(spec.src_host).server().dimms.front();
+    spec.demand = Bandwidth::Gbps(120);
+    spec.weight = 1.0 + i % 2;
+    ids.push_back(fleet.StartCrossHostFlow(spec));
+  }
+  CrossHostFlowSpec inbound;
+  inbound.tenant = 23;
+  inbound.src_host = 70;
+  inbound.dst_host = 0;
+  inbound.demand = Bandwidth::Gbps(60);
+  ids.push_back(fleet.StartCrossHostFlow(inbound));
+
+  sim::Rng rng(25);
+  std::vector<std::vector<fabric::FlowId>> churn(static_cast<size_t>(fleet.host_count()));
+  for (int h = 0; h < fleet.host_count(); h += 3) {
+    fabric::Fabric& fabric = fleet.host(h).fabric();
+    const topology::Server& server = fleet.host(h).server();
+    const auto from_ssd = *fabric.Route(server.ssds[0], server.dimms[0]);
+    const auto from_nic = *fabric.Route(server.nics[0], server.dimms[0]);
+    for (int f = 0; f < 8; ++f) {
+      fabric::FlowSpec spec;
+      spec.path = f % 2 == 0 ? from_ssd : from_nic;
+      spec.tenant = 11 + f % 3;
+      spec.demand = Bandwidth::Gbps(static_cast<double>(rng.UniformInt(1, 40)));
+      churn[static_cast<size_t>(h)].push_back(fabric.StartFlow(spec));
+    }
+  }
+  for (int tick = 0; tick < 20; ++tick) {
+    for (int h = 0; h < fleet.host_count(); h += 3) {
+      const auto& flows = churn[static_cast<size_t>(h)];
+      const auto pick = static_cast<size_t>(rng.UniformInt(0, 7));
+      fleet.host(h).fabric().SetFlowDemand(
+          flows[pick], Bandwidth::Gbps(static_cast<double>(rng.UniformInt(2, 40))));
+    }
+    fleet.Tick();
+  }
+  EXPECT_EQ(fleet.TelemetryDigest(), 0x361e756c65131aa7ull);
+  // Rack 0's rates split 46.67/93.33 Gbps by weight; host 0's two split its
+  // 100G uplink 33.33/66.67.
+  EXPECT_EQ(RateDigest(fleet, ids), 0x3bff760c0e4ccfd5ull);
+  EXPECT_EQ(CongestedInterLinks(fleet),
+            "0:1 4:0.933333333 8:0.933333333 12:0.933333333 16:0.933333333 20:0.933333333 "
+            "95:0.933333333 115:0.933333333 135:0.933333333 155:0.933333333 175:0.933333333 "
+            "192:1");
 }
 
 TEST(FleetTest, TickAdvancesSharedClockAndSamples) {
