@@ -136,7 +136,7 @@ Result RunConfig(int hosts, int ticks, int intra_per_host, int mesh_period_us) {
 
   const auto run = [&](Fleet::Options options, double* ns_per_tick) {
     Fleet f(hosts, options);
-    r.racks = f.inter_host().racks();
+    r.racks = f.racks();
     r.cross_flows = PlaceFlows(f);
     std::vector<fabric::FlowId> churn;
     if (intra_per_host > 0) {

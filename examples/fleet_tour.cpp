@@ -6,7 +6,7 @@
 // layer gives you over 64 independent HostNetworks:
 //
 //   * lock-step ticks over one sim::Simulation per host (clock injection),
-//   * cross-host flows coupled through the rack/ToR max-min model,
+//   * cross-host flows coupled through the inter-host rack/ToR fabric,
 //   * fleet-wide telemetry rollups and the determinism digest,
 //   * the fleet-level root-cause view naming the culprit tenant.
 //
@@ -23,7 +23,7 @@ int main() {
   options.worker_threads = 4;
   fleet::Fleet fleet(64, options);
   std::printf("fleet: %d hosts in %d racks, one clock per host\n", fleet.host_count(),
-              fleet.inter_host().racks());
+              fleet.racks());
 
   // Tenant 7: storage reads within rack 0. Tenant 9: a cross-rack stream
   // that has to win rack uplink capacity too.

@@ -1,6 +1,7 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/core/check.h"
 
@@ -12,16 +13,37 @@ HostNetwork::Options DefaultHostOptions() {
   return options;
 }
 
+topology::Topology RackTopology(int hosts) {
+  MIHN_CHECK(hosts >= 1);
+  const int racks = (hosts + kHostsPerRack - 1) / kHostsPerRack;
+  topology::Topology topo;
+  for (int h = 0; h < hosts; ++h) {
+    topo.AddComponent(topology::ComponentKind::kExternalHost, "host" + std::to_string(h));
+  }
+  // The ToRs and the spine are switches: interior nodes that only forward.
+  for (int r = 0; r < racks; ++r) {
+    topo.AddComponent(topology::ComponentKind::kPcieSwitch, "tor" + std::to_string(r));
+  }
+  const topology::ComponentId spine =
+      topo.AddComponent(topology::ComponentKind::kPcieSwitch, "spine");
+  topology::LinkSpec spec = topology::DefaultLinkSpec(topology::LinkKind::kInterHost);
+  spec.capacity = kHostLinkCapacity;
+  for (int h = 0; h < hosts; ++h) {
+    topo.AddLink(h, hosts + h / kHostsPerRack, spec);
+  }
+  spec.capacity = kRackLinkCapacity;
+  for (int r = 0; r < racks; ++r) {
+    topo.AddLink(hosts + r, spine, spec);
+  }
+  return topo;
+}
+
 Fleet::Fleet(int num_hosts, Options options)
     : options_(std::move(options)),
       sim_(options_.seed),
-      inter_([&] {
-        InterHostNetwork::Config config;
-        config.hosts = num_hosts;
-        return config;
-      }()),
+      inter_topo_(RackTopology(num_hosts)),
+      inter_(sim_, inter_topo_),
       pool_(options_.worker_threads, options_.clamp_workers_to_hardware) {
-  MIHN_CHECK(num_hosts >= 1);
   clocks_.reserve(static_cast<size_t>(num_hosts));
   hosts_.reserve(static_cast<size_t>(num_hosts));
   for (int i = 0; i < num_hosts; ++i) {
@@ -60,26 +82,23 @@ CrossFlowId Fleet::StartCrossHostFlow(const CrossHostFlowSpec& spec) {
     return server.nics[mix % server.nics.size()];
   };
 
-  fabric::FlowSpec src_stage;
-  const auto src_path = src.fabric().Route(flow.spec.src_device, pick_nic(src.server()));
+  const auto start_stage = [&flow](fabric::Fabric& fabric, topology::Path path) {
+    fabric::FlowSpec stage;
+    stage.path = std::move(path);
+    stage.tenant = flow.spec.tenant;
+    stage.demand = flow.spec.demand;
+    stage.weight = flow.spec.weight;
+    return fabric.StartFlow(std::move(stage));
+  };
+  auto src_path = src.fabric().Route(flow.spec.src_device, pick_nic(src.server()));
   MIHN_CHECK(src_path.has_value());
-  src_stage.path = *src_path;
-  src_stage.tenant = flow.spec.tenant;
-  src_stage.demand = flow.spec.demand;
-  src_stage.weight = flow.spec.weight;
-  flow.src_flow = src.fabric().StartFlow(src_stage);
-
-  fabric::FlowSpec dst_stage;
-  const auto dst_path = dst.fabric().Route(pick_nic(dst.server()), flow.spec.dst_device);
+  flow.src_flow = start_stage(src.fabric(), std::move(*src_path));
+  auto dst_path = dst.fabric().Route(pick_nic(dst.server()), flow.spec.dst_device);
   MIHN_CHECK(dst_path.has_value());
-  dst_stage.path = *dst_path;
-  dst_stage.tenant = flow.spec.tenant;
-  dst_stage.demand = flow.spec.demand;
-  dst_stage.weight = flow.spec.weight;
-  flow.dst_flow = dst.fabric().StartFlow(dst_stage);
-
-  flow.inter_slot = inter_.AddFlow(flow.spec.src_host, flow.spec.dst_host, flow.spec.demand,
-                                   flow.spec.weight);
+  flow.dst_flow = start_stage(dst.fabric(), std::move(*dst_path));
+  auto inter_path = inter_.Route(flow.spec.src_host, flow.spec.dst_host);
+  MIHN_CHECK(inter_path.has_value());
+  flow.inter_flow = start_stage(inter_, std::move(*inter_path));
 
   const CrossFlowId id = next_cross_id_++;
   cross_flows_.emplace(id, std::move(flow));
@@ -113,19 +132,19 @@ void Fleet::CoupleCrossHostFlows() {
     }
   });
   // Each stage's achievable intra-host rate bounds the inter-host demand;
-  // the shared inter-host solve then yields the end-to-end rate.
+  // the shared inter-host allocation then yields the end-to-end rate.
   for (auto& [id, flow] : cross_flows_) {
     const double src_rate =
         host(flow.spec.src_host).fabric().FlowRate(flow.src_flow).bytes_per_sec();
     const double dst_rate =
         host(flow.spec.dst_host).fabric().FlowRate(flow.dst_flow).bytes_per_sec();
     const double bound = std::min({flow.spec.demand.bytes_per_sec(), src_rate, dst_rate});
-    inter_.SetFlowDemand(flow.inter_slot, sim::Bandwidth::BytesPerSec(bound));
+    inter_.SetFlowDemand(flow.inter_flow, sim::Bandwidth::BytesPerSec(bound));
   }
-  inter_.Solve();
-  // Cap both intra-host stages at the end-to-end rate.
+  // Cap both intra-host stages at the end-to-end rate. The first read
+  // solves the inter-host network.
   for (auto& [id, flow] : cross_flows_) {
-    flow.coupled_rate_bps = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
+    flow.coupled_rate_bps = inter_.FlowRate(flow.inter_flow).bytes_per_sec();
     const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);
     host(flow.spec.src_host).fabric().SetFlowLimit(flow.src_flow, cap);
     host(flow.spec.dst_host).fabric().SetFlowLimit(flow.dst_flow, cap);
@@ -180,20 +199,23 @@ FleetSample Fleet::AggregateSample() {
     sample.total_active_flows += h.active_flows;
     sample.max_host_utilization = std::max(sample.max_host_utilization, h.max_utilization);
   }
-  double inter_rate = 0.0;
-  for (const InterHostLinkUse& use : inter_.SnapshotLinks()) {
-    if (use.host >= 0 && use.up) {
-      inter_rate += use.rate_bps;  // Count each flow once, at its uplink.
+  // Count each cross-host flow once, at its source host's uplink: the even
+  // directed indices below 2 * hosts (see RackTopology()).
+  inter_.ReadLinkLoads(inter_loads_);
+  for (size_t i = 0; i < inter_loads_.size(); ++i) {
+    const fabric::LinkLoad& link = inter_loads_[i];
+    if (i < 2 * hosts_.size() && i % 2 == 0) {
+      sample.inter_rate_bps += link.rate_bps;
     }
-    sample.inter_max_utilization = std::max(sample.inter_max_utilization, use.utilization);
+    sample.inter_max_utilization =
+        std::max(sample.inter_max_utilization, link.rate_bps / link.capacity_bps);
   }
-  sample.inter_rate_bps = inter_rate;
   sample.cross_host_flows = static_cast<int>(cross_flows_.size());
   return sample;
 }
 
 const FleetSample& Fleet::Tick() {
-  const sim::TimeNs end = sim_.Now() + options_.tick_period;
+  const sim::TimeNs end = sim_.Now() + kTickPeriod;
   // Hosts meet only at the barrier below, so each runs its whole tick on
   // one worker: settle the mutations made since the last tick (placements,
   // demand changes), then the event window. The settle stays ahead of the
@@ -263,11 +285,7 @@ FleetRootCause Fleet::RootCauseView() {
     }
     view.hosts.push_back({i, std::move(reports)});
   }
-  for (const InterHostLinkUse& use : inter_.SnapshotLinks()) {
-    if (use.utilization >= kCongestionThreshold) {
-      view.inter_links.push_back(use);
-    }
-  }
+  view.inter_links = anomaly::RootCauseAnalyzer(inter_, kCongestionThreshold).FindCongestedLinks();
   for (size_t i = 0; i < meshes_.size(); ++i) {
     const auto alarm_at = meshes_[i]->first_alarm_at();
     if (!alarm_at.has_value()) {

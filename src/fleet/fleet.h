@@ -1,12 +1,12 @@
-// Fleet: many HostNetworks, each on its own virtual clock, coupled by the
-// inter-host rack/ToR model and aggregated into fleet-wide telemetry.
+// Fleet: many HostNetworks, each on its own virtual clock, coupled by an
+// inter-host network and aggregated into fleet-wide telemetry.
 //
 // The paper argues the intra-host network needs the same manageability as
 // the inter-host network; a data-center operator runs thousands of such
 // hosts at once. Fleet is that operator's view in this repo: it owns one
 // sim::Simulation per host (each HostNetwork borrows its own), plus a
-// coordinator clock that marks the fleet's time, and advances all of them
-// in lock-step ticks:
+// coordinator clock that marks the fleet's time and carries the inter-host
+// network, and advances all of them in lock-step ticks:
 //
 //   fleet::Fleet fleet(256);
 //   auto flow = fleet.StartCrossHostFlow({.tenant = 7, .src_host = 0,
@@ -14,6 +14,16 @@
 //   fleet.Run(20);                         // 20 ticks, every clock in step.
 //   uint64_t digest = fleet.TelemetryDigest();
 //   auto view = fleet.RootCauseView();
+//
+// The inter-host network is modelled the way a host's own network is: a
+// fabric::Fabric over RackTopology(), whose flows share links by the same
+// weighted max-min fairness. The paper scopes itself to the intra-host
+// network, but its motivating observation (host resources shared without
+// attribution or arbitration) repeats one level up: many hosts share a
+// ToR, many ToRs share a spine. The topology is deliberately coarse (host
+// access links and rack uplinks, one path per host pair) because its job is
+// to couple the host fabrics into one fleet, not to reproduce a data-center
+// fabric.
 //
 // Hosts are share-nothing partitions. They interact only through the
 // cross-host coupling, which runs at the tick barrier, so the tick period
@@ -43,11 +53,34 @@
 #include "src/anomaly/heartbeat.h"
 #include "src/anomaly/root_cause.h"
 #include "src/core/worker_pool.h"
-#include "src/fleet/inter_host.h"
+#include "src/fabric/fabric.h"
 #include "src/fleet/report.h"
 #include "src/host/host_network.h"
+#include "src/topology/topology.h"
 
 namespace mihn::fleet {
+
+// One fleet tick: the virtual time every clock advances per Tick().
+inline constexpr sim::TimeNs kTickPeriod = sim::TimeNs::Millis(1);
+
+// The inter-host network's shape: racks of kHostsPerRack hosts, each host
+// on a 100GbE access link into its rack's ToR, each ToR on an uplink into
+// one spine that is 4:1 oversubscribed at a full rack. Capacities are per
+// direction.
+inline constexpr int kHostsPerRack = 32;
+inline constexpr sim::Bandwidth kHostLinkCapacity = sim::Bandwidth::Gbps(100);
+inline constexpr sim::Bandwidth kRackLinkCapacity = sim::Bandwidth::Gbps(800);
+
+// The inter-host topology of |hosts| hosts. Host h is component h and its
+// access link is link h; rack r's ToR-to-spine uplink is link hosts + r.
+// Every link runs forward toward the spine, so topology::DirectedIndex puts
+// host h's up and down directions at 2h and 2h + 1 and rack r's at
+// 2·(hosts + r) and 2·(hosts + r) + 1. A cross-host flow crosses
+//
+//   src host up -> [src rack up -> dst rack down] -> dst host down
+//
+// with the bracketed rack hops only when the hosts sit in different racks.
+topology::Topology RackTopology(int hosts);
 
 // The per-host options template the fleet defaults to: telemetry and
 // management services off (Autostart::kNone). The fleet aggregates
@@ -56,7 +89,7 @@ namespace mihn::fleet {
 HostNetwork::Options DefaultHostOptions();
 
 // One tenant flow spanning two hosts: an intra-host stage on the source
-// (device -> NIC), an inter-host stage (uplink/rack/downlink), and an
+// (device -> NIC), an inter-host stage (its RackTopology() route), and an
 // intra-host stage on the destination (NIC -> device). The fleet couples
 // the three each tick: every stage's allocation caps the others.
 struct CrossHostFlowSpec {
@@ -79,7 +112,7 @@ inline constexpr CrossFlowId kInvalidCrossFlow = -1;
 inline constexpr double kCongestionThreshold = 0.9;
 
 // Fleet-level root-cause view: per-host congestion reports (host order),
-// saturated inter-host links, per-host heartbeat alarms (when meshes are
+// congested inter-host links, per-host heartbeat alarms (when meshes are
 // enabled), and the fleet-wide tenant suspect ranking.
 struct FleetSuspect {
   fabric::TenantId tenant = fabric::kNoTenant;
@@ -100,17 +133,17 @@ struct HostAlarm {
 };
 
 struct FleetRootCause {
-  std::vector<HostCongestion> hosts;          // Only hosts with congested links.
-  std::vector<InterHostLinkUse> inter_links;  // Inter-host links at/over kCongestionThreshold.
-  std::vector<HostAlarm> alarms;              // Only hosts whose mesh alarmed.
-  std::vector<FleetSuspect> suspects;         // Descending share_sum.
+  std::vector<HostCongestion> hosts;  // Only hosts with congested links.
+  // The inter-host network's congested links, by the same analyzer.
+  std::vector<anomaly::CongestionReport> inter_links;
+  std::vector<HostAlarm> alarms;       // Only hosts whose mesh alarmed.
+  std::vector<FleetSuspect> suspects;  // Descending share_sum.
 };
 
 class Fleet {
  public:
   struct Options {
     uint64_t seed = 1;
-    sim::TimeNs tick_period = sim::TimeNs::Millis(1);
     // Template applied to every host. A traced template gives every host
     // its own tracer, observing that host's clock.
     HostNetwork::Options host = DefaultHostOptions();
@@ -138,9 +171,10 @@ class Fleet {
   // Host i, on its own clock. Advance time through Tick()/Run() only: a
   // host clock run directly leaves the fleet's lock-step.
   HostNetwork& host(int i) { return *hosts_[static_cast<size_t>(i)]; }
-  InterHostNetwork& inter_host() { return inter_; }
-  // The coordinator clock: it marks the fleet's time and holds no host
-  // events. Host i's events are on host(i).simulation().
+  int racks() const { return (host_count() + kHostsPerRack - 1) / kHostsPerRack; }
+  // The coordinator clock: it marks the fleet's time and carries the
+  // inter-host network; it holds no host events. Host i's events are on
+  // host(i).simulation().
   sim::Simulation& simulation() { return sim_; }
   sim::TimeNs Now() const { return sim_.Now(); }
   // Actual pool width after the hardware clamp; 1 means serial.
@@ -157,11 +191,11 @@ class Fleet {
   sim::Bandwidth CrossHostRate(CrossFlowId id) const;
 
   // -- Time --------------------------------------------------------------------
-  // One fleet tick: every host settles pending mutations and runs its
-  // event window to the tick's end (in parallel, one host per worker at a
-  // time); then, at the barrier, the coordinator clock advances, cross-host
-  // flows re-couple, and one FleetSample aggregates. Returns the new
-  // sample.
+  // One fleet tick of kTickPeriod: every host settles pending mutations
+  // and runs its event window to the tick's end (in parallel, one host per
+  // worker at a time); then, at the barrier, the coordinator clock
+  // advances, cross-host flows re-couple, and one FleetSample aggregates.
+  // Returns the new sample.
   const FleetSample& Tick();
   void Run(int ticks);
 
@@ -176,8 +210,8 @@ class Fleet {
   void EnableHeartbeats(anomaly::HeartbeatMesh::Config config = {});
 
   // Fleet-level root cause: every host's congested links and suspects,
-  // merged in host order, plus saturated inter-host links and heartbeat
-  // alarms.
+  // merged in host order, plus the inter-host network's congested links and
+  // heartbeat alarms.
   FleetRootCause RootCauseView();
 
  private:
@@ -185,7 +219,7 @@ class Fleet {
     CrossHostFlowSpec spec;
     fabric::FlowId src_flow = fabric::kInvalidFlow;
     fabric::FlowId dst_flow = fabric::kInvalidFlow;
-    int32_t inter_slot = -1;
+    fabric::FlowId inter_flow = fabric::kInvalidFlow;
     double coupled_rate_bps = 0.0;
   };
 
@@ -196,14 +230,17 @@ class Fleet {
   HostSample ReduceHost(int i, std::vector<fabric::LinkLoad>& loads);
 
   Options options_;
-  // The coordinator clock; no host schedules on it.
+  // The coordinator clock; no host schedules on it. The inter-host fabric
+  // below runs on it, over its own topology.
   sim::Simulation sim_;
+  topology::Topology inter_topo_;
+  fabric::Fabric inter_;
+  std::vector<fabric::LinkLoad> inter_loads_;  // AggregateSample()'s buffer.
   // One clock per host. Declaration order is destruction-safety: each
   // clock outlives its host (hosts_ destructs first), per HostNetwork's
   // borrowed-clock lifetime rule.
   std::vector<std::unique_ptr<sim::Simulation>> clocks_;
   std::vector<std::unique_ptr<HostNetwork>> hosts_;
-  InterHostNetwork inter_;
   std::vector<std::unique_ptr<anomaly::HeartbeatMesh>> meshes_;  // Empty unless enabled.
   std::map<CrossFlowId, CrossFlow> cross_flows_;  // Ordered: deterministic coupling.
   CrossFlowId next_cross_id_ = 1;

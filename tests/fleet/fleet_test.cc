@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <bit>
 #include <cstdio>
 #include <cstdint>
@@ -13,7 +16,6 @@
 #include <vector>
 
 #include "src/fabric/max_min.h"
-#include "src/fleet/inter_host.h"
 #include "src/obs/export.h"
 #include "src/sim/random.h"
 
@@ -23,76 +25,110 @@ namespace {
 using sim::Bandwidth;
 using sim::TimeNs;
 
-// -- InterHostNetwork ---------------------------------------------------------
+// -- RackTopology -------------------------------------------------------------
 
-TEST(InterHostNetworkTest, HostUplinkIsSharedMaxMin) {
-  InterHostNetwork::Config config;
-  config.hosts = 4;
-  config.hosts_per_rack = 4;  // One rack: no rack hops involved.
-  InterHostNetwork net(config);
+// A fabric over RackTopology(hosts) on its own clock: the inter-host
+// network as the fleet builds it.
+struct InterHostNet {
+  explicit InterHostNet(int hosts) : topo(RackTopology(hosts)), fabric(sim, topo) {}
+
+  fabric::FlowId Start(int src, int dst, double demand_bps, double weight = 1.0) {
+    fabric::FlowSpec spec;
+    spec.path = *fabric.Route(src, dst);
+    spec.demand = Bandwidth::BytesPerSec(demand_bps);
+    spec.weight = weight;
+    return fabric.StartFlow(std::move(spec));
+  }
+
+  sim::Simulation sim{1};
+  topology::Topology topo;
+  fabric::Fabric fabric;
+};
+
+TEST(RackTopologyTest, HostUplinkIsSharedMaxMin) {
+  InterHostNet net(4);  // One rack: no rack hops involved.
   // Two flows out of host 0 compete for its 100G uplink.
-  const int32_t a = net.AddFlow(0, 1, Bandwidth::Gbps(100));
-  const int32_t b = net.AddFlow(0, 2, Bandwidth::Gbps(100));
-  net.Solve();
-  EXPECT_DOUBLE_EQ(net.FlowRate(a).ToGbps(), 50.0);
-  EXPECT_DOUBLE_EQ(net.FlowRate(b).ToGbps(), 50.0);
+  const fabric::FlowId a = net.Start(0, 1, Bandwidth::Gbps(100).bytes_per_sec());
+  const fabric::FlowId b = net.Start(0, 2, Bandwidth::Gbps(100).bytes_per_sec());
+  EXPECT_DOUBLE_EQ(net.fabric.FlowRate(a).ToGbps(), 50.0);
+  EXPECT_DOUBLE_EQ(net.fabric.FlowRate(b).ToGbps(), 50.0);
 }
 
-TEST(InterHostNetworkTest, RackUplinkBindsCrossRackFlows) {
-  InterHostNetwork::Config config;
-  config.hosts = 4;
-  config.hosts_per_rack = 2;  // Hosts {0,1} in rack 0, {2,3} in rack 1.
-  config.rack_up = Bandwidth::Gbps(100);
-  config.rack_down = Bandwidth::Gbps(100);
-  InterHostNetwork net(config);
-  EXPECT_EQ(net.racks(), 2);
-  // Distinct source hosts (100G uplink each) but one shared 100G rack uplink.
-  const int32_t a = net.AddFlow(0, 2, Bandwidth::Gbps(100));
-  const int32_t b = net.AddFlow(1, 3, Bandwidth::Gbps(100));
-  net.Solve();
-  EXPECT_DOUBLE_EQ(net.FlowRate(a).ToGbps(), 50.0);
-  EXPECT_DOUBLE_EQ(net.FlowRate(b).ToGbps(), 50.0);
-  // Intra-rack traffic skips the rack hop, but host 2's downlink is shared
-  // with flow a: max-min grants each 50.
-  const int32_t c = net.AddFlow(3, 2, Bandwidth::Gbps(100));
-  net.Solve();
-  EXPECT_DOUBLE_EQ(net.FlowRate(c).ToGbps(), 50.0);
-  EXPECT_DOUBLE_EQ(net.FlowRate(a).ToGbps(), 50.0);
+TEST(RackTopologyTest, RackUplinkBindsCrossRackFlows) {
+  InterHostNet net(64);  // Hosts 0-31 in rack 0, 32-63 in rack 1.
+  // Ten flows from distinct hosts (100G uplink each) share rack 0's 800G
+  // uplink.
+  std::vector<fabric::FlowId> out;
+  for (int h = 0; h < 10; ++h) {
+    out.push_back(net.Start(h, 32 + h, Bandwidth::Gbps(100).bytes_per_sec()));
+  }
+  for (const fabric::FlowId id : out) {
+    EXPECT_DOUBLE_EQ(net.fabric.FlowRate(id).ToGbps(), 80.0);
+  }
+  // Intra-rack traffic skips the rack hop, but host 32's downlink is shared
+  // with the first flow: max-min grants each 50, and the other nine split
+  // the rest of the rack uplink.
+  const fabric::FlowId c = net.Start(60, 32, Bandwidth::Gbps(100).bytes_per_sec());
+  EXPECT_DOUBLE_EQ(net.fabric.FlowRate(c).ToGbps(), 50.0);
+  EXPECT_DOUBLE_EQ(net.fabric.FlowRate(out[0]).ToGbps(), 50.0);
+  EXPECT_DOUBLE_EQ(net.fabric.FlowRate(out[1]).ToGbps(), 750.0 / 9);
 }
 
-TEST(InterHostNetworkTest, SnapshotOrderIsFixed) {
-  InterHostNetwork::Config config;
-  config.hosts = 3;
-  config.hosts_per_rack = 2;
-  InterHostNetwork net(config);
-  const auto links = net.SnapshotLinks();
-  ASSERT_EQ(links.size(), 2u * 3 + 2u * 2);
-  EXPECT_EQ(links[0].host, 0);
-  EXPECT_TRUE(links[0].up);
-  EXPECT_EQ(links[1].host, 0);
-  EXPECT_FALSE(links[1].up);
-  EXPECT_EQ(links[6].host, -1);  // First rack link after 3 host pairs.
-  EXPECT_EQ(links[6].rack, 0);
-}
-
-// A random add/demand trace: after every Solve(), whether it replayed
-// demand changes or re-primed after an add, each slot's rate equals
-// SolveMaxMinReference over all slots bit for bit. The links follow the SnapshotLinks() order: host h up/down at
-// 2h and 2h + 1, then rack r up/down at 2·hosts + 2r and 2·hosts + 2r + 1.
-TEST(InterHostNetworkTest, MutationTraceMatchesReference) {
-  InterHostNetwork::Config config;
-  config.hosts = 12;
-  config.hosts_per_rack = 4;
-  // Narrower than the four 100G host links behind each: racks bind too.
-  config.rack_up = Bandwidth::Gbps(250);
-  config.rack_down = Bandwidth::Gbps(180);
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    InterHostNetwork net(config);
-    ASSERT_EQ(net.racks(), 3);
-    std::vector<double> caps;
-    for (const InterHostLinkUse& use : net.SnapshotLinks()) {
-      caps.push_back(use.capacity_bps);
+// Host h's access link is link h and rack r's uplink link hosts + r, each
+// forward toward the spine, so topology::DirectedIndex lays the directed
+// links out as host h up/down at 2h and 2h + 1, then rack r up/down at
+// 2·(hosts + r) and 2·(hosts + r) + 1.
+TEST(RackTopologyTest, DirectedIndexLayoutIsFixed) {
+  constexpr int kHosts = 70;  // Three racks, the last one partial.
+  const topology::Topology topo = RackTopology(kHosts);
+  ASSERT_EQ(topo.component_count(), static_cast<size_t>(kHosts + 3 + 1));
+  ASSERT_EQ(topo.link_count(), static_cast<size_t>(kHosts + 3));
+  EXPECT_TRUE(topo.Validate().empty());
+  for (int h = 0; h < kHosts; ++h) {
+    const topology::Link& link = topo.link(h);
+    EXPECT_EQ(link.a, h);
+    EXPECT_EQ(link.b, kHosts + h / kHostsPerRack);
+    EXPECT_EQ(link.spec.kind, topology::LinkKind::kInterHost);
+    EXPECT_EQ(link.spec.capacity, kHostLinkCapacity);
+  }
+  for (int r = 0; r < 3; ++r) {
+    const topology::Link& link = topo.link(kHosts + r);
+    EXPECT_EQ(link.a, kHosts + r);
+    EXPECT_EQ(link.b, kHosts + 3);  // The spine.
+    EXPECT_EQ(link.spec.kind, topology::LinkKind::kInterHost);
+    EXPECT_EQ(link.spec.capacity, kRackLinkCapacity);
+  }
+  const topology::Router router(topo);
+  const auto indices = [&router](int src, int dst) {
+    const std::optional<topology::Path> path = router.ShortestPath(src, dst);
+    std::vector<int32_t> out;
+    for (const topology::DirectedLink& hop : path->hops) {
+      out.push_back(topology::DirectedIndex(hop));
     }
+    return out;
+  };
+  EXPECT_EQ(indices(3, 5), (std::vector<int32_t>{6, 11}));
+  EXPECT_EQ(indices(1, 69), (std::vector<int32_t>{2, 2 * kHosts, 2 * (kHosts + 2) + 1, 139}));
+  EXPECT_EQ(indices(69, 1), (std::vector<int32_t>{138, 2 * (kHosts + 2), 2 * kHosts + 1, 3}));
+}
+
+// A random start/demand/stop trace over three racks: after every batch,
+// whether the fabric re-primed after a start or stop, replayed demand
+// changes, or already solved on its clock's pre-advance hook, each live
+// flow's rate equals SolveMaxMinReference over the live flows in id order,
+// bit for bit. The reference's links follow the layout above.
+TEST(RackTopologyTest, MutationTraceMatchesReference) {
+  constexpr int kHosts = 96;
+  std::vector<double> caps;
+  for (int h = 0; h < kHosts; ++h) {
+    caps.insert(caps.end(), 2, kHostLinkCapacity.bytes_per_sec());
+  }
+  for (int r = 0; r < 3; ++r) {
+    caps.insert(caps.end(), 2, kRackLinkCapacity.bytes_per_sec());
+  }
+  int rack_bound_batches = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    InterHostNet net(kHosts);
     sim::Rng rng(seed);
     const auto random_demand = [&rng] {
       if (rng.Bernoulli(0.1)) {
@@ -103,49 +139,61 @@ TEST(InterHostNetworkTest, MutationTraceMatchesReference) {
       }
       return Bandwidth::Gbps(rng.Uniform(1.0, 150.0)).bytes_per_sec();
     };
-    std::vector<fabric::MaxMinFlow> shadow;  // Slot-indexed.
+    std::map<fabric::FlowId, fabric::MaxMinFlow> live;  // Id order.
     for (int batch = 0; batch < 60; ++batch) {
-      std::vector<int32_t> added;
-      const int64_t ops = rng.UniformInt(1, 4);
+      const int64_t ops = rng.UniformInt(1, 6);
       for (int64_t op = 0; op < ops; ++op) {
-        const int64_t kind = shadow.empty() ? 0 : rng.UniformInt(0, 3);
+        const int64_t kind = live.empty() ? 0 : rng.UniformInt(0, 4);
         if (kind <= 1) {
-          const int src = static_cast<int>(rng.UniformInt(0, config.hosts - 1));
-          int dst = static_cast<int>(rng.UniformInt(0, config.hosts - 2));
+          // Half the sources crowd into rack 0, so its uplink binds too.
+          const int src = static_cast<int>(
+              rng.Bernoulli(0.5) ? rng.UniformInt(0, 15) : rng.UniformInt(0, kHosts - 1));
+          int dst = static_cast<int>(rng.UniformInt(0, kHosts - 2));
           dst += dst >= src ? 1 : 0;
           fabric::MaxMinFlow f;
           f.weight = rng.Uniform(0.5, 4.0);
           f.demand = random_demand();
           f.links.push_back(2 * src);
-          if (net.RackOf(src) != net.RackOf(dst)) {
-            f.links.push_back(2 * config.hosts + 2 * net.RackOf(src));
-            f.links.push_back(2 * config.hosts + 2 * net.RackOf(dst) + 1);
+          if (src / kHostsPerRack != dst / kHostsPerRack) {
+            f.links.push_back(2 * (kHosts + src / kHostsPerRack));
+            f.links.push_back(2 * (kHosts + dst / kHostsPerRack) + 1);
           }
           f.links.push_back(2 * dst + 1);
-          const int32_t slot =
-              net.AddFlow(src, dst, Bandwidth::BytesPerSec(f.demand), f.weight);
-          ASSERT_EQ(static_cast<size_t>(slot), shadow.size());
-          shadow.push_back(std::move(f));
-          added.push_back(slot);
+          live.emplace(net.Start(src, dst, f.demand, f.weight), std::move(f));
           continue;
         }
-        const auto slot = static_cast<int32_t>(
-            rng.UniformInt(0, static_cast<int64_t>(shadow.size()) - 1));
-        const double demand = random_demand();
-        net.SetFlowDemand(slot, Bandwidth::BytesPerSec(demand));
-        shadow[static_cast<size_t>(slot)].demand = demand;
+        auto it = std::next(live.begin(), rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        if (kind == 4) {
+          net.fabric.StopFlow(it->first);
+          live.erase(it);
+          continue;
+        }
+        it->second.demand = random_demand();
+        net.fabric.SetFlowDemand(it->first, Bandwidth::BytesPerSec(it->second.demand));
       }
-      for (const int32_t slot : added) {
-        EXPECT_EQ(net.FlowRate(slot).bytes_per_sec(), 0.0) << "seed " << seed;
+      if (batch % 2 == 1) {
+        net.sim.RunFor(TimeNs::Micros(1));  // The pre-advance hook solves.
       }
-      net.Solve();
-      const std::vector<double> want = fabric::SolveMaxMinReference(shadow, caps);
-      for (size_t at = 0; at < shadow.size(); ++at) {
-        const double got = net.FlowRate(static_cast<int32_t>(at)).bytes_per_sec();
-        ASSERT_EQ(got, want[at]) << "seed " << seed << " batch " << batch << " slot " << at;
+      std::vector<fabric::MaxMinFlow> flows;
+      for (const auto& [id, f] : live) {
+        flows.push_back(f);
+      }
+      const std::vector<double> want = fabric::SolveMaxMinReference(flows, caps);
+      size_t at = 0;
+      for (const auto& [id, f] : live) {
+        ASSERT_EQ(net.fabric.FlowRate(id).bytes_per_sec(), want[at++])
+            << "seed " << seed << " batch " << batch << " flow " << id;
+      }
+      for (int r = 0; r < 3; ++r) {
+        if (net.fabric.Utilization({kHosts + r, true}) > 0.999) {
+          ++rack_bound_batches;
+          break;
+        }
       }
     }
   }
+  // About a sixth of the 2400 batches (411) end with a rack uplink bound.
+  EXPECT_GE(rack_bound_batches, 240);
 }
 
 // -- Fleet --------------------------------------------------------------------
@@ -363,14 +411,12 @@ uint64_t RateDigest(const Fleet& fleet, const std::vector<CrossFlowId>& ids) {
 }
 
 // The inter-host links RootCauseView() reports congested, as ascending
-// "<index>:<utilization>" pairs. Host h's links are 2h (up) and 2h + 1
-// (down); rack r's uplink pair follows the hosts, at 2·hosts + 2r and
-// 2·hosts + 2r + 1.
+// "<directed index>:<utilization>" pairs (the layout is in
+// RackTopologyTest.DirectedIndexLayoutIsFixed).
 std::string CongestedInterLinks(Fleet& fleet) {
   std::vector<std::pair<int, double>> links;
-  for (const InterHostLinkUse& use : fleet.RootCauseView().inter_links) {
-    const int base = use.host >= 0 ? 2 * use.host : 2 * fleet.host_count() + 2 * use.rack;
-    links.emplace_back(base + (use.up ? 0 : 1), use.utilization);
+  for (const anomaly::CongestionReport& report : fleet.RootCauseView().inter_links) {
+    links.emplace_back(topology::DirectedIndex(report.link), report.utilization);
   }
   std::sort(links.begin(), links.end());
   std::string out;
@@ -448,12 +494,12 @@ TEST(FleetTest, TickAdvancesSharedClockAndSamples) {
   Fleet fleet(2, {});
   EXPECT_EQ(fleet.Now(), TimeNs::Zero());
   const FleetSample& first = fleet.Tick();
-  EXPECT_EQ(first.at, Fleet::Options{}.tick_period);
+  EXPECT_EQ(first.at, kTickPeriod);
   EXPECT_EQ(fleet.host(0).Now(), fleet.Now());
   EXPECT_EQ(fleet.host(1).Now(), fleet.Now());
   fleet.Run(2);
   EXPECT_EQ(fleet.samples().size(), 3u);
-  EXPECT_EQ(fleet.samples().back().at.nanos(), 3 * Fleet::Options{}.tick_period.nanos());
+  EXPECT_EQ(fleet.samples().back().at.nanos(), 3 * kTickPeriod.nanos());
 }
 
 TEST(FleetTest, CrossHostFlowCouplesToMinOfStages) {
@@ -527,6 +573,38 @@ TEST(FleetTest, RootCauseViewRanksFleetWideSuspects) {
   EXPECT_GT(fleet.samples().back().max_host_utilization, 0.9);
 }
 
+// Ten cross-rack flows of weights 1 and 2 leave rack 0 from distinct hosts
+// and bind its uplink: the weight-2 flows fill their hosts' 100G access
+// links, and the weight-1 flows split the remaining 300G. The root-cause
+// view names the uplink with each tenant's share of it.
+TEST(FleetTest, RootCauseViewNamesACongestedRackUplink) {
+  Fleet fleet(64, {});
+  for (int h = 0; h < 10; ++h) {
+    CrossHostFlowSpec spec;
+    spec.tenant = 21 + h % 2;
+    spec.src_host = h;
+    spec.dst_host = 32 + h;
+    spec.src_device = fleet.host(h).server().dimms.front();
+    spec.demand = Bandwidth::Gbps(120);
+    spec.weight = 1.0 + h % 2;
+    fleet.StartCrossHostFlow(spec);
+  }
+  fleet.Run(3);
+  const FleetRootCause view = fleet.RootCauseView();
+  const auto uplink = std::find_if(
+      view.inter_links.begin(), view.inter_links.end(),
+      [](const anomaly::CongestionReport& report) { return report.link.link == 64; });
+  ASSERT_NE(uplink, view.inter_links.end());
+  EXPECT_TRUE(uplink->link.forward);
+  EXPECT_DOUBLE_EQ(uplink->utilization, 1.0);
+  ASSERT_EQ(uplink->tenants.size(), 2u);
+  EXPECT_EQ(uplink->tenants[0].tenant, 22);
+  EXPECT_DOUBLE_EQ(uplink->tenants[0].share, 0.625);
+  EXPECT_EQ(uplink->tenants[1].tenant, 21);
+  EXPECT_DOUBLE_EQ(uplink->tenants[1].share, 0.375);
+  EXPECT_DOUBLE_EQ(fleet.samples().back().inter_max_utilization, 1.0);
+}
+
 // Every host's mesh probes on its own clock; pooled, those event windows
 // run on helper threads. The alarms, bit for bit, and the digest must match
 // the serial run.
@@ -538,15 +616,13 @@ TEST(FleetTest, HeartbeatAlarmsSurfacePerHost) {
   };
   const auto run = [](int workers) {
     Fleet::Options options;
-    options.tick_period = TimeNs::Millis(2);
     options.worker_threads = workers;
     options.clamp_workers_to_hardware = false;
     Fleet fleet(4, options);
     anomaly::HeartbeatMesh::Config mesh;
     mesh.period = TimeNs::Micros(100);
-    mesh.baseline_samples = 4;
     fleet.EnableHeartbeats(mesh);
-    fleet.Run(2);  // Establish baselines on a healthy fleet.
+    fleet.Run(4);  // Establish baselines on a healthy fleet.
 
     // Silent +5us degradation on host 1, on a link its probes traverse.
     HostNetwork& faulty = fleet.host(1);
@@ -554,7 +630,7 @@ TEST(FleetTest, HeartbeatAlarmsSurfacePerHost) {
     fabric::LinkFault fault;
     fault.extra_latency = TimeNs::Micros(5);
     faulty.fabric().InjectLinkFault(path.hops[0].link, fault);
-    fleet.Run(3);
+    fleet.Run(6);
 
     Outcome out;
     for (const HostAlarm& alarm : fleet.RootCauseView().alarms) {
