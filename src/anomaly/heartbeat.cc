@@ -10,6 +10,8 @@ namespace {
 constexpr int64_t kProbeBytes = 64;
 // EWMA weight for the smoothed latency.
 constexpr double kSmoothingAlpha = 0.3;
+// Probes used to learn the per-pair baseline before arming.
+constexpr int kBaselineSamples = 8;
 
 }  // namespace
 
@@ -62,7 +64,7 @@ void HeartbeatMesh::Tick() {
 
     const double lat_ns = static_cast<double>(latency.nanos());
     ++state.samples;
-    if (state.samples <= config_.baseline_samples) {
+    if (state.samples <= kBaselineSamples) {
       // Running mean during the learning phase.
       state.baseline_ns += (lat_ns - state.baseline_ns) / state.samples;
       state.smoothed_ns = state.baseline_ns;

@@ -30,8 +30,6 @@ class HeartbeatMesh {
     // A pair alarms when its smoothed latency exceeds this multiple of its
     // baseline.
     double degradation_factor = 2.0;
-    // Probes used to learn the per-pair baseline before arming.
-    int baseline_samples = 8;
   };
 
   struct PairReport {

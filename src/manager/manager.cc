@@ -284,8 +284,7 @@ void Manager::ArbitrateOnce() {
   // Per-link slack and claim weights over that slack.
   auto leftover_of = [this](int32_t index) {
     const topology::DirectedLink dlink{index / 2, index % 2 == 0};
-    const double cap = fabric_.EffectiveCapacity(dlink).bytes_per_sec() *
-                       config_.scheduler.reservable_fraction;
+    const double cap = fabric_.EffectiveCapacity(dlink).bytes_per_sec() * kReservableFraction;
     const auto it = reserved_.find(index);
     const double reserved = it == reserved_.end() ? 0.0 : it->second;
     return std::max(0.0, cap - reserved);

@@ -23,7 +23,7 @@ std::optional<Scheduler::Placement> Scheduler::Place(
     double max_util = 0.0;
     for (const topology::DirectedLink& hop : path.hops) {
       const double cap = fabric_.EffectiveCapacity(hop).bytes_per_sec();
-      const double budget = cap * config_.reservable_fraction;
+      const double budget = cap * kReservableFraction;
       const auto it = reserved.find(topology::DirectedIndex(hop));
       const double already = it == reserved.end() ? 0.0 : it->second;
       if (already + bw > budget) {

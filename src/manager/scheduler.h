@@ -24,13 +24,14 @@
 
 namespace mihn::manager {
 
+// Admission headroom: a link's reservations may not exceed this fraction of
+// its effective capacity.
+inline constexpr double kReservableFraction = 0.95;
+
 struct SchedulerConfig {
   int k_paths = 4;
   // false = naive shortest-path placement (ablation baseline).
   bool topology_aware = true;
-  // Admission headroom: a link's reservations may not exceed this fraction
-  // of its effective capacity.
-  double reservable_fraction = 0.95;
 };
 
 class Scheduler {

@@ -80,7 +80,7 @@ void SloMonitor::CheckOnce() {
 
 void SloMonitor::RecordViolation(const Violation& v) {
   violations_.push_back(v);
-  while (violations_.size() > config_.max_violations) {
+  while (violations_.size() > kMaxViolations) {
     violations_.pop_front();
     ++violations_dropped_;
   }

@@ -25,15 +25,16 @@
 
 namespace mihn::manager {
 
+// Retained violation records; the oldest are evicted beyond this and
+// counted in violations_dropped() — mirrors sim::TimeSeries eviction
+// accounting so a violating allocation can't grow memory without bound over
+// a long campaign.
+inline constexpr size_t kMaxViolations = 8192;
+
 class SloMonitor {
  public:
   struct Config {
     sim::TimeNs period = sim::TimeNs::Millis(1);
-    // Retained violation records; the oldest are evicted beyond this and
-    // counted in violations_dropped() — mirrors sim::TimeSeries eviction
-    // accounting so a violating allocation can't grow memory without bound
-    // over a long campaign.
-    size_t max_violations = 8192;
   };
 
   struct Violation {
@@ -62,7 +63,7 @@ class SloMonitor {
   // One check pass right now (also what the timer runs).
   void CheckOnce();
 
-  // Retained violations, oldest first (bounded by Config::max_violations).
+  // Retained violations, oldest first (bounded by kMaxViolations).
   const std::deque<Violation>& violations() const { return violations_; }
 
   // Violations evicted from the front of violations() to honor the bound.
@@ -83,7 +84,7 @@ class SloMonitor {
     uint64_t passed = 0;
   };
 
-  // Appends |v|, evicting the oldest record past Config::max_violations.
+  // Appends |v|, evicting the oldest record past kMaxViolations.
   void RecordViolation(const Violation& v);
 
   Manager& manager_;

@@ -7,6 +7,8 @@ namespace {
 
 constexpr int64_t kRequestBytes = 64;
 constexpr int64_t kResponseBytes = 4096;
+// Host-side service time per op (hash lookup + syscall-free RDMA path).
+constexpr sim::TimeNs kServiceTime = sim::TimeNs::Micros(1);
 
 }  // namespace
 
@@ -61,7 +63,7 @@ void KvClient::IssueOp() {
       return;
     }
     // Host-side service, then the response packet.
-    sim.ScheduleAfter(config_.service_time, [this, issued, gen] {
+    sim.ScheduleAfter(kServiceTime, [this, issued, gen] {
       if (gen != generation_) {
         return;
       }

@@ -26,8 +26,6 @@ class KvClient : public Workload {
     topology::ComponentId client = topology::kInvalidComponent;  // e.g. external host.
     topology::ComponentId server = topology::kInvalidComponent;  // e.g. CPU socket.
     int concurrency = 4;
-    // Host-side service time per op (hash lookup + syscall-free RDMA path).
-    sim::TimeNs service_time = sim::TimeNs::Micros(1);
     // Packets carry no tenant, so nothing reads this.
     fabric::TenantId tenant = fabric::kNoTenant;
     std::string name = "kv";

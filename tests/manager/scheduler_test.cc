@@ -115,16 +115,15 @@ TEST(SchedulerTest, NaiveModeIgnoresAlternatives) {
 TEST(SchedulerTest, HeadroomFractionEnforced) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
-  SchedulerConfig config;
-  config.reservable_fraction = 0.5;
-  Scheduler scheduler(host.fabric(), config);
+  Scheduler scheduler(host.fabric(), SchedulerConfig{});
   PerformanceTarget target;
   target.src = host.server().ssds[0];
   target.dst = host.server().sockets[0];
-  // PCIe effective cap ~29 GB/s; 0.5 headroom -> ~14.5 max.
-  target.bandwidth = Bandwidth::GBps(20);
+  // PCIe effective cap ~29.05 GB/s; 0.95 headroom -> ~27.6 max, so 28 GB/s
+  // fits the link but not its headroom.
+  target.bandwidth = Bandwidth::GBps(28);
   EXPECT_FALSE(scheduler.Place(target, {}).has_value());
-  target.bandwidth = Bandwidth::GBps(10);
+  target.bandwidth = Bandwidth::GBps(27);
   EXPECT_TRUE(scheduler.Place(target, {}).has_value());
 }
 

@@ -157,13 +157,13 @@ TEST(SloMonitorTest, ViolationLogIsBounded) {
 
   SloMonitor::Config config;
   config.period = TimeNs::Millis(1);
-  config.max_violations = 16;
   SloMonitor monitor(*f.manager, f.host->fabric(), config);
   monitor.Start();
-  f.host->RunFor(TimeNs::Millis(100));
+  constexpr size_t kChecks = kMaxViolations + 100;  // One violation per 1 ms check.
+  f.host->RunFor(TimeNs::Millis(kChecks));
 
-  EXPECT_EQ(monitor.violations().size(), 16u);
-  EXPECT_EQ(monitor.violations_dropped(), 100u - 16u);  // One violation per 1 ms check.
+  EXPECT_EQ(monitor.violations().size(), kMaxViolations);
+  EXPECT_EQ(monitor.violations_dropped(), kChecks - kMaxViolations);
   EXPECT_EQ(monitor.violations_total(),
             monitor.violations_dropped() + monitor.violations().size());
   // The retained window is the newest violations, in order.

@@ -29,7 +29,6 @@ TEST(KvClientTest, CompletesOpsAtExpectedUnloadedLatency) {
   config.client = host.server().external_hosts[0];
   config.server = host.server().sockets[0];
   config.concurrency = 1;
-  config.service_time = TimeNs::Micros(1);
   KvClient kv(host.fabric(), config);
   kv.Start();
   host.RunFor(TimeNs::Millis(10));
