@@ -104,8 +104,8 @@ std::string_view PresetName(HostNetwork::Preset preset) {
 
 Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {}
 
-CampaignResult Campaign::Run(TrialExecutor& executor) {
-  return Assemble(executor.Map(
+CampaignResult Campaign::Run(core::WorkerPool& pool) {
+  return Assemble(pool.ParallelMap(
       static_cast<size_t>(config_.trials < 0 ? 0 : config_.trials),
       [this](size_t trial) { return RunTrial(static_cast<int>(trial)); }));
 }

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "src/chaos/executor.h"
+#include "src/core/worker_pool.h"
 #include "src/chaos/fault_schedule.h"
 #include "src/chaos/scorer.h"
 #include "src/host/host_network.h"
@@ -137,13 +137,12 @@ class Campaign {
  public:
   explicit Campaign(CampaignConfig config);
 
-  // Runs every trial on |executor| and aggregates. Deterministic; no
+  // Runs every trial on |pool| and aggregates. Deterministic; no
   // wall-clock reads. Trials isolate all state in a fresh clock and
   // HostNetwork each, and results merge in strict trial order, so the
-  // report is byte-identical at any worker count, a width-1 executor
-  // running every trial inline (tests/chaos/executor_test.cc holds this
-  // bar).
-  CampaignResult Run(TrialExecutor& executor);
+  // report is byte-identical at any worker count, a width-1 pool running
+  // every trial inline (tests/chaos/executor_test.cc holds this bar).
+  CampaignResult Run(core::WorkerPool& pool);
 
   // Building blocks for the sweep's flattened (cell, trial) fan-out.
   // RunTrial executes one Fork-seeded trial in isolation; Assemble merges

@@ -164,7 +164,7 @@ std::vector<int> RankCells(const std::vector<SweepCellResult>& cells) {
 
 Sweep::Sweep(SweepConfig config) : config_(std::move(config)) {}
 
-SweepResult Sweep::Run(TrialExecutor& executor) {
+SweepResult Sweep::Run(core::WorkerPool& pool) {
   SweepResult out;
   const std::vector<SweepCell> cells = ExpandGrid(config_);
   if (cells.empty()) {
@@ -194,7 +194,7 @@ SweepResult Sweep::Run(TrialExecutor& executor) {
     }
   }
 
-  std::vector<TrialRun> runs = executor.Map(pairs.size(), [&](size_t i) {
+  std::vector<TrialRun> runs = pool.ParallelMap(pairs.size(), [&](size_t i) {
     return campaigns[pairs[i].cell].RunTrial(pairs[i].trial);
   });
 

@@ -7,7 +7,7 @@
 // on another. A SweepConfig crosses campaign files × preset overrides ×
 // fault-scale multipliers × recovery policies into a grid of cells; every
 // (cell, trial) pair is an isolated simulation on its own clock, so the whole
-// grid flattens into one work list for the TrialExecutor's pool.
+// grid flattens into one work list for a core::WorkerPool.
 //
 // Determinism contract (same bar as the campaign and fleet layers): cell
 // expansion order is the pure cross product (campaign, preset, scale,
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "src/chaos/campaign.h"
-#include "src/chaos/executor.h"
+#include "src/core/worker_pool.h"
 
 namespace mihn::chaos {
 
@@ -95,10 +95,10 @@ class Sweep {
  public:
   explicit Sweep(SweepConfig config);
 
-  // Runs every (cell, trial) pair over |executor| and assembles per-cell
+  // Runs every (cell, trial) pair over |pool| and assembles per-cell
   // campaign results in strict (cell, trial) order, then ranks. The
   // report is byte-identical across worker counts.
-  SweepResult Run(TrialExecutor& executor);
+  SweepResult Run(core::WorkerPool& pool);
 
  private:
   SweepConfig config_;

@@ -28,8 +28,8 @@ StreamSpec Stream(ComponentKind src_kind, int src_index, ComponentKind dst_kind,
 
 // Every trial inline, in trial order.
 CampaignResult RunInline(Campaign& campaign) {
-  TrialExecutor inline_executor(1);
-  return campaign.Run(inline_executor);
+  core::WorkerPool inline_pool(1);
+  return campaign.Run(inline_pool);
 }
 
 CampaignConfig BaseConfig() {

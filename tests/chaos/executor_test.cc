@@ -1,12 +1,9 @@
-// Parallel trial executor determinism: campaign reports must be
-// byte-identical across worker counts {0, 1, 2, 8} and equal to merging
-// RunTrial results in trial order with Assemble, and the failed-campaign
-// path must stay honest (and identical) under the pool.
-
-#include "src/chaos/executor.h"
+// Pooled campaign determinism: campaign reports must be byte-identical
+// across worker counts {0, 1, 2, 8} and equal to merging RunTrial results
+// in trial order with Assemble, and the failed-campaign path must stay
+// honest (and identical) under the pool.
 
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,6 +11,7 @@
 
 #include "src/chaos/campaign.h"
 #include "src/chaos/report.h"
+#include "src/core/worker_pool.h"
 
 namespace mihn::chaos {
 namespace {
@@ -48,36 +46,6 @@ CampaignConfig FaultyConfig(int trials) {
   return config;
 }
 
-TEST(TrialExecutorTest, MapPreservesIndexOrderAcrossThreads) {
-  TrialExecutor executor(8, /*clamp_to_hardware=*/false);
-  constexpr size_t kN = 129;
-  const std::vector<std::string> results = executor.Map(kN, [](size_t i) {
-    // Skew the per-item cost so chunks finish out of order.
-    std::string payload;
-    for (size_t j = 0; j < (i % 7) * 100; ++j) {
-      payload += 'x';
-    }
-    return std::to_string(i) + ":" + std::to_string(payload.size());
-  });
-  ASSERT_EQ(results.size(), kN);
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(results[i], std::to_string(i) + ":" + std::to_string((i % 7) * 100));
-  }
-}
-
-TEST(TrialExecutorTest, InlineWidthsRunWithoutAPool) {
-  TrialExecutor zero(0);
-  TrialExecutor one(1);
-  EXPECT_EQ(zero.Map(4, [](size_t i) { return i * 2; }),
-            (std::vector<size_t>{0, 2, 4, 6}));
-  // Every index runs on the calling thread.
-  const std::thread::id caller = std::this_thread::get_id();
-  for (TrialExecutor* executor : {&zero, &one}) {
-    EXPECT_EQ(executor->Map(4, [&](size_t) { return std::this_thread::get_id() == caller ? 1 : 0; }),
-              (std::vector<int>{1, 1, 1, 1}));
-  }
-}
-
 // The reference a pooled run must reproduce: RunTrial(i) for every trial,
 // merged in index order by Assemble.
 CampaignResult TrialOrderMerge(const Campaign& campaign, int trials) {
@@ -88,26 +56,26 @@ CampaignResult TrialOrderMerge(const Campaign& campaign, int trials) {
   return campaign.Assemble(std::move(runs));
 }
 
-// The ctest determinism gate for the campaign executor: byte-identical
+// The ctest determinism gate for pooled campaigns: byte-identical
 // reports across worker counts {0, 1, 2, 8} and vs the trial-order merge.
 TEST(CampaignExecutorTest, ReportBytesIdenticalAcrossWorkerCounts) {
   Campaign campaign(FaultyConfig(4));
   const std::string reference = CampaignReportJson(TrialOrderMerge(campaign, 4));
   ASSERT_FALSE(reference.empty());
   for (const int workers : {0, 1, 2, 8}) {
-    TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
-    const std::string pooled = CampaignReportJson(campaign.Run(executor));
+    core::WorkerPool pool(workers, /*clamp_to_hardware=*/false);
+    const std::string pooled = CampaignReportJson(campaign.Run(pool));
     EXPECT_EQ(pooled, reference) << "workers=" << workers;
   }
 }
 
 TEST(CampaignExecutorTest, PooledRunMatchesTrialOrderMerge) {
-  // Run(executor) must equal assembling RunTrial(i) results in index
-  // order — the merge rule the sweep also relies on.
+  // Run(pool) must equal assembling RunTrial(i) results in index order —
+  // the merge rule the sweep also relies on.
   Campaign campaign(FaultyConfig(3));
   const std::string assembled = CampaignReportJson(TrialOrderMerge(campaign, 3));
-  TrialExecutor executor(2, /*clamp_to_hardware=*/false);
-  EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), assembled);
+  core::WorkerPool pool(2, /*clamp_to_hardware=*/false);
+  EXPECT_EQ(CampaignReportJson(campaign.Run(pool)), assembled);
 }
 
 TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
@@ -115,8 +83,8 @@ TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
   config.streams.push_back(Stream(ComponentKind::kGpu, 99, ComponentKind::kCpuSocket, 0,
                                   10, 0));  // Unresolvable endpoint.
   Campaign campaign(config);
-  TrialExecutor inline_executor(1);
-  const CampaignResult serial = campaign.Run(inline_executor);
+  core::WorkerPool inline_pool(1);
+  const CampaignResult serial = campaign.Run(inline_pool);
   EXPECT_FALSE(serial.ok());
   EXPECT_EQ(serial.trials, 3);
   EXPECT_EQ(serial.trials_completed, 0);
@@ -132,8 +100,8 @@ TEST(CampaignExecutorTest, FailedSetupIdenticalAcrossWorkerCountsAndHonest) {
   EXPECT_NE(serial_json.find("\"trials_completed\": 0"), std::string::npos);
   EXPECT_EQ(CampaignReportJson(TrialOrderMerge(campaign, config.trials)), serial_json);
   for (const int workers : {2, 8}) {
-    TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
-    EXPECT_EQ(CampaignReportJson(campaign.Run(executor)), serial_json)
+    core::WorkerPool pool(workers, /*clamp_to_hardware=*/false);
+    EXPECT_EQ(CampaignReportJson(campaign.Run(pool)), serial_json)
         << "workers=" << workers;
   }
 }

@@ -179,13 +179,13 @@ TEST(SweepTest, ReportBytesIdenticalAcrossWorkerCountsAndRuns) {
   config.policies = {RecoveryPolicy::kRepair, RecoveryPolicy::kRerouteOnly,
                      RecoveryPolicy::kNone};
 
-  TrialExecutor serial(1);
+  core::WorkerPool serial(1);
   const std::string baseline = SweepReportJson(Sweep(config).Run(serial));
   ASSERT_FALSE(baseline.empty());
   EXPECT_EQ(SweepReportJson(Sweep(config).Run(serial)), baseline) << "rerun drifted";
   for (const int workers : {0, 2, 8}) {
-    TrialExecutor executor(workers, /*clamp_to_hardware=*/false);
-    EXPECT_EQ(SweepReportJson(Sweep(config).Run(executor)), baseline)
+    core::WorkerPool pool(workers, /*clamp_to_hardware=*/false);
+    EXPECT_EQ(SweepReportJson(Sweep(config).Run(pool)), baseline)
         << "workers=" << workers;
   }
 }
@@ -206,8 +206,8 @@ TEST(SweepTest, RankedReportIsWellFormedAndRepairBeatsNone) {
   config.campaigns.push_back({"grid", campaign});
   config.policies = {RecoveryPolicy::kRepair, RecoveryPolicy::kNone};
 
-  TrialExecutor executor(2, /*clamp_to_hardware=*/false);
-  const SweepResult result = Sweep(config).Run(executor);
+  core::WorkerPool pool(2, /*clamp_to_hardware=*/false);
+  const SweepResult result = Sweep(config).Run(pool);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_TRUE(result.all_cells_ok());
   ASSERT_EQ(result.cells.size(), 2u);
@@ -233,8 +233,8 @@ TEST(SweepTest, RankedReportIsWellFormedAndRepairBeatsNone) {
 }
 
 TEST(SweepTest, EmptyGridFailsWithClearError) {
-  TrialExecutor executor(1);
-  const SweepResult result = Sweep(SweepConfig{}).Run(executor);
+  core::WorkerPool pool(1);
+  const SweepResult result = Sweep(SweepConfig{}).Run(pool);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("no campaigns"), std::string::npos);
   EXPECT_NE(SweepReportJson(result).find("\"ok\": false"), std::string::npos);

@@ -20,10 +20,10 @@
 
 #include "src/chaos/campaign.h"
 #include "src/chaos/campaign_file.h"
-#include "src/chaos/executor.h"
 #include "src/chaos/report.h"
 #include "src/chaos/sweep.h"
 #include "src/core/read_number.h"
+#include "src/core/worker_pool.h"
 
 namespace {
 
@@ -83,8 +83,8 @@ int RunCampaign(const std::string& path, const std::string& out_path, int trials
   }
 
   mihn::chaos::Campaign campaign(std::move(config));
-  mihn::chaos::TrialExecutor executor(workers);
-  const mihn::chaos::CampaignResult result = campaign.Run(executor);
+  mihn::core::WorkerPool pool(workers);
+  const mihn::chaos::CampaignResult result = campaign.Run(pool);
   if (!result.ok()) {
     std::fprintf(stderr, "mihn_chaos: campaign failed: %s\n", result.error.c_str());
     return 1;
@@ -123,8 +123,8 @@ int RunGrid(const std::string& path, const std::string& out_path, int trials,
   }
 
   mihn::chaos::Sweep sweep(std::move(config));
-  mihn::chaos::TrialExecutor executor(workers);
-  const mihn::chaos::SweepResult result = sweep.Run(executor);
+  mihn::core::WorkerPool pool(workers);
+  const mihn::chaos::SweepResult result = sweep.Run(pool);
   if (!result.ok()) {
     std::fprintf(stderr, "mihn_chaos: sweep failed: %s\n", result.error.c_str());
     return 1;
