@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/worker_pool.h"
 #include "src/chaos/fault_schedule.h"
 #include "src/chaos/scorer.h"
+#include "src/core/worker_pool.h"
 #include "src/host/host_network.h"
 #include "src/sim/time.h"
 #include "src/sim/units.h"

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <iterator>
 #include <map>
 #include <optional>
-#include <bit>
-#include <cstdio>
-#include <cstdint>
 #include <string>
 #include <thread>
 #include <tuple>
