@@ -18,8 +18,12 @@ namespace {
 TEST(WorkerPoolTest, ParallelismOneRunsInline) {
   WorkerPool pool(1);
   EXPECT_EQ(pool.parallelism(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::pair<size_t, size_t>> calls;
-  pool.ParallelFor(10, [&](size_t begin, size_t end) { calls.emplace_back(begin, end); });
+  pool.ParallelFor(10, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // On the calling thread.
+    calls.emplace_back(begin, end);
+  });
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], (std::pair<size_t, size_t>{0, 10}));
 }
