@@ -208,8 +208,13 @@ void Fabric::SetFlowLimit(FlowId id, sim::Bandwidth limit) {
   if (row < 0) {
     return;
   }
-  rows_[Idx(row)].limit =
+  double& current = rows_[Idx(row)].limit;
+  const double clamped =
       limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
+  if (current == clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
+    return;
+  }
+  current = clamped;
   MarkFlowDirty(id);
 }
 
@@ -220,10 +225,11 @@ void Fabric::SetFlowWeight(FlowId id, double weight) {
   }
   double& current = rows_[Idx(row)].weight;
   const double clamped = std::max(weight, 1e-9);
-  if (current != clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
-    current = clamped;
-    reprime_ = true;
+  if (current == clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
+    return;
   }
+  current = clamped;
+  reprime_ = true;
   MarkDirty();
 }
 
@@ -232,7 +238,12 @@ void Fabric::SetFlowDemand(FlowId id, sim::Bandwidth demand) {
   if (row < 0) {
     return;
   }
-  rows_[Idx(row)].demand = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
+  double& current = rows_[Idx(row)].demand;
+  const double clamped = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
+  if (current == clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
+    return;
+  }
+  current = clamped;
   MarkFlowDirty(id);
 }
 

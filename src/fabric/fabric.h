@@ -189,7 +189,9 @@ class Fabric {
   // snapshot read, or at the end of the current simulation timestamp (a
   // pre-advance hook fires before virtual time moves on, so rates are always
   // settled before any later-time event or byte accrual observes them). A
-  // same-timestamp burst of N mutations therefore pays for one solve.
+  // same-timestamp burst of N mutations therefore pays for one solve. A
+  // per-flow setter whose clamped value equals the stored one is no
+  // mutation at all: it marks nothing, counts nothing and forces no solve.
   //
   // Number of max-min recomputations performed (engine health metric).
   // Reading it does NOT force a pending solve.

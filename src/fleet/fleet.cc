@@ -118,7 +118,8 @@ void Fleet::CoupleCrossHostFlows() {
     return;
   }
   // Lift the previous tick's caps so each intra-host stage re-competes at
-  // its full demand; the limits coalesce, so every host pays one solve.
+  // its full demand; the limits coalesce, so every host pays at most one
+  // solve (none when no stage was capped below its demand).
   for (const auto& [id, flow] : cross_flows_) {
     host(flow.spec.src_host).fabric().SetFlowLimit(flow.src_flow, flow.spec.demand);
     host(flow.spec.dst_host).fabric().SetFlowLimit(flow.dst_flow, flow.spec.demand);

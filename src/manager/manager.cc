@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/core/check.h"
 #include "src/obs/tracer.h"
 
 namespace mihn::manager {
@@ -43,6 +44,7 @@ fabric::TenantId Manager::RegisterTenant(std::string name, double weight, Resour
   tenant.weight = std::max(weight, 1e-6);
   tenant.model = model;
   tenants_.emplace(id, std::move(tenant));
+  ++inputs_version_;
   return id;
 }
 
@@ -62,6 +64,7 @@ void Manager::RecomputeLedger() {
     models[id] = tenant.model;
   }
   reserved_ = AggregateReservations(allocations, models);
+  ++inputs_version_;
 }
 
 SubmitResult Manager::SubmitIntent(fabric::TenantId tenant, PerformanceTarget target) {
@@ -224,6 +227,7 @@ void Manager::AttachFlow(AllocationId id, fabric::FlowId flow) {
       it->second.flows.end()) {
     it->second.flows.push_back(flow);
     flow_to_allocation_[flow] = id;
+    ++inputs_version_;
   }
 }
 
@@ -241,7 +245,62 @@ void Manager::ArbitrateOnce() {
   if (config_.mode == ManagerConfig::Mode::kOff) {
     return;
   }
+  // A pass is a pure function of the flow set, classes, paths, rates and
+  // effective capacities (which move only through a fabric mutation) and of
+  // the allocations, reservations and tenant weights (which move only
+  // through the mutators that bump inputs_version_). With neither moved
+  // since a pass that changed nothing, this one would change nothing too.
+  if (fabric_.mutation_count() == quiet_mutations_ && inputs_version_ == quiet_inputs_) {
+#ifdef MIHN_ENABLE_INVARIANT_CHECKS
+    // Oracle: run the skipped pass anyway; every limit it computes is
+    // already in place (clamped as SetFlowLimit clamps), and computing them
+    // mutated nothing.
+    std::vector<std::pair<fabric::FlowId, sim::Bandwidth>> limits;
+    ComputeLimits(limits);
+    for (const auto& [flow, limit] : limits) {
+      const auto info = fabric_.GetFlowInfo(flow);
+      MIHN_CHECK(info.has_value());
+      const double clamped =
+          limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimited);
+      // mihn-check: float-eq-ok(a skipped pass must reproduce the stored limit exactly)
+      MIHN_CHECK(info->limit.bytes_per_sec() == clamped);
+    }
+    MIHN_CHECK(fabric_.mutation_count() == quiet_mutations_);
+#endif
+    return;
+  }
   MIHN_TRACE_SPAN(quantum_span, fabric_.tracer(), "manager", "manager.arbitrate");
+  std::vector<std::pair<fabric::FlowId, sim::Bandwidth>> limits;
+  const size_t scavengers = ComputeLimits(limits);
+
+  if (quantum_span.active()) {
+    // Tokens granted this quantum: finite limits only (an "unlimited"
+    // scavenger cap is absence of enforcement, not a grant).
+    double granted_bps = 0.0;
+    for (const auto& [flow, limit] : limits) {
+      if (limit.bytes_per_sec() < kUnlimited) {
+        granted_bps += limit.bytes_per_sec();
+      }
+    }
+    quantum_span.Arg("flows_limited", static_cast<double>(limits.size()));
+    quantum_span.Arg("scavengers", static_cast<double>(scavengers));
+    quantum_span.Arg("granted_bps", granted_bps);
+    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.flows_limited", limits.size());
+    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.granted_bps", granted_bps);
+  }
+  // Applied only after every rate read above: the limits coalesce into the
+  // fabric's next solve.
+  const uint64_t mutations = fabric_.mutation_count();
+  for (const auto& [flow, limit] : limits) {
+    fabric_.SetFlowLimit(flow, limit);
+  }
+  if (fabric_.mutation_count() == mutations) {
+    quiet_mutations_ = mutations;
+    quiet_inputs_ = inputs_version_;
+  }
+}
+
+size_t Manager::ComputeLimits(std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>& limits) {
   const bool work_conserving = config_.mode == ManagerConfig::Mode::kWorkConserving;
 
   // Prune flows that no longer exist in the fabric.
@@ -309,8 +368,6 @@ void Manager::ArbitrateOnce() {
     }
   }
 
-  std::vector<std::pair<fabric::FlowId, sim::Bandwidth>> limits;
-
   // Allocation budgets: reservation plus (work-conserving) slack bonus,
   // split across the allocation's flows in proportion to current usage.
   for (const auto& [id, alloc] : allocations_) {
@@ -362,27 +419,7 @@ void Manager::ArbitrateOnce() {
     }
     limits.emplace_back(s.id, sim::Bandwidth::BytesPerSec(limit));
   }
-
-  if (quantum_span.active()) {
-    // Tokens granted this quantum: finite limits only (an "unlimited"
-    // scavenger cap is absence of enforcement, not a grant).
-    double granted_bps = 0.0;
-    for (const auto& [flow, limit] : limits) {
-      if (limit.bytes_per_sec() < kUnlimited) {
-        granted_bps += limit.bytes_per_sec();
-      }
-    }
-    quantum_span.Arg("flows_limited", static_cast<double>(limits.size()));
-    quantum_span.Arg("scavengers", static_cast<double>(scavengers.size()));
-    quantum_span.Arg("granted_bps", granted_bps);
-    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.flows_limited", limits.size());
-    MIHN_TRACE_COUNTER(fabric_.tracer(), "manager", "manager.granted_bps", granted_bps);
-  }
-  // Applied only after every rate read above: the limits coalesce into the
-  // fabric's next solve.
-  for (const auto& [flow, limit] : limits) {
-    fabric_.SetFlowLimit(flow, limit);
-  }
+  return scavengers.size();
 }
 
 VirtualView Manager::TenantView(fabric::TenantId tenant) {

@@ -6,11 +6,13 @@
 //   tenant's resource model) + schedule (topology-aware path choice) +
 //   admit (ledger check against capacity headroom).
 //
-//   The dynamic arbiter runs every quantum: allocations with attached
+//   The dynamic arbiter wakes every quantum: allocations with attached
 //   flows are enforced via per-flow rate limits; in work-conserving mode,
 //   idle headroom on each link is redistributed to active allocations and
 //   best-effort ("scavenger") flows in proportion to tenant weight, so
-//   reservations never strand bandwidth.
+//   reservations never strand bandwidth. A quantum in which nothing the
+//   pass reads has moved since a pass that changed no limit is skipped: it
+//   would set the same limits again.
 //
 //   TenantView() provides the virtualized intra-host network abstraction:
 //   each allocation appears to its tenant as a dedicated point-to-point
@@ -19,8 +21,11 @@
 #ifndef MIHN_SRC_MANAGER_MANAGER_H_
 #define MIHN_SRC_MANAGER_MANAGER_H_
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fabric/fabric.h"
@@ -122,7 +127,10 @@ class Manager {
   // -- Arbitration -----------------------------------------------------------------
   // Starts the periodic arbiter (no-op in Mode::kOff). Idempotent.
   void Start();
-  // One enforcement pass right now (also what the timer runs).
+  // One enforcement pass right now (also what the timer runs). It returns
+  // at once when neither the fabric's mutation_count() nor the manager's own
+  // inputs moved since a pass that changed no limit. arbitrations() counts
+  // every call, skipped or not.
   void ArbitrateOnce();
 
   // -- Views / introspection -------------------------------------------------------
@@ -134,6 +142,12 @@ class Manager {
  private:
   // Rebuilds reserved_ from live allocations (resource-model aware).
   void RecomputeLedger();
+
+  // One pass's limits: each attached flow's share of its allocation's
+  // budget, then each scavenger's share of the slack. Prunes attached flows
+  // the fabric no longer has. Returns the scavenger count (the tail of
+  // |limits|).
+  size_t ComputeLimits(std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>& limits);
 
   // Reservation map used for admission of |target| by |tenant|: reserved_
   // with the tenant's hose overlap credited (see SubmitIntent).
@@ -156,6 +170,15 @@ class Manager {
   sim::EventHandle arbiter_timer_;
   bool running_ = false;
   uint64_t arbitrations_ = 0;
+  // Bumped by every change to the arbiter's own inputs: tenants, attached
+  // flows and the reservation ledger. Everything else a pass reads moves
+  // only through a fabric mutation.
+  uint64_t inputs_version_ = 0;
+  // The fabric's mutation_count() and inputs_version_ as of the last pass
+  // that changed no limit. A pass that changed one records nothing: the
+  // rates its split reads move with those limits, so the next pass runs.
+  uint64_t quiet_mutations_ = std::numeric_limits<uint64_t>::max();
+  uint64_t quiet_inputs_ = 0;
 };
 
 }  // namespace mihn::manager

@@ -482,10 +482,30 @@ TEST(FabricTest, RecomputeCountAdvances) {
   EXPECT_EQ(fabric.mutation_count(), 1u);
   fabric.FlowRate(id);  // Flush point.
   EXPECT_EQ(fabric.recompute_count(), before + 1);
-  fabric.StopFlow(id);
+  // A setter that changes nothing is no mutation and forces no solve: the
+  // stored value, or one that clamps to it.
+  fabric.SetFlowDemand(id, Bandwidth::BytesPerSec(2 * kUnlimitedDemand));
+  fabric.SetFlowLimit(id, Bandwidth::BytesPerSec(2 * kUnlimitedDemand));
+  fabric.SetFlowWeight(id, 1.0);
+  fabric.FlowRate(id);
+  EXPECT_EQ(fabric.mutation_count(), 1u);
+  EXPECT_EQ(fabric.recompute_count(), before + 1);
+  // A different value still counts one; repeating it counts nothing.
+  fabric.SetFlowDemand(id, Bandwidth::GBps(1));
+  fabric.SetFlowDemand(id, Bandwidth::GBps(1));
+  EXPECT_EQ(fabric.mutation_count(), 2u);
+  fabric.SetFlowLimit(id, Bandwidth::Zero());
+  fabric.SetFlowLimit(id, Bandwidth::Zero());
+  EXPECT_EQ(fabric.mutation_count(), 3u);
+  fabric.SetFlowWeight(id, 0.0);
+  fabric.SetFlowWeight(id, -1.0);  // Both clamp to the same positive floor.
+  EXPECT_EQ(fabric.mutation_count(), 4u);
   fabric.FlowRate(id);
   EXPECT_EQ(fabric.recompute_count(), before + 2);
-  EXPECT_EQ(fabric.mutation_count(), 2u);
+  fabric.StopFlow(id);
+  fabric.FlowRate(id);
+  EXPECT_EQ(fabric.recompute_count(), before + 3);
+  EXPECT_EQ(fabric.mutation_count(), 5u);
 }
 
 // The lean rollup read is the snapshot walk minus the tenant maps: same

@@ -127,6 +127,14 @@ TEST(EndToEndTest, BatchLimitsApplyAtomically) {
   host.fabric().FlowRate(f1);
   EXPECT_EQ(host.fabric().recompute_count(), recomputes_before + 1);
   EXPECT_EQ(host.fabric().mutation_count(), mutations_before + 2);
+  // Nor does re-applying the limits already in place: an arbiter pass that
+  // changes nothing costs no solve.
+  for (const auto& [flow, limit] : limits) {
+    host.fabric().SetFlowLimit(flow, limit);
+  }
+  host.fabric().FlowRate(f1);
+  EXPECT_EQ(host.fabric().recompute_count(), recomputes_before + 1);
+  EXPECT_EQ(host.fabric().mutation_count(), mutations_before + 2);
 }
 
 TEST(EndToEndTest, WorkConservingSplitsSlackByTenantWeight) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "src/host/host_network.h"
 #include "src/workload/sources.h"
 
@@ -190,6 +194,101 @@ TEST(ManagerTest, PeriodicArbitrationRuns) {
   EXPECT_EQ(manager.arbitrations(), 10u);
   host.RunFor(TimeNs::Millis(1));
   EXPECT_EQ(manager.arbitrations(), 20u);
+}
+
+// A quantum in which nothing the arbiter reads has moved since a pass that
+// changed no limit is skipped; each input that does move wakes the next
+// quantum, which re-limits the flows it affects.
+TEST(ManagerTest, QuietQuantaSolveNothing) {
+  HostNetwork::Options options = Quiet();
+  options.trace.enabled = true;  // A skipped quantum emits no span.
+  sim::Simulation sim;
+  HostNetwork host(sim, options);
+  fabric::Fabric& fabric = host.fabric();
+  ManagerConfig config;
+  config.mode = ManagerConfig::Mode::kWorkConserving;
+  Manager manager(fabric, config);
+  const auto passes = [&host] {
+    const std::vector<obs::Span> spans = host.tracer().spans();
+    return std::count_if(spans.begin(), spans.end(), [](const obs::Span& span) {
+      return std::string_view(span.name) == "manager.arbitrate";
+    });
+  };
+  const auto limit_of = [&fabric](fabric::FlowId flow) {
+    return fabric.GetFlowInfo(flow)->limit.bytes_per_sec();
+  };
+  const auto quantum = [&host] { host.RunFor(TimeNs::Micros(100)); };
+
+  const fabric::TenantId tenant = manager.RegisterTenant("alice");
+  const auto first = manager.SubmitIntent(tenant, SsdTarget(host.server(), 10));
+  ASSERT_TRUE(first.ok());
+  fabric::FlowSpec spec;
+  spec.path = manager.GetAllocation(first.id)->path;
+  spec.tenant = tenant;
+  const fabric::FlowId flow = fabric.StartFlow(spec);
+  manager.AttachFlow(first.id, flow);
+  fabric::FlowSpec scav = spec;
+  scav.tenant = 99;
+  const fabric::FlowId scavenger = fabric.StartFlow(scav);
+  manager.Start();
+  host.RunFor(TimeNs::Millis(1));
+
+  // Settled: a quiet millisecond solves nothing, yet every quantum counts.
+  const uint64_t recomputes = fabric.recompute_count();
+  const uint64_t mutations = fabric.mutation_count();
+  const uint64_t arbitrations = manager.arbitrations();
+  auto ran = passes();
+  host.RunFor(TimeNs::Millis(1));
+  EXPECT_EQ(fabric.recompute_count(), recomputes);
+  EXPECT_EQ(fabric.mutation_count(), mutations);
+  EXPECT_EQ(manager.arbitrations(), arbitrations + 10);
+  EXPECT_EQ(passes(), ran);
+
+  // 1. A scavenger's demand change: the pass runs, and the limits it sets
+  // again do not read demand.
+  const double flow_limit = limit_of(flow);
+  const double scav_limit = limit_of(scavenger);
+  fabric.SetFlowDemand(scavenger, Bandwidth::GBps(1));
+  ran = passes();
+  quantum();
+  EXPECT_EQ(passes(), ran + 1);
+  EXPECT_EQ(limit_of(flow), flow_limit);
+  EXPECT_EQ(limit_of(scavenger), scav_limit);
+
+  // 2. A fault on the allocation path's narrowest hop shrinks the slack
+  // both flows share.
+  const topology::Path& path = manager.GetAllocation(first.id)->path;
+  const topology::DirectedLink narrowest = *std::min_element(
+      path.hops.begin(), path.hops.end(),
+      [&fabric](topology::DirectedLink a, topology::DirectedLink b) {
+        return fabric.EffectiveCapacity(a) < fabric.EffectiveCapacity(b);
+      });
+  fabric.InjectLinkFault(narrowest.link, fabric::LinkFault{0.75, TimeNs::Zero()});
+  quantum();
+  EXPECT_LT(limit_of(flow), flow_limit);
+  EXPECT_LT(limit_of(scavenger), scav_limit);
+
+  // 3. A second intent whose flow first runs unattached, as a scavenger;
+  // attaching it alone wakes the arbiter, which grants the reservation.
+  const auto second = manager.SubmitIntent(tenant, SsdTarget(host.server(), 5));
+  ASSERT_TRUE(second.ok());
+  spec.path = manager.GetAllocation(second.id)->path;
+  const fabric::FlowId second_flow = fabric.StartFlow(spec);
+  host.RunFor(TimeNs::Millis(1));
+  const double unattached_limit = limit_of(second_flow);
+  ran = passes();
+  manager.AttachFlow(second.id, second_flow);
+  quantum();
+  EXPECT_EQ(passes(), ran + 1);
+  EXPECT_GE(limit_of(second_flow), Bandwidth::GBps(5).bytes_per_sec());
+
+  // 4. A release lifts the flow's cap; the next quantum caps it again as a
+  // scavenger, now with the released reservation's slack to share.
+  manager.ReleaseAllocation(second.id);
+  EXPECT_EQ(limit_of(second_flow), fabric::kUnlimitedDemand);
+  quantum();
+  EXPECT_LT(limit_of(second_flow), fabric::kUnlimitedDemand);
+  EXPECT_GT(limit_of(second_flow), unattached_limit);
 }
 
 TEST(ManagerTest, DestroyedManagerCancelsItsTimer) {
