@@ -22,22 +22,20 @@
 // completion captures — which exceeds libstdc++'s std::function inline
 // buffer but fits InlineFn's.
 //
-// Emits machine-readable BENCH_event_engine.json in the working directory.
-// --smoke runs a reduced grid (CI keeps it under a couple of seconds).
-// Unknown flags and bad filter values print the usage line and exit 2. The
-// bench is its own oracle: it exits 1 (after writing the JSON) when any
-// row's checksum or event count differs between the two engines.
+// Timing follows the harness in bench_util.h: the two engines run each row
+// in alternation and the fastest of 3 runs counts (1 under --smoke), with
+// its process-CPU time beside it. Emits machine-readable
+// BENCH_event_engine.json in the working directory. --smoke runs a reduced
+// grid (CI keeps it under a couple of seconds). The bench is its own
+// oracle: it exits 1 (after writing the JSON) when any row's checksum or
+// event count differs between the two engines.
 
-#include <chrono>
-#include <cinttypes>
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/read_number.h"
 #include "src/obs/sim_trace.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
@@ -48,12 +46,6 @@ namespace mihn {
 namespace {
 
 using sim::TimeNs;
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // TransferResult-sized cargo: what a realistic completion closure carries.
 struct Payload {
@@ -99,17 +91,16 @@ void Worker(Ctx<Engine>* ctx, Payload p) {
 }
 
 struct RunOutcome {
-  double ns_per_event = 0.0;
   uint64_t checksum = 0;
   uint64_t events = 0;
 };
 
 // Drives |budget| firings of the mix with |pending| total queue depth
-// (active workers + far-future ballast) and returns wall ns/event over the
-// measured region. Setup (prefill) is excluded from timing.
+// (active workers + far-future ballast), fills |out| and returns the
+// measured region's time. Setup (prefill) is excluded from timing.
 template <typename Engine>
-RunOutcome RunMix(bool churn, size_t pending, uint64_t budget, bool observe,
-                  uint64_t seed) {
+bench::Timing RunMix(bool churn, size_t pending, uint64_t budget, bool observe, uint64_t seed,
+                     RunOutcome* out) {
   Ctx<Engine> ctx(seed);
   ctx.budget = budget;
   ctx.churn = churn;
@@ -138,57 +129,19 @@ RunOutcome RunMix(bool churn, size_t pending, uint64_t budget, bool observe,
                        [c = &ctx] { ++c->checksum; }, "bench.ballast");
   }
 
-  const double t0 = NowSec();
-  ctx.sim.Run();  // Halts via Stop() when the budget is reached.
-  const double t1 = NowSec();
-
-  RunOutcome out;
-  out.events = ctx.sim.events_executed();
-  out.ns_per_event = (t1 - t0) * 1e9 / static_cast<double>(out.events);
-  out.checksum = ctx.checksum;
-  return out;
+  // Halts via Stop() when the budget is reached.
+  const bench::Timing timing = bench::Time([&] { ctx.sim.Run(); });
+  out->events = ctx.sim.events_executed();
+  out->checksum = ctx.checksum;
+  return timing;
 }
-
-struct Row {
-  const char* mix;
-  size_t pending;
-  bool observer;
-  uint64_t events;
-  double ref_ns, pooled_ns, speedup;
-  bool identical;
-};
 
 }  // namespace
 }  // namespace mihn
 
 int main(int argc, char** argv) {
   using namespace mihn;
-  bool smoke = false;
-  // Row filters, mainly for profiling one configuration in isolation:
-  //   --mix steady|churn   --pending N   --engine pooled|reference
-  const char* only_mix = nullptr;
-  const char* only_engine = nullptr;
-  size_t only_pending = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const std::string_view value = i + 1 < argc ? argv[i + 1] : "";
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--mix" && (value == "steady" || value == "churn")) {
-      only_mix = argv[++i];
-    } else if (arg == "--engine" && (value == "pooled" || value == "reference")) {
-      only_engine = argv[++i];
-    } else if (arg == "--pending" && core::ReadNumber(value, &only_pending) &&
-               only_pending > 0) {
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--mix steady|churn] [--pending N] "
-                   "[--engine pooled|reference]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = bench::SmokeFlag(argc, argv);
 
   bench::Banner("event_engine",
                 "Pooled Simulation vs ReferenceSimulation: ns/event by mix, "
@@ -205,20 +158,12 @@ int main(int argc, char** argv) {
   const std::vector<size_t> depths =
       smoke ? std::vector<size_t>{100, 10000}
             : std::vector<size_t>{100, 10000, 1000000};
-  std::vector<Row> rows;
+  bench::JsonReport report;
+  report.header().Str("bench", "event_engine").Str("unit", "ns_per_event");
+  bool all_identical = true;
   for (const bool churn : {false, true}) {
     for (const size_t pending : depths) {
       for (const bool observe : {false, true}) {
-        if (only_mix != nullptr &&
-            std::strcmp(only_mix, churn ? "churn" : "steady") != 0) {
-          continue;
-        }
-        if (only_pending != 0 && pending != only_pending) {
-          continue;
-        }
-        if (only_engine != nullptr && observe) {
-          continue;  // Profiling mode: unobserved dispatch only.
-        }
         // The reference engine's observer path recomputes the exact live
         // count with an O(pending) scan per event (the price of exposing
         // the same observable as the pooled engine's O(1) counter), so
@@ -232,102 +177,49 @@ int main(int argc, char** argv) {
           budget = smoke ? 5000 : 20000;
         }
         const uint64_t seed = 7u + pending + (churn ? 1u : 0u);
-        const bool run_ref =
-            only_engine == nullptr || std::strcmp(only_engine, "reference") == 0;
-        const bool run_pooled =
-            only_engine == nullptr || std::strcmp(only_engine, "pooled") == 0;
 
         // Warm both engines once at this shape (page-in, pool growth).
-        if (run_pooled) {
-          RunMix<sim::Simulation>(churn, pending < 1000 ? pending : 1000,
-                                  budget / 10, observe, seed);
-        }
-        if (run_ref) {
-          RunMix<sim::ReferenceSimulation>(churn, pending < 1000 ? pending : 1000,
-                                           budget / 10, observe, seed);
-        }
+        RunOutcome warm;
+        const size_t warm_pending = pending < 1000 ? pending : 1000;
+        RunMix<sim::Simulation>(churn, warm_pending, budget / 10, observe, seed, &warm);
+        RunMix<sim::ReferenceSimulation>(churn, warm_pending, budget / 10, observe, seed, &warm);
 
-        // Min of |reps| runs per engine: wall-clock minima reject OS
-        // scheduling interference (these runs share the machine), which a
-        // mean would fold into the result.
-        const int reps = smoke ? 1 : 3;
         RunOutcome ref, pooled;
-        for (int r = 0; r < reps; ++r) {
-          if (run_ref) {
-            const RunOutcome o =
-                RunMix<sim::ReferenceSimulation>(churn, pending, budget, observe, seed);
-            if (r == 0 || o.ns_per_event < ref.ns_per_event) {
-              ref = o;
-            }
-          }
-          if (run_pooled) {
-            const RunOutcome o =
-                RunMix<sim::Simulation>(churn, pending, budget, observe, seed);
-            if (r == 0 || o.ns_per_event < pooled.ns_per_event) {
-              pooled = o;
-            }
-          }
-        }
-        if (!run_ref) {
-          ref = pooled;  // Profiling one engine: degenerate row, speedup 1.
-        }
-        if (!run_pooled) {
-          pooled = ref;
-        }
+        const auto [ref_run, pooled_run] = bench::Fastest(smoke, [&] {
+          return std::array{
+              RunMix<sim::ReferenceSimulation>(churn, pending, budget, observe, seed, &ref),
+              RunMix<sim::Simulation>(churn, pending, budget, observe, seed, &pooled)};
+        });
 
-        Row row;
-        row.mix = churn ? "churn" : "steady";
-        row.pending = pending;
-        row.observer = observe;
-        row.events = pooled.events;
-        row.ref_ns = ref.ns_per_event;
-        row.pooled_ns = pooled.ns_per_event;
-        row.speedup = ref.ns_per_event / pooled.ns_per_event;
-        row.identical =
-            pooled.checksum == ref.checksum && pooled.events == ref.events;
-        rows.push_back(row);
+        const char* mix = churn ? "churn" : "steady";
+        const bench::Timing ref_ns = bench::Per(ref_run, static_cast<double>(ref.events));
+        const bench::Timing pooled_ns = bench::Per(pooled_run, static_cast<double>(pooled.events));
+        const double speedup = ref_ns.wall_ns / pooled_ns.wall_ns;
+        const bool identical = pooled.checksum == ref.checksum && pooled.events == ref.events;
+        all_identical = all_identical && identical;
 
-        table.Row({row.mix, std::to_string(row.pending),
-                   row.observer ? "on" : "off", std::to_string(row.events),
-                   bench::Fmt("%.1f", row.ref_ns),
-                   bench::Fmt("%.1f", row.pooled_ns),
-                   bench::Fmt("%.2fx", row.speedup),
-                   row.identical ? "yes" : "NO"});
+        table.Row({mix, std::to_string(pending), observe ? "on" : "off",
+                   std::to_string(pooled.events), bench::Fmt("%.1f", ref_ns.wall_ns),
+                   bench::Fmt("%.1f", pooled_ns.wall_ns), bench::Fmt("%.2fx", speedup),
+                   identical ? "yes" : "NO"});
+        report.AddRow()
+            .Str("mix", mix)
+            .Int("pending", static_cast<int64_t>(pending))
+            .Bool("observer", observe)
+            .Int("events", static_cast<int64_t>(pooled.events))
+            .Num("ref_ns_per_event", ref_ns.wall_ns)
+            .Num("ref_cpu_ns_per_event", ref_ns.cpu_ns)
+            .Num("pooled_ns_per_event", pooled_ns.wall_ns)
+            .Num("pooled_cpu_ns_per_event", pooled_ns.cpu_ns)
+            .Num("speedup", speedup)
+            .Bool("identical", identical);
       }
     }
   }
 
-  bool all_identical = true;
-  for (const Row& r : rows) {
-    all_identical = all_identical && r.identical;
-  }
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: pooled engine diverged from the reference\n");
   }
-  if (only_mix != nullptr || only_engine != nullptr || only_pending != 0) {
-    // Filtered (profiling) runs never clobber the full-grid JSON.
-    return all_identical ? 0 : 1;
-  }
-
-  std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"event_engine\",\n");
-    std::fprintf(json, "  \"unit\": \"ns_per_event\",\n  \"results\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(json,
-                   "    {\"mix\": \"%s\", \"pending\": %zu, \"observer\": %s, "
-                   "\"events\": %" PRIu64
-                   ", \"ref_ns_per_event\": %.1f, \"pooled_ns_per_event\": %.1f, "
-                   "\"speedup\": %.2f, \"identical\": %s}%s\n",
-                   r.mix, r.pending, r.observer ? "true" : "false", r.events,
-                   r.ref_ns, r.pooled_ns, r.speedup,
-                   r.identical ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_event_engine.json\n");
-  }
-  return all_identical ? 0 : 1;
+  const bool written = report.Write("BENCH_event_engine.json");
+  return all_identical && written ? 0 : 1;
 }

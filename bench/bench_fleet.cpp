@@ -18,8 +18,11 @@
 // every host also probes a mesh every 100 us, so the per-host event window
 // carries the tick.
 //
-// Emits machine-readable BENCH_fleet.json in the working directory so the
-// scaling trajectory is tracked across PRs.
+// Timing follows the harness in bench_util.h: a row's serial and pooled
+// fleets stay alive and run 10-tick blocks in alternation, and every gate
+// reads each side's fastest block, with the process-CPU time of the same
+// block beside it. Emits machine-readable BENCH_fleet.json in the working
+// directory so the scaling trajectory is tracked across PRs.
 //
 // Exits non-zero if
 //  * any digest diverges (serial vs pooled vs oversubscribed),
@@ -35,9 +38,8 @@
 // Flags: --smoke  (reduced grid + tick count for CI smoke jobs)
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,11 +53,11 @@ namespace {
 using fleet::CrossHostFlowSpec;
 using fleet::Fleet;
 
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+struct Config {
+  int hosts;
+  int intra_per_host;
+  int mesh_period_us;  // 0: no heartbeat meshes.
+};
 
 // Cross-host traffic proportional to fleet size: one intra-rack and one
 // cross-rack flow per 16 hosts, disjoint pairs, two tenants.
@@ -108,89 +110,107 @@ std::vector<fabric::FlowId> PlaceIntraFlows(Fleet& f, int per_host) {
   return churn;
 }
 
-struct Result {
-  int hosts = 0;
-  int racks = 0;
+// One fleet of a configuration and its tick sequence: two warm-up ticks,
+// then tick t sets host h's churn flow to 2 + (t + h) % 7 Gbps, so each
+// measured tick pays a real (delta) solve per host, not just the telemetry
+// reduction. Every fleet of a configuration runs the same sequence, and
+// its digest is read after the first block: the repeat rule's later blocks
+// continue the sequence, so the digest covers the same ticks at any repeat
+// count.
+struct ChurnedFleet {
+  ChurnedFleet(const Config& config, const Fleet::Options& options)
+      : fleet(config.hosts, options) {
+    cross_flows = PlaceFlows(fleet);
+    if (config.intra_per_host > 0) {
+      churn = PlaceIntraFlows(fleet, config.intra_per_host);
+    }
+    if (config.mesh_period_us > 0) {
+      anomaly::HeartbeatMesh::Config mesh;
+      mesh.period = sim::TimeNs::Micros(config.mesh_period_us);
+      fleet.EnableHeartbeats(mesh);
+    }
+    // Warm-up: events scheduled, coupling at its fixed point, pool spun
+    // up, solver workspaces primed.
+    Run(2);
+  }
+
+  void Run(int ticks) {
+    for (int i = 0; i < ticks; ++i, ++tick) {
+      for (int h = 0; h < static_cast<int>(churn.size()); ++h) {
+        fleet.host(h).fabric().SetFlowDemand(churn[static_cast<size_t>(h)],
+                                             sim::Bandwidth::Gbps(2 + (tick + h) % 7));
+      }
+      fleet.Tick();
+    }
+  }
+
+  bench::Timing Block(int ticks) {
+    const bench::Timing timing = bench::Time([&] { Run(ticks); });
+    if (blocks++ == 0) {
+      digest = fleet.TelemetryDigest();
+    }
+    return timing;
+  }
+
+  Fleet fleet;
+  std::vector<fabric::FlowId> churn;
   int cross_flows = 0;
-  int intra_per_host = 0;
-  int mesh_period_us = 0;  // 0: no heartbeat meshes.
-  long long aggregate_flows = 0;
-  int ticks = 0;
-  int workers = 0;  // Pooled run's actual pool width after the clamp.
-  double serial_ns_per_tick = 0.0;
-  double pooled_ns_per_tick = 0.0;
+  int tick = -2;
+  int blocks = 0;
   uint64_t digest = 0;
-  bool identical = false;
 };
 
-// One measured configuration, run three times: serial (timed), pooled at
-// the machine's width (timed), and pooled at 4 workers with the hardware
-// clamp off (digest only — proves real cross-thread settle stays
-// byte-identical even when threads outnumber cores).
-Result RunConfig(int hosts, int ticks, int intra_per_host, int mesh_period_us) {
-  Result r;
-  r.hosts = hosts;
-  r.ticks = ticks;
-  r.intra_per_host = intra_per_host;
-  r.mesh_period_us = mesh_period_us;
+struct Result {
+  Config config{};
+  int racks = 0;
+  int cross_flows = 0;
+  long long aggregate_flows = 0;
+  int ticks = 0;
+  int workers = 0;                // Pooled fleet's actual pool width after the clamp.
+  bench::Timing serial, pooled;  // Per tick, from each side's fastest block.
+  uint64_t digest = 0;
+  bool identical = false;
 
-  const auto run = [&](Fleet::Options options, double* ns_per_tick) {
-    Fleet f(hosts, options);
-    r.racks = f.racks();
-    r.cross_flows = PlaceFlows(f);
-    std::vector<fabric::FlowId> churn;
-    if (intra_per_host > 0) {
-      churn = PlaceIntraFlows(f, intra_per_host);
-    }
-    if (mesh_period_us > 0) {
-      anomaly::HeartbeatMesh::Config mesh;
-      mesh.period = sim::TimeNs::Micros(mesh_period_us);
-      f.EnableHeartbeats(mesh);
-    }
-    r.aggregate_flows =
-        r.cross_flows * 2LL + static_cast<long long>(intra_per_host) * hosts;
-    if (options.worker_threads > 0 && ns_per_tick != nullptr) {
-      r.workers = f.worker_parallelism();  // The timed pooled run's width.
-    }
-    // Per-tick demand churn dirties every host, so each measured tick pays
-    // a real (delta) solve per host, not just the telemetry reduction.
-    const auto churn_tick = [&](int tick) {
-      for (int h = 0; h < f.host_count(); ++h) {
-        if (!churn.empty()) {
-          f.host(h).fabric().SetFlowDemand(
-              churn[static_cast<size_t>(h)],
-              sim::Bandwidth::Gbps(2 + (tick + h) % 7));
-        }
-      }
-      f.Tick();
-    };
-    churn_tick(-2);  // Warm-up: events scheduled, coupling at its fixed
-    churn_tick(-1);  // point, pool spun up, solver workspaces primed.
-    const double t0 = NowSec();
-    for (int t = 0; t < ticks; ++t) {
-      churn_tick(t);
-    }
-    const double t1 = NowSec();
-    if (ns_per_tick != nullptr) {
-      *ns_per_tick = (t1 - t0) * 1e9 / ticks;
-    }
-    return f.TelemetryDigest();
-  };
+  double speedup() const { return serial.wall_ns / pooled.wall_ns; }
+};
 
-  Fleet::Options serial;
-  serial.worker_threads = 0;
-  Fleet::Options pooled;
-  pooled.worker_threads = static_cast<int>(
+// One measured configuration, three fleets: serial and pooled at the
+// machine's width (timed), and pooled at 4 workers with the hardware clamp
+// off (digest only — proves real cross-thread settle stays byte-identical
+// even when threads outnumber cores).
+Result RunConfig(const Config& config, int ticks, bool smoke) {
+  Fleet::Options serial_options;
+  serial_options.worker_threads = 0;
+  Fleet::Options pooled_options;
+  pooled_options.worker_threads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
   Fleet::Options oversubscribed;
   oversubscribed.worker_threads = 4;
   oversubscribed.clamp_workers_to_hardware = false;
 
-  const uint64_t serial_digest = run(serial, &r.serial_ns_per_tick);
-  const uint64_t pooled_digest = run(pooled, &r.pooled_ns_per_tick);
-  const uint64_t oversub_digest = run(oversubscribed, nullptr);
-  r.digest = serial_digest;
-  r.identical = serial_digest == pooled_digest && serial_digest == oversub_digest;
+  Result r;
+  r.config = config;
+  r.ticks = ticks;
+  uint64_t pooled_digest = 0;
+  {
+    ChurnedFleet serial(config, serial_options);
+    ChurnedFleet pooled(config, pooled_options);
+    const auto [serial_block, pooled_block] = bench::Fastest(smoke, [&] {
+      return std::array{serial.Block(ticks), pooled.Block(ticks)};
+    });
+    r.serial = bench::Per(serial_block, ticks);
+    r.pooled = bench::Per(pooled_block, ticks);
+    r.racks = serial.fleet.racks();
+    r.cross_flows = serial.cross_flows;
+    r.workers = pooled.fleet.worker_parallelism();
+    r.digest = serial.digest;
+    pooled_digest = pooled.digest;
+  }
+  ChurnedFleet oversub(config, oversubscribed);
+  oversub.Block(ticks);
+  r.aggregate_flows =
+      r.cross_flows * 2LL + static_cast<long long>(config.intra_per_host) * config.hosts;
+  r.identical = r.digest == pooled_digest && r.digest == oversub.digest;
   return r;
 }
 
@@ -201,17 +221,18 @@ bool CheckScalingSane(const std::vector<Result>& results) {
   bool ok = true;
   for (const Result& big : results) {
     for (const Result& small : results) {
-      if (big.hosts != 4 * small.hosts || big.intra_per_host != small.intra_per_host ||
-          big.mesh_period_us != small.mesh_period_us) {
+      if (big.config.hosts != 4 * small.config.hosts ||
+          big.config.intra_per_host != small.config.intra_per_host ||
+          big.config.mesh_period_us != small.config.mesh_period_us) {
         continue;
       }
-      const double allowed = 8.0 * std::max(small.serial_ns_per_tick, 2e5);
-      if (big.serial_ns_per_tick > allowed) {
+      const double allowed = 8.0 * std::max(small.serial.wall_ns, 2e5);
+      if (big.serial.wall_ns > allowed) {
         std::fprintf(stderr,
                      "SCALING VIOLATION: %d hosts -> %.0f ns/tick but %d hosts -> "
                      "%.0f ns/tick (allowed <= %.0f)\n",
-                     small.hosts, small.serial_ns_per_tick, big.hosts,
-                     big.serial_ns_per_tick, allowed);
+                     small.config.hosts, small.serial.wall_ns, big.config.hosts,
+                     big.serial.wall_ns, allowed);
         ok = false;
       }
     }
@@ -226,15 +247,15 @@ bool CheckScalingSane(const std::vector<Result>& results) {
 bool CheckPooledNotSlower(const std::vector<Result>& results) {
   bool ok = true;
   for (const Result& r : results) {
-    if (r.hosts < 64) {
+    if (r.config.hosts < 64) {
       continue;
     }
-    const double allowed = 1.1 * r.serial_ns_per_tick + 2e5;
-    if (r.pooled_ns_per_tick > allowed) {
+    const double allowed = 1.1 * r.serial.wall_ns + 2e5;
+    if (r.pooled.wall_ns > allowed) {
       std::fprintf(stderr,
                    "POOLED REGRESSION: %d hosts serial %.0f ns/tick but pooled %.0f "
                    "ns/tick (allowed <= %.0f)\n",
-                   r.hosts, r.serial_ns_per_tick, r.pooled_ns_per_tick, allowed);
+                   r.config.hosts, r.serial.wall_ns, r.pooled.wall_ns, allowed);
       ok = false;
     }
   }
@@ -242,23 +263,23 @@ bool CheckPooledNotSlower(const std::vector<Result>& results) {
 }
 
 // The perf acceptance gate: >= 3x at >= 1024 hosts, on machines with the
-// cores to show it (>= 6; below that the serial fraction caps the ceiling
-// and the ctest gate in fleet_test.cc applies a scaled threshold).
+// cores to show it. Below 6 cores the serial fraction caps the speedup
+// short of 3x, so no speedup is gated there; the pooled gate above still
+// holds the pool to serial speed.
 bool CheckSpeedupGate(const std::vector<Result>& results) {
   if (std::thread::hardware_concurrency() < 6) {
     return true;
   }
   bool ok = true;
   for (const Result& r : results) {
-    if (r.hosts < 1024 || r.pooled_ns_per_tick <= 0.0) {
+    if (r.config.hosts < 1024) {
       continue;
     }
-    const double speedup = r.serial_ns_per_tick / r.pooled_ns_per_tick;
-    if (speedup < 3.0) {
+    if (r.speedup() < 3.0) {
       std::fprintf(stderr,
                    "SPEEDUP GATE: %d hosts x %d flows/host: pooled only %.2fx serial "
                    "(need >= 3x on %u cores)\n",
-                   r.hosts, r.intra_per_host, speedup,
+                   r.config.hosts, r.config.intra_per_host, r.speedup(),
                    std::thread::hardware_concurrency());
       ok = false;
     }
@@ -271,16 +292,7 @@ bool CheckSpeedupGate(const std::vector<Result>& results) {
 
 int main(int argc, char** argv) {
   using namespace mihn;
-
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = bench::SmokeFlag(argc, argv);
 
   bench::Banner("fleet_scaling",
                 "Per-tick cost of a fleet (one clock per host) vs host count, flow "
@@ -301,11 +313,6 @@ int main(int argc, char** argv) {
   // grid: every host runs intra-host flows with per-tick demand churn; the
   // top row solves >= 10^6 aggregate flows per tick. Last, the heartbeat
   // rows: cross-host flows plus a mesh on every host probing every 100 us.
-  struct Config {
-    int hosts;
-    int intra_per_host;
-    int mesh_period_us;
-  };
   std::vector<Config> grid;
   if (smoke) {
     grid = {{16, 0, 0}, {64, 0, 0}, {64, 32, 0}, {64, 0, 100}};
@@ -317,59 +324,48 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   for (const Config& config : grid) {
-    results.push_back(
-        RunConfig(config.hosts, ticks, config.intra_per_host, config.mesh_period_us));
+    results.push_back(RunConfig(config, ticks, smoke));
   }
 
-  for (const Result& r : results) {
-    const double speedup =
-        r.pooled_ns_per_tick > 0.0 ? r.serial_ns_per_tick / r.pooled_ns_per_tick : 0.0;
-    table.Row({std::to_string(r.hosts), std::to_string(r.aggregate_flows),
-               std::to_string(r.mesh_period_us), std::to_string(r.ticks), std::to_string(r.workers),
-               bench::Fmt("%.1f", r.serial_ns_per_tick / 1e3),
-               bench::Fmt("%.1f", r.pooled_ns_per_tick / 1e3), bench::Fmt("%.2fx", speedup),
-               bench::Fmt("%.2f", r.serial_ns_per_tick / 1e3 / r.hosts),
-               r.identical ? "yes" : "NO"});
-  }
-
-  std::FILE* json = std::fopen("BENCH_fleet.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"fleet_scaling\",\n");
-    std::fprintf(json, "  \"smoke\": %s,\n  \"unit\": \"ns_per_tick\",\n", smoke ? "true" : "false");
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
-                 std::thread::hardware_concurrency());
-    for (size_t i = 0; i < results.size(); ++i) {
-      const Result& r = results[i];
-      const double speedup =
-          r.pooled_ns_per_tick > 0.0 ? r.serial_ns_per_tick / r.pooled_ns_per_tick : 0.0;
-      std::fprintf(json,
-                   "    {\"hosts\": %d, \"racks\": %d, \"cross_host_flows\": %d, "
-                   "\"intra_flows_per_host\": %d, \"mesh_period_us\": %d, "
-                   "\"aggregate_flows\": %lld, "
-                   "\"ticks\": %d, \"workers\": %d, \"serial_ns_per_tick\": %.0f, "
-                   "\"pooled_ns_per_tick\": %.0f, \"speedup\": %.2f, "
-                   "\"ns_per_tick_per_host\": %.0f, \"digest\": \"%016llx\", "
-                   "\"identical\": %s}%s\n",
-                   r.hosts, r.racks, r.cross_flows, r.intra_per_host, r.mesh_period_us,
-                   r.aggregate_flows,
-                   r.ticks, r.workers, r.serial_ns_per_tick, r.pooled_ns_per_tick, speedup,
-                   r.serial_ns_per_tick / r.hosts,
-                   static_cast<unsigned long long>(r.digest), r.identical ? "true" : "false",
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_fleet.json\n");
-  }
-
+  bench::JsonReport report;
+  report.header()
+      .Str("bench", "fleet_scaling")
+      .Bool("smoke", smoke)
+      .Str("unit", "ns_per_tick")
+      .Int("hardware_concurrency", std::thread::hardware_concurrency());
   bool all_identical = true;
   for (const Result& r : results) {
+    table.Row({std::to_string(r.config.hosts), std::to_string(r.aggregate_flows),
+               std::to_string(r.config.mesh_period_us), std::to_string(r.ticks),
+               std::to_string(r.workers), bench::Fmt("%.1f", r.serial.wall_ns / 1e3),
+               bench::Fmt("%.1f", r.pooled.wall_ns / 1e3), bench::Fmt("%.2fx", r.speedup()),
+               bench::Fmt("%.2f", r.serial.wall_ns / 1e3 / r.config.hosts),
+               r.identical ? "yes" : "NO"});
+    report.AddRow()
+        .Int("hosts", r.config.hosts)
+        .Int("racks", r.racks)
+        .Int("cross_host_flows", r.cross_flows)
+        .Int("intra_flows_per_host", r.config.intra_per_host)
+        .Int("mesh_period_us", r.config.mesh_period_us)
+        .Int("aggregate_flows", r.aggregate_flows)
+        .Int("ticks", r.ticks)
+        .Int("workers", r.workers)
+        .Num("serial_ns_per_tick", r.serial.wall_ns)
+        .Num("serial_cpu_ns_per_tick", r.serial.cpu_ns)
+        .Num("pooled_ns_per_tick", r.pooled.wall_ns)
+        .Num("pooled_cpu_ns_per_tick", r.pooled.cpu_ns)
+        .Num("speedup", r.speedup())
+        .Num("ns_per_tick_per_host", r.serial.wall_ns / r.config.hosts)
+        .Str("digest", perfbench::Hex(r.digest))
+        .Bool("identical", r.identical);
     all_identical = all_identical && r.identical;
   }
+  bool ok = report.Write("BENCH_fleet.json");
+
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: digest mismatch across serial/pooled/oversubscribed\n");
   }
-  bool ok = all_identical && CheckScalingSane(results);
+  ok = all_identical && CheckScalingSane(results) && ok;
   if (!smoke) {
     // Timing gates only on the full grid: smoke runs are too short to
     // separate signal from scheduler noise.

@@ -15,6 +15,11 @@
 //                    size, full-path fallbacks, no-op splices) accumulated
 //                    into the emitted JSON.
 //
+// Timing follows the harness in bench_util.h: the gated sides run 3 times
+// (once under --smoke) and the fastest repeat counts, with its process-CPU
+// time beside it. The reference side of churn feeds no gate and runs once:
+// at 10^4 flows × 32 links it costs about 2 s per solve.
+//
 // Emits machine-readable BENCH_solver.json in the working directory so the
 // perf trajectory is tracked across PRs, plus TRACE_solver.json — a
 // wall-clock (profiling-mode) mihn_obs trace of the run, loadable in
@@ -31,12 +36,10 @@
 //                    Θ(post-divergence trace length), which tracks round
 //                    structure, not flow count.
 //
-// Flags: --scenario churn|churn-single|all (default all)
-//        --smoke  (reduced grid for CI smoke jobs)
+// Flags: --smoke  (reduced grid for CI smoke jobs)
 
-#include <chrono>
-#include <cinttypes>
-#include <cmath>
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -82,12 +85,6 @@ Instance MakeInstance(size_t num_flows, size_t num_links, uint64_t seed) {
     }
   }
   return inst;
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // One churn step: mutate one flow's demand, then re-solve. Returns a
@@ -144,20 +141,21 @@ bool SameRates(const std::vector<double>& a, const std::vector<double>& b) {
 struct Result {
   const char* scenario;
   size_t flows, links, iters;
-  double base_ns_per_solve;  // Reference (churn) / full rebuild (churn-single).
-  double new_ns_per_solve;   // Full solver (churn) / SolveDelta (churn-single).
-  double speedup;
+  bench::Timing base;  // Per solve: reference (churn) / full rebuild (churn-single).
+  bench::Timing next;  // Per solve: full solver (churn) / SolveDelta (churn-single).
   bool identical;
   // churn-single delta-engine metrics (zero for churn rows).
   bool has_delta_stats = false;
   double component_links_mean = 0.0;
   size_t fallback_full_solves = 0;
   size_t noop_splices = 0;
+
+  double speedup() const { return base.wall_ns / next.wall_ns; }
 };
 
 // Full-rebuild churn: reference vs solver, both rebuilding per mutation.
-Result RunChurn(size_t num_flows, size_t num_links, size_t iters, MaxMinSolver& solver,
-                obs::Tracer& tracer) {
+Result RunChurn(size_t num_flows, size_t num_links, size_t iters, bool smoke,
+                MaxMinSolver& solver, obs::Tracer& tracer) {
   const uint64_t seed = 1000003u * num_flows + num_links;
 
   // Correctness gate first: identical rates on the starting instance.
@@ -165,124 +163,109 @@ Result RunChurn(size_t num_flows, size_t num_links, size_t iters, MaxMinSolver& 
   const std::vector<double> want = fabric::SolveMaxMinReference(check.flows, check.caps);
   bool identical = SameRates(solver.Solve(check.flows, check.caps), want);
 
-  Instance inst_ref = MakeInstance(num_flows, num_links, seed);
-  Instance inst_new = MakeInstance(num_flows, num_links, seed);
-  sim::Rng rng_ref(seed + 1), rng_new(seed + 1);
-
-  // Warm both paths once (page in, size the workspace).
+  // Warm the solver once (page in, size the workspace).
   {
     sim::Rng warm(seed + 2);
     Instance w = MakeInstance(num_flows, num_links, seed);
     ChurnSolver(w, 1, warm, solver);
   }
 
-  double t0 = 0, t1 = 0, t2 = 0, cs_ref = 0, cs_new = 0;
+  Result r{"churn", num_flows, num_links, iters, {}, {}, identical};
+  double cs_ref = 0.0;
   {
     MIHN_TRACE_SPAN(ref_span, &tracer, "solver", "churn.reference");
     ref_span.Arg("flows", static_cast<double>(num_flows));
     ref_span.Arg("links", static_cast<double>(num_links));
     ref_span.Arg("iters", static_cast<double>(iters));
-    t0 = NowSec();
-    cs_ref = ChurnReference(inst_ref, iters, rng_ref);
-    t1 = NowSec();
+    Instance inst = MakeInstance(num_flows, num_links, seed);
+    sim::Rng rng(seed + 1);
+    r.base = bench::Time([&] { cs_ref = ChurnReference(inst, iters, rng); });
   }
   {
     MIHN_TRACE_SPAN(new_span, &tracer, "solver", "churn.solver");
     new_span.Arg("flows", static_cast<double>(num_flows));
     new_span.Arg("links", static_cast<double>(num_links));
     new_span.Arg("iters", static_cast<double>(iters));
-    cs_new = ChurnSolver(inst_new, iters, rng_new, solver);
-    t2 = NowSec();
+    r.next = bench::Fastest(smoke, [&] {
+      Instance inst = MakeInstance(num_flows, num_links, seed);
+      sim::Rng rng(seed + 1);
+      double cs = 0.0;
+      const bench::Timing timing = bench::Time([&] { cs = ChurnSolver(inst, iters, rng, solver); });
+      // Same mutation stream as the reference -> identical checksums expected.
+      r.identical = r.identical && cs == cs_ref;  // mihn-check: float-eq-ok(bit-identity differential gate)
+      return std::array{timing};
+    })[0];
   }
-  // Same mutation stream on both sides -> identical checksums expected.
-  if (cs_ref != cs_new) {  // mihn-check: float-eq-ok(bit-identity differential gate)
-    identical = false;
-  }
-
-  Result r;
-  r.scenario = "churn";
-  r.flows = num_flows;
-  r.links = num_links;
-  r.iters = iters;
-  r.base_ns_per_solve = (t1 - t0) * 1e9 / static_cast<double>(iters);
-  r.new_ns_per_solve = (t2 - t1) * 1e9 / static_cast<double>(iters);
-  r.speedup = r.base_ns_per_solve / r.new_ns_per_solve;
-  r.identical = identical;
-  MIHN_TRACE_COUNTER(&tracer, "solver", "solver.ns_per_solve", r.new_ns_per_solve);
-  MIHN_TRACE_COUNTER(&tracer, "solver", "solver.speedup", r.speedup);
+  r.base = bench::Per(r.base, static_cast<double>(iters));
+  r.next = bench::Per(r.next, static_cast<double>(iters));
+  MIHN_TRACE_COUNTER(&tracer, "solver", "solver.ns_per_solve", r.next.wall_ns);
+  MIHN_TRACE_COUNTER(&tracer, "solver", "solver.speedup", r.speedup());
   return r;
 }
 
 // Retained single-flow churn: per mutation, UpdateFlowDemand + SolveDelta on
 // a primed solver vs a full rebuild of the same problem, every step checked
-// bit-for-bit.
-Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters,
+// bit-for-bit. Delta and full solves interleave step by step, so one pass
+// is one repeat; every pass replays the same mutation stream from the same
+// start, so the reference checks the start and the end state once.
+Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters, bool smoke,
                       obs::Tracer& tracer) {
   const uint64_t seed = 1000003u * num_flows + num_links;
-  Instance inst = MakeInstance(num_flows, num_links, seed);
+  const Instance start = MakeInstance(num_flows, num_links, seed);
+  const std::vector<double> start_want = fabric::SolveMaxMinReference(start.flows, start.caps);
 
+  Result r{"churn-single", num_flows, num_links, iters, {}, {}, true};
+  r.has_delta_stats = true;
+  Instance inst;
   MaxMinSolver delta_solver;
   MaxMinSolver full_solver;
-
-  // Prime the retained problem and gate against the reference.
-  bool identical =
-      SameRates(FullSolve(inst, delta_solver), fabric::SolveMaxMinReference(inst.flows, inst.caps));
-  FullSolve(inst, full_solver);  // Warm the baseline workspace.
-
-  sim::Rng rng(seed + 1);
-  double delta_sec = 0.0, full_sec = 0.0;
   double component_links_sum = 0.0;
-  size_t fallbacks = 0, noops = 0;
   {
     MIHN_TRACE_SPAN(span, &tracer, "solver", "churn_single.delta");
     span.Arg("flows", static_cast<double>(num_flows));
     span.Arg("links", static_cast<double>(num_links));
     span.Arg("iters", static_cast<double>(iters));
-    for (size_t i = 0; i < iters; ++i) {
-      const int32_t slot = static_cast<int32_t>(
-          rng.UniformInt(0, static_cast<int64_t>(inst.flows.size()) - 1));
-      const double demand = rng.Bernoulli(0.2) ? kUnlimitedDemand : rng.Uniform(1e6, 5e9);
-      inst.flows[static_cast<size_t>(slot)].demand = demand;
+    const auto [full, delta] = bench::Fastest(smoke, [&] {
+      // Prime the retained problem, and warm the baseline workspace.
+      inst = start;
+      r.identical = r.identical && SameRates(FullSolve(inst, delta_solver), start_want);
+      FullSolve(inst, full_solver);
+      component_links_sum = 0.0;
+      r.fallback_full_solves = r.noop_splices = 0;
+      std::array<bench::Timing, 2> pass{};
+      sim::Rng rng(seed + 1);
+      for (size_t i = 0; i < iters; ++i) {
+        const int32_t slot = static_cast<int32_t>(
+            rng.UniformInt(0, static_cast<int64_t>(inst.flows.size()) - 1));
+        const double demand = rng.Bernoulli(0.2) ? kUnlimitedDemand : rng.Uniform(1e6, 5e9);
+        inst.flows[static_cast<size_t>(slot)].demand = demand;
 
-      const double d0 = NowSec();
-      delta_solver.UpdateFlowDemand(slot, demand);
-      const std::vector<double>& got = delta_solver.SolveDelta();
-      const double d1 = NowSec();
-      delta_sec += d1 - d0;
+        const std::vector<double>* got = nullptr;
+        pass[1] += bench::Time([&] {
+          delta_solver.UpdateFlowDemand(slot, demand);
+          got = &delta_solver.SolveDelta();
+        });
+        const MaxMinSolver::DeltaStats& stats = delta_solver.last_delta_stats();
+        component_links_sum += static_cast<double>(stats.component_links);
+        r.fallback_full_solves += stats.fallback_full ? 1u : 0u;
+        r.noop_splices += stats.noop_splice ? 1u : 0u;
 
-      const MaxMinSolver::DeltaStats& stats = delta_solver.last_delta_stats();
-      component_links_sum += static_cast<double>(stats.component_links);
-      fallbacks += stats.fallback_full ? 1u : 0u;
-      noops += stats.noop_splice ? 1u : 0u;
-
-      const double f0 = NowSec();
-      const std::vector<double>& want = FullSolve(inst, full_solver);
-      const double f1 = NowSec();
-      full_sec += f1 - f0;
-
-      identical = identical && SameRates(got, want);
-    }
-    span.Arg("fallback_full_solves", static_cast<double>(fallbacks));
+        const std::vector<double>* want = nullptr;
+        pass[0] += bench::Time([&] { want = &FullSolve(inst, full_solver); });
+        r.identical = r.identical && SameRates(*got, *want);
+      }
+      return pass;
+    });
+    r.base = bench::Per(full, static_cast<double>(iters));
+    r.next = bench::Per(delta, static_cast<double>(iters));
+    span.Arg("fallback_full_solves", static_cast<double>(r.fallback_full_solves));
   }
   // End-state gate against the oracle itself (one reference solve).
-  identical = identical &&
-              SameRates(delta_solver.rates(), fabric::SolveMaxMinReference(inst.flows, inst.caps));
-
-  Result r;
-  r.scenario = "churn-single";
-  r.flows = num_flows;
-  r.links = num_links;
-  r.iters = iters;
-  r.base_ns_per_solve = full_sec * 1e9 / static_cast<double>(iters);
-  r.new_ns_per_solve = delta_sec * 1e9 / static_cast<double>(iters);
-  r.speedup = r.base_ns_per_solve / r.new_ns_per_solve;
-  r.identical = identical;
-  r.has_delta_stats = true;
+  r.identical = r.identical &&
+                SameRates(delta_solver.rates(), fabric::SolveMaxMinReference(inst.flows, inst.caps));
   r.component_links_mean = component_links_sum / static_cast<double>(iters);
-  r.fallback_full_solves = fallbacks;
-  r.noop_splices = noops;
-  MIHN_TRACE_COUNTER(&tracer, "solver", "delta.ns_per_solve", r.new_ns_per_solve);
-  MIHN_TRACE_COUNTER(&tracer, "solver", "delta.speedup", r.speedup);
+  MIHN_TRACE_COUNTER(&tracer, "solver", "delta.ns_per_solve", r.next.wall_ns);
+  MIHN_TRACE_COUNTER(&tracer, "solver", "delta.speedup", r.speedup());
   return r;
 }
 
@@ -303,13 +286,13 @@ bool CheckMonotoneSane(const std::vector<Result>& results) {
           big.flows != 10 * small.flows) {
         continue;
       }
-      const double allowed = 30.0 * std::max(small.new_ns_per_solve, 5e4);
-      if (big.new_ns_per_solve > allowed) {
+      const double allowed = 30.0 * std::max(small.next.wall_ns, 5e4);
+      if (big.next.wall_ns > allowed) {
         std::fprintf(stderr,
                      "MONOTONE VIOLATION [%s links=%zu]: %zu flows -> %.0f ns/solve but "
                      "%zu flows -> %.0f ns/solve (allowed <= %.0f)\n",
-                     big.scenario, big.links, small.flows, small.new_ns_per_solve, big.flows,
-                     big.new_ns_per_solve, allowed);
+                     big.scenario, big.links, small.flows, small.next.wall_ns, big.flows,
+                     big.next.wall_ns, allowed);
         ok = false;
       }
     }
@@ -326,15 +309,15 @@ bool CheckMonotoneSane(const std::vector<Result>& results) {
 bool CheckDeltaSane(const std::vector<Result>& results) {
   bool ok = true;
   for (const Result& r : results) {
-    if (std::strcmp(r.scenario, "churn-single") != 0) {
+    if (!r.has_delta_stats) {
       continue;
     }
-    const double allowed = 1.5 * r.base_ns_per_solve + 1e5;
-    if (r.new_ns_per_solve > allowed) {
+    const double allowed = 1.5 * r.base.wall_ns + 1e5;
+    if (r.next.wall_ns > allowed) {
       std::fprintf(stderr,
                    "DELTA VIOLATION [churn-single flows=%zu links=%zu]: delta %.0f ns/solve "
                    "vs full %.0f ns/solve (allowed <= %.0f)\n",
-                   r.flows, r.links, r.new_ns_per_solve, r.base_ns_per_solve, allowed);
+                   r.flows, r.links, r.next.wall_ns, r.base.wall_ns, allowed);
       ok = false;
     }
   }
@@ -346,26 +329,7 @@ bool CheckDeltaSane(const std::vector<Result>& results) {
 
 int main(int argc, char** argv) {
   using namespace mihn;
-
-  bool run_churn = true, run_single = true, smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      const std::string s = argv[++i];
-      run_churn = s == "churn" || s == "all";
-      run_single = s == "churn-single" || s == "all";
-      if (!run_churn && !run_single) {
-        std::fprintf(stderr, "unknown scenario '%s'\n", s.c_str());
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scenario churn|churn-single|all] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = bench::SmokeFlag(argc, argv);
 
   bench::Banner("solver_scaling",
                 "Per-mutation solve cost: full rebuild (churn) and retained delta "
@@ -397,73 +361,58 @@ int main(int argc, char** argv) {
   MaxMinSolver churn_solver;
   for (const size_t num_flows : flow_grid) {
     for (const size_t num_links : link_grid) {
-      if (run_churn) {
-        // Budget iterations so the reference side stays tractable at 10^4.
-        const size_t iters =
-            smoke ? 20 : (num_flows >= 10000 ? 5 : (num_flows >= 1000 ? 40 : 400));
-        results.push_back(RunChurn(num_flows, num_links, iters, churn_solver, tracer));
-      }
-      if (run_single) {
-        const size_t iters = smoke ? 50 : (num_flows >= 10000 ? 200 : 400);
-        results.push_back(RunChurnSingle(num_flows, num_links, iters, tracer));
-      }
+      // Budget iterations so the reference side stays tractable at 10^4.
+      const size_t churn_iters =
+          smoke ? 20 : (num_flows >= 10000 ? 5 : (num_flows >= 1000 ? 40 : 400));
+      results.push_back(
+          RunChurn(num_flows, num_links, churn_iters, smoke, churn_solver, tracer));
+      const size_t single_iters = smoke ? 50 : (num_flows >= 10000 ? 200 : 400);
+      results.push_back(RunChurnSingle(num_flows, num_links, single_iters, smoke, tracer));
     }
   }
 
+  bench::JsonReport report;
+  report.header().Str("bench", "solver_scaling").Bool("smoke", smoke).Str("unit", "ns_per_solve");
+  bool all_identical = true;
   for (const Result& r : results) {
     table.Row({r.scenario, std::to_string(r.flows), std::to_string(r.links),
-               std::to_string(r.iters), bench::Fmt("%.1f", r.base_ns_per_solve / 1e3),
-               bench::Fmt("%.1f", r.new_ns_per_solve / 1e3), bench::Fmt("%.1fx", r.speedup),
+               std::to_string(r.iters), bench::Fmt("%.1f", r.base.wall_ns / 1e3),
+               bench::Fmt("%.1f", r.next.wall_ns / 1e3), bench::Fmt("%.1fx", r.speedup()),
                r.has_delta_stats ? std::to_string(r.fallback_full_solves) : "-",
                r.identical ? "yes" : "NO"});
-  }
-
-  const char* scenario_name = run_churn && run_single ? "all" : (run_churn ? "churn" : "churn-single");
-  std::FILE* json = std::fopen("BENCH_solver.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"solver_scaling\",\n  \"scenario\": \"%s\",\n",
-                 scenario_name);
-    std::fprintf(json, "  \"smoke\": %s,\n  \"unit\": \"ns_per_solve\",\n  \"results\": [\n",
-                 smoke ? "true" : "false");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const Result& r = results[i];
-      if (r.has_delta_stats) {
-        std::fprintf(json,
-                     "    {\"scenario\": \"%s\", \"flows\": %zu, \"links\": %zu, "
-                     "\"iters\": %zu, \"full_ns\": %.0f, \"delta_ns\": %.0f, "
-                     "\"speedup\": %.2f, \"component_links_mean\": %.2f, "
-                     "\"fallback_full_solves\": %zu, "
-                     "\"noop_splices\": %zu, \"identical\": %s}%s\n",
-                     r.scenario, r.flows, r.links, r.iters, r.base_ns_per_solve,
-                     r.new_ns_per_solve, r.speedup, r.component_links_mean,
-                     r.fallback_full_solves, r.noop_splices, r.identical ? "true" : "false",
-                     i + 1 < results.size() ? "," : "");
-      } else {
-        std::fprintf(json,
-                     "    {\"scenario\": \"%s\", \"flows\": %zu, \"links\": %zu, "
-                     "\"iters\": %zu, \"reference_ns\": %.0f, \"solver_ns\": %.0f, "
-                     "\"speedup\": %.2f, \"identical\": %s}%s\n",
-                     r.scenario, r.flows, r.links, r.iters, r.base_ns_per_solve,
-                     r.new_ns_per_solve, r.speedup, r.identical ? "true" : "false",
-                     i + 1 < results.size() ? "," : "");
-      }
+    bench::Fields& row = report.AddRow()
+                             .Str("scenario", r.scenario)
+                             .Int("flows", static_cast<int64_t>(r.flows))
+                             .Int("links", static_cast<int64_t>(r.links))
+                             .Int("iters", static_cast<int64_t>(r.iters));
+    if (r.has_delta_stats) {
+      row.Num("full_ns", r.base.wall_ns)
+          .Num("full_cpu_ns", r.base.cpu_ns)
+          .Num("delta_ns", r.next.wall_ns)
+          .Num("delta_cpu_ns", r.next.cpu_ns)
+          .Num("speedup", r.speedup())
+          .Num("component_links_mean", r.component_links_mean)
+          .Int("fallback_full_solves", static_cast<int64_t>(r.fallback_full_solves))
+          .Int("noop_splices", static_cast<int64_t>(r.noop_splices));
+    } else {
+      row.Num("reference_ns", r.base.wall_ns)
+          .Num("reference_cpu_ns", r.base.cpu_ns)
+          .Num("solver_ns", r.next.wall_ns)
+          .Num("solver_cpu_ns", r.next.cpu_ns)
+          .Num("speedup", r.speedup());
     }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_solver.json\n");
+    row.Bool("identical", r.identical);
+    all_identical = all_identical && r.identical;
   }
+  bool ok = report.Write("BENCH_solver.json");
   if (obs::WriteChromeTraceFile(tracer, "TRACE_solver.json")) {
     std::printf("wrote TRACE_solver.json (open in chrome://tracing or ui.perfetto.dev)\n");
   }
 
-  bool all_identical = true;
-  for (const Result& r : results) {
-    all_identical = all_identical && r.identical;
-  }
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: rate mismatch against the oracle\n");
   }
-  const bool monotone_ok = CheckMonotoneSane(results);
-  const bool delta_ok = CheckDeltaSane(results);
-  return all_identical && monotone_ok && delta_ok ? 0 : 1;
+  ok = CheckMonotoneSane(results) && ok;
+  ok = CheckDeltaSane(results) && ok;
+  return all_identical && ok ? 0 : 1;
 }

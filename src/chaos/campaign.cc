@@ -255,7 +255,6 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
     source_config.demand = spec.demand;
     source_config.ddio_write = spec.ddio_write;
     source_config.tenant = tenant;
-    source_config.name = name;
     runtime.source = std::make_unique<workload::StreamSource>(host.fabric(), source_config);
     runtime.source->Start();
     if (runtime.allocation != manager::kInvalidAllocation) {

@@ -223,12 +223,18 @@ void Manager::AttachFlow(AllocationId id, fabric::FlowId flow) {
   if (it == allocations_.end() || flow == fabric::kInvalidFlow) {
     return;
   }
-  if (std::find(it->second.flows.begin(), it->second.flows.end(), flow) ==
-      it->second.flows.end()) {
-    it->second.flows.push_back(flow);
-    flow_to_allocation_[flow] = id;
-    ++inputs_version_;
+  const auto [held, attached] = flow_to_allocation_.try_emplace(flow, id);
+  if (!attached) {
+    if (held->second == id) {
+      return;
+    }
+    // Re-home: the previous allocation stops limiting the flow and
+    // counting it in its split.
+    std::erase(allocations_.at(held->second).flows, flow);
+    held->second = id;
   }
+  it->second.flows.push_back(flow);
+  ++inputs_version_;
 }
 
 void Manager::Start() {

@@ -121,7 +121,9 @@ class Manager {
 
   // -- Flow attachment -----------------------------------------------------------
   // Ties an application flow to its allocation so the arbiter enforces the
-  // allocation across exactly these flows.
+  // allocation across exactly these flows. A flow belongs to at most one
+  // allocation: attaching it to another moves it there, and attaching it
+  // where it already is does nothing.
   void AttachFlow(AllocationId id, fabric::FlowId flow);
 
   // -- Arbitration -----------------------------------------------------------------

@@ -10,16 +10,14 @@
 #ifndef MIHN_SRC_WORKLOAD_ALLREDUCE_H_
 #define MIHN_SRC_WORKLOAD_ALLREDUCE_H_
 
-#include <string>
 #include <vector>
 
 #include "src/fabric/fabric.h"
 #include "src/sim/stats.h"
-#include "src/workload/workload.h"
 
 namespace mihn::workload {
 
-class RingAllReduce : public Workload {
+class RingAllReduce {
  public:
   struct Config {
     std::vector<topology::ComponentId> gpus;  // Ring order; >= 2 entries.
@@ -27,14 +25,12 @@ class RingAllReduce : public Workload {
     // Idle (compute) gap between iterations.
     sim::TimeNs compute_time = sim::TimeNs::Millis(5);
     fabric::TenantId tenant = fabric::kNoTenant;
-    std::string name = "allreduce";
   };
 
   RingAllReduce(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
+  void Stop();
 
   // Communication-phase duration per iteration, ms.
   const sim::Histogram& comm_ms() const { return comm_ms_; }
@@ -55,6 +51,7 @@ class RingAllReduce : public Workload {
   int pending_transfers_ = 0;
   std::vector<fabric::FlowId> active_;
   uint64_t generation_ = 0;
+  bool running_ = false;
 };
 
 }  // namespace mihn::workload

@@ -29,16 +29,10 @@ void KvClient::Start() {
     return;
   }
   running_ = true;
-  ++generation_;
   started_at_ = fabric_.simulation().Now();
   for (int i = 0; i < config_.concurrency; ++i) {
     IssueOp();
   }
-}
-
-void KvClient::Stop() {
-  running_ = false;
-  ++generation_;
 }
 
 double KvClient::OpsPerSecond() const {
@@ -47,34 +41,21 @@ double KvClient::OpsPerSecond() const {
 }
 
 void KvClient::IssueOp() {
-  if (!running_) {
-    return;
-  }
   sim::Simulation& sim = fabric_.simulation();
   const sim::TimeNs issued = sim.Now();
-  const uint64_t gen = generation_;
 
   fabric::PacketSpec request;
   request.path = &request_path_;
   request.bytes = kRequestBytes;
   request.klass = fabric::TrafficClass::kData;
-  request.on_delivered = [this, issued, gen, &sim] {
-    if (gen != generation_) {
-      return;
-    }
+  request.on_delivered = [this, issued, &sim] {
     // Host-side service, then the response packet.
-    sim.ScheduleAfter(kServiceTime, [this, issued, gen] {
-      if (gen != generation_) {
-        return;
-      }
+    sim.ScheduleAfter(kServiceTime, [this, issued] {
       fabric::PacketSpec response;
       response.path = &response_path_;
       response.bytes = kResponseBytes;
       response.klass = fabric::TrafficClass::kData;
-      response.on_delivered = [this, issued, gen] {
-        if (gen != generation_) {
-          return;
-        }
+      response.on_delivered = [this, issued] {
         latency_us_.Add((fabric_.simulation().Now() - issued).ToMicrosF());
         IssueOp();  // Closed loop: next op immediately.
       };

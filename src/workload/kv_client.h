@@ -11,15 +11,12 @@
 #ifndef MIHN_SRC_WORKLOAD_KV_CLIENT_H_
 #define MIHN_SRC_WORKLOAD_KV_CLIENT_H_
 
-#include <string>
-
 #include "src/fabric/fabric.h"
 #include "src/sim/stats.h"
-#include "src/workload/workload.h"
 
 namespace mihn::workload {
 
-class KvClient : public Workload {
+class KvClient {
  public:
   struct Config {
     // Endpoints: requests travel client -> server, responses back.
@@ -28,15 +25,12 @@ class KvClient : public Workload {
     int concurrency = 4;
     // Packets carry no tenant, so nothing reads this.
     fabric::TenantId tenant = fabric::kNoTenant;
-    std::string name = "kv";
   };
 
   // Routes paths at construction; |fabric| must outlive the client.
   KvClient(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
 
   // End-to-end operation latency distribution, in microseconds.
   const sim::Histogram& latency_us() const { return latency_us_; }
@@ -54,7 +48,7 @@ class KvClient : public Workload {
   topology::Path response_path_;
   sim::Histogram latency_us_;
   sim::TimeNs started_at_;
-  uint64_t generation_ = 0;  // Invalidates in-flight callbacks across Stop/Start.
+  bool running_ = false;
 };
 
 }  // namespace mihn::workload

@@ -16,43 +16,21 @@ void MlTrainer::Start() {
     return;
   }
   running_ = true;
-  ++generation_;
   BeginIteration();
 }
 
-void MlTrainer::Stop() {
-  running_ = false;
-  ++generation_;
-  if (active_transfer_ != fabric::kInvalidFlow) {
-    fabric_.StopFlow(active_transfer_);
-    active_transfer_ = fabric::kInvalidFlow;
-  }
-}
-
 void MlTrainer::BeginIteration() {
-  if (!running_) {
-    return;
-  }
-  const uint64_t gen = generation_;
   fabric::TransferSpec spec;
   spec.flow.path = load_path_;
   spec.flow.tenant = config_.tenant;
   spec.flow.weight = config_.weight;
   spec.flow.demand = config_.load_demand;
   spec.bytes = config_.batch_bytes;
-  spec.on_complete = [this, gen](const fabric::TransferResult& result) {
-    if (gen != generation_) {
-      return;
-    }
-    active_transfer_ = fabric::kInvalidFlow;
+  spec.on_complete = [this](const fabric::TransferResult& result) {
     load_bandwidth_gbps_.Add(result.AverageRate().ToGBps());
-    fabric_.simulation().ScheduleAfter(config_.compute_time, [this, gen] {
-      if (gen == generation_) {
-        FinishIteration();
-      }
-    });
+    fabric_.simulation().ScheduleAfter(config_.compute_time, [this] { FinishIteration(); });
   };
-  active_transfer_ = fabric_.StartTransfer(std::move(spec));
+  fabric_.StartTransfer(std::move(spec));
 }
 
 void MlTrainer::FinishIteration() {

@@ -9,15 +9,12 @@
 #ifndef MIHN_SRC_WORKLOAD_ML_TRAINER_H_
 #define MIHN_SRC_WORKLOAD_ML_TRAINER_H_
 
-#include <string>
-
 #include "src/fabric/fabric.h"
 #include "src/sim/stats.h"
-#include "src/workload/workload.h"
 
 namespace mihn::workload {
 
-class MlTrainer : public Workload {
+class MlTrainer {
  public:
   struct Config {
     topology::ComponentId data_source = topology::kInvalidComponent;  // DIMM.
@@ -29,14 +26,11 @@ class MlTrainer : public Workload {
     sim::Bandwidth load_demand = sim::Bandwidth::BytesPerSec(fabric::kUnlimitedDemand);
     fabric::TenantId tenant = fabric::kNoTenant;
     double weight = 1.0;
-    std::string name = "ml_trainer";
   };
 
   MlTrainer(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
 
   // Completed iterations (load + compute).
   int64_t iterations() const { return iterations_; }
@@ -53,8 +47,7 @@ class MlTrainer : public Workload {
   topology::Path load_path_;
   int64_t iterations_ = 0;
   sim::Histogram load_bandwidth_gbps_;
-  fabric::FlowId active_transfer_ = fabric::kInvalidFlow;
-  uint64_t generation_ = 0;
+  bool running_ = false;
 };
 
 }  // namespace mihn::workload

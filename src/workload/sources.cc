@@ -55,7 +55,7 @@ void LoopbackRdma::Start() {
   read.path = std::move(*read_path);
   read.tenant = config_.tenant;
   read.demand = config_.demand;
-  read_flow_ = fabric_.StartFlow(std::move(read));
+  fabric_.StartFlow(std::move(read));
 
   fabric::FlowSpec write;
   write.path = std::move(*write_path);
@@ -64,16 +64,6 @@ void LoopbackRdma::Start() {
   write.ddio_write = true;  // Loopback receive lands in host memory via DDIO.
   write_flow_ = fabric_.StartFlow(std::move(write));
   running_ = true;
-}
-
-void LoopbackRdma::Stop() {
-  for (fabric::FlowId* f : {&read_flow_, &write_flow_}) {
-    if (*f != fabric::kInvalidFlow) {
-      fabric_.StopFlow(*f);
-      *f = fabric::kInvalidFlow;
-    }
-  }
-  running_ = false;
 }
 
 // -- PoissonSource ------------------------------------------------------------
@@ -92,14 +82,7 @@ void PoissonSource::Start() {
     return;
   }
   running_ = true;
-  ++generation_;
   ScheduleNext();
-}
-
-void PoissonSource::Stop() {
-  running_ = false;
-  ++generation_;
-  next_arrival_.Cancel();
 }
 
 int64_t PoissonSource::DrawBytes() {
@@ -115,29 +98,17 @@ int64_t PoissonSource::DrawBytes() {
 }
 
 void PoissonSource::ScheduleNext() {
-  if (!running_) {
-    return;
-  }
   const double gap_s = rng_.Exponential(config_.arrivals_per_sec);
-  const uint64_t gen = generation_;
-  next_arrival_ =
-      fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(gap_s), [this, gen] {
-        if (gen != generation_) {
-          return;
-        }
-        fabric::TransferSpec spec;
-        spec.flow.path = path_;
-        spec.flow.tenant = config_.tenant;
-        spec.flow.ddio_write = config_.ddio_write;
-        spec.bytes = DrawBytes();
-        spec.on_complete = [this, gen](const fabric::TransferResult&) {
-          if (gen == generation_) {
-            ++completed_;
-          }
-        };
-        fabric_.StartTransfer(std::move(spec));
-        ScheduleNext();
-      });
+  fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(gap_s), [this] {
+    fabric::TransferSpec spec;
+    spec.flow.path = path_;
+    spec.flow.tenant = config_.tenant;
+    spec.flow.ddio_write = config_.ddio_write;
+    spec.bytes = DrawBytes();
+    spec.on_complete = [this](const fabric::TransferResult&) { ++completed_; };
+    fabric_.StartTransfer(std::move(spec));
+    ScheduleNext();
+  });
 }
 
 // -- BurstySource -------------------------------------------------------------
@@ -156,24 +127,10 @@ void BurstySource::Start() {
     return;
   }
   running_ = true;
-  ++generation_;
   EnterOn();
 }
 
-void BurstySource::Stop() {
-  running_ = false;
-  ++generation_;
-  pending_.Cancel();
-  if (flow_ != fabric::kInvalidFlow) {
-    fabric_.StopFlow(flow_);
-    flow_ = fabric::kInvalidFlow;
-  }
-}
-
 void BurstySource::EnterOn() {
-  if (!running_) {
-    return;
-  }
   fabric::FlowSpec spec;
   spec.path = path_;
   spec.tenant = config_.tenant;
@@ -182,29 +139,13 @@ void BurstySource::EnterOn() {
   flow_ = fabric_.StartFlow(std::move(spec));
   ++bursts_;
   const double on_s = rng_.Exponential(1.0 / config_.mean_on.ToSecondsF());
-  const uint64_t gen = generation_;
-  pending_ = fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(on_s), [this, gen] {
-    if (gen == generation_) {
-      EnterOff();
-    }
-  });
+  fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(on_s), [this] { EnterOff(); });
 }
 
 void BurstySource::EnterOff() {
-  if (flow_ != fabric::kInvalidFlow) {
-    fabric_.StopFlow(flow_);
-    flow_ = fabric::kInvalidFlow;
-  }
-  if (!running_) {
-    return;
-  }
+  fabric_.StopFlow(flow_);
   const double off_s = rng_.Exponential(1.0 / config_.mean_off.ToSecondsF());
-  const uint64_t gen = generation_;
-  pending_ = fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(off_s), [this, gen] {
-    if (gen == generation_) {
-      EnterOn();
-    }
-  });
+  fabric_.simulation().ScheduleAfter(sim::TimeNs::FromSecondsF(off_s), [this] { EnterOn(); });
 }
 
 }  // namespace mihn::workload

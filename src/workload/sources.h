@@ -1,20 +1,25 @@
 // Generic traffic sources: continuous streams, RDMA loopback, open-loop
 // Poisson transfer generators, and bursty on/off sources.
+//
+// Every workload (these, KvClient, MlTrainer and RingAllReduce) drives the
+// Fabric through its public API and records its own application-level
+// statistics. Start() begins generating traffic and is idempotent. The
+// workloads a binary stops (StreamSource, RingAllReduce) also have Stop(),
+// which tears down their active flows, is idempotent, and makes callbacks
+// that land after it do nothing; the others run until their simulation
+// ends.
 
 #ifndef MIHN_SRC_WORKLOAD_SOURCES_H_
 #define MIHN_SRC_WORKLOAD_SOURCES_H_
 
-#include <string>
-
 #include "src/fabric/fabric.h"
 #include "src/sim/random.h"
-#include "src/workload/workload.h"
 
 namespace mihn::workload {
 
 // A continuous fluid stream between two endpoints (NVMe scans, video
 // ingest, replication traffic, ...). Elastic by default.
-class StreamSource : public Workload {
+class StreamSource {
  public:
   struct Config {
     topology::ComponentId src = topology::kInvalidComponent;
@@ -23,14 +28,12 @@ class StreamSource : public Workload {
     double weight = 1.0;
     bool ddio_write = false;
     fabric::TenantId tenant = fabric::kNoTenant;
-    std::string name = "stream";
   };
 
   StreamSource(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
+  void Stop();
 
   sim::Bandwidth AchievedRate() const { return fabric_.FlowRate(flow_); }
   fabric::FlowId flow() const { return flow_; }
@@ -39,13 +42,14 @@ class StreamSource : public Workload {
   fabric::Fabric& fabric_;
   Config config_;
   fabric::FlowId flow_ = fabric::kInvalidFlow;
+  bool running_ = false;
 };
 
 // RDMA loopback traffic (paper §2: "an RDMA loopback traffic can exhaust
 // the PCIe bandwidth"): the NIC simultaneously reads payload from host
 // memory and DMA-writes it back, loading the PCIe link in both directions
 // plus the memory path.
-class LoopbackRdma : public Workload {
+class LoopbackRdma {
  public:
   struct Config {
     topology::ComponentId nic = topology::kInvalidComponent;
@@ -53,27 +57,24 @@ class LoopbackRdma : public Workload {
     // Loopback intensity per direction.
     sim::Bandwidth demand = sim::Bandwidth::BytesPerSec(fabric::kUnlimitedDemand);
     fabric::TenantId tenant = fabric::kNoTenant;
-    std::string name = "loopback";
   };
 
   LoopbackRdma(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
 
   sim::Bandwidth WriteRate() const { return fabric_.FlowRate(write_flow_); }
 
  private:
   fabric::Fabric& fabric_;
   Config config_;
-  fabric::FlowId read_flow_ = fabric::kInvalidFlow;
   fabric::FlowId write_flow_ = fabric::kInvalidFlow;
+  bool running_ = false;
 };
 
 // Open-loop Poisson transfer generator: arrivals ~ Exp(rate), sizes fixed
-// or bounded-Pareto. Counts the transfers that complete while it runs.
-class PoissonSource : public Workload {
+// or bounded-Pareto. Counts the transfers that complete.
+class PoissonSource {
  public:
   struct Config {
     topology::ComponentId src = topology::kInvalidComponent;
@@ -85,14 +86,11 @@ class PoissonSource : public Workload {
     bool ddio_write = false;
     fabric::TenantId tenant = fabric::kNoTenant;
     uint64_t rng_stream = 1;
-    std::string name = "poisson";
   };
 
   PoissonSource(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
 
   int64_t completed_transfers() const { return completed_; }
 
@@ -105,14 +103,13 @@ class PoissonSource : public Workload {
   topology::Path path_;
   sim::Rng rng_;
   int64_t completed_ = 0;
-  sim::EventHandle next_arrival_;
-  uint64_t generation_ = 0;
+  bool running_ = false;
 };
 
 // On/off bursty source: alternates exponentially-distributed bursts of a
 // fixed-demand stream with idle gaps. Models the "performance jitters"
 // traffic of §2.
-class BurstySource : public Workload {
+class BurstySource {
  public:
   struct Config {
     topology::ComponentId src = topology::kInvalidComponent;
@@ -123,14 +120,11 @@ class BurstySource : public Workload {
     bool ddio_write = false;
     fabric::TenantId tenant = fabric::kNoTenant;
     uint64_t rng_stream = 2;
-    std::string name = "bursty";
   };
 
   BurstySource(fabric::Fabric& fabric, Config config);
 
-  void Start() override;
-  void Stop() override;
-  std::string name() const override { return config_.name; }
+  void Start();
 
   int64_t bursts() const { return bursts_; }
 
@@ -144,8 +138,7 @@ class BurstySource : public Workload {
   sim::Rng rng_;
   fabric::FlowId flow_ = fabric::kInvalidFlow;
   int64_t bursts_ = 0;
-  sim::EventHandle pending_;
-  uint64_t generation_ = 0;
+  bool running_ = false;
 };
 
 }  // namespace mihn::workload

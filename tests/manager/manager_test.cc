@@ -291,6 +291,45 @@ TEST(ManagerTest, QuietQuantaSolveNothing) {
   EXPECT_GT(limit_of(second_flow), unattached_limit);
 }
 
+// A flow attached to a second allocation moves there: the first stops
+// limiting it, so one pass sets its limit once and a settled arbiter goes
+// quiet, and releasing the first leaves the flow alone.
+TEST(ManagerTest, AttachFlowRehomesAFlow) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  fabric::Fabric& fabric = host.fabric();
+  ManagerConfig config;
+  config.mode = ManagerConfig::Mode::kWorkConserving;
+  Manager manager(fabric, config);
+  const fabric::TenantId tenant = manager.RegisterTenant("alice");
+  const auto first = manager.SubmitIntent(tenant, SsdTarget(host.server(), 4));
+  const auto second = manager.SubmitIntent(tenant, SsdTarget(host.server(), 8));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  fabric::FlowSpec spec;
+  spec.path = manager.GetAllocation(first.id)->path;
+  spec.tenant = tenant;
+  const fabric::FlowId flow = fabric.StartFlow(spec);
+  manager.AttachFlow(first.id, flow);
+  manager.AttachFlow(second.id, flow);
+  manager.AttachFlow(second.id, flow);  // Already there: nothing moves.
+  EXPECT_TRUE(manager.GetAllocation(first.id)->flows.empty());
+  EXPECT_EQ(manager.GetAllocation(second.id)->flows, std::vector<fabric::FlowId>{flow});
+
+  manager.Start();
+  host.RunFor(TimeNs::Millis(1));
+  const uint64_t mutations = fabric.mutation_count();
+  const uint64_t arbitrations = manager.arbitrations();
+  host.RunFor(TimeNs::Millis(1));
+  EXPECT_EQ(fabric.mutation_count(), mutations);
+  EXPECT_EQ(manager.arbitrations(), arbitrations + 10);
+
+  const double limit = fabric.GetFlowInfo(flow)->limit.bytes_per_sec();
+  EXPECT_LT(limit, fabric::kUnlimitedDemand);
+  manager.ReleaseAllocation(first.id);
+  EXPECT_EQ(fabric.GetFlowInfo(flow)->limit.bytes_per_sec(), limit);
+}
+
 TEST(ManagerTest, DestroyedManagerCancelsItsTimer) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());

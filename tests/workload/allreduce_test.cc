@@ -82,7 +82,6 @@ TEST(AllReduceTest, CrossSocketRingIsSlowerThanLocal) {
 
   RingAllReduce::Config cross = local;
   cross.gpus = {gpus[0], gpus.back()};  // Crosses the inter-socket fabric.
-  cross.name = "cross";
   RingAllReduce cross_ring(host.fabric(), cross);
   cross_ring.Start();
   host.RunFor(TimeNs::Millis(200));

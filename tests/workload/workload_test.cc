@@ -32,7 +32,6 @@ TEST(KvClientTest, CompletesOpsAtExpectedUnloadedLatency) {
   KvClient kv(host.fabric(), config);
   kv.Start();
   host.RunFor(TimeNs::Millis(10));
-  kv.Stop();
   EXPECT_GT(kv.completed_ops(), 100);
   // Unloaded: ~2x path latency (couple of us) + 1 us service; well under 20 us.
   EXPECT_GT(kv.latency_us().mean(), 1.0);
@@ -48,7 +47,6 @@ TEST(KvClientTest, ConcurrencyScalesThroughput) {
   config.concurrency = 1;
   KvClient one(host.fabric(), config);
   config.concurrency = 8;
-  config.name = "kv8";
   KvClient eight(host.fabric(), config);
   one.Start();
   eight.Start();
@@ -88,21 +86,6 @@ TEST(KvClientTest, CongestionInflatesLatency) {
   EXPECT_GT(after_p99, before_p50 + 2.0);
 }
 
-TEST(KvClientTest, StopHaltsTraffic) {
-  sim::Simulation sim;
-  HostNetwork host(sim, QuietOptions());
-  KvClient::Config config;
-  config.client = host.server().external_hosts[0];
-  config.server = host.server().sockets[0];
-  KvClient kv(host.fabric(), config);
-  kv.Start();
-  host.RunFor(TimeNs::Millis(1));
-  kv.Stop();
-  const int64_t ops = kv.completed_ops();
-  host.RunFor(TimeNs::Millis(5));
-  EXPECT_EQ(kv.completed_ops(), ops);
-}
-
 TEST(MlTrainerTest, IterationsCompleteWithExpectedTiming) {
   sim::Simulation sim;
   HostNetwork host(sim, QuietOptions());
@@ -115,7 +98,6 @@ TEST(MlTrainerTest, IterationsCompleteWithExpectedTiming) {
   MlTrainer trainer(host.fabric(), config);
   trainer.Start();
   host.RunFor(TimeNs::Millis(200));
-  trainer.Stop();
   // Load at PCIe-ish speed (~29 GB/s effective): ~2.2ms; +5ms compute. An
   // iteration of 5 to 15 ms fits 13 to 40 of them in 200 ms.
   EXPECT_GT(trainer.iterations(), 200 / 15);
@@ -166,8 +148,6 @@ TEST(LoopbackRdmaTest, LoadsPcieBothDirections) {
   const topology::DirectedLink first_hop = path.hops[0];
   EXPECT_GT(host.fabric().Utilization(first_hop), 0.9);
   EXPECT_GT(host.fabric().Utilization({first_hop.link, !first_hop.forward}), 0.9);
-  loopback.Stop();
-  EXPECT_DOUBLE_EQ(host.fabric().Utilization(first_hop), 0.0);
 }
 
 TEST(PoissonSourceTest, ArrivalCountMatchesRate) {
@@ -182,9 +162,8 @@ TEST(PoissonSourceTest, ArrivalCountMatchesRate) {
   PoissonSource source(host.fabric(), config);
   source.Start();
   host.RunFor(TimeNs::Millis(100));
-  source.Stop();
   // Expect ~1000 arrivals, Poisson sigma ~32; a 4 KiB transfer takes tens
-  // of microseconds, so all but the last few complete before Stop().
+  // of microseconds, so all but the last few complete within the run.
   EXPECT_NEAR(static_cast<double>(source.completed_transfers()), 1000.0, 150.0);
 }
 
@@ -226,7 +205,6 @@ TEST(PoissonSourceTest, ParetoSizesVary) {
   });
   source.Start();
   host.RunFor(TimeNs::Millis(400));
-  source.Stop();
   EXPECT_GT(source.completed_transfers(), 100);
   ASSERT_GE(sizes.size(), static_cast<size_t>(source.completed_transfers()));
   std::vector<int64_t> sorted;
@@ -250,9 +228,8 @@ TEST(BurstySourceTest, TogglesOnAndOff) {
   bursty.Start();
   host.RunFor(TimeNs::Millis(100));
   EXPECT_GT(bursty.bursts(), 5);
-  bursty.Stop();
-  // No lingering flows after stop.
-  EXPECT_TRUE(host.fabric().ActiveFlows().empty());
+  // Each off phase stops the burst's flow: at most one is ever live.
+  EXPECT_LE(host.fabric().ActiveFlows().size(), 1u);
 }
 
 TEST(WorkloadBaseTest, StartIsIdempotent) {
