@@ -192,7 +192,8 @@ Result RunChurn(size_t num_flows, size_t num_links, size_t iters, bool smoke,
       double cs = 0.0;
       const bench::Timing timing = bench::Time([&] { cs = ChurnSolver(inst, iters, rng, solver); });
       // Same mutation stream as the reference -> identical checksums expected.
-      r.identical = r.identical && cs == cs_ref;  // mihn-check: float-eq-ok(bit-identity differential gate)
+      const bool same = cs == cs_ref;  // mihn-check: float-eq-ok(bit-identity differential gate)
+      r.identical = r.identical && same;
       return std::array{timing};
     })[0];
   }
@@ -261,8 +262,8 @@ Result RunChurnSingle(size_t num_flows, size_t num_links, size_t iters, bool smo
     span.Arg("fallback_full_solves", static_cast<double>(r.fallback_full_solves));
   }
   // End-state gate against the oracle itself (one reference solve).
-  r.identical = r.identical &&
-                SameRates(delta_solver.rates(), fabric::SolveMaxMinReference(inst.flows, inst.caps));
+  const std::vector<double> end_want = fabric::SolveMaxMinReference(inst.flows, inst.caps);
+  r.identical = r.identical && SameRates(delta_solver.rates(), end_want);
   r.component_links_mean = component_links_sum / static_cast<double>(iters);
   MIHN_TRACE_COUNTER(&tracer, "solver", "delta.ns_per_solve", r.next.wall_ns);
   MIHN_TRACE_COUNTER(&tracer, "solver", "delta.speedup", r.speedup());

@@ -382,9 +382,9 @@ TEST(FleetTest, TracedFleetExportsAreByteStable) {
 }
 
 // At the 1024-host scale the pooled tick must reproduce the serial one
-// byte for byte. (Its speedup is bench_fleet's --gate business: ctest makes
-// no wall-clock assertions.) The pool is unclamped so helper threads really
-// run even on small machines.
+// byte for byte. (Its speed is gated by bench_fleet's full grid: ctest
+// makes no wall-clock assertions.) The pool is unclamped so helper threads
+// really run even on small machines.
 TEST(FleetTest, PooledTickMatchesSerial1024Hosts) {
   constexpr int kHosts = 1024;
   constexpr int kTicks = 6;
