@@ -166,7 +166,7 @@ struct Result {
   int cross_flows = 0;
   long long aggregate_flows = 0;
   int ticks = 0;
-  int workers = 0;                // Pooled fleet's actual pool width after the clamp.
+  int workers = 0;               // Pooled fleet's actual pool width after the clamp.
   bench::Timing serial, pooled;  // Per tick, from each side's fastest block.
   uint64_t digest = 0;
   bool identical = false;
