@@ -1,6 +1,6 @@
 #include "src/chaos/campaign.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <utility>
@@ -61,6 +61,267 @@ std::set<std::string> FlaggedKnobs(const anomaly::MisconfigChecker& checker) {
     }
   }
   return knobs;
+}
+
+// One host's detection-and-recovery stack for a trial, and the campaign
+// tick that gathers its signals, runs the recovery policy and samples
+// health. It borrows the host, and through it the trial's clock.
+class Rig {
+ public:
+  // Builds the stack and starts the SLO monitor, the streams and the mesh,
+  // in that order: events at one time fire in the order they were
+  // scheduled. Sets |*error| when a stream cannot be set up.
+  Rig(HostNetwork& host, const CampaignConfig& config, std::vector<ResolvedFault> faults,
+      std::string* error);
+
+  const std::vector<GroundTruth>& ground_truth() const { return injector_.ground_truth(); }
+
+  // Arms the injector, then schedules the campaign tick.
+  void Start();
+
+  // Cancels the tick and fills |result|'s signals, health and counters.
+  void Finish(TrialResult* result);
+
+ private:
+  struct Stream {
+    std::unique_ptr<workload::StreamSource> source;
+    manager::AllocationId allocation = manager::kInvalidAllocation;
+  };
+
+  bool AddStream(size_t index, const StreamSpec& spec, std::string* error);
+  void Tick();
+  // Each appends its source's new signals; GatherAlarms also reports
+  // whether an alarm cleared since the last tick.
+  bool GatherAlarms();
+  void GatherViolations();
+  void GatherAnomalies();
+  void GatherMisconfig();
+  void Recover();
+  bool OnDeadPath(const Stream& stream) const;
+
+  HostNetwork& host_;
+  const sim::TimeNs tick_period_;
+  const bool repair_allocations_;
+  const bool restart_streams_;
+  FaultInjector injector_;
+  manager::SloMonitor slo_;
+  std::vector<Stream> streams_;
+  std::unique_ptr<anomaly::HeartbeatMesh> mesh_;
+  anomaly::DetectorBank bank_;
+  anomaly::MisconfigChecker misconfig_;
+  std::set<std::string> misconfig_baseline_;
+  std::set<std::string> misconfig_active_;
+  sim::EventHandle tick_;
+  size_t alarms_seen_ = 0;
+  size_t closures_seen_ = 0;
+  uint64_t violations_seen_ = 0;
+  std::vector<Signal> signals_;
+  std::vector<HealthSample> health_;
+  uint64_t repairs_ = 0;
+  uint64_t stream_restarts_ = 0;
+};
+
+Rig::Rig(HostNetwork& host, const CampaignConfig& config, std::vector<ResolvedFault> faults,
+         std::string* error)
+    : host_(host),
+      tick_period_(config.tick),
+      repair_allocations_(config.recovery == RecoveryPolicy::kRepair ||
+                          config.recovery == RecoveryPolicy::kRerouteOnly),
+      restart_streams_(config.recovery == RecoveryPolicy::kRepair ||
+                       config.recovery == RecoveryPolicy::kRestartOnly),
+      injector_(host.fabric(), std::move(faults), config.duration),
+      slo_(host.manager(), host.fabric(), manager::SloMonitor::Config{.period = config.tick}),
+      misconfig_(host.fabric()) {
+  slo_.Start();
+  for (size_t i = 0; i < config.streams.size(); ++i) {
+    if (!AddStream(i, config.streams[i], error)) {
+      return;
+    }
+  }
+  // Anomaly stack: a heartbeat mesh over every device, EWMA detectors over
+  // every directed link's utilization series plus each socket's cache hit
+  // rate, and a misconfiguration sweep whose findings beyond the trial's
+  // baseline set signal once per appearance.
+  mesh_ = host.MakeHeartbeatMesh();
+  mesh_->Start();
+  for (const topology::Link& link : host.topo().links()) {
+    for (const bool forward : {true, false}) {
+      bank_.Attach(telemetry::Collector::LinkUtilKey(link.id, forward),
+                   std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
+    }
+  }
+  for (const topology::ComponentId socket : host.server().sockets) {
+    bank_.Attach(telemetry::Collector::CacheHitKey(socket),
+                 std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
+  }
+  misconfig_baseline_ = FlaggedKnobs(misconfig_);
+}
+
+// A tenant stream, with an SLO intent whose allocation holds the stream's
+// flow when the spec guarantees a bandwidth.
+bool Rig::AddStream(size_t index, const StreamSpec& spec, std::string* error) {
+  const auto src = ResolveEndpoint(host_.server(), spec.src_kind, spec.src_index);
+  const auto dst = ResolveEndpoint(host_.server(), spec.dst_kind, spec.dst_index);
+  if (!src || !dst) {
+    *error = "stream " + std::to_string(index) + ": unresolvable endpoint";
+    return false;
+  }
+  const fabric::TenantId tenant =
+      host_.manager().RegisterTenant("tenant" + std::to_string(index));
+  Stream stream;
+  if (!spec.slo.IsZero()) {
+    manager::PerformanceTarget target;
+    target.src = *src;
+    target.dst = *dst;
+    target.bandwidth = spec.slo;
+    const manager::SubmitResult submitted = host_.manager().SubmitIntent(tenant, target);
+    if (!submitted.ok()) {
+      *error = "stream " + std::to_string(index) + ": intent rejected: " + submitted.error;
+      return false;
+    }
+    stream.allocation = submitted.id;
+  }
+  workload::StreamSource::Config source_config;
+  source_config.src = *src;
+  source_config.dst = *dst;
+  source_config.demand = spec.demand;
+  source_config.ddio_write = spec.ddio_write;
+  source_config.tenant = tenant;
+  stream.source = std::make_unique<workload::StreamSource>(host_.fabric(), source_config);
+  stream.source->Start();
+  if (stream.allocation != manager::kInvalidAllocation) {
+    host_.manager().AttachFlow(stream.allocation, stream.source->flow());
+  }
+  streams_.push_back(std::move(stream));
+  return true;
+}
+
+void Rig::Start() {
+  injector_.Arm();
+  tick_ = host_.simulation().SchedulePeriodic(tick_period_, [this] { Tick(); }, "chaos.tick");
+}
+
+// The campaign tick: gather signals, drive recovery, sample health.
+void Rig::Tick() {
+  MIHN_TRACE_SCOPE(host_.fabric().tracer(), "chaos", "chaos.tick");
+  const size_t signals_before = signals_.size();
+  const bool new_closure = GatherAlarms();
+  GatherViolations();
+  GatherAnomalies();
+  GatherMisconfig();
+  const bool new_signal = signals_.size() > signals_before;
+  // kNone detects but never acts (and never rebaselines): the status-quo
+  // baseline the sweep ranks the active policies against.
+  if ((repair_allocations_ || restart_streams_) && (new_signal || new_closure)) {
+    Recover();
+  }
+  // A pair is alarmed exactly while its alarm event is uncleared.
+  const bool healthy = !new_signal && closures_seen_ == mesh_->alarm_log().size();
+  health_.push_back(HealthSample{host_.Now(), healthy});
+  MIHN_TRACE_COUNTER(host_.fabric().tracer(), "chaos", "chaos.signals", signals_.size());
+  MIHN_TRACE_COUNTER(host_.fabric().tracer(), "chaos", "chaos.repairs", repairs_);
+  MIHN_TRACE_COUNTER(host_.fabric().tracer(), "chaos", "chaos.healthy", healthy ? 1 : 0);
+}
+
+// An alarm closing is not a detection signal (no false positive), but it
+// is a recovery trigger: a cleared fault may leave streams dead that only
+// now have a route back.
+bool Rig::GatherAlarms() {
+  const auto& alarms = mesh_->alarm_log();
+  for (size_t i = alarms_seen_; i < alarms.size(); ++i) {
+    signals_.push_back(Signal{alarms[i].raised_at, Signal::Source::kHeartbeat,
+                              "pair " + host_.topo().component(alarms[i].src).name + "->" +
+                                  host_.topo().component(alarms[i].dst).name});
+  }
+  alarms_seen_ = alarms.size();
+  const auto closures = static_cast<size_t>(std::count_if(
+      alarms.begin(), alarms.end(), [](const auto& event) { return event.cleared; }));
+  // An event clears at most once and the log only grows.
+  const bool new_closure = closures > closures_seen_;
+  closures_seen_ = closures;
+  return new_closure;
+}
+
+void Rig::GatherViolations() {
+  const uint64_t total = slo_.violations_total();
+  const auto& log = slo_.violations();
+  // The log may have evicted some of the fresh ones.
+  const uint64_t fresh = std::min<uint64_t>(total - violations_seen_, log.size());
+  for (size_t i = log.size() - fresh; i < log.size(); ++i) {
+    const bool bandwidth = log[i].kind == manager::SloMonitor::Violation::Kind::kBandwidth;
+    signals_.push_back(Signal{log[i].at, Signal::Source::kSlo,
+                              "alloc " + std::to_string(log[i].allocation) +
+                                  (bandwidth ? " bandwidth" : " latency")});
+  }
+  violations_seen_ = total;
+}
+
+void Rig::GatherAnomalies() {
+  for (const anomaly::Anomaly& anomaly : bank_.Scan(host_.collector())) {
+    signals_.push_back(Signal{anomaly.at, Signal::Source::kDetector, anomaly.metric});
+  }
+}
+
+void Rig::GatherMisconfig() {
+  const std::set<std::string> flagged = FlaggedKnobs(misconfig_);
+  for (const std::string& knob : flagged) {
+    if (!misconfig_baseline_.contains(knob) && misconfig_active_.insert(knob).second) {
+      signals_.push_back(Signal{host_.Now(), Signal::Source::kMisconfig, knob});
+    }
+  }
+  std::erase_if(misconfig_active_,
+                [&](const std::string& knob) { return !flagged.contains(knob); });
+}
+
+// The recovery policy acts on signals, never on ground truth: the manager
+// re-places faulted allocations, and streams pinned to a dead path restart
+// onto fault-aware routes. Then the operator acknowledges and rebaselines:
+// EwmaDetector deliberately keeps firing on a sustained shift, so without
+// it a never-cleared fault would alarm every tick and the trial could never
+// converge back to healthy.
+void Rig::Recover() {
+  if (repair_allocations_) {
+    repairs_ += host_.manager().RepairFaultedAllocations().size();
+  }
+  for (Stream& stream : streams_) {
+    if (!restart_streams_ || !OnDeadPath(stream)) {
+      continue;
+    }
+    stream.source->Stop();
+    stream.source->Start();
+    ++stream_restarts_;
+    if (stream.allocation != manager::kInvalidAllocation &&
+        stream.source->flow() != fabric::kInvalidFlow) {
+      host_.manager().AttachFlow(stream.allocation, stream.source->flow());
+    }
+  }
+  bank_.Rebaseline();
+}
+
+// True when the stream's flow never started (or is gone), or its path
+// crosses a link with no capacity left.
+bool Rig::OnDeadPath(const Stream& stream) const {
+  const auto info = host_.fabric().GetFlowInfo(stream.source->flow());
+  if (!info || info->path == nullptr) {
+    return true;
+  }
+  return std::any_of(info->path->hops.begin(), info->path->hops.end(),
+                     [this](const topology::DirectedLink& hop) {
+                       return host_.fabric().EffectiveCapacity(hop).IsZero();
+                     });
+}
+
+void Rig::Finish(TrialResult* result) {
+  tick_.Cancel();
+  result->signals = std::move(signals_);
+  result->health = std::move(health_);
+  result->probes_sent = mesh_->probes_sent();
+  result->violations_total = slo_.violations_total();
+  result->violations_dropped = slo_.violations_dropped();
+  result->anomalies = bank_.log().size();
+  result->repairs = repairs_;
+  result->stream_restarts = stream_restarts_;
+  result->injector_operations = injector_.operations();
 }
 
 }  // namespace
@@ -148,43 +409,28 @@ CampaignResult Campaign::Assemble(std::vector<TrialRun> runs) const {
     return result;
   }
 
-  // Aggregate across trials from the per-fault outcomes.
-  double detect_sum_ms = 0.0;
-  double recover_sum_ms = 0.0;
+  // The aggregate summarizes every trial's outcomes at once, in trial order.
+  std::vector<FaultOutcome> outcomes;
+  int true_positives = 0;
+  int false_positives = 0;
   for (const TrialResult& tr : result.results) {
-    result.faults_total += tr.score.faults;
-    result.detected_total += tr.score.detected;
-    result.hard_faults_total += tr.score.hard_faults;
-    result.hard_detected_total += tr.score.hard_detected;
-    result.true_positives_total += tr.score.true_positive_signals;
-    result.false_positives_total += tr.score.false_positive_signals;
-    for (const FaultOutcome& outcome : tr.score.outcomes) {
-      if (outcome.detected) {
-        detect_sum_ms += static_cast<double>(outcome.detection_latency.nanos()) / 1e6;
-      }
-      if (outcome.recovered) {
-        recover_sum_ms += static_cast<double>(outcome.recovery_latency.nanos()) / 1e6;
-        ++result.recovered_total;
-      }
-    }
+    outcomes.insert(outcomes.end(), tr.score.outcomes.begin(), tr.score.outcomes.end());
+    true_positives += tr.score.true_positive_signals;
+    false_positives += tr.score.false_positive_signals;
   }
-  if (result.faults_total > 0) {
-    result.recall = static_cast<double>(result.detected_total) / result.faults_total;
-  }
-  if (result.hard_faults_total > 0) {
-    result.hard_recall =
-        static_cast<double>(result.hard_detected_total) / result.hard_faults_total;
-  }
-  const int signals_total = result.true_positives_total + result.false_positives_total;
-  if (signals_total > 0) {
-    result.precision = static_cast<double>(result.true_positives_total) / signals_total;
-  }
-  if (result.detected_total > 0) {
-    result.mean_detection_latency_ms = detect_sum_ms / result.detected_total;
-  }
-  if (result.recovered_total > 0) {
-    result.mean_recovery_ms = recover_sum_ms / result.recovered_total;
-  }
+  const TrialScore total = Summarize(std::move(outcomes), true_positives, false_positives);
+  result.faults_total = total.faults;
+  result.detected_total = total.detected;
+  result.hard_faults_total = total.hard_faults;
+  result.hard_detected_total = total.hard_detected;
+  result.true_positives_total = total.true_positive_signals;
+  result.false_positives_total = total.false_positive_signals;
+  result.recovered_total = total.recovered;
+  result.recall = total.recall;
+  result.hard_recall = total.hard_recall;
+  result.precision = total.precision;
+  result.mean_detection_latency_ms = total.mean_detection_latency_ms;
+  result.mean_recovery_ms = total.mean_recovery_ms;
   return result;
 }
 
@@ -203,254 +449,23 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
   sim::Simulation sim(seed);
   HostNetwork host(sim, options);
 
-  std::string resolve_error;
-  std::vector<ResolvedFault> resolved = config_.schedule.Resolve(host.topo(), &resolve_error);
-  if (!resolve_error.empty()) {
-    *error = resolve_error;
+  std::vector<ResolvedFault> faults = config_.schedule.Resolve(host.topo(), error);
+  if (!error->empty()) {
     return result;
   }
-  FaultInjector injector(host.fabric(), std::move(resolved), config_.duration);
-  result.faults = injector.ground_truth();
-
-  manager::SloMonitor::Config slo_config;
-  slo_config.period = config_.tick;
-  manager::SloMonitor slo(host.manager(), host.fabric(), slo_config);
-  slo.Start();
-
-  // Tenant streams (+ SLO intents for the guaranteed ones).
-  struct StreamRuntime {
-    std::unique_ptr<workload::StreamSource> source;
-    manager::AllocationId allocation = manager::kInvalidAllocation;
-  };
-  std::vector<StreamRuntime> streams;
-  for (size_t i = 0; i < config_.streams.size(); ++i) {
-    const StreamSpec& spec = config_.streams[i];
-    const auto src = ResolveEndpoint(host.server(), spec.src_kind, spec.src_index);
-    const auto dst = ResolveEndpoint(host.server(), spec.dst_kind, spec.dst_index);
-    if (!src || !dst) {
-      *error = "stream " + std::to_string(i) + ": unresolvable endpoint";
-      return result;
-    }
-    char name[32];
-    std::snprintf(name, sizeof(name), "tenant%zu", i);
-    const fabric::TenantId tenant = host.manager().RegisterTenant(name);
-
-    StreamRuntime runtime;
-    if (!spec.slo.IsZero()) {
-      manager::PerformanceTarget target;
-      target.src = *src;
-      target.dst = *dst;
-      target.bandwidth = spec.slo;
-      const manager::SubmitResult submitted = host.manager().SubmitIntent(tenant, target);
-      if (!submitted.ok()) {
-        *error = "stream " + std::to_string(i) + ": intent rejected: " + submitted.error;
-        return result;
-      }
-      runtime.allocation = submitted.id;
-    }
-
-    workload::StreamSource::Config source_config;
-    source_config.src = *src;
-    source_config.dst = *dst;
-    source_config.demand = spec.demand;
-    source_config.ddio_write = spec.ddio_write;
-    source_config.tenant = tenant;
-    runtime.source = std::make_unique<workload::StreamSource>(host.fabric(), source_config);
-    runtime.source->Start();
-    if (runtime.allocation != manager::kInvalidAllocation) {
-      host.manager().AttachFlow(runtime.allocation, runtime.source->flow());
-    }
-    streams.push_back(std::move(runtime));
+  Rig rig(host, config_, std::move(faults), error);
+  if (!error->empty()) {
+    return result;
   }
-
-  // Anomaly stack: a heartbeat mesh over every device, EWMA detectors over
-  // every directed link's utilization series plus each socket's cache hit
-  // rate, and a misconfiguration sweep whose findings beyond the trial's
-  // baseline set signal once per appearance.
-  const std::unique_ptr<anomaly::HeartbeatMesh> mesh = host.MakeHeartbeatMesh();
-  mesh->Start();
-  anomaly::DetectorBank bank;
-  const topology::Topology& topo = host.topo();
-  for (topology::LinkId link = 0; link < static_cast<topology::LinkId>(topo.link_count());
-       ++link) {
-    for (const bool forward : {true, false}) {
-      bank.Attach(telemetry::Collector::LinkUtilKey(link, forward),
-                  std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
-    }
-  }
-  for (const topology::ComponentId socket : host.server().sockets) {
-    bank.Attach(telemetry::Collector::CacheHitKey(socket),
-                std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
-  }
-  anomaly::MisconfigChecker misconfig(host.fabric());
-  const std::set<std::string> misconfig_baseline = FlaggedKnobs(misconfig);
-  std::set<std::string> misconfig_active;
-
-  injector.Arm();
-
-  // The campaign tick: gather signals, drive recovery, sample health.
-  struct TickState {
-    size_t alarms_seen = 0;
-    size_t closures_seen = 0;
-    uint64_t violations_seen = 0;
-  };
-  TickState state;
-  sim::EventHandle tick = host.simulation().SchedulePeriodic(
-      config_.tick,
-      [&] {
-        MIHN_TRACE_SCOPE(host.fabric().tracer(), "chaos", "chaos.tick");
-        const sim::TimeNs now = host.Now();
-        bool new_signal = false;
-        // An alarm closing is not a detection signal (no false positive),
-        // but it is a recovery trigger: a cleared fault may leave streams
-        // dead that only now have a route back.
-        bool new_closure = false;
-
-        const auto& alarms = mesh->alarm_log();
-        for (size_t i = state.alarms_seen; i < alarms.size(); ++i) {
-          Signal signal;
-          signal.at = alarms[i].raised_at;
-          signal.source = Signal::Source::kHeartbeat;
-          signal.detail = "pair " + host.topo().component(alarms[i].src).name + "->" +
-                          host.topo().component(alarms[i].dst).name;
-          result.signals.push_back(std::move(signal));
-          new_signal = true;
-        }
-        state.alarms_seen = alarms.size();
-        size_t closures = 0;
-        for (const anomaly::HeartbeatMesh::AlarmEvent& event : alarms) {
-          closures += event.cleared ? 1 : 0;
-        }
-        if (closures > state.closures_seen) {
-          state.closures_seen = closures;
-          new_closure = true;
-        }
-
-        const uint64_t violations_total = slo.violations_total();
-        if (violations_total > state.violations_seen) {
-          const uint64_t fresh = violations_total - state.violations_seen;
-          const auto& log = slo.violations();
-          const size_t start = log.size() >= fresh ? log.size() - fresh : 0;
-          for (size_t i = start; i < log.size(); ++i) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "alloc %lld %s",
-                          static_cast<long long>(log[i].allocation),
-                          log[i].kind == manager::SloMonitor::Violation::Kind::kBandwidth
-                              ? "bandwidth"
-                              : "latency");
-            Signal signal;
-            signal.at = log[i].at;
-            signal.source = Signal::Source::kSlo;
-            signal.detail = buf;
-            result.signals.push_back(std::move(signal));
-          }
-          state.violations_seen = violations_total;
-          new_signal = true;
-        }
-
-        for (const anomaly::Anomaly& anomaly : bank.Scan(host.collector())) {
-          Signal signal;
-          signal.at = anomaly.at;
-          signal.source = Signal::Source::kDetector;
-          signal.detail = anomaly.metric;
-          result.signals.push_back(std::move(signal));
-          new_signal = true;
-        }
-
-        const std::set<std::string> flagged = FlaggedKnobs(misconfig);
-        for (const std::string& knob : flagged) {
-          if (!misconfig_baseline.contains(knob) && !misconfig_active.contains(knob)) {
-            Signal signal;
-            signal.at = now;
-            signal.source = Signal::Source::kMisconfig;
-            signal.detail = knob;
-            result.signals.push_back(std::move(signal));
-            misconfig_active.insert(knob);
-            new_signal = true;
-          }
-        }
-        std::erase_if(misconfig_active,
-                      [&](const std::string& knob) { return !flagged.contains(knob); });
-
-        // Recovery policy: signals (never ground truth) trigger the
-        // manager's re-placement and/or stream restarts onto fault-aware
-        // routes — the honest "the platform caught and fixed it" loop.
-        // Alarm closures re-run it so streams killed by a since-cleared
-        // fault come back once a route exists again. kNone detects but
-        // never acts (and never rebaselines): the status-quo baseline the
-        // sweep ranks the active policies against.
-        const bool repair_allocations =
-            config_.recovery == RecoveryPolicy::kRepair ||
-            config_.recovery == RecoveryPolicy::kRerouteOnly;
-        const bool restart_streams = config_.recovery == RecoveryPolicy::kRepair ||
-                                     config_.recovery == RecoveryPolicy::kRestartOnly;
-        if ((repair_allocations || restart_streams) && (new_signal || new_closure)) {
-          if (repair_allocations) {
-            const std::vector<manager::AllocationId> repaired =
-                host.manager().RepairFaultedAllocations();
-            result.repairs += repaired.size();
-          }
-          if (restart_streams) {
-            for (StreamRuntime& runtime : streams) {
-              bool pinned_to_dead_path = false;
-              const auto info = host.fabric().GetFlowInfo(runtime.source->flow());
-              if (info && info->path != nullptr) {
-                for (const topology::DirectedLink& hop : info->path->hops) {
-                  if (host.fabric().EffectiveCapacity(hop).IsZero()) {
-                    pinned_to_dead_path = true;
-                    break;
-                  }
-                }
-              } else {
-                pinned_to_dead_path = true;  // Never started (or flow gone).
-              }
-              if (!pinned_to_dead_path) {
-                continue;
-              }
-              runtime.source->Stop();
-              runtime.source->Start();
-              ++result.stream_restarts;
-              if (runtime.allocation != manager::kInvalidAllocation &&
-                  runtime.source->flow() != fabric::kInvalidFlow) {
-                host.manager().AttachFlow(runtime.allocation, runtime.source->flow());
-              }
-            }
-          }
-          // Acknowledge-and-rebaseline: EwmaDetector deliberately keeps
-          // firing on a sustained shift, so after taking recovery action
-          // the operator re-learns the post-repair level. Without this, a
-          // permanent (never-cleared) fault alarms every tick forever and
-          // the trial can never converge back to healthy.
-          bank.Rebaseline();
-        }
-
-        HealthSample sample;
-        sample.at = now;
-        // A pair is alarmed exactly while its alarm event is uncleared.
-        sample.healthy = !new_signal && closures == alarms.size();
-        result.health.push_back(sample);
-        MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.signals",
-                           result.signals.size());
-        MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.repairs",
-                           result.repairs);
-        MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.healthy",
-                           sample.healthy ? 1 : 0);
-      },
-      "chaos.tick");
-
+  result.faults = rig.ground_truth();
+  rig.Start();
   {
     MIHN_TRACE_SPAN(trial_span, host.fabric().tracer(), "chaos", "chaos.trial");
     trial_span.Arg("trial", static_cast<double>(trial));
     trial_span.Arg("faults", static_cast<double>(result.faults.size()));
     host.RunFor(config_.duration);
   }
-  tick.Cancel();
-
-  result.probes_sent = mesh->probes_sent();
-  result.violations_total = slo.violations_total();
-  result.violations_dropped = slo.violations_dropped();
-  result.anomalies = bank.log().size();
-  result.injector_operations = injector.operations();
+  rig.Finish(&result);
   result.score = Scorer(config_.scoring).Score(result.faults, result.signals, result.health);
   return result;
 }

@@ -1,5 +1,7 @@
 // Text format for campaign configs — what tools/mihn_chaos runs and what
-// CI commits as the demo grid.
+// CI commits as the demo grid. campaign_file.cc reads the sweep format
+// (sweep.h) with the same line loop, and parses each directive the two
+// share (preset, recovery or policy, trials, seed, duration_ms) once.
 //
 // Line-based, one directive per line, '#' comments, blank lines ignored:
 //

@@ -1,6 +1,6 @@
 #include "src/chaos/fault_schedule.h"
 
-#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "src/core/check.h"
@@ -24,63 +24,60 @@ std::string_view FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-FaultSchedule& FaultSchedule::Kill(topology::LinkKind kind, int index, sim::TimeNs at,
-                                   sim::TimeNs clear_at) {
+namespace {
+
+// A spec of |kind| over [at, clear_at), on link |index| of |link_kind|.
+FaultSpec MakeSpec(FaultKind kind, topology::LinkKind link_kind, int index, sim::TimeNs at,
+                   sim::TimeNs clear_at) {
   FaultSpec spec;
-  spec.kind = FaultKind::kKill;
-  spec.link_kind = kind;
+  spec.kind = kind;
+  spec.link_kind = link_kind;
   spec.link_index = index;
   spec.at = at;
   spec.clear_at = clear_at;
-  return Add(spec);
+  return spec;
+}
+
+// Two windows overlap unless one clears no later than the other starts; a
+// fault that never clears is open-ended.
+bool Overlap(const FaultSpec& a, const FaultSpec& b) {
+  return (!a.Cleared() || b.at < a.clear_at) && (!b.Cleared() || a.at < b.clear_at);
+}
+
+}  // namespace
+
+FaultSchedule& FaultSchedule::Kill(topology::LinkKind kind, int index, sim::TimeNs at,
+                                   sim::TimeNs clear_at) {
+  return Add(MakeSpec(FaultKind::kKill, kind, index, at, clear_at));
 }
 
 FaultSchedule& FaultSchedule::Degrade(topology::LinkKind kind, int index,
                                       double capacity_factor, sim::TimeNs at,
                                       sim::TimeNs clear_at) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kDegrade;
-  spec.link_kind = kind;
-  spec.link_index = index;
+  FaultSpec spec = MakeSpec(FaultKind::kDegrade, kind, index, at, clear_at);
   spec.capacity_factor = capacity_factor;
-  spec.at = at;
-  spec.clear_at = clear_at;
   return Add(spec);
 }
 
 FaultSchedule& FaultSchedule::InflateLatency(topology::LinkKind kind, int index,
                                              sim::TimeNs extra_latency, sim::TimeNs at,
                                              sim::TimeNs clear_at) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kLatency;
-  spec.link_kind = kind;
-  spec.link_index = index;
+  FaultSpec spec = MakeSpec(FaultKind::kLatency, kind, index, at, clear_at);
   spec.extra_latency = extra_latency;
-  spec.at = at;
-  spec.clear_at = clear_at;
   return Add(spec);
 }
 
 FaultSchedule& FaultSchedule::Flap(topology::LinkKind kind, int index,
                                    sim::TimeNs flap_period, double flap_duty,
                                    sim::TimeNs at, sim::TimeNs clear_at) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kFlap;
-  spec.link_kind = kind;
-  spec.link_index = index;
+  FaultSpec spec = MakeSpec(FaultKind::kFlap, kind, index, at, clear_at);
   spec.flap_period = flap_period;
   spec.flap_duty = flap_duty;
-  spec.at = at;
-  spec.clear_at = clear_at;
   return Add(spec);
 }
 
 FaultSchedule& FaultSchedule::DisableDdio(sim::TimeNs at, sim::TimeNs clear_at) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kDdioOff;
-  spec.at = at;
-  spec.clear_at = clear_at;
-  return Add(spec);
+  return Add(MakeSpec(FaultKind::kDdioOff, topology::LinkKind::kInterSocket, 0, at, clear_at));
 }
 
 FaultSchedule& FaultSchedule::Add(FaultSpec spec) {
@@ -94,22 +91,32 @@ std::vector<ResolvedFault> FaultSchedule::Resolve(const topology::Topology& topo
   resolved.reserve(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {
     const FaultSpec& spec = specs_[i];
-    ResolvedFault fault;
-    fault.spec = spec;
+    const std::string target = spec.kind == FaultKind::kDdioOff
+                                   ? "the DDIO setting"
+                                   : std::string(topology::LinkKindName(spec.link_kind)) +
+                                         " link " + std::to_string(spec.link_index);
+    std::string problem;
+    ResolvedFault fault{spec};
     if (spec.kind != FaultKind::kDdioOff) {
       const std::vector<topology::LinkId> links = topo.LinksOfKind(spec.link_kind);
       if (spec.link_index < 0 || static_cast<size_t>(spec.link_index) >= links.size()) {
-        if (error != nullptr) {
-          char buf[128];
-          std::snprintf(buf, sizeof(buf),
-                        "fault %zu: no %s link with index %d (topology has %zu)", i,
-                        std::string(topology::LinkKindName(spec.link_kind)).c_str(),
-                        spec.link_index, links.size());
-          *error = buf;
-        }
-        return {};
+        problem = "no " + target + " (topology has " + std::to_string(links.size()) + ")";
+      } else {
+        fault.link = links[static_cast<size_t>(spec.link_index)];
       }
-      fault.link = links[static_cast<size_t>(spec.link_index)];
+    }
+    // The fabric holds one fault per link and one config, so a second
+    // fault on a target would overwrite the first one's state mid-window.
+    for (size_t j = 0; problem.empty() && j < resolved.size(); ++j) {
+      if (resolved[j].link == fault.link && Overlap(resolved[j].spec, spec)) {
+        problem = "overlaps fault " + std::to_string(j) + " on " + target;
+      }
+    }
+    if (!problem.empty()) {
+      if (error != nullptr) {
+        *error = "fault " + std::to_string(i) + ": " + problem;
+      }
+      return {};
     }
     resolved.push_back(fault);
   }
@@ -153,54 +160,54 @@ void FaultInjector::Arm() {
   }
   armed_ = true;
   sim::Simulation& sim = fabric_.simulation();
+  // Every final clear is scheduled before any start: events at one time
+  // fire in the order they were scheduled, so where one fault clears as the
+  // next on its target starts, the clear lands first. A flap cycle only
+  // schedules toggles strictly before its stop time, so its terminal clear
+  // leaves the link healthy afterwards.
   for (size_t i = 0; i < faults_.size(); ++i) {
-    const ResolvedFault& fault = faults_[i];
-    FaultEvents& events = events_[i];
-    switch (fault.spec.kind) {
+    const FaultSpec& spec = faults_[i].spec;
+    if (!spec.Cleared()) {
+      continue;
+    }
+    if (spec.kind == FaultKind::kDdioOff) {
+      events_[i].clear = sim.ScheduleAt(
+          spec.clear_at, [this] { SetDdio(ddio_was_enabled_); }, "chaos.ddio_restore");
+    } else {
+      events_[i].clear = sim.ScheduleAt(
+          spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear");
+    }
+  }
+  for (size_t i = 0; i < faults_.size(); ++i) {
+    const FaultSpec& spec = faults_[i].spec;
+    switch (spec.kind) {
       case FaultKind::kKill:
       case FaultKind::kDegrade:
       case FaultKind::kLatency:
-        events.start = sim.ScheduleAt(
-            fault.spec.at, [this, i] { InjectAt(faults_[i]); }, "chaos.inject");
-        if (fault.spec.Cleared()) {
-          events.clear = sim.ScheduleAt(
-              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear");
-        }
+        events_[i].start =
+            sim.ScheduleAt(spec.at, [this, i] { InjectAt(faults_[i]); }, "chaos.inject");
         break;
       case FaultKind::kFlap:
-        events.start = sim.ScheduleAt(fault.spec.at, [this, i] { FlapCycle(i); }, "chaos.flap");
-        // The cycle only schedules toggles strictly before the stop time,
-        // so one terminal clear leaves the link healthy afterwards.
-        if (fault.spec.Cleared()) {
-          events.clear = sim.ScheduleAt(
-              fault.spec.clear_at, [this, i] { ClearAt(faults_[i]); }, "chaos.clear");
-        }
+        events_[i].start = sim.ScheduleAt(spec.at, [this, i] { FlapCycle(i); }, "chaos.flap");
         break;
       case FaultKind::kDdioOff:
-        events.start = sim.ScheduleAt(
-            fault.spec.at,
+        events_[i].start = sim.ScheduleAt(
+            spec.at,
             [this] {
-              fabric::FabricConfig config = fabric_.config();
-              ddio_was_enabled_ = config.ddio_enabled;
-              config.ddio_enabled = false;
-              fabric_.SetConfig(config);
-              ++operations_;
+              ddio_was_enabled_ = fabric_.config().ddio_enabled;
+              SetDdio(false);
             },
             "chaos.ddio_off");
-        if (fault.spec.Cleared()) {
-          events.clear = sim.ScheduleAt(
-              fault.spec.clear_at,
-              [this] {
-                fabric::FabricConfig config = fabric_.config();
-                config.ddio_enabled = ddio_was_enabled_;
-                fabric_.SetConfig(config);
-                ++operations_;
-              },
-              "chaos.ddio_restore");
-        }
         break;
     }
   }
+}
+
+void FaultInjector::SetDdio(bool enabled) {
+  fabric::FabricConfig config = fabric_.config();
+  config.ddio_enabled = enabled;
+  fabric_.SetConfig(config);
+  ++operations_;
 }
 
 void FaultInjector::InjectAt(const ResolvedFault& fault) {
@@ -239,8 +246,7 @@ void FaultInjector::FlapCycle(size_t fault_index) {
   const ResolvedFault& fault = faults_[fault_index];
   sim::Simulation& sim = fabric_.simulation();
   const sim::TimeNs now = sim.Now();
-  const sim::TimeNs stop =
-      fault.spec.Cleared() ? fault.spec.clear_at : run_duration_;
+  const sim::TimeNs stop = ground_truth_[fault_index].end;
   if (now >= stop) {
     return;
   }

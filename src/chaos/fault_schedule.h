@@ -88,7 +88,9 @@ class FaultSchedule {
   const std::vector<FaultSpec>& specs() const { return specs_; }
 
   // Binds every spec to a LinkId of |topo|. On a dangling reference (index
-  // out of range for its kind) returns an empty vector and sets |error|.
+  // out of range for its kind), or on two faults whose windows overlap on
+  // one link or on the DDIO setting, returns an empty vector and sets
+  // |error|. Windows that only touch (one clears as the next starts) pass.
   std::vector<ResolvedFault> Resolve(const topology::Topology& topo,
                                      std::string* error) const;
 
@@ -125,6 +127,7 @@ class FaultInjector {
  private:
   void InjectAt(const ResolvedFault& fault);
   void ClearAt(const ResolvedFault& fault);
+  void SetDdio(bool enabled);
   // One flap cycle: kill now, revive after duty * period, recurse until the
   // fault's clear time (or forever if never cleared).
   void FlapCycle(size_t fault_index);

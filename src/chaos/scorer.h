@@ -67,6 +67,7 @@ struct TrialScore {
   int detected = 0;
   int hard_faults = 0;
   int hard_detected = 0;
+  int recovered = 0;
   int true_positive_signals = 0;
   int false_positive_signals = 0;
   double recall = 1.0;       // detected / faults (1.0 when no faults).
@@ -76,6 +77,12 @@ struct TrialScore {
   double max_detection_latency_ms = 0.0;
   double mean_recovery_ms = 0.0;  // Over recovered faults.
 };
+
+// Counts, ratios and mean latencies over |outcomes| and the signals
+// classified against them, summed in outcome order: one trial's score, or
+// a campaign's aggregate over every trial's outcomes in trial order.
+TrialScore Summarize(std::vector<FaultOutcome> outcomes, int true_positives,
+                     int false_positives);
 
 class Scorer {
  public:

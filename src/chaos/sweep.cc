@@ -2,29 +2,19 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
 #include "src/chaos/campaign_file.h"
 #include "src/core/json.h"
-#include "src/core/read_file.h"
-#include "src/core/read_number.h"
 
 namespace mihn::chaos {
 namespace {
 
-using core::ReadNumber;
-
 using core::json::Int;
 using core::json::Num;
 using core::json::Str;
-
-bool Fail(std::string* error, int line, const std::string& what) {
-  *error = "line " + std::to_string(line) + ": " + what;
-  return false;
-}
-
-double Clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 // Recovery rate for ranking: recovered / faults, neutral (1.0) when the
 // cell injected no faults at all.
@@ -44,12 +34,8 @@ int BetterByAsc(double a, double b) { return a < b ? 1 : (a > b ? -1 : 0); }
 }  // namespace
 
 bool SweepResult::all_cells_ok() const {
-  for (const SweepCellResult& cell : cells) {
-    if (!cell.result.ok()) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(cells.begin(), cells.end(),
+                     [](const SweepCellResult& cell) { return cell.result.ok(); });
 }
 
 FaultSchedule ScaleSchedule(const FaultSchedule& schedule, double scale) {
@@ -59,7 +45,7 @@ FaultSchedule ScaleSchedule(const FaultSchedule& schedule, double scale) {
       case FaultKind::kDegrade:
         // Scale the capacity *cut*: factor 0.5 at scale 2 cuts everything
         // (factor 0), at scale 0.5 cuts a quarter (factor 0.75).
-        spec.capacity_factor = Clamp01(1.0 - scale * (1.0 - spec.capacity_factor));
+        spec.capacity_factor = std::clamp(1.0 - scale * (1.0 - spec.capacity_factor), 0.0, 1.0);
         break;
       case FaultKind::kLatency: {
         // Clamp to the campaign ceiling before sim::Scale converts to
@@ -71,7 +57,7 @@ FaultSchedule ScaleSchedule(const FaultSchedule& schedule, double scale) {
         break;
       }
       case FaultKind::kFlap:
-        spec.flap_duty = Clamp01(spec.flap_duty * scale);
+        spec.flap_duty = std::clamp(spec.flap_duty * scale, 0.0, 1.0);
         break;
       case FaultKind::kKill:
       case FaultKind::kDdioOff:
@@ -127,9 +113,7 @@ std::vector<SweepCell> ExpandGrid(const SweepConfig& config) {
 
 std::vector<int> RankCells(const std::vector<SweepCellResult>& cells) {
   std::vector<int> order(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
+  std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&cells](int ia, int ib) {
     const CampaignResult& a = cells[static_cast<size_t>(ia)].result;
     const CampaignResult& b = cells[static_cast<size_t>(ib)].result;
@@ -198,24 +182,21 @@ SweepResult Sweep::Run(core::WorkerPool& pool) {
     return campaigns[pairs[i].cell].RunTrial(pairs[i].trial);
   });
 
-  // Strict (cell, trial)-order merge: slice the flat run list back into
-  // per-cell groups and assemble each exactly as Campaign::Run does.
-  size_t next = 0;
+  // Strict (cell, trial)-order merge: regroup the flat run list per cell
+  // and assemble each group exactly as Campaign::Run does.
+  std::vector<std::vector<TrialRun>> cell_runs(cells.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    cell_runs[pairs[i].cell].push_back(std::move(runs[i]));
+  }
   out.cells.reserve(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {
-    const int trials = cells[c].config.trials < 0 ? 0 : cells[c].config.trials;
-    std::vector<TrialRun> cell_runs;
-    cell_runs.reserve(static_cast<size_t>(trials));
-    for (int t = 0; t < trials; ++t) {
-      cell_runs.push_back(std::move(runs[next++]));
-    }
     SweepCellResult cell_result;
     cell_result.index = cells[c].index;
     cell_result.campaign = cells[c].campaign;
     cell_result.preset = cells[c].preset;
     cell_result.fault_scale = cells[c].fault_scale;
     cell_result.policy = cells[c].policy;
-    cell_result.result = campaigns[c].Assemble(std::move(cell_runs));
+    cell_result.result = campaigns[c].Assemble(std::move(cell_runs[c]));
     out.cells.push_back(std::move(cell_result));
   }
   out.ranking = RankCells(out.cells);
@@ -303,106 +284,6 @@ bool WriteSweepReport(const SweepResult& result, const std::string& path) {
   }
   file << SweepReportJson(result);
   return static_cast<bool>(file);
-}
-
-bool ParseSweepText(std::string_view text, const std::string& base_dir,
-                    SweepConfig* config, std::string* error) {
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  int line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream in(line);
-    std::string directive;
-    if (!(in >> directive)) {
-      continue;  // Blank or comment-only line.
-    }
-    if (directive == "campaign") {
-      SweepConfig::CampaignAxis axis;
-      std::string path;
-      if (!(in >> axis.name >> path)) {
-        return Fail(error, line_no, "campaign: want <name> <path>");
-      }
-      const std::string resolved =
-          (path.front() == '/' || base_dir.empty()) ? path : base_dir + "/" + path;
-      std::string load_error;
-      if (!LoadCampaignFile(resolved, &axis.config, &load_error)) {
-        return Fail(error, line_no, "campaign " + axis.name + ": " + load_error);
-      }
-      config->campaigns.push_back(std::move(axis));
-    } else if (directive == "preset") {
-      std::string name;
-      if (!(in >> name)) {
-        return Fail(error, line_no, "preset: missing name");
-      }
-      const std::optional<HostNetwork::Preset> preset = ParsePresetName(name);
-      if (!preset) {
-        return Fail(error, line_no, "unknown preset '" + name + "'");
-      }
-      config->presets.push_back(*preset);
-    } else if (directive == "scale") {
-      double scale = 0.0;
-      if (!ReadNumber(in, &scale) || !(scale > 0.0)) {
-        return Fail(error, line_no, "scale: want a positive multiplier");
-      }
-      config->fault_scales.push_back(scale);
-    } else if (directive == "policy") {
-      std::string name;
-      if (!(in >> name)) {
-        return Fail(error, line_no, "policy: missing name");
-      }
-      const std::optional<RecoveryPolicy> policy = ParseRecoveryPolicy(name);
-      if (!policy) {
-        return Fail(error, line_no,
-                    "unknown policy '" + name +
-                        "' (want repair, reroute_only, restart_only, or none)");
-      }
-      config->policies.push_back(*policy);
-    } else if (directive == "trials") {
-      if (!ReadNumber(in, &config->trials) || config->trials < 1) {
-        return Fail(error, line_no, "trials: want a positive count");
-      }
-    } else if (directive == "seed") {
-      if (!ReadNumber(in, &config->seed)) {
-        return Fail(error, line_no, "seed: want a non-negative integer");
-      }
-      config->has_seed = true;
-    } else if (directive == "duration_ms") {
-      // The campaign reader's ceiling: this override must not undo it.
-      int64_t ms = 0;
-      if (!ReadNumber(in, &ms) || ms < 1 || ms > kMaxCampaignMs) {
-        return Fail(error, line_no, "duration_ms: want an integer in [1, " +
-                                        std::to_string(kMaxCampaignMs) + "]");
-      }
-      config->duration = sim::TimeNs::Millis(ms);
-    } else {
-      return Fail(error, line_no, "unknown directive '" + directive + "'");
-    }
-    // As in campaign files, a directive ends at its last argument.
-    std::string extra;
-    if (in >> extra) {
-      return Fail(error, line_no, directive + ": unexpected trailing '" + extra + "'");
-    }
-  }
-  if (config->campaigns.empty()) {
-    *error = "sweep defines no campaigns (want at least one 'campaign <name> <path>')";
-    return false;
-  }
-  return true;
-}
-
-bool LoadSweepFile(const std::string& path, SweepConfig* config, std::string* error) {
-  std::string text;
-  if (!core::ReadBoundedFile(path, &text, error)) {
-    return false;
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string base_dir = slash == std::string::npos ? "" : path.substr(0, slash);
-  return ParseSweepText(text, base_dir, config, error);
 }
 
 }  // namespace mihn::chaos

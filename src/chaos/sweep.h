@@ -123,8 +123,8 @@ bool WriteSweepReport(const SweepResult& result, const std::string& path);
 //   seed <n>                 # override every cell's base seed
 //   duration_ms <n>          # override every cell, at most kMaxCampaignMs
 //
-// Validation matches the campaign reader's: numbers are whole tokens and
-// nothing may follow a directive's last argument.
+// Read by the campaign reader's line loop (campaign_file.cc), so numbers
+// are whole tokens and nothing may follow a directive's last argument.
 bool ParseSweepText(std::string_view text, const std::string& base_dir,
                     SweepConfig* config, std::string* error);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/chaos/sweep.h"
+
 namespace mihn::chaos {
 namespace {
 
@@ -161,6 +163,20 @@ TEST(CampaignFileTest, RejectsDurationAboveVirtualTimeCeiling) {
   EXPECT_TRUE(ParseCampaignText("duration_ms " + std::to_string(kMaxCampaignMs) + "\n",
                                 &config, &error))
       << error;
+}
+
+// Errors are built whole: a long offending token reaches the message
+// intact, closing quote included, in the campaign and the sweep reader.
+TEST(CampaignFileTest, LongErrorsAreNotTruncated) {
+  const std::string token(300, 'x');
+  EXPECT_EQ(ParseError("trials 2\n" + token + " 1\n"),
+            "line 2: unknown directive '" + token + "'");
+  EXPECT_EQ(ParseError("fault kill " + token + " 0 10 20\n"),
+            "line 1: unknown link kind '" + token + "'");
+  SweepConfig sweep;
+  std::string error;
+  EXPECT_FALSE(ParseSweepText(token + "\n", "", &sweep, &error));
+  EXPECT_EQ(error, "line 1: unknown directive '" + token + "'");
 }
 
 TEST(CampaignFileTest, CommentsAndBlankLinesIgnored) {

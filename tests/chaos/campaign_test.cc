@@ -208,6 +208,20 @@ TEST(CampaignTest, UnresolvableFaultFailsSetup) {
   EXPECT_NE(json.find("\"ok\": false"), std::string::npos);
   EXPECT_NE(json.find("\"error\""), std::string::npos);
   EXPECT_NE(json.find("\"trials_completed\": 0"), std::string::npos);
+
+  // Two faults whose windows overlap on one link fail setup the same way.
+  CampaignConfig overlapping = BaseConfig();
+  overlapping.schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(30), TimeNs::Millis(45));
+  overlapping.schedule.Degrade(LinkKind::kPcieSwitchUp, 0, 0.3, TimeNs::Millis(40),
+                               TimeNs::Millis(50));
+  Campaign overlap_campaign(overlapping);
+  const CampaignResult overlap = RunInline(overlap_campaign);
+  EXPECT_FALSE(overlap.ok());
+  EXPECT_NE(overlap.error.find("trial 0: fault 1: overlaps fault 0 on pcie_switch_up link 0"),
+            std::string::npos)
+      << overlap.error;
+  EXPECT_EQ(overlap.trials_completed, 0);
+  EXPECT_DOUBLE_EQ(overlap.recall, 0.0);
 }
 
 TEST(CampaignTest, BadStreamEndpointFailsSetup) {

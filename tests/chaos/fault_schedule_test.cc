@@ -65,6 +65,76 @@ TEST(FaultScheduleTest, ResolveRejectsDanglingReference) {
   EXPECT_NE(error.find("99"), std::string::npos);
 }
 
+// The fabric holds one fault per link: a degrade that starts inside a
+// kill's window would overwrite the kill, and the kill's clear would then
+// lift the degrade early, so the schedule is rejected where it is bound.
+TEST(FaultScheduleTest, ResolveRejectsOverlappingFaultsOnOneLink) {
+  const topology::Server server = topology::CommodityTwoSocket();
+  FaultSchedule schedule;
+  schedule.Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(30), TimeNs::Millis(45))
+      .Degrade(LinkKind::kPcieSwitchUp, 0, 0.3, TimeNs::Millis(40), TimeNs::Millis(50));
+  std::string error;
+  EXPECT_TRUE(schedule.Resolve(server.topo, &error).empty());
+  EXPECT_NE(error.find("fault 1: overlaps fault 0 on pcie_switch_up link 0"), std::string::npos)
+      << error;
+
+  // A fault that never clears overlaps everything after it on its link.
+  FaultSchedule open_ended;
+  open_ended.Kill(LinkKind::kInterSocket, 1, TimeNs::Millis(10))
+      .InflateLatency(LinkKind::kInterSocket, 1, TimeNs::Micros(50), TimeNs::Millis(90),
+                      TimeNs::Millis(95));
+  error.clear();
+  EXPECT_TRUE(open_ended.Resolve(server.topo, &error).empty());
+  EXPECT_NE(error.find("fault 1: overlaps fault 0 on inter_socket link 1"), std::string::npos)
+      << error;
+}
+
+// One fabric config: a second DDIO-off inside the first would save "off" as
+// the value to restore, and DDIO would stay off after both windows.
+TEST(FaultScheduleTest, ResolveRejectsOverlappingDdioOff) {
+  const topology::Server server = topology::CommodityTwoSocket();
+  FaultSchedule schedule;
+  schedule.DisableDdio(TimeNs::Millis(10), TimeNs::Millis(30))
+      .Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(15), TimeNs::Millis(25))
+      .DisableDdio(TimeNs::Millis(20), TimeNs::Millis(40));
+  std::string error;
+  EXPECT_TRUE(schedule.Resolve(server.topo, &error).empty());
+  EXPECT_NE(error.find("fault 2: overlaps fault 0 on the DDIO setting"), std::string::npos)
+      << error;
+}
+
+// Windows that only touch stay legal, in either schedule order: the first
+// fault's clear lands before the next one's inject at the shared instant.
+TEST(FaultInjectorTest, TouchingWindowsHandOverAtTheSharedInstant) {
+  const topology::Server server = topology::CommodityTwoSocket();
+  sim::Simulation sim;
+  fabric::Fabric fabric(sim, server.topo);
+  const topology::LinkId link = server.topo.LinksOfKind(LinkKind::kPcieSwitchUp)[0];
+
+  FaultSchedule schedule;
+  schedule.Degrade(LinkKind::kPcieSwitchUp, 0, 0.3, TimeNs::Millis(45), TimeNs::Millis(50))
+      .Kill(LinkKind::kPcieSwitchUp, 0, TimeNs::Millis(30), TimeNs::Millis(45))
+      .DisableDdio(TimeNs::Millis(20), TimeNs::Millis(30))
+      .DisableDdio(TimeNs::Millis(10), TimeNs::Millis(20));
+  std::string error;
+  std::vector<ResolvedFault> resolved = schedule.Resolve(server.topo, &error);
+  ASSERT_EQ(resolved.size(), 4u) << error;
+  FaultInjector injector(fabric, std::move(resolved), TimeNs::Millis(60));
+  injector.Arm();
+
+  sim.RunUntil(TimeNs::Millis(25));
+  EXPECT_FALSE(fabric.config().ddio_enabled);
+  sim.RunUntil(TimeNs::Millis(42));
+  ASSERT_TRUE(fabric.GetLinkFault(link).has_value());
+  EXPECT_EQ(fabric.GetLinkFault(link)->capacity_factor, 0.0);
+  EXPECT_TRUE(fabric.config().ddio_enabled);
+  sim.RunUntil(TimeNs::Millis(47));
+  ASSERT_TRUE(fabric.GetLinkFault(link).has_value());
+  EXPECT_EQ(fabric.GetLinkFault(link)->capacity_factor, 0.3);
+  sim.RunUntil(TimeNs::Millis(55));
+  EXPECT_TRUE(FaultedLinks(fabric, server.topo).empty());
+}
+
 TEST(FaultInjectorTest, GroundTruthWindowsAndHardness) {
   const topology::Server server = topology::CommodityTwoSocket();
   sim::Simulation sim;
