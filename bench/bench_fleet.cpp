@@ -2,9 +2,10 @@
 //
 // Every host runs on its own clock. A fleet tick is (a) each host settling
 // its pending mutations and running its own event window to the tick's end,
-// (b) the cross-host coupling pass at the barrier, with its settle of every
-// lifted fabric, and (c) the per-host telemetry reduction, which settles the
-// coupling's caps. Every per-host stage fans out over the persistent
+// (b) the cross-host coupling pass at the barrier, whose per-host what-ifs
+// read each stage's rate at full demand without mutating its fabric, and
+// (c) the per-host telemetry reduction, which settles the coupling's caps.
+// Every per-host stage fans out over the persistent
 // core::WorkerPool (Fleet::Options::worker_threads), so the bench measures
 // each configuration serial and pooled, and verifies that serial, pooled,
 // and an oversubscribed 4-worker run all produce the same telemetry digest

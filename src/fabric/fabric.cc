@@ -209,8 +209,7 @@ void Fabric::SetFlowLimit(FlowId id, sim::Bandwidth limit) {
     return;
   }
   double& current = rows_[Idx(row)].limit;
-  const double clamped =
-      limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
+  const double clamped = ClampLimit(limit);
   if (current == clamped) {  // mihn-check: float-eq-ok(no-op mutation elision)
     return;
   }
@@ -245,6 +244,21 @@ void Fabric::SetFlowDemand(FlowId id, sim::Bandwidth demand) {
   }
   current = clamped;
   MarkFlowDirty(id);
+}
+
+sim::Bandwidth Fabric::RateIf(FlowId id, sim::Bandwidth limit, MaxMinSolver& scratch) const {
+  FlushIfDirty();
+  const int32_t row = FindRow(id);
+  if (row < 0) {
+    return sim::Bandwidth::Zero();
+  }
+  if (ddio_flow_count_ > 0) {
+    return sim::Bandwidth::BytesPerSec(CacheCoupledRateIf(row, ClampLimit(limit), scratch));
+  }
+  // Settled, so row == solver slot and the solver holds no pending change.
+  const FlowRow& r = rows_[Idx(row)];
+  return sim::Bandwidth::BytesPerSec(
+      solver_.WhatIf(row, std::min({r.demand, ClampLimit(limit), r.cache_cap}), scratch));
 }
 
 std::optional<FlowInfo> Fabric::GetFlowInfo(FlowId id) {
@@ -581,7 +595,7 @@ void Fabric::TakeBackOvershoot(sim::TimeNs last, sim::TimeNs now, double dt) {
   }
 }
 
-topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId flow) {
+topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId flow) const {
   const auto it = socket_dimms_.find(socket);
   if (it == socket_dimms_.end() || it->second.empty()) {
     return topology::kInvalidComponent;
@@ -589,8 +603,7 @@ topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId
   return it->second[static_cast<size_t>(flow) % it->second.size()];
 }
 
-void Fabric::UpdateCacheCoupling() {
-  // Group DDIO-eligible parents (rows, in id order) by destination socket.
+std::map<topology::ComponentId, std::vector<int32_t>> Fabric::DdioParentsBySocket() const {
   std::map<topology::ComponentId, std::vector<int32_t>> by_socket;
   for (size_t row = 0; row < rows_.size(); ++row) {
     const FlowRow& f = rows_[row];
@@ -603,19 +616,24 @@ void Fabric::UpdateCacheCoupling() {
     }
     by_socket[dst].push_back(static_cast<int32_t>(row));
   }
+  return by_socket;
+}
 
+double Fabric::DdioHit(double io_rate) const {
+  return config_.ddio_enabled ? DdioHitRate(sim::Bandwidth::BytesPerSec(io_rate), kLlcDrainTime,
+                                            config_.DdioCapacityBytes())
+                              : 0.0;
+}
+
+void Fabric::UpdateCacheCoupling() {
   const std::vector<double>& solved = *solved_;
   cache_stats_.clear();
-  for (const auto& [socket, parents] : by_socket) {
+  for (const auto& [socket, parents] : DdioParentsBySocket()) {
     double io_rate = 0.0;
     for (const int32_t row : parents) {
       io_rate += solved[Idx(row)];
     }
-    const double hit =
-        config_.ddio_enabled
-            ? DdioHitRate(sim::Bandwidth::BytesPerSec(io_rate), kLlcDrainTime,
-                          config_.DdioCapacityBytes())
-            : 0.0;
+    const double hit = DdioHit(io_rate);
     const double miss = 1.0 - hit;
 
     SocketCacheStats stats;
@@ -664,6 +682,94 @@ void Fabric::UpdateCacheCoupling() {
       }
     }
   }
+}
+
+double Fabric::CacheCoupledRateIf(int32_t target, double limit, MaxMinSolver& scratch) const {
+  // Solver inputs per row, then per spill flow the solve would add (in the
+  // order UpdateCacheCoupling() appends them): demand capped by the limit,
+  // and the cache cap, lifted until round 3.
+  const size_t rows = rows_.size();
+  std::vector<double> demand(rows);
+  for (size_t row = 0; row < rows; ++row) {
+    const FlowRow& f = rows_[row];
+    demand[row] = std::min(f.demand, static_cast<int32_t>(row) == target ? limit : f.limit);
+  }
+  std::vector<double> cache_cap(rows, kUnlimitedDemand);
+  std::vector<int32_t> added_parent;
+  std::vector<std::vector<int32_t>> added_hops;
+  const auto solve = [&]() -> const std::vector<double>& {
+    scratch.Begin(links_.size());
+    for (size_t i = 0; i < links_.size(); ++i) {
+      scratch.SetCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
+    }
+    for (size_t row = 0; row < rows; ++row) {
+      scratch.AddFlow(rows_[row].weight, std::min(demand[row], cache_cap[row]),
+                      Hops(static_cast<int32_t>(row)), rows_[row].hop_count);
+    }
+    for (size_t k = 0; k < added_parent.size(); ++k) {
+      scratch.AddFlow(rows_[Idx(added_parent[k])].weight, demand[rows + k], added_hops[k].data(),
+                      added_hops[k].size());
+    }
+    return scratch.Commit();
+  };
+
+  // Round 1, then the spill each parent would push (UpdateCacheCoupling()).
+  const std::vector<double> potential = solve();
+  std::vector<int32_t> child(rows, -1);  // Solver index of a parent's spill flow.
+  std::vector<double> spill(rows, 0.0);  // The spill flow's demand from here on.
+  std::vector<double> miss(rows, 0.0);
+  for (const auto& [socket, parents] : DdioParentsBySocket()) {
+    double io_rate = 0.0;
+    for (const int32_t row : parents) {
+      io_rate += potential[Idx(row)];
+    }
+    const double socket_miss = 1.0 - DdioHit(io_rate);
+    for (const int32_t row : parents) {
+      miss[Idx(row)] = socket_miss;
+      const double desired = potential[Idx(row)] * socket_miss;
+      const FlowId spill_child = rows_[Idx(row)].spill_child;
+      if (spill_child != kInvalidFlow) {
+        const int32_t c = FindRow(spill_child);
+        child[Idx(row)] = c;
+        spill[Idx(row)] = desired > kSpillEpsBps ? desired : 0.0;
+        demand[Idx(c)] = std::min(spill[Idx(row)], rows_[Idx(c)].limit);
+      } else if (desired > kSpillEpsBps) {
+        const topology::ComponentId dimm = PickSpillDimm(socket, ids_[Idx(row)]);
+        const auto path = dimm == topology::kInvalidComponent
+                              ? std::nullopt
+                              : router_.ShortestPath(socket, dimm);
+        if (!path) {
+          continue;
+        }
+        std::vector<int32_t>& hops = added_hops.emplace_back();
+        for (const topology::DirectedLink& hop : path->hops) {
+          hops.push_back(DirectedIndex(hop));
+        }
+        std::sort(hops.begin(), hops.end());
+        hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+        child[Idx(row)] = static_cast<int32_t>(demand.size());
+        spill[Idx(row)] = desired;
+        demand.push_back(desired);
+        added_parent.push_back(row);
+      }
+    }
+  }
+
+  // Round 2 with the spill flows; round 3 caps the parents whose spill
+  // memory cannot absorb.
+  const std::vector<double> solved = solve();
+  bool any_cap = false;
+  for (size_t row = 0; row < rows; ++row) {
+    if (child[row] < 0 || miss[row] <= 1e-9) {
+      continue;
+    }
+    const double achieved = solved[Idx(child[row])];
+    if (achieved < spill[row] * (1.0 - 1e-6)) {
+      cache_cap[row] = achieved / miss[row];
+      any_cap = true;
+    }
+  }
+  return any_cap ? solve()[Idx(target)] : solved[Idx(target)];
 }
 
 void Fabric::MarkDirty(uint64_t count) {

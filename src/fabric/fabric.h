@@ -111,6 +111,16 @@ class Fabric {
   // Application hook: change a continuous flow's offered demand.
   void SetFlowDemand(FlowId id, sim::Bandwidth demand);
 
+  // The rate |id| would get if its limit were |limit|, every other input as
+  // it is. Settles, then answers for the effective demand min(demand,
+  // limit, cache cap) from the solver's retained solve
+  // (MaxMinSolver::WhatIf, which resumes in |scratch| if the answer needs
+  // filling rounds). With a DDIO write live, a solve also adds and resizes
+  // spill flows, so the answer re-runs the solve's cache-coupled rounds on
+  // |scratch| instead. Either way nothing changes: no solve or mutation is
+  // counted, no FlowId is taken and no rate moves. Unknown ids answer zero.
+  sim::Bandwidth RateIf(FlowId id, sim::Bandwidth limit, MaxMinSolver& scratch) const;
+
   // Accrues pending fluid bytes before reporting.
   std::optional<FlowInfo> GetFlowInfo(FlowId id);
   sim::Bandwidth FlowRate(FlowId id) const;
@@ -301,6 +311,10 @@ class Fabric {
   static double EffectiveDemand(const FlowRow& r) {
     return std::min({r.demand, r.limit, r.cache_cap});
   }
+  // A limit as SetFlowLimit() stores it: within [0, kUnlimitedDemand].
+  static double ClampLimit(sim::Bandwidth limit) {
+    return limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
+  }
   // Drops dead rows, renumbering the survivors in id order, and empties
   // every link's member list for the re-prime to refill.
   void CompactRows();
@@ -361,6 +375,15 @@ class Fabric {
   // Ensures/updates spill companions for DDIO flows, reading each parent's
   // round-1 potential rate from *solved_. Part of Recompute.
   void UpdateCacheCoupling();
+  // The DDIO-eligible parents (live DDIO writes into a CPU socket, spill
+  // companions excluded) by destination socket, each list in row order.
+  std::map<topology::ComponentId, std::vector<int32_t>> DdioParentsBySocket() const;
+  // The LLC hit rate of a socket absorbing |io_rate| of DDIO writes.
+  double DdioHit(double io_rate) const;
+  // RateIf() with a DDIO write live: Recompute()'s three rounds, each a
+  // full load of |scratch| with the table plus the spill flows the solve
+  // would add, |row| at |limit|. Reads the fabric, writes nothing.
+  double CacheCoupledRateIf(int32_t row, double limit, MaxMinSolver& scratch) const;
 
   // -- Completion -----------------------------------------------------------------
   // Min-heap of live finite rows keyed on (finish, row); rows ascend with
@@ -392,7 +415,7 @@ class Fabric {
   void SyncRouterHealth();
 
   // Chooses the spill destination DIMM for a socket (round-robin).
-  topology::ComponentId PickSpillDimm(topology::ComponentId socket, FlowId flow);
+  topology::ComponentId PickSpillDimm(topology::ComponentId socket, FlowId flow) const;
 
   sim::Simulation& sim_;
   const topology::Topology& topo_;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/core/check.h"
 #include "src/fabric/max_min.h"
 
 namespace mihn::fabric {
@@ -240,6 +241,7 @@ void MaxMinSolver::SetupFromInputs() {
 
   // Trace reset: this full solve becomes the delta engine's new baseline.
   trace_level_.clear();
+  trace_link_level_.clear();
   trace_forced_.clear();
   sat_round_.assign(nl, kNeverSat);
   ckpt_count_ = 0;
@@ -471,7 +473,8 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     }
     m0 = m1 < m0 ? m1 : m0;
     m2 = m3 < m2 ? m3 : m2;
-    double next_level = m2 < m0 ? m2 : m0;
+    const double link_level = m2 < m0 ? m2 : m0;
+    double next_level = link_level;
     while (!heap_level_.empty() && fixed_[static_cast<size_t>(heap_level_.front().second)]) {
       HeapPop(heap_level_);
     }
@@ -600,6 +603,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     }
 
     trace_level_.push_back(level);
+    trace_link_level_.push_back(link_level);
     trace_forced_.push_back(forced ? 1 : 0);
     ++cur_round_;
   }
@@ -621,16 +625,18 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
 // rest of the batch just writes inputs, so dead_ and the trace always
 // describe the retained solve while they are read.
 
-void MaxMinSolver::RecordDemandMut(int32_t flow) {
-  for (const FlowMut& m : flow_muts_) {
+void MaxMinSolver::RecordDemandMut(int32_t flow, double demand) {
+  for (FlowMut& m : flow_muts_) {
     if (m.flow == flow) {
-      return;  // The first record of the batch holds the retained key.
+      m.demand_new = demand;  // key_old stays the first record's: the retained key.
+      return;
     }
   }
   FlowMut m;
   m.flow = flow;
   const size_t f = static_cast<size_t>(flow);
   m.key_old = flow_demand_[f] / flow_weight_[f];
+  m.demand_new = demand;
   flow_muts_.push_back(m);
 }
 
@@ -645,7 +651,7 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
   if (primed_ && !force_full_) {
     if (!dead_[f]) {
       if (demand > 0.0) {
-        RecordDemandMut(flow);  // Before the write: records the retained key.
+        RecordDemandMut(flow, demand);  // Before the write: records the retained key.
       } else {
         force_full_ = true;  // Kill.
       }
@@ -686,7 +692,7 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
   }
 
   size_t divergence = 0;
-  if (flow_muts_.empty() || ScanTrace(&divergence)) {
+  if (flow_muts_.empty() || ScanTrace(flow_muts_, &divergence)) {
     // Every round holds: the mutated flows fix where they did, so only
     // their own rates move.
     for (const FlowMut& m : flow_muts_) {
@@ -705,14 +711,15 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
 // Trace scan
 // ---------------------------------------------------------------------------
 
-// Replays the retained trace against the new demands. While every mutated
-// flow fixes at the same round in both worlds, every link sees the same
-// weight drains, so residuals, link weights and saturation rounds are
-// identical and only two things can change: the water level (through the
-// mutated flows' demand keys) and the mutated flows' own fix decisions.
-// Returns true, with *divergence_round = rounds, if the whole trace holds;
-// otherwise false with the first round that changes.
-bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
+// Replays the retained trace against |muts|' new demands, writing only
+// their scan state. While every mutated flow fixes at the same round in
+// both worlds, every link sees the same weight drains, so residuals, link
+// weights, saturation rounds and link terms are identical and only two
+// things can change: the water level (through the mutated flows' demand
+// keys) and the mutated flows' own fix decisions. Returns true, with
+// *divergence_round = rounds, if the whole trace holds; otherwise false with
+// the first round that changes.
+bool MaxMinSolver::ScanTrace(std::span<FlowMut> muts, size_t* divergence_round) const {
   const size_t rounds = trace_level_.size();
   for (size_t r = 0; r < rounds; ++r) {
     const int32_t r32 = static_cast<int32_t>(r);
@@ -726,22 +733,25 @@ bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
 
     // The water level is min(clean terms, mutated keys). The trace proves
     // min(clean, old keys) == level and clean terms are unchanged, so the
-    // new level equals the old iff the new keys agree with it (see
-    // DESIGN.md §5.1 for the case analysis).
+    // new level equals the old iff the new keys agree with it, or, when
+    // they all rose past it, a link term still attains it (see DESIGN.md
+    // §5.1 for the case analysis).
     const double level = trace_level_[r];
     double old_min = std::numeric_limits<double>::infinity();
     double new_min = std::numeric_limits<double>::infinity();
-    for (const FlowMut& m : flow_muts_) {
+    for (const FlowMut& m : muts) {
       const size_t f = static_cast<size_t>(m.flow);
       if (fix_round_[f] >= r32) {
         old_min = m.key_old < old_min ? m.key_old : old_min;
       }
       if (!m.fixed_new) {
-        const double t = flow_demand_[f] / flow_weight_[f];
+        const double t = m.demand_new / flow_weight_[f];
         new_min = t < new_min ? t : new_min;
       }
     }
-    if (new_min < level || (new_min > level && old_min <= level)) {
+    if (new_min < level ||
+        (new_min > level && old_min <= level &&
+         trace_link_level_[r] != level)) {  // mihn-check: float-eq-ok(exact level tie)
       return false;
     }
 
@@ -749,11 +759,11 @@ bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
     // conditions; links saturate at their recorded round in both worlds).
     // A shifted fix round shifts the flow's weight drain on every link it
     // crosses: divergence.
-    for (FlowMut& m : flow_muts_) {
+    for (FlowMut& m : muts) {
       const size_t f = static_cast<size_t>(m.flow);
       if (!m.fixed_new) {
         const double w = flow_weight_[f];
-        const double d = flow_demand_[f];
+        const double d = m.demand_new;
         bool fixes = level * w >= d - DemandTol(d);
         for (int32_t i = flow_link_off_[f]; !fixes && i < flow_link_off_[f + 1]; ++i) {
           fixes = sat_round_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])] <= r32;
@@ -780,14 +790,19 @@ bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
 // Resume
 // ---------------------------------------------------------------------------
 
+size_t MaxMinSolver::CheckpointAt(size_t round) const {
+  size_t ci = 0;
+  while (ci + 1 < ckpt_count_ && ckpts_[ci + 1].round <= round) {
+    ++ci;
+  }
+  return ci;
+}
+
 void MaxMinSolver::ResumeFrom(size_t divergence_round) {
   // Largest retained checkpoint at or before the divergence. The rounds
   // before it fixed the same flows at the same levels in both worlds, so its
   // per-link state holds for the mutated problem as is.
-  size_t ci = 0;
-  while (ci + 1 < ckpt_count_ && ckpts_[ci + 1].round <= divergence_round) {
-    ++ci;
-  }
+  const size_t ci = CheckpointAt(divergence_round);
   const size_t resume_round = ckpts_[ci].round;
   const double resume_level = ckpts_[ci].level;
   const int32_t rr32 = static_cast<int32_t>(resume_round);
@@ -797,6 +812,7 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
   ckpt_count_ = ci + 1;
   last_ckpt_round_ = resume_round;
   trace_level_.resize(resume_round);
+  trace_link_level_.resize(resume_round);
   trace_forced_.resize(resume_round);
   for (int32_t& sat : sat_round_) {
     if (sat >= rr32) {
@@ -876,6 +892,90 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
       rates_[f] = flow_demand_[f];
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// What-if
+// ---------------------------------------------------------------------------
+
+double MaxMinSolver::WhatIf(int32_t flow, double demand, MaxMinSolver& scratch) const {
+  MIHN_CHECK(primed_ && !force_full_ && flow_muts_.empty() && &scratch != this);
+  MIHN_CHECK(flow >= 0 && static_cast<size_t>(flow) < num_flows_);
+  const size_t f = static_cast<size_t>(flow);
+  double rate = 0.0;
+  if (flow_demand_[f] == demand) {  // mihn-check: float-eq-ok(no-op mutation elision)
+    rate = rates_[f];
+  } else if (!dead_[f] && demand > 0.0 && !trace_level_.empty()) {
+    // The one-mutation batch SolveDelta() would replay, scanned read-only.
+    FlowMut m;
+    m.flow = flow;
+    m.key_old = flow_demand_[f] / flow_weight_[f];
+    m.demand_new = demand;
+    size_t divergence = 0;
+    if (ScanTrace(std::span<FlowMut>(&m, 1), &divergence)) {
+      rate = m.rate_new;
+    } else {
+      scratch.LoadForResume(*this, CheckpointAt(divergence));
+      scratch.flow_demand_[f] = demand;
+      scratch.flow_muts_.assign(1, m);
+      scratch.ResumeFrom(divergence);
+      rate = scratch.rates_[f];
+    }
+  } else {
+    // A kill, a revive or a retained solve without rounds: SolveDelta()
+    // would solve from scratch.
+    scratch.LoadInputsFrom(*this);
+    scratch.flow_demand_[f] = demand;
+    rate = scratch.Commit()[f];
+  }
+  scratch.primed_ = false;
+#ifdef MIHN_ENABLE_INVARIANT_CHECKS
+  // Every answer, replayed or resumed, is a full solve of the mutated
+  // problem, bit for bit.
+  MaxMinSolver full;
+  full.LoadInputsFrom(*this);
+  full.flow_demand_[f] = demand;
+  MIHN_CHECK(full.Commit()[f] == rate);  // mihn-check: float-eq-ok(bit-exact what-if)
+#endif
+  return rate;
+}
+
+void MaxMinSolver::LoadInputsFrom(const MaxMinSolver& src) {
+  num_links_ = src.num_links_;
+  num_flows_ = src.num_flows_;
+  capacities_ = src.capacities_;
+  flow_weight_ = src.flow_weight_;
+  flow_demand_ = src.flow_demand_;
+  flow_link_off_ = src.flow_link_off_;
+  flow_link_ids_ = src.flow_link_ids_;
+  primed_ = false;
+  force_full_ = false;
+  flow_muts_.clear();
+}
+
+void MaxMinSolver::LoadForResume(const MaxMinSolver& src, size_t ckpt) {
+  LoadInputsFrom(src);
+  // The flow- and link-side solve state ResumeFrom() reconstructs from; the
+  // active set, heaps and per-link counts it rebuilds itself. The trace
+  // stays behind: a scratch is never primed, so nothing replays it.
+  rates_ = src.rates_;
+  fixed_ = src.fixed_;
+  dead_ = src.dead_;
+  fix_round_ = src.fix_round_;
+  sat_round_ = src.sat_round_;
+  link_flow_off_ = src.link_flow_off_;
+  link_flow_ids_ = src.link_flow_ids_;
+  const Checkpoint& c = src.ckpts_[ckpt];
+  if (ckpts_.empty()) {
+    ckpts_.emplace_back();
+  }
+  ckpts_[0].round = c.round;
+  ckpts_[0].level = c.level;
+  ckpts_[0].res = c.res;
+  ckpts_[0].lw = c.lw;
+  ckpt_count_ = 1;
+  ckpt_stride_ = src.ckpt_stride_;
+  last_ckpt_round_ = c.round;
 }
 
 }  // namespace mihn::fabric

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mihn::fabric {
@@ -75,6 +76,11 @@ inline constexpr double kUnlimitedDemand = 1e30;
 // loads it with Begin/SetCapacity/AddFlow again. SolveDelta() right after
 // Begin() is a full solve, so a caller may end every solve with it and the
 // delta counters still count every solve and every full one.
+//
+// A what-if asks the same question without the mutation: WhatIf(slot,
+// demand, scratch) returns the rate SolveDelta() would give |slot| after
+// UpdateFlowDemand(slot, demand), bit for bit, and leaves the retained
+// problem, trace, rates and counters as they were.
 //
 // |rates| is indexed by AddFlow order and remains valid until the next
 // Begin()/Solve(). All internal arrays are retained between solves, so
@@ -136,6 +142,15 @@ class MaxMinSolver {
   // Last solved rates without re-solving (valid after Commit/SolveDelta).
   const std::vector<double>& rates() const { return rates_; }
 
+  // The rate |flow| would get if its demand were |demand|, every other
+  // input as retained. The trace replay answers alone when the change would
+  // splice; otherwise the retained state is copied into |scratch|, which
+  // resumes from the divergence (or solves from scratch where SolveDelta()
+  // would) and holds no retained problem afterwards. Changes neither
+  // rates(), the trace nor the delta counters. Valid after a solve, with
+  // no mutation pending.
+  double WhatIf(int32_t flow, double demand, MaxMinSolver& scratch) const;
+
   // Observability for the delta engine (obs counters, benches, tests).
   struct DeltaStats {
     size_t component_links = 0;  // Active links re-waterfilled at resume.
@@ -162,11 +177,12 @@ class MaxMinSolver {
     std::vector<double> lw;
   };
 
-  // One flow whose demand changed since the last solve; it is live in both
-  // the retained solve and the mutated problem.
+  // One flow whose demand changed since the last solve (or would, in a
+  // what-if); it is live in both the retained solve and the mutated problem.
   struct FlowMut {
     int32_t flow = 0;
-    double key_old = 0.0;  // Retained demand / weight: its old water-level key.
+    double key_old = 0.0;     // Retained demand / weight: its old water-level key.
+    double demand_new = 0.0;  // Its demand in the mutated problem.
     // Scan state: fixing progress in the new world.
     bool fixed_new = false;
     double rate_new = 0.0;
@@ -180,9 +196,17 @@ class MaxMinSolver {
   void RunRounds(double level, size_t start_round);
   void StoreCheckpoint(size_t round, double level);
   double ResidualOf(size_t link) const;
-  void RecordDemandMut(int32_t flow);
-  bool ScanTrace(size_t* divergence_round);
+  void RecordDemandMut(int32_t flow, double demand);
+  bool ScanTrace(std::span<FlowMut> muts, size_t* divergence_round) const;
+  // Index of the last retained checkpoint at or before |round|.
+  size_t CheckpointAt(size_t round) const;
   void ResumeFrom(size_t divergence_round);
+  // What-if scratch loads: |src|'s problem inputs as a new problem, as
+  // Begin/SetCapacity/AddFlow would load them; or those plus the retained
+  // solve state ResumeFrom() reads, with |src|'s checkpoint |ckpt| as the
+  // only checkpoint. Neither primes the scratch.
+  void LoadInputsFrom(const MaxMinSolver& src);
+  void LoadForResume(const MaxMinSolver& src, size_t ckpt);
 
   size_t num_links_ = 0;
   size_t num_flows_ = 0;
@@ -255,6 +279,9 @@ class MaxMinSolver {
   bool primed_ = false;
   bool force_full_ = false;  // A demand change killed or revived a flow.
   std::vector<double> trace_level_;    // Water level after each round.
+  // Each round's smallest link term T_r (level + residual / weight over the
+  // weighted active links; infinity if none), whichever term set the level.
+  std::vector<double> trace_link_level_;
   std::vector<uint8_t> trace_forced_;  // Round used the forced-fix guard.
   std::vector<int32_t> fix_round_;     // Per flow; kNeverFixed / kDeadRound.
   std::vector<int32_t> sat_round_;     // Per link: first saturated round, kNever.

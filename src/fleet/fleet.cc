@@ -1,9 +1,11 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "src/core/check.h"
+#include "src/fabric/max_min.h"
 
 namespace mihn::fleet {
 
@@ -38,6 +40,26 @@ topology::Topology RackTopology(int hosts) {
   return topo;
 }
 
+topology::Path RackRoute(int hosts, int src, int dst) {
+  MIHN_CHECK(src >= 0 && src < hosts && dst >= 0 && dst < hosts && src != dst);
+  const int src_rack = src / kHostsPerRack;
+  const int dst_rack = dst / kHostsPerRack;
+  topology::Path path;
+  path.nodes.push_back(src);
+  path.hops.push_back({src, true});
+  path.nodes.push_back(hosts + src_rack);
+  if (src_rack != dst_rack) {
+    const int racks = (hosts + kHostsPerRack - 1) / kHostsPerRack;
+    path.hops.push_back({hosts + src_rack, true});
+    path.nodes.push_back(hosts + racks);  // The spine.
+    path.hops.push_back({hosts + dst_rack, false});
+    path.nodes.push_back(hosts + dst_rack);
+  }
+  path.hops.push_back({dst, false});
+  path.nodes.push_back(dst);
+  return path;
+}
+
 Fleet::Fleet(int num_hosts, Options options)
     : options_(std::move(options)),
       sim_(options_.seed),
@@ -51,6 +73,7 @@ Fleet::Fleet(int num_hosts, Options options)
     clocks_.push_back(std::make_unique<sim::Simulation>(options_.seed));
     hosts_.push_back(std::make_unique<HostNetwork>(*clocks_.back(), options_.host));
   }
+  stages_.resize(static_cast<size_t>(num_hosts));
 }
 
 Fleet::~Fleet() = default;
@@ -96,9 +119,21 @@ CrossFlowId Fleet::StartCrossHostFlow(const CrossHostFlowSpec& spec) {
   auto dst_path = dst.fabric().Route(pick_nic(dst.server()), flow.spec.dst_device);
   MIHN_CHECK(dst_path.has_value());
   flow.dst_flow = start_stage(dst.fabric(), std::move(*dst_path));
-  auto inter_path = inter_.Route(flow.spec.src_host, flow.spec.dst_host);
-  MIHN_CHECK(inter_path.has_value());
-  flow.inter_flow = start_stage(inter_, std::move(*inter_path));
+  // The rack layout has one route per host pair; a dead link on it leaves
+  // the pair unreachable.
+  topology::Path inter_path = RackRoute(host_count(), flow.spec.src_host, flow.spec.dst_host);
+  for (const topology::DirectedLink& hop : inter_path.hops) {
+    const std::optional<fabric::LinkFault> fault = inter_.GetLinkFault(hop.link);
+    MIHN_CHECK(!fault.has_value() || fault->capacity_factor > 0.0);
+  }
+  flow.inter_flow = start_stage(inter_, std::move(inter_path));
+
+  std::vector<Stage>& src_stages = stages_[static_cast<size_t>(flow.spec.src_host)];
+  flow.src_stage = src_stages.size();
+  src_stages.push_back({flow.src_flow, flow.spec.demand});
+  std::vector<Stage>& dst_stages = stages_[static_cast<size_t>(flow.spec.dst_host)];
+  flow.dst_stage = dst_stages.size();
+  dst_stages.push_back({flow.dst_flow, flow.spec.demand});
 
   const CrossFlowId id = next_cross_id_++;
   cross_flows_.emplace(id, std::move(flow));
@@ -117,33 +152,31 @@ void Fleet::CoupleCrossHostFlows() {
   if (cross_flows_.empty()) {
     return;
   }
-  // Lift the previous tick's caps so each intra-host stage re-competes at
-  // its full demand; the limits coalesce, so every host pays at most one
-  // solve (none when no stage was capped below its demand).
-  for (const auto& [id, flow] : cross_flows_) {
-    host(flow.spec.src_host).fabric().SetFlowLimit(flow.src_flow, flow.spec.demand);
-    host(flow.spec.dst_host).fabric().SetFlowLimit(flow.dst_flow, flow.spec.demand);
-  }
-  // Settle the lifted fabrics across the pool before reading rates — a
-  // FlowRate() read on a dirty fabric would otherwise solve serially on
-  // this thread, one host at a time.
+  // Each intra-host stage's achievable rate: what it would get at its full
+  // demand with every other flow of its host, other stages included, held
+  // where it is. A what-if changes nothing, so each host answers for its
+  // own stages on its own worker, settling its fabric first.
   pool_.ParallelFor(hosts_.size(), [this](size_t begin, size_t end) {
+    fabric::MaxMinSolver scratch;  // Where a what-if that needs filling rounds runs.
     for (size_t h = begin; h < end; ++h) {
-      hosts_[h]->fabric().Settle();
+      for (Stage& stage : stages_[h]) {
+        stage.rate_if_bps =
+            hosts_[h]->fabric().RateIf(stage.flow, stage.demand, scratch).bytes_per_sec();
+      }
     }
   });
   // Each stage's achievable intra-host rate bounds the inter-host demand;
   // the shared inter-host allocation then yields the end-to-end rate.
   for (auto& [id, flow] : cross_flows_) {
     const double src_rate =
-        host(flow.spec.src_host).fabric().FlowRate(flow.src_flow).bytes_per_sec();
+        stages_[static_cast<size_t>(flow.spec.src_host)][flow.src_stage].rate_if_bps;
     const double dst_rate =
-        host(flow.spec.dst_host).fabric().FlowRate(flow.dst_flow).bytes_per_sec();
+        stages_[static_cast<size_t>(flow.spec.dst_host)][flow.dst_stage].rate_if_bps;
     const double bound = std::min({flow.spec.demand.bytes_per_sec(), src_rate, dst_rate});
     inter_.SetFlowDemand(flow.inter_flow, sim::Bandwidth::BytesPerSec(bound));
   }
-  // Cap both intra-host stages at the end-to-end rate. The first read
-  // solves the inter-host network.
+  // Cap both intra-host stages at the end-to-end rate; a cap that did not
+  // move is no mutation. The first read solves the inter-host network.
   for (auto& [id, flow] : cross_flows_) {
     flow.coupled_rate_bps = inter_.FlowRate(flow.inter_flow).bytes_per_sec();
     const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);

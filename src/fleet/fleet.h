@@ -56,6 +56,7 @@
 #include "src/fabric/fabric.h"
 #include "src/fleet/report.h"
 #include "src/host/host_network.h"
+#include "src/topology/routing.h"
 #include "src/topology/topology.h"
 
 namespace mihn::fleet {
@@ -81,6 +82,11 @@ inline constexpr sim::Bandwidth kRackLinkCapacity = sim::Bandwidth::Gbps(800);
 //
 // with the bracketed rack hops only when the hosts sit in different racks.
 topology::Topology RackTopology(int hosts);
+
+// The one route of RackTopology(hosts) from host |src| to host |dst|
+// (distinct), built from the host and rack indices: the path
+// topology::Router::ShortestPath finds over it while no link on it is dead.
+topology::Path RackRoute(int hosts, int src, int dst);
 
 // The per-host options template the fleet defaults to: telemetry and
 // management services off (Autostart::kNone). The fleet aggregates
@@ -148,10 +154,10 @@ class Fleet {
     // its own tracer, observing that host's clock.
     HostNetwork::Options host = DefaultHostOptions();
     // Worker parallelism for the whole tick: per-host settle and event
-    // window, the coupling's settle, per-host telemetry reduction, and the
-    // root-cause scan all share one persistent core::WorkerPool. <= 1 runs
-    // serially; digests are byte-identical across any value (per-host
-    // results merge in strict host order).
+    // window, the coupling's per-host what-ifs, per-host telemetry
+    // reduction, and the root-cause scan all share one persistent
+    // core::WorkerPool. <= 1 runs serially; digests are byte-identical
+    // across any value (per-host results merge in strict host order).
     int worker_threads = 0;
     // Cap the pool at std::thread::hardware_concurrency(). Oversubscribing
     // the tick's compute-bound chunks only adds context switches; tests
@@ -182,13 +188,19 @@ class Fleet {
 
   // -- Cross-host placement ----------------------------------------------------
   // Starts the three coupled stages. The end-to-end rate settles over the
-  // following ticks (one coupling pass per tick), each of which lifts and
-  // re-caps the intra-host stages with SetFlowLimit. A device with no route
-  // to its host's NIC, an id outside the host's topology included, is a
-  // fatal MIHN_CHECK.
+  // following ticks (one coupling pass per tick). Each pass asks every
+  // intra-host stage what it would get at full demand, the others held at
+  // their caps (Fabric::RateIf), and caps it at the end-to-end rate with
+  // SetFlowLimit, which counts nothing when the cap did not move. The
+  // inter-host route comes from RackRoute. A device with no route to its
+  // host's NIC, an id outside the host's topology included, and an
+  // inter-host route across a dead link are fatal MIHN_CHECKs.
   CrossFlowId StartCrossHostFlow(const CrossHostFlowSpec& spec);
   // Last coupled end-to-end rate (zero before the first tick after start).
   sim::Bandwidth CrossHostRate(CrossFlowId id) const;
+  // The inter-host network, on the coordinator clock. Its flows are the
+  // inter-host stages, in placement order.
+  fabric::Fabric& inter_fabric() { return inter_; }
 
   // -- Time --------------------------------------------------------------------
   // One fleet tick of kTickPeriod: every host settles pending mutations
@@ -215,11 +227,22 @@ class Fleet {
   FleetRootCause RootCauseView();
 
  private:
+  // An intra-host stage, in its host's stage list: its flow and the rate
+  // it would get at full demand, as of the last coupling pass.
+  struct Stage {
+    fabric::FlowId flow = fabric::kInvalidFlow;
+    sim::Bandwidth demand;
+    double rate_if_bps = 0.0;
+  };
+
   struct CrossFlow {
     CrossHostFlowSpec spec;
     fabric::FlowId src_flow = fabric::kInvalidFlow;
     fabric::FlowId dst_flow = fabric::kInvalidFlow;
     fabric::FlowId inter_flow = fabric::kInvalidFlow;
+    // Positions of the two intra-host stages in their hosts' stage lists.
+    size_t src_stage = 0;
+    size_t dst_stage = 0;
     double coupled_rate_bps = 0.0;
   };
 
@@ -243,6 +266,9 @@ class Fleet {
   std::vector<std::unique_ptr<HostNetwork>> hosts_;
   std::vector<std::unique_ptr<anomaly::HeartbeatMesh>> meshes_;  // Empty unless enabled.
   std::map<CrossFlowId, CrossFlow> cross_flows_;  // Ordered: deterministic coupling.
+  // Per host, the intra-host stages it carries, in placement order. Only
+  // that host's worker writes its list during a tick.
+  std::vector<std::vector<Stage>> stages_;
   CrossFlowId next_cross_id_ = 1;
   std::vector<FleetSample> samples_;
   // Width 1 (no helper threads) when the fleet is serial. Worker threads

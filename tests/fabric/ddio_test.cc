@@ -202,6 +202,74 @@ TEST(DdioTest, SpillChildRemovedWithParent) {
   EXPECT_DOUBLE_EQ(fabric.Snapshot({h.mem_bus, true}).rate_bps, 0.0);
 }
 
+// With a DDIO write live, a solve adds and resizes spill flows, so RateIf
+// re-runs the cache-coupled rounds on its scratch solver. Its answers must
+// still be what SetFlowLimit would give, bit for bit, and it must change
+// nothing: the lift below would add two spill flows (the socket's writes
+// start to miss), yet no flow, solve, mutation or FlowId appears. Asked
+// again once the spill flows exist, it must resize them as a solve would.
+TEST(DdioTest, RateIfRunsTheSpillRoundsWithoutMutating) {
+  const Host h = MakeHost(/*mem_bus_gbps=*/8.0);  // Spill memory is scarce.
+  FabricConfig config;
+  config.ddio_ways = 1;
+  config.way_bytes = static_cast<int64_t>(40e9 * 20e-6);  // Fits 40 GB/s of writes.
+  struct Node {
+    Node(const Host& h, const FabricConfig& config) : fabric(sim, h.topo, config) {
+      writer = fabric.StartFlow(DdioWrite(fabric, h));
+      fabric.SetFlowLimit(writer, Bandwidth::GBps(10));
+      FlowSpec second = DdioWrite(fabric, h, Bandwidth::GBps(20));
+      second.path = *fabric.Route(h.rp, h.socket);
+      second.tenant = 2;
+      fabric.StartFlow(second);
+      FlowSpec reader;
+      reader.path = *fabric.Route(h.dimm, h.socket);
+      reader.tenant = 3;
+      fabric.StartFlow(reader);
+      fabric.FlowRate(writer);
+    }
+    Simulation sim{1};
+    Fabric fabric;
+    FlowId writer = kInvalidFlow;
+  };
+  const Bandwidth lifted = Bandwidth::BytesPerSec(kUnlimitedDemand);
+  Node asked(h, config);
+  Node lifted_node(h, config);
+  Node never_asked(h, config);
+  MaxMinSolver scratch;
+  ASSERT_EQ(asked.fabric.ActiveFlows().size(), 3u);  // 30 GB/s of writes fit.
+  const uint64_t solves = asked.fabric.recompute_count();
+  const uint64_t mutations = asked.fabric.mutation_count();
+  const double rate = asked.fabric.FlowRate(asked.writer).bytes_per_sec();
+
+  const double got = asked.fabric.RateIf(asked.writer, lifted, scratch).bytes_per_sec();
+  lifted_node.fabric.SetFlowLimit(lifted_node.writer, lifted);
+  EXPECT_EQ(got, lifted_node.fabric.FlowRate(lifted_node.writer).bytes_per_sec());
+  EXPECT_EQ(lifted_node.fabric.ActiveFlows().size(), 5u);  // The lift spills.
+  EXPECT_GT(got, rate);
+  EXPECT_EQ(asked.fabric.ActiveFlows().size(), 3u);
+  EXPECT_EQ(asked.fabric.recompute_count(), solves);
+  EXPECT_EQ(asked.fabric.mutation_count(), mutations);
+  EXPECT_EQ(asked.fabric.FlowRate(asked.writer).bytes_per_sec(), rate);
+  FlowSpec next = DdioWrite(asked.fabric, h, Bandwidth::GBps(1));
+  EXPECT_EQ(asked.fabric.StartFlow(next), never_asked.fabric.StartFlow(next));
+
+  // Spill flows exist now: a what-if that lowers the writer resizes them.
+  Node spilling(h, config);
+  spilling.fabric.SetFlowLimit(spilling.writer, lifted);
+  spilling.fabric.FlowRate(spilling.writer);
+  const uint64_t spilling_solves = spilling.fabric.recompute_count();
+  for (const double gbps : {2.0, 15.0, 30.0}) {
+    const double answer =
+        spilling.fabric.RateIf(spilling.writer, Bandwidth::GBps(gbps), scratch).bytes_per_sec();
+    Node twin(h, config);  // The same history, then the real limit.
+    twin.fabric.SetFlowLimit(twin.writer, lifted);
+    twin.fabric.FlowRate(twin.writer);
+    twin.fabric.SetFlowLimit(twin.writer, Bandwidth::GBps(gbps));
+    EXPECT_EQ(answer, twin.fabric.FlowRate(twin.writer).bytes_per_sec()) << gbps;
+  }
+  EXPECT_EQ(spilling.fabric.recompute_count(), spilling_solves);
+}
+
 TEST(DdioTest, CacheStatsDefaultWhenUntracked) {
   Simulation sim;
   const Host h = MakeHost();

@@ -508,6 +508,57 @@ TEST(FabricTest, RecomputeCountAdvances) {
   EXPECT_EQ(fabric.mutation_count(), 5u);
 }
 
+// RateIf answers what SetFlowLimit would give, bit for bit, and changes
+// nothing: no solve or mutation is counted, no rate moves, and the next
+// FlowId is the one a fabric that was never asked hands out.
+TEST(FabricTest, RateIfAnswersWithoutMutating) {
+  const topology::Server server = topology::CommodityTwoSocket();
+  struct Host {
+    explicit Host(const topology::Server& server) : fabric(sim, server.topo) {
+      for (const ComponentId src : {server.ssds[0], server.nics[0], server.gpus[0]}) {
+        for (const double gbps : {20.0, 60.0, kUnlimitedDemand / 1.25e8}) {
+          FlowSpec spec;
+          spec.path = *fabric.Route(src, server.dimms[0]);
+          spec.demand = Bandwidth::Gbps(gbps);
+          ids.push_back(fabric.StartFlow(spec));
+        }
+      }
+      fabric.SetFlowLimit(ids[2], Bandwidth::Gbps(5));
+    }
+    Simulation sim{3};
+    Fabric fabric;
+    std::vector<FlowId> ids;
+  };
+  Host asked(server);
+  MaxMinSolver scratch;
+  std::vector<double> rates;
+  for (const FlowId id : asked.ids) {
+    rates.push_back(asked.fabric.FlowRate(id).bytes_per_sec());
+  }
+  const uint64_t solves = asked.fabric.recompute_count();
+  const uint64_t mutations = asked.fabric.mutation_count();
+  for (size_t i = 0; i < asked.ids.size(); ++i) {
+    for (const double gbps : {0.0, 1.0, 30.0, 1e4, kUnlimitedDemand / 1.25e8}) {
+      const Bandwidth limit = Bandwidth::Gbps(gbps);
+      const double got = asked.fabric.RateIf(asked.ids[i], limit, scratch).bytes_per_sec();
+      Host limited(server);
+      limited.fabric.SetFlowLimit(limited.ids[i], limit);
+      EXPECT_EQ(got, limited.fabric.FlowRate(limited.ids[i]).bytes_per_sec())
+          << "flow " << i << " at " << gbps << " Gbps";
+    }
+  }
+  EXPECT_EQ(asked.fabric.RateIf(kInvalidFlow, Bandwidth::Gbps(1), scratch), Bandwidth::Zero());
+  EXPECT_EQ(asked.fabric.recompute_count(), solves);
+  EXPECT_EQ(asked.fabric.mutation_count(), mutations);
+  for (size_t i = 0; i < asked.ids.size(); ++i) {
+    EXPECT_EQ(asked.fabric.FlowRate(asked.ids[i]).bytes_per_sec(), rates[i]) << "flow " << i;
+  }
+  Host never_asked(server);
+  FlowSpec next;
+  next.path = *asked.fabric.Route(server.ssds[0], server.dimms[0]);
+  EXPECT_EQ(asked.fabric.StartFlow(next), never_asked.fabric.StartFlow(next));
+}
+
 // The lean rollup read is the snapshot walk minus the tenant maps: same
 // link order, same totals, and the live-flow count.
 TEST(FabricTest, LinkLoadsMatchSnapshotAll) {

@@ -357,6 +357,119 @@ TEST(MaxMinDeltaDifferentialTest, StallRegimeMixedMutationsMatchReference) {
   EXPECT_GT(solver.delta_solves(), solver.delta_fallbacks()) << "no demand step was replayed";
 }
 
+// A what-if on the fuzz instances: WhatIf(f, d) must equal what a twin
+// solver with the same history gives after UpdateFlowDemand(f, d) +
+// SolveDelta(), and the reference, bit for bit. Any number of what-ifs
+// leaves the solver's rates, delta counters and next SolveDelta() as they
+// were: after them the solver takes the same step as its twin and must
+// match it in rates and in delta stats. Kills, revives and reloads
+// (weight, capacity and add steps) ride along.
+TEST(MaxMinWhatIfTest, AnswersMatchADeltaSolveAndTheReference) {
+  MaxMinSolver solver;
+  MaxMinSolver twin;
+  MaxMinSolver scratch;  // Shared across instances: stale state must not leak.
+  size_t spliced = 0;
+  size_t resumed = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    sim::Rng rng(seed * 2654435761u + 5);
+    Shadow sh = MakeShadow(rng, static_cast<int>(rng.UniformInt(2, 20)),
+                           static_cast<int>(rng.UniformInt(2, 50)));
+    PrimeSolver(solver, sh);
+    PrimeSolver(twin, sh);
+    const auto pick_flow = [&] {
+      return static_cast<int32_t>(rng.UniformInt(0, static_cast<int64_t>(sh.flows.size()) - 1));
+    };
+    const auto pick_demand = [&] { return rng.Bernoulli(0.05) ? 0.0 : RandomDemand(rng); };
+    for (size_t step = 1; step <= 30; ++step) {
+      if (rng.Bernoulli(0.15)) {  // A new problem for both.
+        sh.flows[static_cast<size_t>(pick_flow())].weight = rng.Uniform(0.1, 4.0);
+        LoadSolver(solver, sh);
+        LoadSolver(twin, sh);
+        solver.SolveDelta();
+        twin.SolveDelta();
+        continue;
+      }
+      const std::vector<double> rates = solver.rates();
+      const uint64_t solves = solver.delta_solves();
+      const uint64_t fallbacks = solver.delta_fallbacks();
+      const uint64_t noops = solver.delta_noop_splices();
+      const size_t rounds = solver.last_rounds();
+      for (int probe = 0; probe < 3; ++probe) {
+        const int32_t f = pick_flow();
+        const double d = pick_demand();
+        const double got = solver.WhatIf(f, d, scratch);
+        Shadow mutated = sh;
+        mutated.flows[static_cast<size_t>(f)].demand = d;
+        ASSERT_EQ(got, SolveMaxMinReference(mutated.flows, mutated.caps)[static_cast<size_t>(f)])
+            << "seed " << seed << " step " << step << " flow " << f;
+      }
+      ExpectIdentical(solver.rates(), rates, seed, step);
+      EXPECT_EQ(solver.delta_solves(), solves);
+      EXPECT_EQ(solver.delta_fallbacks(), fallbacks);
+      EXPECT_EQ(solver.delta_noop_splices(), noops);
+      EXPECT_EQ(solver.last_rounds(), rounds);
+
+      // The step both take: the what-if of it first, then the real thing.
+      const int32_t f = pick_flow();
+      const double d = pick_demand();
+      const double got = solver.WhatIf(f, d, scratch);
+      solver.UpdateFlowDemand(f, d);
+      twin.UpdateFlowDemand(f, d);
+      sh.flows[static_cast<size_t>(f)].demand = d;
+      const std::vector<double>& want = twin.SolveDelta();
+      ASSERT_EQ(got, want[static_cast<size_t>(f)]) << "seed " << seed << " step " << step;
+      ExpectIdentical(solver.SolveDelta(), want, seed, step);
+      ExpectIdentical(want, SolveMaxMinReference(sh.flows, sh.caps), seed, step);
+      EXPECT_EQ(solver.last_delta_stats().noop_splice, twin.last_delta_stats().noop_splice);
+      EXPECT_EQ(solver.last_delta_stats().fallback_full, twin.last_delta_stats().fallback_full);
+      EXPECT_EQ(solver.last_delta_stats().component_links,
+                twin.last_delta_stats().component_links);
+      spliced += twin.last_delta_stats().noop_splice ? 1 : 0;
+      resumed += !twin.last_delta_stats().noop_splice && !twin.last_delta_stats().fallback_full;
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  // Both answer paths ran: the replay alone and a resume in the scratch.
+  EXPECT_GT(spliced, 100u);
+  EXPECT_GT(resumed, 100u);
+}
+
+// The case the scan's link term exists for. A flow capped at exactly the
+// level its bottleneck link saturates at sets that round's level twice
+// over, through its demand key and through the link term T_r. Lifting it
+// leaves the level where it was, so the lift is a no-op splice and its
+// what-if needs no resume. A flow capped below its bottleneck level set
+// the level alone, so lifting it still resumes. So does one capped a dust
+// below: its link still saturates in the round its key sets, but the link
+// term T_r sits above that level, and the lift raises the level to it.
+TEST(MaxMinWhatIfTest, LiftAtTheBottleneckLevelSplices) {
+  // One 100-unit link: flow 2 wants 10, flows 0 and 1 split the other 90.
+  Shadow sh;
+  sh.caps = {100.0};
+  sh.flows = {{1.0, kUnlimitedDemand, {0}}, {1.0, kUnlimitedDemand, {0}}, {1.0, 10.0, {0}}};
+  struct Case {
+    double cap;
+    bool splices;
+  };
+  for (const Case c : {Case{45.0, true}, Case{45.0 - 1e-11, false}, Case{30.0, false}}) {
+    SCOPED_TRACE(c.cap);
+    MaxMinSolver solver;
+    MaxMinSolver scratch;
+    PrimeSolver(solver, sh);
+    ASSERT_EQ(solver.rates()[0], 45.0);
+    solver.UpdateFlowDemand(0, c.cap);
+    ASSERT_EQ(solver.SolveDelta()[0], c.cap);
+
+    EXPECT_EQ(solver.WhatIf(0, kUnlimitedDemand, scratch), 45.0);
+    solver.UpdateFlowDemand(0, kUnlimitedDemand);
+    ExpectIdentical(solver.SolveDelta(), SolveMaxMinReference(sh.flows, sh.caps), 0, 1);
+    EXPECT_EQ(solver.last_delta_stats().noop_splice, c.splices);
+    EXPECT_FALSE(solver.last_delta_stats().fallback_full);
+  }
+}
+
 // End-to-end: the Fabric's retained diff path (dirty flow worklist +
 // SolveDelta) must track the reference oracle bit-for-bit through a chaos
 // mutation trace — flow add/remove, demand/weight/limit churn, fault

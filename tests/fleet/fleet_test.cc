@@ -112,6 +112,25 @@ TEST(RackTopologyTest, DirectedIndexLayoutIsFixed) {
   EXPECT_EQ(indices(69, 1), (std::vector<int32_t>{138, 2 * (kHosts + 2), 2 * kHosts + 1, 3}));
 }
 
+// The fleet builds each inter-host route from the rack layout instead of
+// searching for it: every ordered host pair must get the router's path,
+// nodes and hops alike, in a fleet with a one-host rack and in one of
+// three full racks.
+TEST(RackTopologyTest, RackRouteIsTheRoutersPath) {
+  for (const int hosts : {33, 96}) {
+    const topology::Topology topo = RackTopology(hosts);
+    const topology::Router router(topo);
+    for (int src = 0; src < hosts; ++src) {
+      for (int dst = 0; dst < hosts; ++dst) {
+        if (src != dst) {
+          ASSERT_EQ(RackRoute(hosts, src, dst), *router.ShortestPath(src, dst))
+              << hosts << " hosts, " << src << " -> " << dst;
+        }
+      }
+    }
+  }
+}
+
 // A random start/demand/stop trace over three racks: after every batch,
 // whether the fabric re-primed after a start or stop, replayed demand
 // changes, or already solved on its clock's pre-advance hook, each live
@@ -543,6 +562,20 @@ TEST(FleetDeathTest, OutOfRangeDeviceDiesOnTheRouteCheck) {
   spec.src_device = topology::kInvalidComponent;
   spec.dst_device = bad;
   EXPECT_DEATH(fleet.StartCrossHostFlow(spec), "dst_path.has_value");
+}
+
+// The inter-host route comes from the rack layout, which has one route per
+// host pair: a dead link on it leaves the pair unreachable, and placing a
+// flow there dies. A degraded link still carries it.
+TEST(FleetDeathTest, RouteAcrossADeadInterHostLinkDies) {
+  Fleet fleet(40, {});  // Hosts 32-39 sit in rack 1.
+  CrossHostFlowSpec spec;
+  spec.src_host = 1;
+  spec.dst_host = 34;
+  fleet.inter_fabric().InjectLinkFault(40 + 1, fabric::LinkFault{0.5, TimeNs::Zero()});
+  fleet.StartCrossHostFlow(spec);
+  fleet.inter_fabric().InjectLinkFault(34, fabric::LinkFault{0.0, TimeNs::Zero()});
+  EXPECT_DEATH(fleet.StartCrossHostFlow(spec), "capacity_factor > 0.0");
 }
 
 TEST(FleetTest, RootCauseViewRanksFleetWideSuspects) {
