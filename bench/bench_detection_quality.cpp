@@ -142,10 +142,11 @@ int main() {
   table.Row({"max detection latency", bench::Fmt("%.1f ms", detect_ms.max())});
 
   std::printf("\nexpected shape: high precision (bursty background load does not trip the\n"
-              "2x-baseline threshold), high-but-imperfect recall — faults on the\n"
-              "memory-controller branch links sit outside the device mesh's probe\n"
-              "coverage entirely (a real deployment would add DIMM-side vantage points),\n"
-              "and mild latency faults on short paths stay under the threshold — with\n"
-              "top-2 localization for every detection, within a few probe periods.\n");
+              "2x-baseline threshold), high-but-imperfect recall — the planned mesh\n"
+              "probes every link a device-to-endpoint route crosses, DIMM branches\n"
+              "included, but a capacity fault on a wide memory link never congests\n"
+              "under its 8 GB/s loader, so no latency probe can see it, and the idle\n"
+              "parallel inter-socket link carries no route — with top-2 localization\n"
+              "for every detection, within a few probe periods.\n");
   return 0;
 }

@@ -4,15 +4,30 @@
 // cause the connected PCIe device to suffer performance degradation ...
 // This can be addressed by having devices on the intra-host network
 // periodically send 'heartbeats' to each other, similar to works like
-// Pingmesh." Every participant probes every other participant each period;
-// a pair alarms when its latency rises above degradation_factor x its
-// learned baseline. LocalizeFaults() then runs binary tomography over the
-// alarmed/healthy pair paths to rank suspect links.
+// Pingmesh." The mesh probes a planned set of participant pairs each
+// period; a pair alarms when its latency rises above degradation_factor x
+// its learned baseline. LocalizeFaults() then runs binary tomography over
+// the alarmed/healthy pair paths to rank suspect links.
+//
+// The plan is made once, when the mesh is built, in the manner of
+// deTector's probe matrix (Peng et al., ATC '17). A candidate is any
+// ordered pair of distinct participants whose source is not memory (a
+// DIMM or CXL memory cannot start a probe; a device probes it by DMA, as
+// Hostping's RNIC-to-memory probes do), routed as Fabric::Route routes it.
+// The plan
+//   - covers every directed link some candidate crosses, with that link's
+//     least-latency crossing candidate, and
+//   - separates links: for every ordered pair of coverable directed links
+//     (m, l), in index order, that some candidate crosses m but not l, a
+//     planned pair does too, the least-latency such candidate.
+// Least latency is the sensitive choice: a fixed extra latency is the
+// largest relative rise on the shortest path, and the alarm threshold sees
+// relative rises. A route epoch re-resolves the planned pairs' paths but
+// never re-plans.
 
 #ifndef MIHN_SRC_ANOMALY_HEARTBEAT_H_
 #define MIHN_SRC_ANOMALY_HEARTBEAT_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +40,7 @@ namespace mihn::anomaly {
 class HeartbeatMesh {
  public:
   struct Config {
+    // The candidate endpoints the plan picks its pairs from (see above).
     std::vector<topology::ComponentId> participants;
     sim::TimeNs period = sim::TimeNs::Millis(1);
     // A pair alarms when its smoothed latency exceeds this multiple of its
@@ -80,7 +96,7 @@ class HeartbeatMesh {
   size_t pair_count() const { return pairs_.size(); }
   uint64_t probes_sent() const { return probes_sent_; }
 
-  // All pairs, deterministic order.
+  // All planned pairs, in (src, dst) order.
   std::vector<PairReport> Pairs() const;
   // Only the alarmed pairs.
   std::vector<PairReport> Alarms() const;
@@ -100,6 +116,8 @@ class HeartbeatMesh {
 
  private:
   struct PairState {
+    topology::ComponentId src = topology::kInvalidComponent;
+    topology::ComponentId dst = topology::kInvalidComponent;
     topology::Path path;
     int samples = 0;
     double baseline_ns = 0.0;
@@ -123,8 +141,9 @@ class HeartbeatMesh {
 
   fabric::Fabric& fabric_;
   Config config_;
-  // Keyed (src, dst); std::map for deterministic iteration.
-  std::map<std::pair<topology::ComponentId, topology::ComponentId>, PairState> pairs_;
+  // The planned pairs in (src, dst) order, fixed once built: their paths'
+  // addresses stay valid for probes and reports.
+  std::vector<PairState> pairs_;
   sim::EventHandle timer_;
   bool running_ = false;
   uint64_t probes_sent_ = 0;

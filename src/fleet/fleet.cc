@@ -279,7 +279,7 @@ void Fleet::EnableHeartbeats(anomaly::HeartbeatMesh::Config config) {
   meshes_.reserve(hosts_.size());
   for (const std::unique_ptr<HostNetwork>& h : hosts_) {
     anomaly::HeartbeatMesh::Config per_host = config;
-    per_host.participants.clear();  // MakeHeartbeatMesh fills in Devices().
+    per_host.participants.clear();  // MakeHeartbeatMesh fills in its default endpoints.
     meshes_.push_back(h->MakeHeartbeatMesh(std::move(per_host)));
     meshes_.back()->Start();
   }

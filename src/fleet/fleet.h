@@ -218,7 +218,8 @@ class Fleet {
 
   // -- Anomaly -----------------------------------------------------------------
   // Builds and starts one heartbeat mesh per host (config.participants is
-  // replaced per host with that host's Devices()). Idempotent.
+  // replaced per host with MakeHeartbeatMesh's default endpoints: that
+  // host's devices plus its DIMMs and CXL memories). Idempotent.
   void EnableHeartbeats(anomaly::HeartbeatMesh::Config config = {});
 
   // Fleet-level root cause: every host's congested links and suspects,

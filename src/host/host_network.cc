@@ -68,6 +68,10 @@ std::unique_ptr<anomaly::HeartbeatMesh> HostNetwork::MakeHeartbeatMesh(
     anomaly::HeartbeatMesh::Config config) {
   if (config.participants.empty()) {
     config.participants = Devices();
+    config.participants.insert(config.participants.end(), server_.dimms.begin(),
+                               server_.dimms.end());
+    config.participants.insert(config.participants.end(), server_.cxl_memories.begin(),
+                               server_.cxl_memories.end());
   }
   return std::make_unique<anomaly::HeartbeatMesh>(*fabric_, std::move(config));
 }

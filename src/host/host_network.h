@@ -101,12 +101,12 @@ class HostNetwork {
   sim::TimeNs Now() const { return sim_.Now(); }
   sim::TimeNs RunFor(sim::TimeNs duration) { return sim_.RunFor(duration); }
 
-  // All endpoint devices (NICs, GPUs, SSDs) plus sockets — the natural
-  // heartbeat-mesh participant set.
+  // All endpoint devices (NICs, GPUs, SSDs) plus sockets.
   std::vector<topology::ComponentId> Devices() const;
 
-  // Builds (but does not start) a heartbeat mesh over Devices(), or over
-  // the given participants.
+  // Builds (but does not start) a heartbeat mesh that plans its pairs over
+  // the given participants, or by default over Devices() plus the DIMMs
+  // and CXL memories, which are probe destinations only (heartbeat.h).
   std::unique_ptr<anomaly::HeartbeatMesh> MakeHeartbeatMesh(
       anomaly::HeartbeatMesh::Config config = {});
 

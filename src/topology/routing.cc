@@ -1,8 +1,8 @@
 #include "src/topology/routing.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <set>
 #include <sstream>
 
@@ -15,41 +15,37 @@ bool IsComponent(const Topology& topo, ComponentId id) {
   return id >= 0 && static_cast<size_t>(id) < topo.component_count();
 }
 
-// One Dijkstra search: each node's distance from the source and the link
-// (and node) it was reached through.
-struct SearchTree {
-  std::vector<int64_t> dist;
-  std::vector<LinkId> via_link;
-  std::vector<ComponentId> via_node;
-};
-
 // Dijkstra from the component |src| with |excluded_links| treated as
-// absent. Heap entries are (distance, node), so equal distances settle in
-// node-id order. The search stops once |stop_at| is settled;
-// kInvalidComponent grows the full tree. A settled node's tree link never
-// changes afterwards (latencies are non-negative and only a strictly
-// shorter distance relinks), so an early-stopped search and the full tree
-// give every node they both settle the same path.
-SearchTree Search(const Topology& topo, ComponentId src, ComponentId stop_at,
-                  const std::vector<LinkId>& excluded_links) {
+// absent, into |tree|, with |heap| and |excluded| as scratch. Heap entries
+// are (distance, node), so equal distances settle in node-id order. The
+// search stops once |stop_at| is settled; kInvalidComponent grows the full
+// tree. A settled node's tree link never changes afterwards (latencies
+// are non-negative and only a strictly shorter distance relinks), so an
+// early-stopped search and the full tree give every node they both settle
+// the same path.
+void Search(const Topology& topo, ComponentId src, ComponentId stop_at,
+            const std::vector<LinkId>& excluded_links,
+            std::vector<std::pair<int64_t, ComponentId>>& heap, std::vector<char>& excluded,
+            PathTree::Level& tree) {
   const size_t n = topo.component_count();
-  std::vector<bool> link_excluded(topo.link_count(), false);
+  excluded.assign(topo.link_count(), 0);
   for (const LinkId l : excluded_links) {
-    if (l >= 0 && static_cast<size_t>(l) < link_excluded.size()) {
-      link_excluded[static_cast<size_t>(l)] = true;
+    if (l >= 0 && static_cast<size_t>(l) < excluded.size()) {
+      excluded[static_cast<size_t>(l)] = 1;
     }
   }
-
-  SearchTree tree{std::vector<int64_t>(n, kUnreached), std::vector<LinkId>(n, kInvalidLink),
-                  std::vector<ComponentId>(n, kInvalidComponent)};
-  using Entry = std::pair<int64_t, ComponentId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  tree.dist.assign(n, kUnreached);
+  tree.via_hop.assign(n, DirectedLink{});
+  tree.via_node.assign(n, kInvalidComponent);
+  heap.clear();
+  const auto later = std::greater<>();
   tree.dist[static_cast<size_t>(src)] = 0;
-  heap.emplace(0, src);
+  heap.emplace_back(0, src);
 
   while (!heap.empty()) {
-    const auto [d, node] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [d, node] = heap.back();
+    heap.pop_back();
     if (d > tree.dist[static_cast<size_t>(node)]) {
       continue;
     }
@@ -57,7 +53,7 @@ SearchTree Search(const Topology& topo, ComponentId src, ComponentId stop_at,
       break;
     }
     for (const LinkId lid : topo.IncidentLinks(node)) {
-      if (link_excluded[static_cast<size_t>(lid)]) {
+      if (excluded[static_cast<size_t>(lid)] != 0) {
         continue;
       }
       const Link& link = topo.link(lid);
@@ -65,23 +61,17 @@ SearchTree Search(const Topology& topo, ComponentId src, ComponentId stop_at,
       const int64_t nd = d + link.spec.base_latency.nanos();
       if (nd < tree.dist[static_cast<size_t>(next)]) {
         tree.dist[static_cast<size_t>(next)] = nd;
-        tree.via_link[static_cast<size_t>(next)] = lid;
+        tree.via_hop[static_cast<size_t>(next)] = DirectedLink{lid, link.b == next};
         tree.via_node[static_cast<size_t>(next)] = node;
-        heap.emplace(nd, next);
+        heap.emplace_back(nd, next);
+        std::push_heap(heap.begin(), heap.end(), later);
       }
     }
   }
-  return tree;
 }
 
-// |tree|'s path from its source |src| to |dst|; nullopt when |dst| is the
-// source, not a component, or unreached.
-std::optional<Path> TreePath(const Topology& topo, const SearchTree& tree, ComponentId src,
-                             ComponentId dst) {
-  if (dst == src || !IsComponent(topo, dst) ||
-      tree.dist[static_cast<size_t>(dst)] == kUnreached) {
-    return std::nullopt;
-  }
+// |tree|'s path from its source |src| to |dst|, which it reaches.
+Path TreePath(const PathTree::Level& tree, ComponentId src, ComponentId dst) {
   // Walk the tree links back from |dst| twice: once to size the path,
   // once to fill it from the end.
   size_t hops = 0;
@@ -93,9 +83,8 @@ std::optional<Path> TreePath(const Topology& topo, const SearchTree& tree, Compo
   path.hops.resize(hops);
   path.nodes[0] = src;
   for (ComponentId cur = dst; cur != src; cur = tree.via_node[static_cast<size_t>(cur)]) {
-    const LinkId lid = tree.via_link[static_cast<size_t>(cur)];
     path.nodes[hops] = cur;
-    path.hops[--hops] = DirectedLink{lid, topo.link(lid).b == cur};
+    path.hops[--hops] = tree.via_hop[static_cast<size_t>(cur)];
   }
   return path;
 }
@@ -137,31 +126,63 @@ std::optional<Path> Router::ShortestPath(ComponentId src, ComponentId dst) const
   return ComputeShortestPath(src, dst, dead_links_);
 }
 
+const PathTree::Level* PathTree::LevelOf(ComponentId dst) const {
+  if (dst == src_ || dst < 0) {
+    return nullptr;
+  }
+  for (int i = 0; i < level_count_; ++i) {
+    const std::vector<int64_t>& dist = levels_[i].dist;
+    if (static_cast<size_t>(dst) < dist.size() && dist[static_cast<size_t>(dst)] != kUnreached) {
+      return &levels_[i];
+    }
+  }
+  return nullptr;
+}
+
+std::optional<Path> PathTree::PathTo(ComponentId dst) const {
+  const Level* level = LevelOf(dst);
+  if (level == nullptr) {
+    return std::nullopt;
+  }
+  return TreePath(*level, src_, dst);
+}
+
 std::vector<std::optional<Path>> Router::ShortestPaths(
     ComponentId src, const std::vector<ComponentId>& dsts) const {
   std::vector<std::optional<Path>> paths(dsts.size());
-  // Fills the still-unanswered destinations from one full tree; true if
-  // some destination is still unanswered after it.
-  auto answer_from_tree = [&](const std::vector<LinkId>& excluded_links) {
-    const SearchTree tree = Search(topo_, src, kInvalidComponent, excluded_links);
-    bool unanswered = false;
-    for (size_t i = 0; i < dsts.size(); ++i) {
-      if (!paths[i]) {
-        paths[i] = TreePath(topo_, tree, src, dsts[i]);
-        unanswered = unanswered || !paths[i];
-      }
-    }
-    return unanswered;
-  };
-  if (dsts.empty() || !IsComponent(topo_, src)) {
+  if (dsts.empty()) {
     return paths;
   }
-  // The same two health levels as ShortestPath.
-  if (!degraded_links_.empty() && !answer_from_tree(DeadAndDegraded())) {
-    return paths;
+  PathTree tree;
+  FillPathTree(src, dsts, tree);
+  for (size_t i = 0; i < dsts.size(); ++i) {
+    paths[i] = tree.PathTo(dsts[i]);
   }
-  answer_from_tree(dead_links_);
   return paths;
+}
+
+void Router::FillPathTree(ComponentId src, const std::vector<ComponentId>& dsts,
+                          PathTree& tree) const {
+  tree.src_ = src;
+  tree.level_count_ = 0;
+  if (!IsComponent(topo_, src)) {
+    return;
+  }
+  const auto grow = [&](const std::vector<LinkId>& excluded_links) {
+    Search(topo_, src, kInvalidComponent, excluded_links, tree.heap_, tree.excluded_,
+           tree.levels_[tree.level_count_++]);
+  };
+  // The same two health levels as ShortestPath; the second only for a
+  // destination the first misses.
+  if (!degraded_links_.empty()) {
+    grow(DeadAndDegraded());
+    if (std::all_of(dsts.begin(), dsts.end(), [&](ComponentId dst) {
+          return dst == src || tree.LevelOf(dst) != nullptr;
+        })) {
+      return;
+    }
+  }
+  grow(dead_links_);
 }
 
 std::vector<Path> Router::KShortestPaths(ComponentId src, ComponentId dst, int k) const {
@@ -198,7 +219,14 @@ std::optional<Path> Router::ComputeShortestPath(ComponentId src, ComponentId dst
   if (src == dst || !IsComponent(topo_, src) || !IsComponent(topo_, dst)) {
     return std::nullopt;
   }
-  return TreePath(topo_, Search(topo_, src, dst, excluded_links), src, dst);
+  std::vector<std::pair<int64_t, ComponentId>> heap;
+  std::vector<char> excluded;
+  PathTree::Level tree;
+  Search(topo_, src, dst, excluded_links, heap, excluded, tree);
+  if (tree.dist[static_cast<size_t>(dst)] == kUnreached) {
+    return std::nullopt;
+  }
+  return TreePath(tree, src, dst);
 }
 
 std::vector<LinkId> Router::DeadAndDegraded() const {

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -37,6 +38,54 @@ struct Path {
   std::string ToString(const Topology& topo) const;
 
   bool operator==(const Path&) const = default;
+};
+
+// The paths Router::ShortestPaths answers from one source, to every
+// component at once, in buffers a caller reuses from source to source
+// (Router::FillPathTree). A caller that weighs many candidate paths reads
+// their latencies and hops here and builds a Path only for those it keeps.
+class PathTree {
+ public:
+  // One Dijkstra tree: each component's distance from the source and the
+  // hop (and node) it was reached through.
+  struct Level {
+    std::vector<int64_t> dist;
+    std::vector<DirectedLink> via_hop;
+    std::vector<ComponentId> via_node;
+  };
+
+  // Walks the path ShortestPaths(source, {dst}) answers: calls f(hop) for
+  // each of its hops, last hop first, and returns its base latency in ns.
+  // Returns -1, calling nothing, when there is no such path.
+  template <typename F>
+  int64_t ForEachHopBackward(ComponentId dst, F&& f) const {
+    const Level* level = LevelOf(dst);
+    if (level == nullptr) {
+      return -1;
+    }
+    for (ComponentId cur = dst; cur != src_; cur = level->via_node[static_cast<size_t>(cur)]) {
+      f(level->via_hop[static_cast<size_t>(cur)]);
+    }
+    return level->dist[static_cast<size_t>(dst)];
+  }
+  // That path; nullopt when there is none.
+  std::optional<Path> PathTo(ComponentId dst) const;
+
+ private:
+  friend class Router;
+  // The first level that reaches |dst|, as ShortestPaths answers it; null
+  // for the source itself, a non-component or an unreached one.
+  const Level* LevelOf(ComponentId dst) const;
+
+  ComponentId src_ = kInvalidComponent;
+  // The level_count_ trees grown, in ShortestPath's order: dead and
+  // degraded links excluded (only while some link is degraded), then only
+  // dead ones.
+  Level levels_[2];
+  int level_count_ = 0;
+  // The search's heap and link mask, kept for the next fill.
+  std::vector<std::pair<int64_t, ComponentId>> heap_;
+  std::vector<char> excluded_;
 };
 
 // Shortest-path queries over a Topology and the fabric's link health.
@@ -69,6 +118,13 @@ class Router {
   // same path.
   std::vector<std::optional<Path>> ShortestPaths(ComponentId src,
                                                  const std::vector<ComponentId>& dsts) const;
+
+  // The trees ShortestPaths(src, dsts) answers from, grown over every
+  // component into |tree|'s buffers: the second health level is grown
+  // only when some destination other than |src| is unreached at the first.
+  // |tree| then answers ShortestPath(src, d) for every d in |dsts|, and for
+  // every d the first level reaches.
+  void FillPathTree(ComponentId src, const std::vector<ComponentId>& dsts, PathTree& tree) const;
 
   // Up to |k| loop-free paths in nondecreasing base-latency order (Yen's
   // algorithm). Deterministic: ties broken by node-id sequence. Dead links

@@ -21,12 +21,170 @@ HostNetwork::Options Quiet() {
   return options;
 }
 
+// The probe endpoints MakeHeartbeatMesh defaults to.
+std::vector<topology::ComponentId> Endpoints(const HostNetwork& host) {
+  std::vector<topology::ComponentId> endpoints = host.Devices();
+  endpoints.insert(endpoints.end(), host.server().dimms.begin(), host.server().dimms.end());
+  endpoints.insert(endpoints.end(), host.server().cxl_memories.begin(),
+                   host.server().cxl_memories.end());
+  return endpoints;
+}
+
+bool IsMemory(const topology::Topology& topo, topology::ComponentId id) {
+  const topology::ComponentKind kind = topo.component(id).kind;
+  return kind == topology::ComponentKind::kDimm || kind == topology::ComponentKind::kCxlMemory;
+}
+
+std::vector<std::pair<topology::ComponentId, topology::ComponentId>> PairKeys(
+    const HeartbeatMesh& mesh) {
+  std::vector<std::pair<topology::ComponentId, topology::ComponentId>> keys;
+  for (const HeartbeatMesh::PairReport& pair : mesh.Pairs()) {
+    keys.emplace_back(pair.src, pair.dst);
+  }
+  return keys;
+}
+
+// The default mesh probes a planned subset of the ordered endpoint pairs
+// (50 of the 182 device pairs and 112 device-to-DIMM pairs): distinct, in
+// (src, dst) order, each from a device to another endpoint. Memory is a
+// destination and never a source.
 TEST(HeartbeatTest, BuildsAllOrderedPairs) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
   auto mesh = host.MakeHeartbeatMesh();
-  const size_t n = host.Devices().size();
-  EXPECT_EQ(mesh->pair_count(), n * (n - 1));
+  EXPECT_EQ(mesh->pair_count(), 50u);
+  const auto keys = PairKeys(*mesh);
+  ASSERT_EQ(keys.size(), mesh->pair_count());
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+  const std::vector<topology::ComponentId> devices = host.Devices();
+  const std::vector<topology::ComponentId> endpoints = Endpoints(host);
+  int to_memory = 0;
+  for (const auto& [src, dst] : keys) {
+    EXPECT_NE(std::find(devices.begin(), devices.end(), src), devices.end()) << src;
+    EXPECT_NE(std::find(endpoints.begin(), endpoints.end(), dst), endpoints.end()) << dst;
+    EXPECT_NE(src, dst);
+    to_memory += IsMemory(host.topo(), dst) ? 1 : 0;
+  }
+  EXPECT_GT(to_memory, 0);
+}
+
+// A probe path as the plan sees it: the directed links it crosses, one
+// flag per DirectedIndex, and its base latency.
+struct Probe {
+  std::vector<bool> links;
+  int64_t latency_ns = 0;
+};
+
+Probe ProbeOf(const topology::Path& path, const topology::Topology& topo) {
+  Probe probe{std::vector<bool>(2 * topo.link_count(), false), path.BaseLatency(topo).nanos()};
+  for (const topology::DirectedLink& hop : path.hops) {
+    probe.links[static_cast<size_t>(topology::DirectedIndex(hop))] = true;
+  }
+  return probe;
+}
+
+// True if one of |probes| crosses |m| and not |l|.
+bool SomeSeparates(const std::vector<Probe>& probes, size_t m, size_t l) {
+  return std::any_of(probes.begin(), probes.end(),
+                     [&](const Probe& p) { return p.links[m] && !p.links[l]; });
+}
+
+// The least latency among |probes| crossing |m|; -1 when none does.
+int64_t LeastLatency(const std::vector<Probe>& probes, size_t m) {
+  int64_t least = -1;
+  for (const Probe& p : probes) {
+    if (p.links[m] && (least < 0 || p.latency_ns < least)) {
+      least = p.latency_ns;
+    }
+  }
+  return least;
+}
+
+// The plan's contract on every preset, checked against candidates this
+// test routes itself with Router::ShortestPaths: every ordered pair of
+// distinct endpoints whose source is not memory. Every directed link some
+// candidate crosses is probed, by a pair as short as its shortest
+// candidate (coverage, at the most sensitive latency); for every ordered
+// pair of directed links (m, l), if a candidate crosses m but not l, a
+// planned pair does too (separation); and every planned pair probes
+// Fabric::Route.
+TEST(HeartbeatPlanTest, CoversAndSeparatesEveryProbeableLink) {
+  struct Case {
+    const char* name;
+    HostNetwork::Preset preset;
+    size_t pairs;      // All ordered device pairs: 182, 306 and 6.
+    size_t coverable;  // Of 78, 110 and 14 directed links.
+  };
+  const Case cases[] = {
+      {"commodity_two_socket", HostNetwork::Preset::kCommodityTwoSocket, 50, 54},
+      {"dgx_class", HostNetwork::Preset::kDgxClass, 74, 74},
+      {"edge_node", HostNetwork::Preset::kEdgeNode, 7, 8},
+  };
+  for (const Case& c : cases) {
+    sim::Simulation sim;
+    HostNetwork::Options options = Quiet();
+    options.preset = c.preset;
+    HostNetwork host(sim, options);
+    const topology::Topology& topo = host.topo();
+    const std::vector<topology::ComponentId> endpoints = Endpoints(host);
+    std::vector<Probe> candidates;
+    for (const topology::ComponentId src : endpoints) {
+      if (IsMemory(topo, src)) {
+        continue;
+      }
+      for (const auto& path : host.fabric().router().ShortestPaths(src, endpoints)) {
+        if (path) {
+          candidates.push_back(ProbeOf(*path, topo));
+        }
+      }
+    }
+
+    auto mesh = host.MakeHeartbeatMesh();
+    std::vector<Probe> planned;
+    for (const HeartbeatMesh::PairReport& pair : mesh->Pairs()) {
+      ASSERT_EQ(*pair.path, *host.fabric().Route(pair.src, pair.dst))
+          << c.name << ": " << pair.src << "->" << pair.dst;
+      planned.push_back(ProbeOf(*pair.path, topo));
+    }
+    const size_t directed = 2 * topo.link_count();
+    size_t coverable = 0;
+    for (size_t m = 0; m < directed; ++m) {
+      const int64_t least = LeastLatency(candidates, m);
+      coverable += least >= 0 ? 1 : 0;
+      EXPECT_EQ(LeastLatency(planned, m), least) << c.name << " link " << m;
+      for (size_t l = 0; l < directed; ++l) {
+        if (l != m && SomeSeparates(candidates, m, l)) {
+          EXPECT_TRUE(SomeSeparates(planned, m, l)) << c.name << ": " << m << " from " << l;
+        }
+      }
+    }
+    EXPECT_EQ(mesh->pair_count(), c.pairs) << c.name;
+    EXPECT_EQ(coverable, c.coverable) << c.name;
+  }
+}
+
+// The plan is a function of the topology and the endpoint set alone: the
+// order or repetition of the participants does not move it, nor does
+// another host of the same preset on another clock.
+TEST(HeartbeatPlanTest, PlanIgnoresParticipantOrderAndHost) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  const auto reference = PairKeys(*host.MakeHeartbeatMesh());
+
+  HeartbeatMesh::Config shuffled;
+  shuffled.participants = Endpoints(host);
+  shuffled.participants.push_back(shuffled.participants.front());
+  sim::Rng rng(31);
+  for (size_t i = shuffled.participants.size() - 1; i > 0; --i) {
+    const auto j = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i)));
+    std::swap(shuffled.participants[i], shuffled.participants[j]);
+  }
+  EXPECT_EQ(PairKeys(*host.MakeHeartbeatMesh(shuffled)), reference);
+
+  sim::Simulation other_sim(99);
+  HostNetwork other(other_sim, HostNetwork::Options{});
+  EXPECT_EQ(PairKeys(*other.MakeHeartbeatMesh()), reference);
 }
 
 TEST(HeartbeatTest, NoAlarmsOnHealthyFabric) {
@@ -274,7 +432,8 @@ void RandomFaultStep(fabric::Fabric& fabric, sim::Rng& rng) {
 
 // The mesh re-resolves its pairs one source at a time from shortest-path
 // trees; after every tick each pair must probe exactly the path
-// Fabric::Route gives it, or, cut off by a dead link, its previous path.
+// Fabric::Route gives it, or, cut off by a dead link, its previous path,
+// and the planned pair set itself must not move.
 TEST(HeartbeatTest, ReresolvedPathsMatchFabricRoutes) {
   sim::Simulation sim;
   HostNetwork host(sim, Quiet());
@@ -289,6 +448,9 @@ TEST(HeartbeatTest, ReresolvedPathsMatchFabricRoutes) {
     ASSERT_EQ(*pair.path, *fabric.Route(pair.src, pair.dst));
     previous[{pair.src, pair.dst}] = *pair.path;
   }
+  // A route epoch re-resolves the planned pairs and never re-plans.
+  const auto planned = PairKeys(*mesh);
+  const size_t pair_count = mesh->pair_count();
   sim::Rng rng(2024);
   int epoch_changes = 0;
   int reroutes = 0;
@@ -298,6 +460,8 @@ TEST(HeartbeatTest, ReresolvedPathsMatchFabricRoutes) {
     RandomFaultStep(fabric, rng);
     epoch_changes += fabric.route_epoch() != epoch ? 1 : 0;
     host.RunFor(config.period);  // Exactly one mesh tick.
+    ASSERT_EQ(mesh->pair_count(), pair_count) << "step " << step;
+    ASSERT_EQ(PairKeys(*mesh), planned) << "step " << step;
     for (const HeartbeatMesh::PairReport& pair : mesh->Pairs()) {
       topology::Path& before = previous[{pair.src, pair.dst}];
       if (const auto route = fabric.Route(pair.src, pair.dst)) {

@@ -68,12 +68,40 @@ TEST(HostNetworkTest, DevicesListCoversEndpoints) {
             server.sockets.size() + server.nics.size() + server.gpus.size() + server.ssds.size());
 }
 
+// The default endpoints are Devices() plus the DIMMs and CXL memories, and
+// memory is a probe destination only.
 TEST(HostNetworkTest, MakeHeartbeatMeshDefaultsToDevices) {
+  topology::ServerSpec spec;
+  spec.cxl_memory_per_socket = 1;
   sim::Simulation sim;
-  HostNetwork host(sim);
+  HostNetwork host(sim, topology::BuildServer(spec), HostNetwork::Options{});
+  const topology::Server& server = host.server();
   auto mesh = host.MakeHeartbeatMesh();
-  const size_t n = host.Devices().size();
-  EXPECT_EQ(mesh->pair_count(), n * (n - 1));
+
+  anomaly::HeartbeatMesh::Config config;
+  config.participants = host.Devices();
+  config.participants.insert(config.participants.end(), server.dimms.begin(), server.dimms.end());
+  config.participants.insert(config.participants.end(), server.cxl_memories.begin(),
+                             server.cxl_memories.end());
+  auto explicit_mesh = host.MakeHeartbeatMesh(config);
+
+  const auto pairs = mesh->Pairs();
+  const auto explicit_pairs = explicit_mesh->Pairs();
+  ASSERT_EQ(pairs.size(), explicit_pairs.size());
+  bool to_dimm = false;
+  bool to_cxl = false;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pairs[i].src, explicit_pairs[i].src);
+    EXPECT_EQ(pairs[i].dst, explicit_pairs[i].dst);
+    const topology::ComponentKind src_kind = host.topo().component(pairs[i].src).kind;
+    EXPECT_NE(src_kind, topology::ComponentKind::kDimm);
+    EXPECT_NE(src_kind, topology::ComponentKind::kCxlMemory);
+    const topology::ComponentKind dst_kind = host.topo().component(pairs[i].dst).kind;
+    to_dimm = to_dimm || dst_kind == topology::ComponentKind::kDimm;
+    to_cxl = to_cxl || dst_kind == topology::ComponentKind::kCxlMemory;
+  }
+  EXPECT_TRUE(to_dimm);
+  EXPECT_TRUE(to_cxl);
 }
 
 TEST(HostNetworkTest, CustomServerConstructor) {

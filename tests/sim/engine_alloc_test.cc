@@ -176,8 +176,8 @@ TEST(EngineAllocTest, RepoSizedClosuresStayInline) {
 
 // Heartbeat probes and KV packets borrow their paths from their senders,
 // read each hop's latency from the fabric's table, and hand their delivery
-// callbacks to the event pool inline: once warm, 1000 mesh ticks (182
-// probes each) and at least 1000 KV round trips allocate nothing.
+// callbacks to the event pool inline: once warm, 1000 mesh ticks (50
+// planned probes each) and at least 1000 KV round trips allocate nothing.
 TEST(EngineAllocTest, ProbesAndPacketsAllocateNothing) {
   Simulation sim;
   sim.ReserveEvents(64);
@@ -185,13 +185,14 @@ TEST(EngineAllocTest, ProbesAndPacketsAllocateNothing) {
   fabric::Fabric fabric(sim, server.topo);
 
   anomaly::HeartbeatMesh::Config mesh_config;
-  for (const auto* devices : {&server.sockets, &server.nics, &server.gpus, &server.ssds}) {
-    mesh_config.participants.insert(mesh_config.participants.end(), devices->begin(),
-                                    devices->end());
+  for (const auto* endpoints :
+       {&server.sockets, &server.nics, &server.gpus, &server.ssds, &server.dimms}) {
+    mesh_config.participants.insert(mesh_config.participants.end(), endpoints->begin(),
+                                    endpoints->end());
   }
   mesh_config.period = TimeNs::Micros(10);
   anomaly::HeartbeatMesh mesh(fabric, mesh_config);
-  ASSERT_EQ(mesh.pair_count(), 182u);
+  ASSERT_EQ(mesh.pair_count(), 50u);
 
   workload::KvClient::Config kv_config;
   kv_config.client = server.external_hosts[0];
