@@ -15,15 +15,17 @@ std::vector<Anomaly> DetectorBank::Scan(const telemetry::Collector& collector) {
   std::vector<Anomaly> fired;
   for (Attachment& a : attachments_) {
     if (a.source != &collector) {
-      a.series = collector.Series(a.metric);
-      a.source = a.series == nullptr ? nullptr : &collector;
-      if (a.series == nullptr) {
+      const auto series = collector.Series(a.metric);
+      if (!series) {
+        a.source = nullptr;
         continue;
       }
+      a.source = &collector;
+      a.series = *series;
     }
-    const sim::TimeSeries& series = *a.series;
+    const telemetry::Collector::SeriesView series = a.series;
     for (size_t i = series.FirstAfter(a.last_seen); i < series.size(); ++i) {
-      const sim::TimePoint& p = series.At(i);
+      const sim::TimePoint p = series.At(i);
       a.last_seen = p.time;
       if (auto anomaly = a.detector->Observe(p.time, p.value)) {
         anomaly->metric = a.metric;

@@ -4,9 +4,10 @@
 //
 // A scan costs the points that are new, not the series length: each
 // attachment remembers the time of the last point it fed and reads on from
-// TimeSeries::FirstAfter(that time). Once its key resolves, an attachment
-// also caches the series handle, keyed by the collector it came from, so a
-// steady scan does no key lookup.
+// FirstAfter(that time). Once its key resolves, an attachment also caches
+// the collector's view of the series (a column of the frame or a sparse
+// series), keyed by the collector it came from, so a steady scan does no
+// key lookup.
 
 #ifndef MIHN_SRC_ANOMALY_BANK_H_
 #define MIHN_SRC_ANOMALY_BANK_H_
@@ -51,9 +52,10 @@ class DetectorBank {
   struct Attachment {
     std::string metric;
     std::unique_ptr<Detector> detector;
-    // The metric's series in |source|; both null until the key resolves.
+    // The metric's series in |source|; |source| is null until the key
+    // resolves.
     const telemetry::Collector* source = nullptr;
-    const sim::TimeSeries* series = nullptr;
+    telemetry::Collector::SeriesView series{};
     sim::TimeNs last_seen = sim::TimeNs::Nanos(-1);
   };
 

@@ -391,16 +391,18 @@ void Fabric::SetConfig(FabricConfig config) {
   MarkDirty();
 }
 
-void Fabric::FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const {
+LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
+  FlushIfDirty();
+  AccrueCounters();
   const size_t li = static_cast<size_t>(DirectedIndex(dlink));
   const DirectedLinkState& state = links_[li];
+  LinkSnapshot snap;
   snap.link = dlink.link;
   snap.forward = dlink.forward;
   snap.capacity_bps = state.effective_capacity;
   snap.rate_bps = state.rate;
   snap.utilization = state.effective_capacity > 0 ? state.rate / state.effective_capacity : 0.0;
   snap.bytes_total = state.bytes_total;
-  snap.rate_by_tenant_bps.clear();
   for (const auto& [tenant, index] : tenant_lookup_) {
     const size_t at = Idx(index) * links_.size() + li;
     if (tenant_members_[at] > 0) {
@@ -409,33 +411,12 @@ void Fabric::FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) cons
   }
   snap.rate_by_class_bps = state.rate_by_class;
   snap.bytes_by_class = state.bytes_by_class;
-}
-
-LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
-  FlushIfDirty();
-  AccrueCounters();
-  LinkSnapshot snap;
-  FillSnapshot(dlink, snap);
   return snap;
-}
-
-void Fabric::SnapshotAll(std::vector<LinkSnapshot>& out) {
-  FlushIfDirty();
-  AccrueCounters();
-  out.resize(links_.size());
-  size_t i = 0;
-  for (const topology::Link& link : topo_.links()) {
-    for (const bool forward : {true, false}) {
-      FillSnapshot(topology::DirectedLink{link.id, forward}, out[i++]);
-    }
-  }
 }
 
 size_t Fabric::ReadLinkLoads(std::vector<LinkLoad>& out) {
   FlushIfDirty();
   AccrueCounters();
-  // Link ids are dense and DirectedIndex puts forward before reverse, so
-  // links_ order is SnapshotAll() order.
   out.resize(links_.size());
   for (size_t i = 0; i < links_.size(); ++i) {
     out[i] = {links_[i].effective_capacity, links_[i].rate, links_[i].bytes_total};

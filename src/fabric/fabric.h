@@ -154,18 +154,44 @@ class Fabric {
   void SetConfig(FabricConfig config);
 
   // -- Telemetry access ----------------------------------------------------------
-  // Both accrue pending fluid bytes before reporting, so counters are
-  // exact as of Now(). SnapshotAll refills |out| with one snapshot per
-  // directed link (link id order, forward first), reusing its storage: a
-  // caller that keeps the buffer between samples allocates nothing once
-  // the tenant lists have grown.
+  // Accrues pending fluid bytes before reporting, so counters are exact as
+  // of Now().
   LinkSnapshot Snapshot(topology::DirectedLink dlink);
-  void SnapshotAll(std::vector<LinkSnapshot>& out);
 
-  // The lean rollup read: settles and accrues like SnapshotAll(), then
-  // replaces |out| with one LinkLoad per directed link in SnapshotAll()
-  // order. Returns the live flow count (== ActiveFlows().size()).
+  // The lean read of the whole link table: settles and accrues, then
+  // replaces |out| with one LinkLoad per directed link, indexed by
+  // DirectedIndex (link id order, forward first). Returns the live flow
+  // count (== ActiveFlows().size()).
   size_t ReadLinkLoads(std::vector<LinkLoad>& out);
+
+  // The sparse half of a link snapshot, for every directed link at once.
+  // Settles, then calls on_tenant(index, tenant, li, rate) for each
+  // directed link li (a DirectedIndex) on which |tenant| has live flows,
+  // tenant-major: tenants by dense index |index|, which a tenant keeps for
+  // the fabric's lifetime and a new tenant takes as the next integer.
+  // Then calls on_class(li, klass, rate) for each directed link and traffic
+  // class with a positive rate, in link order.
+  template <typename OnTenant, typename OnClass>
+  void ReadTenantAndClassRates(OnTenant&& on_tenant, OnClass&& on_class) const {
+    FlushIfDirty();
+    const size_t num_links = links_.size();
+    for (size_t index = 0; index < tenant_ids_.size(); ++index) {
+      const size_t base = index * num_links;
+      for (size_t li = 0; li < num_links; ++li) {
+        if (tenant_members_[base + li] > 0) {
+          on_tenant(index, tenant_ids_[index], li, tenant_rate_[base + li]);
+        }
+      }
+    }
+    for (size_t li = 0; li < num_links; ++li) {
+      for (int k = 0; k < kNumTrafficClasses; ++k) {
+        const double rate = links_[li].rate_by_class[static_cast<size_t>(k)];
+        if (rate > 0.0) {
+          on_class(li, static_cast<TrafficClass>(k), rate);
+        }
+      }
+    }
+  }
 
   // Effective capacity of one direction (after config + faults).
   sim::Bandwidth EffectiveCapacity(topology::DirectedLink dlink) const;
@@ -407,7 +433,6 @@ class Fabric {
   // Directed link |li|'s base latency inflated by its utilization (M/M/1
   // shape; a zero-capacity link counts as saturated).
   sim::TimeNs CongestedHopLatency(size_t li) const;
-  void FillSnapshot(topology::DirectedLink dlink, LinkSnapshot& snap) const;
 
   // Mirrors faults_ into the router's health sets after every inject/clear:
   // capacity factor 0 is dead; a reduced factor or added latency is

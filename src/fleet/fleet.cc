@@ -188,8 +188,8 @@ void Fleet::CoupleCrossHostFlows() {
 HostSample Fleet::ReduceHost(int i, std::vector<fabric::LinkLoad>& loads) {
   HostSample sample;
   sample.host = i;
-  // The lean accessor: per-link totals in SnapshotAll() order, so the sums
-  // below add in the same order a snapshot walk would.
+  // The lean accessor: per-link totals in DirectedIndex order, so the sums
+  // below add in the same order a walk of the links, forward first, would.
   sample.active_flows =
       static_cast<int>(hosts_[static_cast<size_t>(i)]->fabric().ReadLinkLoads(loads));
   double util_sum = 0.0;

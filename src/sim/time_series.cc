@@ -6,29 +6,27 @@
 
 namespace mihn::sim {
 
-TimeSeries::TimeSeries(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
+TimeSeries::TimeSeries(size_t capacity, size_t width)
+    : capacity_(std::max<size_t>(capacity, 1)), width_(width) {}
 
-void TimeSeries::Append(TimeNs time, double value) {
-  MIHN_DCHECK(buffer_.empty() || time >= Latest().time);
-  if (buffer_.size() < capacity_) {
-    if (buffer_.size() == buffer_.capacity()) {
-      // Double, but never hold storage for more than capacity_ points.
-      buffer_.reserve(std::min(capacity_, std::max<size_t>(8, 2 * buffer_.size())));
+double* TimeSeries::AppendRow(TimeNs time) {
+  MIHN_DCHECK(times_.empty() || time >= Latest().time);
+  if (times_.size() < capacity_) {
+    if (times_.size() == times_.capacity()) {
+      // Double, but never hold storage for more than capacity_ rows.
+      const size_t rows = std::min(capacity_, std::max<size_t>(8, 2 * times_.size()));
+      times_.reserve(rows);
+      values_.reserve(rows * width_);
     }
-    buffer_.push_back(TimePoint{time, value});
-    return;
+    times_.push_back(time);
+    values_.resize(values_.size() + width_);
+    return values_.data() + values_.size() - width_;
   }
-  buffer_[head_] = TimePoint{time, value};
+  const size_t slot = head_;
+  times_[slot] = time;
   head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   ++dropped_;
-}
-
-size_t TimeSeries::FirstAfter(TimeNs t) const {
-  size_t i = buffer_.size();
-  while (i > 0 && At(i - 1).time > t) {
-    --i;
-  }
-  return i;
+  return values_.data() + slot * width_;
 }
 
 }  // namespace mihn::sim

@@ -1,13 +1,15 @@
-// Bounded time series: a ring of timestamped samples, grown on demand.
+// Bounded time series: a ring of timestamped rows, grown on demand.
 //
-// The telemetry sampler appends one point per sampling tick per metric; the
-// anomaly detectors read only the points that are new since their last
-// scan (FirstAfter, then At). A bounded ring keeps memory flat for
+// A row is |width| values under one timestamp. The telemetry sampler
+// appends one row per sampling tick: a width-1 series holds one metric,
+// and the collector's frame holds every dense metric of a sample in one
+// row. The anomaly detectors read only the rows that are new since their
+// last scan (FirstAfter, then At). A bounded ring keeps memory flat for
 // arbitrarily long runs — the paper's §3.1 Q2 storage dilemma is modelled
-// explicitly: capacity is a knob, and overflow drops the oldest data
+// explicitly: capacity is a knob, and overflow drops the oldest row
 // (recorded in dropped()). Capacity is a bound, not an allocation: the ring
-// grows as points arrive and wraps once it holds |capacity| points, so a
-// series costs the points it retains.
+// grows as rows arrive and wraps once it holds |capacity| rows, so a
+// series costs the rows it retains.
 
 #ifndef MIHN_SRC_SIM_TIME_SERIES_H_
 #define MIHN_SRC_SIM_TIME_SERIES_H_
@@ -27,36 +29,60 @@ struct TimePoint {
 
 class TimeSeries {
  public:
-  // |capacity| is the maximum number of retained points (>= 1).
-  explicit TimeSeries(size_t capacity = 4096);
+  // |capacity| is the maximum number of retained rows (>= 1), |width| the
+  // number of values in a row.
+  explicit TimeSeries(size_t capacity = 4096, size_t width = 1);
 
-  // Points must arrive in non-decreasing time order (FirstAfter relies on
-  // it; invariant builds check it).
-  void Append(TimeNs time, double value);
+  // Appends a row at |time| and returns its width() values, which the
+  // caller fills; they stay valid until the next append. Rows must arrive
+  // in non-decreasing time order (FirstAfter relies on it; invariant builds
+  // check it).
+  double* AppendRow(TimeNs time);
+  // A width-1 series' append.
+  void Append(TimeNs time, double value) { AppendRow(time)[0] = value; }
 
-  size_t size() const { return buffer_.size(); }
+  // Retained rows.
+  size_t size() const { return times_.size(); }
+  size_t width() const { return width_; }
 
-  // Number of points evicted due to capacity overflow.
+  // Number of rows evicted due to capacity overflow.
   uint64_t dropped() const { return dropped_; }
 
-  // i-th retained point, oldest first. Precondition: i < size().
-  const TimePoint& At(size_t i) const {
-    const size_t index = head_ + i;
-    return buffer_[index < buffer_.size() ? index : index - buffer_.size()];
+  // Column |column| of the i-th retained row, oldest first.
+  // Preconditions: i < size(), column < width().
+  TimePoint At(size_t i, size_t column = 0) const {
+    const size_t slot = Slot(i);
+    return TimePoint{times_[slot], values_[slot * width_ + column]};
   }
 
-  const TimePoint& Latest() const { return At(size() - 1); }
+  TimePoint Latest() const { return At(size() - 1); }
 
-  // Index of the oldest retained point with time > |t|, or size() if there
-  // is none. Walks back from the newest point, so a reader that remembers
-  // the last time it saw pays only for the points that are new since.
-  size_t FirstAfter(TimeNs t) const;
+  // Index of the oldest retained row with time > |t|, or size() if there
+  // is none. Walks back from the newest row, so a reader that remembers
+  // the last time it saw pays only for the rows that are new since.
+  size_t FirstAfter(TimeNs t) const {
+    size_t i = size();
+    while (i > 0 && times_[Slot(i - 1)] > t) {
+      --i;
+    }
+    return i;
+  }
 
  private:
+  // Storage slot of the i-th retained row.
+  size_t Slot(size_t i) const {
+    const size_t slot = head_ + i;
+    return slot < times_.size() ? slot : slot - times_.size();
+  }
+
   size_t capacity_;
-  // Retained points. Grows to capacity_, then stays full and wraps.
-  std::vector<TimePoint> buffer_;
-  size_t head_ = 0;  // Index of the oldest element (0 until the ring wraps).
+  size_t width_;
+  // Retained rows: a timestamp each, and width_ values each in values_,
+  // row-major in the same slot order. Both grow to capacity_ rows, then
+  // stay full and wrap.
+  std::vector<TimeNs> times_;
+  std::vector<double> values_;
+  size_t head_ = 0;  // Slot of the oldest row (0 until the ring wraps).
   uint64_t dropped_ = 0;
 };
 

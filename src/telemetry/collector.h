@@ -5,12 +5,20 @@
 // into bounded time series that the anomaly platform and diagnostic tools
 // consume.
 //
-// The store is one string-keyed map of series, the boundary index behind
-// Series(key), Keys() and total_dropped_points(). The sampler itself keeps
-// one slot per directed link and per socket holding the handle of each of
-// that slot's series: a key is built, and the map searched, only the first
-// time a series appears. Map nodes never move, so handles — and the
-// pointers Series() returns — stay valid for the Collector's lifetime.
+// The store has two parts. The dense metrics, which every sample carries
+// (util, rate, bytes and byte-delta throughput of every directed link, and
+// in fine mode the cache hit and spill rates of every socket), form one
+// frame: a sim::TimeSeries whose row is one whole sample under one
+// timestamp, written in one pass over the fabric's link table. Its schema
+// is positional: link metric m of directed link d is column
+// kLinkMetrics * DirectedIndex(d) + m, and the socket columns follow. The
+// per-tenant and per-class rates exist only while their tenant or class is
+// on the link, so each is a width-1 series of its own in a string-keyed
+// map; the sampler keeps their handles by (tenant, link) and (link, class),
+// and builds a key and searches the map only when a series first appears.
+// Series(key) resolves any key to a view of one column of either part. The
+// frame and every series appear at the first sample: a collector that never
+// samples (a fleet host's) costs nothing.
 //
 // Two of the paper's §3.1 open questions are modelled explicitly:
 //
@@ -28,10 +36,9 @@
 #ifndef MIHN_SRC_TELEMETRY_COLLECTOR_H_
 #define MIHN_SRC_TELEMETRY_COLLECTOR_H_
 
-#include <array>
 #include <map>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/fabric/fabric.h"
@@ -66,7 +73,7 @@ class Collector {
   // Cancels the sampling timer. The collector must be destroyed before its
   // fabric's clock.
   ~Collector();
-  // Slots hold handles into this collector's own store.
+  // Handles and views point into this collector's own store.
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
@@ -77,11 +84,26 @@ class Collector {
   void SampleOnce();
 
   // -- Series access ----------------------------------------------------------
-  // nullptr if the key has never been sampled. A non-null result stays
-  // valid, and keeps receiving points, for the Collector's lifetime.
-  const sim::TimeSeries* Series(const std::string& key) const;
+  // One metric's series: a column of a sim::TimeSeries (the frame, or a
+  // sparse series' only column). It holds the series, not its rows, so it
+  // stays valid while rows grow, and keeps receiving points, for the
+  // Collector's lifetime.
+  struct SeriesView {
+    const sim::TimeSeries* series;
+    size_t column;
+
+    size_t size() const { return series->size(); }
+    size_t FirstAfter(sim::TimeNs t) const { return series->FirstAfter(t); }
+    sim::TimePoint At(size_t i) const { return series->At(i, column); }
+  };
+
+  // nullopt if the key has never been sampled.
+  std::optional<SeriesView> Series(const std::string& key) const;
+  // Every sampled key, sorted.
   std::vector<std::string> Keys() const;
-  size_t series_count() const { return series_.size(); }
+  size_t series_count() const {
+    return (frame_ ? frame_->width() : 0) + sparse_.size();
+  }
 
   // Key builders (the schema of the metric store).
   static std::string LinkUtilKey(topology::LinkId link, bool forward);
@@ -105,35 +127,39 @@ class Collector {
   // Points dropped across all series due to capacity (storage pressure).
   uint64_t total_dropped_points() const;
 
-
  private:
-  // The series of one directed link. A null handle is a series that has
-  // not appeared yet.
-  struct LinkSlot {
-    sim::TimeSeries* util = nullptr;
-    sim::TimeSeries* rate = nullptr;
-    sim::TimeSeries* bytes = nullptr;
-    sim::TimeSeries* thpt = nullptr;
-    std::array<sim::TimeSeries*, fabric::kNumTrafficClasses> class_rate{};
-    std::vector<std::pair<fabric::TenantId, sim::TimeSeries*>> tenant_rate;  // Sorted by id.
-    double prev_bytes = 0.0;  // bytes_total at the previous sample.
-  };
-  struct SocketSlot {
-    topology::ComponentId socket = topology::kInvalidComponent;
-    sim::TimeSeries* hit = nullptr;
-    sim::TimeSeries* spill = nullptr;
-  };
+  // Frame columns per directed link (util, rate, bytes, thpt) and per
+  // socket (cache hit, spill).
+  static constexpr size_t kLinkMetrics = 4;
+  static constexpr size_t kSocketMetrics = 2;
 
-  // The store's series under |key|, created empty if absent.
+  // The key of frame column |column|, spelled by the key builders.
+  std::string DenseKey(size_t column) const;
+  // The frame column |key| names: the key must be exactly what DenseKey()
+  // spells for that column.
+  std::optional<size_t> DenseColumn(const std::string& key) const;
+  // The sparse series under |key|, created empty if absent.
   sim::TimeSeries& Resolve(std::string key);
 
   fabric::Fabric& fabric_;
   Config config_;
-  std::map<std::string, sim::TimeSeries> series_;
-  std::vector<LinkSlot> link_slots_;      // By topology::DirectedIndex.
-  // SnapshotAll()'s buffer, kept between samples so a sample reuses it.
-  std::vector<fabric::LinkSnapshot> snapshots_;
-  std::vector<SocketSlot> socket_slots_;  // Every CPU socket, once fine sampling starts.
+  // The dense metrics, one row per sample; absent until the first sample.
+  std::optional<sim::TimeSeries> frame_;
+  // The frame's sockets, in column order (fine mode only).
+  std::vector<topology::ComponentId> sockets_;
+  // ReadLinkLoads()'s buffer, kept between samples so a sample reuses it.
+  std::vector<fabric::LinkLoad> loads_;
+  // Each directed link's bytes_total at the previous sample.
+  std::vector<double> prev_bytes_;
+  // The tenant and class rates. Map nodes never move, so the handles below
+  // and the views Series() returns stay valid.
+  std::map<std::string, sim::TimeSeries> sparse_;
+  // Handles into sparse_, null until the series appears: per tenant and
+  // directed link, tenant-major by the fabric's dense tenant index
+  // ([index * directed links + link]), and per directed link and class
+  // ([link * kNumTrafficClasses + class]).
+  std::vector<sim::TimeSeries*> tenant_series_;
+  std::vector<sim::TimeSeries*> class_series_;
   sim::EventHandle timer_;
   bool running_ = false;
   sim::TimeNs last_sample_time_;

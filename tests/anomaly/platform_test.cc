@@ -176,7 +176,7 @@ TEST(DetectorBankTest, KeyThatAppearsAfterAttachIsPickedUp) {
   bank.Attach(key, std::make_unique<RecordingDetector>(&seen));
   host.RunFor(TimeNs::Millis(3));
   bank.Scan(collector);
-  EXPECT_EQ(collector.Series(key), nullptr);
+  EXPECT_FALSE(collector.Series(key));
   EXPECT_TRUE(seen.empty());
 
   workload::StreamSource::Config bulk;
@@ -252,7 +252,8 @@ TEST(DetectorBankTest, OneBankScansTwoCollectors) {
   sim.RunFor(TimeNs::Millis(2));
   bank.Scan(busy_collector);
   ASSERT_EQ(Millis(seen), (std::vector<int64_t>{3, 4}));
-  EXPECT_EQ(seen.back().value, busy_collector.Series(key)->Latest().value);
+  const auto busy_series = busy_collector.Series(key);
+  EXPECT_EQ(seen.back().value, busy_series->At(busy_series->size() - 1).value);
   EXPECT_GT(seen.back().value, 0.0);
 
   seen.clear();

@@ -30,9 +30,8 @@ using sim::TimeNs;
 // ASSERT_* is usable.
 void DumpFabric(Fabric& fabric, const topology::Server& server, std::ostringstream& out) {
   out << std::hexfloat;
-  std::vector<LinkSnapshot> snaps;
-  fabric.SnapshotAll(snaps);
-  for (const LinkSnapshot& snap : snaps) {
+  for (int32_t d = 0; d < 2 * static_cast<int32_t>(fabric.topo().link_count()); ++d) {
+    const LinkSnapshot snap = fabric.Snapshot({d / 2, d % 2 == 0});
     out << "link=" << snap.link << " fwd=" << snap.forward << " cap=" << snap.capacity_bps
         << " rate=" << snap.rate_bps << " util=" << snap.utilization
         << " bytes=" << snap.bytes_total;
@@ -70,9 +69,8 @@ void DumpFabric(Fabric& fabric, const topology::Server& server, std::ostringstre
 // fabric splits time, while rates are pure functions of the solver inputs.
 void DumpRates(Fabric& fabric, const topology::Server& server, std::ostringstream& out) {
   out << std::hexfloat;
-  std::vector<LinkSnapshot> snaps;
-  fabric.SnapshotAll(snaps);
-  for (const LinkSnapshot& snap : snaps) {
+  for (int32_t d = 0; d < 2 * static_cast<int32_t>(fabric.topo().link_count()); ++d) {
+    const LinkSnapshot snap = fabric.Snapshot({d / 2, d % 2 == 0});
     out << "link=" << snap.link << " fwd=" << snap.forward << " cap=" << snap.capacity_bps
         << " rate=" << snap.rate_bps << " util=" << snap.utilization;
     for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
@@ -281,9 +279,8 @@ TEST(DeterminismTest, DifferentFaultInsertionOrderSameState) {
     sim.RunFor(TimeNs::Millis(2));
     std::ostringstream out;
     out << std::hexfloat;
-    std::vector<LinkSnapshot> snaps;
-    fabric.SnapshotAll(snaps);
-    for (const LinkSnapshot& snap : snaps) {
+    for (int32_t d = 0; d < 2 * static_cast<int32_t>(fabric.topo().link_count()); ++d) {
+      const LinkSnapshot snap = fabric.Snapshot({d / 2, d % 2 == 0});
       out << snap.link << ":" << snap.rate_bps << ":" << snap.bytes_total << "\n";
     }
     return out.str();

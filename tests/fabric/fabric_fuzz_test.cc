@@ -142,9 +142,9 @@ class FuzzHarness {
         class_rate[l][static_cast<size_t>(flow.klass)] += flow.rate;
       }
     }
-    fabric_.SnapshotAll(snapshots_);
-    for (const LinkSnapshot& snap : snapshots_) {
-      const size_t l = static_cast<size_t>(topology::DirectedIndex({snap.link, snap.forward}));
+    for (size_t l = 0; l < num_links; ++l) {
+      const LinkSnapshot snap =
+          fabric_.Snapshot({static_cast<topology::LinkId>(l / 2), l % 2 == 0});
       EXPECT_EQ(snap.rate_bps, link_rate[l]) << "link " << l;
       EXPECT_EQ(snap.rate_by_tenant_bps, (std::vector<std::pair<TenantId, double>>(
                                              tenant_rate[l].begin(), tenant_rate[l].end())))
@@ -371,7 +371,6 @@ class FuzzHarness {
   std::map<FlowId, ShadowFlow> recorded_;                   // Id order.
   TimeNs last_;
   std::vector<double> link_bytes_;
-  std::vector<LinkSnapshot> snapshots_;  // Refilled by every Check().
   std::vector<std::array<double, kNumTrafficClasses>> class_bytes_;
 };
 

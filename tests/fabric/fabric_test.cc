@@ -458,9 +458,8 @@ TEST(FabricTest, DeterministicAcrossRuns) {
     fabric.StartTransfer(std::move(t));
     sim.RunFor(TimeNs::Millis(100));
     double sum = 0;
-    std::vector<LinkSnapshot> snaps;
-    fabric.SnapshotAll(snaps);
-    for (const LinkSnapshot& s : snaps) {
+    for (int32_t d = 0; d < 2 * static_cast<int32_t>(fabric.topo().link_count()); ++d) {
+      const LinkSnapshot s = fabric.Snapshot({d / 2, d % 2 == 0});
       sum += s.bytes_total;
     }
     return sum;
@@ -559,8 +558,9 @@ TEST(FabricTest, RateIfAnswersWithoutMutating) {
   EXPECT_EQ(asked.fabric.StartFlow(next), never_asked.fabric.StartFlow(next));
 }
 
-// The lean rollup read is the snapshot walk minus the tenant maps: same
-// link order, same totals, and the live-flow count.
+// The lean read of the link table is Snapshot() of every directed link,
+// in DirectedIndex order, minus the tenant maps: same totals, and the
+// live-flow count.
 TEST(FabricTest, LinkLoadsMatchSnapshotAll) {
   Simulation sim(7);
   topology::Server server = topology::CommodityTwoSocket();
@@ -584,55 +584,14 @@ TEST(FabricTest, LinkLoadsMatchSnapshotAll) {
 
   std::vector<LinkLoad> loads = {LinkLoad{}};  // Stale contents are replaced.
   const size_t live = fabric.ReadLinkLoads(loads);
-  std::vector<LinkSnapshot> snaps;
-  fabric.SnapshotAll(snaps);
   EXPECT_EQ(live, fabric.ActiveFlows().size());
-  ASSERT_EQ(loads.size(), snaps.size());
-  for (size_t i = 0; i < snaps.size(); ++i) {
-    EXPECT_EQ(loads[i].capacity_bps, snaps[i].capacity_bps) << i;
-    EXPECT_EQ(loads[i].rate_bps, snaps[i].rate_bps) << i;
-    EXPECT_EQ(loads[i].bytes_total, snaps[i].bytes_total) << i;
-  }
-}
-
-// SnapshotAll refills the caller's buffer: stale entries and stale tenant
-// lists are replaced, and each link's tenants come sorted by id whatever
-// order they first appeared in.
-TEST(FabricTest, SnapshotAllRefillsItsBuffer) {
-  Simulation sim(7);
-  topology::Server server = topology::CommodityTwoSocket();
-  Fabric fabric(sim, server.topo);
-  const topology::Path path = *fabric.Route(server.gpus[0], server.dimms[0]);
-  for (const TenantId tenant : {9, 2, 5}) {
-    FlowSpec spec;
-    spec.path = path;
-    spec.tenant = tenant;
-    fabric.StartFlow(spec);
-  }
-  sim.RunFor(TimeNs::Millis(1));
-
-  std::vector<LinkSnapshot> fresh;
-  fabric.SnapshotAll(fresh);
-  ASSERT_EQ(fresh.size(), server.topo.link_count() * 2);
-  const LinkSnapshot& loaded = fresh[static_cast<size_t>(DirectedIndex(path.hops[0]))];
-  ASSERT_EQ(loaded.rate_by_tenant_bps.size(), 3u);
-  EXPECT_EQ(loaded.rate_by_tenant_bps[0].first, 2);
-  EXPECT_EQ(loaded.rate_by_tenant_bps[1].first, 5);
-  EXPECT_EQ(loaded.rate_by_tenant_bps[2].first, 9);
-
-  std::vector<LinkSnapshot> reused(fresh.size() + 3);
-  for (LinkSnapshot& snap : reused) {
-    snap.rate_bps = -1.0;
-    snap.rate_by_tenant_bps = {{42, 1.0}};
-  }
-  fabric.SnapshotAll(reused);
-  ASSERT_EQ(reused.size(), fresh.size());
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(reused[i].link, fresh[i].link) << i;
-    EXPECT_EQ(reused[i].forward, fresh[i].forward) << i;
-    EXPECT_EQ(reused[i].rate_bps, fresh[i].rate_bps) << i;
-    EXPECT_EQ(reused[i].rate_by_tenant_bps, fresh[i].rate_by_tenant_bps) << i;
-    EXPECT_EQ(reused[i].bytes_by_class, fresh[i].bytes_by_class) << i;
+  ASSERT_EQ(loads.size(), 2 * server.topo.link_count());
+  for (size_t i = 0; i < loads.size(); ++i) {
+    const LinkSnapshot snap =
+        fabric.Snapshot({static_cast<topology::LinkId>(i / 2), i % 2 == 0});
+    EXPECT_EQ(loads[i].capacity_bps, snap.capacity_bps) << i;
+    EXPECT_EQ(loads[i].rate_bps, snap.rate_bps) << i;
+    EXPECT_EQ(loads[i].bytes_total, snap.bytes_total) << i;
   }
 }
 

@@ -179,14 +179,11 @@ TEST(HostNetworkTest, SharedClockResultsIndependentOfConstructionOrder) {
     PerHost out;
     out.busy_bytes = 0.0;
     out.idle_bytes = 0.0;
-    std::vector<fabric::LinkSnapshot> snaps;
-    busy->fabric().SnapshotAll(snaps);
-    for (const auto& snap : snaps) {
-      out.busy_bytes += snap.bytes_total;
+    for (int32_t d = 0; d < 2 * static_cast<int32_t>(busy->topo().link_count()); ++d) {
+      out.busy_bytes += busy->fabric().Snapshot({d / 2, d % 2 == 0}).bytes_total;
     }
-    idle->fabric().SnapshotAll(snaps);
-    for (const auto& snap : snaps) {
-      out.idle_bytes += snap.bytes_total;
+    for (int32_t d = 0; d < 2 * static_cast<int32_t>(idle->topo().link_count()); ++d) {
+      out.idle_bytes += idle->fabric().Snapshot({d / 2, d % 2 == 0}).bytes_total;
     }
     return out;
   };

@@ -12,20 +12,28 @@
 //
 // The same counter then holds the packet path to the same standard: a
 // heartbeat mesh and a KV client on an unfaulted fabric, past warm-up,
-// send their probes and packets without a single allocation.
+// send their probes and packets without a single allocation. So is the
+// telemetry store: a fine collector and a detector bank, once every ring
+// has wrapped, sample and scan without one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "src/anomaly/bank.h"
 #include "src/anomaly/heartbeat.h"
 #include "src/fabric/fabric.h"
 #include "src/obs/sim_trace.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
+#include "src/telemetry/collector.h"
 #include "src/topology/presets.h"
 #include "src/workload/kv_client.h"
 
@@ -215,6 +223,77 @@ TEST(EngineAllocTest, ProbesAndPacketsAllocateNothing) {
   EXPECT_EQ(mesh.probes_sent() - probes_before, 1000u * mesh.pair_count());
   EXPECT_GE(kv.completed_ops() - ops_before, 1000);
   EXPECT_EQ(g_allocations, 0u) << "the packet path allocated " << g_allocations << " times";
+}
+
+// A fine collector sampling every ms into 64-row rings and a bank of EWMA
+// detectors over every link-util key, scanned every ms: tenants, a DDIO
+// writer (the spill class and cache columns) and a late tenant give it
+// every kind of series. Past the late tenant's first sample and past the
+// wrap of every ring, 1000 samples and scans allocate nothing.
+TEST(EngineAllocTest, TelemetrySamplesAndScansAllocateNothing) {
+  Simulation sim;
+  sim.ReserveEvents(64);
+  const topology::Server server = topology::CommodityTwoSocket();
+  fabric::FabricConfig fabric_config;
+  fabric_config.ddio_ways = 2;
+  fabric_config.way_bytes = 64 * 1024;
+  fabric::Fabric fabric(sim, server.topo, fabric_config);
+  auto start = [&](topology::ComponentId src, topology::ComponentId dst,
+                   fabric::TenantId tenant, Bandwidth demand, bool ddio_write) {
+    fabric::FlowSpec spec;
+    spec.path = *fabric.Route(src, dst);
+    spec.demand = demand;
+    spec.tenant = tenant;
+    spec.ddio_write = ddio_write;
+    fabric.StartFlow(std::move(spec));
+  };
+  start(server.ssds[0], server.dimms[0], 1, Bandwidth::GBps(5), false);
+  start(server.nics[0], server.sockets[0], 2, Bandwidth::GBps(40), true);
+
+  telemetry::Collector::Config config;
+  config.period = TimeNs::Millis(1);
+  config.series_capacity = 64;
+  telemetry::Collector collector(fabric, config);
+  anomaly::DetectorBank bank;
+  for (const topology::Link& link : server.topo.links()) {
+    for (const bool forward : {true, false}) {
+      bank.Attach(telemetry::Collector::LinkUtilKey(link.id, forward),
+                  std::make_unique<anomaly::EwmaDetector>());
+    }
+  }
+  collector.Start();
+  auto run_ms = [&](int ms) {
+    for (int i = 0; i < ms; ++i) {
+      sim.RunFor(TimeNs::Millis(1));
+      bank.Scan(collector);
+    }
+  };
+  run_ms(20);
+  start(server.gpus[0], server.dimms[1], 3, Bandwidth::GBps(5), false);
+  // The late tenant's series fill their 64 rows; the detectors learn the
+  // new level afresh.
+  run_ms(80);
+  bank.Rebaseline();
+  run_ms(40);
+  ASSERT_GT(collector.total_dropped_points(), 0u);
+  const std::vector<std::string> keys = collector.Keys();
+  ASSERT_TRUE(std::any_of(keys.begin(), keys.end(), [](const std::string& key) {
+    return key.find("/class/spill/") != std::string::npos;
+  }));
+  const size_t series = collector.series_count();
+  const size_t anomalies = bank.log().size();
+  const uint64_t samples_before = collector.samples_taken();
+
+  g_allocations = 0;
+  g_counting = true;
+  run_ms(1000);
+  g_counting = false;
+
+  EXPECT_EQ(collector.samples_taken() - samples_before, 1000u);
+  EXPECT_EQ(collector.series_count(), series);
+  EXPECT_EQ(bank.log().size(), anomalies);
+  EXPECT_EQ(g_allocations, 0u) << "sampling and scanning allocated " << g_allocations
+                               << " times";
 }
 
 }  // namespace

@@ -67,10 +67,10 @@ TEST(CollectorTest, RecordsUtilizationOfActiveLink) {
 
   const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
   const topology::DirectedLink hop = path.hops[0];
-  const sim::TimeSeries* util = collector.Series(Collector::LinkUtilKey(hop.link, hop.forward));
-  ASSERT_NE(util, nullptr);
+  const auto util = collector.Series(Collector::LinkUtilKey(hop.link, hop.forward));
+  ASSERT_TRUE(util);
   EXPECT_EQ(util->size(), 5u);
-  EXPECT_GT(util->Latest().value, 0.1);
+  EXPECT_GT(util->At(util->size() - 1).value, 0.1);
 }
 
 TEST(CollectorTest, ThroughputSeriesIncludesPacketTraffic) {
@@ -94,14 +94,13 @@ TEST(CollectorTest, ThroughputSeriesIncludesPacketTraffic) {
   host.RunFor(TimeNs::Millis(10));
 
   const topology::DirectedLink hop = path.hops[0];
-  const sim::TimeSeries* rate = collector.Series(Collector::LinkRateKey(hop.link, hop.forward));
-  const sim::TimeSeries* thpt =
-      collector.Series(Collector::LinkThroughputKey(hop.link, hop.forward));
-  ASSERT_NE(rate, nullptr);
-  ASSERT_NE(thpt, nullptr);
-  EXPECT_DOUBLE_EQ(rate->Latest().value, 0.0);
+  const auto rate = collector.Series(Collector::LinkRateKey(hop.link, hop.forward));
+  const auto thpt = collector.Series(Collector::LinkThroughputKey(hop.link, hop.forward));
+  ASSERT_TRUE(rate);
+  ASSERT_TRUE(thpt);
+  EXPECT_DOUBLE_EQ(rate->At(rate->size() - 1).value, 0.0);
   // ~1 KiB/us = ~1.024 GB/s.
-  EXPECT_NEAR(thpt->Latest().value, 1.024e9, 0.05e9);
+  EXPECT_NEAR(thpt->At(thpt->size() - 1).value, 1.024e9, 0.05e9);
 }
 
 TEST(CollectorTest, ThroughputMatchesFluidRateForFlows) {
@@ -121,10 +120,9 @@ TEST(CollectorTest, ThroughputMatchesFluidRateForFlows) {
   host.RunFor(TimeNs::Millis(5));
   const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
   const topology::DirectedLink hop = path.hops[0];
-  const sim::TimeSeries* thpt =
-      collector.Series(Collector::LinkThroughputKey(hop.link, hop.forward));
-  ASSERT_NE(thpt, nullptr);
-  EXPECT_NEAR(thpt->Latest().value, 5e9, 1e7);
+  const auto thpt = collector.Series(Collector::LinkThroughputKey(hop.link, hop.forward));
+  ASSERT_TRUE(thpt);
+  EXPECT_NEAR(thpt->At(thpt->size() - 1).value, 5e9, 1e7);
 }
 
 TEST(CollectorTest, FineModeHasPerTenantSeries) {
@@ -145,12 +143,11 @@ TEST(CollectorTest, FineModeHasPerTenantSeries) {
 
   const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
   const topology::DirectedLink hop = path.hops[0];
-  const sim::TimeSeries* tenant_rate =
-      collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 42));
-  ASSERT_NE(tenant_rate, nullptr);
-  EXPECT_GT(tenant_rate->Latest().value, 0.0);
+  const auto tenant_rate = collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 42));
+  ASSERT_TRUE(tenant_rate);
+  EXPECT_GT(tenant_rate->At(tenant_rate->size() - 1).value, 0.0);
   // Cache series exist in fine mode.
-  EXPECT_NE(collector.Series(Collector::CacheHitKey(server.sockets[0])), nullptr);
+  EXPECT_TRUE(collector.Series(Collector::CacheHitKey(server.sockets[0])));
 }
 
 TEST(CollectorTest, CoarseModeOmitsTenantsAndClampsPeriod) {
@@ -177,10 +174,10 @@ TEST(CollectorTest, CoarseModeOmitsTenantsAndClampsPeriod) {
 
   const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
   const topology::DirectedLink hop = path.hops[0];
-  EXPECT_EQ(collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 42)), nullptr);
-  EXPECT_EQ(collector.Series(Collector::CacheHitKey(server.sockets[0])), nullptr);
+  EXPECT_FALSE(collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 42)));
+  EXPECT_FALSE(collector.Series(Collector::CacheHitKey(server.sockets[0])));
   // Aggregate series still exist.
-  EXPECT_NE(collector.Series(Collector::LinkUtilKey(hop.link, hop.forward)), nullptr);
+  EXPECT_TRUE(collector.Series(Collector::LinkUtilKey(hop.link, hop.forward)));
 }
 
 TEST(CollectorTest, FineHasMoreSeriesThanCoarse) {
@@ -261,7 +258,7 @@ TEST(CollectorTest, SeriesLookupMissReturnsNull) {
   sim::Simulation sim;
   HostNetwork host(sim, NoAutoStart());
   Collector collector(host.fabric(), Collector::Config{});
-  EXPECT_EQ(collector.Series("nope"), nullptr);
+  EXPECT_FALSE(collector.Series("nope"));
   EXPECT_TRUE(collector.Keys().empty());
 }
 
@@ -376,15 +373,15 @@ PinnedRun RunPinnedScenario() {
 
   PinnedRun run;
   for (const std::string& key : collector.Keys()) {
-    const sim::TimeSeries* series = collector.Series(key);
+    const auto series = collector.Series(key);
     run.digest = Fold(run.digest, key);
-    run.digest = Fold(run.digest, series->dropped());
+    run.digest = Fold(run.digest, series->series->dropped());
     for (size_t i = 0; i < series->size(); ++i) {
       run.digest = Fold(run.digest, static_cast<uint64_t>(series->At(i).time.nanos()));
       run.digest = Fold(run.digest, series->At(i).value);
     }
     ++run.keys;
-    run.dropped += series->dropped();
+    run.dropped += series->series->dropped();
     run.has_class_key |= key.find("/class/spill/") != std::string::npos;
     run.has_cache_key |= key.find("/cache_hit") != std::string::npos;
   }
@@ -396,8 +393,8 @@ PinnedRun RunPinnedScenario() {
     run.digest = Fold(run.digest, a.detail);
   }
   run.anomalies = bank.log().size();
-  const sim::TimeSeries* late_series = collector.Series(late_key);
-  run.late_points = late_series == nullptr ? 0 : late_series->size();
+  const auto late_series = collector.Series(late_key);
+  run.late_points = late_series ? late_series->size() : 0;
   return run;
 }
 
